@@ -6,6 +6,8 @@ codimension-1 foliations on the 3-torus, leafwise torsion for the product
 foliation, and degree-1 cyclic cocycles on a Fourier model of C(S^1).
 """
 
+__version__ = "0.1.0"  # defined first: taut3.cache keys its entries by it
+
 from .presentations import (
     GroupPresentation,
     HomologySummary,
@@ -74,7 +76,5 @@ from .cyclic import (
 )
 from .manifest import Manifest, ManifestError, load_manifest, validate_manifest
 from .reports import InvariantReport
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,7 +1,8 @@
-"""Content-addressed on-disk cache for spectra and other derived data.
+"""Content-addressed on-disk cache for derived data (today: torsion sums).
 
-Keys are SHA-256 hashes of a canonical-JSON description of the inputs; each
-entry is a JSON file with a versioned header and a payload checksum.  A
+Keys are SHA-256 hashes of a canonical-JSON description of the inputs and the
+package version, so an entry written by another version is a miss; each entry
+is a JSON file with a versioned header and a payload checksum.  A
 checksum mismatch (truncated write, manual edit) discards the entry and the
 caller recomputes — corruption can cost time, never correctness.
 """
@@ -11,7 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
+
+from . import __version__
 
 CACHE_VERSION = 1
 ENV_VAR = "TAUT3_CACHE_DIR"
@@ -44,11 +48,15 @@ class Cache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
+    @staticmethod
+    def _key(inputs) -> str:
+        return content_key({"taut3": __version__, "inputs": inputs})
+
     def get(self, inputs):
         """Payload for these inputs, or None on miss / corruption."""
         if not self.enabled:
             return None
-        key = content_key(inputs)
+        key = self._key(inputs)
         path = self._path(key)
         if not path.exists():
             return None
@@ -72,7 +80,7 @@ class Cache:
     def put(self, inputs, payload) -> None:
         if not self.enabled:
             return
-        key = content_key(inputs)
+        key = self._key(inputs)
         self.directory.mkdir(parents=True, exist_ok=True)
         entry = {
             "version": CACHE_VERSION,
@@ -80,6 +88,9 @@ class Cache:
             "checksum": hashlib.sha256(_canonical(payload).encode()).hexdigest(),
             "payload": payload,
         }
-        tmp = self._path(key).with_suffix(".tmp")
-        tmp.write_text(_canonical(entry))
-        tmp.replace(self._path(key))
+        # one temporary file per writer, so concurrent writers never interleave
+        with tempfile.NamedTemporaryFile(
+            "w", dir=self.directory, suffix=".tmp", delete=False
+        ) as tmp:
+            tmp.write(_canonical(entry))
+        os.replace(tmp.name, self._path(key))

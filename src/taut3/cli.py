@@ -1,9 +1,12 @@
 """Manifest-driven command line front end.
 
 Each subcommand runs one invariant pipeline; `all` runs every pipeline that
-applies to the manifest's manifold.  Reports are written as JSON (sections,
-tolerances, warnings) with timings kept in a separate block so repeated runs
-with the same seed produce identical reports modulo timing fields.
+applies to the manifest's manifold, reporting the others as skipped.  The
+pipelines of one invocation share a `Run`, so the presentation, the flat
+moduli and the CW structure are each computed once.  Reports are written as
+JSON (sections, tolerances, warnings) with timings kept in a separate block so
+repeated runs with the same seed produce identical reports modulo timing
+fields.
 
 Exit codes:
   0  success
@@ -18,6 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +42,7 @@ from .twisted_torsion import (
     UnsupportedFamilyError,
     build_twisted_complex,
     cw_structure,
+    require_finite_moduli,
     torsion_sum,
 )
 
@@ -49,24 +55,37 @@ EXIT_TAUTNESS = 5
 SUBCOMMANDS = ("reps", "torsion", "casson", "cs-check", "gv", "leafwise", "cyclic", "all")
 
 
-def _solver_config(m: Manifest, seed_override=None) -> SolverConfig:
-    kw = dict(m.solver)
-    if seed_override is not None:
-        kw["seed"] = seed_override
-    return SolverConfig(**kw)
+@dataclass
+class Run:
+    """One invocation: manifest, flags and cache, plus every artifact the
+    pipelines share, each computed at most once and only when first read."""
+
+    m: Manifest
+    args: argparse.Namespace
+    cache: Cache
+
+    @cached_property
+    def cfg(self) -> SolverConfig:
+        kw = dict(self.m.solver)
+        if self.args.seed is not None:
+            kw["seed"] = self.args.seed
+        return SolverConfig(**kw)
+
+    @cached_property
+    def presentation(self):
+        return builtin_presentation(self.m.family, *self.m.params)
+
+    @cached_property
+    def moduli(self):
+        return enumerate_reps(self.presentation, self.cfg)
+
+    @cached_property
+    def cw(self):
+        return cw_structure(self.m.family, *self.m.params)
 
 
-def _presentation(m: Manifest):
-    return builtin_presentation(m.family, *m.params)
-
-
-def _moduli(m: Manifest, cfg: SolverConfig):
-    return enumerate_reps(_presentation(m), cfg)
-
-
-def run_reps(m: Manifest, report: InvariantReport, args, cache: Cache):
-    cfg = _solver_config(m, args.seed)
-    moduli = _moduli(m, cfg)
+def run_reps(run: Run, report: InvariantReport):
+    m, cfg, moduli = run.m, run.cfg, run.moduli
     sec = report.section("reps")
     sec.values["class_count"] = len(moduli.classes)
     sec.values["irreducible_count"] = sum(r.irreducible for r in moduli.classes)
@@ -79,24 +98,24 @@ def run_reps(m: Manifest, report: InvariantReport, args, cache: Cache):
     sec.metadata["family"] = m.family
     sec.metadata["params"] = list(m.params)
     sec.warnings.extend(moduli.warnings)
-    return moduli
 
 
-def run_torsion(m: Manifest, report: InvariantReport, args, cache: Cache):
-    cfg = _solver_config(m, args.seed)
+def run_torsion(run: Run, report: InvariantReport):
+    m = run.m
     sec = report.section("torsion")
     key_inputs = {
         "pipeline": "torsion",
         "family": m.family,
         "params": list(m.params),
         "solver": sorted(m.solver.items()),
-        "seed": cfg.seed,
+        "seed": run.cfg.seed,
     }
-    payload = cache.get(key_inputs)
+    payload = run.cache.get(key_inputs)
     if payload is None:
-        pres = _presentation(m)
-        cw = cw_structure(m.family, *m.params)
-        result = torsion_sum(pres, cw, cfg)
+        # refuse before the moduli are enumerated
+        cw = run.cw
+        require_finite_moduli(run.presentation)
+        result = torsion_sum(run.presentation, cw, run.cfg, moduli=run.moduli)
         payload = {
             "total": result.total,
             "irreducible_subtotal": result.irreducible_subtotal,
@@ -112,7 +131,7 @@ def run_torsion(m: Manifest, report: InvariantReport, args, cache: Cache):
             ],
             "notes": list(result.notes),
         }
-        cache.put(key_inputs, payload)
+        run.cache.put(key_inputs, payload)
     sec.values.update(
         total=payload["total"],
         irreducible_subtotal=payload["irreducible_subtotal"],
@@ -123,36 +142,35 @@ def run_torsion(m: Manifest, report: InvariantReport, args, cache: Cache):
     sec.warnings.extend(payload["notes"])
 
 
-def run_casson(m: Manifest, report: InvariantReport, args, cache: Cache):
-    cfg = _solver_config(m, args.seed)
-    pres = _presentation(m)
-    if homology_h1(pres).betti_1 != 0 or homology_h1(pres).torsion_coefficients:
+def run_casson(run: Run, report: InvariantReport):
+    m = run.m
+    h1 = homology_h1(run.presentation)
+    if h1.betti_1 != 0 or h1.torsion_coefficients:
         raise RegularityError(
             f"{m.family}{tuple(m.params)}: not an integral homology sphere; "
             "the counting construction does not apply"
         )
-    moduli = _moduli(m, cfg)
-    cw = cw_structure(m.family, *m.params)
+    cw = run.cw  # refuse before the moduli are enumerated
     regularity = [
         build_twisted_complex(cw, r).betti_numbers()[1]
-        for r in moduli.classes
+        for r in run.moduli.classes
         if r.irreducible
     ]
-    count = casson_count(moduli, regularity)
+    count = casson_count(run.moduli, regularity)
     sec = report.section("casson")
     sec.values["unsigned_count"] = count
     sec.values["twisted_h1_dims"] = regularity
     sec.metadata["convention"] = "unsigned: each irreducible class weighted +1"
-    sec.tolerances["relator_residual"] = cfg.tolerance
+    sec.tolerances["relator_residual"] = run.cfg.tolerance
 
 
-def run_cs_check(m: Manifest, report: InvariantReport, args, cache: Cache):
-    block = dict(m.chern_simons)
+def run_cs_check(run: Run, report: InvariantReport):
+    block = dict(run.m.chern_simons)
     n = block.get("grid", 4)
     scale = block.get("scale", 0.1)
     level = block.get("level", 1.0)
     step = block.get("step", 1e-4)
-    seed = args.seed if args.seed is not None else block.get("seed", 0)
+    seed = run.args.seed if run.args.seed is not None else block.get("seed", 0)
     conn = cs.LatticeConnection.random(n, scale=scale, seed=seed)
     rep = cs.stationarity_check(conn, step=step, level=level)
     flat = cs.LatticeConnection.zero(n)
@@ -183,22 +201,16 @@ def _foliation_spec(entry):
     )
 
 
-def run_gv(m: Manifest, report: InvariantReport, args, cache: Cache):
+def run_gv(run: Run, report: InvariantReport):
+    m = run.m
     sec = report.section("godbillon_vey")
     if not m.foliations:
         sec.values["total"] = 0.0
         sec.warnings.append("no foliations declared in the manifest")
         return
-    if args.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            specs = list(pool.map(_foliation_spec, m.foliations))
-            residuals = list(pool.map(lambda s: fg.integrability_residual(s.omega), specs))
-    else:
-        specs = [_foliation_spec(e) for e in m.foliations]
-        residuals = [fg.integrability_residual(s.omega) for s in specs]
-    gv = fg.gv_invariant(specs, strict=args.strict)
+    specs = [_foliation_spec(e) for e in m.foliations]
+    residuals = [fg.integrability_residual(s.omega) for s in specs]
+    gv = fg.gv_invariant(specs, strict=run.args.strict)
     sec.values["total"] = gv.total
     sec.values["per_foliation"] = [
         {"label": lab, "gv": val, "taut": taut, "theta_residual": res}
@@ -210,26 +222,13 @@ def run_gv(m: Manifest, report: InvariantReport, args, cache: Cache):
     sec.warnings.extend(gv.warnings)
 
 
-def run_leafwise(m: Manifest, report: InvariantReport, args, cache: Cache):
+def run_leafwise(run: Run, report: InvariantReport):
+    m = run.m
     block = dict(m.leafwise)
     trunc = block.get("truncation", 4)
     n_z = block.get("n_z", 8)
     weights = tuple(block.get("weights", (1.0, 1.0, 1.0)))
-    key_inputs = {"pipeline": "leafwise", "truncation": trunc, "n_z": n_z, "weights": list(weights)}
-    payload = cache.get(key_inputs)
-    if payload is None:
-        res = lw.leafwise_torsion(trunc, n_z, weights)
-        spectra = [lw.tangential_laplacian(k, trunc, weights) for k in range(3)]
-        payload = {
-            "log_t": res.log_t,
-            "t": res.t,
-            "euler_like": res.euler_like,
-            "betti": list(res.betti),
-            "metric_dependent": res.metric_dependent,
-            "kernel_dims": [s.kernel_dim for s in spectra],
-            "log_dets": list(res.per_degree_log_dets),
-        }
-        cache.put(key_inputs, payload)
+    res = lw.leafwise_torsion(trunc, n_z, weights)
     count = max(1, len(m.foliations))
     fsum = lw.foliation_torsion_sum(
         [lw.LeafwiseModel(truncation=trunc, n_z=n_z, weights=weights, label=f"class-{i}")
@@ -237,30 +236,38 @@ def run_leafwise(m: Manifest, report: InvariantReport, args, cache: Cache):
     )
     degen = lw.tangential_cs3_degeneracy()
     sec = report.section("leafwise")
-    sec.values.update(payload)
+    sec.values.update(
+        log_t=res.log_t,
+        t=res.t,
+        euler_like=res.euler_like,
+        betti=list(res.betti),
+        metric_dependent=res.metric_dependent,
+        kernel_dims=list(res.betti),  # kernel dims of the three tangential Laplacians
+        log_dets=list(res.per_degree_log_dets),
+    )
     sec.values["foliation_torsion_sum"] = fsum.total
     sec.values["tangential_cs3_dim"] = degen.lambda3_dim
     sec.tolerances["log_t_zero"] = 1e-10
     sec.metadata.update(truncation=trunc, n_z=n_z, weights=list(weights))
-    if payload["metric_dependent"]:
+    if res.metric_dependent:
         sec.warnings.append("degree weights are not metric-like; torsion is metric-dependent")
     sec.warnings.append(degen.note)
 
 
-def run_cyclic(m: Manifest, report: InvariantReport, args, cache: Cache):
-    block = dict(m.cyclic)
+def run_cyclic(run: Run, report: InvariantReport):
+    block = dict(run.m.cyclic)
     bound = block.get("degree_bound", 8)
     windings = block.get("windings", list(range(-3, 4)))
     tau = cyc.fundamental_cocycle(bound)
     pairings = {str(nw): cyc.k_pairing(cyc.mode(nw), tau) for nw in windings}
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(run.args.seed if run.args.seed is not None else 0)
     b = cyc.hochschild_b(tau)
     probe_deg = max(1, bound // 3)
     b_worst = max(
         abs(b(*(cyc.random_trig(probe_deg, rng) for _ in range(3)))) for _ in range(50)
     )
     lam_defect = float(np.max(np.abs(cyc.cyclic_lambda(tau).kernel - tau.kernel)))
-    g = max(1, len(m.foliations))
+    g = max(1, len(run.m.foliations))
     tfcc = cyc.tfcc_sum(g, bound)
     sec = report.section("cyclic")
     sec.values.update(
@@ -285,18 +292,6 @@ PIPELINES = {
 }
 
 
-def _run_all(m: Manifest, report: InvariantReport, args, cache: Cache):
-    for name, fn in PIPELINES.items():
-        t0 = time.perf_counter()
-        try:
-            fn(m, report, args, cache)
-        except (ModuliNotFiniteError, UnsupportedFamilyError, RegularityError) as exc:
-            report.section(name.replace("-", "_")).warnings.append(
-                f"skipped: {exc}"
-            )
-        report.timings[name] = time.perf_counter() - t0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taut3",
@@ -309,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--manifest", required=True, help="path to the JSON manifest")
         p.add_argument("--out", default=None, help="report output path (overrides manifest)")
-        p.add_argument("--workers", type=int, default=1, help="worker pool size")
-        p.add_argument("--no-cache", action="store_true", help="disable the spectra cache")
+        p.add_argument("--no-cache", action="store_true", help="disable the torsion cache")
         p.add_argument("--strict", action="store_true", help="tautness failures become errors")
         p.add_argument("--seed", type=int, default=None, help="override every seeded stage")
     return parser
@@ -324,15 +318,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    cache = Cache(enabled=not args.no_cache)
+    run = Run(m, args, Cache(enabled=not args.no_cache))
     report = InvariantReport(manifest_digest=content_key(m.raw))
+    names = list(PIPELINES) if args.command == "all" else [args.command]
     try:
-        if args.command == "all":
-            _run_all(m, report, args, cache)
-        else:
+        for name in names:
             t0 = time.perf_counter()
-            PIPELINES[args.command](m, report, args, cache)
-            report.timings[args.command] = time.perf_counter() - t0
+            try:
+                PIPELINES[name](run, report)
+            except (ModuliNotFiniteError, UnsupportedFamilyError, RegularityError) as exc:
+                if args.command != "all":
+                    raise
+                report.section(name.replace("-", "_")).warnings.append(f"skipped: {exc}")
+            report.timings[name] = time.perf_counter() - t0
     except (ManifestError, ParameterError, ExprError, ValueError) as exc:
         if isinstance(exc, (UnsupportedFamilyError, lw.UnsupportedFoliationError)):
             print(f"error: {exc}", file=sys.stderr)
@@ -346,7 +344,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TAUTNESS
 
-    for note in cache.warnings:
+    for note in run.cache.warnings:
         print(f"cache: {note}", file=sys.stderr)
 
     out_path = args.out or m.output

@@ -1,4 +1,4 @@
-"""Degree-1 cyclic cohomology of C(S^1) on a truncated Fourier model.
+r"""Degree-1 cyclic cohomology of C(S^1) on a truncated Fourier model.
 
 Elements are trigonometric polynomials; the fundamental cocycle is
 tau(f0, f1) = (1/2 pi i) \oint f0 df1, evaluated exactly on coefficients as
@@ -145,7 +145,7 @@ class CyclicCochain:
 
 
 def fundamental_cocycle(degree_bound: int = 8) -> CyclicCochain:
-    """tau(f0, f1) = (1/2 pi i) \oint f0 df1 = sum_l l (f0)_{-l} (f1)_l."""
+    r"""tau(f0, f1) = (1/2 pi i) \oint f0 df1 = sum_l l (f0)_{-l} (f1)_l."""
     b = degree_bound
     kern = np.zeros((2 * b + 1, 2 * b + 1), dtype=complex)
     for l in range(-b, b + 1):
@@ -245,7 +245,7 @@ def tfcc_sum(g: int, degree_bound: int = 8) -> TfccReport:
 
 
 def winding_number_quadrature(u: TrigPoly, samples: int = 4096) -> float:
-    """Oracle: (1/2 pi i) \oint u^{-1} du by trapezoid quadrature."""
+    r"""Oracle: (1/2 pi i) \oint u^{-1} du by trapezoid quadrature."""
     theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     vals = u.evaluate(theta)
     dtheta = theta[1] - theta[0]

@@ -164,9 +164,7 @@ def solve_theta(omega: DiscreteForm, tol: float = 1e-6):
     wsq = np.sum(w**2, axis=0)
     theta = np.cross(w, g, axisa=0, axisb=0).transpose(3, 0, 1, 2) / wsq
     theta_form = DiscreteForm(1, theta)
-    res = l2_norm(
-        DiscreteForm(2, d(omega).values - wedge(theta_form, omega).values)
-    )
+    res = l2_norm(DiscreteForm(2, dw - wedge(theta_form, omega).values))
     return theta_form, res
 
 

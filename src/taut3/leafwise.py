@@ -59,10 +59,6 @@ class LeafwiseForm:
     def truncation(self) -> int:
         return (self.coefficients.shape[-1] - 1) // 2
 
-    @property
-    def transverse_size(self) -> int:
-        return self.coefficients.shape[0]
-
     def is_real_valued(self, tol: float = 1e-12) -> bool:
         """Conjugate-symmetry c(-m,-n) = conj(c(m,n)) of every component."""
         c = self.coefficients

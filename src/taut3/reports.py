@@ -54,12 +54,6 @@ class InvariantReport:
             self.sections[name] = Section(name)
         return self.sections[name]
 
-    def all_warnings(self):
-        out = []
-        for name in sorted(self.sections):
-            out.extend((name, w) for w in self.sections[name].warnings)
-        return out
-
     def to_dict(self, include_timings: bool = True):
         body = {
             "report_version": REPORT_VERSION,

@@ -88,9 +88,6 @@ class GroupRingElement:
                 out[w] = out.get(w, 0) + c1 * c2
         return GroupRingElement(out)
 
-    def word_mul_left(self, w: Word):
-        return GroupRingElement({concat_words(w, u): c for u, c in self.terms.items()})
-
     def augmentation(self) -> int:
         return sum(self.terms.values())
 
@@ -354,6 +351,15 @@ class TorsionSumResult:
     notes: tuple
 
 
+def require_finite_moduli(p: GroupPresentation) -> None:
+    """Refuse positive betti_1, where the moduli form positive-dimensional families."""
+    if homology_h1(p).betti_1 > 0:
+        raise ModuliNotFiniteError(
+            f"{p.label}: betti_1 > 0, representation moduli form positive-dimensional "
+            "families; the torsion sum is not a finite sum"
+        )
+
+
 def torsion_sum(
     p: GroupPresentation,
     cw: CwStructure,
@@ -365,11 +371,7 @@ def torsion_sum(
     Finiteness of the class set is what makes this converge; positive betti_1
     (positive-dimensional moduli) is refused.
     """
-    if homology_h1(p).betti_1 > 0:
-        raise ModuliNotFiniteError(
-            f"{p.label}: betti_1 > 0, representation moduli form positive-dimensional "
-            "families; the torsion sum is not a finite sum"
-        )
+    require_finite_moduli(p)
     if moduli is None:
         moduli = enumerate_reps(p, cfg)
     per_class = []

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from taut3 import cli, twisted_torsion
 from taut3.cli import (
     EXIT_OK,
     EXIT_REGULARITY,
@@ -175,6 +176,45 @@ def test_no_cache_flag(tmp_path, monkeypatch):
     assert not cache_dir.exists()
 
 
-def test_workers_flag(tmp_path):
-    manifest = lens5_manifest(tmp_path)
-    assert run(["gv", "--manifest", manifest, "--workers", "2"]) == EXIT_OK
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Labels of the presentations whose flat moduli a CLI run enumerates."""
+    calls = []
+    real = cli.enumerate_reps
+
+    def counting(p, *args, **kwargs):
+        calls.append(p.label)
+        return real(p, *args, **kwargs)
+
+    for module in (cli, twisted_torsion):  # torsion_sum enumerates if not given moduli
+        monkeypatch.setattr(module, "enumerate_reps", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, manifold, code, message",
+    [
+        ("torsion", {"family": "Torus3"}, EXIT_REGULARITY, "betti_1 > 0"),
+        ("casson", {"family": "Torus3"}, EXIT_REGULARITY, "not an integral homology sphere"),
+        ("torsion", {"family": "Brieskorn", "params": [2, 3, 7]}, EXIT_UNSUPPORTED,
+         "no frozen CW structure for Brieskorn(2, 3, 7)"),
+        ("casson", {"family": "Brieskorn", "params": [2, 3, 7]}, EXIT_UNSUPPORTED,
+         "no frozen CW structure for Brieskorn(2, 3, 7)"),
+    ],
+)
+def test_refusal_comes_before_enumeration(tmp_path, capsys, enumerations, command, manifold,
+                                          code, message):
+    manifest = write_manifest(tmp_path, {"schema_version": 1, "manifold": manifold})
+    assert run([command, "--manifest", manifest, "--no-cache"]) == code
+    assert message in capsys.readouterr().err
+    assert enumerations == []
+
+
+@pytest.mark.parametrize("family", ["S3", "Lens"])
+def test_all_enumerates_the_moduli_once(tmp_path, enumerations, family):
+    if family == "S3":
+        manifest = write_manifest(tmp_path, {"schema_version": 1, "manifold": {"family": "S3"}})
+    else:
+        manifest = lens5_manifest(tmp_path)
+    assert run(["all", "--manifest", manifest, "--no-cache"]) == EXIT_OK
+    assert len(enumerations) == 1

@@ -1,4 +1,6 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -76,3 +78,29 @@ def test_cache_disabled_never_touches_disk(tmp_path):
     c.put({"k": 1}, {"v": 2})
     assert c.get({"k": 1}) is None
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_entry_from_another_version_is_a_miss(tmp_path, monkeypatch):
+    c = Cache(directory=tmp_path)
+    inputs = {"pipeline": "torsion"}
+    monkeypatch.setattr("taut3.cache.__version__", "0.0.0-older")
+    c.put(inputs, {"v": 1})
+    assert c.get(inputs) == {"v": 1}
+    monkeypatch.undo()
+    assert c.get(inputs) is None
+    assert c.warnings == []  # a plain miss, not a corrupt entry
+
+
+def test_concurrent_writers_do_not_collide(tmp_path):
+    c = Cache(directory=tmp_path)
+    inputs = {"pipeline": "w"}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(lambda i: c.put(inputs, {"v": i % 2}), range(40), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert c.get(inputs) in ({"v": 0}, {"v": 1})
+    assert c.warnings == []
+    assert list(tmp_path.glob("*.tmp")) == []
