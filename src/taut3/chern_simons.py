@@ -1,11 +1,12 @@
 """Lattice Chern-Simons functional on the periodic 3-grid.
 
-Connections are su(2)-valued 1-cochains; the wedge is the cubical cup product
-(front-face / back-face with shuffle signs), which obeys the Leibniz rule
-exactly and makes the action an exact polynomial (quadratic + cubic) in the
-field.  That exactness is what the gradient code exploits: Richardson
-extrapolation of central differences recovers the gradient of a cubic
-polynomial exactly, so "analytic" here means exact up to roundoff.
+Connections are su(2)-valued 1-cochains, stored as pure quaternions in the
+convention of `su2` (matrix product = `qmul`, matrix trace = `qtrace`); the
+wedge is the cubical cup product (front-face / back-face with shuffle signs),
+which obeys the Leibniz rule exactly and makes the action an exact polynomial
+(quadratic + cubic) in the field.  The gradient is the closed-form adjoint of
+d and of the cup products; `stationarity_check` confirms it against central
+differences of the action along a few fixed random directions.
 """
 
 from __future__ import annotations
@@ -14,16 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# i * Pauli matrices: a real basis of su(2)
-SU2_BASIS = np.array(
-    [
-        [[0.0 + 0.0j, 0.0 + 1.0j], [0.0 + 1.0j, 0.0 + 0.0j]],
-        [[0.0 + 0.0j, 1.0 + 0.0j], [-1.0 + 0.0j, 0.0 + 0.0j]],
-        [[0.0 + 1.0j, 0.0 + 0.0j], [0.0 + 0.0j, 0.0 - 1.0j]],
-    ]
-)
+from .su2 import qmul, qtrace
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+
+# quaternion slot of each su(2) basis coefficient (i * Pauli): E0 -> c, E1 -> b, E2 -> d
+_COEFF_SLOTS = [2, 1, 3]
+
+# directions along which stationarity_check differentiates the action
+FD_DIRECTIONS = 8
 
 
 class ConnectionError_(ValueError):
@@ -34,20 +34,19 @@ class ConnectionError_(ValueError):
 class LatticeConnection:
     """su(2)-valued 1-cochain on an n^3 periodic grid over the unit 3-torus.
 
-    components: complex array (3, n, n, n, 2, 2), index order (direction, x, y, z).
+    components: real array (3, n, n, n, 4) of pure quaternions, index order
+    (direction, x, y, z, quaternion slot).
     """
 
     components: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.components, dtype=complex)
-        if a.ndim != 6 or a.shape[0] != 3 or a.shape[4:] != (2, 2) or len(set(a.shape[1:4])) != 1:
-            raise ConnectionError_("expected shape (3, n, n, n, 2, 2)")
+        a = np.asarray(self.components, dtype=float)
+        if a.ndim != 5 or a.shape[0] != 3 or a.shape[4] != 4 or len(set(a.shape[1:4])) != 1:
+            raise ConnectionError_("expected shape (3, n, n, n, 4)")
         scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a + np.conj(np.swapaxes(a, -1, -2)))) > 1e-12 * scale:
-            raise ConnectionError_("components must be anti-Hermitian")
-        if np.max(np.abs(np.trace(a, axis1=-2, axis2=-1))) > 1e-12 * scale:
-            raise ConnectionError_("components must be traceless")
+        if np.max(np.abs(a[..., 0])) > 1e-12 * scale:
+            raise ConnectionError_("components must be pure quaternions (traceless)")
         object.__setattr__(self, "components", a)
 
     @property
@@ -59,19 +58,19 @@ class LatticeConnection:
         return 1.0 / self.grid_size
 
     def coefficients(self) -> np.ndarray:
-        """Real coordinates in the SU2_BASIS, shape (3, n, n, n, 3)."""
-        return np.real(
-            -0.5 * np.einsum("dxyzab,kba->dxyzk", self.components, SU2_BASIS)
-        )
+        """Real coordinates in the i * Pauli basis of su(2), shape (3, n, n, n, 3)."""
+        return self.components[..., _COEFF_SLOTS]
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "LatticeConnection":
-        comp = np.einsum("dxyzk,kab->dxyzab", np.asarray(coeffs, dtype=float), SU2_BASIS)
+        coeffs = np.asarray(coeffs, dtype=float)
+        comp = np.zeros(coeffs.shape[:-1] + (4,))
+        comp[..., _COEFF_SLOTS] = coeffs
         return cls(comp)
 
     @classmethod
     def zero(cls, n: int) -> "LatticeConnection":
-        return cls(np.zeros((3, n, n, n, 2, 2), dtype=complex))
+        return cls(np.zeros((3, n, n, n, 4)))
 
     @classmethod
     def random(cls, n: int, scale: float = 0.1, seed: int = 0) -> "LatticeConnection":
@@ -79,60 +78,8 @@ class LatticeConnection:
         return cls.from_coefficients(scale * rng.standard_normal((3, n, n, n, 3)))
 
 
-def _shift(a, axis: int):
-    """Value at x + e_axis (axis in 0..2; grid axes are 1..3 of the component array)."""
-    return np.roll(a, -1, axis=axis + 1)
-
-
-def d_one(a, h: float):
-    """Exterior derivative of a matrix-valued 1-cochain: (dA)_ij = D_i A_j - D_j A_i."""
-    out = np.empty_like(a)
-    for c, (i, j) in enumerate(_PAIRS):
-        out[c] = (_shift(a[None, j], i)[0] - a[j] - _shift(a[None, i], j)[0] + a[i]) / h
-    return out
-
-
-def cup_11(a, b):
-    """Cup product of two 1-cochains into a 2-cochain (component order (01, 02, 12))."""
-    out = np.empty_like(a)
-    for c, (i, j) in enumerate(_PAIRS):
-        out[c] = a[i] @ _shift(b[None, j], i)[0] - a[j] @ _shift(b[None, i], j)[0]
-    return out
-
-
-def cup_12(a, b):
-    """Cup product of a 1-cochain with a 2-cochain into a 3-cochain."""
-    # partitions of (0,1,2): {0}+(1,2) sign +, {1}+(0,2) sign -, {2}+(0,1) sign +
-    return (
-        a[0] @ _shift(b[None, 2], 0)[0]
-        - a[1] @ _shift(b[None, 1], 1)[0]
-        + a[2] @ _shift(b[None, 0], 2)[0]
-    )
-
-
-def curvature(conn: LatticeConnection) -> np.ndarray:
-    """F = dA + A cup A on plaquettes; shape (3, n, n, n, 2, 2)."""
-    a = conn.components
-    return d_one(a, conn.spacing) + cup_11(a, a)
-
-
-def _action_from_field(a, h: float, level: float) -> complex:
-    dens = cup_12(a, d_one(a, h)) + (2.0 / 3.0) * cup_12(a, cup_11(a, a))
-    return (level / 4.0) * np.sum(np.trace(dens, axis1=-2, axis2=-1)) * h**3
-
-
-def cs_action(conn: LatticeConnection, level: float = 1.0) -> float:
-    """(k/4) integral of tr[A ^ dA + (2/3) A ^ A ^ A] over the grid torus."""
-    if conn.grid_size < 4:
-        raise ConnectionError_("grid size must be at least 4")
-    s = _action_from_field(conn.components, conn.spacing, level)
-    scale = max(1.0, abs(s))
-    if abs(s.imag) > 1e-10 * scale:
-        raise AssertionError(f"action has a non-negligible imaginary part: {s.imag}")
-    return float(s.real)
-
-
 def _fwd(f, axis):
+    """Value at x + e_axis of a per-direction field (grid axes 0..2)."""
     return np.roll(f, -1, axis=axis)
 
 
@@ -140,22 +87,55 @@ def _back(f, axis):
     return np.roll(f, 1, axis=axis)
 
 
+def d_one(a, h: float):
+    """Exterior derivative of a 1-cochain: (dA)_ij = D_i A_j - D_j A_i."""
+    out = np.empty_like(a)
+    for c, (i, j) in enumerate(_PAIRS):
+        out[c] = (_fwd(a[j], i) - a[j] - _fwd(a[i], j) + a[i]) / h
+    return out
+
+
+def cup_11(a, b):
+    """Cup product of two 1-cochains into a 2-cochain (component order (01, 02, 12))."""
+    out = np.empty_like(a)
+    for c, (i, j) in enumerate(_PAIRS):
+        out[c] = qmul(a[i], _fwd(b[j], i)) - qmul(a[j], _fwd(b[i], j))
+    return out
+
+
+def cup_12(a, b):
+    """Cup product of a 1-cochain with a 2-cochain into a 3-cochain."""
+    # partitions of (0,1,2): {0}+(1,2) sign +, {1}+(0,2) sign -, {2}+(0,1) sign +
+    return (
+        qmul(a[0], _fwd(b[2], 0))
+        - qmul(a[1], _fwd(b[1], 1))
+        + qmul(a[2], _fwd(b[0], 2))
+    )
+
+
+def curvature(conn: LatticeConnection) -> np.ndarray:
+    """F = dA + A cup A on plaquettes; quaternions of shape (3, n, n, n, 4)."""
+    a = conn.components
+    return d_one(a, conn.spacing) + cup_11(a, a)
+
+
+def cs_action(conn: LatticeConnection, level: float = 1.0) -> float:
+    """(k/4) integral of tr[A ^ dA + (2/3) A ^ A ^ A] over the grid torus."""
+    if conn.grid_size < 4:
+        raise ConnectionError_("grid size must be at least 4")
+    a, h = conn.components, conn.spacing
+    dens = cup_12(a, d_one(a, h)) + (2.0 / 3.0) * cup_12(a, cup_11(a, a))
+    return float((level / 4.0) * np.sum(qtrace(dens)) * h**3)
+
+
 def _u_slot_gradient(v):
-    """Matrices G with sum_x tr[(dU cup v)...]; d/dU of T(U, v) = sum tr[(U cup v)(x)]."""
-    g = np.empty_like(v)
-    g[0] = _fwd(v[2], 0)
-    g[1] = -_fwd(v[1], 1)
-    g[2] = _fwd(v[0], 2)
-    return g
+    """G with d/dU of T(U, v) = sum_x tr[(U cup v)(x)] equal to sum_x tr(dU G)."""
+    return np.stack([_fwd(v[2], 0), -_fwd(v[1], 1), _fwd(v[0], 2)])
 
 
 def _v_slot_gradient(u):
-    """Matrices H with d/dV of T(u, V) under the trace pairing, per 2-cochain slot."""
-    h = np.empty_like(u)
-    h[2] = _back(u[0], 0)   # component (1,2)
-    h[1] = -_back(u[1], 1)  # component (0,2)
-    h[0] = _back(u[2], 2)   # component (0,1)
-    return h
+    """H with d/dV of T(u, V) under the trace pairing, per 2-cochain slot (01, 02, 12)."""
+    return np.stack([_back(u[2], 2), -_back(u[1], 1), _back(u[0], 0)])
 
 
 def action_gradient(conn: LatticeConnection, level: float = 1.0) -> np.ndarray:
@@ -165,98 +145,53 @@ def action_gradient(conn: LatticeConnection, level: float = 1.0) -> np.ndarray:
     pairing; exact because the cup product obeys the Leibniz rule and the
     grid is closed.  Returns shape (3, n, n, n, 3).
     """
-    a = conn.components
-    h = conn.spacing
-    da = d_one(a, h)
-    aa = cup_11(a, a)
+    a, h = conn.components, conn.spacing
     hmat = _v_slot_gradient(a)
-
-    g = _u_slot_gradient(da)                      # d/dU of T(U, dA)
-    # d/dW of T(A, dW): adjoint of d applied to the V-slot matrices
-    p2 = np.zeros_like(a)
+    # d/dU of T(U, dA) and of T(U, A cup A)
+    g = _u_slot_gradient(d_one(a, h)) + (2.0 / 3.0) * _u_slot_gradient(cup_11(a, a))
     for c, (i, j) in enumerate(_PAIRS):
-        p2[j] += (_back(hmat[c], i) - hmat[c]) / h
-        p2[i] -= (_back(hmat[c], j) - hmat[c]) / h
-    g = g + p2
+        hc = hmat[c]
+        # d/dW of T(A, dW): adjoint of d applied to the V-slot quaternions
+        g[j] += (_back(hc, i) - hc) / h
+        g[i] -= (_back(hc, j) - hc) / h
+        # d/dW of T(A, W cup A) and of T(A, A cup W)
+        g[i] += (2.0 / 3.0) * (qmul(_fwd(a[j], i), hc) - _back(qmul(hc, a[j]), j))
+        g[j] -= (2.0 / 3.0) * (qmul(_fwd(a[i], j), hc) - _back(qmul(hc, a[i]), i))
 
-    cubic = _u_slot_gradient(aa)                  # d/dU of T(U, A cup A)
-    p4 = np.zeros_like(a)
-    p5 = np.zeros_like(a)
-    for c, (i, j) in enumerate(_PAIRS):
-        p4[i] += _fwd(a[j], i) @ hmat[c]          # d/dW of T(A, W cup A)
-        p4[j] -= _fwd(a[i], j) @ hmat[c]
-        p5[j] += _back(hmat[c] @ a[i], i)         # d/dW of T(A, A cup W)
-        p5[i] -= _back(hmat[c] @ a[j], j)
-    g = g + (2.0 / 3.0) * (cubic + p4 + p5)
-
-    g *= (level / 4.0) * h**3
-    # derivative along each su(2) basis direction: tr(E_k G)
-    return np.real(np.einsum("kab,dxyzba->dxyzk", SU2_BASIS, g))
-
-
-def richardson_gradient(conn: LatticeConnection, level: float = 1.0, step: float = 0.25):
-    """Oracle gradient: per-coefficient Richardson-extrapolated central
-    differences, exact for the cubic action up to roundoff.  Slow."""
-    return _gradient_scan(conn, level, step, richardson=True)
-
-
-def _gradient_scan(conn: LatticeConnection, level: float, step: float, richardson: bool):
-    """Per-coefficient derivative scan; one action evaluation per perturbation.
-
-    Slow path (one grid site at a time); used by the finite-difference check.
-    """
-    coeffs = conn.coefficients()
-    h = conn.spacing
-    grad = np.empty_like(coeffs)
-    it = np.ndindex(*coeffs.shape)
-    for idx in it:
-        vals = {}
-        ts = (step, -step, 2 * step, -2 * step) if richardson else (step, -step)
-        for t in ts:
-            c2 = coeffs.copy()
-            c2[idx] += t
-            a = np.einsum("dxyzm,mab->dxyzab", c2, SU2_BASIS)
-            vals[t] = _action_from_field(a, h, level).real
-        d1 = (vals[step] - vals[-step]) / (2 * step)
-        if richardson:
-            d2 = (vals[2 * step] - vals[-2 * step]) / (4 * step)
-            grad[idx] = (4 * d1 - d2) / 3
-        else:
-            grad[idx] = d1
-    return grad
-
-
-def finite_difference_gradient(conn: LatticeConnection, level: float = 1.0, step: float = 1e-4):
-    """Plain central-difference gradient of the action, step per coefficient."""
-    return _gradient_scan(conn, level, step, richardson=False)
+    # derivative along basis element e_k: tr(e_k G) = -2 <e_k, G>
+    return (-0.5 * level * h**3) * g[..., _COEFF_SLOTS]
 
 
 @dataclass(frozen=True)
 class StationarityReport:
     grad_norm: float
-    fd_grad_norm: float
     curvature_norm: float
     agreement: float
-    field_scale: float
 
 
 def stationarity_check(conn: LatticeConnection, step: float = 1e-4, level: float = 1.0) -> StationarityReport:
-    """Compare the finite-difference gradient of the action with the exact one,
-    and report both against the curvature norm (flat <=> stationary)."""
+    """Compare the exact gradient with central differences of the action along
+    FD_DIRECTIONS fixed random unit directions, and report both against the
+    curvature norm (flat <=> stationary)."""
     if not (1e-6 <= step <= 1e-3):
         raise ValueError("finite-difference step must lie in [1e-6, 1e-3]")
     g = action_gradient(conn, level)
-    g_fd = finite_difference_gradient(conn, level, step)
-    gn = float(np.linalg.norm(g))
-    fdn = float(np.linalg.norm(g_fd))
-    denom = max(gn, 1e-14)
-    agreement = float(np.linalg.norm(g - g_fd) / denom)
-    f = curvature(conn)
-    scale = max(float(np.max(np.abs(conn.components))), 1e-30)
+    c0 = conn.coefficients()
+
+    def action_at(c):
+        return cs_action(LatticeConnection.from_coefficients(c), level)
+
+    rng = np.random.default_rng(0)
+    fd, exact = [], []
+    for _ in range(FD_DIRECTIONS):
+        v = rng.standard_normal(c0.shape)
+        v /= np.linalg.norm(v)
+        fd.append((action_at(c0 + step * v) - action_at(c0 - step * v)) / (2 * step))
+        exact.append(np.sum(g * v))
+    agreement = np.linalg.norm(np.subtract(fd, exact)) / max(np.linalg.norm(exact), 1e-14)
     return StationarityReport(
-        grad_norm=gn,
-        fd_grad_norm=fdn,
-        curvature_norm=float(np.linalg.norm(f)),
-        agreement=agreement,
-        field_scale=scale,
+        grad_norm=float(np.linalg.norm(g)),
+        # Frobenius norm of the 2x2 matrices: |to_matrix(q)| = sqrt(2) |q|
+        curvature_norm=float(np.sqrt(2.0) * np.linalg.norm(curvature(conn))),
+        agreement=float(agreement),
     )

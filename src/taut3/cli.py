@@ -179,14 +179,13 @@ def run_cs_check(run: Run, report: InvariantReport):
     sec.values.update(
         action=cs.cs_action(conn, level),
         grad_norm=rep.grad_norm,
-        fd_grad_norm=rep.fd_grad_norm,
         curvature_norm=rep.curvature_norm,
         fd_agreement=rep.agreement,
         flat_connection_grad_norm=flat_grad,
     )
     sec.tolerances["fd_agreement"] = 1e-5
     sec.tolerances["fd_step"] = step
-    sec.metadata.update(grid=n, scale=scale, level=level, seed=seed)
+    sec.metadata.update(grid=n, scale=scale, level=level, seed=seed, fd_directions=cs.FD_DIRECTIONS)
 
 
 def _foliation_spec(entry):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _jsonable(value):

@@ -19,7 +19,6 @@ from taut3.chern_simons import (
     action_gradient,
     cs_action,
     curvature,
-    finite_difference_gradient,
 )
 from taut3.cli import main as cli_main
 from taut3.foliation_gv import DiscreteForm, gv_integral, solve_theta
@@ -35,6 +34,7 @@ from taut3.twisted_torsion import (
 from taut3.zeta import circle_laplacian_log_det, zeta_log_det
 from taut3.leafwise import leafwise_torsion, tangential_laplacian
 
+from test_chern_simons import finite_difference_gradient
 from test_foliation_gv import gauge_changed_omega, omega_exp_f
 from test_su2reps import brieskorn_235_angle_oracle
 from test_twisted_torsion import random_word

@@ -1,31 +1,68 @@
 import numpy as np
 import pytest
 
+from taut3 import chern_simons
 from taut3.chern_simons import (
-    SU2_BASIS,
     ConnectionError_,
     LatticeConnection,
     action_gradient,
     cs_action,
-    cup_11,
-    cup_12,
     curvature,
-    d_one,
-    finite_difference_gradient,
-    richardson_gradient,
     stationarity_check,
+)
+from taut3.su2 import to_matrix
+
+# i * Pauli matrices: the real basis of su(2) that the coefficients refer to
+SU2_BASIS = np.array(
+    [
+        [[0.0 + 0.0j, 0.0 + 1.0j], [0.0 + 1.0j, 0.0 + 0.0j]],
+        [[0.0 + 0.0j, 1.0 + 0.0j], [-1.0 + 0.0j, 0.0 + 0.0j]],
+        [[0.0 + 1.0j, 0.0 + 0.0j], [0.0 + 0.0j, 0.0 - 1.0j]],
+    ]
 )
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
+def _gradient_scan(conn: LatticeConnection, level: float, step: float, richardson: bool):
+    """Per-coefficient derivative scan; one action evaluation per perturbation."""
+    coeffs = conn.coefficients()
+    grad = np.empty_like(coeffs)
+    ts = (step, -step, 2 * step, -2 * step) if richardson else (step, -step)
+    for idx in np.ndindex(*coeffs.shape):
+        vals = {}
+        for t in ts:
+            c2 = coeffs.copy()
+            c2[idx] += t
+            vals[t] = cs_action(LatticeConnection.from_coefficients(c2), level)
+        d1 = (vals[step] - vals[-step]) / (2 * step)
+        if richardson:
+            d2 = (vals[2 * step] - vals[-2 * step]) / (4 * step)
+            grad[idx] = (4 * d1 - d2) / 3
+        else:
+            grad[idx] = d1
+    return grad
+
+
+def richardson_gradient(conn: LatticeConnection, level: float = 1.0, step: float = 0.25):
+    """Oracle gradient: per-coefficient Richardson-extrapolated central
+    differences, exact for the cubic action up to roundoff.  Slow."""
+    return _gradient_scan(conn, level, step, richardson=True)
+
+
+def finite_difference_gradient(conn: LatticeConnection, level: float = 1.0, step: float = 1e-4):
+    """Plain central-difference gradient of the action, step per coefficient."""
+    return _gradient_scan(conn, level, step, richardson=False)
+
+
 def naive_action(conn: LatticeConnection, level: float = 1.0) -> float:
     """Reference implementation with explicit Python loops over sites.
 
-    Independent of the vectorized path: indexes the grid site by site and
-    writes out the cup products from their face definitions.
+    Independent of the vectorized path: builds complex 2x2 matrices from the
+    coefficients, indexes the grid site by site and writes out the cup
+    products from their face definitions.
     """
-    a = conn.components
+    a = np.einsum("dxyzk,kab->dxyzab", conn.coefficients(), SU2_BASIS)
     n = conn.grid_size
     h = conn.spacing
 
@@ -79,19 +116,24 @@ def test_action_matches_naive_loop_oracle(conn):
 
 
 def test_connection_validation():
-    bad = np.zeros((3, 4, 4, 4, 2, 2), dtype=complex)
-    bad[0, 0, 0, 0] = np.array([[1.0, 0.0], [0.0, 1.0]])  # Hermitian, not anti
+    bad = np.zeros((3, 4, 4, 4, 4))
+    bad[0, 0, 0, 0, 0] = 1.0  # real part: the identity direction, not in su(2)
     with pytest.raises(ConnectionError_):
         LatticeConnection(bad)
     with pytest.raises(ConnectionError_):
-        LatticeConnection(np.zeros((3, 4, 4, 2, 2), dtype=complex))
+        LatticeConnection(np.zeros((3, 4, 4, 4)))
+    with pytest.raises(ConnectionError_):
+        LatticeConnection(np.zeros((3, 4, 4, 5, 4)))
     with pytest.raises(ConnectionError_):
         cs_action(LatticeConnection.zero(2))  # grid too small
 
 
 def test_coefficients_roundtrip(conn):
     back = LatticeConnection.from_coefficients(conn.coefficients())
-    assert np.max(np.abs(back.components - conn.components)) < 1e-12
+    assert np.array_equal(back.components, conn.components)
+    # the stored quaternions are the matrices sum_k coeff_k E_k
+    mats = np.einsum("dxyzk,kab->dxyzab", conn.coefficients(), SU2_BASIS)
+    assert np.max(np.abs(to_matrix(conn.components) - mats)) < 1e-15
 
 
 def test_action_is_an_exact_cubic_polynomial():
@@ -170,3 +212,16 @@ def test_stationarity_report(conn):
 def test_action_gauge_scale():
     conn = LatticeConnection.random(4, scale=0.15, seed=1)
     assert abs(cs_action(conn, level=2.0) - 2.0 * cs_action(conn, level=1.0)) < 1e-12
+
+
+def test_stationarity_check_catches_a_wrong_gradient(conn, monkeypatch):
+    assert stationarity_check(conn, step=1e-4).agreement < 1e-5
+    exact = chern_simons.action_gradient
+
+    def off_by_one_coefficient(c, level=1.0):
+        g = exact(c, level)
+        g[1, 2, 0, 3, 2] += 1e-3 * np.linalg.norm(g)
+        return g
+
+    monkeypatch.setattr(chern_simons, "action_gradient", off_by_one_coefficient)
+    assert stationarity_check(conn, step=1e-4).agreement > 1e-5

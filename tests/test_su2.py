@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from taut3 import su2
+
+_coord = st.floats(-1e6, 1e6, allow_subnormal=False)
+# arbitrary finite quaternions; with pure=True the real part is dropped (su(2) elements)
+_quaternion = st.builds(
+    lambda q, pure: np.array([0.0 if pure else q[0], *q[1:]]),
+    st.tuples(_coord, _coord, _coord, _coord),
+    st.booleans(),
+)
 
 
 @pytest.fixture
@@ -15,6 +25,17 @@ def test_qmul_matches_matrix_product(rng):
     lhs = su2.to_matrix(su2.qmul(p, q))
     rhs = su2.to_matrix(p) @ su2.to_matrix(q)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@given(_quaternion, _quaternion)
+@example(np.array([0.0, 0.3, -2.0, 5.0]), np.array([0.0, -7.0, 0.25, 1.5]))
+def test_qmul_is_the_matrix_product_on_any_quaternions(p, q):
+    """qmul is bilinear: it matches the 2x2 product off the unit sphere too,
+    which lattice Chern-Simons relies on for pure quaternions of any norm."""
+    lhs = su2.to_matrix(su2.qmul(p, q))
+    rhs = su2.to_matrix(p) @ su2.to_matrix(q)
+    bound = 1e-14 * np.linalg.norm(p) * np.linalg.norm(q) + 1e-300
+    assert np.max(np.abs(lhs - rhs)) <= bound
 
 
 def test_conjugate_is_inverse(rng):
