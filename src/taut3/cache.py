@@ -62,6 +62,8 @@ class Cache:
             return None
         try:
             entry = json.loads(path.read_text())
+            if not isinstance(entry, dict):
+                raise ValueError("not a JSON object")
             if entry.get("version") != CACHE_VERSION:
                 raise ValueError("version mismatch")
             payload = entry["payload"]

@@ -3,10 +3,10 @@
 Each subcommand runs one invariant pipeline; `all` runs every pipeline that
 applies to the manifest's manifold, reporting the others as skipped.  The
 pipelines of one invocation share a `Run`, so the presentation, the flat
-moduli and the CW structure are each computed once.  Reports are written as
-JSON (sections, tolerances, warnings) with timings kept in a separate block so
-repeated runs with the same seed produce identical reports modulo timing
-fields.
+moduli, the CW structure and the torsion sum (one twisted complex per class)
+are each computed once.  Reports are written as JSON (sections, tolerances,
+warnings) with timings kept in a separate block so repeated runs with the same
+seed produce identical reports modulo timing fields.
 
 Exit codes:
   0  success
@@ -40,7 +40,6 @@ from .su2reps import RegularityError, SolverConfig, casson_count, enumerate_reps
 from .twisted_torsion import (
     ModuliNotFiniteError,
     UnsupportedFamilyError,
-    build_twisted_complex,
     cw_structure,
     require_finite_moduli,
     torsion_sum,
@@ -83,6 +82,12 @@ class Run:
     def cw(self):
         return cw_structure(self.m.family, *self.m.params)
 
+    @cached_property
+    def torsion(self):
+        cw = self.cw  # refuse before the moduli are enumerated
+        require_finite_moduli(self.presentation)
+        return torsion_sum(self.presentation, cw, self.moduli)
+
 
 def run_reps(run: Run, report: InvariantReport):
     m, cfg, moduli = run.m, run.cfg, run.moduli
@@ -112,10 +117,7 @@ def run_torsion(run: Run, report: InvariantReport):
     }
     payload = run.cache.get(key_inputs)
     if payload is None:
-        # refuse before the moduli are enumerated
-        cw = run.cw
-        require_finite_moduli(run.presentation)
-        result = torsion_sum(run.presentation, cw, run.cfg, moduli=run.moduli)
+        result = run.torsion
         payload = {
             "total": result.total,
             "irreducible_subtotal": result.irreducible_subtotal,
@@ -150,12 +152,8 @@ def run_casson(run: Run, report: InvariantReport):
             f"{m.family}{tuple(m.params)}: not an integral homology sphere; "
             "the counting construction does not apply"
         )
-    cw = run.cw  # refuse before the moduli are enumerated
-    regularity = [
-        build_twisted_complex(cw, r).betti_numbers()[1]
-        for r in run.moduli.classes
-        if r.irreducible
-    ]
+    # the same twisted H^1 of each irreducible class that the torsion pass computed
+    regularity = [res.betti[1] for _tc, res, irr in run.torsion.per_class if irr]
     count = casson_count(run.moduli, regularity)
     sec = report.section("casson")
     sec.values["unsigned_count"] = count
@@ -208,14 +206,13 @@ def run_gv(run: Run, report: InvariantReport):
         sec.warnings.append("no foliations declared in the manifest")
         return
     specs = [_foliation_spec(e) for e in m.foliations]
-    residuals = [fg.integrability_residual(s.omega) for s in specs]
     gv = fg.gv_invariant(specs, strict=run.args.strict)
     sec.values["total"] = gv.total
     sec.values["per_foliation"] = [
         {"label": lab, "gv": val, "taut": taut, "theta_residual": res}
         for lab, val, taut, res in gv.per_foliation
     ]
-    sec.values["integrability_residuals"] = residuals
+    sec.values["integrability_residuals"] = list(gv.integrability_residuals)
     sec.tolerances["integrability"] = 1e-6
     sec.metadata["grids"] = [e.get("grid", 32) for e in m.foliations]
     sec.warnings.extend(gv.warnings)

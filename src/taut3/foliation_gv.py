@@ -139,14 +139,18 @@ def _check_nonvanishing(omega: DiscreteForm, floor: float = 1e-6):
         raise SingularityError(f"1-form (nearly) vanishes at grid cell {cell}")
 
 
-def integrability_residual(omega: DiscreteForm) -> float:
-    """Scale-free Frobenius defect |omega ^ d omega| / (|omega| |d omega| + eps)."""
+def _frobenius(omega: DiscreteForm):
+    """d(omega) and the Frobenius defect, both from one exterior derivative."""
     if omega.degree != 1:
         raise ValueError("expected a 1-form")
     _check_nonvanishing(omega)
     dw = d(omega)
-    num = l2_norm(wedge(omega, dw))
-    return num / (l2_norm(omega) * l2_norm(dw) + 1e-30)
+    return dw, l2_norm(wedge(omega, dw)) / (l2_norm(omega) * l2_norm(dw) + 1e-30)
+
+
+def integrability_residual(omega: DiscreteForm) -> float:
+    """Scale-free Frobenius defect |omega ^ d omega| / (|omega| |d omega| + eps)."""
+    return _frobenius(omega)[1]
 
 
 def solve_theta(omega: DiscreteForm, tol: float = 1e-6):
@@ -156,15 +160,18 @@ def solve_theta(omega: DiscreteForm, tol: float = 1e-6):
     g = theta x omega, whose minimal-norm solution is (omega x g) / |omega|^2.
     Returns (theta, residual).
     """
-    if integrability_residual(omega) > tol:
+    return _theta(omega, *_frobenius(omega), tol)
+
+
+def _theta(omega: DiscreteForm, dw: DiscreteForm, defect: float, tol: float):
+    if defect > tol:
         raise ValueError("form is not integrable within tolerance; no theta exists")
-    w = omega.values
-    dw = d(omega).values
-    g = np.stack([dw[2], -dw[1], dw[0]])  # axial vector of the 2-form
+    w, v = omega.values, dw.values
+    g = np.stack([v[2], -v[1], v[0]])  # axial vector of the 2-form
     wsq = np.sum(w**2, axis=0)
     theta = np.cross(w, g, axisa=0, axisb=0).transpose(3, 0, 1, 2) / wsq
     theta_form = DiscreteForm(1, theta)
-    res = l2_norm(DiscreteForm(2, dw - wedge(theta_form, omega).values))
+    res = l2_norm(DiscreteForm(2, v - wedge(theta_form, omega).values))
     return theta_form, res
 
 
@@ -176,7 +183,6 @@ def gv_integral(omega: DiscreteForm, theta: DiscreteForm) -> float:
 @dataclass(frozen=True)
 class FoliationSpec:
     omega: DiscreteForm
-    theta: DiscreteForm | None = None
     transversal: tuple | None = None  # ordered closed path of grid vertices
     label: str = ""
 
@@ -223,6 +229,7 @@ class GvReport:
     total: float
     per_foliation: tuple  # (label, gv value or None, taut flag, theta residual)
     warnings: tuple
+    integrability_residuals: tuple  # one per foliation, excluded ones included
 
 
 def gv_invariant(foliations, strict: bool = False, tol: float = 1e-6) -> GvReport:
@@ -230,8 +237,11 @@ def gv_invariant(foliations, strict: bool = False, tol: float = 1e-6) -> GvRepor
     total = 0.0
     rows = []
     warns = []
+    defects = []
     for k, spec in enumerate(foliations):
         label = spec.label or f"foliation[{k}]"
+        dw, defect = _frobenius(spec.omega)
+        defects.append(defect)
         taut = tautness_check(spec)
         if taut is False:
             msg = f"{label}: failed the transversal-circle tautness test"
@@ -242,12 +252,8 @@ def gv_invariant(foliations, strict: bool = False, tol: float = 1e-6) -> GvRepor
             continue
         if taut is None:
             warns.append(f"{label}: no transversal supplied, tautness inconclusive")
-        if spec.theta is not None:
-            theta = spec.theta
-            res = l2_norm(DiscreteForm(2, d(spec.omega).values - wedge(theta, spec.omega).values))
-        else:
-            theta, res = solve_theta(spec.omega, tol=tol)
+        theta, res = _theta(spec.omega, dw, defect, tol)
         val = gv_integral(spec.omega, theta)
         total += val
         rows.append((label, val, taut, res))
-    return GvReport(total=float(total), per_foliation=tuple(rows), warnings=tuple(warns))
+    return GvReport(float(total), tuple(rows), tuple(warns), tuple(defects))

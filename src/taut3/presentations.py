@@ -8,10 +8,7 @@ direct and keeps homology computations exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import sympy
-from sympy.matrices.normalforms import smith_normal_form
+from dataclasses import dataclass
 
 Word = tuple  # tuple of (gen, exp) pairs
 
@@ -75,8 +72,10 @@ class GroupPresentation:
                 if e == 0:
                     raise ParameterError("zero exponent in relator")
 
-    def exponent_matrix(self) -> sympy.Matrix:
-        """Abelianized relation matrix, one row per relator."""
+    def exponent_matrix(self):
+        """Abelianized relation matrix (a sympy Matrix), one row per relator."""
+        import sympy  # imported on first use: most commands never need it
+
         m = sympy.zeros(len(self.relators), self.num_generators)
         for i, r in enumerate(self.relators):
             for g, e in r:
@@ -99,6 +98,8 @@ class HomologySummary:
 
 def homology_h1(p: GroupPresentation) -> HomologySummary:
     """H_1 of the presented group: Smith normal form of the exponent-sum matrix."""
+    from sympy.matrices.normalforms import smith_normal_form
+
     m = p.exponent_matrix()
     if len(p.relators) == 0:
         return HomologySummary(p.num_generators, ())

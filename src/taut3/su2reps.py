@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,14 +54,6 @@ class Su2Element:
     def quaternion(self):
         return np.array([self.a, self.b, self.c, self.d])
 
-    @property
-    def trace(self):
-        return 2.0 * self.a
-
-    @property
-    def matrix(self):
-        return su2.to_matrix(self.quaternion)
-
     @classmethod
     def from_array(cls, q):
         q = np.asarray(q, dtype=float)
@@ -82,7 +74,6 @@ class Su2Rep:
 @dataclass(frozen=True)
 class RepModuli:
     classes: tuple
-    dedup_tolerance: float
     warnings: tuple = ()
 
 
@@ -96,10 +87,17 @@ def evaluate_word(images, word):
     return out
 
 
+def _relator_logs(images, relators):
+    """One evaluation of the relator words: their su(2) logs, flattened to shape
+    (..., 3 * len(relators)), and their max operator-norm deviation from the identity."""
+    words = [evaluate_word(images, r) for r in relators]
+    devs = np.stack([su2.dist_to_identity(w) for w in words], axis=-1)
+    return np.concatenate([su2.qlog(w) for w in words], axis=-1), np.max(devs, axis=-1)
+
+
 def relator_residual(images, relators):
     """Max operator-norm deviation of the relator images from the identity."""
-    devs = [su2.dist_to_identity(evaluate_word(images, r)) for r in relators]
-    return np.max(np.stack(devs, axis=-1), axis=-1)
+    return _relator_logs(images, relators)[1]
 
 
 def trace_coordinates(images):
@@ -131,19 +129,12 @@ def _any_noncommuting(images, tol):
     return False
 
 
-def _log_residual_vector(images, relators):
-    """su(2)-valued relator logs, flattened; shape (..., 3 * len(relators))."""
-    parts = [su2.qlog(evaluate_word(images, r)) for r in relators]
-    return np.concatenate(parts, axis=-1)
-
-
 def _gauss_newton(images, relators, cfg: SolverConfig):
     """Damped batched Gauss-Newton on the relator map SU(2)^g -> SU(2)^r."""
     n, g, _ = images.shape
     eps = 1e-6
-    res = _log_residual_vector(images, relators)
+    res, dev = _relator_logs(images, relators)
     for _ in range(cfg.max_iterations):
-        dev = relator_residual(images, relators)
         active = dev > cfg.tolerance * 0.1
         if not np.any(active):
             break
@@ -154,9 +145,9 @@ def _gauss_newton(images, relators, cfg: SolverConfig):
                 step[k] = eps
                 bumped = images.copy()
                 bumped[:, j, :] = su2.qmul(images[:, j, :], su2.qexp(step))
-                res_p = _log_residual_vector(bumped, relators)
+                res_p = _relator_logs(bumped, relators)[0]
                 bumped[:, j, :] = su2.qmul(images[:, j, :], su2.qexp(-step))
-                res_m = _log_residual_vector(bumped, relators)
+                res_m = _relator_logs(bumped, relators)[0]
                 jac[:, :, 3 * j + k] = (res_p - res_m) / (2 * eps)
         step = -np.einsum("nij,nj->ni", np.linalg.pinv(jac, rcond=1e-8), res)
         # damping 0.5 while the residual increases
@@ -167,13 +158,14 @@ def _gauss_newton(images, relators, cfg: SolverConfig):
             sv = (scale[:, None] * step).reshape(n, g, 3)
             for j in range(g):
                 trial[:, j, :] = su2.qmul(images[:, j, :], su2.qexp(sv[:, j, :]))
-            new = np.linalg.norm(_log_residual_vector(trial, relators), axis=-1)
+            trial_res, dev = _relator_logs(trial, relators)
+            new = np.linalg.norm(trial_res, axis=-1)
             worse = (new > cur) & active & (scale > 1e-6)
             if not np.any(worse):
                 break
             scale[worse] *= 0.5
-        images = trial
-        res = _log_residual_vector(images, relators)
+        # the last round evaluated the accepted iterate
+        images, res = trial, trial_res
     return images
 
 
@@ -204,7 +196,7 @@ def _seed_grid(p: GroupPresentation, cfg: SolverConfig):
     return np.concatenate([seeds, rest], axis=1)
 
 
-def _cyclic_classes(order: int, tol: float):
+def _cyclic_classes(order: int):
     """Characters of Z/order into the maximal torus, modulo Weyl inversion."""
     classes = []
     for k in range(order // 2 + 1):
@@ -233,7 +225,7 @@ def _dedup(images_list, residuals, dedup_tol):
     return [(images_list[i], residuals[i]) for i, _ in kept]
 
 
-def _make_rep(images, residual, tol):
+def _make_rep(images, residual):
     elems = tuple(Su2Element.from_array(q) for q in images)
     return Su2Rep(
         generator_images=elems,
@@ -259,7 +251,7 @@ def enumerate_reps(p: GroupPresentation, cfg: SolverConfig = SolverConfig()) -> 
         order = abs(p.relators[0][0][1]) if p.relators and p.relators[0] else 0
         if order == 0:
             raise ValueError("free cyclic group has a circle of representations")
-        pairs = [(im, 0.0) for im in _cyclic_classes(order, cfg.tolerance)]
+        pairs = [(im, 0.0) for im in _cyclic_classes(order)]
     else:
         seeds = _seed_grid(p, cfg)
         refined = _gauss_newton(seeds, p.relators, cfg)
@@ -269,7 +261,7 @@ def enumerate_reps(p: GroupPresentation, cfg: SolverConfig = SolverConfig()) -> 
         residuals = dev[ok]
         pairs = _dedup(images_list, list(residuals), cfg.dedup_tolerance)
 
-    classes = tuple(_make_rep(im, r, cfg.tolerance) for im, r in pairs)
+    classes = tuple(_make_rep(im, r) for im, r in pairs)
     if not classes:
         msg = f"{p.label or 'presentation'}: no representations found (diagnostic: check tolerances)"
         warns.append(msg)
@@ -280,7 +272,7 @@ def enumerate_reps(p: GroupPresentation, cfg: SolverConfig = SolverConfig()) -> 
         if msg not in warns:
             warns.append(msg)
             _warnings.warn(msg, stacklevel=2)
-    return RepModuli(classes=classes, dedup_tolerance=cfg.dedup_tolerance, warnings=tuple(warns))
+    return RepModuli(classes=classes, warnings=tuple(warns))
 
 
 def casson_count(m: RepModuli, regularity) -> int:

@@ -25,10 +25,9 @@ from .presentations import (
     concat_words,
     gen,
     homology_h1,
-    invert_word,
     reduce_word,
 )
-from .su2reps import RepModuli, SolverConfig, Su2Rep, enumerate_reps, evaluate_word
+from .su2reps import RepModuli, Su2Rep, evaluate_word
 from .zeta import ZERO_THRESHOLD, zeta_log_det
 
 
@@ -360,20 +359,13 @@ def require_finite_moduli(p: GroupPresentation) -> None:
         )
 
 
-def torsion_sum(
-    p: GroupPresentation,
-    cw: CwStructure,
-    cfg: SolverConfig = SolverConfig(),
-    moduli: RepModuli | None = None,
-) -> TorsionSumResult:
-    """Sum of analytic torsions over all representation classes.
+def torsion_sum(p: GroupPresentation, cw: CwStructure, moduli: RepModuli) -> TorsionSumResult:
+    """Sum of analytic torsions over the representation classes of `moduli`.
 
     Finiteness of the class set is what makes this converge; positive betti_1
     (positive-dimensional moduli) is refused.
     """
     require_finite_moduli(p)
-    if moduli is None:
-        moduli = enumerate_reps(p, cfg)
     per_class = []
     total = 0.0
     irr_total = 0.0

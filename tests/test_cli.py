@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from taut3 import cli, twisted_torsion
+from taut3 import foliation_gv as fg
 from taut3.cli import (
     EXIT_OK,
     EXIT_REGULARITY,
@@ -186,8 +188,7 @@ def enumerations(monkeypatch):
         calls.append(p.label)
         return real(p, *args, **kwargs)
 
-    for module in (cli, twisted_torsion):  # torsion_sum enumerates if not given moduli
-        monkeypatch.setattr(module, "enumerate_reps", counting)
+    monkeypatch.setattr(cli, "enumerate_reps", counting)
     return calls
 
 
@@ -218,3 +219,28 @@ def test_all_enumerates_the_moduli_once(tmp_path, enumerations, family):
         manifest = lens5_manifest(tmp_path)
     assert run(["all", "--manifest", manifest, "--no-cache"]) == EXIT_OK
     assert len(enumerations) == 1
+
+
+@pytest.mark.parametrize("command", ["gv", "all"])
+def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, command):
+    n = 8
+    second = {"label": "exp-xy", "omega": ["0", "0", "exp(0.2*cos(2*pi*y))"], "grid": n,
+              "transversal": [[0, 0, k] for k in range(n)]}
+    data = json.loads(Path(lens5_manifest(tmp_path)).read_text())
+    data["foliations"].append(second)
+    manifest = write_manifest(tmp_path, data)
+    calls = count_calls("d", fg)
+    assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
+    # per foliation: d(omega) once, d(theta) once
+    assert [c[0].degree for c in calls] == [1, 1, 1, 1]
+
+
+def test_all_builds_each_twisted_complex_once(tmp_path, monkeypatch, count_calls,
+                                              brieskorn_235_moduli):
+    monkeypatch.setattr(cli, "enumerate_reps", lambda p, cfg: brieskorn_235_moduli)
+    calls = count_calls("build_twisted_complex", twisted_torsion, cli)
+    manifest = write_manifest(
+        tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 5]}}
+    )
+    assert run(["all", "--manifest", manifest, "--no-cache"]) == EXIT_OK
+    assert len(calls) == len(brieskorn_235_moduli.classes) == 3

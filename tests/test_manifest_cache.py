@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from taut3.cache import Cache, content_key
+from taut3.cli import main as cli_main
 from taut3.manifest import ManifestError, load_manifest, validate_manifest
 
 
@@ -71,6 +72,33 @@ def test_cache_corruption_discarded_with_warning(tmp_path):
     assert c.get(inputs) is None
     assert any("corrupt" in w for w in c.warnings)
     assert not path.exists()  # bad entry removed
+
+
+@pytest.mark.parametrize("entry", [[], None, 3, "payload"])
+def test_cache_entry_that_is_not_an_object_is_corrupt(tmp_path, entry):
+    c = Cache(directory=tmp_path)
+    inputs = {"pipeline": "z"}
+    c.put(inputs, {"v": 1})
+    (path,) = tmp_path.glob("*.json")
+    path.write_text(json.dumps(entry))
+    assert c.get(inputs) is None
+    assert any("corrupt" in w for w in c.warnings)
+    assert not path.exists()
+
+
+def test_cli_recomputes_over_a_non_object_cache_entry(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TAUT3_CACHE_DIR", str(tmp_path / "cache"))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(minimal()))
+    argv = ["torsion", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")]
+    assert cli_main(argv) == 0
+    first = json.loads((tmp_path / "r.json").read_text())["sections"]
+    (path,) = (tmp_path / "cache").glob("*.json")
+    path.write_text("[]")
+    capsys.readouterr()
+    assert cli_main(argv) == 0
+    assert "corrupt" in capsys.readouterr().err
+    assert json.loads((tmp_path / "r.json").read_text())["sections"] == first
 
 
 def test_cache_disabled_never_touches_disk(tmp_path):

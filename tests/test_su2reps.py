@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from taut3 import su2
+from taut3 import su2, su2reps
 from taut3.presentations import builtin_presentation
 from taut3.su2reps import (
     RegularityError,
@@ -55,9 +55,8 @@ def brieskorn_235_angle_oracle():
     return out
 
 
-def test_brieskorn_235_matches_angle_oracle():
-    moduli = enumerate_reps(builtin_presentation("Brieskorn", 2, 3, 5))
-    irr = [r for r in moduli.classes if r.irreducible]
+def test_brieskorn_235_matches_angle_oracle(brieskorn_235_moduli):
+    irr = [r for r in brieskorn_235_moduli.classes if r.irreducible]
     oracle = brieskorn_235_angle_oracle()
     assert len(oracle) == 2
     found = {
@@ -100,8 +99,8 @@ def test_irreducibility_flags():
     assert is_irreducible(FakeRep(noncomm))
 
 
-def test_casson_count_and_regularity():
-    moduli = enumerate_reps(builtin_presentation("Brieskorn", 2, 3, 5))
+def test_casson_count_and_regularity(brieskorn_235_moduli):
+    moduli = brieskorn_235_moduli
     n_irr = sum(r.irreducible for r in moduli.classes)
     assert casson_count(moduli, [0] * n_irr) == 2
     with pytest.raises(RegularityError):
@@ -124,3 +123,11 @@ def test_evaluate_word_inverse():
     w = ((0, 2), (1, -1))
     prod = su2.qmul(su2.qpow(images[0], 2), su2.qconj(images[1]))
     assert np.allclose(evaluate_word(images, w), prod, atol=1e-12)
+
+
+def test_gauss_newton_evaluates_each_iterate_once(count_calls):
+    """The damping loop's evaluation of the accepted iterate also gives its
+    deviation; only the final acceptance test calls `relator_residual`."""
+    calls = count_calls("relator_residual", su2reps)
+    enumerate_reps(builtin_presentation("Brieskorn", 2, 3, 5), SolverConfig(max_iterations=3))
+    assert len(calls) == 1

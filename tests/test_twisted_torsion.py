@@ -5,7 +5,7 @@ import pytest
 
 from taut3 import su2
 from taut3.presentations import builtin_presentation, concat_words, gen, invert_word
-from taut3.su2reps import enumerate_reps, evaluate_word
+from taut3.su2reps import RepModuli, enumerate_reps, evaluate_word
 from taut3.twisted_torsion import (
     GroupRingElement,
     ModuliNotFiniteError,
@@ -71,17 +71,18 @@ FAMILIES = [("S3", ()), ("Lens", (5, 1)), ("Lens", (7, 2)), ("Torus3", ()), ("Br
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
-def test_boundaries_compose_to_zero(family, params):
+def test_boundaries_compose_to_zero(request, family, params):
     cw = cw_structure(family, *params)
-    moduli = enumerate_reps(cw.presentation) if family != "Torus3" else None
     if family == "Torus3":
         # the trivial representation suffices; enumeration would be grid-limited
         from taut3.su2reps import Su2Element, Su2Rep
 
         images = tuple(Su2Element.from_array(su2.IDENTITY) for _ in range(3))
         reps = [Su2Rep(images, np.zeros(6), False, 0.0)]
+    elif family == "Brieskorn":
+        reps = list(request.getfixturevalue("brieskorn_235_moduli").classes)
     else:
-        reps = list(moduli.classes)
+        reps = list(enumerate_reps(cw.presentation).classes)
     for rep in reps:
         c = build_twisted_complex(cw, rep)  # raises internally if D@D != 0
         for pair in (c.d1 @ c.d2, c.d2 @ c.d3):
@@ -122,10 +123,9 @@ def test_lens2_nontrivial_character_fully_acyclic():
     assert np.allclose(spec.eigenvalues[0], [4.0, 4.0], atol=1e-10)
 
 
-def test_brieskorn_fixture_acyclic_at_irreducibles():
+def test_brieskorn_fixture_acyclic_at_irreducibles(brieskorn_235_moduli):
     cw = cw_structure("Brieskorn", 2, 3, 5)
-    moduli = enumerate_reps(cw.presentation)
-    irr = [r for r in moduli.classes if r.irreducible]
+    irr = [r for r in brieskorn_235_moduli.classes if r.irreducible]
     assert len(irr) == 2
     ts = []
     for rep in irr:
@@ -138,10 +138,9 @@ def test_brieskorn_fixture_acyclic_at_irreducibles():
     assert np.allclose(ts, [3 - math.sqrt(5), 3 + math.sqrt(5)], atol=1e-6)
 
 
-def test_metric_independence_on_acyclic_complex():
+def test_metric_independence_on_acyclic_complex(brieskorn_235_moduli):
     cw = cw_structure("Brieskorn", 2, 3, 5)
-    moduli = enumerate_reps(cw.presentation)
-    rep = next(r for r in moduli.classes if r.irreducible)
+    rep = next(r for r in brieskorn_235_moduli.classes if r.irreducible)
     c = build_twisted_complex(cw, rep)
     base = rs_torsion(c).log_t
     rng = np.random.default_rng(17)
@@ -154,22 +153,24 @@ def test_metric_independence_on_acyclic_complex():
         assert abs(res.log_t - base) < 1e-8
 
 
-def test_torsion_matches_svd_oracle():
-    for family, params in [("Lens", (5, 1)), ("Brieskorn", (2, 3, 5))]:
-        cw = cw_structure(family, *params)
-        for rep in enumerate_reps(cw.presentation).classes:
+def test_torsion_matches_svd_oracle(brieskorn_235_moduli):
+    lens = cw_structure("Lens", 5, 1)
+    cases = [(lens, enumerate_reps(lens.presentation)),
+             (cw_structure("Brieskorn", 2, 3, 5), brieskorn_235_moduli)]
+    for cw, moduli in cases:
+        for rep in moduli.classes:
             c = build_twisted_complex(cw, rep)
             assert abs(rs_torsion(c).log_t - sv_torsion_oracle(c)) < 1e-8
 
 
 def test_torsion_sum_refuses_positive_betti():
     with pytest.raises(ModuliNotFiniteError):
-        torsion_sum(builtin_presentation("Torus3"), cw_structure("Torus3"))
+        torsion_sum(builtin_presentation("Torus3"), cw_structure("Torus3"), RepModuli(()))
 
 
 def test_torsion_sum_reports_finiteness_note():
     pres = builtin_presentation("Lens", 3, 1)
-    result = torsion_sum(pres, cw_structure("Lens", 3, 1))
+    result = torsion_sum(pres, cw_structure("Lens", 3, 1), enumerate_reps(pres))
     assert any("finiteness" in note for note in result.notes)
     assert result.total > 0
 
