@@ -1,166 +1,90 @@
 """Tiny expression language for manifest-supplied form components.
 
-Grammar (recursive descent, standard precedence):
-
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := unary ('^' factor)?          # right-associative power
-    unary  := '-' unary | atom
-    atom   := NUMBER | 'pi' | 'x' | 'y' | 'z'
-            | ('sin' | 'cos' | 'exp') '(' expr ')'
-            | '(' expr ')'
-
-Evaluation is vectorized over numpy coordinate arrays.
+Python arithmetic over numbers, `pi`, the coordinates `x`, `y`, `z` and
+one-argument `sin`, `cos` and `exp`, with `+ - * /`, unary `-` and the power
+`^` (or `**`), parsed by `ast` with Python's precedence (`-a^b` is -(a^b)) and
+number syntax (`1e-3`).  Whitespace and newlines may stand between tokens; `#`
+starts a comment.  Each node is checked against this whitelist and only the
+checked tree is evaluated: manifest text never reaches `eval`, `exec` or
+`compile`.  Every failure is an ExprError: bad syntax, nesting deeper than
+MAX_DEPTH levels (a sum of n terms nests n), or a constant subexpression that
+overflows, divides by zero or leaves the reals.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 
 import numpy as np
+
+MAX_DEPTH = 200
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_NAMES = {"pi": math.pi, "x": "x", "y": "y", "z": "z"}  # coordinates stay names
 
 
 class ExprError(ValueError):
     """Malformed expression text."""
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_]+)|(\*\*|[-+*/^()]))")
-
-_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_CONSTANTS = {"pi": math.pi}
-_VARIABLES = ("x", "y", "z")
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ExprError(f"unexpected character at {text[pos:]!r}")
-            break
-        num, name, op = m.groups()
-        if num is not None:
-            out.append(("num", float(num)))
-        elif name is not None:
-            out.append(("name", name))
-        else:
-            out.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    out.append(("end", None))
-    return out
+def _apply(fn, *args):
+    """The node fn(*args), folded to a float when every argument is one."""
+    if not all(isinstance(a, float) for a in args):
+        return (fn, *args)
+    with np.errstate(all="raise", under="ignore"):
+        return float(fn(*map(np.float64, args)))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None, value=None):
-        k, v = self.tokens[self.i]
-        if (kind is not None and k != kind) or (value is not None and v != value):
-            raise ExprError(f"expected {value or kind}, got {v!r}")
-        self.i += 1
-        return v
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ExprError(f"trailing input at {self.peek()[1]!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take("op")
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take("op")
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def factor(self):
-        node = self.unary()
-        if self.peek() == ("op", "^"):
-            self.take("op")
-            return ("pow", node, self.factor())
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take("op")
-            return ("neg", self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind, value = self.peek()
-        if kind == "num":
-            self.take()
-            return ("const", value)
-        if kind == "name":
-            self.take()
-            if value in _CONSTANTS:
-                return ("const", _CONSTANTS[value])
-            if value in _VARIABLES:
-                return ("var", value)
-            if value in _FUNCTIONS:
-                self.take("op", "(")
-                arg = self.expr()
-                self.take("op", ")")
-                return ("call", value, arg)
-            raise ExprError(f"unknown name {value!r}")
-        if (kind, value) == ("op", "("):
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise ExprError(f"unexpected token {value!r}")
+def _check(node, depth):
+    """The checked tree of an ast node: a float, a variable name or (fn, *args)."""
+    if depth > MAX_DEPTH:
+        raise ExprError(f"nested deeper than {MAX_DEPTH} levels")
+    kind, sub = type(node), depth + 1
+    if kind is ast.Constant and type(node.value) in (int, float):
+        return float(node.value)
+    if kind is ast.Name and node.id in _NAMES:
+        return _NAMES[node.id]
+    if kind is ast.UnaryOp and type(node.op) is ast.USub:
+        return _apply(operator.neg, _check(node.operand, sub))
+    if kind is ast.BinOp and type(node.op) in _BINARY:
+        return _apply(_BINARY[type(node.op)], _check(node.left, sub), _check(node.right, sub))
+    if (kind is ast.Call and type(node.func) is ast.Name and node.func.id in _FUNCTIONS
+            and len(node.args) == 1 and not node.keywords):
+        return _apply(_FUNCTIONS[node.func.id], _check(node.args[0], sub))
+    what = getattr(node, "id", None) or type(getattr(node, "op", node)).__name__
+    raise ExprError(f"not in the language: {what[:40]!r}")
 
 
 def parse_expr(text: str):
-    """Parse to an AST tuple; raises ExprError on malformed input."""
-    return _Parser(text).parse()
+    """Parse to a checked tree; raises ExprError on malformed input."""
+    # inside parentheses newlines and leading blanks are plain whitespace
+    source = "(\n" + re.sub(r"[^\S\n]", " ", text).replace("^", "**") + "\n)"
+    try:
+        body = ast.parse(source, mode="eval").body
+        if body.lineno == 1:  # the text closed the wrapping parenthesis
+            raise ExprError("unbalanced parentheses or no expression")
+        return _check(body, 0)
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
+        detail = exc.msg if isinstance(exc, SyntaxError) else str(exc) or type(exc).__name__
+        quoted = repr(text if len(text) <= 40 else text[:37] + "...")
+        raise ExprError(f"bad expression {quoted}: {detail}") from None
 
 
 def evaluate(node, x, y, z):
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "var":
-        return {"x": x, "y": y, "z": z}[node[1]]
-    if op == "neg":
-        return -evaluate(node[1], x, y, z)
-    if op == "call":
-        return _FUNCTIONS[node[1]](evaluate(node[2], x, y, z))
-    a = evaluate(node[1], x, y, z)
-    b = evaluate(node[2], x, y, z)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a**b
-    raise AssertionError(f"unknown node {op!r}")
+    if isinstance(node, tuple):
+        fn, *args = node
+        return fn(*(evaluate(a, x, y, z) for a in args))
+    return {"x": x, "y": y, "z": z}[node] if isinstance(node, str) else node
 
 
 def compile_expr(text: str):
     """Parse once, return f(x, y, z) evaluating over numpy arrays."""
-    ast = parse_expr(text)
+    tree = parse_expr(text)
     return lambda x, y, z: np.broadcast_to(
-        np.asarray(evaluate(ast, x, y, z), dtype=float), np.shape(x)
+        np.asarray(evaluate(tree, x, y, z), dtype=float), np.shape(x)
     ).copy()
