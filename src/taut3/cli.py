@@ -34,7 +34,7 @@ from . import leafwise as lw
 from .cache import Cache, content_key
 from .exprs import ExprError, compile_expr
 from .manifest import Manifest, ManifestError, load_manifest
-from .presentations import ParameterError, builtin_presentation, homology_h1
+from .presentations import ParameterError, builtin_presentation
 from .reports import InvariantReport
 from .su2reps import RegularityError, SolverConfig, casson_count, enumerate_reps
 from .twisted_torsion import (
@@ -146,7 +146,7 @@ def run_torsion(run: Run, report: InvariantReport):
 
 def run_casson(run: Run, report: InvariantReport):
     m = run.m
-    h1 = homology_h1(run.presentation)
+    h1 = run.presentation.h1
     if h1.betti_1 != 0 or h1.torsion_coefficients:
         raise RegularityError(
             f"{m.family}{tuple(m.params)}: not an integral homology sphere; "

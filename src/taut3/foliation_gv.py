@@ -64,9 +64,11 @@ def grid_coords(n: int):
 
 
 def form_from_functions(degree: int, n: int, *fns) -> DiscreteForm:
-    """Sample component functions f(x, y, z) on the grid."""
+    """Sample component functions f(x, y, z) on the grid.  Overflow, division by
+    zero and invalid operations give inf/nan silently; FoliationSpec rejects them."""
     x, y, z = grid_coords(n)
-    vals = [np.broadcast_to(np.asarray(f(x, y, z), dtype=float), x.shape) for f in fns]
+    with np.errstate(all="ignore"):
+        vals = [np.broadcast_to(np.asarray(f(x, y, z), dtype=float), x.shape) for f in fns]
     if degree in (0, 3):
         (v,) = vals
         return DiscreteForm(degree, v)
@@ -131,7 +133,11 @@ def integrate(form: DiscreteForm) -> float:
 
 
 def _check_nonvanishing(omega: DiscreteForm, floor: float = 1e-6):
-    mag = np.sqrt(np.sum(omega.values**2, axis=0))
+    with np.errstate(over="ignore"):
+        mag = np.sqrt(np.sum(omega.values**2, axis=0))
+    if not np.all(np.isfinite(mag)):
+        cell = tuple(int(i) for i in np.argwhere(~np.isfinite(mag))[0])
+        raise SingularityError(f"1-form is not finite (or overflows) at grid cell {cell}")
     mean = float(np.mean(mag))
     bad = mag <= floor * max(mean, 1e-300)
     if np.any(bad):
@@ -205,6 +211,9 @@ def tautness_check(spec: FoliationSpec, tol: float = 1e-8):
     if len(path) < 2:
         raise ValueError("transversal path needs at least two vertices")
     n = spec.omega.grid_size
+    outside = [p for p in path if len(p) != 3 or not all(0 <= c < n for c in p)]
+    if outside:
+        raise ValueError(f"transversal vertex {outside[0]} is not a vertex of the {n}^3 grid")
     w = spec.omega.values
     mean_mag = float(np.mean(np.sqrt(np.sum(w**2, axis=0))))
     pairings = []

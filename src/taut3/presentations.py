@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 Word = tuple  # tuple of (gen, exp) pairs
 
@@ -71,6 +72,11 @@ class GroupPresentation:
                     raise ParameterError(f"generator index {g} out of range")
                 if e == 0:
                     raise ParameterError("zero exponent in relator")
+
+    @cached_property
+    def h1(self) -> HomologySummary:
+        """H_1 of the presented group, computed on first read."""
+        return homology_h1(self)
 
     def exponent_matrix(self):
         """Abelianized relation matrix (a sympy Matrix), one row per relator."""
@@ -154,6 +160,8 @@ def builtin_presentation(family: str, *params) -> GroupPresentation:
 
     family: "S3", "Lens" (p, q), "Brieskorn" (p, q, r), "Torus3".
     """
+    if family in ("S3", "Torus3") and params:
+        raise ParameterError(f"{family} takes no parameters")
     if family == "S3":
         return GroupPresentation(1, (gen(0),), label="S3")
     if family == "Lens":
@@ -170,7 +178,7 @@ def builtin_presentation(family: str, *params) -> GroupPresentation:
         if min(p, q, r) < 2 or not _pairwise_coprime((p, q, r)):
             raise ParameterError(f"Brieskorn({p},{q},{r}): need pairwise coprime, each >= 2")
         pres = _brieskorn_two_generator(p, q, r) or _brieskorn_seifert(p, q, r)
-        h1 = homology_h1(pres)
+        h1 = pres.h1
         if h1.betti_1 != 0 or h1.torsion_coefficients:
             raise AssertionError(f"Brieskorn presentation failed homology-sphere check: {h1}")
         return pres

@@ -80,9 +80,9 @@ def qtrace(q):
 
 
 def dist_to_identity(q):
-    """Operator-norm distance |U - I| = 2 |sin(theta/2)| for a unit quaternion."""
-    a = np.clip(np.asarray(q, dtype=float)[..., 0], -1.0, 1.0)
-    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * a))
+    """Operator-norm distance |U - I| = |q - 1|, which is 2 |sin(theta/2)| for a
+    unit quaternion, accurate to relative rounding even next to the identity."""
+    return np.linalg.norm(np.asarray(q, dtype=float) - IDENTITY, axis=-1)
 
 
 def to_matrix(q):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .presentations import GroupPresentation, homology_h1
+from .presentations import GroupPresentation
 
 
 class RegularityError(RuntimeError):
@@ -240,7 +240,7 @@ def enumerate_reps(p: GroupPresentation, cfg: SolverConfig = SolverConfig()) -> 
     solver can see them.  Exact for cyclic groups; grid + Gauss-Newton with
     trace-coordinate dedup otherwise."""
     warns = []
-    h1 = homology_h1(p)
+    h1 = p.h1
     if h1.betti_1 > 0:
         msg = (f"{p.label or 'presentation'}: betti_1 = {h1.betti_1} > 0, moduli may be "
                "positive-dimensional; enumeration is grid-limited")

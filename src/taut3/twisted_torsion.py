@@ -24,7 +24,6 @@ from .presentations import (
     builtin_presentation,
     concat_words,
     gen,
-    homology_h1,
     reduce_word,
 )
 from .su2reps import RepModuli, Su2Rep, evaluate_word
@@ -352,7 +351,7 @@ class TorsionSumResult:
 
 def require_finite_moduli(p: GroupPresentation) -> None:
     """Refuse positive betti_1, where the moduli form positive-dimensional families."""
-    if homology_h1(p).betti_1 > 0:
+    if p.h1.betti_1 > 0:
         raise ModuliNotFiniteError(
             f"{p.label}: betti_1 > 0, representation moduli form positive-dimensional "
             "families; the torsion sum is not a finite sum"

@@ -244,3 +244,44 @@ def test_all_builds_each_twisted_complex_once(tmp_path, monkeypatch, count_calls
     )
     assert run(["all", "--manifest", manifest, "--no-cache"]) == EXIT_OK
     assert len(calls) == len(brieskorn_235_moduli.classes) == 3
+
+
+def _one_foliation(omega_z, transversal=None):
+    foliation = {"omega": ["0", "0", omega_z], "grid": 8}
+    if transversal is not None:
+        foliation["transversal"] = transversal
+    return {"schema_version": 1, "manifold": {"family": "S3"}, "foliations": [foliation]}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("gv", _one_foliation("(" * 3000 + "x" + ")" * 3000)),
+        ("gv", _one_foliation("-" * 3000 + "x")),
+        ("gv", _one_foliation("9^9^9")),
+        ("gv", _one_foliation("1/0")),
+        ("gv", _one_foliation("(x-x)/(x-x)+1")),
+        ("gv", _one_foliation("1", transversal=[[0, 0, 7], [0, 0, 8]])),
+        ("reps", {"schema_version": 1, "manifold": {"family": "S3", "params": [1, 2]}}),
+    ],
+    ids=["deep-parentheses", "deep-minus", "power-overflow", "division-by-zero", "nan-samples",
+         "transversal-off-grid", "S3-params"],
+)
+def test_hostile_manifest_values_exit_2(tmp_path, capsys, command, data):
+    assert run([command, "--manifest", write_manifest(tmp_path, data), "--no-cache"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_all_computes_h1_once_per_presentation(tmp_path, monkeypatch, brieskorn_235_moduli):
+    import sympy.matrices.normalforms as nf
+
+    calls = []
+    real = nf.smith_normal_form
+    monkeypatch.setattr(nf, "smith_normal_form", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(cli, "enumerate_reps", lambda p, cfg: brieskorn_235_moduli)
+    manifest = write_manifest(
+        tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 5]}}
+    )
+    assert run(["all", "--manifest", manifest, "--no-cache"]) == EXIT_OK
+    assert len(calls) == 2  # the manifest's presentation and the CW structure's own

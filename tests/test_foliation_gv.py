@@ -192,3 +192,21 @@ def test_gv_invariant_report_and_strict_mode():
     assert any("tautness" in w for w in rep.warnings)
     with pytest.raises(TautnessError):
         gv_invariant([bad], strict=True)
+
+
+@pytest.mark.parametrize("vertex", [(0, 0, 8), (0, 0, -1), (0, 0)])
+def test_tautness_check_rejects_vertices_off_the_grid(vertex):
+    om = omega_exp_f(8)
+    with pytest.raises(ValueError, match="not a vertex"):
+        tautness_check(FoliationSpec(om, transversal=((0, 0, 7), vertex)))
+
+
+@pytest.mark.parametrize("component", [
+    lambda x, y, z: (x - x) / (x - x) + 1,  # nan everywhere
+    lambda x, y, z: np.exp(1000 * x),  # inf where x > 0.7
+    lambda x, y, z: 1e200 * (1 + x),  # finite, but its square overflows
+])
+def test_non_finite_form_is_rejected_without_warnings(component):
+    om = form_from_functions(1, 8, lambda x, y, z: 0 * x, lambda x, y, z: 0 * x, component)
+    with pytest.raises(SingularityError, match="not finite"):
+        FoliationSpec(om)

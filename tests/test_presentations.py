@@ -66,6 +66,18 @@ def test_brieskorn_parameter_checks():
         builtin_presentation("Lens", 4, 2)
 
 
+@pytest.mark.parametrize("family", ["S3", "Torus3"])
+def test_parameter_free_families_refuse_parameters(family):
+    with pytest.raises(ParameterError, match="takes no parameters"):
+        builtin_presentation(family, 1, 2)
+
+
+def test_h1_is_computed_once_per_presentation():
+    pres = builtin_presentation("Lens", 7, 2)
+    assert pres.h1 is pres.h1
+    assert pres.h1 == homology_h1(pres)
+
+
 def test_homology_invariant_under_relator_tweaks():
     """Conjugating or inverting a relator is a Tietze move; H_1 cannot change."""
     base = builtin_presentation("Lens", 9, 2)

@@ -1,5 +1,6 @@
 """The package's own modules compile without warnings, import nothing they
-never use, and `taut3.cli` starts without sympy.
+never use, never call `eval`, `exec` or `compile`, and `taut3.cli` starts
+without sympy.
 
 `compile()` runs on the source text, so invalid escapes and similar warnings
 show even where cached `.pyc` files would skip them on import.
@@ -49,6 +50,23 @@ def test_modules_use_every_name_they_import():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def dynamic_code_calls(source: str):
+    """Names of the builtins eval, exec and compile that the module calls."""
+    return [node.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("eval", "exec", "compile")]
+
+
+def test_dynamic_code_calls_checker():
+    source = "eval(s)\nre.compile(p)\nx.eval()\nexec(compile(s, 'f', 'exec'))"
+    assert sorted(dynamic_code_calls(source)) == ["compile", "eval", "exec"]
+
+
+def test_modules_never_evaluate_text_as_code():
+    found = {path.name: dynamic_code_calls(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 def test_cli_import_does_not_load_sympy():

@@ -34,7 +34,8 @@ def test_qmul_is_the_matrix_product_on_any_quaternions(p, q):
     which lattice Chern-Simons relies on for pure quaternions of any norm."""
     lhs = su2.to_matrix(su2.qmul(p, q))
     rhs = su2.to_matrix(p) @ su2.to_matrix(q)
-    bound = 1e-14 * np.linalg.norm(p) * np.linalg.norm(q) + 1e-300
+    # hypot.reduce: np.linalg.norm squares its entries and underflows to 0 below ~1e-154
+    bound = 1e-14 * np.hypot.reduce(p) * np.hypot.reduce(q) + 1e-300
     assert np.max(np.abs(lhs - rhs)) <= bound
 
 
@@ -73,3 +74,11 @@ def test_from_axis_angle():
     assert abs(su2.qtrace(q) - 2 * np.cos(np.pi / 4)) < 1e-12
     assert np.allclose(su2.qpow(q, 8), su2.IDENTITY, atol=1e-12)  # order 8
     assert abs(su2.dist_to_identity(su2.IDENTITY)) < 1e-12
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6, 1.0, 3.0])
+def test_dist_to_identity_is_accurate_next_to_the_identity(t):
+    """|U - I| = 2 sin(t/2) for U = exp(t e1), to relative rounding: the solver's
+    convergence test (tolerance 1e-10) must resolve distances that small."""
+    d = su2.dist_to_identity(su2.qexp(np.array([t, 0.0, 0.0])))
+    assert abs(d - 2 * np.sin(t / 2)) <= 1e-12 * 2 * np.sin(t / 2)

@@ -131,3 +131,11 @@ def test_gauss_newton_evaluates_each_iterate_once(count_calls):
     calls = count_calls("relator_residual", su2reps)
     enumerate_reps(builtin_presentation("Brieskorn", 2, 3, 5), SolverConfig(max_iterations=3))
     assert len(calls) == 1
+
+
+def test_brieskorn_2_3_11_finds_every_irreducible_class():
+    """With an exact distance to the identity, converged seeds count as converged:
+    all 2|lambda| = 4 irreducible classes even with 100 seeds and 30 iterations."""
+    moduli = enumerate_reps(builtin_presentation("Brieskorn", 2, 3, 11),
+                            SolverConfig(seed=0, random_seeds=100, max_iterations=30))
+    assert sum(r.irreducible for r in moduli.classes) == 4
