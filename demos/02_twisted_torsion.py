@@ -25,6 +25,7 @@ print(f"d/dy (x^2 y^-1) = {fox_derivative(w, 1)}")
 
 print("\n=== Twisted complex for the Poincare sphere ===")
 cw = cw_structure("Brieskorn", 2, 3, 5)
+# the exact flat classes: the trivial one and the two spherical-triangle classes
 moduli = enumerate_reps(builtin_presentation("Brieskorn", 2, 3, 5))
 rep = next(r for r in moduli.classes if r.irreducible)
 c = build_twisted_complex(cw, rep)

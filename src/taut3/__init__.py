@@ -16,15 +16,14 @@ from .presentations import (
     homology_h1,
 )
 from .su2reps import (
+    ModuliNotFiniteError,
     RegularityError,
     RepModuli,
-    SolverConfig,
     Su2Rep,
     casson_count,
     enumerate_reps,
 )
 from .twisted_torsion import (
-    ModuliNotFiniteError,
     TwistedComplex,
     UnsupportedFamilyError,
     build_twisted_complex,

@@ -36,14 +36,15 @@ from .exprs import ExprError, compile_expr
 from .manifest import Manifest, ManifestError, load_manifest
 from .presentations import ParameterError, builtin_presentation
 from .reports import InvariantReport
-from .su2reps import RegularityError, SolverConfig, casson_count, enumerate_reps
-from .twisted_torsion import (
+from .su2reps import (
+    RESIDUAL_TOLERANCE,
     ModuliNotFiniteError,
-    UnsupportedFamilyError,
-    cw_structure,
+    RegularityError,
+    casson_count,
+    enumerate_reps,
     require_finite_moduli,
-    torsion_sum,
 )
+from .twisted_torsion import UnsupportedFamilyError, cw_structure, torsion_sum
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,19 +65,12 @@ class Run:
     cache: Cache
 
     @cached_property
-    def cfg(self) -> SolverConfig:
-        kw = dict(self.m.solver)
-        if self.args.seed is not None:
-            kw["seed"] = self.args.seed
-        return SolverConfig(**kw)
-
-    @cached_property
     def presentation(self):
         return builtin_presentation(self.m.family, *self.m.params)
 
     @cached_property
     def moduli(self):
-        return enumerate_reps(self.presentation, self.cfg)
+        return enumerate_reps(self.presentation)
 
     @cached_property
     def cw(self):
@@ -90,7 +84,7 @@ class Run:
 
 
 def run_reps(run: Run, report: InvariantReport):
-    m, cfg, moduli = run.m, run.cfg, run.moduli
+    m, moduli = run.m, run.moduli
     sec = report.section("reps")
     sec.values["class_count"] = len(moduli.classes)
     sec.values["irreducible_count"] = sum(r.irreducible for r in moduli.classes)
@@ -98,11 +92,11 @@ def run_reps(run: Run, report: InvariantReport):
         [round(float(t), 10) for t in r.trace_coords] for r in moduli.classes
     ]
     sec.values["residuals"] = [float(r.residual) for r in moduli.classes]
-    sec.tolerances["relator_residual"] = cfg.tolerance
-    sec.tolerances["dedup"] = cfg.dedup_tolerance
+    sec.tolerances["relator_residual"] = RESIDUAL_TOLERANCE
     sec.metadata["family"] = m.family
     sec.metadata["params"] = list(m.params)
-    sec.warnings.extend(moduli.warnings)
+    if "solver" in m.raw:
+        sec.warnings.append("the manifest's solver block is ignored: the flat moduli are exact")
 
 
 def run_torsion(run: Run, report: InvariantReport):
@@ -112,8 +106,6 @@ def run_torsion(run: Run, report: InvariantReport):
         "pipeline": "torsion",
         "family": m.family,
         "params": list(m.params),
-        "solver": sorted(m.solver.items()),
-        "seed": run.cfg.seed,
     }
     payload = run.cache.get(key_inputs)
     if payload is None:
@@ -159,7 +151,7 @@ def run_casson(run: Run, report: InvariantReport):
     sec.values["unsigned_count"] = count
     sec.values["twisted_h1_dims"] = regularity
     sec.metadata["convention"] = "unsigned: each irreducible class weighted +1"
-    sec.tolerances["relator_residual"] = run.cfg.tolerance
+    sec.tolerances["relator_residual"] = RESIDUAL_TOLERANCE
 
 
 def run_cs_check(run: Run, report: InvariantReport):

@@ -1,9 +1,11 @@
 """Manifest loading and validation.
 
 A manifest is a JSON document declaring everything a run needs: the manifold,
-solver knobs, foliation data (symbolic 1-form components plus transversal
-loops), leafwise and cyclic model parameters.  Validation is strict — unknown
-keys are rejected — so a typo fails loudly before any computation starts.
+foliation data (symbolic 1-form components plus transversal loops), leafwise
+and cyclic model parameters.  Validation is strict — unknown keys are
+rejected — so a typo fails loudly before any computation starts.  The
+`solver` block of earlier versions is still validated, but ignored: the flat
+moduli are computed exactly.
 """
 
 from __future__ import annotations
@@ -113,7 +115,6 @@ class ManifestError(ValueError):
 class Manifest:
     family: str
     params: tuple
-    solver: dict = field(default_factory=dict)
     chern_simons: dict = field(default_factory=dict)
     foliations: tuple = ()
     leafwise: dict = field(default_factory=dict)
@@ -131,8 +132,8 @@ def validate_manifest(data: dict) -> Manifest:
     man = data["manifold"]
     return Manifest(
         family=man["family"],
-        params=tuple(man.get("params", ())),
-        solver=dict(data.get("solver", {})),
+        # JSON Schema counts 2.0 as an integer
+        params=tuple(int(x) for x in man.get("params", ())),
         chern_simons=dict(data.get("chern_simons", {})),
         foliations=tuple(data.get("foliations", ())),
         leafwise=dict(data.get("leafwise", {})),

@@ -2,7 +2,10 @@
 
 Words are stored as tuples of (generator index, nonzero exponent) runs, always
 reduced.  This makes free differential calculus (see taut3.twisted_torsion)
-direct and keeps homology computations exact.
+direct and keeps homology computations exact.  Each built-in presentation also
+records its shape (`CyclicShape`, `TriangleShape`, `SeifertShape`): the
+exponents its relators were built from, which is all that the exact flat
+moduli in taut3.su2reps need to know about the relators.
 """
 
 from __future__ import annotations
@@ -12,6 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 Word = tuple  # tuple of (gen, exp) pairs
+
+# Largest p of Lens(p, q) and p*q*r of Brieskorn(p, q, r), so that no run
+# hangs: the flat moduli have p//2 + 1 and about pqr/12 classes, built one by
+# one (0.4 s for the 2465 classes of Sigma(29,31,33)).  Relator residuals also
+# grow with the exponents: 2e-12 at Sigma(2,3,4999), against a tolerance of 1e-10.
+SIZE_BOUND = 30000
 
 
 class ParameterError(ValueError):
@@ -57,10 +66,36 @@ def gen(g: int, e: int = 1) -> Word:
 
 
 @dataclass(frozen=True)
+class CyclicShape:
+    """<x | x^order>."""
+
+    order: int
+
+
+@dataclass(frozen=True)
+class TriangleShape:
+    """<s, t | s^b t^-c, (st)^a s^-b>: s^b = t^c = (st)^a is central."""
+
+    a: int
+    b: int
+    c: int
+
+
+@dataclass(frozen=True)
+class SeifertShape:
+    """<x1, x2, x3, h | [x_i, h], x_i^alpha_i h^beta_i, x1 x2 x3 h^b0>."""
+
+    alphas: tuple
+    betas: tuple
+    b0: int
+
+
+@dataclass(frozen=True)
 class GroupPresentation:
     num_generators: int
     relators: tuple
     label: str = ""
+    shape: CyclicShape | TriangleShape | SeifertShape | None = None
 
     def __post_init__(self):
         if self.num_generators < 1:
@@ -131,7 +166,8 @@ def _brieskorn_two_generator(p, q, r):
         r1 = concat_words(gen(0, b), gen(1, -c))            # s^b t^-c
         st_a = word_power(concat_words(gen(0), gen(1)), a)  # (st)^a
         r2 = concat_words(st_a, gen(0, -b))                 # (st)^a s^-b
-        return GroupPresentation(2, (r1, r2), label=f"Brieskorn({p},{q},{r})")
+        return GroupPresentation(2, (r1, r2), label=f"Brieskorn({p},{q},{r})",
+                                 shape=TriangleShape(a, b, c))
     return None
 
 
@@ -152,7 +188,8 @@ def _brieskorn_seifert(p, q, r):
     for i, (a, b) in enumerate(zip(alphas, betas)):
         relators.append(concat_words(gen(i, a), gen(h, b)))
     relators.append(concat_words(gen(0), gen(1), gen(2), gen(h, b0)))
-    return GroupPresentation(4, tuple(relators), label=f"Brieskorn({p},{q},{r})")
+    return GroupPresentation(4, tuple(relators), label=f"Brieskorn({p},{q},{r})",
+                             shape=SeifertShape(alphas, tuple(betas), b0))
 
 
 def builtin_presentation(family: str, *params) -> GroupPresentation:
@@ -163,20 +200,24 @@ def builtin_presentation(family: str, *params) -> GroupPresentation:
     if family in ("S3", "Torus3") and params:
         raise ParameterError(f"{family} takes no parameters")
     if family == "S3":
-        return GroupPresentation(1, (gen(0),), label="S3")
+        return GroupPresentation(1, (gen(0),), label="S3", shape=CyclicShape(1))
     if family == "Lens":
         if len(params) != 2:
             raise ParameterError("Lens takes (p, q)")
         p, q = params
         if p < 2 or math.gcd(p, q) != 1:
             raise ParameterError(f"Lens({p},{q}): need p >= 2 and gcd(p, q) = 1")
-        return GroupPresentation(1, (gen(0, p),), label=f"Lens({p},{q})")
+        if p > SIZE_BOUND:
+            raise ParameterError(f"Lens({p},{q}): need p <= {SIZE_BOUND}")
+        return GroupPresentation(1, (gen(0, p),), label=f"Lens({p},{q})", shape=CyclicShape(p))
     if family == "Brieskorn":
         if len(params) != 3:
             raise ParameterError("Brieskorn takes (p, q, r)")
         p, q, r = params
         if min(p, q, r) < 2 or not _pairwise_coprime((p, q, r)):
             raise ParameterError(f"Brieskorn({p},{q},{r}): need pairwise coprime, each >= 2")
+        if p * q * r > SIZE_BOUND:
+            raise ParameterError(f"Brieskorn({p},{q},{r}): need p*q*r <= {SIZE_BOUND}")
         pres = _brieskorn_two_generator(p, q, r) or _brieskorn_seifert(p, q, r)
         h1 = pres.h1
         if h1.betti_1 != 0 or h1.torsion_coefficients:

@@ -1,35 +1,34 @@
-"""Enumeration of SU(2) representation varieties of finitely presented groups.
+"""Exact SU(2) representation varieties of the built-in presentations.
 
-Strategy: exact character enumeration for cyclic groups; for multi-generator
-groups a gauge-fixed seed grid refined by damped Gauss-Newton on the relator
-equations, followed by deduplication in conjugation-invariant trace
-coordinates.
+Cyclic groups: the characters into the maximal torus.  Brieskorn spheres
+(Fintushel-Stern 1990): every irreducible class sends the central element to
+eps = +-1, each generator of finite order to a rotation by a multiple of
+pi/order fixed by eps, and there is one class per triple of such angles that
+satisfies the strict spherical triangle inequality; the only reducible class
+is the trivial one.  Presentations with betti_1 > 0 are refused.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings as _warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import su2
-from .presentations import GroupPresentation
+from .presentations import CyclicShape, GroupPresentation, SeifertShape, TriangleShape
+
+RESIDUAL_TOLERANCE = 1e-10  # largest relator residual accepted for a class
+TRACE_ROUNDING = 1e-6  # classes are ordered by trace coordinates rounded to this
 
 
 class RegularityError(RuntimeError):
     """The Casson-style count does not apply: some twisted H^1 is nonzero."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-10
-    dedup_tolerance: float = 1e-6
-    grid_density: int = 9
-    random_seeds: int = 400
-    max_iterations: int = 80
-    seed: int = 0
+class ModuliNotFiniteError(RuntimeError):
+    """The representation moduli are not a finite set (betti_1 > 0)."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class Su2Rep:
 @dataclass(frozen=True)
 class RepModuli:
     classes: tuple
-    warnings: tuple = ()
 
 
 def evaluate_word(images, word):
@@ -87,17 +85,10 @@ def evaluate_word(images, word):
     return out
 
 
-def _relator_logs(images, relators):
-    """One evaluation of the relator words: their su(2) logs, flattened to shape
-    (..., 3 * len(relators)), and their max operator-norm deviation from the identity."""
-    words = [evaluate_word(images, r) for r in relators]
-    devs = np.stack([su2.dist_to_identity(w) for w in words], axis=-1)
-    return np.concatenate([su2.qlog(w) for w in words], axis=-1), np.max(devs, axis=-1)
-
-
 def relator_residual(images, relators):
     """Max operator-norm deviation of the relator images from the identity."""
-    return _relator_logs(images, relators)[1]
+    devs = [su2.dist_to_identity(evaluate_word(images, r)) for r in relators]
+    return np.max(np.stack(devs, axis=-1), axis=-1)
 
 
 def trace_coordinates(images):
@@ -129,73 +120,6 @@ def _any_noncommuting(images, tol):
     return False
 
 
-def _gauss_newton(images, relators, cfg: SolverConfig):
-    """Damped batched Gauss-Newton on the relator map SU(2)^g -> SU(2)^r."""
-    n, g, _ = images.shape
-    eps = 1e-6
-    res, dev = _relator_logs(images, relators)
-    for _ in range(cfg.max_iterations):
-        active = dev > cfg.tolerance * 0.1
-        if not np.any(active):
-            break
-        jac = np.empty((n, res.shape[-1], 3 * g))
-        for j in range(g):
-            for k in range(3):
-                step = np.zeros(3)
-                step[k] = eps
-                bumped = images.copy()
-                bumped[:, j, :] = su2.qmul(images[:, j, :], su2.qexp(step))
-                res_p = _relator_logs(bumped, relators)[0]
-                bumped[:, j, :] = su2.qmul(images[:, j, :], su2.qexp(-step))
-                res_m = _relator_logs(bumped, relators)[0]
-                jac[:, :, 3 * j + k] = (res_p - res_m) / (2 * eps)
-        step = -np.einsum("nij,nj->ni", np.linalg.pinv(jac, rcond=1e-8), res)
-        # damping 0.5 while the residual increases
-        cur = np.linalg.norm(res, axis=-1)
-        scale = np.ones(n)
-        for _ in range(12):
-            trial = images.copy()
-            sv = (scale[:, None] * step).reshape(n, g, 3)
-            for j in range(g):
-                trial[:, j, :] = su2.qmul(images[:, j, :], su2.qexp(sv[:, j, :]))
-            trial_res, dev = _relator_logs(trial, relators)
-            new = np.linalg.norm(trial_res, axis=-1)
-            worse = (new > cur) & active & (scale > 1e-6)
-            if not np.any(worse):
-                break
-            scale[worse] *= 0.5
-        # the last round evaluated the accepted iterate
-        images, res = trial, trial_res
-    return images
-
-
-def _seed_grid(p: GroupPresentation, cfg: SolverConfig):
-    """Gauge-fixed seeds: first image diagonal, second in the c = 0 slice,
-    further generators randomized (deterministic given cfg.seed)."""
-    g = p.num_generators
-    m = cfg.grid_density
-    alphas = np.linspace(0.0, np.pi, m)
-    g0 = np.stack([np.cos(alphas), np.zeros(m), np.zeros(m), np.sin(alphas)], axis=-1)
-    if g == 1:
-        return g0[:, None, :]
-    betas = np.linspace(0.0, np.pi, m)
-    gammas = np.linspace(-np.pi / 2, np.pi / 2, m)
-    b, c = np.meshgrid(betas, gammas, indexing="ij")
-    b, c = b.ravel(), c.ravel()
-    g1 = np.stack([np.cos(b), np.sin(b) * np.cos(c), np.zeros_like(b), np.sin(b) * np.sin(c)], axis=-1)
-    seeds0 = np.repeat(g0, len(g1), axis=0)
-    seeds1 = np.tile(g1, (m, 1))
-    seeds = np.stack([seeds0, seeds1], axis=1)
-    if g == 2:
-        return seeds
-    rng = np.random.default_rng(cfg.seed)
-    take = min(len(seeds), cfg.random_seeds)
-    idx = rng.choice(len(seeds), size=take, replace=False)
-    seeds = seeds[idx]
-    rest = su2.random_unit(rng, (take, g - 2))
-    return np.concatenate([seeds, rest], axis=1)
-
-
 def _cyclic_classes(order: int):
     """Characters of Z/order into the maximal torus, modulo Weyl inversion."""
     classes = []
@@ -206,73 +130,98 @@ def _cyclic_classes(order: int):
     return classes
 
 
-def _dedup(images_list, residuals, dedup_tol):
-    """Deduplicate by trace coordinates; deterministic canonical order."""
-    if not images_list:
-        return []
-    coords = np.stack([trace_coordinates(im) for im in images_list])
-    order = np.lexsort(np.round(coords / dedup_tol).astype(np.int64).T[::-1])
-    kept = []
-    for i in order:
-        if any(np.max(np.abs(coords[i] - coords[j])) < dedup_tol for j, _ in kept):
-            # keep the representative with the smaller residual
-            for idx, (j, _) in enumerate(kept):
-                if np.max(np.abs(coords[i] - coords[j])) < dedup_tol and residuals[i] < residuals[j]:
-                    kept[idx] = (i, images_list[i])
-            continue
-        kept.append((i, images_list[i]))
-    kept.sort(key=lambda t: tuple(np.round(coords[t[0]] / dedup_tol).astype(np.int64)))
-    return [(images_list[i], residuals[i]) for i, _ in kept]
+def _spherical_triangle(x, y, z, n):
+    """Strict spherical triangle inequality for the side angles x, y, z (times
+    pi/n), in integers: it holds exactly when rotations by x and y whose
+    product is a rotation by z fail to commute."""
+    return abs(x - y) < z < min(x + y, 2 * n - x - y)
 
 
-def _make_rep(images, residual):
+def _rotation_pair(t1, t2, gamma):
+    """Rotations by t1 (axis d) and t2 (axis in the b-d plane) with
+    Re(x1 x2) = cos(gamma); Re(x1 x2) = cos t1 cos t2 - sin t1 sin t2 u_d."""
+    u = (math.cos(t1) * math.cos(t2) - math.cos(gamma)) / (math.sin(t1) * math.sin(t2))
+    x1 = [math.cos(t1), 0.0, 0.0, math.sin(t1)]
+    x2 = [math.cos(t2), math.sin(t2) * math.sqrt(1.0 - u * u), 0.0, math.sin(t2) * u]
+    return x1, x2
+
+
+def _triangle_classes(shape: TriangleShape):
+    """<s, t | s^b = t^c = (st)^a>: s, t, st rotate by k pi/b, l pi/c, m pi/a
+    with s^b = (-1)^k, t^c = (-1)^l, (st)^a = (-1)^m all equal."""
+    a, b, c = shape.a, shape.b, shape.c
+    n = a * b * c
+    out = [np.array([su2.IDENTITY, su2.IDENTITY])]
+    for k, l, m in itertools.product(range(1, b), range(1, c), range(1, a)):
+        if k % 2 == l % 2 == m % 2 and _spherical_triangle(k * a * c, l * a * b, m * b * c, n):
+            out.append(np.array(_rotation_pair(k * math.pi / b, l * math.pi / c, m * math.pi / a)))
+    return out
+
+
+def _seifert_classes(shape: SeifertShape):
+    """<x1, x2, x3, h | [x_i, h], x_i^alpha_i h^beta_i, x1 x2 x3 h^b0>: h goes to
+    eps = +-1 and x_i to a rotation by k_i pi/alpha_i, k_i odd exactly when
+    eps^beta_i = -1; then x3 = eps^b0 (x1 x2)^-1, so x1 x2 rotates by gamma =
+    theta_3 or pi - theta_3."""
+    alphas, betas = shape.alphas, shape.betas
+    n = math.prod(alphas)
+    out = [np.array([su2.IDENTITY] * 4)]
+    for eps in (1, -1):
+        # eps^e = -1 exactly when eps = -1 and e is odd
+        ks = [range(1 if eps == -1 and beta % 2 else 2, alpha, 2)
+              for alpha, beta in zip(alphas, betas)]
+        flip = eps == -1 and shape.b0 % 2 == 1
+        for k1, k2, k3 in itertools.product(*ks):
+            x, y, z = (k * n // alpha for k, alpha in zip((k1, k2, k3), alphas))
+            if not _spherical_triangle(x, y, n - z if flip else z, n):
+                continue
+            t1, t2, t3 = (k * math.pi / alpha for k, alpha in zip((k1, k2, k3), alphas))
+            x1, x2 = _rotation_pair(t1, t2, math.pi - t3 if flip else t3)
+            x3 = (-1.0 if flip else 1.0) * su2.qconj(su2.qmul(x1, x2))
+            out.append(np.array([x1, x2, x3, [eps, 0.0, 0.0, 0.0]]))
+    return out
+
+
+def require_finite_moduli(p: GroupPresentation) -> None:
+    """Refuse positive betti_1, where the moduli form positive-dimensional families."""
+    if p.h1.betti_1 > 0:
+        raise ModuliNotFiniteError(
+            f"{p.label}: betti_1 > 0, representation moduli form positive-dimensional "
+            "families, not a finite set of classes"
+        )
+
+
+def _make_rep(images, residual, coords=None):
     elems = tuple(Su2Element.from_array(q) for q in images)
     return Su2Rep(
         generator_images=elems,
-        trace_coords=trace_coordinates(images),
+        trace_coords=trace_coordinates(images) if coords is None else coords,
         irreducible=_any_noncommuting(images, 1e-6),
         residual=float(residual),
     )
 
 
-def enumerate_reps(p: GroupPresentation, cfg: SolverConfig = SolverConfig()) -> RepModuli:
-    """All conjugacy classes of homomorphisms pi_1 -> SU(2), as far as the
-    solver can see them.  Exact for cyclic groups; grid + Gauss-Newton with
-    trace-coordinate dedup otherwise."""
-    warns = []
-    h1 = p.h1
-    if h1.betti_1 > 0:
-        msg = (f"{p.label or 'presentation'}: betti_1 = {h1.betti_1} > 0, moduli may be "
-               "positive-dimensional; enumeration is grid-limited")
-        warns.append(msg)
-        _warnings.warn(msg, stacklevel=2)
-
-    if p.num_generators == 1:
-        order = abs(p.relators[0][0][1]) if p.relators and p.relators[0] else 0
-        if order == 0:
-            raise ValueError("free cyclic group has a circle of representations")
-        pairs = [(im, 0.0) for im in _cyclic_classes(order)]
+def enumerate_reps(p: GroupPresentation) -> RepModuli:
+    """All conjugacy classes of homomorphisms pi_1 -> SU(2), constructed exactly
+    from the presentation's shape; each class is checked against the relators."""
+    require_finite_moduli(p)
+    if isinstance(p.shape, CyclicShape):
+        return RepModuli(tuple(_make_rep(im, 0.0) for im in _cyclic_classes(p.shape.order)))
+    if isinstance(p.shape, TriangleShape):
+        images = np.stack(_triangle_classes(p.shape))
+    elif isinstance(p.shape, SeifertShape):
+        images = np.stack(_seifert_classes(p.shape))
     else:
-        seeds = _seed_grid(p, cfg)
-        refined = _gauss_newton(seeds, p.relators, cfg)
-        dev = relator_residual(refined, p.relators)
-        ok = dev <= cfg.tolerance
-        images_list = [refined[i] for i in np.nonzero(ok)[0]]
-        residuals = dev[ok]
-        pairs = _dedup(images_list, list(residuals), cfg.dedup_tolerance)
-
-    classes = tuple(_make_rep(im, r) for im, r in pairs)
-    if not classes:
-        msg = f"{p.label or 'presentation'}: no representations found (diagnostic: check tolerances)"
-        warns.append(msg)
-        _warnings.warn(msg, stacklevel=2)
-    if len(classes) > 60:
-        msg = (f"{p.label or 'presentation'}: {len(classes)} classes after dedup; "
-               "likely a positive-dimensional component sampled on the grid")
-        if msg not in warns:
-            warns.append(msg)
-            _warnings.warn(msg, stacklevel=2)
-    return RepModuli(classes=classes, warnings=tuple(warns))
+        raise ValueError(f"{p.label or 'presentation'}: no exact construction of the flat moduli")
+    residuals = relator_residual(images, p.relators)
+    if np.max(residuals) > RESIDUAL_TOLERANCE:
+        raise AssertionError(
+            f"{p.label}: a constructed class misses the relators by {np.max(residuals):.1e}"
+        )
+    coords = trace_coordinates(images)
+    keys = np.round(coords / TRACE_ROUNDING).astype(np.int64)
+    order = sorted(range(len(images)), key=lambda i: tuple(keys[i]))
+    return RepModuli(tuple(_make_rep(images[i], residuals[i], coords[i]) for i in order))
 
 
 def casson_count(m: RepModuli, regularity) -> int:

@@ -26,16 +26,12 @@ from .presentations import (
     gen,
     reduce_word,
 )
-from .su2reps import RepModuli, Su2Rep, evaluate_word
+from .su2reps import RepModuli, Su2Rep, evaluate_word, require_finite_moduli
 from .zeta import ZERO_THRESHOLD, zeta_log_det
 
 
 class UnsupportedFamilyError(ValueError):
     """No frozen CW structure for the requested family."""
-
-
-class ModuliNotFiniteError(RuntimeError):
-    """Torsion sum refused: the representation moduli are not a finite set."""
 
 
 class GroupRingElement:
@@ -349,15 +345,6 @@ class TorsionSumResult:
     notes: tuple
 
 
-def require_finite_moduli(p: GroupPresentation) -> None:
-    """Refuse positive betti_1, where the moduli form positive-dimensional families."""
-    if p.h1.betti_1 > 0:
-        raise ModuliNotFiniteError(
-            f"{p.label}: betti_1 > 0, representation moduli form positive-dimensional "
-            "families; the torsion sum is not a finite sum"
-        )
-
-
 def torsion_sum(p: GroupPresentation, cw: CwStructure, moduli: RepModuli) -> TorsionSumResult:
     """Sum of analytic torsions over the representation classes of `moduli`.
 
@@ -368,7 +355,7 @@ def torsion_sum(p: GroupPresentation, cw: CwStructure, moduli: RepModuli) -> Tor
     per_class = []
     total = 0.0
     irr_total = 0.0
-    notes = list(moduli.warnings)
+    notes = []
     for rep in moduli.classes:
         c = build_twisted_complex(cw, rep)
         res = rs_torsion(c)

@@ -6,8 +6,8 @@ from taut3.su2reps import enumerate_reps
 
 @pytest.fixture(scope="session")
 def brieskorn_235_moduli():
-    """Flat SU(2) moduli of the Poincare sphere with the default solver config,
-    enumerated once for every test that only reads them."""
+    """Flat SU(2) moduli of the Poincare sphere, shared by the tests that only
+    read them."""
     return enumerate_reps(builtin_presentation("Brieskorn", 2, 3, 5))
 
 

@@ -235,9 +235,7 @@ def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, c
     assert [c[0].degree for c in calls] == [1, 1, 1, 1]
 
 
-def test_all_builds_each_twisted_complex_once(tmp_path, monkeypatch, count_calls,
-                                              brieskorn_235_moduli):
-    monkeypatch.setattr(cli, "enumerate_reps", lambda p, cfg: brieskorn_235_moduli)
+def test_all_builds_each_twisted_complex_once(tmp_path, count_calls, brieskorn_235_moduli):
     calls = count_calls("build_twisted_complex", twisted_torsion, cli)
     manifest = write_manifest(
         tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 5]}}
@@ -273,15 +271,42 @@ def test_hostile_manifest_values_exit_2(tmp_path, capsys, command, data):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_all_computes_h1_once_per_presentation(tmp_path, monkeypatch, brieskorn_235_moduli):
+def test_all_computes_h1_once_per_presentation(tmp_path, monkeypatch):
     import sympy.matrices.normalforms as nf
 
     calls = []
     real = nf.smith_normal_form
     monkeypatch.setattr(nf, "smith_normal_form", lambda m: calls.append(m) or real(m))
-    monkeypatch.setattr(cli, "enumerate_reps", lambda p, cfg: brieskorn_235_moduli)
     manifest = write_manifest(
         tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 5]}}
     )
     assert run(["all", "--manifest", manifest, "--no-cache"]) == EXIT_OK
     assert len(calls) == 2  # the manifest's presentation and the CW structure's own
+
+
+def test_reps_refuses_torus3(tmp_path, capsys):
+    """T^3's flat moduli are 3-dimensional: `reps` exits 4, and `all` skips it."""
+    manifest = write_manifest(tmp_path, {"schema_version": 1, "manifold": {"family": "Torus3"}})
+    assert run(["reps", "--manifest", manifest]) == EXIT_REGULARITY
+    assert "betti_1 > 0" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert run(["all", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
+    warnings = json.loads(out.read_text())["sections"]["reps"]["warnings"]
+    assert len(warnings) == 1 and warnings[0].startswith("skipped:") and "betti_1 > 0" in warnings[0]
+
+
+def test_reps_ignores_the_solver_block_and_the_seed(tmp_path):
+    base = {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 11]}}
+    sections = []
+    for i, (extra, seed) in enumerate([({}, "0"), ({"solver": {"max_iterations": 1}}, "5")]):
+        manifest = write_manifest(tmp_path, {**base, **extra}, f"m{i}.json")
+        out = tmp_path / f"r{i}.json"
+        assert run(["reps", "--manifest", manifest, "--seed", seed, "--out", str(out)]) == EXIT_OK
+        sections.append(json.loads(out.read_text())["sections"]["reps"])
+    plain, with_solver = sections
+    assert plain["values"] == with_solver["values"]
+    assert plain["values"]["class_count"] == 5
+    assert plain["warnings"] == []
+    assert with_solver["warnings"] == [
+        "the manifest's solver block is ignored: the flat moduli are exact"
+    ]

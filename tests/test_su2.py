@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from taut3 import su2
+from taut3.presentations import SIZE_BOUND
 
 _coord = st.floats(-1e6, 1e6, allow_subnormal=False)
 # arbitrary finite quaternions; with pure=True the real part is dropped (su(2) elements)
@@ -12,6 +13,13 @@ _quaternion = st.builds(
     st.tuples(_coord, _coord, _coord, _coord),
     st.booleans(),
 )
+_unit = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+    .filter(lambda v: np.hypot.reduce(v) > 0.1)
+    .map(lambda v: su2.qnormalize(np.array(v)))
+)
+# up to the largest exponent in a built-in presentation: x^p in Lens(p, q)
+_exponent = st.integers(-SIZE_BOUND, SIZE_BOUND)
 
 
 @pytest.fixture
@@ -37,6 +45,34 @@ def test_qmul_is_the_matrix_product_on_any_quaternions(p, q):
     # hypot.reduce: np.linalg.norm squares its entries and underflows to 0 below ~1e-154
     bound = 1e-14 * np.hypot.reduce(p) * np.hypot.reduce(q) + 1e-300
     assert np.max(np.abs(lhs - rhs)) <= bound
+
+
+@given(_unit, _unit, _unit)
+def test_qmul_is_associative(p, q, r):
+    lhs = su2.qmul(su2.qmul(p, q), r)
+    rhs = su2.qmul(p, su2.qmul(q, r))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-15 * 4
+
+
+@given(_unit)
+def test_conjugate_is_the_inverse_on_unit_quaternions(q):
+    assert np.max(np.abs(su2.qmul(q, su2.qconj(q)) - su2.IDENTITY)) <= 1e-15 * 4
+    assert np.max(np.abs(su2.qmul(su2.qconj(q), q) - su2.IDENTITY)) <= 1e-15 * 4
+
+
+@given(_quaternion, _quaternion)
+def test_norm_is_multiplicative(p, q):
+    norm = np.hypot.reduce
+    assert abs(norm(su2.qmul(p, q)) - norm(p) * norm(q)) <= 1e-15 * 4 * norm(p) * norm(q) + 1e-300
+
+
+@given(_unit, _exponent, _exponent)
+def test_qpow_adds_exponents(q, m, n):
+    """Repeated squaring loses about one rounding per unit of exponent, so the
+    tolerance grows with |m| + |n|."""
+    lhs = su2.qpow(q, m + n)
+    rhs = su2.qmul(su2.qpow(q, m), su2.qpow(q, n))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-15 * (4 + abs(m) + abs(n))
 
 
 def test_conjugate_is_inverse(rng):

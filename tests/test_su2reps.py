@@ -1,14 +1,21 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+from rep_oracles import SolverConfig, brieskorn_sigma, search_reps
 from taut3 import su2, su2reps
-from taut3.presentations import builtin_presentation
+from taut3.presentations import (
+    SIZE_BOUND,
+    GroupPresentation,
+    ParameterError,
+    builtin_presentation,
+)
 from taut3.su2reps import (
+    ModuliNotFiniteError,
     RegularityError,
-    SolverConfig,
     casson_count,
     enumerate_reps,
     evaluate_word,
@@ -109,12 +116,16 @@ def test_casson_count_and_regularity(brieskorn_235_moduli):
         casson_count(moduli, [0])  # wrong length
 
 
-def test_enumeration_warns_on_positive_betti():
-    with pytest.warns(UserWarning):
-        enumerate_reps(
-            builtin_presentation("Torus3"),
-            SolverConfig(grid_density=3, random_seeds=10, max_iterations=10),
-        )
+def test_enumeration_refuses_positive_betti():
+    """T^3 has a 3-dimensional family of commuting triples, not a class list."""
+    with pytest.raises(ModuliNotFiniteError, match="betti_1 > 0"):
+        enumerate_reps(builtin_presentation("Torus3"))
+
+
+def test_enumeration_refuses_presentations_without_a_shape():
+    pres = builtin_presentation("Lens", 5, 1)
+    with pytest.raises(ValueError, match="no exact construction"):
+        enumerate_reps(GroupPresentation(1, pres.relators, label="hand-made"))
 
 
 def test_evaluate_word_inverse():
@@ -129,13 +140,81 @@ def test_gauss_newton_evaluates_each_iterate_once(count_calls):
     """The damping loop's evaluation of the accepted iterate also gives its
     deviation; only the final acceptance test calls `relator_residual`."""
     calls = count_calls("relator_residual", su2reps)
-    enumerate_reps(builtin_presentation("Brieskorn", 2, 3, 5), SolverConfig(max_iterations=3))
+    search_reps(builtin_presentation("Brieskorn", 2, 3, 5), SolverConfig(max_iterations=3))
     assert len(calls) == 1
 
 
+def search_against_exact(pqr):
+    """The numerical search, blind to the presentation's shape, with 100 seeds
+    and 30 iterations: every class it converges to is one of the constructed
+    classes, and it finds every constructed irreducible class."""
+    pres = builtin_presentation("Brieskorn", *pqr)
+    exact = enumerate_reps(pres).classes
+    found = search_reps(pres, SolverConfig(seed=0, random_seeds=100, max_iterations=30)).classes
+
+    def near(r, classes):
+        return [c for c in classes if np.max(np.abs(c.trace_coords - r.trace_coords)) < 1e-6]
+
+    for f in found:
+        assert [e.irreducible for e in near(f, exact)] == [f.irreducible]
+    for e in exact:
+        if e.irreducible:
+            assert len(near(e, found)) == 1
+    return found, exact
+
+
 def test_brieskorn_2_3_11_finds_every_irreducible_class():
-    """With an exact distance to the identity, converged seeds count as converged:
-    all 2|lambda| = 4 irreducible classes even with 100 seeds and 30 iterations."""
-    moduli = enumerate_reps(builtin_presentation("Brieskorn", 2, 3, 11),
-                            SolverConfig(seed=0, random_seeds=100, max_iterations=30))
-    assert sum(r.irreducible for r in moduli.classes) == 4
+    """Seifert presentation, 4 generators: all 2|lambda| = 4 irreducible classes.
+    At this seed the search misses the trivial class, a degenerate point of
+    Gauss-Newton; the construction adds it exactly."""
+    found, exact = search_against_exact((2, 3, 11))
+    assert sum(r.irreducible for r in found) == 4 and len(exact) == 5
+
+
+def test_search_finds_the_exact_poincare_sphere_classes():
+    found, exact = search_against_exact((2, 3, 5))
+    assert len(found) == len(exact) == 3
+
+
+SMALL_TRIPLES = [
+    t for t in itertools.combinations(range(2, 51), 3)
+    if math.prod(t) <= 200 and all(math.gcd(a, b) == 1 for a, b in itertools.combinations(t, 2))
+]
+
+
+def test_small_triples_cover_both_presentation_shapes():
+    assert len(SMALL_TRIPLES) == 31
+    shapes = {type(builtin_presentation("Brieskorn", *t).shape).__name__ for t in SMALL_TRIPLES}
+    assert shapes == {"TriangleShape", "SeifertShape"}
+
+
+@pytest.mark.parametrize("pqr", SMALL_TRIPLES, ids=lambda t: "-".join(map(str, t)))
+def test_exact_brieskorn_moduli(pqr):
+    """1 + 2|sigma/8| classes (Fintushel-Stern; Neumann-Wahl), each satisfying
+    the relators, in under 50 ms."""
+    pres = builtin_presentation("Brieskorn", *pqr)
+    t0 = time.perf_counter()
+    moduli = enumerate_reps(pres)
+    elapsed = time.perf_counter() - t0
+    sigma = brieskorn_sigma(*pqr)
+    assert sigma % 8 == 0
+    irreducible = [r for r in moduli.classes if r.irreducible]
+    assert len(irreducible) == 2 * abs(sigma // 8)
+    assert len(moduli.classes) == len(irreducible) + 1
+    reducible = next(r for r in moduli.classes if not r.irreducible)
+    assert np.allclose(reducible.trace_coords, 2.0)
+    assert max(r.residual for r in moduli.classes) <= 1e-10
+    images = np.stack([r.images_array() for r in moduli.classes])
+    assert np.max(relator_residual(images, pres.relators)) <= 1e-10
+    assert elapsed < 0.05
+
+
+def test_brieskorn_product_bound():
+    """Triples past the bound are refused; the largest exponent within it still
+    meets the residual tolerance."""
+    with pytest.raises(ParameterError, match="p\\*q\\*r"):
+        builtin_presentation("Brieskorn", 2, 3, 10007)
+    r = max(r for r in range(SIZE_BOUND // 6 - 5, SIZE_BOUND // 6 + 1)
+            if math.gcd(r, 6) == 1)
+    moduli = enumerate_reps(builtin_presentation("Brieskorn", 2, 3, r))
+    assert max(c.residual for c in moduli.classes) <= 1e-10

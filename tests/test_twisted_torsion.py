@@ -5,10 +5,9 @@ import pytest
 
 from taut3 import su2
 from taut3.presentations import builtin_presentation, concat_words, gen, invert_word
-from taut3.su2reps import RepModuli, enumerate_reps, evaluate_word
+from taut3.su2reps import ModuliNotFiniteError, RepModuli, enumerate_reps, evaluate_word
 from taut3.twisted_torsion import (
     GroupRingElement,
-    ModuliNotFiniteError,
     UnsupportedFamilyError,
     build_twisted_complex,
     cw_structure,
