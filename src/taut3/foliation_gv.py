@@ -11,6 +11,7 @@ the integral of theta ^ d(theta) over the torus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,28 +57,62 @@ class DiscreteForm:
     def spacing(self) -> float:
         return 1.0 / self.grid_size
 
+    @cached_property
+    def _norm_sq(self) -> np.ndarray:
+        """Pointwise squared length of a vector-type form, computed once."""
+        return _sum_of_squares(self.values)
+
+    @cached_property
+    def _mean_norm(self) -> float:
+        """Mean length over the grid, once the form has passed the
+        nonvanishing check."""
+        return _check_nonvanishing(self)
+
 
 def grid_coords(n: int):
-    """Vertex coordinates of the unit torus grid, three (n,n,n) arrays."""
+    """Vertex coordinates of the unit torus grid as three broadcastable arrays
+    of shapes (n,1,1), (1,n,1) and (1,1,n)."""
     xs = np.arange(n) / n
-    return np.meshgrid(xs, xs, xs, indexing="ij")
+    return np.meshgrid(xs, xs, xs, indexing="ij", sparse=True)
 
 
 def form_from_functions(degree: int, n: int, *fns) -> DiscreteForm:
-    """Sample component functions f(x, y, z) on the grid.  Overflow, division by
-    zero and invalid operations give inf/nan silently; FoliationSpec rejects them."""
+    """Sample component functions f(x, y, z) on the grid.
+
+    The functions receive the broadcastable coordinates of `grid_coords`, so
+    a factor that depends on x alone is evaluated on n points, not n^3; each
+    result is broadcast to (n,n,n) as it is stored.  Overflow, division by
+    zero and invalid operations give inf/nan silently; FoliationSpec rejects
+    them.
+    """
+    if degree not in (0, 1, 2, 3):
+        raise ValueError("degree must be 0..3")
+    scalar = degree in (0, 3)
+    if len(fns) != (1 if scalar else 3):
+        raise ValueError(f"a degree-{degree} form needs {1 if scalar else 3} component functions")
     x, y, z = grid_coords(n)
+    values = np.empty((n, n, n) if scalar else (3, n, n, n))
     with np.errstate(all="ignore"):
-        vals = [np.broadcast_to(np.asarray(f(x, y, z), dtype=float), x.shape) for f in fns]
-    if degree in (0, 3):
-        (v,) = vals
-        return DiscreteForm(degree, v)
-    return DiscreteForm(degree, np.stack(vals))
+        for comp, f in zip(values[None] if scalar else values, fns):
+            comp[...] = f(x, y, z)
+    return DiscreteForm(degree, values)
 
 
-def _ddi(f, axis, h):
-    """Centered difference along a grid axis."""
-    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
+def _ddi(f, axis, h, out):
+    """Centered difference (f[i+1] - f[i-1]) / 2h along a periodic grid axis,
+    written into `out`."""
+    n = f.shape[axis]
+
+    def cut(start, stop):
+        idx = [slice(None)] * f.ndim
+        idx[axis] = slice(start, stop)
+        return tuple(idx)
+
+    np.subtract(f[cut(2, n)], f[cut(0, n - 2)], out=out[cut(1, n - 1)])
+    for i, ahead, behind in ((0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):  # the wrap
+        np.subtract(f[cut(ahead, ahead + 1)], f[cut(behind, behind + 1)], out=out[cut(i, i + 1)])
+    out /= 2.0 * h
+    return out
 
 
 def d(form: DiscreteForm) -> DiscreteForm:
@@ -85,13 +120,22 @@ def d(form: DiscreteForm) -> DiscreteForm:
     h = form.spacing
     v = form.values
     if form.degree == 0:
-        return DiscreteForm(1, np.stack([_ddi(v, i, h) for i in range(3)]))
+        out = np.empty((3,) + v.shape)
+        for i in range(3):
+            _ddi(v, i, h, out[i])
+        return DiscreteForm(1, out)
     if form.degree == 1:
-        comps = [_ddi(v[j], i, h) - _ddi(v[i], j, h) for i, j in _PAIRS]
-        return DiscreteForm(2, np.stack(comps))
+        out, tmp = np.empty_like(v), np.empty_like(v[0])
+        for comp, (i, j) in zip(out, _PAIRS):
+            _ddi(v[j], i, h, comp)
+            comp -= _ddi(v[i], j, h, tmp)
+        return DiscreteForm(2, out)
     if form.degree == 2:
         # d(c01 dx dy + c02 dx dz + c12 dy dz) = (D2 c01 - D1 c02 + D0 c12) dx dy dz
-        out = _ddi(v[0], 2, h) - _ddi(v[1], 1, h) + _ddi(v[2], 0, h)
+        out, tmp = np.empty_like(v[0]), np.empty_like(v[0])
+        _ddi(v[0], 2, h, out)
+        out -= _ddi(v[1], 1, h, tmp)
+        out += _ddi(v[2], 0, h, tmp)
         return DiscreteForm(3, out)
     return DiscreteForm(3, np.zeros_like(v))  # top degree: d vanishes identically
 
@@ -106,15 +150,18 @@ def wedge(a: DiscreteForm, b: DiscreteForm) -> DiscreteForm:
         return DiscreteForm(kb, vals)
     if kb == 0:
         return wedge(b, a)
+    u, v = a.values, b.values
     if ka == 1 and kb == 1:
-        comps = [a.values[i] * b.values[j] - a.values[j] * b.values[i] for i, j in _PAIRS]
-        return DiscreteForm(2, np.stack(comps))
+        out, tmp = np.empty_like(u), np.empty_like(u[0])
+        for comp, (i, j) in zip(out, _PAIRS):
+            np.multiply(u[i], v[j], out=comp)
+            comp -= np.multiply(u[j], v[i], out=tmp)
+        return DiscreteForm(2, out)
     if ka == 1 and kb == 2:
-        out = (
-            a.values[0] * b.values[2]
-            - a.values[1] * b.values[1]
-            + a.values[2] * b.values[0]
-        )
+        out = u[0] * v[2]
+        tmp = np.multiply(u[1], v[1])
+        out -= tmp
+        out += np.multiply(u[2], v[0], out=tmp)
         return DiscreteForm(3, out)
     if ka == 2 and kb == 1:
         return wedge(b, a)  # sign (-1)^(1*2) = +1
@@ -132,9 +179,20 @@ def integrate(form: DiscreteForm) -> float:
     return float(np.sum(form.values)) * form.spacing**3
 
 
-def _check_nonvanishing(omega: DiscreteForm, floor: float = 1e-6):
+def _sum_of_squares(values):
+    """Sum of the squared components, (v0^2 + v1^2) + v2^2; overflow gives inf."""
+    out, tmp = np.empty_like(values[0]), np.empty_like(values[0])
     with np.errstate(over="ignore"):
-        mag = np.sqrt(np.sum(omega.values**2, axis=0))
+        np.square(values[0], out=out)
+        out += np.square(values[1], out=tmp)
+        out += np.square(values[2], out=tmp)
+    return out
+
+
+def _check_nonvanishing(omega: DiscreteForm, floor: float = 1e-6) -> float:
+    """Mean of |omega| over the grid; raises SingularityError where |omega| is
+    not finite or (nearly) vanishes."""
+    mag = np.sqrt(omega._norm_sq)
     if not np.all(np.isfinite(mag)):
         cell = tuple(int(i) for i in np.argwhere(~np.isfinite(mag))[0])
         raise SingularityError(f"1-form is not finite (or overflows) at grid cell {cell}")
@@ -143,13 +201,14 @@ def _check_nonvanishing(omega: DiscreteForm, floor: float = 1e-6):
     if np.any(bad):
         cell = tuple(int(i) for i in np.argwhere(bad)[0])
         raise SingularityError(f"1-form (nearly) vanishes at grid cell {cell}")
+    return mean
 
 
 def _frobenius(omega: DiscreteForm):
     """d(omega) and the Frobenius defect, both from one exterior derivative."""
     if omega.degree != 1:
         raise ValueError("expected a 1-form")
-    _check_nonvanishing(omega)
+    omega._mean_norm  # the nonvanishing check, once per form
     dw = d(omega)
     return dw, l2_norm(wedge(omega, dw)) / (l2_norm(omega) * l2_norm(dw) + 1e-30)
 
@@ -173,12 +232,21 @@ def _theta(omega: DiscreteForm, dw: DiscreteForm, defect: float, tol: float):
     if defect > tol:
         raise ValueError("form is not integrable within tolerance; no theta exists")
     w, v = omega.values, dw.values
-    g = np.stack([v[2], -v[1], v[0]])  # axial vector of the 2-form
-    wsq = np.sum(w**2, axis=0)
-    theta = np.cross(w, g, axisa=0, axisb=0).transpose(3, 0, 1, 2) / wsq
+    # theta = omega x g / |omega|^2 with g = (v2, -v1, v0) the axial vector of
+    # d(omega); the products and signs are those of np.cross(omega, g)
+    theta, tmp = np.empty_like(w), np.empty_like(w[0])
+    t0, t1, t2 = theta
+    np.multiply(w[1], v[0], out=t0)
+    t0 += np.multiply(w[2], v[1], out=tmp)
+    np.multiply(w[2], v[2], out=t1)
+    t1 -= np.multiply(w[0], v[0], out=tmp)
+    np.negative(np.multiply(w[0], v[1], out=t2), out=t2)
+    t2 -= np.multiply(w[1], v[2], out=tmp)
+    theta /= omega._norm_sq
     theta_form = DiscreteForm(1, theta)
-    res = l2_norm(DiscreteForm(2, v - wedge(theta_form, omega).values))
-    return theta_form, res
+    miss = wedge(theta_form, omega).values
+    np.subtract(v, miss, out=miss)
+    return theta_form, l2_norm(DiscreteForm(2, miss))
 
 
 def gv_integral(omega: DiscreteForm, theta: DiscreteForm) -> float:
@@ -195,7 +263,7 @@ class FoliationSpec:
     def __post_init__(self):
         if self.omega.degree != 1:
             raise ValueError("foliation needs a 1-form")
-        _check_nonvanishing(self.omega)
+        self.omega._mean_norm  # the nonvanishing check
 
 
 def tautness_check(spec: FoliationSpec, tol: float = 1e-8):
@@ -215,7 +283,7 @@ def tautness_check(spec: FoliationSpec, tol: float = 1e-8):
     if outside:
         raise ValueError(f"transversal vertex {outside[0]} is not a vertex of the {n}^3 grid")
     w = spec.omega.values
-    mean_mag = float(np.mean(np.sqrt(np.sum(w**2, axis=0))))
+    mean_mag = spec.omega._mean_norm
     pairings = []
     closed = list(path) + [path[0]]
     for p, q in zip(closed[:-1], closed[1:]):

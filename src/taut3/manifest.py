@@ -3,7 +3,9 @@
 A manifest is a JSON document declaring everything a run needs: the manifold,
 foliation data (symbolic 1-form components plus transversal loops), leafwise
 and cyclic model parameters.  Validation is strict — unknown keys are
-rejected — so a typo fails loudly before any computation starts.  The
+rejected — so a typo fails loudly before any computation starts.  Every
+size (grids, truncations, degree bounds) has a maximum, so no manifest can ask
+for more than about a gigabyte of memory in one stage.  The
 `solver` block of earlier versions is still validated, but ignored: the flat
 moduli are computed exactly.
 """
@@ -14,7 +16,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 SCHEMA_VERSION = 1
 
@@ -51,7 +54,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "grid": {"type": "integer", "minimum": 4},
+                "grid": {"type": "integer", "minimum": 4, "maximum": 64},
                 "scale": {"type": "number", "minimum": 0},
                 "level": {"type": "number"},
                 "step": {"type": "number", "exclusiveMinimum": 0},
@@ -67,7 +70,7 @@ SCHEMA = {
                 "properties": {
                     "label": {"type": "string"},
                     "omega": {"type": "array", "items": _EXPR, "minItems": 3, "maxItems": 3},
-                    "grid": {"type": "integer", "minimum": 8},
+                    "grid": {"type": "integer", "minimum": 8, "maximum": 192},
                     "transversal": {
                         "type": "array",
                         "items": {
@@ -84,8 +87,8 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "truncation": {"type": "integer", "minimum": 1},
-                "n_z": {"type": "integer", "minimum": 1},
+                "truncation": {"type": "integer", "minimum": 1, "maximum": 512},
+                "n_z": {"type": "integer", "minimum": 1, "maximum": 1024},
                 "weights": {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
@@ -98,13 +101,18 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "degree_bound": {"type": "integer", "minimum": 1},
+                "degree_bound": {"type": "integer", "minimum": 1, "maximum": 512},
                 "windings": {"type": "array", "items": {"type": "integer"}},
             },
         },
         "output": {"type": "string"},
     },
 }
+
+
+# built once: jsonschema.validate would re-check SCHEMA against its metaschema
+# on every load (tests check it once)
+_VALIDATOR = validator_for(SCHEMA)(SCHEMA)
 
 
 class ManifestError(ValueError):
@@ -124,9 +132,8 @@ class Manifest:
 
 
 def validate_manifest(data: dict) -> Manifest:
-    try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = best_match(_VALIDATOR.iter_errors(data))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ManifestError(f"manifest invalid at {path}: {exc.message}") from exc
     man = data["manifold"]

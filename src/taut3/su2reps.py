@@ -206,8 +206,8 @@ def enumerate_reps(p: GroupPresentation) -> RepModuli:
     from the presentation's shape; each class is checked against the relators."""
     require_finite_moduli(p)
     if isinstance(p.shape, CyclicShape):
-        return RepModuli(tuple(_make_rep(im, 0.0) for im in _cyclic_classes(p.shape.order)))
-    if isinstance(p.shape, TriangleShape):
+        images = np.stack(_cyclic_classes(p.shape.order))
+    elif isinstance(p.shape, TriangleShape):
         images = np.stack(_triangle_classes(p.shape))
     elif isinstance(p.shape, SeifertShape):
         images = np.stack(_seifert_classes(p.shape))
@@ -219,8 +219,10 @@ def enumerate_reps(p: GroupPresentation) -> RepModuli:
             f"{p.label}: a constructed class misses the relators by {np.max(residuals):.1e}"
         )
     coords = trace_coordinates(images)
-    keys = np.round(coords / TRACE_ROUNDING).astype(np.int64)
-    order = sorted(range(len(images)), key=lambda i: tuple(keys[i]))
+    order = range(len(images))  # cyclic classes stay in the order of their characters
+    if not isinstance(p.shape, CyclicShape):
+        keys = np.round(coords / TRACE_ROUNDING).astype(np.int64)
+        order = sorted(order, key=lambda i: tuple(keys[i]))
     return RepModuli(tuple(_make_rep(images[i], residuals[i], coords[i]) for i in order))
 
 

@@ -230,9 +230,12 @@ def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, c
     data["foliations"].append(second)
     manifest = write_manifest(tmp_path, data)
     calls = count_calls("d", fg)
+    norms = count_calls("_sum_of_squares", fg)
     assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
     # per foliation: d(omega) once, d(theta) once
     assert [c[0].degree for c in calls] == [1, 1, 1, 1]
+    # per foliation: |omega|^2 once, shared by the nonvanishing, tautness and theta steps
+    assert len(norms) == 2
 
 
 def test_all_builds_each_twisted_complex_once(tmp_path, count_calls, brieskorn_235_moduli):

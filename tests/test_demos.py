@@ -1,0 +1,25 @@
+"""Every demo script runs to completion against the package source, with
+warnings as errors."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 8
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(tmp_path, script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path),
+           "TAUT3_CACHE_DIR": str(tmp_path / "cache")}
+    done = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]

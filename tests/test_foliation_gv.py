@@ -1,6 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taut3 import foliation_gv as fg
+from taut3.exprs import compile_expr
 from taut3.foliation_gv import (
     DiscreteForm,
     FoliationSpec,
@@ -20,6 +27,7 @@ from taut3.foliation_gv import (
 )
 
 TWO_PI = 2 * np.pi
+LENS_7_2 = Path(__file__).resolve().parents[1] / "perfbench" / "manifests" / "lens_7_2.json"
 
 
 def omega_exp_f(n, ax=0.3, ay=0.2):
@@ -210,3 +218,139 @@ def test_non_finite_form_is_rejected_without_warnings(component):
     om = form_from_functions(1, 8, lambda x, y, z: 0 * x, lambda x, y, z: 0 * x, component)
     with pytest.raises(SingularityError, match="not finite"):
         FoliationSpec(om)
+
+
+# --- the kernels as first written, kept as oracles ------------------------------
+# np.roll differences, dense meshgrid sampling, np.cross theta and list-plus-stack
+# products; the production kernels must reproduce them bit for bit.
+
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def roll_ddi(f, axis, h):
+    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
+
+
+def stack_d(form):
+    h, v = form.spacing, form.values
+    if form.degree == 0:
+        return np.stack([roll_ddi(v, i, h) for i in range(3)])
+    if form.degree == 1:
+        return np.stack([roll_ddi(v[j], i, h) - roll_ddi(v[i], j, h) for i, j in PAIRS])
+    if form.degree == 2:
+        return roll_ddi(v[0], 2, h) - roll_ddi(v[1], 1, h) + roll_ddi(v[2], 0, h)
+    return np.zeros_like(v)
+
+
+def stack_wedge(a, b):
+    ka, kb = a.degree, b.degree
+    if ka == 0:
+        return a.values[None] * b.values if kb in (1, 2) else a.values * b.values
+    if kb == 0:
+        return stack_wedge(b, a)
+    if ka == 1 and kb == 1:
+        return np.stack([a.values[i] * b.values[j] - a.values[j] * b.values[i] for i, j in PAIRS])
+    if ka == 2:
+        return stack_wedge(b, a)
+    return a.values[0] * b.values[2] - a.values[1] * b.values[1] + a.values[2] * b.values[0]
+
+
+def cross_theta(omega, dw):
+    w, v = omega.values, dw.values
+    g = np.stack([v[2], -v[1], v[0]])
+    theta = np.cross(w, g, axisa=0, axisb=0).transpose(3, 0, 1, 2) / np.sum(w**2, axis=0)
+    res = l2_norm(DiscreteForm(2, v - stack_wedge(DiscreteForm(1, theta), omega)))
+    return theta, res
+
+
+def dense_sample(n, *fns):
+    xs = np.arange(n) / n
+    x, y, z = np.meshgrid(xs, xs, xs, indexing="ij")
+    with np.errstate(all="ignore"):
+        return np.stack([np.broadcast_to(np.asarray(f(x, y, z), dtype=float), x.shape)
+                         for f in fns])
+
+
+def random_form(rng, degree, n):
+    shape = (n, n, n) if degree in (0, 3) else (3, n, n, n)
+    return DiscreteForm(degree, rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_sliced_difference_matches_roll(n, axis):
+    f = np.random.default_rng(n + 10 * axis).standard_normal((n, n, n))
+    got = fg._ddi(f, axis, 1.0 / n, np.empty_like(f))
+    assert np.array_equal(got, roll_ddi(f, axis, 1.0 / n))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_d_matches_stacked_oracle(n, degree):
+    form = random_form(np.random.default_rng(degree), degree, n)
+    assert np.array_equal(d(form).values, stack_d(form))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("ka, kb", [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0),
+                                    (1, 1), (1, 2), (2, 1)])
+def test_wedge_matches_stacked_oracle(n, ka, kb):
+    rng = np.random.default_rng(10 * ka + kb)
+    a, b = random_form(rng, ka, n), random_form(rng, kb, n)
+    assert np.array_equal(wedge(a, b).values, stack_wedge(a, b))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_theta_matches_cross_oracle(n):
+    rng = np.random.default_rng(n)
+    omega = DiscreteForm(1, rng.standard_normal((3, n, n, n)) + np.array([0, 0, 3.0])[:, None, None, None])
+    dw = random_form(rng, 2, n)  # any 2-form: the pointwise solve does not need integrability
+    theta, res = fg._theta(omega, dw, 0.0, 1e-6)
+    want_theta, want_res = cross_theta(omega, dw)
+    assert np.array_equal(theta.values, want_theta)
+    assert res == want_res
+
+
+def test_theta_keeps_the_signed_zeros_of_np_cross():
+    n = 6
+    rng = np.random.default_rng(3)
+    omega = DiscreteForm(1, np.stack([np.zeros((n, n, n)), np.zeros((n, n, n)),
+                                      np.exp(rng.standard_normal((n, n, n)))]))
+    dw = DiscreteForm(2, rng.standard_normal((3, n, n, n)) * (rng.random((3, n, n, n)) < 0.5))
+    theta, _ = fg._theta(omega, dw, 0.0, 1e-6)
+    want, _ = cross_theta(omega, dw)
+    assert np.array_equal(np.signbit(theta.values), np.signbit(want))
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_sparse_sampling_matches_dense_on_the_bench_expressions(index):
+    manifest = json.loads(LENS_7_2.read_text())
+    entry = manifest["foliations"][index]
+    fns = [compile_expr(s) for s in entry["omega"]]
+    n = entry["grid"]
+    assert np.array_equal(form_from_functions(1, n, *fns).values, dense_sample(n, *fns))
+
+
+def test_sparse_sampling_matches_dense_on_python_functions():
+    fns = [lambda x, y, z: 0 * x, lambda x, y, z: 1.0,
+           lambda x, y, z: np.exp(np.sin(TWO_PI * x) * np.cos(TWO_PI * y) + z)]
+    assert np.array_equal(form_from_functions(1, 9, *fns).values, dense_sample(9, *fns))
+    scalar = form_from_functions(0, 9, fns[2])
+    assert scalar.values.shape == (9, 9, 9)
+    assert np.array_equal(scalar.values, dense_sample(9, fns[2])[0])
+
+
+def test_form_from_functions_checks_the_component_count():
+    with pytest.raises(ValueError, match="3 component functions"):
+        form_from_functions(1, 4, lambda x, y, z: x, lambda x, y, z: y)
+    with pytest.raises(ValueError, match="degree must be"):
+        form_from_functions(4, 4, lambda x, y, z: x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 16), degree=st.sampled_from([0, 1]), seed=st.integers(0, 2**32 - 1))
+def test_dd_is_zero_to_roundoff_on_random_forms(n, degree, seed):
+    form = random_form(np.random.default_rng(seed), degree, n)
+    # two divisions by h amplify roundoff by n^2
+    assert np.max(np.abs(d(d(form)).values)) < 1e-13 * n**2
+

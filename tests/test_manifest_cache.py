@@ -1,12 +1,14 @@
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from jsonschema.validators import validator_for
 
 from taut3.cache import Cache, content_key
 from taut3.cli import main as cli_main
-from taut3.manifest import ManifestError, load_manifest, validate_manifest
+from taut3.manifest import SCHEMA, ManifestError, load_manifest, validate_manifest
 
 
 def minimal(**extra):
@@ -132,3 +134,54 @@ def test_concurrent_writers_do_not_collide(tmp_path):
     assert c.get(inputs) in ({"v": 0}, {"v": 1})
     assert c.warnings == []
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_schema_is_valid_against_its_metaschema():
+    validator_for(SCHEMA).check_schema(SCHEMA)
+
+
+def test_validation_errors_are_the_best_match():
+    with pytest.raises(ManifestError, match="manifest invalid at manifold/params/0: 'a' is not of"):
+        validate_manifest(minimal(manifold={"family": "Lens", "params": ["a", 1]}))
+
+
+# every size with its maximum; at the maximum a stage peaks near 1 GB (see CHANGES.md)
+SIZE_BOUNDS = [
+    (("chern_simons", "grid"), 64),
+    (("foliations", 0, "grid"), 192),
+    (("leafwise", "truncation"), 512),
+    (("leafwise", "n_z"), 1024),
+    (("cyclic", "degree_bound"), 512),
+]
+
+
+def with_size(keys, value):
+    data = minimal(chern_simons={}, foliations=[{"omega": ["0", "0", "1"]}], leafwise={},
+                   cyclic={})
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("keys, bound", SIZE_BOUNDS,
+                         ids=["/".join(map(str, keys)) for keys, _ in SIZE_BOUNDS])
+def test_sizes_are_bounded_from_above(tmp_path, capsys, keys, bound):
+    validate_manifest(with_size(keys, bound))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(with_size(keys, bound + 1)))
+    # refused by validation, before any array is allocated
+    assert cli_main(["all", "--manifest", str(path), "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest invalid at") and "Traceback" not in err
+    assert f"{bound + 1} is greater than the maximum of {bound}" in err
+
+
+def test_shipped_manifests_validate():
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted((root / "perfbench" / "manifests").glob("*.json")):
+        load_manifest(path)
+    readme = (root / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    validate_manifest(json.loads(block.replace(', "..."', "")))  # the elided transversal

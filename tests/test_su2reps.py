@@ -31,6 +31,19 @@ def test_lens_class_counts(p):
     assert len(moduli.classes) == p // 2 + 1
 
 
+@pytest.mark.parametrize("family, params", [("S3", ()), ("Lens", (7, 2)), ("Lens", (12, 5))])
+def test_cyclic_residuals_are_evaluated(family, params, count_calls):
+    calls = count_calls("relator_residual", su2reps)
+    pres = builtin_presentation(family, *params)
+    moduli = enumerate_reps(pres)
+    assert len(calls) == 1  # one batched evaluation for all classes
+    images, relators = calls[0]
+    assert len(images) == len(moduli.classes) and relators == pres.relators
+    residuals = [rep.residual for rep in moduli.classes]
+    assert residuals == list(relator_residual(images, relators))
+    assert max(residuals) <= su2reps.RESIDUAL_TOLERANCE
+
+
 def test_lens5_trace_values():
     moduli = enumerate_reps(builtin_presentation("Lens", 5, 1))
     traces = sorted(float(r.trace_coords[0]) for r in moduli.classes)
