@@ -12,7 +12,6 @@ import tempfile
 from taut3.cli import main
 
 workdir = tempfile.mkdtemp(prefix="taut3-demo-")
-os.environ["TAUT3_CACHE_DIR"] = os.path.join(workdir, "cache")
 
 n = 16
 manifest = {

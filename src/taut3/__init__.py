@@ -6,7 +6,7 @@ codimension-1 foliations on the 3-torus, leafwise torsion for the product
 foliation, and degree-1 cyclic cocycles on a Fourier model of C(S^1).
 """
 
-__version__ = "0.1.0"  # defined first: taut3.cache keys its entries by it
+__version__ = "0.1.0"
 
 from .presentations import (
     GroupPresentation,

@@ -31,11 +31,10 @@ from . import chern_simons as cs
 from . import cyclic as cyc
 from . import foliation_gv as fg
 from . import leafwise as lw
-from .cache import Cache, content_key
 from .exprs import ExprError, compile_expr
 from .manifest import Manifest, ManifestError, load_manifest
 from .presentations import ParameterError, builtin_presentation
-from .reports import InvariantReport
+from .reports import InvariantReport, manifest_digest
 from .su2reps import (
     RESIDUAL_TOLERANCE,
     ModuliNotFiniteError,
@@ -57,12 +56,11 @@ SUBCOMMANDS = ("reps", "torsion", "casson", "cs-check", "gv", "leafwise", "cycli
 
 @dataclass
 class Run:
-    """One invocation: manifest, flags and cache, plus every artifact the
-    pipelines share, each computed at most once and only when first read."""
+    """One invocation: manifest and flags, plus every artifact the pipelines
+    share, each computed at most once and only when first read."""
 
     m: Manifest
     args: argparse.Namespace
-    cache: Cache
 
     @cached_property
     def presentation(self):
@@ -100,40 +98,25 @@ def run_reps(run: Run, report: InvariantReport):
 
 
 def run_torsion(run: Run, report: InvariantReport):
-    m = run.m
+    m, result = run.m, run.torsion
     sec = report.section("torsion")
-    key_inputs = {
-        "pipeline": "torsion",
-        "family": m.family,
-        "params": list(m.params),
-    }
-    payload = run.cache.get(key_inputs)
-    if payload is None:
-        result = run.torsion
-        payload = {
-            "total": result.total,
-            "irreducible_subtotal": result.irreducible_subtotal,
-            "per_class": [
-                {
-                    "trace_coordinates": [round(float(t), 10) for t in tc],
-                    "log_t": res.log_t,
-                    "t": res.t,
-                    "acyclic": res.acyclic,
-                    "metric_dependent": res.metric_dependent,
-                }
-                for tc, res, _irr in result.per_class
-            ],
-            "notes": list(result.notes),
-        }
-        run.cache.put(key_inputs, payload)
     sec.values.update(
-        total=payload["total"],
-        irreducible_subtotal=payload["irreducible_subtotal"],
-        per_class=payload["per_class"],
+        total=result.total,
+        irreducible_subtotal=result.irreducible_subtotal,
+        per_class=[
+            {
+                "trace_coordinates": [round(float(t), 10) for t in tc],
+                "log_t": res.log_t,
+                "t": res.t,
+                "acyclic": res.acyclic,
+                "metric_dependent": res.metric_dependent,
+            }
+            for tc, res, _irr in result.per_class
+        ],
     )
     sec.tolerances["zero_eigenvalue_threshold"] = 1e-10
     sec.metadata["family"] = m.family
-    sec.warnings.extend(payload["notes"])
+    sec.warnings.extend(result.notes)
 
 
 def run_casson(run: Run, report: InvariantReport):
@@ -178,13 +161,10 @@ def run_cs_check(run: Run, report: InvariantReport):
     sec.metadata.update(grid=n, scale=scale, level=level, seed=seed, fd_directions=cs.FD_DIRECTIONS)
 
 
-def _foliation_spec(entry):
-    n = entry.get("grid", 32)
-    fns = [compile_expr(s) for s in entry["omega"]]
-    omega = fg.form_from_functions(1, n, *fns)
+def _foliation_spec(entry, fns):
     trans = entry.get("transversal")
     return fg.FoliationSpec(
-        omega=omega,
+        omega=fg.form_from_functions(1, entry.get("grid", 32), *fns),
         transversal=tuple(tuple(p) for p in trans) if trans else None,
         label=entry.get("label", ""),
     )
@@ -197,8 +177,14 @@ def run_gv(run: Run, report: InvariantReport):
         sec.values["total"] = 0.0
         sec.warnings.append("no foliations declared in the manifest")
         return
-    specs = [_foliation_spec(e) for e in m.foliations]
-    gv = fg.gv_invariant(specs, strict=run.args.strict)
+    # every expression compiles before any foliation is sampled; then each
+    # foliation is sampled and evaluated in turn, so one ω is alive at a time
+    compiled = [[compile_expr(s) for s in e["omega"]] for e in m.foliations]
+    terms = [
+        fg.gv_term(_foliation_spec(entry, fns), k, strict=run.args.strict)
+        for k, (entry, fns) in enumerate(zip(m.foliations, compiled))
+    ]
+    gv = fg.gv_report(terms)
     sec.values["total"] = gv.total
     sec.values["per_foliation"] = [
         {"label": lab, "gv": val, "taut": taut, "theta_residual": res}
@@ -292,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--manifest", required=True, help="path to the JSON manifest")
         p.add_argument("--out", default=None, help="report output path (overrides manifest)")
-        p.add_argument("--no-cache", action="store_true", help="disable the torsion cache")
+        p.add_argument("--no-cache", action="store_true", help="ignored: nothing is cached")
         p.add_argument("--strict", action="store_true", help="tautness failures become errors")
         p.add_argument("--seed", type=int, default=None, help="override every seeded stage")
     return parser
@@ -306,8 +292,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    run = Run(m, args, Cache(enabled=not args.no_cache))
-    report = InvariantReport(manifest_digest=content_key(m.raw))
+    run = Run(m, args)
+    report = InvariantReport(manifest_digest=manifest_digest(m.raw))
     names = list(PIPELINES) if args.command == "all" else [args.command]
     try:
         for name in names:
@@ -331,9 +317,6 @@ def main(argv=None) -> int:
     except fg.TautnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TAUTNESS
-
-    for note in run.cache.warnings:
-        print(f"cache: {note}", file=sys.stderr)
 
     out_path = args.out or m.output
     if out_path:

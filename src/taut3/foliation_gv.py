@@ -309,28 +309,34 @@ class GvReport:
     integrability_residuals: tuple  # one per foliation, excluded ones included
 
 
+def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False, tol: float = 1e-6):
+    """One foliation's (label, gv, taut, theta residual) row, Frobenius defect
+    and warning (or None) for `gv_invariant`.  d(omega) and theta are freed on
+    return, so a caller that samples each foliation just before this call
+    holds one foliation's arrays at a time."""
+    label = spec.label or f"foliation[{k}]"
+    dw, defect = _frobenius(spec.omega)
+    taut = tautness_check(spec)
+    if taut is False:
+        msg = f"{label}: failed the transversal-circle tautness test"
+        if strict:
+            raise TautnessError(msg)
+        return (label, None, taut, None), defect, msg + "; excluded from the sum"
+    warning = None if taut else f"{label}: no transversal supplied, tautness inconclusive"
+    theta, res = _theta(spec.omega, dw, defect, tol)
+    return (label, gv_integral(spec.omega, theta), taut, res), defect, warning
+
+
+def gv_report(terms) -> GvReport:
+    """Sum the `gv_term` results of a list of foliations, in order."""
+    rows, defects, warnings = zip(*terms) if terms else ((), (), ())
+    total = 0.0
+    for _label, val, _taut, _res in rows:
+        if val is not None:
+            total += val
+    return GvReport(float(total), rows, tuple(w for w in warnings if w), defects)
+
+
 def gv_invariant(foliations, strict: bool = False, tol: float = 1e-6) -> GvReport:
     """Sum of GV integrals over the supplied foliation representatives."""
-    total = 0.0
-    rows = []
-    warns = []
-    defects = []
-    for k, spec in enumerate(foliations):
-        label = spec.label or f"foliation[{k}]"
-        dw, defect = _frobenius(spec.omega)
-        defects.append(defect)
-        taut = tautness_check(spec)
-        if taut is False:
-            msg = f"{label}: failed the transversal-circle tautness test"
-            if strict:
-                raise TautnessError(msg)
-            warns.append(msg + "; excluded from the sum")
-            rows.append((label, None, taut, None))
-            continue
-        if taut is None:
-            warns.append(f"{label}: no transversal supplied, tautness inconclusive")
-        theta, res = _theta(spec.omega, dw, defect, tol)
-        val = gv_integral(spec.omega, theta)
-        total += val
-        rows.append((label, val, taut, res))
-    return GvReport(float(total), tuple(rows), tuple(warns), tuple(defects))
+    return gv_report([gv_term(spec, k, strict, tol) for k, spec in enumerate(foliations)])

@@ -8,10 +8,17 @@ inputs are byte-identical everywhere else.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
 REPORT_VERSION = 2
+
+
+def manifest_digest(data) -> str:
+    """SHA-256 of a manifest's canonical JSON, blind to key order and layout."""
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _jsonable(value):

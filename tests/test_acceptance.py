@@ -253,8 +253,7 @@ def test_criterion_9_cyclic():
     report(9, "b tau = 0 and lambda tau = tau on 50 probes; windings -3..3 to 1e-12; tfcc pairs to g", ok)
 
 
-def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("TAUT3_CACHE_DIR", str(tmp_path / "cache"))
+def test_criterion_10_cli_determinism(tmp_path):
     n = 16
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({

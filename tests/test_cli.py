@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -39,11 +40,6 @@ def lens5_manifest(tmp_path, **extra):
     }
     data.update(extra)
     return write_manifest(tmp_path, data)
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path_factory, monkeypatch):
-    monkeypatch.setenv("TAUT3_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
 
 
 def run(args):
@@ -158,24 +154,101 @@ def test_warnings_surface_in_report(tmp_path):
     assert any("skipped" in w for w in warnings["casson"])  # not a homology sphere
 
 
-def test_cache_hit_gives_identical_torsion_report(tmp_path, capsys):
-    manifest = lens5_manifest(tmp_path)
-    outs = []
-    for name in ("c1.json", "c2.json"):
-        out = tmp_path / name
-        assert run(["torsion", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
-        data = json.loads(out.read_text())
-        data.pop("timings", None)
-        outs.append(data)
-    assert outs[0] == outs[1]
+def report_body(tmp_path, argv):
+    """The report of one run, without its timings."""
+    out = tmp_path / "report.json"
+    assert run([*argv, "--out", str(out)]) == EXIT_OK
+    data = json.loads(out.read_text())
+    data.pop("timings", None)
+    return data
 
 
-def test_no_cache_flag(tmp_path, monkeypatch):
-    cache_dir = tmp_path / "cache"
-    monkeypatch.setenv("TAUT3_CACHE_DIR", str(cache_dir))
+def test_repeated_torsion_runs_are_identical(tmp_path):
+    argv = ["torsion", "--manifest", lens5_manifest(tmp_path)]
+    assert report_body(tmp_path, argv) == report_body(tmp_path, argv)
+
+
+def test_no_cache_flag(tmp_path):
+    """--no-cache is still accepted, and changes nothing."""
+    argv = ["all", "--manifest", lens5_manifest(tmp_path)]
+    assert report_body(tmp_path, argv) == report_body(tmp_path, [*argv, "--no-cache"])
+
+
+def all_files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*") if not p.is_dir())
+
+
+@pytest.mark.parametrize("command", ["torsion", "all"])
+def test_cli_writes_nothing_but_its_report(tmp_path, monkeypatch, capsys, command):
+    home, work = tmp_path / "home", tmp_path / "work"
+    home.mkdir()
+    work.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.chdir(work)
     manifest = lens5_manifest(tmp_path)
-    assert run(["torsion", "--manifest", manifest, "--no-cache"]) == EXIT_OK
-    assert not cache_dir.exists()
+    before = all_files(tmp_path)
+    assert run([command, "--manifest", manifest, "--out", str(work / "report.json")]) == EXIT_OK
+    assert all_files(tmp_path) == sorted(before + [Path("work/report.json")])
+    assert capsys.readouterr().err == ""
+
+
+def gv_peak_bytes(tmp_path, count):
+    """Peak traced memory of `gv` on `count` copies of one grid-64 foliation."""
+    n = 64
+    foliation = {"omega": ["0", "0", "exp(0.3*sin(2*pi*x) + 0.2*cos(2*pi*y))"], "grid": n,
+                 "transversal": [[0, 0, k] for k in range(n)]}
+    data = {"schema_version": 1, "manifold": {"family": "S3"}, "foliations": [foliation] * count}
+    manifest = write_manifest(tmp_path, data, f"gv{count}.json")
+    tracemalloc.start()
+    try:
+        assert run(["gv", "--manifest", manifest]) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gv_holds_one_foliation_at_a_time(tmp_path, capsys):
+    one = gv_peak_bytes(tmp_path, 1)
+    four = gv_peak_bytes(tmp_path, 4)
+    assert one > 3 * 8 * 64**3  # the sampled omega alone
+    assert four < 1.25 * one
+
+
+def test_gv_compiles_every_expression_before_sampling(tmp_path, capsys, count_calls):
+    good = {"omega": ["0", "0", "1"], "grid": 8}
+    data = {"schema_version": 1, "manifold": {"family": "S3"},
+            "foliations": [good, {"omega": ["0", "0", "sin("], "grid": 8}]}
+    sampled = count_calls("form_from_functions", fg)
+    assert run(["gv", "--manifest", write_manifest(tmp_path, data)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+    assert sampled == []
+
+
+def test_gv_stage_matches_gv_invariant(tmp_path):
+    """Evaluating the foliations one at a time gives gv_invariant's report."""
+    n = 8
+    z_loop = [[0, 0, k] for k in range(n)]
+    foliations = [
+        {"label": "taut", "omega": ["0", "0", "exp(0.3*sin(2*pi*x))"], "grid": n,
+         "transversal": z_loop},
+        {"label": "not-taut", "omega": ["0", "0", "1"], "grid": n,
+         "transversal": [[k, 0, 0] for k in range(n)]},
+        {"omega": ["0", "0", "2 + cos(2*pi*y)"], "grid": n},
+    ]
+    data = {"schema_version": 1, "manifold": {"family": "S3"}, "foliations": foliations}
+    out = tmp_path / "report.json"
+    assert run(["gv", "--manifest", write_manifest(tmp_path, data), "--out", str(out)]) == EXIT_OK
+    section = json.loads(out.read_text())["sections"]["godbillon_vey"]
+    specs = [cli._foliation_spec(e, [cli.compile_expr(s) for s in e["omega"]]) for e in foliations]
+    gv = fg.gv_invariant(specs)
+    assert section["values"]["total"] == gv.total
+    assert section["values"]["per_foliation"] == [
+        {"label": lab, "gv": val, "taut": taut, "theta_residual": res}
+        for lab, val, taut, res in gv.per_foliation
+    ]
+    assert section["values"]["integrability_residuals"] == list(gv.integrability_residuals)
+    assert section["warnings"] == list(gv.warnings)
+    assert gv.per_foliation[1][1:3] == (None, False) and len(gv.warnings) == 2
 
 
 @pytest.fixture

@@ -1,7 +1,12 @@
-"""Manifest-level fuzzing of `taut3 reps`: whatever the `manifold` block says,
-the command exits 0, 2, 3 or 4 with an `error:` line and never with a
-traceback, and the classes of a Brieskorn sphere it accepts number
-1 + 2|sigma/8|."""
+"""Manifest-level fuzzing of the CLI.
+
+`taut3 reps`: whatever the `manifold` block says, the command exits 0, 2, 3
+or 4 with an `error:` line and never with a traceback, and the classes of a
+Brieskorn sphere it accepts number 1 + 2|sigma/8|.
+
+`taut3 gv`: whatever 1-4 foliations the manifest declares, from a pool of
+well-formed, singular and malformed expressions, the command exits 0, 2, 3 or
+5 (the last only under --strict) and never with a traceback."""
 
 import contextlib
 import io
@@ -13,7 +18,14 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from rep_oracles import brieskorn_sigma
-from taut3.cli import EXIT_OK, EXIT_REGULARITY, EXIT_UNSUPPORTED, EXIT_USAGE, main
+from taut3.cli import (
+    EXIT_OK,
+    EXIT_REGULARITY,
+    EXIT_TAUTNESS,
+    EXIT_UNSUPPORTED,
+    EXIT_USAGE,
+    main,
+)
 from taut3.presentations import SIZE_BOUND
 
 FAMILIES = ["S3", "Lens", "Brieskorn", "Torus3"]
@@ -40,15 +52,19 @@ _manifold = st.one_of(
 )
 
 
-def run_reps(manifold):
+def run_cli(command, manifest, *flags):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "m.json", Path(tmp) / "report.json"
-        path.write_text(json.dumps({"schema_version": 1, "manifold": manifold}))
+        path.write_text(json.dumps(manifest))
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["reps", "--manifest", str(path), "--out", str(out), "--no-cache"])
+            code = main([command, "--manifest", str(path), "--out", str(out), *flags])
         report = json.loads(out.read_text()) if code == EXIT_OK else None
     return code, stderr.getvalue(), report
+
+
+def run_reps(manifold):
+    return run_cli("reps", {"schema_version": 1, "manifold": manifold}, "--no-cache")
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,3 +89,49 @@ def test_reps_on_any_manifold_block(manifold):
         reps = report["sections"]["reps"]
         sigma = brieskorn_sigma(*reps["metadata"]["params"])
         assert reps["values"]["class_count"] == 1 + 2 * abs(sigma // 8)
+
+
+NONVANISHING = ["1", "-2", "exp(0.3*sin(2*pi*x) + 0.2*cos(2*pi*y))", "2 + cos(2*pi*z)", "x^2 + 1"]
+# well-formed, but zero, overflowing or not finite somewhere on the grid
+SINGULAR = ["0", "x", "sin(2*pi*y)", "1/0", "(x-x)/(x-x)+1", "9^9^9", "exp(1000*x)"]
+MALFORMED = ["sin(", "x +", "", "__import__('os')", "x.real", "lambda: 1", "q", "sin(x, y)"]
+_expr = st.integers(0, 9).flatmap(
+    lambda i: st.sampled_from(NONVANISHING if i < 7 else SINGULAR if i < 9 else MALFORMED)
+)
+# f dz is integrable for every f; three arbitrary components mostly are not
+_omega = st.tuples(st.just("0"), st.just("0"), _expr) | st.tuples(_expr, _expr, _expr)
+
+
+@st.composite
+def _foliation(draw):
+    n = draw(st.integers(8, 16))
+    foliation = {"omega": list(draw(_omega)), "grid": n}
+    loop = draw(st.sampled_from(["none", "z", "x", "off-grid", "short"]))
+    if loop == "z":
+        foliation["transversal"] = [[0, 0, k] for k in range(n)]
+    elif loop == "x":
+        foliation["transversal"] = [[k, 0, 0] for k in range(n)]
+    elif loop == "off-grid":
+        foliation["transversal"] = [[0, 0, n - 1], [0, 0, n]]
+    elif loop == "short":
+        foliation["transversal"] = [[0, 0, 0]]
+    return foliation
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_foliation(), min_size=1, max_size=4), st.booleans())
+@example([{"omega": ["0", "0", "1"], "grid": 8, "transversal": [[k, 0, 0] for k in range(8)]}],
+         True)
+@example([{"omega": ["0", "0", "1"], "grid": 8}, {"omega": ["0", "0", "sin("], "grid": 8}], False)
+def test_gv_on_any_foliations(foliations, strict):
+    manifest = {"schema_version": 1, "manifold": {"family": "S3"}, "foliations": foliations}
+    code, err, report = run_cli("gv", manifest, *(["--strict"] if strict else []))
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNSUPPORTED, EXIT_TAUTNESS)
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert err.startswith("error:")
+    else:
+        assert len(report["sections"]["godbillon_vey"]["values"]["per_foliation"]) == len(foliations)
+    if code == EXIT_TAUTNESS:
+        assert strict

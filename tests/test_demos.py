@@ -18,8 +18,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(tmp_path, script):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path),
-           "TAUT3_CACHE_DIR": str(tmp_path / "cache")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     done = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -1,14 +1,12 @@
 import json
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from jsonschema.validators import validator_for
 
-from taut3.cache import Cache, content_key
 from taut3.cli import main as cli_main
 from taut3.manifest import SCHEMA, ManifestError, load_manifest, validate_manifest
+from taut3.reports import manifest_digest
 
 
 def minimal(**extra):
@@ -51,89 +49,25 @@ def test_missing_or_malformed_file(tmp_path):
 
 
 def test_content_key_is_order_insensitive():
-    assert content_key({"a": 1, "b": 2}) == content_key({"b": 2, "a": 1})
-    assert content_key({"a": 1}) != content_key({"a": 2})
+    """A report's manifest digest keys the manifest's content, not its layout."""
+    assert manifest_digest({"a": 1, "b": 2}) == manifest_digest({"b": 2, "a": 1})
+    assert manifest_digest({"a": 1}) != manifest_digest({"a": 2})
 
 
-def test_cache_roundtrip(tmp_path):
-    c = Cache(directory=tmp_path)
-    inputs = {"pipeline": "x", "n": 3}
-    assert c.get(inputs) is None
-    c.put(inputs, {"value": [1.0, 2.0]})
-    assert c.get(inputs) == {"value": [1.0, 2.0]}
+# the manifest_digest of every report on a shipped bench manifest; it must not
+# change when the code that computes it does
+SHIPPED_DIGESTS = {
+    "brieskorn_2_3_11": "c614adad2435008c69e3e11a07c13ad7d15cc64c15aa771e9afe2472fd06e7b5",
+    "brieskorn_3_4_5": "c7092b92af1b0ff227ba9fd2f95c27e11d5d2b029df479f7223ec540b91e2d8e",
+    "lens_7_2": "b0cb83d055c08198277165fac4c31a23bd8f64fd5bee25da3ed803bdc3b5607d",
+    "poincare": "874eb64f37106a08ce184508a2e9259c290812bccb3bc4122d48917db2bc76c0",
+}
 
 
-def test_cache_corruption_discarded_with_warning(tmp_path):
-    c = Cache(directory=tmp_path)
-    inputs = {"pipeline": "y"}
-    c.put(inputs, {"v": 1})
-    (path,) = tmp_path.glob("*.json")
-    entry = json.loads(path.read_text())
-    entry["payload"] = {"v": 999}  # checksum now stale
-    path.write_text(json.dumps(entry))
-    assert c.get(inputs) is None
-    assert any("corrupt" in w for w in c.warnings)
-    assert not path.exists()  # bad entry removed
-
-
-@pytest.mark.parametrize("entry", [[], None, 3, "payload"])
-def test_cache_entry_that_is_not_an_object_is_corrupt(tmp_path, entry):
-    c = Cache(directory=tmp_path)
-    inputs = {"pipeline": "z"}
-    c.put(inputs, {"v": 1})
-    (path,) = tmp_path.glob("*.json")
-    path.write_text(json.dumps(entry))
-    assert c.get(inputs) is None
-    assert any("corrupt" in w for w in c.warnings)
-    assert not path.exists()
-
-
-def test_cli_recomputes_over_a_non_object_cache_entry(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TAUT3_CACHE_DIR", str(tmp_path / "cache"))
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps(minimal()))
-    argv = ["torsion", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")]
-    assert cli_main(argv) == 0
-    first = json.loads((tmp_path / "r.json").read_text())["sections"]
-    (path,) = (tmp_path / "cache").glob("*.json")
-    path.write_text("[]")
-    capsys.readouterr()
-    assert cli_main(argv) == 0
-    assert "corrupt" in capsys.readouterr().err
-    assert json.loads((tmp_path / "r.json").read_text())["sections"] == first
-
-
-def test_cache_disabled_never_touches_disk(tmp_path):
-    c = Cache(directory=tmp_path, enabled=False)
-    c.put({"k": 1}, {"v": 2})
-    assert c.get({"k": 1}) is None
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_cache_entry_from_another_version_is_a_miss(tmp_path, monkeypatch):
-    c = Cache(directory=tmp_path)
-    inputs = {"pipeline": "torsion"}
-    monkeypatch.setattr("taut3.cache.__version__", "0.0.0-older")
-    c.put(inputs, {"v": 1})
-    assert c.get(inputs) == {"v": 1}
-    monkeypatch.undo()
-    assert c.get(inputs) is None
-    assert c.warnings == []  # a plain miss, not a corrupt entry
-
-
-def test_concurrent_writers_do_not_collide(tmp_path):
-    c = Cache(directory=tmp_path)
-    inputs = {"pipeline": "w"}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(lambda i: c.put(inputs, {"v": i % 2}), range(40), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert c.get(inputs) in ({"v": 0}, {"v": 1})
-    assert c.warnings == []
-    assert list(tmp_path.glob("*.tmp")) == []
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+def test_manifest_digest_is_pinned(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "manifests" / f"{name}.json"
+    assert manifest_digest(load_manifest(path).raw) == SHIPPED_DIGESTS[name]
 
 
 def test_schema_is_valid_against_its_metaschema():
