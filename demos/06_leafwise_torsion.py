@@ -7,13 +7,7 @@ kernel dimensions, spectral identities, and the leafwise torsion are exact.
 
 import numpy as np
 
-from taut3 import (
-    LeafwiseModel,
-    foliation_torsion_sum,
-    leafwise_torsion,
-    tangential_cs3_degeneracy,
-    tangential_laplacian,
-)
+from taut3 import leafwise_torsion, tangential_laplacian
 
 M = 4
 print(f"=== Tangential Laplacians (Fourier truncation |m|, |n| <= {M}) ===")
@@ -37,20 +31,6 @@ print("Poincare duality along the leaves forces log T = 0 for any honest")
 print("leafwise metric; an asymmetric degree scaling breaks the pairing and")
 print("shows up as a nonzero, metric-dependent value:")
 for weights in [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (1.0, 2.0, 1.0)]:
-    res = leafwise_torsion(M, n_z=8, weights=weights)
+    res = leafwise_torsion(M, weights=weights)
     flag = "metric-dependent!" if res.metric_dependent else "metric-independent"
     print(f"  weights {weights}: log T = {res.log_t:+.6f}  ({flag})")
-
-print("\n=== Sum over declared foliation classes ===")
-models = [LeafwiseModel(truncation=3, label="coarse"),
-          LeafwiseModel(truncation=5, label="fine")]
-s = foliation_torsion_sum(models)
-for label, t, log_t, dep in s.per_foliation:
-    print(f"  {label:<7} T = {t:.6f}  log T = {log_t:+.2e}")
-print(f"total = {s.total:.6f}")
-
-print("\n=== Tangential Chern-Simons degeneracy ===")
-rep = tangential_cs3_degeneracy()
-print(f"rank-{rep.tangential_rank} leaf bundle: dim Lambda^3 = {rep.lambda3_dim}, "
-      f"tangential CS 3-form vanishes = {rep.vanishes}")
-print(rep.note)

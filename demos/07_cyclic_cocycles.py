@@ -7,16 +7,8 @@ cyclic, and pairs with unitaries u to give their winding number.
 
 import numpy as np
 
-from taut3 import TrigPoly, fundamental_cocycle, hochschild_b, k_pairing, tfcc_sum
-from taut3.cyclic import (
-    Current1,
-    constant,
-    current_to_cocycle,
-    cyclic_lambda,
-    mode,
-    random_trig,
-    winding_number_quadrature,
-)
+from taut3 import fundamental_cocycle, hochschild_b, k_pairing
+from taut3.cyclic import HeadroomError, cyclic_lambda, mode, random_trig
 
 tau = fundamental_cocycle(degree_bound=8)
 rng = np.random.default_rng(0)
@@ -33,22 +25,10 @@ print(f"tau(f, g) + tau(g, f)   = {abs(tau(f0, f1) + tau(f1, f0)):.2e}  "
 
 print("\n=== Winding numbers via the pairing ===")
 for k in range(-3, 4):
-    u = mode(k)
-    print(f"  u = e^(i {k:+d} theta): <u, tau> = {k_pairing(u, tau):+.6f}   "
-          f"quadrature check = {winding_number_quadrature(u):+.6f}")
+    print(f"  u = e^(i {k:+d} theta): <u, tau> = {k_pairing(mode(k), tau):+.6f}")
 
-print("\n=== Cocycles from 1-currents ===")
-print("A density rho on the circle induces a cochain; rho = 1 recovers tau,")
-print("and the assignment is linear:")
-phi1 = current_to_cocycle(Current1(constant(1.0)), 8)
-phi2 = current_to_cocycle(Current1(constant(2.0)), 8)
-print(f"  max |phi[rho=1] - tau|      = {np.max(np.abs(phi1.kernel - tau.kernel)):.1e}")
-print(f"  max |phi[rho=2] - 2 tau|    = {np.max(np.abs(phi2.kernel - 2 * tau.kernel)):.1e}")
-
-print("\n=== Sums over foliated families ===")
-print("g transversal circles each contribute a copy of tau; the pairing of")
-print("the summed cochain with a unit winding reads off g:")
-for g in (1, 2, 3):
-    rep = tfcc_sum(g)
-    print(f"  g = {g}: coefficient = {rep.coefficient:.1f}, "
-          f"<e^(i theta), sum> = {k_pairing(mode(1), rep.cochain):.1f}")
+print("\nA winding past the cochain's degree bound is refused, not read as 0:")
+try:
+    k_pairing(mode(9), tau)
+except HeadroomError as exc:
+    print(f"  u = e^(i +9 theta): {exc}")

@@ -53,25 +53,14 @@ from .foliation_gv import (
     solve_theta,
     tautness_check,
 )
-from .leafwise import (
-    LeafwiseForm,
-    LeafwiseModel,
-    UnsupportedFoliationError,
-    d_f,
-    foliation_torsion_sum,
-    leafwise_torsion,
-    tangential_cs3_degeneracy,
-    tangential_laplacian,
-)
+from .leafwise import leafwise_torsion, tangential_laplacian
 from .cyclic import (
     CyclicCochain,
     TrigPoly,
-    current_to_cocycle,
     cyclic_lambda,
     fundamental_cocycle,
     hochschild_b,
     k_pairing,
-    tfcc_sum,
 )
 from .manifest import Manifest, ManifestError, load_manifest, validate_manifest
 from .reports import InvariantReport

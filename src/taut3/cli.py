@@ -11,7 +11,7 @@ seed produce identical reports modulo timing fields.
 Exit codes:
   0  success
   2  manifest parse/schema error or bad arguments
-  3  unsupported family / foliation model for the requested pipeline
+  3  unsupported family for the requested pipeline
   4  regularity or finiteness failure (the construction does not apply)
   5  tautness failure under --strict
 """
@@ -197,62 +197,37 @@ def run_gv(run: Run, report: InvariantReport):
 
 
 def run_leafwise(run: Run, report: InvariantReport):
-    m = run.m
-    block = dict(m.leafwise)
+    block = dict(run.m.leafwise)
     trunc = block.get("truncation", 4)
-    n_z = block.get("n_z", 8)
     weights = tuple(block.get("weights", (1.0, 1.0, 1.0)))
-    res = lw.leafwise_torsion(trunc, n_z, weights)
-    count = max(1, len(m.foliations))
-    fsum = lw.foliation_torsion_sum(
-        [lw.LeafwiseModel(truncation=trunc, n_z=n_z, weights=weights, label=f"class-{i}")
-         for i in range(count)]
-    )
-    degen = lw.tangential_cs3_degeneracy()
+    res = lw.leafwise_torsion(trunc, weights)
     sec = report.section("leafwise")
     sec.values.update(
         log_t=res.log_t,
-        t=res.t,
-        euler_like=res.euler_like,
         betti=list(res.betti),
         metric_dependent=res.metric_dependent,
-        kernel_dims=list(res.betti),  # kernel dims of the three tangential Laplacians
         log_dets=list(res.per_degree_log_dets),
     )
-    sec.values["foliation_torsion_sum"] = fsum.total
-    sec.values["tangential_cs3_dim"] = degen.lambda3_dim
     sec.tolerances["log_t_zero"] = 1e-10
-    sec.metadata.update(truncation=trunc, n_z=n_z, weights=list(weights))
+    sec.metadata.update(truncation=trunc, weights=list(weights))
     if res.metric_dependent:
         sec.warnings.append("degree weights are not metric-like; torsion is metric-dependent")
-    sec.warnings.append(degen.note)
+    if "n_z" in block:
+        sec.warnings.append("the manifest's leafwise.n_z is ignored: the product model "
+                            "does not depend on the transverse coordinate")
 
 
 def run_cyclic(run: Run, report: InvariantReport):
     block = dict(run.m.cyclic)
     bound = block.get("degree_bound", 8)
-    windings = block.get("windings", list(range(-3, 4)))
     tau = cyc.fundamental_cocycle(bound)
-    pairings = {str(nw): cyc.k_pairing(cyc.mode(nw), tau) for nw in windings}
-    rng = np.random.default_rng(run.args.seed if run.args.seed is not None else 0)
-    b = cyc.hochschild_b(tau)
-    probe_deg = max(1, bound // 3)
-    b_worst = max(
-        abs(b(*(cyc.random_trig(probe_deg, rng) for _ in range(3)))) for _ in range(50)
-    )
-    lam_defect = float(np.max(np.abs(cyc.cyclic_lambda(tau).kernel - tau.kernel)))
-    g = max(1, len(run.m.foliations))
-    tfcc = cyc.tfcc_sum(g, bound)
     sec = report.section("cyclic")
-    sec.values.update(
-        winding_pairings=pairings,
-        hochschild_b_worst=float(b_worst),
-        cyclic_lambda_defect=lam_defect,
-        tfcc_coefficient=tfcc.coefficient,
-        tfcc_foliation_count=tfcc.foliation_count,
-    )
-    sec.tolerances.update(winding=1e-12, cocycle=1e-10)
-    sec.metadata.update(degree_bound=bound, probes=50)
+    sec.values["winding_pairings"] = {
+        str(nw): cyc.k_pairing(cyc.mode(nw), tau)
+        for nw in block.get("windings", range(-3, 4))
+    }
+    sec.tolerances["winding"] = 1e-12
+    sec.metadata["degree_bound"] = bound
 
 
 PIPELINES = {
@@ -305,10 +280,10 @@ def main(argv=None) -> int:
                     raise
                 report.section(name.replace("-", "_")).warnings.append(f"skipped: {exc}")
             report.timings[name] = time.perf_counter() - t0
+    except UnsupportedFamilyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except (ManifestError, ParameterError, ExprError, ValueError) as exc:
-        if isinstance(exc, (UnsupportedFamilyError, lw.UnsupportedFoliationError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ModuliNotFiniteError, RegularityError) as exc:

@@ -7,7 +7,8 @@ rejected — so a typo fails loudly before any computation starts.  Every
 size (grids, truncations, degree bounds) has a maximum, so no manifest can ask
 for more than about a gigabyte of memory in one stage.  The
 `solver` block of earlier versions is still validated, but ignored: the flat
-moduli are computed exactly.
+moduli are computed exactly.  So is `leafwise.n_z`: the leafwise model does
+not depend on the transverse coordinate.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "grid": {"type": "integer", "minimum": 4, "maximum": 64},
-                "scale": {"type": "number", "minimum": 0},
-                "level": {"type": "number"},
+                # far past these bounds the action overflows, or roundoff
+                # swamps its finite differences
+                "scale": {"type": "number", "minimum": 0, "maximum": 10},
+                "level": {"type": "number", "minimum": -1e6, "maximum": 1e6},
                 "step": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer", "minimum": 0},
             },
@@ -89,9 +92,11 @@ SCHEMA = {
             "properties": {
                 "truncation": {"type": "integer", "minimum": 1, "maximum": 512},
                 "n_z": {"type": "integer", "minimum": 1, "maximum": 1024},
+                # at truncation 512 every eigenvalue of the weighted
+                # Laplacians stays above the zero cut of zeta_log_det
                 "weights": {
                     "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
+                    "items": {"type": "number", "minimum": 0.1, "maximum": 10},
                     "minItems": 3,
                     "maxItems": 3,
                 },
@@ -102,7 +107,11 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "degree_bound": {"type": "integer", "minimum": 1, "maximum": 512},
-                "windings": {"type": "array", "items": {"type": "integer"}},
+                "windings": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": -512, "maximum": 512},
+                    "maxItems": 1025,
+                },
             },
         },
         "output": {"type": "string"},

@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 def manifest_digest(data) -> str:

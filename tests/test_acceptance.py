@@ -248,9 +248,7 @@ def test_criterion_9_cyclic():
     ok &= np.max(np.abs(cyc.cyclic_lambda(tau).kernel - tau.kernel)) == 0.0
     for n in range(-3, 4):
         ok &= abs(cyc.k_pairing(cyc.mode(n), tau) - n) < 1e-12
-    for g in (1, 2, 3):
-        ok &= abs(cyc.tfcc_sum(g).coefficient - g) < 1e-12
-    report(9, "b tau = 0 and lambda tau = tau on 50 probes; windings -3..3 to 1e-12; tfcc pairs to g", ok)
+    report(9, "b tau = 0 and lambda tau = tau on 50 probes; windings -3..3 to 1e-12", ok)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

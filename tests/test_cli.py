@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -386,3 +387,103 @@ def test_reps_ignores_the_solver_block_and_the_seed(tmp_path):
     assert with_solver["warnings"] == [
         "the manifest's solver block is ignored: the flat moduli are exact"
     ]
+
+
+def model_section(tmp_path, command, **blocks):
+    """Exit code, stderr and (on success) the report section of one model run."""
+    data = {"schema_version": 1, "manifold": {"family": "S3"}, **blocks}
+    out = tmp_path / "report.json"
+    code = run([command, "--manifest", write_manifest(tmp_path, data), "--out", str(out)])
+    section = json.loads(out.read_text())["sections"][command] if code == EXIT_OK else None
+    return code, section
+
+
+@pytest.mark.parametrize("bound", [1, 8, 512])
+def test_windings_at_the_degree_bound_pair_to_themselves(tmp_path, bound):
+    code, section = model_section(
+        tmp_path, "cyclic", cyclic={"degree_bound": bound, "windings": [bound, -bound]})
+    assert code == EXIT_OK
+    assert section["values"]["winding_pairings"] == {str(bound): bound, str(-bound): -bound}
+
+
+@pytest.mark.parametrize("windings", [[9], [-9], [9, 10, -12], [0, 1, 9]])
+def test_windings_past_the_degree_bound_exit_2(tmp_path, capsys, windings):
+    code, _ = model_section(tmp_path, "cyclic",
+                            cyclic={"degree_bound": 8, "windings": windings})
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "degree bound 8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("weights", [[0.1, 10, 0.1], [10, 0.1, 10], [1, 0.5, 1]])
+def test_leafwise_weights_within_the_bounds(tmp_path, weights):
+    # (1, 0.5, 1) at truncation 64: log T ~ 1.2e4, so T = exp(log T) would overflow
+    code, section = model_section(tmp_path, "leafwise",
+                                  leafwise={"truncation": 64, "weights": weights})
+    assert code == EXIT_OK
+    n_modes = 129**2 - 1
+    c0, c1, c2 = weights
+    assert section["values"]["log_t"] == pytest.approx(0.5 * n_modes * math.log(c0 * c2 / c1**2),
+                                                       rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [([0.0999, 1, 1], "less than the minimum of 0.1"),
+     ([1, 10.001, 1], "greater than the maximum of 10"),
+     ([1, 1e-200, 1], "less than the minimum of 0.1"),
+     ([100, 0.01, 100], "greater than the maximum of 10")],
+)
+def test_leafwise_weights_past_the_bounds_exit_2(tmp_path, capsys, weights, message):
+    code, _ = model_section(tmp_path, "leafwise", leafwise={"weights": weights})
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest invalid at leafwise/weights/")
+    assert message in err and "Traceback" not in err
+
+
+def test_leafwise_n_z_is_ignored_with_a_warning(tmp_path):
+    _, plain = model_section(tmp_path, "leafwise", leafwise={"truncation": 3})
+    _, with_n_z = model_section(tmp_path, "leafwise", leafwise={"truncation": 3, "n_z": 7})
+    assert plain["values"] == with_n_z["values"]
+    assert plain["metadata"] == with_n_z["metadata"] == {"truncation": 3,
+                                                         "weights": [1.0, 1.0, 1.0]}
+    assert plain["warnings"] == []
+    assert with_n_z["warnings"] == ["the manifest's leafwise.n_z is ignored: the product model "
+                                    "does not depend on the transverse coordinate"]
+
+
+# report v3: every key of every section of `all` on the shipped bench manifests
+V3_SHAPE = {
+    "reps": (["class_count", "irreducible_count", "residuals", "trace_coordinates"],
+             ["relator_residual"], ["family", "params"]),
+    "torsion": (["irreducible_subtotal", "per_class", "total"],
+                ["zero_eigenvalue_threshold"], ["family"]),
+    "casson": (["twisted_h1_dims", "unsigned_count"], ["relator_residual"], ["convention"]),
+    "chern_simons": (["action", "curvature_norm", "fd_agreement", "flat_connection_grad_norm",
+                      "grad_norm"], ["fd_agreement", "fd_step"],
+                     ["fd_directions", "grid", "level", "scale", "seed"]),
+    "godbillon_vey": (["integrability_residuals", "per_foliation", "total"], ["integrability"],
+                      ["grids"]),
+    "leafwise": (["betti", "log_dets", "log_t", "metric_dependent"], ["log_t_zero"],
+                 ["truncation", "weights"]),
+    "cyclic": (["winding_pairings"], ["winding"], ["degree_bound"]),
+}
+
+
+@pytest.mark.parametrize("name", ["poincare", "lens_7_2"])
+def test_report_v3_shape_on_the_bench_manifests(tmp_path, name):
+    manifest = Path(__file__).resolve().parents[1] / "perfbench" / "manifests" / f"{name}.json"
+    body = report_body(tmp_path, ["all", "--manifest", str(manifest), "--seed", "0"])
+    assert body["report_version"] == 3
+    shape = {
+        sec: tuple(sorted(body["sections"][sec][part]) for part in ("values", "tolerances",
+                                                                    "metadata"))
+        for sec in body["sections"]
+    }
+    want = {sec: tuple(parts) for sec, parts in V3_SHAPE.items()}
+    if name == "lens_7_2":  # not a homology sphere: casson is skipped
+        want["casson"] = ([], [], [])
+    assert shape == want
+    assert body["sections"]["cyclic"]["warnings"] == []
+    assert len(body["sections"]["leafwise"]["warnings"]) == 1  # n_z is ignored

@@ -6,7 +6,13 @@ Brieskorn sphere it accepts number 1 + 2|sigma/8|.
 
 `taut3 gv`: whatever 1-4 foliations the manifest declares, from a pool of
 well-formed, singular and malformed expressions, the command exits 0, 2, 3 or
-5 (the last only under --strict) and never with a traceback."""
+5 (the last only under --strict) and never with a traceback.
+
+`taut3 all`: whatever small `chern_simons`, `leafwise` and `cyclic` blocks the
+manifest declares, with values at and just past the schema's bounds and
+windings at and past the degree bound, the command exits 0, 2, 3, 4 or 5,
+never with a traceback, and a report it writes is strict JSON: no NaN and no
+Infinity."""
 
 import contextlib
 import io
@@ -135,3 +141,72 @@ def test_gv_on_any_foliations(foliations, strict):
         assert len(report["sections"]["godbillon_vey"]["values"]["per_foliation"]) == len(foliations)
     if code == EXIT_TAUTNESS:
         assert strict
+
+
+def _edges(low, high, inside):
+    """Mostly values inside [low, high], often the bounds, rarely just past them."""
+    past = [low - abs(low) * 1e-3 - 1e-9, high + abs(high) * 1e-3 + 1e-9]
+    return st.integers(0, 19).flatmap(
+        lambda i: st.sampled_from(past) if i == 0 else st.sampled_from([low, high]) if i < 6
+        else inside
+    )
+
+
+def _winding(bound):
+    """Windings up to the degree bound, rarely past it or past the schema's 512."""
+    return st.integers(0, 19).flatmap(
+        lambda i: st.sampled_from([bound + 1, -bound - 1, 513, -513]) if i == 0
+        else st.sampled_from([bound, -bound]) if i < 6 else st.integers(-bound, bound)
+    )
+
+
+_chern_simons = st.fixed_dictionaries({}, optional={
+    "grid": st.integers(4, 6),
+    "scale": _edges(0.0, 10.0, st.floats(0.0, 10.0)),
+    "level": _edges(-1e6, 1e6, st.floats(-1e6, 1e6)),
+    "step": _edges(1e-6, 1e-3, st.floats(1e-6, 1e-3)),
+    "seed": st.integers(0, 2**64),
+})
+_leafwise = st.fixed_dictionaries({}, optional={
+    "truncation": st.integers(1, 8),
+    "n_z": st.integers(1, 4),
+    "weights": st.lists(_edges(0.1, 10.0, st.floats(0.1, 10.0)), min_size=3, max_size=3),
+})
+_cyclic = st.integers(1, 16).flatmap(lambda bound: st.fixed_dictionaries(
+    {"degree_bound": st.just(bound)},
+    optional={"windings": st.lists(_winding(bound), max_size=6)},
+))
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(_chern_simons, _leafwise, _cyclic, st.sampled_from(["S3", "Lens"]))
+@example({"grid": 4, "scale": 10.0, "level": -1e6}, {"truncation": 8, "weights": [1, 0.5, 1]},
+         {"degree_bound": 8, "windings": [8, -8]}, "S3")
+@example({}, {"weights": [0.1, 10.0, 0.1]}, {"degree_bound": 8, "windings": [9, 10, -12]}, "S3")
+@example({"level": 1e300}, {"weights": [1, 1e-200, 1]}, {"degree_bound": 16}, "Lens")
+def test_all_on_any_model_blocks(chern_simons, leafwise, cyclic, family):
+    manifold = {"family": family, "params": [5, 1]} if family == "Lens" else {"family": family}
+    manifest = {"schema_version": 1, "manifold": manifold, "chern_simons": chern_simons,
+                "leafwise": leafwise, "cyclic": cyclic}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "m.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(manifest))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["all", "--manifest", str(path), "--out", str(out)])
+        text = out.read_text() if code == EXIT_OK else None
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNSUPPORTED, EXIT_REGULARITY, EXIT_TAUTNESS)
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert err.startswith("error:")
+        return
+    assert err == ""
+    report = json.loads(text, parse_constant=_reject_constant)
+    pairings = report["sections"]["cyclic"]["values"]["winding_pairings"]
+    assert all(float(k) == v for k, v in pairings.items())

@@ -3,63 +3,83 @@ import math
 import numpy as np
 import pytest
 
-from taut3.leafwise import (
-    DegreeError,
-    LeafwiseForm,
-    LeafwiseModel,
-    UnsupportedFoliationError,
-    d_f,
-    foliation_torsion_sum,
-    leafwise_torsion,
-    tangential_cs3_degeneracy,
-    tangential_laplacian,
-)
+from taut3.leafwise import leafwise_torsion, tangential_laplacian
+from taut3.zeta import ZERO_THRESHOLD
 
 FOUR_PI2 = 4 * math.pi**2
 
 
-def single_mode(M, m, n, n_z=1):
-    c = np.zeros((n_z, 2 * M + 1, 2 * M + 1), dtype=complex)
-    c[:, m + M, n + M] = 1.0
-    return LeafwiseForm(0, c)
+def d_f(degree, c):
+    """Oracle: leafwise exterior derivative on Fourier coefficients.
+
+    Degree 0: c has shape (2M+1, 2M+1), mode (m, n) at index (m+M, n+M).
+    Degree 1: c has shape (2, 2M+1, 2M+1), components (dx, dy).
+    """
+    M = (c.shape[-1] - 1) // 2
+    m = np.arange(-M, M + 1, dtype=float)
+    if degree == 0:
+        return np.stack([(2j * math.pi) * m[:, None] * c, (2j * math.pi) * m[None, :] * c])
+    # d(a dx + b dy) = (Dx b - Dy a) dx^dy
+    return (2j * math.pi) * (m[:, None] * c[1] - m[None, :] * c[0])
+
+
+def single_mode(M, m, n):
+    c = np.zeros((2 * M + 1, 2 * M + 1), dtype=complex)
+    c[m + M, n + M] = 1.0
+    return c
+
+
+def operator_matrix(degree, M):
+    """The matrix of d_f from degree-k to degree-(k+1) forms, column by column."""
+    shape = (2 * M + 1, 2 * M + 1) if degree == 0 else (2, 2 * M + 1, 2 * M + 1)
+    basis = np.eye(int(np.prod(shape)), dtype=complex)
+    return np.stack([d_f(degree, e.reshape(shape)).ravel() for e in basis], axis=1)
 
 
 def test_d_f_constant_is_zero():
-    f = single_mode(2, 0, 0)
-    assert np.max(np.abs(d_f(f).coefficients)) == 0.0
+    assert np.max(np.abs(d_f(0, single_mode(2, 0, 0)))) == 0.0
 
 
 def test_d_f_is_fourier_diagonal():
-    f = single_mode(3, 2, 1)
-    df = d_f(f)
-    assert df.coefficients[0, 0, 5, 4] == pytest.approx(2j * math.pi * 2)
-    assert df.coefficients[0, 1, 5, 4] == pytest.approx(2j * math.pi * 1)
+    df = d_f(0, single_mode(3, 2, 1))
+    assert df[0, 5, 4] == pytest.approx(2j * math.pi * 2)
+    assert df[1, 5, 4] == pytest.approx(2j * math.pi * 1)
 
 
 def test_d_f_squared_zero_on_random_forms():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        c = rng.standard_normal((2, 9, 9)) + 1j * rng.standard_normal((2, 9, 9))
-        f = LeafwiseForm(0, c)
-        dd = d_f(d_f(f)).coefficients
+        c = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        dd = d_f(1, d_f(0, c))
         assert np.max(np.abs(dd)) < 1e-12 * max(1.0, np.max(np.abs(c)) * FOUR_PI2 * 16)
 
 
+@pytest.mark.parametrize("M", [1, 2, 4])
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 2.0, 1.0), (0.1, 10.0, 0.1),
+                                     (3.0, 0.5, 7.0)])
+def test_spectra_match_the_assembled_laplacians(M, weights):
+    """Delta_k = d_{k-1} d_{k-1}^+ + d_k^+ d_k, adjoints taken in the inner
+    products c_k <., .>, assembled from d_f on the truncated Fourier basis."""
+    c0, c1, c2 = weights
+    D0, D1 = operator_matrix(0, M), operator_matrix(1, M)
+    assert np.max(np.abs(D1 @ D0)) < 1e-9
+    # d_k^+ = (c_{k+1} / c_k) d_k^H
+    laplacians = [
+        (c1 / c0) * D0.conj().T @ D0,
+        (c1 / c0) * D0 @ D0.conj().T + (c2 / c1) * D1.conj().T @ D1,
+        (c2 / c1) * D1 @ D1.conj().T,
+    ]
+    for k, lap in enumerate(laplacians):
+        want = np.linalg.eigvalsh(lap)
+        got = tangential_laplacian(k, M, weights).eigenvalues
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-9 * np.max(want))
+
+
 def test_top_degree_rejected():
-    f2 = LeafwiseForm(2, np.zeros((1, 5, 5), dtype=complex))
-    with pytest.raises(DegreeError):
-        d_f(f2)
-    with pytest.raises(DegreeError):
-        LeafwiseForm(3, np.zeros((1, 5, 5)))
-
-
-def test_real_valued_detection():
-    c = np.zeros((1, 3, 3), dtype=complex)
-    c[0, 2, 1] = 1 + 2j
-    c[0, 0, 1] = 1 - 2j  # conjugate at the opposite mode
-    assert LeafwiseForm(0, c).is_real_valued()
-    c[0, 0, 1] = 5.0
-    assert not LeafwiseForm(0, c).is_real_valued()
+    for degree in (-1, 3):
+        with pytest.raises(ValueError, match="degree must be 0, 1 or 2"):
+            tangential_laplacian(degree, 2)
 
 
 def test_spectrum_m1_explicit():
@@ -82,9 +102,8 @@ def test_kernel_dims_and_spectral_identities(M):
 def test_torsion_vanishes_for_product_foliation(M):
     res = leafwise_torsion(M)
     assert abs(res.log_t) < 1e-10
-    assert res.t == pytest.approx(1.0)
+    assert res.betti == (1, 2, 1)
     assert not res.metric_dependent
-    assert res.euler_like == 0.0
 
 
 def test_weighted_torsion_closed_form():
@@ -103,18 +122,12 @@ def test_metric_like_weights_still_cancel():
     assert not res.metric_dependent
 
 
-def test_foliation_torsion_sum():
-    one = foliation_torsion_sum([LeafwiseModel(label="a")])
-    assert one.total == pytest.approx(1.0)
-    two = foliation_torsion_sum([LeafwiseModel(), LeafwiseModel()])
-    assert two.total == pytest.approx(2.0)
-    assert foliation_torsion_sum([]).total == 0.0
-    with pytest.raises(UnsupportedFoliationError):
-        foliation_torsion_sum([LeafwiseModel(kind="reeb")])
-
-
-def test_cs3_degeneracy_report():
-    rep = tangential_cs3_degeneracy()
-    assert rep.lambda3_dim == 0 and rep.vanishes
-    assert "open question" in rep.note.lower()
-    assert tangential_cs3_degeneracy(3).lambda3_dim == 1
+@pytest.mark.parametrize("weights, dropped", [((10.0, 0.1, 10.0), 0), ((0.1, 10.0, 0.1), 0),
+                                              ((100.0, 0.01, 100.0), 16468)])
+def test_nonzero_eigenvalues_below_the_zero_cut(weights, dropped):
+    """At the largest truncation and the most extreme weights the manifest
+    allows, zeta_log_det drops only the two zero modes of Delta_1; past the
+    bounds it drops real eigenvalues and log T is silently wrong."""
+    lam = tangential_laplacian(1, 512, weights).eigenvalues
+    assert np.sum(lam == 0) == 2
+    assert np.sum((lam > 0) & (lam <= ZERO_THRESHOLD * lam.max())) == dropped

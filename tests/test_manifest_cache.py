@@ -119,3 +119,26 @@ def test_shipped_manifests_validate():
     readme = (root / "README.md").read_text()
     block = readme.split("```json\n", 1)[1].split("```", 1)[0]
     validate_manifest(json.loads(block.replace(', "..."', "")))  # the elided transversal
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [({"windings": list(range(-512, 514))}, "is too long"),
+     ({"windings": [0, 513]}, "513 is greater than the maximum of 512"),
+     ({"windings": [-513]}, "-513 is less than the minimum of -512"),
+     ({"degree_bound": 8, "windings": [2**70]}, "is greater than the maximum of 512")],
+)
+def test_windings_are_bounded(block, message):
+    """At most one winding per mode of the largest degree bound, each within it,
+    so no winding allocates a trig polynomial past the largest cochain."""
+    validate_manifest(minimal(cyclic={"windings": list(range(-512, 513))}))
+    with pytest.raises(ManifestError, match=message):
+        validate_manifest(minimal(cyclic=block))
+
+
+@pytest.mark.parametrize("block", [{"scale": 10.5}, {"level": -1.5e6}, {"level": 1e300}])
+def test_chern_simons_fields_are_bounded(block):
+    """Far past these bounds the action overflows to inf or nan."""
+    validate_manifest(minimal(chern_simons={"scale": 10, "level": -1e6}))
+    with pytest.raises(ManifestError, match="than the (minimum|maximum) of"):
+        validate_manifest(minimal(chern_simons=block))
