@@ -14,6 +14,7 @@ from taut3 import (
     cw_structure,
     enumerate_reps,
     homology_h1,
+    rs_torsion,
 )
 
 print("=== Lens spaces L(p, 1) ===")
@@ -55,6 +56,6 @@ print("\n=== Unsigned count ===")
 print("Each irreducible class contributes +1 once its twisted H^1 vanishes")
 print("(the regularity certificate; here computed from the twisted complex):")
 cw = cw_structure("Brieskorn", 2, 3, 5)
-h1 = [build_twisted_complex(cw, r).betti_numbers()[1] for r in irr]
+h1 = [rs_torsion(build_twisted_complex(cw, r)).betti[1] for r in irr]
 print(f"  twisted H^1 dimensions: {h1}")
 print(f"  count = {casson_count(moduli, h1)}")

@@ -28,7 +28,6 @@ from .twisted_torsion import (
     UnsupportedFamilyError,
     build_twisted_complex,
     cw_structure,
-    fox_derivative,
     rs_torsion,
     torsion_sum,
     twisted_laplacians,

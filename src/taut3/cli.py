@@ -44,6 +44,7 @@ from .su2reps import (
     require_finite_moduli,
 )
 from .twisted_torsion import UnsupportedFamilyError, cw_structure, torsion_sum
+from .zeta import ZERO_THRESHOLD
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,7 +115,7 @@ def run_torsion(run: Run, report: InvariantReport):
             for tc, res, _irr in result.per_class
         ],
     )
-    sec.tolerances["zero_eigenvalue_threshold"] = 1e-10
+    sec.tolerances["zero_eigenvalue_threshold"] = ZERO_THRESHOLD
     sec.metadata["family"] = m.family
     sec.warnings.extend(result.notes)
 
@@ -208,7 +209,7 @@ def run_leafwise(run: Run, report: InvariantReport):
         metric_dependent=res.metric_dependent,
         log_dets=list(res.per_degree_log_dets),
     )
-    sec.tolerances["log_t_zero"] = 1e-10
+    sec.tolerances["log_t_zero"] = lw.METRIC_LIKE_TOLERANCE
     sec.metadata.update(truncation=trunc, weights=list(weights))
     if res.metric_dependent:
         sec.warnings.append("degree weights are not metric-like; torsion is metric-dependent")
@@ -226,7 +227,7 @@ def run_cyclic(run: Run, report: InvariantReport):
         str(nw): cyc.k_pairing(cyc.mode(nw), tau)
         for nw in block.get("windings", range(-3, 4))
     }
-    sec.tolerances["winding"] = 1e-12
+    sec.tolerances["winding"] = cyc.PAIRING_TOLERANCE
     sec.metadata["degree_bound"] = bound
 
 

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+PAIRING_TOLERANCE = 1e-10  # unitarity defect and relative imaginary part a pairing accepts
+
+
 class HeadroomError(ValueError):
     """A product would exceed the declared Fourier degree bound."""
 
@@ -46,6 +49,8 @@ class TrigPoly:
 
     def padded(self, bound: int) -> "TrigPoly":
         d = self.degree_bound
+        if bound == d:
+            return self
         if bound < d:
             if np.any(np.abs(self.coefficients[: d - bound]) > 0) or np.any(
                 np.abs(self.coefficients[d + bound + 1 :]) > 0
@@ -104,6 +109,8 @@ class CyclicCochain:
         b = self.degree_bound
         if bound < b:
             raise ValueError("cannot shrink a cochain kernel")
+        if bound == b:
+            return self
         out = np.zeros((2 * bound + 1, 2 * bound + 1), dtype=complex)
         out[bound - b : bound + b + 1, bound - b : bound + b + 1] = self.kernel
         return CyclicCochain(out)
@@ -144,7 +151,7 @@ def cyclic_lambda(phi: CyclicCochain) -> CyclicCochain:
     return CyclicCochain(-phi.kernel.T)
 
 
-def k_pairing(u: TrigPoly, phi: CyclicCochain, tol: float = 1e-10) -> float:
+def k_pairing(u: TrigPoly, phi: CyclicCochain, tol: float = PAIRING_TOLERANCE) -> float:
     """phi(u^{-1}, u) for unitary u; for phi = tau this is the winding number.
 
     Raises HeadroomError if u has a live mode past phi's degree bound, where
@@ -156,6 +163,6 @@ def k_pairing(u: TrigPoly, phi: CyclicCochain, tol: float = 1e-10) -> float:
     if np.max(np.abs(uu.coefficients - expect.coefficients)) > tol:
         raise UnitarityError("u u* != 1: probe is not unitary on the circle")
     val = phi(u.conj(), u)  # u^{-1} = conj(u) for unitary u
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
+    if abs(val.imag) > tol * max(1.0, abs(val)):
         raise AssertionError(f"pairing has a stray imaginary part: {val.imag}")
     return float(val.real)

@@ -24,6 +24,7 @@ import numpy as np
 from .zeta import zeta_log_det
 
 TWO_PI = 2.0 * math.pi
+METRIC_LIKE_TOLERANCE = 1e-14  # largest |log(c0 c2 / c1^2)| of metric-like weights
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,6 @@ def leafwise_torsion(truncation: int, weights=(1.0, 1.0, 1.0)) -> LeafwiseTorsio
     return LeafwiseTorsionResult(
         log_t=float(log_t),
         betti=tuple(s.kernel_dim for s in spectra),
-        metric_dependent=abs(math.log(c0 * c2 / c1**2)) > 1e-14,
+        metric_dependent=abs(math.log(c0 * c2 / c1**2)) > METRIC_LIKE_TOLERANCE,
         per_degree_log_dets=logdets,
     )

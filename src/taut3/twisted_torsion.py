@@ -1,130 +1,37 @@
 """Twisted chain complexes from free differential calculus, their Laplacians,
 and torsion.
 
-Boundary words with group-ring coefficients come from frozen CW structures of
-the built-in manifold families; a representation turns them into complex block
-matrices.  Matrix images use the transposed representation (an
-anti-homomorphism), which is what makes the fundamental identity
-w - 1 = sum_j (dw/dx_j)(x_j - 1) translate into D1 @ D2 = 0 at the matrix
-level.
+Boundary words with group-ring coefficients come from the CW structures of the
+built-in manifold families; a representation turns them into complex block
+matrices.  Words are evaluated as unit quaternions and summed there, and each
+sum becomes a 2x2 block only at the end: `su2.to_matrix` is linear and
+multiplicative, so the block of sum_k c_k w_k is sum_k c_k tau(w_k).  Blocks
+use the transposed representation (an anti-homomorphism), which is what makes
+the fundamental identity w - 1 = sum_j (dw/dx_j)(x_j - 1) translate into
+D1 @ D2 = 0 at the matrix level.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from . import su2
-from .presentations import (
-    GroupPresentation,
-    Word,
-    builtin_presentation,
-    concat_words,
-    gen,
-    reduce_word,
-)
+from .presentations import GroupPresentation, builtin_presentation, gen
 from .su2reps import RepModuli, Su2Rep, evaluate_word, require_finite_moduli
 from .zeta import ZERO_THRESHOLD, zeta_log_det
 
 
 class UnsupportedFamilyError(ValueError):
-    """No frozen CW structure for the requested family."""
-
-
-class GroupRingElement:
-    """Integer combination of reduced words, exact arithmetic."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in dict(terms).items():
-                w = reduce_word(w)
-                c = int(c)
-                if c:
-                    self.terms[w] = self.terms.get(w, 0) + c
-            self.terms = {w: c for w, c in self.terms.items() if c}
-
-    @classmethod
-    def from_word(cls, w: Word, coeff: int = 1):
-        return cls({reduce_word(w): coeff})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
-
-    def __neg__(self):
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Product in the group ring (concatenate-and-reduce words)."""
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = concat_words(w1, w2)
-                out[w] = out.get(w, 0) + c1 * c2
-        return GroupRingElement(out)
-
-    def augmentation(self) -> int:
-        return sum(self.terms.values())
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"GroupRingElement({self.terms!r})"
-
-    def matrix_image_t(self, images) -> np.ndarray:
-        """Sum of coefficients times transposed representation matrices."""
-        out = np.zeros((2, 2), dtype=complex)
-        for w, c in self.terms.items():
-            out += c * su2.to_matrix(evaluate_word(images, w)).T
-        return out
-
-
-def fox_derivative(w: Word, j: int) -> GroupRingElement:
-    """Free derivative d(w)/dx_j.
-
-    Product rule d(uv) = du + u dv with d(x_j) = 1, d(x_j^-1) = -x_j^-1.
-    """
-    w = reduce_word(w)
-    out = {}
-    prefix: Word = ()
-    for g_idx, e in w:
-        if g_idx == j:
-            if e > 0:
-                for k in range(e):
-                    u = concat_words(prefix, gen(j, k)) if k else prefix
-                    out[u] = out.get(u, 0) + 1
-            else:
-                for k in range(1, -e + 1):
-                    u = concat_words(prefix, gen(j, -k))
-                    out[u] = out.get(u, 0) - 1
-        prefix = concat_words(prefix, ((g_idx, e),))
-    return GroupRingElement(out)
+    """No CW structure for the requested family."""
 
 
 @dataclass(frozen=True)
 class CwStructure:
-    """One 0-cell, one 1-cell per generator, one 2-cell per relator, one 3-cell
-    whose boundary words (one group-ring element per 2-cell) are frozen."""
+    """One 0-cell, one 1-cell per generator, one 2-cell per relator, and one
+    3-cell whose boundary is one group-ring element per 2-cell, written as
+    (coefficient, word) pairs."""
 
     presentation: GroupPresentation
     d3_words: tuple
@@ -134,42 +41,33 @@ class CwStructure:
 def _lens_cw(p: int, q: int) -> CwStructure:
     pres = builtin_presentation("Lens", p, q)
     qbar = pow(q, -1, p)
-    d3 = GroupRingElement({gen(0, qbar): 1, (): -1})
-    return CwStructure(pres, (d3,), label=pres.label)
+    return CwStructure(pres, (((1, gen(0, qbar)), (-1, ())),), label=pres.label)
 
 
 def _s3_cw() -> CwStructure:
     pres = builtin_presentation("S3")
-    d3 = GroupRingElement({gen(0): 1, (): -1})
-    return CwStructure(pres, (d3,), label="S3")
+    return CwStructure(pres, (((1, gen(0)), (-1, ())),), label="S3")
 
 
 def _torus3_cw() -> CwStructure:
     pres = builtin_presentation("Torus3")
     # relators come in the order [x,y], [x,z], [y,z]; the 3-cell is the cube
     x, y, z = gen(0), gen(1), gen(2)
-    d3 = (
-        GroupRingElement({z: 1, (): -1}),
-        GroupRingElement({(): 1, y: -1}),
-        GroupRingElement({x: 1, (): -1}),
-    )
+    d3 = (((1, z), (-1, ())), ((1, ()), (-1, y)), ((1, x), (-1, ())))
     return CwStructure(pres, d3, label="Torus3")
 
 
 def _brieskorn_cw() -> CwStructure:
     pres = builtin_presentation("Brieskorn", 2, 3, 5)
-    data = json.loads(
-        resources.files("taut3").joinpath("_data/brieskorn_2_3_5_d3.json").read_text()
-    )
-    d3 = tuple(
-        GroupRingElement({tuple(tuple(p) for p in word): coeff for word, coeff in comp})
-        for comp in data["d3_words"]
-    )
+    # relators s^3 t^-5 and (st)^2 s^-3; the 3-cell boundary (1 - t, s^-1 - t)
+    # generates the kernel of d2 over Z[G], |G| = 120 (checked in the tests)
+    s_inv, t = gen(0, -1), gen(1)
+    d3 = (((1, ()), (-1, t)), ((-1, t), (1, s_inv)))
     return CwStructure(pres, d3, label="Brieskorn(2,3,5)")
 
 
 def cw_structure(family: str, *params) -> CwStructure:
-    """Frozen CW structure fixtures for the supported families."""
+    """CW structures of the supported families."""
     if family == "S3":
         return _s3_cw()
     if family == "Lens":
@@ -201,33 +99,45 @@ class TwistedComplex:
     def boundary(self, i: int) -> np.ndarray:
         return (self.d1, self.d2, self.d3)[i - 1]
 
-    def betti_numbers(self, tol: float = 1e-8):
-        """Twisted Betti numbers by rank-nullity on the boundary matrices."""
-        ranks = [np.linalg.matrix_rank(b, tol=tol) for b in (self.d1, self.d2, self.d3)]
-        dims = self.dims
-        out = []
-        for i in range(4):
-            r_in = ranks[i - 1] if i >= 1 else 0
-            r_out = ranks[i] if i <= 2 else 0
-            out.append(dims[i] - r_in - r_out)
-        return tuple(int(b) for b in out)
 
-    def is_acyclic(self, tol: float = 1e-8) -> bool:
-        return all(b == 0 for b in self.betti_numbers(tol))
+def _fox_images(relators, images) -> np.ndarray:
+    """Quaternion images of the Fox derivatives dr_i/dx_j (Fox 1953), shape
+    (r, g, 4).  One walk per relator: each letter x_j adds +prefix to entry
+    (i, j), each x_j^-1 adds -(prefix x_j^-1), where prefix is the image of
+    the letters before it."""
+    out = np.zeros((len(relators), len(images), 4))
+    for i, r in enumerate(relators):
+        prefix = su2.IDENTITY
+        for j, e in r:
+            step = images[j] if e > 0 else su2.qconj(images[j])
+            for _ in range(abs(e)):
+                if e > 0:
+                    out[i, j] += prefix
+                    prefix = su2.qmul(prefix, step)
+                else:
+                    prefix = su2.qmul(prefix, step)
+                    out[i, j] -= prefix
+    return out
+
+
+def _blocks(q) -> np.ndarray:
+    """Block matrix whose (k, l) block is tau(q[k, l])^T, for q of shape (m, n, 4)."""
+    m = su2.to_matrix(q)
+    return m.transpose(0, 3, 1, 2).reshape(2 * q.shape[0], 2 * q.shape[1])
 
 
 def build_twisted_complex(cw: CwStructure, rep: Su2Rep) -> TwistedComplex:
     """Representation images of the boundary words, as 2x2 blocks."""
     images = rep.images_array()
     pres = cw.presentation
-    g, r = pres.num_generators, len(pres.relators)
-    if len(cw.d3_words) != r:
+    if len(cw.d3_words) != len(pres.relators):
         raise ValueError("CW structure inconsistent: need one 3-cell boundary word per 2-cell")
-    tau = lambda w: su2.to_matrix(evaluate_word(images, w)).T
-    eye = np.eye(2)
-    d1 = np.hstack([tau(gen(j)) - eye for j in range(g)])
-    d2 = np.block([[fox_derivative(ri, j).matrix_image_t(images) for ri in pres.relators] for j in range(g)])
-    d3 = np.vstack([s.matrix_image_t(images) for s in cw.d3_words])
+    d3_images = np.array(
+        [sum(c * evaluate_word(images, w) for c, w in cell) for cell in cw.d3_words]
+    )
+    d1 = _blocks((images - su2.IDENTITY)[None])
+    d2 = _blocks(_fox_images(pres.relators, images).transpose(1, 0, 2))
+    d3 = _blocks(d3_images[:, None])
     c = TwistedComplex(d1, d2, d3, label=cw.label)
     scale = max(1.0, *(np.linalg.norm(b, 2) for b in (d1, d2, d3)))
     if np.linalg.norm(d1 @ d2, 2) > 1e-8 * scale or np.linalg.norm(d2 @ d3, 2) > 1e-8 * scale:
@@ -244,56 +154,28 @@ class SpectrumSummary:
     log_dets: tuple
 
 
-def _check_spd(w, n):
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (n, n) or np.linalg.norm(w - w.conj().T) > 1e-12 * max(1.0, np.linalg.norm(w)):
-        raise ValueError("weight matrix must be Hermitian of matching size")
-    if np.min(np.linalg.eigvalsh(w)) <= 0:
-        raise ValueError("weight matrix must be positive definite")
-    return w
+def twisted_laplacians(c: TwistedComplex) -> SpectrumSummary:
+    """Spectra of Delta_i = D_i^* D_i + D_{i+1} D_{i+1}^* in the cellular inner
+    products, one eigendecomposition per degree.
 
-
-def twisted_laplacians(
-    c: TwistedComplex, weights=None, zero_threshold: float = ZERO_THRESHOLD
-) -> SpectrumSummary:
-    """Spectra of Delta_i = D_i^* D_i + D_{i+1} D_{i+1}^* in the weighted inner
-    products (identity weights by default).
-
-    Weights are volume-normalized (scaled to unit determinant): a chain group
-    carries a preferred volume from its cellular basis, and torsion depends on
-    an inner product only through that volume — the determinant factor is the
-    exact finite-dimensional metric anomaly.  Normalizing keeps the honest
-    invariance statement: any two inner products give the same torsion.
+    Eigenvalues under ZERO_THRESHOLD times the spectral radius count as zero.
     """
-    dims = c.dims
-    if weights is None:
-        weights = [np.eye(n) for n in dims]
-    weights = [_check_spd(w, n) for w, n in zip(weights, dims)]
-    weights = [
-        w * np.exp(-np.linalg.slogdet(w)[1] / n) for w, n in zip(weights, dims)
-    ]
-    chol = [np.linalg.cholesky(w) for w in weights]
-    # B_i = L_{i-1}^H D_i L_i^{-H} turns the weighted adjoint into the plain one
-    bs = [None] * 4
-    for i in (1, 2, 3):
-        di = c.boundary(i)
-        bs[i] = chol[i - 1].conj().T @ di @ np.linalg.inv(chol[i].conj().T)
     eigs, zeros, logdets = [], [], []
     for i in range(4):
-        n = dims[i]
+        n = c.dims[i]
         h = np.zeros((n, n), dtype=complex)
         if i >= 1:
-            h += bs[i].conj().T @ bs[i]
+            h += c.boundary(i).conj().T @ c.boundary(i)
         if i <= 2:
-            h += bs[i + 1] @ bs[i + 1].conj().T
+            h += c.boundary(i + 1) @ c.boundary(i + 1).conj().T
         lam = np.linalg.eigvalsh(h)
-        lam = np.where(np.abs(lam) < zero_threshold * max(1.0, np.max(np.abs(lam), initial=0.0)), 0.0, lam)
+        lam = np.where(np.abs(lam) < ZERO_THRESHOLD * max(1.0, np.max(np.abs(lam), initial=0.0)), 0.0, lam)
         if np.any(lam < 0):
             raise AssertionError("twisted Laplacian produced a negative eigenvalue")
         lam = np.sort(lam)
         eigs.append(tuple(float(x) for x in lam))
         zeros.append(int(np.sum(lam == 0.0)))
-        logdets.append(zeta_log_det(lam, threshold=zero_threshold))
+        logdets.append(zeta_log_det(lam))
     return SpectrumSummary(tuple(eigs), tuple(zeros), tuple(logdets))
 
 
@@ -306,13 +188,16 @@ class TorsionResult:
     metric_dependent: bool
 
 
-def rs_torsion(c: TwistedComplex, weights=None, zero_threshold: float = ZERO_THRESHOLD) -> TorsionResult:
+def rs_torsion(c: TwistedComplex) -> TorsionResult:
     """Analytic torsion of the complex:
-    log T = (1/2) sum_i (-1)^i * i * log det' Delta_i."""
-    spec = twisted_laplacians(c, weights, zero_threshold)
+    log T = (1/2) sum_i (-1)^i * i * log det' Delta_i.
+
+    The Betti numbers are the kernel dimensions of the Laplacians, since
+    ker Delta_i is isomorphic to H_i (finite-dimensional Hodge theory)."""
+    spec = twisted_laplacians(c)
     log_t = 0.5 * sum((-1) ** i * i * spec.log_dets[i] for i in range(4))
-    betti = c.betti_numbers()
-    acyclic = all(b == 0 for b in betti)
+    betti = spec.zero_counts
+    acyclic = not any(betti)
     return TorsionResult(
         log_t=float(log_t),
         t=float(np.exp(log_t)),

@@ -400,10 +400,12 @@ def model_section(tmp_path, command, **blocks):
 
 @pytest.mark.parametrize("bound", [1, 8, 512])
 def test_windings_at_the_degree_bound_pair_to_themselves(tmp_path, bound):
+    # every winding up to the bound; at 512 these are the caps (1025 windings)
+    windings = list(range(-bound, bound + 1))
     code, section = model_section(
-        tmp_path, "cyclic", cyclic={"degree_bound": bound, "windings": [bound, -bound]})
+        tmp_path, "cyclic", cyclic={"degree_bound": bound, "windings": windings})
     assert code == EXIT_OK
-    assert section["values"]["winding_pairings"] == {str(bound): bound, str(-bound): -bound}
+    assert section["values"]["winding_pairings"] == {str(n): n for n in windings}
 
 
 @pytest.mark.parametrize("windings", [[9], [-9], [9, 10, -12], [0, 1, 9]])

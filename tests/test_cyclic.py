@@ -171,3 +171,10 @@ def test_headroom_errors():
         TrigPoly(np.array([1.0, 0.0, 0.0], dtype=complex)).padded(0)
     # zero modes past the bound are no headroom problem
     assert TrigPoly(np.array([0.0, 1.0, 0.0], dtype=complex)).padded(0).degree_bound == 0
+
+
+def test_padding_to_the_own_bound_is_the_identity():
+    f = random_trig(3, np.random.default_rng(4))
+    tau = fundamental_cocycle(3)
+    assert f.padded(3) is f
+    assert tau.padded(3) is tau
