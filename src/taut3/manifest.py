@@ -4,8 +4,9 @@ A manifest is a JSON document declaring everything a run needs: the manifold,
 foliation data (symbolic 1-form components plus transversal loops), leafwise
 and cyclic model parameters.  Validation is strict — unknown keys are
 rejected — so a typo fails loudly before any computation starts.  Every
-size (grids, truncations, degree bounds) has a maximum, so no manifest can ask
-for more than about a gigabyte of memory in one stage.  The
+size (grids, truncations, degree bounds, the number of foliations) has a
+maximum, so no manifest can ask for more than about a gigabyte of memory in
+one stage.  The
 `solver` block of earlier versions is still validated, but ignored: the flat
 moduli are computed exactly.  So is `leafwise.n_z`: the leafwise model does
 not depend on the transverse coordinate.
@@ -21,6 +22,11 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 SCHEMA_VERSION = 1
+
+# `gv` holds one foliation at a time, so foliations cost time, not memory: at
+# grid 192 about 2.5 s each (n^3 from 0.7 s at grid 128 on 2 cores), so about
+# 40 s for a manifest at this bound.
+MAX_FOLIATIONS = 16
 
 _EXPR = {"type": "string", "minLength": 1}
 
@@ -66,6 +72,7 @@ SCHEMA = {
         },
         "foliations": {
             "type": "array",
+            "maxItems": MAX_FOLIATIONS,
             "items": {
                 "type": "object",
                 "additionalProperties": False,

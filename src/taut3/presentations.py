@@ -113,14 +113,12 @@ class GroupPresentation:
         """H_1 of the presented group, computed on first read."""
         return homology_h1(self)
 
-    def exponent_matrix(self):
-        """Abelianized relation matrix (a sympy Matrix), one row per relator."""
-        import sympy  # imported on first use: most commands never need it
-
-        m = sympy.zeros(len(self.relators), self.num_generators)
-        for i, r in enumerate(self.relators):
+    def exponent_matrix(self) -> list:
+        """Abelianized relation matrix: one row of exponent sums per relator."""
+        m = [[0] * self.num_generators for _ in self.relators]
+        for row, r in zip(m, self.relators):
             for g, e in r:
-                m[i, g] += e
+                row[g] += e
         return m
 
 
@@ -137,18 +135,48 @@ class HomologySummary:
         object.__setattr__(self, "torsion_coefficients", ts)
 
 
-def homology_h1(p: GroupPresentation) -> HomologySummary:
-    """H_1 of the presented group: Smith normal form of the exponent-sum matrix."""
-    from sympy.matrices.normalforms import smith_normal_form
+def invariant_factors(m) -> list:
+    """Nonzero invariant factors of an integer matrix (a list of rows), as a
+    divisibility chain: the diagonal of its Smith normal form, up to sign.
 
-    m = p.exponent_matrix()
-    if len(p.relators) == 0:
-        return HomologySummary(p.num_generators, ())
-    snf = smith_normal_form(m)
-    factors = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0]
-    rank = len(factors)
-    torsion = tuple(int(f) for f in factors if f > 1)
-    return HomologySummary(p.num_generators - rank, torsion)
+    Each step takes the nonzero entry of least absolute value as pivot and
+    reduces its column by row operations and its row by column operations
+    (Euclid).  Any remainder is a smaller pivot for the next step; once the
+    pivot's row and column are clear, both are struck out.  gcd/lcm swaps turn
+    the resulting diagonal into a divisibility chain.
+    """
+    a = [list(row) for row in m]
+    factors = []
+    while any(map(any, a)):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v)
+        prow, p = a[i], a[i][j]
+        for k, row in enumerate(a):
+            if k != i and row[j]:
+                q = row[j] // p
+                a[k] = [x - q * y for x, y in zip(row, prow)]
+        for col in range(len(prow)):
+            if col != j and prow[col]:
+                q = prow[col] // p
+                for row in a:
+                    row[col] -= q * row[j]
+        if any(row[j] for row in a if row is not prow) or any(prow[:j] + prow[j + 1:]):
+            continue
+        factors.append(abs(p))
+        del a[i]
+        for row in a:
+            del row[j]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = math.gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    return factors
+
+
+def homology_h1(p: GroupPresentation) -> HomologySummary:
+    """H_1 of the presented group: Z^(g - rank) plus the invariant factors > 1
+    of the exponent-sum matrix."""
+    factors = invariant_factors(p.exponent_matrix())
+    return HomologySummary(p.num_generators - len(factors), tuple(f for f in factors if f > 1))
 
 
 def _pairwise_coprime(ns):

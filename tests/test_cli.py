@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from taut3 import cli, twisted_torsion
+from taut3 import cli, presentations, twisted_torsion
 from taut3 import foliation_gv as fg
 from taut3.cli import (
     EXIT_OK,
@@ -348,12 +348,8 @@ def test_hostile_manifest_values_exit_2(tmp_path, capsys, command, data):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_all_computes_h1_once_per_presentation(tmp_path, monkeypatch):
-    import sympy.matrices.normalforms as nf
-
-    calls = []
-    real = nf.smith_normal_form
-    monkeypatch.setattr(nf, "smith_normal_form", lambda m: calls.append(m) or real(m))
+def test_all_computes_h1_once_per_presentation(tmp_path, count_calls):
+    calls = count_calls("homology_h1", presentations)
     manifest = write_manifest(
         tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 5]}}
     )

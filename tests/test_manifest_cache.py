@@ -5,7 +5,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 from taut3.cli import main as cli_main
-from taut3.manifest import SCHEMA, ManifestError, load_manifest, validate_manifest
+from taut3.manifest import MAX_FOLIATIONS, SCHEMA, ManifestError, load_manifest, validate_manifest
 from taut3.reports import manifest_digest
 
 
@@ -110,6 +110,18 @@ def test_sizes_are_bounded_from_above(tmp_path, capsys, keys, bound):
     err = capsys.readouterr().err
     assert err.startswith("error: manifest invalid at") and "Traceback" not in err
     assert f"{bound + 1} is greater than the maximum of {bound}" in err
+
+
+def test_foliations_are_bounded(tmp_path, capsys):
+    """`gv` holds one foliation at a time, so their number bounds its time."""
+    foliation = {"omega": ["0", "0", "1"], "grid": 8}
+    validate_manifest(minimal(foliations=[foliation] * MAX_FOLIATIONS))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(minimal(foliations=[foliation] * (MAX_FOLIATIONS + 1))))
+    assert cli_main(["gv", "--manifest", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest invalid at foliations: ") and "Traceback" not in err
+    assert "is too long" in err
 
 
 def test_shipped_manifests_validate():

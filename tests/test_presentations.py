@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
 from taut3.presentations import (
+    SIZE_BOUND,
     GroupPresentation,
     ParameterError,
     builtin_presentation,
     concat_words,
     gen,
     homology_h1,
+    invariant_factors,
     invert_word,
     reduce_word,
     word_power,
@@ -94,3 +100,74 @@ def test_exponent_matrix_matches_abelianization():
     # homology-sphere check again, via the determinant route
     assert m.shape[0] == m.shape[1]
     assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-9
+
+
+def sympy_h1(num_generators, matrix):
+    """H_1 from sympy's Smith normal form of the exponent-sum matrix: the oracle."""
+    if not matrix:
+        return num_generators, ()
+    snf = smith_normal_form(Matrix(matrix))
+    factors = [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i] != 0]
+    return num_generators - len(factors), tuple(f for f in factors if f > 1)
+
+
+def presentation_of(matrix, num_generators):
+    """One relator per row, each generator once with its row entry as exponent."""
+    return GroupPresentation(
+        num_generators, tuple(tuple((g, e) for g, e in enumerate(row) if e) for row in matrix)
+    )
+
+
+entries = st.integers(-9, 9) | st.just(0) | st.integers(-SIZE_BOUND, SIZE_BOUND)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 7 x 5, with no rows at all, zero rows and zero columns."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows)), cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_homology_matches_sympy_smith_normal_form(drawn):
+    matrix, cols = drawn
+    pres = presentation_of(matrix, cols)
+    assert pres.exponent_matrix() == matrix
+    h = homology_h1(pres)
+    assert (h.betti_1, h.torsion_coefficients) == sympy_h1(cols, matrix)
+
+
+def test_invariant_factors_form_a_divisibility_chain():
+    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert invariant_factors([[4, 0, 0], [0, 6, 0], [0, 0, 0]]) == [2, 12]
+    assert invariant_factors([[0, 0]]) == [] and invariant_factors([]) == []
+
+
+def test_every_lens_space_below_200_has_cyclic_h1():
+    for p in range(2, 200):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                h = homology_h1(builtin_presentation("Lens", p, q))
+                assert (h.betti_1, h.torsion_coefficients) == (0, (p,))
+
+
+def pairwise_coprime_triples(bound):
+    return [(p, q, r) for p in range(2, bound) for q in range(p + 1, bound)
+            for r in range(q + 1, bound // (p * q) + 1)
+            if p * q * r <= bound and math.gcd(p, q) == math.gcd(p, r) == math.gcd(q, r) == 1]
+
+
+def test_builtin_presentations_match_the_sympy_oracle():
+    """S^3, T^3, some lens spaces, every Brieskorn sphere with pqr <= 200 (both
+    presentation shapes) and a few near the size bound."""
+    triples = pairwise_coprime_triples(200) + [(2, 3, 4999), (29, 31, 33), (2, 7, 2141)]
+    presentations = [builtin_presentation("S3"), builtin_presentation("Torus3")]
+    presentations += [builtin_presentation("Lens", p, q) for p, q in ((2, 1), (7, 2), (12, 5))]
+    presentations += [builtin_presentation("Brieskorn", *pqr) for pqr in triples]
+    assert {pres.num_generators for pres in presentations} == {1, 2, 3, 4}
+    for pres in presentations:
+        h = homology_h1(pres)
+        assert (h.betti_1, h.torsion_coefficients) == sympy_h1(
+            pres.num_generators, pres.exponent_matrix()), pres.label

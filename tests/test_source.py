@@ -1,6 +1,7 @@
 """The package's own modules compile without warnings, import nothing they
-never use, never call `eval`, `exec` or `compile`, and `taut3.cli` starts
-without sympy.
+never use, never call `eval`, `exec` or `compile`, and never import sympy or
+scipy, which no run loads; the declared dependencies are exactly the
+third-party modules the package imports.
 
 `compile()` runs on the source text, so invalid escapes and similar warnings
 show even where cached `.pyc` files would skip them on import.
@@ -8,12 +9,16 @@ show even where cached `.pyc` files would skip them on import.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "taut3"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "taut3"
 
 
 def test_sources_compile_without_warnings():
@@ -69,9 +74,50 @@ def test_modules_never_evaluate_text_as_code():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
-def test_cli_import_does_not_load_sympy():
+def imported_modules(source: str):
+    """Top-level names of the absolute imports of a module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_checker():
+    source = "import os.path, numpy as np\nfrom . import su2\nfrom sympy.matrices import zeros\n"
+    source += "def f():\n    import scipy.linalg\n"
+    assert imported_modules(source) == {"os", "numpy", "sympy", "scipy"}
+
+
+def test_modules_never_import_sympy_or_scipy():
+    found = {path.name: imported_modules(path.read_text()) & {"sympy", "scipy"}
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+def test_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group(0) for dep in project["dependencies"]}
+    imported = set().union(*(imported_modules(path.read_text()) for path in SRC.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "taut3"}
+    assert declared == third_party == {"numpy", "jsonschema"}
+
+
+def test_cli_import_does_not_load_sympy(tmp_path):
+    """Neither the import of the CLI nor a whole run loads sympy or scipy: `all`
+    on Sigma(2,3,5) runs every pipeline, and `reps` on Sigma(2,3,11) takes the
+    4-generator Seifert presentation."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + sys.path))
-    code = "import sys, taut3.cli; print('sympy' in sys.modules)"
+    loaded = "print('loaded:', sorted({m.split('.')[0] for m in sys.modules} & {'sympy','scipy'}))\n"
+    code = "import sys, taut3.cli\n" + loaded
+    for command, manifest in (("all", "poincare.json"), ("reps", "brieskorn_2_3_11.json")):
+        argv = [command, "--manifest", str(ROOT / "perfbench" / "manifests" / manifest),
+                "--out", str(tmp_path / "report.json")]
+        code += f"assert taut3.cli.main({argv!r}) == 0\n" + loaded
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    loads = [line for line in out.stdout.splitlines() if line.startswith("loaded:")]
+    assert loads == ["loaded: []"] * 3
