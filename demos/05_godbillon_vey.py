@@ -2,8 +2,9 @@
 
 A foliation is presented by a nonvanishing integrable 1-form omega; solving
 d omega = theta wedge omega pointwise gives the connection 1-form, and
-GV = integral theta wedge d theta.  The demo also runs the transversal-circle
-tautness test.
+GV = integral theta wedge d theta.  `gv_term` computes all of it in one pass
+over slabs of the grid.  The demo also runs the transversal-circle tautness
+test.
 """
 
 import numpy as np
@@ -11,10 +12,8 @@ import numpy as np
 from taut3 import (
     FoliationSpec,
     form_from_functions,
-    gv_integral,
     gv_invariant,
-    integrability_residual,
-    solve_theta,
+    gv_term,
     tautness_check,
 )
 
@@ -29,12 +28,10 @@ def f(x, y, z):
 print("=== omega = e^f dz (leaves are graphs over the xy-torus) ===")
 omega = form_from_functions(1, n, lambda x, y, z: 0 * x, lambda x, y, z: 0 * x,
                             lambda x, y, z: np.exp(f(x, y, z)))
-print(f"integrability residual |omega ^ d omega| / scales = "
-      f"{integrability_residual(omega):.2e}")
-theta, res = solve_theta(omega)
+(_label, gv, _taut, res), defect, _warning = gv_term(FoliationSpec(omega))
+print(f"integrability residual |omega ^ d omega| / scales = {defect:.2e}")
 print(f"connection-form residual |d omega - theta ^ omega| = {res:.2e}")
-print(f"GV integral = {gv_integral(omega, theta):+.2e}  "
-      "(this family has vanishing GV)")
+print(f"GV integral = {gv:+.2e}  (this family has vanishing GV)")
 
 print("\n=== Tautness via a transversal circle ===")
 loop = tuple((0, 0, k) for k in range(n))  # a z-circle, transverse to the leaves
@@ -51,8 +48,9 @@ print(f"no transversal supplied         : taut = {tautness_check(no_loop)} "
 
 print("\n=== Summing over several representatives ===")
 report = gv_invariant([spec, no_loop])
-for label, val, taut, resid in report.per_foliation:
-    print(f"  {label:<8} GV = {val:+.2e}  taut = {taut}  residual = {resid:.1e}")
+for (label, val, taut, resid), defect in zip(report.per_foliation, report.integrability_residuals):
+    print(f"  {label:<8} GV = {val:+.2e}  taut = {taut}  residual = {resid:.1e}  "
+          f"defect = {defect:.1e}")
 print(f"total = {report.total:+.2e}")
 for w in report.warnings:
     print(f"warning: {w}")

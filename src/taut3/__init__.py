@@ -46,10 +46,8 @@ from .foliation_gv import (
     SingularityError,
     TautnessError,
     form_from_functions,
-    gv_integral,
     gv_invariant,
-    integrability_residual,
-    solve_theta,
+    gv_term,
     tautness_check,
 )
 from .leafwise import leafwise_torsion, tangential_laplacian

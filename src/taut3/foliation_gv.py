@@ -5,13 +5,16 @@ centered differences (so d o d = 0 exactly, shifts commute) and the wedge is
 the pointwise antisymmetric product.  A codim-1 foliation is described by a
 nonvanishing 1-form omega; integrability means omega ^ d(omega) = 0, the
 defining 1-form theta solves d(omega) = theta ^ omega, and the GV integral is
-the integral of theta ^ d(theta) over the torus.
+the integral of theta ^ d(theta) over the torus.  `gv_term` computes the whole
+chain in one pass over x-slabs of the grid (`_gv_blocks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,70 +118,6 @@ def _ddi(f, axis, h, out):
     return out
 
 
-def d(form: DiscreteForm) -> DiscreteForm:
-    """Exterior derivative; d o d = 0 exactly (centered shifts commute)."""
-    h = form.spacing
-    v = form.values
-    if form.degree == 0:
-        out = np.empty((3,) + v.shape)
-        for i in range(3):
-            _ddi(v, i, h, out[i])
-        return DiscreteForm(1, out)
-    if form.degree == 1:
-        out, tmp = np.empty_like(v), np.empty_like(v[0])
-        for comp, (i, j) in zip(out, _PAIRS):
-            _ddi(v[j], i, h, comp)
-            comp -= _ddi(v[i], j, h, tmp)
-        return DiscreteForm(2, out)
-    if form.degree == 2:
-        # d(c01 dx dy + c02 dx dz + c12 dy dz) = (D2 c01 - D1 c02 + D0 c12) dx dy dz
-        out, tmp = np.empty_like(v[0]), np.empty_like(v[0])
-        _ddi(v[0], 2, h, out)
-        out -= _ddi(v[1], 1, h, tmp)
-        out += _ddi(v[2], 0, h, tmp)
-        return DiscreteForm(3, out)
-    return DiscreteForm(3, np.zeros_like(v))  # top degree: d vanishes identically
-
-
-def wedge(a: DiscreteForm, b: DiscreteForm) -> DiscreteForm:
-    """Pointwise wedge product."""
-    ka, kb = a.degree, b.degree
-    if ka + kb > 3:
-        raise ValueError("wedge degree exceeds 3")
-    if ka == 0:
-        vals = a.values[None] * b.values if b.degree in (1, 2) else a.values * b.values
-        return DiscreteForm(kb, vals)
-    if kb == 0:
-        return wedge(b, a)
-    u, v = a.values, b.values
-    if ka == 1 and kb == 1:
-        out, tmp = np.empty_like(u), np.empty_like(u[0])
-        for comp, (i, j) in zip(out, _PAIRS):
-            np.multiply(u[i], v[j], out=comp)
-            comp -= np.multiply(u[j], v[i], out=tmp)
-        return DiscreteForm(2, out)
-    if ka == 1 and kb == 2:
-        out = u[0] * v[2]
-        tmp = np.multiply(u[1], v[1])
-        out -= tmp
-        out += np.multiply(u[2], v[0], out=tmp)
-        return DiscreteForm(3, out)
-    if ka == 2 and kb == 1:
-        return wedge(b, a)  # sign (-1)^(1*2) = +1
-    raise ValueError("unsupported wedge degrees")
-
-
-def l2_norm(form: DiscreteForm) -> float:
-    return float(np.sqrt(np.mean(form.values**2) * (3.0 if form.values.ndim == 4 else 1.0)))
-
-
-def integrate(form: DiscreteForm) -> float:
-    """Integral of a 3-form over the torus (cell volume h^3)."""
-    if form.degree != 3:
-        raise ValueError("can only integrate 3-forms")
-    return float(np.sum(form.values)) * form.spacing**3
-
-
 def _sum_of_squares(values):
     """Sum of the squared components, (v0^2 + v1^2) + v2^2; overflow gives inf."""
     out, tmp = np.empty_like(values[0]), np.empty_like(values[0])
@@ -204,54 +143,137 @@ def _check_nonvanishing(omega: DiscreteForm, floor: float = 1e-6) -> float:
     return mean
 
 
-def _frobenius(omega: DiscreteForm):
-    """d(omega) and the Frobenius defect, both from one exterior derivative."""
-    if omega.degree != 1:
-        raise ValueError("expected a 1-form")
-    omega._mean_norm  # the nonvanishing check, once per form
-    dw = d(omega)
-    return dw, l2_norm(wedge(omega, dw)) / (l2_norm(omega) * l2_norm(dw) + 1e-30)
+# Bytes of one component of one x-slab of the GV pass.  A slab's working set
+# is about twenty such blocks (omega, d(omega), theta, d(theta), products), so
+# at 64 KiB it fits a 2 MB L2 cache: grids 128 and 192 run one row at a time,
+# grid 32 in four 8-row slabs (faster than two of 16 rows on 2 cores).
+_SLAB_BYTES = 1 << 16
 
 
-def integrability_residual(omega: DiscreteForm) -> float:
-    """Scale-free Frobenius defect |omega ^ d omega| / (|omega| |d omega| + eps)."""
-    return _frobenius(omega)[1]
+class _Slab(NamedTuple):
+    """One x-slab of the GV chain, as views into buffers that the next slab
+    overwrites.  Fields past `norm_sq` are None when theta is not wanted."""
+
+    dw: np.ndarray  # d(omega)
+    frob: np.ndarray  # omega ^ d(omega)
+    norm_sq: np.ndarray  # |omega|^2
+    theta: np.ndarray | None
+    miss: np.ndarray | None  # d(omega) - theta ^ omega
+    dtheta: np.ndarray | None
+    gv: np.ndarray | None  # theta ^ d(theta)
 
 
-def solve_theta(omega: DiscreteForm, tol: float = 1e-6):
-    """Pointwise minimal-norm solution of d(omega) = theta ^ omega.
-
-    Identifying 2-forms with axial vectors, the equation reads
-    g = theta x omega, whose minimal-norm solution is (omega x g) / |omega|^2.
-    Returns (theta, residual).
-    """
-    return _theta(omega, *_frobenius(omega), tol)
+def _slab_rows(n):
+    """Grid rows per x-slab at grid size n."""
+    return max(1, min(n, _SLAB_BYTES // (8 * n * n)))
 
 
-def _theta(omega: DiscreteForm, dw: DiscreteForm, defect: float, tol: float):
-    if defect > tol:
-        raise ValueError("form is not integrable within tolerance; no theta exists")
-    w, v = omega.values, dw.values
-    # theta = omega x g / |omega|^2 with g = (v2, -v1, v0) the axial vector of
-    # d(omega); the products and signs are those of np.cross(omega, g)
-    theta, tmp = np.empty_like(w), np.empty_like(w[0])
-    t0, t1, t2 = theta
+def _rows(f, lo, hi):
+    """Rows lo..hi-1 along the x axis (axis -3) of a periodic grid array: a view
+    where they do not wrap, else a copy."""
+    n = f.shape[-3]
+    if 0 <= lo and hi <= n:
+        return f[..., lo:hi, :, :]
+    return f.take(np.arange(lo, hi) % n, axis=-3)
+
+
+def _d1(v, h, out, tmp):
+    """d of a 1-form given on rows r-1..r+k along axis 1 of `v`, written into
+    `out` on rows r..r+k-1: the x differences read the halo rows, y and z wrap
+    as in `_ddi`.  Each value is computed as the whole-grid derivative does."""
+    for comp, (i, j) in zip(out, _PAIRS):
+        if i == 0:
+            np.subtract(v[j, 2:], v[j, :-2], out=comp)
+            comp /= 2.0 * h
+        else:
+            _ddi(v[j, 1:-1], i, h, comp)
+        comp -= _ddi(v[i, 1:-1], j, h, tmp)
+    return out
+
+
+def _wedge11(u, v, out, tmp):
+    """Pointwise u ^ v of two 1-forms, components (01, 02, 12)."""
+    for comp, (i, j) in zip(out, _PAIRS):
+        np.multiply(u[i], v[j], out=comp)
+        comp -= np.multiply(u[j], v[i], out=tmp)
+    return out
+
+
+def _wedge12(u, v, out, tmp):
+    """Pointwise u ^ v of a 1-form and a 2-form."""
+    np.multiply(u[0], v[2], out=out)
+    out -= np.multiply(u[1], v[1], out=tmp)
+    out += np.multiply(u[2], v[0], out=tmp)
+    return out
+
+
+def _theta(w, v, norm_sq, out, tmp):
+    """Pointwise minimal-norm solution of v = theta ^ w: identifying 2-forms with
+    axial vectors, g = theta x w is solved by (w x g) / |w|^2 with g = (v2, -v1,
+    v0); the products and signs are those of np.cross(w, g)."""
+    t0, t1, t2 = out
     np.multiply(w[1], v[0], out=t0)
     t0 += np.multiply(w[2], v[1], out=tmp)
     np.multiply(w[2], v[2], out=t1)
     t1 -= np.multiply(w[0], v[0], out=tmp)
     np.negative(np.multiply(w[0], v[1], out=t2), out=t2)
     t2 -= np.multiply(w[1], v[2], out=tmp)
-    theta /= omega._norm_sq
-    theta_form = DiscreteForm(1, theta)
-    miss = wedge(theta_form, omega).values
-    np.subtract(v, miss, out=miss)
-    return theta_form, l2_norm(DiscreteForm(2, miss))
+    out /= norm_sq
+    return out
 
 
-def gv_integral(omega: DiscreteForm, theta: DiscreteForm) -> float:
-    """Integral of theta ^ d theta over the torus."""
-    return integrate(wedge(theta, d(theta)))
+def _gv_blocks(omega: DiscreteForm, theta: bool = True):
+    """The GV chain of a 1-form in one pass over x-slabs, yielding a `_Slab` per
+    slab in order.
+
+    d(theta) on a slab reads theta one row past either side, and theta there
+    reads d(omega), which reads omega one row further: omega is read with a
+    two-row periodic halo along x.  The first slab computes d(omega) and theta
+    on both of its border rows; every later slab carries its two low rows over
+    from the slab before.  No array spans the grid, and every field value is
+    bit-identical to the whole-grid computation.
+    """
+    w, norm_sq, h = omega.values, omega._norm_sq, omega.spacing
+    n = omega.grid_size
+    rows = _slab_rows(n)
+    plane = (n, n)
+    # buffer row j of dw_buf and theta_buf holds grid row a-1+j of slab [a, a+k)
+    dw_buf, tmp = np.empty((3, rows + 2) + plane), np.empty((rows + 2,) + plane)
+    frob_buf = np.empty((rows,) + plane)
+    if theta:
+        theta_buf = np.empty((3, rows + 2) + plane)
+        miss_buf, dtheta_buf = np.empty((3, rows) + plane), np.empty((3, rows) + plane)
+        gv_buf = np.empty((rows,) + plane)
+    for a in range(0, n, rows):
+        k = min(rows, n - a)
+        new = 2 if a else 0  # buffer rows 0 and 1 carry over past the first slab
+        src = _rows(w, a - 2 + new, a + k + 2)
+        if new:
+            dw_buf[:, :2] = dw_buf[:, rows : rows + 2]
+        _d1(src, h, dw_buf[:, new : k + 2], tmp[: k + 2 - new])
+        dw, w_core = dw_buf[:, : k + 2], src[:, 2 - new : 2 - new + k]
+        dw_core = dw[:, 1:-1]
+        frob = _wedge12(w_core, dw_core, frob_buf[:k], tmp[:k])
+        if not theta:
+            yield _Slab(dw_core, frob, norm_sq[a : a + k], None, None, None, None)
+            continue
+        if new:
+            theta_buf[:, :2] = theta_buf[:, rows : rows + 2]
+        _theta(src[:, 1:-1], dw[:, new:], _rows(norm_sq, a - 1 + new, a + k + 1),
+               theta_buf[:, new : k + 2], tmp[: k + 2 - new])
+        th = theta_buf[:, : k + 2]
+        th_core = th[:, 1:-1]
+        miss = _wedge11(th_core, w_core, miss_buf[:, :k], tmp[:k])
+        np.subtract(dw_core, miss, out=miss)
+        dth = _d1(th, h, dtheta_buf[:, :k], tmp[:k])
+        gv = _wedge12(th_core, dth, gv_buf[:k], tmp[:k])
+        yield _Slab(dw_core, frob, norm_sq[a : a + k], th_core, miss, dth, gv)
+
+
+def _sum_sq(a):
+    """Sum of squares of a field block.  Not np.vdot: a multithreaded BLAS would
+    spend a second core's time on every slab."""
+    return float(np.sum(np.square(a)))
 
 
 @dataclass(frozen=True)
@@ -311,20 +333,36 @@ class GvReport:
 
 def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False, tol: float = 1e-6):
     """One foliation's (label, gv, taut, theta residual) row, Frobenius defect
-    and warning (or None) for `gv_invariant`.  d(omega) and theta are freed on
-    return, so a caller that samples each foliation just before this call
-    holds one foliation's arrays at a time."""
+    and warning (or None) for `gv_invariant`.
+
+    The tautness test runs first; then one slab pass (`_gv_blocks`) gives the
+    defect |omega ^ d omega| / (|omega| |d omega| + eps) and, for a row that is
+    not excluded, the theta residual |d omega - theta ^ omega| and the GV
+    integral of theta ^ d theta (L2 norms are grid RMS values).  The pass holds
+    no array the size of the grid, so a caller that samples each foliation
+    just before this call holds one foliation's omega at a time."""
     label = spec.label or f"foliation[{k}]"
-    dw, defect = _frobenius(spec.omega)
     taut = tautness_check(spec)
+    failed = f"{label}: failed the transversal-circle tautness test"
+    if taut is False and strict:
+        raise TautnessError(failed)
+    omega = spec.omega
+    frob = dw = w = miss = gv = 0.0
+    for s in _gv_blocks(omega, theta=taut is not False):
+        frob += _sum_sq(s.frob)
+        dw += _sum_sq(s.dw)
+        w += float(np.sum(s.norm_sq))
+        if s.theta is not None:
+            miss += _sum_sq(s.miss)
+            gv += float(np.sum(s.gv))
+    cells = omega.grid_size**3
+    defect = sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) + 1e-30)
     if taut is False:
-        msg = f"{label}: failed the transversal-circle tautness test"
-        if strict:
-            raise TautnessError(msg)
-        return (label, None, taut, None), defect, msg + "; excluded from the sum"
+        return (label, None, taut, None), defect, failed + "; excluded from the sum"
+    if defect > tol:
+        raise ValueError("form is not integrable within tolerance; no theta exists")
     warning = None if taut else f"{label}: no transversal supplied, tautness inconclusive"
-    theta, res = _theta(spec.omega, dw, defect, tol)
-    return (label, gv_integral(spec.omega, theta), taut, res), defect, warning
+    return (label, gv * omega.spacing**3, taut, sqrt(miss / cells)), defect, warning
 
 
 def gv_report(terms) -> GvReport:

@@ -21,7 +21,7 @@ from taut3.chern_simons import (
     curvature,
 )
 from taut3.cli import main as cli_main
-from taut3.foliation_gv import DiscreteForm, gv_integral, solve_theta
+from taut3.foliation_gv import DiscreteForm, FoliationSpec, gv_term
 from taut3.presentations import builtin_presentation, concat_words, gen
 from taut3.su2reps import enumerate_reps, evaluate_word
 from taut3.twisted_torsion import build_twisted_complex, cw_structure, rs_torsion
@@ -192,23 +192,17 @@ def test_criterion_6_chern_simons_stationarity():
 
 
 def test_criterion_7_godbillon_vey():
+    def gv(omega):
+        return gv_term(FoliationSpec(omega))[0][1]
+
     t0 = time.perf_counter()
     ok = True
     for n in (16, 32):
-        om = omega_exp_f(n)
-        theta, _ = solve_theta(om)
-        ok &= abs(gv_integral(om, theta)) < 1e-8
+        ok &= abs(gv(omega_exp_f(n))) < 1e-8
     om = omega_exp_f(32)
-    th1, _ = solve_theta(om)
-    scaled = DiscreteForm(1, 2.7 * om.values)
-    th2, _ = solve_theta(scaled)
-    rescale_drift = abs(gv_integral(om, th1) - gv_integral(scaled, th2))
+    rescale_drift = abs(gv(om) - gv(DiscreteForm(1, 2.7 * om.values)))
     ok &= rescale_drift < 1e-10
-    drifts = []
-    for n in (16, 32, 64):
-        omg = gauge_changed_omega(n)
-        theta, _ = solve_theta(omg, tol=1e-6)
-        drifts.append(abs(gv_integral(omg, theta)))
+    drifts = [abs(gv(gauge_changed_omega(n))) for n in (16, 32, 64)]
     orders = [float(np.log2(drifts[i] / drifts[i + 1])) for i in range(2)]
     elapsed = time.perf_counter() - t0
     ok &= min(orders) >= 1.5 and elapsed < 120.0

@@ -303,11 +303,14 @@ def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, c
     data = json.loads(Path(lens5_manifest(tmp_path)).read_text())
     data["foliations"].append(second)
     manifest = write_manifest(tmp_path, data)
-    calls = count_calls("d", fg)
+    passes = count_calls("_gv_blocks", fg)
+    diffs = count_calls("_ddi", fg)
     norms = count_calls("_sum_of_squares", fg)
     assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
-    # per foliation: d(omega) once, d(theta) once
-    assert [c[0].degree for c in calls] == [1, 1, 1, 1]
+    # per foliation: one slab pass, a single slab at grid 8, in which d(omega)
+    # and d(theta) each take four y and z differences once
+    assert fg._slab_rows(n) == n
+    assert len(passes) == 2 and len(diffs) == 2 * 2 * 4
     # per foliation: |omega|^2 once, shared by the nonvanishing, tautness and theta steps
     assert len(norms) == 2
 

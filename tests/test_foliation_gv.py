@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gv_oracles as go
+from gv_oracles import d, integrate, l2_norm, solve_theta, wedge
 from taut3 import foliation_gv as fg
 from taut3.exprs import compile_expr
 from taut3.foliation_gv import (
@@ -13,17 +16,11 @@ from taut3.foliation_gv import (
     FoliationSpec,
     SingularityError,
     TautnessError,
-    d,
     form_from_functions,
     grid_coords,
-    gv_integral,
     gv_invariant,
-    integrability_residual,
-    integrate,
-    l2_norm,
-    solve_theta,
+    gv_term,
     tautness_check,
-    wedge,
 )
 
 TWO_PI = 2 * np.pi
@@ -39,6 +36,21 @@ def omega_exp_f(n, ax=0.3, ay=0.2):
         lambda x, y, z: 0 * x,
         lambda x, y, z: np.exp(ax * np.sin(TWO_PI * x) + ay * np.cos(TWO_PI * y)),
     )
+
+
+def gv_row(omega, tol=1e-6):
+    """(gv, theta residual, defect) of omega through the production slab pass."""
+    (_label, gv, _taut, res), defect, _warning = gv_term(FoliationSpec(omega), tol=tol)
+    return gv, res, defect
+
+
+def slab_fields(omega, theta=True):
+    """The per-slab blocks of `_gv_blocks`, copied out of the reused buffers and
+    concatenated along x: d(omega), theta, d(theta), theta ^ d(theta)."""
+    blocks = [[None if a is None else a.copy() for a in (s.dw, s.theta, s.dtheta, s.gv)]
+              for s in fg._gv_blocks(omega, theta)]
+    return [None if parts[0] is None else np.concatenate(parts, axis=parts[0].ndim - 3)
+            for parts in zip(*blocks)]
 
 
 def test_dd_is_zero_to_roundoff():
@@ -82,7 +94,7 @@ def test_derivative_matches_analytic():
 
 def test_integrability_residual_discriminates():
     n = 32
-    assert integrability_residual(omega_exp_f(n)) < 1e-12
+    assert gv_row(omega_exp_f(n))[2] < 1e-12
     # the standard contact-like form is maximally non-integrable
     contact = form_from_functions(
         1,
@@ -91,20 +103,20 @@ def test_integrability_residual_discriminates():
         lambda x, y, z: np.sin(TWO_PI * z),
         lambda x, y, z: 1.0 + 0 * x,
     )
-    assert integrability_residual(contact) > 0.1
+    assert gv_row(contact, tol=np.inf)[2] > 0.1
 
 
 def test_solve_theta_matches_analytic_minimal_solution():
     n = 48
     om = omega_exp_f(n)
-    theta, res = solve_theta(om)
-    assert res < 1e-12
+    assert gv_row(om)[1] < 1e-12
+    _dw, theta, _dtheta, _gv = slab_fields(om)
     x, y, z = grid_coords(n)
     fx = 0.3 * TWO_PI * np.cos(TWO_PI * x)
     fy = -0.2 * TWO_PI * np.sin(TWO_PI * y)
-    assert np.max(np.abs(theta.values[0] - fx)) < 1e-2
-    assert np.max(np.abs(theta.values[1] - fy)) < 1e-2
-    assert np.max(np.abs(theta.values[2])) < 1e-12
+    assert np.max(np.abs(theta[0] - fx)) < 1e-2
+    assert np.max(np.abs(theta[1] - fy)) < 1e-2
+    assert np.max(np.abs(theta[2])) < 1e-12
 
 
 def test_solve_theta_rejects_nonintegrable():
@@ -116,14 +128,16 @@ def test_solve_theta_rejects_nonintegrable():
         lambda x, y, z: np.sin(TWO_PI * z),
         lambda x, y, z: 1.0 + 0 * x,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not integrable"):
+        gv_term(FoliationSpec(contact))
+    with pytest.raises(ValueError, match="not integrable"):
         solve_theta(contact)
 
 
 def test_singular_form_detected():
     n = 16
     with pytest.raises(SingularityError):
-        integrability_residual(
+        FoliationSpec(
             form_from_functions(
                 1,
                 n,
@@ -136,18 +150,14 @@ def test_singular_form_detected():
 
 def test_gv_closed_form_cases_vanish():
     for n in (16, 32):
-        om = omega_exp_f(n)
-        theta, _ = solve_theta(om)
-        assert abs(gv_integral(om, theta)) < 1e-8
+        assert abs(gv_row(omega_exp_f(n))[0]) < 1e-8
 
 
 def test_gv_invariant_under_constant_rescale():
     n = 32
     om = omega_exp_f(n)
-    theta, _ = solve_theta(om)
     scaled = DiscreteForm(1, 2.7 * om.values)
-    theta2, _ = solve_theta(scaled)
-    assert abs(gv_integral(om, theta) - gv_integral(scaled, theta2)) < 1e-10
+    assert abs(gv_row(om)[0] - gv_row(scaled)[0]) < 1e-10
 
 
 def gauge_changed_omega(n):
@@ -169,9 +179,7 @@ def test_gauge_change_drift_converges():
     """GV of e^g dz must converge to the invariant value 0 at order >= 1.5."""
     drifts = []
     for n in (16, 32, 64):
-        om = gauge_changed_omega(n)
-        theta, res = solve_theta(om, tol=1e-6)
-        drifts.append(abs(gv_integral(om, theta)))
+        drifts.append(abs(gv_row(gauge_changed_omega(n))[0]))
     assert drifts[0] > drifts[1] > drifts[2]
     orders = [np.log2(drifts[i] / drifts[i + 1]) for i in range(2)]
     assert min(orders) >= 1.5
@@ -222,7 +230,8 @@ def test_non_finite_form_is_rejected_without_warnings(component):
 
 # --- the kernels as first written, kept as oracles ------------------------------
 # np.roll differences, dense meshgrid sampling, np.cross theta and list-plus-stack
-# products; the production kernels must reproduce them bit for bit.
+# products; the whole-grid kernels of gv_oracles.py and the production sampling
+# and differences must reproduce them bit for bit.
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -305,7 +314,7 @@ def test_theta_matches_cross_oracle(n):
     rng = np.random.default_rng(n)
     omega = DiscreteForm(1, rng.standard_normal((3, n, n, n)) + np.array([0, 0, 3.0])[:, None, None, None])
     dw = random_form(rng, 2, n)  # any 2-form: the pointwise solve does not need integrability
-    theta, res = fg._theta(omega, dw, 0.0, 1e-6)
+    theta, res = go._theta(omega, dw, 0.0, 1e-6)
     want_theta, want_res = cross_theta(omega, dw)
     assert np.array_equal(theta.values, want_theta)
     assert res == want_res
@@ -317,7 +326,7 @@ def test_theta_keeps_the_signed_zeros_of_np_cross():
     omega = DiscreteForm(1, np.stack([np.zeros((n, n, n)), np.zeros((n, n, n)),
                                       np.exp(rng.standard_normal((n, n, n)))]))
     dw = DiscreteForm(2, rng.standard_normal((3, n, n, n)) * (rng.random((3, n, n, n)) < 0.5))
-    theta, _ = fg._theta(omega, dw, 0.0, 1e-6)
+    theta, _ = go._theta(omega, dw, 0.0, 1e-6)
     want, _ = cross_theta(omega, dw)
     assert np.array_equal(np.signbit(theta.values), np.signbit(want))
 
@@ -354,3 +363,108 @@ def test_dd_is_zero_to_roundoff_on_random_forms(n, degree, seed):
     # two divisions by h amplify roundoff by n^2
     assert np.max(np.abs(d(d(form)).values)) < 1e-13 * n**2
 
+
+
+# --- the slab pass against the whole-grid oracle ----------------------------------
+
+def random_omega(rng, n):
+    """A random, non-integrable 1-form kept away from zero by a constant dz part."""
+    return DiscreteForm(1, rng.standard_normal((3, n, n, n)) + np.array([0, 0, 4.0])[:, None, None, None])
+
+
+def assert_slab_pass_matches_oracle(omega):
+    h = omega.spacing
+    dw, defect = go._frobenius(omega)
+    theta, res = go._theta(omega, dw, 0.0, 1.0)
+    dtheta = d(theta)
+    gv = wedge(theta, dtheta)
+    got = slab_fields(omega)
+    for field, want in zip(got, (dw, theta, dtheta, gv)):
+        assert np.array_equal(field, want.values)
+        assert np.array_equal(np.signbit(field), np.signbit(want.values))
+    assert np.array_equal(slab_fields(omega, theta=False)[0], dw.values)
+    got_gv, got_res, got_defect = gv_row(omega, tol=np.inf)
+    assert got_defect == pytest.approx(defect, rel=1e-12, abs=0)
+    assert got_res == pytest.approx(res, rel=1e-12, abs=0)
+    assert abs(got_gv - integrate(gv)) <= 1e-15 * h**3 * np.sum(np.abs(gv.values))
+
+
+def test_the_examples_cover_a_ragged_last_slab_and_a_grid_inside_one_slab():
+    assert 39 % fg._slab_rows(39) != 0
+    assert fg._SLAB_BYTES // (8 * 8**2) > 8  # grid 8 is smaller than one slab
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(8, 40), seed=st.integers(0, 2**32 - 1))
+@example(n=39, seed=1)
+@example(n=8, seed=0)
+def test_slab_pass_matches_the_whole_grid_oracle(n, seed):
+    assert_slab_pass_matches_oracle(random_omega(np.random.default_rng(seed), n))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 9])
+def test_slab_pass_matches_the_oracle_at_every_slab_height(monkeypatch, rows):
+    """Slabs of 1 and 2 rows carry rows that overlap their own buffer rows."""
+    n = 9
+    monkeypatch.setattr(fg, "_SLAB_BYTES", 8 * n * n * rows)
+    assert fg._slab_rows(n) == rows
+    assert_slab_pass_matches_oracle(random_omega(np.random.default_rng(rows), n))
+
+
+def test_gv_term_allocates_less_than_one_omega():
+    spec = FoliationSpec(gauge_changed_omega(64), transversal=tuple((0, 0, k) for k in range(64)))
+    tracemalloc.start()
+    try:
+        gv_term(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.omega.values.nbytes
+
+
+# --- the Leibniz rule of the oracle's d and wedge ---------------------------------
+# Centered differences obey it to second order only: for one axis,
+# D(fg) - (Df) g - f (Dg) = h^2/2 (f'' g' + f' g'') + O(h^4).  With every
+# frequency |k_i| <= K and sup norms bounded by the sums A, B of the absolute
+# amplitudes, one such term is at most h^2 (2 pi K)^3 A B.  A component of
+# d(f alpha) has two of them; one of d(alpha ^ beta) has six (three products of
+# two terms each).
+
+K = 2
+
+
+def trig_component(rng, n):
+    """A sum of two random Fourier modes with |k_i| <= K; returns it with the
+    sum of its absolute amplitudes."""
+    x, y, z = grid_coords(n)
+    out, bound = np.zeros((n, n, n)), 0.0
+    for _ in range(2):
+        kx, ky, kz = rng.integers(-K, K + 1, size=3)
+        amp, phase = rng.uniform(-1, 1), rng.uniform(0, TWO_PI)
+        out = out + amp * np.sin(TWO_PI * (kx * x + ky * y + kz * z) + phase)
+        bound += abs(amp)
+    return out, bound
+
+
+def trig_form(rng, degree, n):
+    comps = [trig_component(rng, n) for _ in range(1 if degree in (0, 3) else 3)]
+    values = comps[0][0] if degree in (0, 3) else np.stack([c for c, _ in comps])
+    return DiscreteForm(degree, values), max(b for _, b in comps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 32), seed=st.integers(0, 2**32 - 1))
+def test_leibniz_rule_holds_to_second_order(n, seed):
+    rng = np.random.default_rng(seed)
+    h, c = 1.0 / n, (TWO_PI * K) ** 3
+    f, a_f = trig_form(rng, 0, n)
+    alpha, a_alpha = trig_form(rng, 1, n)
+    beta, a_beta = trig_form(rng, 1, n)
+    # d(f alpha) = df ^ alpha + f d(alpha)
+    lhs = d(wedge(f, alpha)).values
+    rhs = wedge(d(f), alpha).values + wedge(f, d(alpha)).values
+    assert np.max(np.abs(lhs - rhs)) <= 2 * c * a_f * a_alpha * h**2
+    # d(alpha ^ beta) = d(alpha) ^ beta - alpha ^ d(beta)
+    lhs = d(wedge(alpha, beta)).values
+    rhs = wedge(d(alpha), beta).values - wedge(alpha, d(beta)).values
+    assert np.max(np.abs(lhs - rhs)) <= 6 * c * a_alpha * a_beta * h**2
