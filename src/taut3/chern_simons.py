@@ -25,6 +25,12 @@ _COEFF_SLOTS = [2, 1, 3]
 # directions along which stationarity_check differentiates the action
 FD_DIRECTIONS = 8
 
+# Bytes of perturbed fields per batched action call in stationarity_check.  A
+# call's temporaries peak near three times its batch.  At 1 MiB grids up to 8
+# take all 2 * FD_DIRECTIONS actions in one call, and grid 64 (25 MB per
+# field) takes one field per call.
+_BATCH_BYTES = 1 << 20
+
 
 class ConnectionError_(ValueError):
     """Input is not a valid Lie-algebra-valued lattice field."""
@@ -79,19 +85,27 @@ class LatticeConnection:
 
 
 def _fwd(f, axis):
-    """Value at x + e_axis of a per-direction field (grid axes 0..2)."""
-    return np.roll(f, -1, axis=axis)
+    """Value at x + e_axis of a per-direction field (..., n, n, n, 4); grid
+    axes 0..2 are counted from the end, so leading batch axes pass through."""
+    return np.roll(f, -1, axis=axis - 4)
 
 
 def _back(f, axis):
-    return np.roll(f, 1, axis=axis)
+    return np.roll(f, 1, axis=axis - 4)
+
+
+def _comp(a, i):
+    """Component i of a cochain (..., 3, n, n, n, 4): leading axes are a batch,
+    then comes the direction (1-cochains) or plaquette (2-cochains) index."""
+    return a[..., i, :, :, :, :]
 
 
 def d_one(a, h: float):
     """Exterior derivative of a 1-cochain: (dA)_ij = D_i A_j - D_j A_i."""
     out = np.empty_like(a)
     for c, (i, j) in enumerate(_PAIRS):
-        out[c] = (_fwd(a[j], i) - a[j] - _fwd(a[i], j) + a[i]) / h
+        ai, aj = _comp(a, i), _comp(a, j)
+        _comp(out, c)[...] = (_fwd(aj, i) - aj - _fwd(ai, j) + ai) / h
     return out
 
 
@@ -99,7 +113,8 @@ def cup_11(a, b):
     """Cup product of two 1-cochains into a 2-cochain (component order (01, 02, 12))."""
     out = np.empty_like(a)
     for c, (i, j) in enumerate(_PAIRS):
-        out[c] = qmul(a[i], _fwd(b[j], i)) - qmul(a[j], _fwd(b[i], j))
+        _comp(out, c)[...] = (qmul(_comp(a, i), _fwd(_comp(b, j), i))
+                              - qmul(_comp(a, j), _fwd(_comp(b, i), j)))
     return out
 
 
@@ -107,9 +122,9 @@ def cup_12(a, b):
     """Cup product of a 1-cochain with a 2-cochain into a 3-cochain."""
     # partitions of (0,1,2): {0}+(1,2) sign +, {1}+(0,2) sign -, {2}+(0,1) sign +
     return (
-        qmul(a[0], _fwd(b[2], 0))
-        - qmul(a[1], _fwd(b[1], 1))
-        + qmul(a[2], _fwd(b[0], 2))
+        qmul(_comp(a, 0), _fwd(_comp(b, 2), 0))
+        - qmul(_comp(a, 1), _fwd(_comp(b, 1), 1))
+        + qmul(_comp(a, 2), _fwd(_comp(b, 0), 2))
     )
 
 
@@ -119,13 +134,17 @@ def curvature(conn: LatticeConnection) -> np.ndarray:
     return d_one(a, conn.spacing) + cup_11(a, a)
 
 
+def _actions(a, h: float, level: float):
+    """The action of each field in a batch (..., 3, n, n, n, 4), shape (...)."""
+    if a.shape[-2] < 4:
+        raise ConnectionError_("grid size must be at least 4")
+    dens = cup_12(a, d_one(a, h)) + (2.0 / 3.0) * cup_12(a, cup_11(a, a))
+    return (level / 4.0) * np.sum(qtrace(dens), axis=(-3, -2, -1)) * h**3
+
+
 def cs_action(conn: LatticeConnection, level: float = 1.0) -> float:
     """(k/4) integral of tr[A ^ dA + (2/3) A ^ A ^ A] over the grid torus."""
-    if conn.grid_size < 4:
-        raise ConnectionError_("grid size must be at least 4")
-    a, h = conn.components, conn.spacing
-    dens = cup_12(a, d_one(a, h)) + (2.0 / 3.0) * cup_12(a, cup_11(a, a))
-    return float((level / 4.0) * np.sum(qtrace(dens)) * h**3)
+    return float(_actions(conn.components, conn.spacing, level))
 
 
 def _u_slot_gradient(v):
@@ -169,26 +188,45 @@ class StationarityReport:
     agreement: float
 
 
+def _batch_fields(n: int) -> int:
+    """Perturbed fields per batched action call at grid size n."""
+    return max(1, _BATCH_BYTES // (3 * n**3 * 4 * 8))
+
+
 def stationarity_check(conn: LatticeConnection, step: float = 1e-4, level: float = 1.0) -> StationarityReport:
     """Compare the exact gradient with central differences of the action along
     FD_DIRECTIONS fixed random unit directions, and report both against the
-    curvature norm (flat <=> stationary)."""
+    curvature norm (flat <=> stationary).
+
+    The 2 * FD_DIRECTIONS perturbed actions are evaluated in batches of
+    `_batch_fields` fields; each is bit-identical to `cs_action` of that field."""
     if not (1e-6 <= step <= 1e-3):
         raise ValueError("finite-difference step must lie in [1e-6, 1e-3]")
     g = action_gradient(conn, level)
     c0 = conn.coefficients()
-
-    def action_at(c):
-        return cs_action(LatticeConnection.from_coefficients(c), level)
-
     rng = np.random.default_rng(0)
-    fd, exact = [], []
-    for _ in range(FD_DIRECTIONS):
-        v = rng.standard_normal(c0.shape)
-        v /= np.linalg.norm(v)
-        fd.append((action_at(c0 + step * v) - action_at(c0 - step * v)) / (2 * step))
-        exact.append(np.sum(g * v))
-    agreement = np.linalg.norm(np.subtract(fd, exact)) / max(np.linalg.norm(exact), 1e-14)
+    exact = []
+
+    def perturbed():
+        for _ in range(FD_DIRECTIONS):
+            v = rng.standard_normal(c0.shape)
+            v /= np.linalg.norm(v)
+            exact.append(np.sum(g * v))
+            yield c0 + step * v
+            yield c0 - step * v
+
+    fields, total, per_call = perturbed(), 2 * FD_DIRECTIONS, _batch_fields(conn.grid_size)
+
+    def batch_actions(size):
+        batch = np.zeros((size,) + conn.components.shape)
+        for comp in batch:
+            comp[..., _COEFF_SLOTS] = next(fields)
+        return _actions(batch, conn.spacing, level)
+
+    actions = np.concatenate([batch_actions(min(per_call, total - lo))
+                              for lo in range(0, total, per_call)])
+    fd = (actions[0::2] - actions[1::2]) / (2 * step)
+    agreement = np.linalg.norm(fd - exact) / max(np.linalg.norm(exact), 1e-14)
     return StationarityReport(
         grad_norm=float(np.linalg.norm(g)),
         # Frobenius norm of the 2x2 matrices: |to_matrix(q)| = sqrt(2) |q|

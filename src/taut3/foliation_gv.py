@@ -79,14 +79,42 @@ def grid_coords(n: int):
     return np.meshgrid(xs, xs, xs, indexing="ij", sparse=True)
 
 
+# Bytes of one component of one x-slab of the GV pass.  A slab's working set
+# is about twenty such blocks (omega, d(omega), theta, d(theta), products), so
+# at 64 KiB it fits a 2 MB L2 cache: grids 128 and 192 run one row at a time,
+# grid 32 in four 8-row slabs (faster than two of 16 rows on 2 cores).
+_SLAB_BYTES = 1 << 16
+
+
+# Bytes of one component of one x-slab when sampling omega.  Sampling runs
+# the expressions once per slab, so its slabs are larger than the GV pass's:
+# at grid 128, 8-row slabs (1 MiB) sampled faster than the whole grid at once
+# and than 1-row slabs.
+_SAMPLE_BYTES = 1 << 20
+
+
+def _slab_rows(n, nbytes=None):
+    """Grid rows per x-slab at grid size n, for `nbytes` per component
+    (default `_SLAB_BYTES`)."""
+    return max(1, min(n, (nbytes or _SLAB_BYTES) // (8 * n * n)))
+
+
+def _slabs(n, nbytes=None):
+    """The x-slabs of `_slab_rows(n, nbytes)` rows, as slices; the last may be
+    shorter."""
+    rows = _slab_rows(n, nbytes)
+    return [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
+
+
 def form_from_functions(degree: int, n: int, *fns) -> DiscreteForm:
     """Sample component functions f(x, y, z) on the grid.
 
-    The functions receive the broadcastable coordinates of `grid_coords`, so
-    a factor that depends on x alone is evaluated on n points, not n^3; each
-    result is broadcast to (n,n,n) as it is stored.  Overflow, division by
-    zero and invalid operations give inf/nan silently; FoliationSpec rejects
-    them.
+    The functions receive the broadcastable coordinates of `grid_coords`, cut
+    to x-slabs of `_SAMPLE_BYTES` per component, so a factor that depends on x
+    alone is evaluated on a slab's rows, not on the whole grid, and no
+    temporary spans the grid; each result is broadcast to its slab as it is
+    stored.  Overflow, division by zero and invalid operations give inf/nan
+    silently; FoliationSpec rejects them.
     """
     if degree not in (0, 1, 2, 3):
         raise ValueError("degree must be 0..3")
@@ -97,7 +125,8 @@ def form_from_functions(degree: int, n: int, *fns) -> DiscreteForm:
     values = np.empty((n, n, n) if scalar else (3, n, n, n))
     with np.errstate(all="ignore"):
         for comp, f in zip(values[None] if scalar else values, fns):
-            comp[...] = f(x, y, z)
+            for rows in _slabs(n, _SAMPLE_BYTES):
+                comp[rows] = f(x[rows], y, z)
     return DiscreteForm(degree, values)
 
 
@@ -119,35 +148,49 @@ def _ddi(f, axis, h, out):
 
 
 def _sum_of_squares(values):
-    """Sum of the squared components, (v0^2 + v1^2) + v2^2; overflow gives inf."""
-    out, tmp = np.empty_like(values[0]), np.empty_like(values[0])
+    """Sum of the squared components, (v0^2 + v1^2) + v2^2, filled by x-slabs
+    of `_SLAB_BYTES`; overflow gives inf."""
+    out = np.empty_like(values[0])
+    tmp = np.empty_like(out[: _slab_rows(out.shape[0])])
     with np.errstate(over="ignore"):
-        np.square(values[0], out=out)
-        out += np.square(values[1], out=tmp)
-        out += np.square(values[2], out=tmp)
+        for rows in _slabs(out.shape[0]):
+            o, t = out[rows], tmp[: rows.stop - rows.start]
+            np.square(values[0, rows], out=o)
+            o += np.square(values[1, rows], out=t)
+            o += np.square(values[2, rows], out=t)
     return out
 
 
 def _check_nonvanishing(omega: DiscreteForm, floor: float = 1e-6) -> float:
     """Mean of |omega| over the grid; raises SingularityError where |omega| is
-    not finite or (nearly) vanishes."""
-    mag = np.sqrt(omega._norm_sq)
-    if not np.all(np.isfinite(mag)):
-        cell = tuple(int(i) for i in np.argwhere(~np.isfinite(mag))[0])
-        raise SingularityError(f"1-form is not finite (or overflows) at grid cell {cell}")
-    mean = float(np.mean(mag))
-    bad = mag <= floor * max(mean, 1e-300)
-    if np.any(bad):
-        cell = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise SingularityError(f"1-form (nearly) vanishes at grid cell {cell}")
+    not finite or (nearly) vanishes.  Reads |omega|^2 by x-slabs of
+    `_SLAB_BYTES`.  A finite length is non-negative and below 1.4e154, so a
+    slab's sum is finite exactly when each of its lengths is."""
+    norm_sq = omega._norm_sq
+    n = norm_sq.shape[0]
+    buf = np.empty_like(norm_sq[: _slab_rows(n)])
+    total, least = 0.0, np.inf
+    for rows in _slabs(n):
+        mag = np.sqrt(norm_sq[rows], out=buf[: rows.stop - rows.start])
+        part = float(np.sum(mag))
+        if not np.isfinite(part):
+            _raise_at(~np.isfinite(mag), rows, "1-form is not finite (or overflows)")
+        total += part
+        least = min(least, float(np.min(mag)))
+    mean = total / norm_sq.size
+    bound = floor * max(mean, 1e-300)
+    if least <= bound:
+        for rows in _slabs(n):
+            bad = np.sqrt(norm_sq[rows], out=buf[: rows.stop - rows.start]) <= bound
+            if np.any(bad):
+                _raise_at(bad, rows, "1-form (nearly) vanishes")
     return mean
 
 
-# Bytes of one component of one x-slab of the GV pass.  A slab's working set
-# is about twenty such blocks (omega, d(omega), theta, d(theta), products), so
-# at 64 KiB it fits a 2 MB L2 cache: grids 128 and 192 run one row at a time,
-# grid 32 in four 8-row slabs (faster than two of 16 rows on 2 cores).
-_SLAB_BYTES = 1 << 16
+def _raise_at(bad, rows, what):
+    """Raise SingularityError at the first flagged cell of an x-slab."""
+    i, j, k = (int(c) for c in np.argwhere(bad)[0])
+    raise SingularityError(f"{what} at grid cell {(rows.start + i, j, k)}")
 
 
 class _Slab(NamedTuple):
@@ -161,11 +204,6 @@ class _Slab(NamedTuple):
     miss: np.ndarray | None  # d(omega) - theta ^ omega
     dtheta: np.ndarray | None
     gv: np.ndarray | None  # theta ^ d(theta)
-
-
-def _slab_rows(n):
-    """Grid rows per x-slab at grid size n."""
-    return max(1, min(n, _SLAB_BYTES // (8 * n * n)))
 
 
 def _rows(f, lo, hi):

@@ -24,8 +24,9 @@ from jsonschema.validators import validator_for
 SCHEMA_VERSION = 1
 
 # `gv` holds one foliation at a time, so foliations cost time, not memory: on
-# 2 cores a `taut3 gv` process took 1.0-2.1 s and peaked at 314 MB RSS on one
-# grid-192 foliation, and 13.9 s and 315 MB on 16 of them.
+# 2 cores a `taut3 gv` process took 1.8-2.0 s and peaked at 269 MB RSS on one
+# grid-192 foliation with three nonconstant components, and 21 s and 270 MB
+# on 16 of them.
 MAX_FOLIATIONS = 16
 
 _EXPR = {"type": "string", "minLength": 1}

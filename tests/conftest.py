@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from taut3.presentations import builtin_presentation
@@ -29,3 +31,21 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args) calls fn and returns its result with the peak of
+    the memory that tracemalloc traced during the call, in bytes.  numpy
+    reports its array buffers to tracemalloc, so the peak counts every array
+    the call held."""
+
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -225,3 +225,74 @@ def test_stationarity_check_catches_a_wrong_gradient(conn, monkeypatch):
 
     monkeypatch.setattr(chern_simons, "action_gradient", off_by_one_coefficient)
     assert stationarity_check(conn, step=1e-4).agreement > 1e-5
+
+
+# --- the batched stationarity check against a loop of single actions -------------
+
+def loop_stationarity_check(conn, step=1e-4, level=1.0):
+    """stationarity_check as first written: one cs_action call per perturbed
+    field, directions drawn in the same order."""
+    g = chern_simons.action_gradient(conn, level)
+    c0 = conn.coefficients()
+
+    def action_at(c):
+        return cs_action(LatticeConnection.from_coefficients(c), level)
+
+    rng = np.random.default_rng(0)
+    fd, exact = [], []
+    for _ in range(chern_simons.FD_DIRECTIONS):
+        v = rng.standard_normal(c0.shape)
+        v /= np.linalg.norm(v)
+        fd.append((action_at(c0 + step * v) - action_at(c0 - step * v)) / (2 * step))
+        exact.append(np.sum(g * v))
+    agreement = np.linalg.norm(np.subtract(fd, exact)) / max(np.linalg.norm(exact), 1e-14)
+    return chern_simons.StationarityReport(
+        grad_norm=float(np.linalg.norm(g)),
+        curvature_norm=float(np.sqrt(2.0) * np.linalg.norm(curvature(conn))),
+        agreement=float(agreement),
+    )
+
+
+CASES = [(0, 0.1, 1.0), (1, 2.0, -3.5), (7, 1e-3, 1e6), (7, 0.5, -1e6)]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+def test_batched_actions_equal_single_actions(n):
+    for seed, scale, level in CASES:
+        fields = np.stack([LatticeConnection.random(n, scale, seed + k).components for k in range(3)])
+        batch = chern_simons._actions(fields, 1.0 / n, level)
+        assert batch.shape == (3,)
+        for got, comp in zip(batch, fields):
+            assert got == cs_action(LatticeConnection(comp), level)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+def test_batched_check_equals_the_loop_of_single_actions(n):
+    for seed, scale, level in CASES:
+        conn = LatticeConnection.random(n, scale, seed)
+        assert stationarity_check(conn, level=level) == loop_stationarity_check(conn, level=level)
+
+
+@pytest.mark.parametrize("per_call", [1, 3, 5, 15])
+def test_chunked_batches_equal_the_loop(monkeypatch, count_calls, per_call):
+    n = 5
+    field_bytes = 3 * n**3 * 4 * 8
+    monkeypatch.setattr(chern_simons, "_BATCH_BYTES", per_call * field_bytes + field_bytes // 2)
+    assert chern_simons._batch_fields(n) == per_call
+    conn = LatticeConnection.random(n, 0.3, 2)
+    want = loop_stationarity_check(conn, level=-2.0)
+    calls = count_calls("_actions", chern_simons)
+    assert stationarity_check(conn, level=-2.0) == want
+    total = 2 * chern_simons.FD_DIRECTIONS
+    sizes = [len(args[0]) for args in calls]
+    assert sizes == [per_call] * (total // per_call) + ([total % per_call] if total % per_call else [])
+
+
+def test_batch_sizes_at_the_grid_bounds():
+    assert chern_simons._batch_fields(8) >= 2 * chern_simons.FD_DIRECTIONS  # one call
+    assert chern_simons._batch_fields(64) == 1  # a 25 MB field per call
+
+
+def test_batched_check_rejects_small_grids():
+    with pytest.raises(ConnectionError_):
+        stationarity_check(LatticeConnection.random(3))

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -193,24 +192,21 @@ def test_cli_writes_nothing_but_its_report(tmp_path, monkeypatch, capsys, comman
     assert capsys.readouterr().err == ""
 
 
-def gv_peak_bytes(tmp_path, count):
+def gv_peak_bytes(tmp_path, traced_peak, count):
     """Peak traced memory of `gv` on `count` copies of one grid-64 foliation."""
     n = 64
     foliation = {"omega": ["0", "0", "exp(0.3*sin(2*pi*x) + 0.2*cos(2*pi*y))"], "grid": n,
                  "transversal": [[0, 0, k] for k in range(n)]}
     data = {"schema_version": 1, "manifold": {"family": "S3"}, "foliations": [foliation] * count}
     manifest = write_manifest(tmp_path, data, f"gv{count}.json")
-    tracemalloc.start()
-    try:
-        assert run(["gv", "--manifest", manifest]) == EXIT_OK
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(run, ["gv", "--manifest", manifest])
+    assert code == EXIT_OK
+    return peak
 
 
-def test_gv_holds_one_foliation_at_a_time(tmp_path, capsys):
-    one = gv_peak_bytes(tmp_path, 1)
-    four = gv_peak_bytes(tmp_path, 4)
+def test_gv_holds_one_foliation_at_a_time(tmp_path, capsys, traced_peak):
+    one = gv_peak_bytes(tmp_path, traced_peak, 1)
+    four = gv_peak_bytes(tmp_path, traced_peak, 4)
     assert one > 3 * 8 * 64**3  # the sampled omega alone
     assert four < 1.25 * one
 

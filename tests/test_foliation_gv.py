@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -411,14 +410,9 @@ def test_slab_pass_matches_the_oracle_at_every_slab_height(monkeypatch, rows):
     assert_slab_pass_matches_oracle(random_omega(np.random.default_rng(rows), n))
 
 
-def test_gv_term_allocates_less_than_one_omega():
+def test_gv_term_allocates_less_than_one_omega(traced_peak):
     spec = FoliationSpec(gauge_changed_omega(64), transversal=tuple((0, 0, k) for k in range(64)))
-    tracemalloc.start()
-    try:
-        gv_term(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(gv_term, spec)
     assert peak < spec.omega.values.nbytes
 
 
@@ -468,3 +462,100 @@ def test_leibniz_rule_holds_to_second_order(n, seed):
     lhs = d(wedge(alpha, beta)).values
     rhs = wedge(d(alpha), beta).values - wedge(alpha, d(beta)).values
     assert np.max(np.abs(lhs - rhs)) <= 6 * c * a_alpha * a_beta * h**2
+
+
+# --- slab-wise sampling and nonvanishing check against the whole grid -------------
+
+def whole_grid_sample(n, *fns):
+    """Each component evaluated once on the whole sparse grid, then broadcast."""
+    x, y, z = grid_coords(n)
+    with np.errstate(all="ignore"):
+        return np.stack([np.broadcast_to(np.asarray(f(x, y, z), dtype=float), (n, n, n))
+                         for f in fns])
+
+
+def whole_grid_check(values, floor=1e-6):
+    """The nonvanishing check on whole-grid arrays: the mean of |omega|, or the
+    message of the SingularityError it raises."""
+    with np.errstate(over="ignore"):
+        mag = np.sqrt((values[0] ** 2 + values[1] ** 2) + values[2] ** 2)
+    if not np.all(np.isfinite(mag)):
+        cell = tuple(int(i) for i in np.argwhere(~np.isfinite(mag))[0])
+        return f"1-form is not finite (or overflows) at grid cell {cell}"
+    mean = float(np.mean(mag))
+    bad = mag <= floor * max(mean, 1e-300)
+    if np.any(bad):
+        cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        return f"1-form (nearly) vanishes at grid cell {cell}"
+    return mean
+
+
+def ragged_slabs(monkeypatch, n, rows=5):
+    """Set both slab budgets to `rows` rows at grid n, a height that leaves a
+    shorter last slab."""
+    assert n % rows
+    monkeypatch.setattr(fg, "_SAMPLE_BYTES", 8 * n * n * rows)
+    monkeypatch.setattr(fg, "_SLAB_BYTES", 8 * n * n * rows)
+    assert fg._slab_rows(n, fg._SAMPLE_BYTES) == fg._slab_rows(n) == rows
+
+
+SAMPLED = {
+    "x only": ["0", "1 + x^2", "exp(0.3*sin(2*pi*x))"],
+    "y only": ["cos(2*pi*y)", "0", "2 + sin(2*pi*y)"],
+    "x, y and z": ["0.1*sin(2*pi*z)", "0.2*cos(2*pi*x)*sin(2*pi*y)",
+                   "exp(0.4*sin(2*pi*x)*cos(2*pi*y) + 0.3*sin(2*pi*y)*sin(2*pi*z))"],
+}
+
+
+@pytest.mark.parametrize("n", [8, 39, 64])
+@pytest.mark.parametrize("kind", sorted(SAMPLED))
+def test_slab_sampling_matches_the_whole_grid(monkeypatch, n, kind):
+    fns = [compile_expr(s) for s in SAMPLED[kind]]
+    want = whole_grid_sample(n, *fns)
+    for ragged in (False, True):
+        if ragged:
+            ragged_slabs(monkeypatch, n)
+        omega = form_from_functions(1, n, *fns)
+        assert np.array_equal(omega.values, want)
+        assert np.array_equal(omega._norm_sq, (want[0] ** 2 + want[1] ** 2) + want[2] ** 2)
+        mean = whole_grid_check(want)
+        assert omega._mean_norm == pytest.approx(mean, rel=1e-13, abs=0)
+
+
+PLANTS = {"first row": (0, 3, 7), "last row of a slab": (4, 38, 0),
+          "first row of a slab": (5, 0, 38), "last row": (38, 2, 1)}
+
+
+@pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
+@pytest.mark.parametrize("where", sorted(PLANTS))
+def test_slab_check_raises_where_the_whole_grid_check_does(monkeypatch, value, where):
+    n = 39
+    ragged_slabs(monkeypatch, n)
+    values = np.zeros((3, n, n, n))
+    values[2] = 1.0 + grid_coords(n)[0]
+    values[:, PLANTS[where][0], PLANTS[where][1], PLANTS[where][2]] = value
+    message = whole_grid_check(values)
+    assert f"grid cell {PLANTS[where]}" in message
+    with pytest.raises(SingularityError) as err:
+        FoliationSpec(DiscreteForm(1, values))
+    assert str(err.value) == message
+
+
+def test_slab_check_reports_a_non_finite_cell_before_a_vanishing_one(monkeypatch):
+    n = 39
+    ragged_slabs(monkeypatch, n)
+    values = np.ones((3, n, n, n))
+    values[:, 0, 0, 0] = 0.0
+    values[1, 38, 5, 5] = np.inf
+    message = whole_grid_check(values)
+    assert message == "1-form is not finite (or overflows) at grid cell (38, 5, 5)"
+    with pytest.raises(SingularityError, match=r"not finite .* \(38, 5, 5\)"):
+        FoliationSpec(DiscreteForm(1, values))
+
+
+def test_sampling_and_check_hold_omega_its_norm_and_one_mib(traced_peak):
+    n = 64
+    fns = [compile_expr(s) for s in SAMPLED["x, y and z"]]
+    spec, peak = traced_peak(lambda: FoliationSpec(form_from_functions(1, n, *fns)))
+    omega = spec.omega
+    assert peak <= omega.values.nbytes + omega._norm_sq.nbytes + (1 << 20)
