@@ -192,7 +192,7 @@ def run_gv(run: Run, report: InvariantReport):
         for lab, val, taut, res in gv.per_foliation
     ]
     sec.values["integrability_residuals"] = list(gv.integrability_residuals)
-    sec.tolerances["integrability"] = 1e-6
+    sec.tolerances["integrability"] = fg.INTEGRABILITY_TOLERANCE
     sec.metadata["grids"] = [e.get("grid", 32) for e in m.foliations]
     sec.warnings.extend(gv.warnings)
 
@@ -249,14 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Exit codes:" + __doc__.split("Exit codes:")[1],
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--manifest", required=True, help="path to the JSON manifest")
-        p.add_argument("--out", default=None, help="report output path (overrides manifest)")
-        p.add_argument("--no-cache", action="store_true", help="ignored: nothing is cached")
-        p.add_argument("--strict", action="store_true", help="tautness failures become errors")
-        p.add_argument("--seed", type=int, default=None, help="override every seeded stage")
+    parser.add_argument("command", choices=SUBCOMMANDS, help="the pipeline to run")
+    parser.add_argument("--manifest", required=True, help="path to the JSON manifest")
+    parser.add_argument("--out", default=None, help="report output path (overrides manifest)")
+    parser.add_argument("--no-cache", action="store_true", help="ignored: nothing is cached")
+    parser.add_argument("--strict", action="store_true", help="tautness failures become errors")
+    parser.add_argument("--seed", type=int, default=None, help="override every seeded stage")
     return parser
 
 

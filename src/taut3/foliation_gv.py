@@ -6,7 +6,8 @@ the pointwise antisymmetric product.  A codim-1 foliation is described by a
 nonvanishing 1-form omega; integrability means omega ^ d(omega) = 0, the
 defining 1-form theta solves d(omega) = theta ^ omega, and the GV integral is
 the integral of theta ^ d(theta) over the torus.  `gv_term` computes the whole
-chain in one pass over x-slabs of the grid (`_gv_blocks`).
+chain in one pass over x-slabs of the grid (`_gv_blocks`); besides omega, no
+array spans the grid, as each reader of |omega|^2 squares omega slab by slab.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ class DiscreteForm:
         return 1.0 / self.grid_size
 
     @cached_property
-    def _norm_sq(self) -> np.ndarray:
-        """Pointwise squared length of a vector-type form, computed once."""
-        return _sum_of_squares(self.values)
-
-    @cached_property
     def _mean_norm(self) -> float:
         """Mean length over the grid, once the form has passed the
         nonvanishing check."""
@@ -91,6 +87,14 @@ _SLAB_BYTES = 1 << 16
 # at grid 128, 8-row slabs (1 MiB) sampled faster than the whole grid at once
 # and than 1-row slabs.
 _SAMPLE_BYTES = 1 << 20
+
+# |omega| must exceed NONVANISHING_FLOOR times its grid mean at every vertex,
+# and its pairing with each edge of a transversal loop TAUTNESS_TOLERANCE times
+# that mean; a form whose Frobenius defect exceeds INTEGRABILITY_TOLERANCE is
+# not integrable.
+NONVANISHING_FLOOR = 1e-6
+TAUTNESS_TOLERANCE = 1e-8
+INTEGRABILITY_TOLERANCE = 1e-6
 
 
 def _slab_rows(n, nbytes=None):
@@ -147,41 +151,41 @@ def _ddi(f, axis, h, out):
     return out
 
 
-def _sum_of_squares(values):
-    """Sum of the squared components, (v0^2 + v1^2) + v2^2, filled by x-slabs
-    of `_SLAB_BYTES`; overflow gives inf."""
-    out = np.empty_like(values[0])
-    tmp = np.empty_like(out[: _slab_rows(out.shape[0])])
+def _norm_sq(w, out, tmp):
+    """(w0^2 + w1^2) + w2^2 of a block of 1-form rows, written into `out` with
+    `tmp` as scratch; overflow gives inf."""
     with np.errstate(over="ignore"):
-        for rows in _slabs(out.shape[0]):
-            o, t = out[rows], tmp[: rows.stop - rows.start]
-            np.square(values[0, rows], out=o)
-            o += np.square(values[1, rows], out=t)
-            o += np.square(values[2, rows], out=t)
+        np.square(w[0], out=out)
+        out += np.square(w[1], out=tmp)
+        out += np.square(w[2], out=tmp)
     return out
 
 
-def _check_nonvanishing(omega: DiscreteForm, floor: float = 1e-6) -> float:
+def _check_nonvanishing(omega: DiscreteForm) -> float:
     """Mean of |omega| over the grid; raises SingularityError where |omega| is
-    not finite or (nearly) vanishes.  Reads |omega|^2 by x-slabs of
-    `_SLAB_BYTES`.  A finite length is non-negative and below 1.4e154, so a
-    slab's sum is finite exactly when each of its lengths is."""
-    norm_sq = omega._norm_sq
-    n = norm_sq.shape[0]
-    buf = np.empty_like(norm_sq[: _slab_rows(n)])
+    not finite or at most NONVANISHING_FLOOR times the mean.  Squares omega by
+    x-slabs of `_SLAB_BYTES`.  A finite length is non-negative and below
+    1.4e154, so a slab's sum is finite exactly when each of its lengths is."""
+    w, n = omega.values, omega.grid_size
+    buf, tmp = np.empty((2, _slab_rows(n), n, n))
+
+    def lengths():
+        for rows in _slabs(n):
+            k = rows.stop - rows.start
+            yield rows, np.sqrt(_norm_sq(w[:, rows], buf[:k], tmp[:k]), out=buf[:k])
+
     total, least = 0.0, np.inf
-    for rows in _slabs(n):
-        mag = np.sqrt(norm_sq[rows], out=buf[: rows.stop - rows.start])
+    for rows, mag in lengths():
         part = float(np.sum(mag))
         if not np.isfinite(part):
             _raise_at(~np.isfinite(mag), rows, "1-form is not finite (or overflows)")
         total += part
         least = min(least, float(np.min(mag)))
-    mean = total / norm_sq.size
-    bound = floor * max(mean, 1e-300)
+    mean = total / n**3
+    bound = NONVANISHING_FLOOR * max(mean, 1e-300)
     if least <= bound:
-        for rows in _slabs(n):
-            bad = np.sqrt(norm_sq[rows], out=buf[: rows.stop - rows.start]) <= bound
+        for rows, mag in lengths():
+            bad = mag <= bound
             if np.any(bad):
                 _raise_at(bad, rows, "1-form (nearly) vanishes")
     return mean
@@ -266,17 +270,16 @@ def _gv_blocks(omega: DiscreteForm, theta: bool = True):
 
     d(theta) on a slab reads theta one row past either side, and theta there
     reads d(omega), which reads omega one row further: omega is read with a
-    two-row periodic halo along x.  The first slab computes d(omega) and theta
-    on both of its border rows; every later slab carries its two low rows over
-    from the slab before.  No array spans the grid, and every field value is
-    bit-identical to the whole-grid computation.
+    two-row periodic halo along x.  The first slab computes d(omega), |omega|^2
+    and theta on both of its border rows; every later slab carries its two low
+    rows of each over from the slab before.  No array spans the grid, and
+    every field value is bit-identical to the whole-grid computation.
     """
-    w, norm_sq, h = omega.values, omega._norm_sq, omega.spacing
-    n = omega.grid_size
+    w, h, n = omega.values, omega.spacing, omega.grid_size
     rows = _slab_rows(n)
     plane = (n, n)
-    # buffer row j of dw_buf and theta_buf holds grid row a-1+j of slab [a, a+k)
-    dw_buf, tmp = np.empty((3, rows + 2) + plane), np.empty((rows + 2,) + plane)
+    # buffer row j of dw_buf, nsq_buf and theta_buf holds grid row a-1+j of slab [a, a+k)
+    dw_buf, (tmp, nsq_buf) = np.empty((3, rows + 2) + plane), np.empty((2, rows + 2) + plane)
     frob_buf = np.empty((rows,) + plane)
     if theta:
         theta_buf = np.empty((3, rows + 2) + plane)
@@ -288,24 +291,25 @@ def _gv_blocks(omega: DiscreteForm, theta: bool = True):
         src = _rows(w, a - 2 + new, a + k + 2)
         if new:
             dw_buf[:, :2] = dw_buf[:, rows : rows + 2]
+            nsq_buf[:2] = nsq_buf[rows : rows + 2]
         _d1(src, h, dw_buf[:, new : k + 2], tmp[: k + 2 - new])
+        nsq = _norm_sq(src[:, 1:-1], nsq_buf[new : k + 2], tmp[: k + 2 - new])
         dw, w_core = dw_buf[:, : k + 2], src[:, 2 - new : 2 - new + k]
-        dw_core = dw[:, 1:-1]
+        dw_core, nsq_core = dw[:, 1:-1], nsq_buf[1 : k + 1]
         frob = _wedge12(w_core, dw_core, frob_buf[:k], tmp[:k])
         if not theta:
-            yield _Slab(dw_core, frob, norm_sq[a : a + k], None, None, None, None)
+            yield _Slab(dw_core, frob, nsq_core, None, None, None, None)
             continue
         if new:
             theta_buf[:, :2] = theta_buf[:, rows : rows + 2]
-        _theta(src[:, 1:-1], dw[:, new:], _rows(norm_sq, a - 1 + new, a + k + 1),
-               theta_buf[:, new : k + 2], tmp[: k + 2 - new])
+        _theta(src[:, 1:-1], dw[:, new:], nsq, theta_buf[:, new : k + 2], tmp[: k + 2 - new])
         th = theta_buf[:, : k + 2]
         th_core = th[:, 1:-1]
         miss = _wedge11(th_core, w_core, miss_buf[:, :k], tmp[:k])
         np.subtract(dw_core, miss, out=miss)
         dth = _d1(th, h, dtheta_buf[:, :k], tmp[:k])
         gv = _wedge12(th_core, dth, gv_buf[:k], tmp[:k])
-        yield _Slab(dw_core, frob, norm_sq[a : a + k], th_core, miss, dth, gv)
+        yield _Slab(dw_core, frob, nsq_core, th_core, miss, dth, gv)
 
 
 def _sum_sq(a):
@@ -326,7 +330,7 @@ class FoliationSpec:
         self.omega._mean_norm  # the nonvanishing check
 
 
-def tautness_check(spec: FoliationSpec, tol: float = 1e-8):
+def tautness_check(spec: FoliationSpec):
     """Transversal-circle test: the pairing of omega with each edge of the loop
     must keep a constant sign and stay away from zero.
 
@@ -343,20 +347,17 @@ def tautness_check(spec: FoliationSpec, tol: float = 1e-8):
     if outside:
         raise ValueError(f"transversal vertex {outside[0]} is not a vertex of the {n}^3 grid")
     w = spec.omega.values
-    mean_mag = spec.omega._mean_norm
     pairings = []
-    closed = list(path) + [path[0]]
-    for p, q in zip(closed[:-1], closed[1:]):
+    for p, q in zip(path, path[1:] + path[:1]):
         delta = [(q[i] - p[i]) % n for i in range(3)]
         delta = [dd - n if dd > n // 2 else dd for dd in delta]
         nz = [i for i in range(3) if delta[i] != 0]
         if len(nz) != 1 or abs(delta[nz[0]]) != 1:
             raise ValueError(f"path step {p} -> {q} is not a single lattice edge")
         i, sgn = nz[0], delta[nz[0]]
-        val = sgn * 0.5 * (w[i][p] + w[i][q])
-        pairings.append(val)
+        pairings.append(sgn * 0.5 * (w[i][p] + w[i][q]))
     pairings = np.asarray(pairings)
-    if np.min(np.abs(pairings)) <= tol * max(mean_mag, 1e-300):
+    if np.min(np.abs(pairings)) <= TAUTNESS_TOLERANCE * max(spec.omega._mean_norm, 1e-300):
         return False
     return bool(np.all(pairings > 0) or np.all(pairings < 0))
 
@@ -369,16 +370,17 @@ class GvReport:
     integrability_residuals: tuple  # one per foliation, excluded ones included
 
 
-def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False, tol: float = 1e-6):
+def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     """One foliation's (label, gv, taut, theta residual) row, Frobenius defect
     and warning (or None) for `gv_invariant`.
 
     The tautness test runs first; then one slab pass (`_gv_blocks`) gives the
     defect |omega ^ d omega| / (|omega| |d omega| + eps) and, for a row that is
     not excluded, the theta residual |d omega - theta ^ omega| and the GV
-    integral of theta ^ d theta (L2 norms are grid RMS values).  The pass holds
-    no array the size of the grid, so a caller that samples each foliation
-    just before this call holds one foliation's omega at a time."""
+    integral of theta ^ d theta (L2 norms are grid RMS values); such a row
+    raises ValueError if its defect exceeds INTEGRABILITY_TOLERANCE.  The pass
+    holds no array the size of the grid, so a caller that samples each
+    foliation just before this call holds one foliation's omega at a time."""
     label = spec.label or f"foliation[{k}]"
     taut = tautness_check(spec)
     failed = f"{label}: failed the transversal-circle tautness test"
@@ -397,7 +399,7 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False, tol: float = 
     defect = sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) + 1e-30)
     if taut is False:
         return (label, None, taut, None), defect, failed + "; excluded from the sum"
-    if defect > tol:
+    if defect > INTEGRABILITY_TOLERANCE:
         raise ValueError("form is not integrable within tolerance; no theta exists")
     warning = None if taut else f"{label}: no transversal supplied, tautness inconclusive"
     return (label, gv * omega.spacing**3, taut, sqrt(miss / cells)), defect, warning
@@ -406,13 +408,10 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False, tol: float = 
 def gv_report(terms) -> GvReport:
     """Sum the `gv_term` results of a list of foliations, in order."""
     rows, defects, warnings = zip(*terms) if terms else ((), (), ())
-    total = 0.0
-    for _label, val, _taut, _res in rows:
-        if val is not None:
-            total += val
+    total = sum(val for _label, val, _taut, _res in rows if val is not None)
     return GvReport(float(total), rows, tuple(w for w in warnings if w), defects)
 
 
-def gv_invariant(foliations, strict: bool = False, tol: float = 1e-6) -> GvReport:
+def gv_invariant(foliations, strict: bool = False) -> GvReport:
     """Sum of GV integrals over the supplied foliation representatives."""
-    return gv_report([gv_term(spec, k, strict, tol) for k, spec in enumerate(foliations)])
+    return gv_report([gv_term(spec, k, strict) for k, spec in enumerate(foliations)])

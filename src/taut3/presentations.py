@@ -44,10 +44,6 @@ def reduce_word(pairs) -> Word:
     return tuple((g, e) for g, e in out)
 
 
-def invert_word(w: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(w))
-
-
 def concat_words(*ws) -> Word:
     pairs = []
     for w in ws:
@@ -56,8 +52,7 @@ def concat_words(*ws) -> Word:
 
 
 def word_power(w: Word, n: int) -> Word:
-    if n < 0:
-        return word_power(invert_word(w), -n)
+    """w^n for n >= 0."""
     return concat_words(*([w] * n))
 
 

@@ -35,11 +35,6 @@ def qconj(q):
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def qnormalize(q):
-    q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
-
-
 def qpow(q, n: int):
     if n < 0:
         return qpow(qconj(q), -n)
@@ -52,27 +47,6 @@ def qpow(q, n: int):
         base = base_sq
         n >>= 1
     return out
-
-
-def qexp(v):
-    """Exponential of the imaginary quaternion (0, v): axis-angle chart."""
-    v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v, axis=-1, keepdims=True)
-    small = theta < 1e-30
-    sinc = np.where(small, 1.0, np.sin(theta) / np.where(small, 1.0, theta))
-    return np.concatenate([np.cos(theta), sinc * v], axis=-1)
-
-
-def qlog(q):
-    """Imaginary part of log: inverse of qexp on the unit group, values in su(2)."""
-    q = np.asarray(q, dtype=float)
-    a = np.clip(q[..., 0], -1.0, 1.0)
-    v = q[..., 1:]
-    vn = np.linalg.norm(v, axis=-1, keepdims=True)
-    theta = np.arctan2(vn[..., 0], a)[..., None]
-    small = vn < 1e-30
-    scale = np.where(small, 1.0, theta / np.where(small, 1.0, vn))
-    return scale * v
 
 
 def qtrace(q):
@@ -94,15 +68,3 @@ def to_matrix(q):
     m[..., 1, 0] = -b + 1j * c
     m[..., 1, 1] = a - 1j * d
     return m
-
-
-def from_axis_angle(axis, angle):
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis, axis=-1, keepdims=True)
-    angle = np.asarray(angle, dtype=float)[..., None]
-    return np.concatenate([np.cos(angle), np.sin(angle) * axis], axis=-1)
-
-
-def random_unit(rng, shape=()):
-    q = rng.normal(size=shape + (4,))
-    return qnormalize(q)

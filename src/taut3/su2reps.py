@@ -101,14 +101,9 @@ def trace_coordinates(images):
     return np.stack(cols, axis=-1)
 
 
-def is_irreducible(rep: Su2Rep, tol: float = 1e-6) -> bool:
+def _any_noncommuting(images, tol):
     """True iff some pair of generator images fails to commute:
     tr[g_i, g_j] < 2 - tol for some i, j."""
-    images = rep.images_array()
-    return _any_noncommuting(images, tol)
-
-
-def _any_noncommuting(images, tol):
     g = images.shape[-2]
     for i, j in itertools.combinations(range(g), 2):
         comm = su2.qmul(

@@ -2,7 +2,7 @@
 
 Finite spectra: the regularized determinant is literally the product of the
 nonzero eigenvalues.  Formula-given infinite spectra go through analytic
-continuation; the Riemann zeta function and its derivative are evaluated by
+continuation; the derivative of the Riemann zeta function is evaluated by
 Euler-Maclaurin summation, which is enough to recover the classical circle
 value det' = 4 pi^2.
 """
@@ -51,21 +51,9 @@ def _pochhammer_poly(m: int):
     return p
 
 
-def riemann_zeta_em(s: float, terms: int = 24, tail: int = 10) -> float:
-    """Riemann zeta by Euler-Maclaurin, valid for s != 1 (real s well left of 1 too)."""
-    n = terms
-    total = sum(k ** (-s) for k in range(1, n))
-    total += 0.5 * n ** (-s)
-    total += n ** (1 - s) / (s - 1)
-    for k in range(1, tail + 1):
-        b2k = float(_bernoulli_single(2 * k))
-        poch = _pochhammer_poly(2 * k - 1)(s)
-        total += b2k / math.factorial(2 * k) * poch * n ** (-s - 2 * k + 1)
-    return total
-
-
 def riemann_zeta_em_prime(s: float, terms: int = 24, tail: int = 10) -> float:
-    """d/ds of the Euler-Maclaurin expression, differentiated term by term."""
+    """d/ds of the Euler-Maclaurin expression for the Riemann zeta function,
+    differentiated term by term; valid for real s != 1."""
     n = terms
     ln = math.log(n)
     total = sum(-math.log(k) * k ** (-s) for k in range(2, n))

@@ -67,6 +67,12 @@ def wedge(a: DiscreteForm, b: DiscreteForm) -> DiscreteForm:
     raise ValueError("unsupported wedge degrees")
 
 
+def norm_sq(omega: DiscreteForm) -> np.ndarray:
+    """Pointwise squared length (w0^2 + w1^2) + w2^2 of a 1-form."""
+    w = omega.values
+    return (w[0] ** 2 + w[1] ** 2) + w[2] ** 2
+
+
 def l2_norm(form: DiscreteForm) -> float:
     return float(np.sqrt(np.mean(form.values**2) * (3.0 if form.values.ndim == 4 else 1.0)))
 
@@ -116,7 +122,7 @@ def _theta(omega: DiscreteForm, dw: DiscreteForm, defect: float, tol: float):
     t1 -= np.multiply(w[0], v[0], out=tmp)
     np.negative(np.multiply(w[0], v[1], out=t2), out=t2)
     t2 -= np.multiply(w[1], v[2], out=tmp)
-    theta /= omega._norm_sq
+    theta /= norm_sq(omega)
     theta_form = DiscreteForm(1, theta)
     miss = wedge(theta_form, omega).values
     np.subtract(v, miss, out=miss)

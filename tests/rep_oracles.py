@@ -7,6 +7,8 @@
   constructed classes is an independent check that there are no others.
 - `brieskorn_sigma`: the signature that fixes the number of irreducible
   classes of a Brieskorn sphere, 2|sigma/8|.
+- `is_irreducible`: whether some pair of a rep's generator images fails to
+  commute.
 """
 
 import itertools
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from su2_oracles import qexp, qlog, random_unit
 from taut3 import su2, su2reps
 from taut3.su2reps import RepModuli, evaluate_word, trace_coordinates
 
@@ -34,7 +37,7 @@ def _relator_logs(images, relators):
     (..., 3 * len(relators)), and their max operator-norm deviation from the identity."""
     words = [evaluate_word(images, r) for r in relators]
     devs = np.stack([su2.dist_to_identity(w) for w in words], axis=-1)
-    return np.concatenate([su2.qlog(w) for w in words], axis=-1), np.max(devs, axis=-1)
+    return np.concatenate([qlog(w) for w in words], axis=-1), np.max(devs, axis=-1)
 
 
 def _gauss_newton(images, relators, cfg: SolverConfig):
@@ -52,9 +55,9 @@ def _gauss_newton(images, relators, cfg: SolverConfig):
                 step = np.zeros(3)
                 step[k] = eps
                 bumped = images.copy()
-                bumped[:, j, :] = su2.qmul(images[:, j, :], su2.qexp(step))
+                bumped[:, j, :] = su2.qmul(images[:, j, :], qexp(step))
                 res_p = _relator_logs(bumped, relators)[0]
-                bumped[:, j, :] = su2.qmul(images[:, j, :], su2.qexp(-step))
+                bumped[:, j, :] = su2.qmul(images[:, j, :], qexp(-step))
                 res_m = _relator_logs(bumped, relators)[0]
                 jac[:, :, 3 * j + k] = (res_p - res_m) / (2 * eps)
         step = -np.einsum("nij,nj->ni", np.linalg.pinv(jac, rcond=1e-8), res)
@@ -65,7 +68,7 @@ def _gauss_newton(images, relators, cfg: SolverConfig):
             trial = images.copy()
             sv = (scale[:, None] * step).reshape(n, g, 3)
             for j in range(g):
-                trial[:, j, :] = su2.qmul(images[:, j, :], su2.qexp(sv[:, j, :]))
+                trial[:, j, :] = su2.qmul(images[:, j, :], qexp(sv[:, j, :]))
             trial_res, dev = _relator_logs(trial, relators)
             new = np.linalg.norm(trial_res, axis=-1)
             worse = (new > cur) & active & (scale > 1e-6)
@@ -100,7 +103,7 @@ def _seed_grid(p, cfg: SolverConfig):
     take = min(len(seeds), cfg.random_seeds)
     idx = rng.choice(len(seeds), size=take, replace=False)
     seeds = seeds[idx]
-    rest = su2.random_unit(rng, (take, g - 2))
+    rest = random_unit(rng, (take, g - 2))
     return np.concatenate([seeds, rest], axis=1)
 
 
@@ -143,3 +146,9 @@ def brieskorn_sigma(p, q, r):
         s = (Fraction(i, p) + Fraction(j, q) + Fraction(k, r)) % 2
         count += (0 < s < 1) - (1 < s < 2)
     return count
+
+
+def is_irreducible(rep, tol: float = 1e-6) -> bool:
+    """True iff some pair of generator images fails to commute:
+    tr[g_i, g_j] < 2 - tol for some i, j."""
+    return su2reps._any_noncommuting(rep.images_array(), tol)

@@ -1,7 +1,9 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from taut3 import cli, presentations, twisted_torsion
@@ -101,6 +103,17 @@ def test_exit_codes(tmp_path):
 
     missing = str(tmp_path / "nope.json")
     assert run(["reps", "--manifest", missing]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus", "--manifest", "m.json"], "invalid choice: 'bogus'"),
+    (["gv"], "the following arguments are required: --manifest"),
+])
+def test_bad_arguments_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        run(argv)
+    assert stop.value.code == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_strict_tautness_failure(tmp_path):
@@ -291,24 +304,70 @@ def test_all_enumerates_the_moduli_once(tmp_path, enumerations, family):
     assert len(enumerations) == 1
 
 
+def grid_sized_arrays(n):
+    """Sizes of the live numpy buffers traced by tracemalloc that hold at least
+    n^3 floats."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sorted(t.size for t in snapshot.traces if t.size >= 8 * n**3)
+
+
 @pytest.mark.parametrize("command", ["gv", "all"])
-def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, command):
+def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, monkeypatch,
+                                                         command):
     n = 8
     second = {"label": "exp-xy", "omega": ["0", "0", "exp(0.2*cos(2*pi*y))"], "grid": n,
               "transversal": [[0, 0, k] for k in range(n)]}
     data = json.loads(Path(lens5_manifest(tmp_path)).read_text())
     data["foliations"].append(second)
     manifest = write_manifest(tmp_path, data)
+    # once a FoliationSpec is built, its omega is the only grid-sized array alive
+    alive, gv_term = [], fg.gv_term
+
+    def probing(spec, *args, **kwargs):
+        alive.append((grid_sized_arrays(spec.omega.grid_size), [spec.omega.values.nbytes]))
+        return gv_term(spec, *args, **kwargs)
+
+    monkeypatch.setattr(fg, "gv_term", probing)
+    tracemalloc.start()
+    try:
+        assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert len(alive) == 2 and all(found == omega for found, omega in alive)
     passes = count_calls("_gv_blocks", fg)
     diffs = count_calls("_ddi", fg)
-    norms = count_calls("_sum_of_squares", fg)
     assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
     # per foliation: one slab pass, a single slab at grid 8, in which d(omega)
     # and d(theta) each take four y and z differences once
     assert fg._slab_rows(n) == n
     assert len(passes) == 2 and len(diffs) == 2 * 2 * 4
-    # per foliation: |omega|^2 once, shared by the nonvanishing, tautness and theta steps
-    assert len(norms) == 2
+
+
+def test_gv_reports_the_integrability_tolerance_it_applies(tmp_path, monkeypatch, capsys):
+    """`tolerances.integrability` is the constant gv_term compares the defect
+    with: a form passes at twice its defect and fails at half of it."""
+    out = tmp_path / "report.json"
+
+    def gv_section(omega_xy):
+        data = _one_foliation("1")
+        data["foliations"][0]["omega"][:2] = omega_xy
+        code = run(["gv", "--manifest", write_manifest(tmp_path, data), "--out", str(out)])
+        return code, code == EXIT_OK and json.loads(out.read_text())["sections"]["godbillon_vey"]
+
+    _code, section = gv_section(["0", "0"])
+    assert section["tolerances"]["integrability"] == fg.INTEGRABILITY_TOLERANCE == 1e-6
+    tilted = ["0.01*cos(2*pi*z)", "0.01*sin(2*pi*z)"]  # a slightly non-integrable form
+    monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", math.inf)
+    defect = gv_section(tilted)[1]["values"]["integrability_residuals"][0]
+    assert defect > 0
+    monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", 2 * defect)
+    code, section = gv_section(tilted)
+    assert code == EXIT_OK and section["tolerances"]["integrability"] == 2 * defect
+    monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", defect / 2)
+    assert gv_section(tilted)[0] == EXIT_USAGE
+    assert "not integrable" in capsys.readouterr().err
 
 
 def test_all_builds_each_twisted_complex_once(tmp_path, count_calls, brieskorn_235_moduli):

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -79,26 +80,34 @@ def test_error_message_quotes_at_most_40_characters():
 # A random expression tree, rendered fully parenthesised, with its value computed
 # directly in numpy.  Constant subtrees are evaluated when the tree is built, with
 # floating-point errors raised: there the parser must raise ExprError instead.
+# They are folded as the parser folds them, with Python's operators on
+# np.float64 (whose power can differ from np.power in the last bit); subtrees
+# that read a coordinate use the ufuncs.
 _X, _Y, _Z = np.meshgrid(*[np.linspace(0.0, 1.0, 3)] * 3, indexing="ij")
 _COORDS = {"x": _X, "y": _Y, "z": _Z}
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
-_UNARY = {"-": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+_BINARY = {"+": (np.add, operator.add), "-": (np.subtract, operator.sub),
+           "*": (np.multiply, operator.mul), "/": (np.divide, operator.truediv),
+           "^": (np.power, operator.pow)}
+_UNARY = {"-": (np.negative, operator.neg), "sin": (np.sin, np.sin), "cos": (np.cos, np.cos),
+          "exp": (np.exp, np.exp)}
 
 
-def _node(text, fn, *children):
+def _node(text, fns, *children):
     """(text, value) where value is an array, a float for constants, or None
-    for a constant subtree that raises a floating-point error."""
+    for a constant subtree that raises a floating-point error.  `fns` is the
+    (ufunc, constant fold) pair of the node's operation."""
+    ufunc, fold = fns
     values = [v for _t, v in children]
     if any(v is None for v in values):
         return text, None
     if all(isinstance(v, float) for v in values):
         try:
             with np.errstate(all="raise", under="ignore"):
-                return text, float(fn(*map(np.float64, values)))
+                return text, float(fold(*map(np.float64, values)))
         except FloatingPointError:
             return text, None
     with np.errstate(all="ignore"):
-        return text, fn(*values)
+        return text, ufunc(*values)
 
 
 _leaves = st.one_of(
@@ -117,8 +126,13 @@ def _extend(children):
     return binary | unary
 
 
+_SIN_PI = _node("(sin(pi))", _UNARY["sin"], ("pi", math.pi))
+
+
 @given(st.recursive(_leaves, _extend, max_leaves=12))
 @example(("-(x ^ 2)", -(_X**2)))
+@example(_node("(x - ((sin(pi)) ^ (sin(pi))))", _BINARY["-"], ("x", _X),
+               _node("((sin(pi)) ^ (sin(pi)))", _BINARY["^"], _SIN_PI, _SIN_PI)))
 def test_compile_expr_matches_numpy_on_random_trees(tree):
     text, expected = tree
     if expected is None:

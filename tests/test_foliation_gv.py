@@ -37,16 +37,21 @@ def omega_exp_f(n, ax=0.3, ay=0.2):
     )
 
 
-def gv_row(omega, tol=1e-6):
-    """(gv, theta residual, defect) of omega through the production slab pass."""
-    (_label, gv, _taut, res), defect, _warning = gv_term(FoliationSpec(omega), tol=tol)
+def gv_row(omega, tol=None):
+    """(gv, theta residual, defect) of omega through the production slab pass,
+    with INTEGRABILITY_TOLERANCE set to `tol` if one is given."""
+    with pytest.MonkeyPatch.context() as mp:
+        if tol is not None:
+            mp.setattr(fg, "INTEGRABILITY_TOLERANCE", tol)
+        (_label, gv, _taut, res), defect, _warning = gv_term(FoliationSpec(omega))
     return gv, res, defect
 
 
 def slab_fields(omega, theta=True):
     """The per-slab blocks of `_gv_blocks`, copied out of the reused buffers and
-    concatenated along x: d(omega), theta, d(theta), theta ^ d(theta)."""
-    blocks = [[None if a is None else a.copy() for a in (s.dw, s.theta, s.dtheta, s.gv)]
+    concatenated along x: d(omega), theta, d(theta), theta ^ d(theta) and
+    |omega|^2."""
+    blocks = [[None if a is None else a.copy() for a in (s.dw, s.theta, s.dtheta, s.gv, s.norm_sq)]
               for s in fg._gv_blocks(omega, theta)]
     return [None if parts[0] is None else np.concatenate(parts, axis=parts[0].ndim - 3)
             for parts in zip(*blocks)]
@@ -109,7 +114,7 @@ def test_solve_theta_matches_analytic_minimal_solution():
     n = 48
     om = omega_exp_f(n)
     assert gv_row(om)[1] < 1e-12
-    _dw, theta, _dtheta, _gv = slab_fields(om)
+    _dw, theta, _dtheta, _gv, _norm_sq = slab_fields(om)
     x, y, z = grid_coords(n)
     fx = 0.3 * TWO_PI * np.cos(TWO_PI * x)
     fy = -0.2 * TWO_PI * np.sin(TWO_PI * y)
@@ -378,10 +383,13 @@ def assert_slab_pass_matches_oracle(omega):
     dtheta = d(theta)
     gv = wedge(theta, dtheta)
     got = slab_fields(omega)
-    for field, want in zip(got, (dw, theta, dtheta, gv)):
-        assert np.array_equal(field, want.values)
-        assert np.array_equal(np.signbit(field), np.signbit(want.values))
-    assert np.array_equal(slab_fields(omega, theta=False)[0], dw.values)
+    for field, want in zip(got, (dw.values, theta.values, dtheta.values, gv.values,
+                                 go.norm_sq(omega))):
+        assert np.array_equal(field, want)
+        assert np.array_equal(np.signbit(field), np.signbit(want))
+    excluded = slab_fields(omega, theta=False)
+    assert np.array_equal(excluded[0], dw.values)
+    assert np.array_equal(excluded[-1], got[-1])
     got_gv, got_res, got_defect = gv_row(omega, tol=np.inf)
     assert got_defect == pytest.approx(defect, rel=1e-12, abs=0)
     assert got_res == pytest.approx(res, rel=1e-12, abs=0)
@@ -517,7 +525,8 @@ def test_slab_sampling_matches_the_whole_grid(monkeypatch, n, kind):
             ragged_slabs(monkeypatch, n)
         omega = form_from_functions(1, n, *fns)
         assert np.array_equal(omega.values, want)
-        assert np.array_equal(omega._norm_sq, (want[0] ** 2 + want[1] ** 2) + want[2] ** 2)
+        norm_sq = slab_fields(omega, theta=False)[-1]
+        assert np.array_equal(norm_sq, (want[0] ** 2 + want[1] ** 2) + want[2] ** 2)
         mean = whole_grid_check(want)
         assert omega._mean_norm == pytest.approx(mean, rel=1e-13, abs=0)
 
@@ -553,9 +562,22 @@ def test_slab_check_reports_a_non_finite_cell_before_a_vanishing_one(monkeypatch
         FoliationSpec(DiscreteForm(1, values))
 
 
-def test_sampling_and_check_hold_omega_its_norm_and_one_mib(traced_peak):
+def test_sampling_and_check_hold_omega_and_two_sampling_slabs(traced_peak):
+    """An operation on a sampling slab holds its operand and its result, two
+    slab-sized arrays; the check's slab buffers are smaller than one GV slab."""
     n = 64
     fns = [compile_expr(s) for s in SAMPLED["x, y and z"]]
     spec, peak = traced_peak(lambda: FoliationSpec(form_from_functions(1, n, *fns)))
-    omega = spec.omega
-    assert peak <= omega.values.nbytes + omega._norm_sq.nbytes + (1 << 20)
+    assert peak <= spec.omega.values.nbytes + 2 * fg._SAMPLE_BYTES + fg._SLAB_BYTES
+
+
+def test_no_array_but_omega_spans_the_grid(traced_peak):
+    """Sampling with the nonvanishing check, and then the GV pass, each hold
+    less than n^3 floats besides omega."""
+    n = 96
+    fns = [compile_expr(s) for s in ("0", "0", "exp(0.3*sin(2*pi*x) + 0.2*cos(2*pi*y))")]
+    loop = tuple((0, 0, k) for k in range(n))
+    spec, peak = traced_peak(lambda: FoliationSpec(form_from_functions(1, n, *fns), loop))
+    assert peak - spec.omega.values.nbytes < 8 * n**3
+    row, peak = traced_peak(gv_term, spec)
+    assert row[0][1] is not None and peak < 8 * n**3

@@ -16,10 +16,13 @@ from taut3.presentations import (
     gen,
     homology_h1,
     invariant_factors,
-    invert_word,
     reduce_word,
     word_power,
 )
+
+
+def invert_word(w):
+    return tuple((g, -e) for g, e in reversed(w))
 
 
 def test_reduce_word_cancels_and_merges():

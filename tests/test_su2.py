@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from su2_oracles import from_axis_angle, qexp, qlog, qnormalize, random_unit
 from taut3 import su2
 from taut3.presentations import SIZE_BOUND
 
@@ -16,7 +17,7 @@ _quaternion = st.builds(
 _unit = (
     st.tuples(*[st.floats(-1.0, 1.0)] * 4)
     .filter(lambda v: np.hypot.reduce(v) > 0.1)
-    .map(lambda v: su2.qnormalize(np.array(v)))
+    .map(lambda v: qnormalize(np.array(v)))
 )
 # up to the largest exponent in a built-in presentation: x^p in Lens(p, q)
 _exponent = st.integers(-SIZE_BOUND, SIZE_BOUND)
@@ -28,8 +29,8 @@ def rng():
 
 
 def test_qmul_matches_matrix_product(rng):
-    p = su2.random_unit(rng, (50,))
-    q = su2.random_unit(rng, (50,))
+    p = random_unit(rng, (50,))
+    q = random_unit(rng, (50,))
     lhs = su2.to_matrix(su2.qmul(p, q))
     rhs = su2.to_matrix(p) @ su2.to_matrix(q)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -76,13 +77,13 @@ def test_qpow_adds_exponents(q, m, n):
 
 
 def test_conjugate_is_inverse(rng):
-    q = su2.random_unit(rng, (20,))
+    q = random_unit(rng, (20,))
     prod = su2.qmul(q, su2.qconj(q))
     assert np.max(np.abs(prod - su2.IDENTITY)) < 1e-12
 
 
 def test_qpow_binary_vs_repeated(rng):
-    q = su2.random_unit(rng, (10,))
+    q = random_unit(rng, (10,))
     acc = np.broadcast_to(su2.IDENTITY, q.shape).copy()
     for n in range(1, 8):
         acc = su2.qmul(acc, q)
@@ -91,13 +92,13 @@ def test_qpow_binary_vs_repeated(rng):
 
 
 def test_exp_log_roundtrip(rng):
-    q = su2.random_unit(rng, (30,))
-    back = su2.qexp(su2.qlog(q))
+    q = random_unit(rng, (30,))
+    back = qexp(qlog(q))
     assert np.max(np.abs(back - q)) < 1e-10
 
 
 def test_trace_and_det(rng):
-    q = su2.random_unit(rng, (30,))
+    q = random_unit(rng, (30,))
     m = su2.to_matrix(q)
     assert np.max(np.abs(su2.qtrace(q) - np.trace(m, axis1=-2, axis2=-1).real)) < 1e-12
     det = np.linalg.det(m)
@@ -106,7 +107,7 @@ def test_trace_and_det(rng):
 
 def test_from_axis_angle():
     # the angle argument is the quaternion half-angle: trace = 2 cos(angle)
-    q = su2.from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 4)
+    q = from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 4)
     assert abs(su2.qtrace(q) - 2 * np.cos(np.pi / 4)) < 1e-12
     assert np.allclose(su2.qpow(q, 8), su2.IDENTITY, atol=1e-12)  # order 8
     assert abs(su2.dist_to_identity(su2.IDENTITY)) < 1e-12
@@ -116,5 +117,5 @@ def test_from_axis_angle():
 def test_dist_to_identity_is_accurate_next_to_the_identity(t):
     """|U - I| = 2 sin(t/2) for U = exp(t e1), to relative rounding: the solver's
     convergence test (tolerance 1e-10) must resolve distances that small."""
-    d = su2.dist_to_identity(su2.qexp(np.array([t, 0.0, 0.0])))
+    d = su2.dist_to_identity(qexp(np.array([t, 0.0, 0.0])))
     assert abs(d - 2 * np.sin(t / 2)) <= 1e-12 * 2 * np.sin(t / 2)

@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from rep_oracles import SolverConfig, brieskorn_sigma, search_reps
+from rep_oracles import SolverConfig, brieskorn_sigma, is_irreducible, search_reps
+from su2_oracles import from_axis_angle, random_unit
 from taut3 import su2, su2reps
 from taut3.presentations import (
     SIZE_BOUND,
@@ -19,7 +20,6 @@ from taut3.su2reps import (
     casson_count,
     enumerate_reps,
     evaluate_word,
-    is_irreducible,
     relator_residual,
     trace_coordinates,
 )
@@ -91,22 +91,22 @@ def test_brieskorn_235_matches_angle_oracle(brieskorn_235_moduli):
 
 def test_trace_coordinates_conjugation_invariant():
     rng = np.random.default_rng(3)
-    images = su2.random_unit(rng, (2,))
-    g = su2.random_unit(rng)
+    images = random_unit(rng, (2,))
+    g = random_unit(rng)
     conj = np.stack([su2.qmul(su2.qmul(g, images[i]), su2.qconj(g)) for i in range(2)])
     assert np.allclose(trace_coordinates(images), trace_coordinates(conj), atol=1e-10)
 
 
 def test_relator_residual_zero_on_true_rep():
     pres = builtin_presentation("Lens", 6, 1)
-    im = su2.from_axis_angle(np.array([0.0, 0.0, 1.0]), 2 * math.pi / 6)[None, :]
+    im = from_axis_angle(np.array([0.0, 0.0, 1.0]), 2 * math.pi / 6)[None, :]
     assert relator_residual(im[None, :], pres.relators)[0] < 1e-12
 
 
 def test_irreducibility_flags():
     rng = np.random.default_rng(0)
-    commuting = np.stack([su2.from_axis_angle(np.array([0.0, 0.0, 1.0]), a) for a in (0.3, 1.1)])
-    noncomm = su2.random_unit(rng, (2,))
+    commuting = np.stack([from_axis_angle(np.array([0.0, 0.0, 1.0]), a) for a in (0.3, 1.1)])
+    noncomm = random_unit(rng, (2,))
 
     class FakeRep:
         def __init__(self, im):
@@ -143,7 +143,7 @@ def test_enumeration_refuses_presentations_without_a_shape():
 
 def test_evaluate_word_inverse():
     rng = np.random.default_rng(5)
-    images = su2.random_unit(rng, (2,))
+    images = random_unit(rng, (2,))
     w = ((0, 2), (1, -1))
     prod = su2.qmul(su2.qpow(images[0], 2), su2.qconj(images[1]))
     assert np.allclose(evaluate_word(images, w), prod, atol=1e-12)

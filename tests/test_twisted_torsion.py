@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su2_oracles import qnormalize
 from taut3 import su2
 from taut3.presentations import builtin_presentation, concat_words, gen, reduce_word
 from taut3.su2reps import ModuliNotFiniteError, RepModuli, enumerate_reps, evaluate_word
@@ -54,7 +55,7 @@ def reweighted(c, weights):
 
 
 unit_quaternions = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
-    lambda v: np.linalg.norm(v) > 0.1).map(su2.qnormalize)
+    lambda v: np.linalg.norm(v) > 0.1).map(qnormalize)
 letters = st.tuples(st.integers(0, 2), st.integers(1, 5), st.sampled_from([1, -1])).map(
     lambda t: (t[0], t[1] * t[2]))
 words = st.lists(letters, max_size=8).map(reduce_word)
