@@ -10,16 +10,26 @@ one stage; `gv` at its largest grid, 192, peaks near a fifth of that.  The
 `solver` block of earlier versions is still validated, but ignored: the flat
 moduli are computed exactly.  So is `leafwise.n_z`: the leafwise model does
 not depend on the transverse coordinate.
+
+`SCHEMA` is a JSON Schema, checked by a small walker over the dict itself
+rather than by a JSON Schema library: numpy is the only runtime dependency,
+and the tests hold the walker to jsonschema's verdicts.  The walker knows the
+13 keywords in `_KEYWORDS` with JSON Schema's semantics (a boolean is not a
+number, 2.0 is an integer, `const: 1` rejects `true`), and raises on any other,
+so the schema cannot come to rely on one that is silently skipped.  Of the
+errors a manifest has, the one nearest the root is reported, the first in
+the schema's order among equals.  JSON has no NaN or Infinity and no number
+beyond the float range, so `load_manifest` rejects `NaN`, `Infinity`,
+`-Infinity` and overflowing literals such as `1e400`, which Python's `json`
+would otherwise accept.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 SCHEMA_VERSION = 1
 
@@ -126,10 +136,12 @@ SCHEMA = {
     },
 }
 
+_KEYWORDS = frozenset({
+    "type", "const", "enum", "required", "properties", "additionalProperties", "items",
+    "minItems", "maxItems", "minLength", "minimum", "maximum", "exclusiveMinimum",
+})
 
-# built once: jsonschema.validate would re-check SCHEMA against its metaschema
-# on every load (tests check it once)
-_VALIDATOR = validator_for(SCHEMA)(SCHEMA)
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
 
 
 class ManifestError(ValueError):
@@ -148,11 +160,70 @@ class Manifest:
     raw: dict = field(default_factory=dict)
 
 
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's type test: a boolean is no number, and 2.0 is an integer."""
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _TYPES[name]) and not isinstance(value, bool)
+
+
+def _equal(value, expected) -> bool:
+    """JSON Schema equality of scalars: `true` is not 1, but 1.0 is."""
+    return isinstance(value, bool) == isinstance(expected, bool) and value == expected
+
+
+def _errors(schema: dict, value, path: tuple, found: list) -> None:
+    """Append (path, message) for each keyword of `schema` that `value` fails,
+    a node's own keywords before those of its children."""
+    if not _KEYWORDS.issuperset(schema) or schema.get("additionalProperties", False) is not False:
+        raise NotImplementedError(f"SCHEMA uses a keyword the walker does not implement: {schema}")
+    if "type" in schema and not _is_type(value, schema["type"]):
+        found.append((path, f"{value!r} is not of type {schema['type']!r}"))
+    if "const" in schema and not _equal(value, schema["const"]):
+        found.append((path, f"{schema['const']!r} was expected"))
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        found.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+    if isinstance(value, dict):
+        found += [(path, f"{key!r} is a required property")
+                  for key in schema.get("required", ()) if key not in value]
+        properties = schema.get("properties", {})
+        extra = sorted((key for key in value if key not in properties), key=str)
+        if "additionalProperties" in schema and extra:
+            listed = ", ".join(map(repr, extra))
+            verb = "was" if len(extra) == 1 else "were"
+            found.append((path, f"Additional properties are not allowed ({listed} {verb} unexpected)"))
+        for key, sub in properties.items():
+            if key in value:
+                _errors(sub, value[key], path + (key,), found)
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            found.append((path, f"{value!r} is too short"))
+        if len(value) > schema.get("maxItems", math.inf):
+            found.append((path, f"{value!r} is too long"))
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _errors(schema["items"], item, path + (i,), found)
+    elif isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            found.append((path, f"{value!r} is too short"))
+    elif _is_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            found.append((path, f"{value!r} is less than the minimum of {schema['minimum']!r}"))
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            found.append((path, f"{value!r} is less than or equal to the minimum of "
+                                f"{schema['exclusiveMinimum']!r}"))
+        if "maximum" in schema and value > schema["maximum"]:
+            found.append((path, f"{value!r} is greater than the maximum of {schema['maximum']!r}"))
+
+
 def validate_manifest(data: dict) -> Manifest:
-    exc = best_match(_VALIDATOR.iter_errors(data))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ManifestError(f"manifest invalid at {path}: {exc.message}") from exc
+    found = []
+    _errors(SCHEMA, data, (), found)
+    if found:
+        # like jsonschema's best_match, the error nearest the root
+        depth = min(len(path) for path, _ in found)
+        path, message = next(error for error in found if len(error[0]) == depth)
+        raise ManifestError(f"manifest invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
     man = data["manifold"]
     return Manifest(
         family=man["family"],
@@ -167,10 +238,17 @@ def validate_manifest(data: dict) -> Manifest:
     )
 
 
+def _finite(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ManifestError(f"manifest is not valid JSON: {literal} is not a finite number")
+    return value
+
+
 def load_manifest(path) -> Manifest:
     p = Path(path)
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(), parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError as exc:
         raise ManifestError(f"manifest not found: {p}") from exc
     except json.JSONDecodeError as exc:

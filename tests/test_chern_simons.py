@@ -10,7 +10,7 @@ from taut3.chern_simons import (
     curvature,
     stationarity_check,
 )
-from taut3.su2 import to_matrix
+from taut3.su2 import qmul, qtrace, to_matrix
 
 # i * Pauli matrices: the real basis of su(2) that the coefficients refer to
 SU2_BASIS = np.array(
@@ -296,3 +296,30 @@ def test_batch_sizes_at_the_grid_bounds():
 def test_batched_check_rejects_small_grids():
     with pytest.raises(ConnectionError_):
         stationarity_check(LatticeConnection.random(3))
+
+
+# --- the action reads only the real part of the cup_12 products --------------------
+
+def cup_12(a, b):
+    """Cup product of a 1-cochain with a 2-cochain into a 3-cochain, all four
+    quaternion slots."""
+    comp, fwd = chern_simons._comp, chern_simons._fwd
+    return (qmul(comp(a, 0), fwd(comp(b, 2), 0))
+            - qmul(comp(a, 1), fwd(comp(b, 1), 1))
+            + qmul(comp(a, 2), fwd(comp(b, 0), 2)))
+
+
+def quaternion_actions(a, h, level):
+    """The action as first written: the trace of full-quaternion cup products."""
+    d_one, cup_11 = chern_simons.d_one, chern_simons.cup_11
+    dens = cup_12(a, d_one(a, h)) + (2.0 / 3.0) * cup_12(a, cup_11(a, a))
+    return (level / 4.0) * np.sum(qtrace(dens), axis=(-3, -2, -1)) * h**3
+
+
+@pytest.mark.parametrize("n", [4, 6, 16])
+def test_actions_equal_the_full_quaternion_route(n):
+    for seed, scale, level in CASES:
+        fields = np.stack([LatticeConnection.random(n, scale, seed + k).components for k in range(3)])
+        for a in (fields, fields[0]):  # batched and unbatched
+            assert np.array_equal(chern_simons._actions(a, 1.0 / n, level),
+                                  quaternion_actions(a, 1.0 / n, level))

@@ -498,6 +498,26 @@ def test_leafwise_weights_past_the_bounds_exit_2(tmp_path, capsys, weights, mess
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "command, blocks",
+    [("cs-check", {"chern_simons": {"grid": 4, "scale": "?"}}),
+     ("cs-check", {"chern_simons": {"grid": 4, "level": "?"}}),
+     ("leafwise", {"leafwise": {"weights": ["?", 1, 1]}}),
+     ("reps", {"solver": {"tolerance": "?"}})],
+    ids=["chern_simons.scale", "chern_simons.level", "leafwise.weights", "solver.tolerance"],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, command, blocks, literal):
+    """Python's json reads NaN and the infinities, which JSON does not have; a
+    NaN would pass every bound of the schema and reach the report."""
+    data = {"schema_version": 1, "manifold": {"family": "Lens", "params": [5, 1]}, **blocks}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data).replace('"?"', literal))
+    assert run([command, "--manifest", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: manifest is not valid JSON: {literal} is not a finite number\n"
+
+
 def test_leafwise_n_z_is_ignored_with_a_warning(tmp_path):
     _, plain = model_section(tmp_path, "leafwise", leafwise={"truncation": 3})
     _, with_n_z = model_section(tmp_path, "leafwise", leafwise={"truncation": 3, "n_z": 7})

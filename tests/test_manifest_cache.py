@@ -1,9 +1,13 @@
+import copy
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
+from taut3 import manifest
 from taut3.cli import main as cli_main
 from taut3.manifest import MAX_FOLIATIONS, SCHEMA, ManifestError, load_manifest, validate_manifest
 from taut3.reports import manifest_digest
@@ -154,3 +158,117 @@ def test_chern_simons_fields_are_bounded(block):
     validate_manifest(minimal(chern_simons={"scale": 10, "level": -1e6}))
     with pytest.raises(ManifestError, match="than the (minimum|maximum) of"):
         validate_manifest(minimal(chern_simons=block))
+
+
+# --- the in-house walker against jsonschema -----------------------------------------
+
+def schema_nodes(schema, path=()):
+    """(path, subschema) for every node of the schema, with index 0 for list items."""
+    yield path, schema
+    for key, sub in schema.get("properties", {}).items():
+        yield from schema_nodes(sub, path + (key,))
+    if "items" in schema:
+        yield from schema_nodes(schema["items"], path + (0,))
+
+
+def test_the_walker_implements_exactly_the_keywords_of_the_schema():
+    assert set().union(*(node for _, node in schema_nodes(SCHEMA))) == manifest._KEYWORDS
+    for schema in ({"type": "string", "pattern": "a"}, {"additionalProperties": True},
+                   {"additionalProperties": {"type": "string"}}, {"type": "boolean"}):
+        with pytest.raises((NotImplementedError, KeyError)):
+            manifest._errors(schema, "a", (), [])
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# every key of the schema set, each to a valid value
+FULL = {
+    "schema_version": 1,
+    "manifold": {"family": "Lens", "params": [7, 2]},
+    "solver": {"tolerance": 1e-10, "dedup_tolerance": 1e-6, "grid_density": 4,
+               "random_seeds": 3, "max_iterations": 50, "seed": 0},
+    "chern_simons": {"grid": 4, "scale": 0.1, "level": 1.0, "step": 1e-4, "seed": 0},
+    "foliations": [{"label": "f", "omega": ["0", "0", "1"], "grid": 8,
+                    "transversal": [[0, 0, 0], [0, 0, 1], [0, 0, 2]]}],
+    "leafwise": {"truncation": 3, "n_z": 2, "weights": [1.0, 2.0, 0.5]},
+    "cyclic": {"degree_bound": 4, "windings": [1, -1]},
+    "output": "report.json",
+}
+BASES = {path.stem: json.loads(path.read_text())
+         for path in sorted((ROOT / "perfbench" / "manifests").glob("*.json"))} | {"full": FULL}
+ORACLE = validator_for(SCHEMA)(SCHEMA)
+NAMES = sorted({path[-1] for path, _ in schema_nodes(SCHEMA) if path and isinstance(path[-1], str)})
+NAMES.append("bogus")
+# the bounds of the schema, on and either side, and the values JSON Schema types tell apart
+EDGES = [0, 1, 2, 3, 4, 7, 8, 16, 17, 63, 64, 65, 191, 192, 193, 511, 512, 513, 1023, 1024, 1025,
+         -1, -512, -513, 2**70, 0.0, -0.0, 1e-4, 0.0999, 0.1, 1.0, 2.0, 2.5, 10, 10.0, 10.5, 1e6,
+         -1e6, 1.5e6, -1.5e6, 1e300, True, False, None, "", "x", "0", "S3", "Lens", "Brieskorn",
+         "Torus3", [], {}, [0, 0, 1], ["0", "0", "1"]]
+SCALARS = (st.sampled_from(EDGES) | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.text(max_size=3))
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(st.sampled_from(NAMES), inner, max_size=3), max_leaves=8)
+
+
+def assert_walker_agrees(doc):
+    """The walker accepts `doc` if and only if jsonschema does, finds errors at
+    the same places, and reports one at the depth best_match picks."""
+    found = []
+    manifest._errors(SCHEMA, doc, (), found)
+    expected = list(ORACLE.iter_errors(doc))
+    assert {path for path, _ in found} == {tuple(e.absolute_path) for e in expected}
+    if expected:
+        with pytest.raises(ManifestError) as exc:
+            validate_manifest(doc)
+        depth = min(len(e.absolute_path) for e in expected)
+        assert str(exc.value) in {f"manifest invalid at {'/'.join(map(str, path)) or '<root>'}: {message}"
+                                  for path, message in found if len(path) == depth}
+    else:
+        validate_manifest(doc)
+
+
+@pytest.mark.parametrize("path", [path for path, _ in schema_nodes(SCHEMA)][1:],
+                         ids=lambda path: "/".join(map(str, path)))
+def test_the_walker_agrees_with_jsonschema_on_every_edge_value(path):
+    for value in EDGES:
+        doc = copy.deepcopy(FULL)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert_walker_agrees(doc)
+
+
+def mutate(draw, doc):
+    """One random edit somewhere in `doc`: replace, delete or add an entry, or
+    resize a list to a length at or near one of the schema's bounds."""
+    node = doc
+    while True:
+        inner = [k for k, v in (node.items() if isinstance(node, dict) else enumerate(node))
+                 if isinstance(v, (dict, list))]
+        if not inner or draw(st.booleans()):
+            break
+        node = node[draw(st.sampled_from(inner))]
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    action = draw(st.sampled_from(["replace", "delete", "add", "resize"]))
+    if action == "replace" and keys:
+        node[draw(st.sampled_from(keys))] = draw(VALUES)
+    elif action == "delete" and keys:
+        del node[draw(st.sampled_from(keys))]
+    elif isinstance(node, dict):
+        node[draw(st.sampled_from(NAMES))] = draw(VALUES)
+    elif action == "resize" and node:
+        length = draw(st.sampled_from([0, 1, 2, 3, 4, 16, 17, 1025, 1026]))
+        node[:] = [node[i % len(node)] for i in range(length)]
+    else:
+        node.append(draw(VALUES))
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_walker_agrees_with_jsonschema(base, data):
+    doc = copy.deepcopy(BASES[base])
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(data.draw, doc)
+    assert_walker_agrees(doc)
