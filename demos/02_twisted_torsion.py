@@ -9,7 +9,6 @@ the zeta-style torsion, and sums it over all flat classes.
 import numpy as np
 
 from taut3 import (
-    builtin_presentation,
     build_twisted_complex,
     cw_structure,
     enumerate_reps,
@@ -18,9 +17,10 @@ from taut3 import (
 )
 
 print("=== Twisted complex for the Poincare sphere ===")
+# the presentation, with the boundary of its 3-cell
 cw = cw_structure("Brieskorn", 2, 3, 5)
 # the exact flat classes: the trivial one and the two spherical-triangle classes
-moduli = enumerate_reps(builtin_presentation("Brieskorn", 2, 3, 5))
+moduli = enumerate_reps(cw)
 rep = next(r for r in moduli.classes if r.irreducible)
 c = build_twisted_complex(cw, rep)
 print(f"chain dimensions: {c.dims}")
@@ -31,7 +31,7 @@ print(f"twisted betti numbers: {res.betti}  (acyclic: {res.acyclic})")
 print(f"torsion of this class: T = {res.t:.6f}  (log T = {res.log_t:.6f})")
 
 print("\n=== Sum over the flat moduli ===")
-s = torsion_sum(builtin_presentation("Brieskorn", 2, 3, 5), cw, moduli=moduli)
+s = torsion_sum(cw, moduli=moduli)
 for traces, r, irreducible in s.per_class:
     tag = "irreducible" if irreducible else "reducible  "
     print(f"  {tag}  traces {np.round(traces, 4).tolist()}  T = {r.t:.6f}")

@@ -2,11 +2,11 @@
 
 Each subcommand runs one invariant pipeline; `all` runs every pipeline that
 applies to the manifest's manifold, reporting the others as skipped.  The
-pipelines of one invocation share a `Run`, so the presentation, the flat
-moduli, the CW structure and the torsion sum (one twisted complex per class)
-are each computed once.  Reports are written as JSON (sections, tolerances,
-warnings) with timings kept in a separate block so repeated runs with the same
-seed produce identical reports modulo timing fields.
+pipelines of one invocation share a `Run`, so the presentation (with the
+cells of the twisted complexes), the flat moduli and the torsion sum (one
+twisted complex per class) are each computed once.  Reports are written as
+JSON (sections, tolerances, warnings) with timings kept in a separate block so
+repeated runs with the same seed produce identical reports modulo timing fields.
 
 Exit codes:
   0  success
@@ -43,7 +43,7 @@ from .su2reps import (
     enumerate_reps,
     require_finite_moduli,
 )
-from .twisted_torsion import UnsupportedFamilyError, cw_structure, torsion_sum
+from .twisted_torsion import UnsupportedFamilyError, require_cells, torsion_sum
 from .zeta import ZERO_THRESHOLD
 
 EXIT_OK = 0
@@ -72,14 +72,10 @@ class Run:
         return enumerate_reps(self.presentation)
 
     @cached_property
-    def cw(self):
-        return cw_structure(self.m.family, *self.m.params)
-
-    @cached_property
     def torsion(self):
-        cw = self.cw  # refuse before the moduli are enumerated
-        require_finite_moduli(self.presentation)
-        return torsion_sum(self.presentation, cw, self.moduli)
+        # refuse before the moduli are enumerated
+        require_finite_moduli(require_cells(self.presentation))
+        return torsion_sum(self.presentation, self.moduli)
 
 
 def run_reps(run: Run, report: InvariantReport):

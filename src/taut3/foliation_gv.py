@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import sqrt
+from math import isfinite, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -378,9 +378,10 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     defect |omega ^ d omega| / (|omega| |d omega| + eps) and, for a row that is
     not excluded, the theta residual |d omega - theta ^ omega| and the GV
     integral of theta ^ d theta (L2 norms are grid RMS values); such a row
-    raises ValueError if its defect exceeds INTEGRABILITY_TOLERANCE.  The pass
-    holds no array the size of the grid, so a caller that samples each
-    foliation just before this call holds one foliation's omega at a time."""
+    raises ValueError if its defect exceeds INTEGRABILITY_TOLERANCE.  A sum that
+    overflows raises SingularityError.  The pass holds no array the size of the
+    grid, so a caller that samples each foliation just before this call holds
+    one foliation's omega at a time."""
     label = spec.label or f"foliation[{k}]"
     taut = tautness_check(spec)
     failed = f"{label}: failed the transversal-circle tautness test"
@@ -388,13 +389,16 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
         raise TautnessError(failed)
     omega = spec.omega
     frob = dw = w = miss = gv = 0.0
-    for s in _gv_blocks(omega, theta=taut is not False):
-        frob += _sum_sq(s.frob)
-        dw += _sum_sq(s.dw)
-        w += float(np.sum(s.norm_sq))
-        if s.theta is not None:
-            miss += _sum_sq(s.miss)
-            gv += float(np.sum(s.gv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in _gv_blocks(omega, theta=taut is not False):
+            frob += _sum_sq(s.frob)
+            dw += _sum_sq(s.dw)
+            w += float(np.sum(s.norm_sq))
+            if s.theta is not None:
+                miss += _sum_sq(s.miss)
+                gv += float(np.sum(s.gv))
+    if not all(map(isfinite, (frob, dw, w, miss, gv))):
+        raise SingularityError(f"{label}: a GV sum over the grid is not finite")
     cells = omega.grid_size**3
     defect = sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) + 1e-30)
     if taut is False:

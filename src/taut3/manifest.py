@@ -21,7 +21,8 @@ errors a manifest has, the one nearest the root is reported, the first in
 the schema's order among equals.  JSON has no NaN or Infinity and no number
 beyond the float range, so `load_manifest` rejects `NaN`, `Infinity`,
 `-Infinity` and overflowing literals such as `1e400`, which Python's `json`
-would otherwise accept.
+would otherwise accept, and the walker rejects a non-finite float that a Python
+caller puts in the dict; there it departs from jsonschema, which accepts them.
 """
 
 from __future__ import annotations
@@ -207,6 +208,8 @@ def _errors(schema: dict, value, path: tuple, found: list) -> None:
         if len(value) < schema.get("minLength", 0):
             found.append((path, f"{value!r} is too short"))
     elif _is_type(value, "number"):
+        if isinstance(value, float) and not math.isfinite(value):
+            found.append((path, f"{value!r} is not a finite number"))
         if "minimum" in schema and value < schema["minimum"]:
             found.append((path, f"{value!r} is less than the minimum of {schema['minimum']!r}"))
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:

@@ -5,7 +5,9 @@ reduced.  This makes free differential calculus (see taut3.twisted_torsion)
 direct and keeps homology computations exact.  Each built-in presentation also
 records its shape (`CyclicShape`, `TriangleShape`, `SeifertShape`): the
 exponents its relators were built from, which is all that the exact flat
-moduli in taut3.su2reps need to know about the relators.
+moduli in taut3.su2reps need to know about the relators.  Where a presentation
+is the 2-skeleton of a known CW structure (S^3, L(p,q), T^3, Sigma(2,3,5)), it
+also carries the boundary of the one 3-cell, written with the relators.
 """
 
 from __future__ import annotations
@@ -87,10 +89,14 @@ class SeifertShape:
 
 @dataclass(frozen=True)
 class GroupPresentation:
+    """`d3_words`, if known, is the boundary of the one 3-cell: per relator, a
+    group-ring element as (coefficient, word) pairs."""
+
     num_generators: int
     relators: tuple
     label: str = ""
     shape: CyclicShape | TriangleShape | SeifertShape | None = None
+    d3_words: tuple | None = None
 
     def __post_init__(self):
         if self.num_generators < 1:
@@ -102,6 +108,8 @@ class GroupPresentation:
                     raise ParameterError(f"generator index {g} out of range")
                 if e == 0:
                     raise ParameterError("zero exponent in relator")
+        if self.d3_words is not None and len(self.d3_words) != len(self.relators):
+            raise ParameterError("need one 3-cell boundary word per relator")
 
     @cached_property
     def h1(self) -> HomologySummary:
@@ -189,8 +197,12 @@ def _brieskorn_two_generator(p, q, r):
         r1 = concat_words(gen(0, b), gen(1, -c))            # s^b t^-c
         st_a = word_power(concat_words(gen(0), gen(1)), a)  # (st)^a
         r2 = concat_words(st_a, gen(0, -b))                 # (st)^a s^-b
+        # for (2, 3, 5), the 3-cell boundary (1 - t, s^-1 - t) generates the
+        # kernel of d2 over Z[G], |G| = 120 (checked in the tests)
+        t, s_inv = gen(1), gen(0, -1)
+        d3 = (((1, ()), (-1, t)), ((-1, t), (1, s_inv))) if (a, b, c) == (2, 3, 5) else None
         return GroupPresentation(2, (r1, r2), label=f"Brieskorn({p},{q},{r})",
-                                 shape=TriangleShape(a, b, c))
+                                 shape=TriangleShape(a, b, c), d3_words=d3)
     return None
 
 
@@ -223,7 +235,8 @@ def builtin_presentation(family: str, *params) -> GroupPresentation:
     if family in ("S3", "Torus3") and params:
         raise ParameterError(f"{family} takes no parameters")
     if family == "S3":
-        return GroupPresentation(1, (gen(0),), label="S3", shape=CyclicShape(1))
+        return GroupPresentation(1, (gen(0),), label="S3", shape=CyclicShape(1),
+                                 d3_words=(((1, gen(0)), (-1, ())),))
     if family == "Lens":
         if len(params) != 2:
             raise ParameterError("Lens takes (p, q)")
@@ -232,7 +245,9 @@ def builtin_presentation(family: str, *params) -> GroupPresentation:
             raise ParameterError(f"Lens({p},{q}): need p >= 2 and gcd(p, q) = 1")
         if p > SIZE_BOUND:
             raise ParameterError(f"Lens({p},{q}): need p <= {SIZE_BOUND}")
-        return GroupPresentation(1, (gen(0, p),), label=f"Lens({p},{q})", shape=CyclicShape(p))
+        d3 = (((1, gen(0, pow(q, -1, p))), (-1, ())),)  # x^qbar - 1, qbar = q^-1 mod p
+        return GroupPresentation(1, (gen(0, p),), label=f"Lens({p},{q})", shape=CyclicShape(p),
+                                 d3_words=d3)
     if family == "Brieskorn":
         if len(params) != 3:
             raise ParameterError("Brieskorn takes (p, q, r)")
@@ -251,5 +266,8 @@ def builtin_presentation(family: str, *params) -> GroupPresentation:
             concat_words(gen(i), gen(j), gen(i, -1), gen(j, -1))
             for i, j in ((0, 1), (0, 2), (1, 2))
         )
-        return GroupPresentation(3, relators, label="Torus3")
+        # the 3-cell is the cube, over the relators [x,y], [x,z], [y,z]
+        x, y, z = gen(0), gen(1), gen(2)
+        d3 = (((1, z), (-1, ())), ((1, ()), (-1, y)), ((1, x), (-1, ())))
+        return GroupPresentation(3, relators, label="Torus3", d3_words=d3)
     raise ParameterError(f"unknown family {family!r}")

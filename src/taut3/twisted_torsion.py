@@ -1,13 +1,14 @@
 """Twisted chain complexes from free differential calculus, their Laplacians,
 and torsion.
 
-Boundary words with group-ring coefficients come from the CW structures of the
-built-in manifold families; a representation turns them into complex block
-matrices.  Words are evaluated as unit quaternions and summed there, and each
-sum becomes a 2x2 block only at the end: `su2.to_matrix` is linear and
-multiplicative, so the block of sum_k c_k w_k is sum_k c_k tau(w_k).  Blocks
-use the transposed representation (an anti-homomorphism), which is what makes
-the fundamental identity w - 1 = sum_j (dw/dx_j)(x_j - 1) translate into
+The cells are those of a presentation that carries its 3-cell
+(`GroupPresentation.d3_words`): Fox derivatives of the relators give D2, the
+3-cell's group-ring words give D3, and a representation turns both into
+complex block matrices.  Words are evaluated as unit quaternions and summed
+there, and each sum becomes a 2x2 block only at the end: `su2.to_matrix` is
+linear and multiplicative, so the block of sum_k c_k w_k is sum_k c_k tau(w_k).
+Blocks use the transposed representation (an anti-homomorphism), which is what
+makes the fundamental identity w - 1 = sum_j (dw/dx_j)(x_j - 1) translate into
 D1 @ D2 = 0 at the matrix level.
 """
 
@@ -18,69 +19,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .presentations import GroupPresentation, builtin_presentation, gen
+from .presentations import GroupPresentation, builtin_presentation
 from .su2reps import RepModuli, Su2Rep, evaluate_word, require_finite_moduli
 from .zeta import ZERO_THRESHOLD, zeta_log_det
 
 
 class UnsupportedFamilyError(ValueError):
-    """No CW structure for the requested family."""
+    """The presentation carries no 3-cell, so there is no twisted complex."""
 
 
-@dataclass(frozen=True)
-class CwStructure:
-    """One 0-cell, one 1-cell per generator, one 2-cell per relator, and one
-    3-cell whose boundary is one group-ring element per 2-cell, written as
-    (coefficient, word) pairs."""
-
-    presentation: GroupPresentation
-    d3_words: tuple
-    label: str = ""
+def require_cells(p: GroupPresentation) -> GroupPresentation:
+    """`p`, refused unless it carries the boundary of its 3-cell."""
+    if p.d3_words is None:
+        raise UnsupportedFamilyError(f"no frozen CW structure for {p.label}")
+    return p
 
 
-def _lens_cw(p: int, q: int) -> CwStructure:
-    pres = builtin_presentation("Lens", p, q)
-    qbar = pow(q, -1, p)
-    return CwStructure(pres, (((1, gen(0, qbar)), (-1, ())),), label=pres.label)
-
-
-def _s3_cw() -> CwStructure:
-    pres = builtin_presentation("S3")
-    return CwStructure(pres, (((1, gen(0)), (-1, ())),), label="S3")
-
-
-def _torus3_cw() -> CwStructure:
-    pres = builtin_presentation("Torus3")
-    # relators come in the order [x,y], [x,z], [y,z]; the 3-cell is the cube
-    x, y, z = gen(0), gen(1), gen(2)
-    d3 = (((1, z), (-1, ())), ((1, ()), (-1, y)), ((1, x), (-1, ())))
-    return CwStructure(pres, d3, label="Torus3")
-
-
-def _brieskorn_cw() -> CwStructure:
-    pres = builtin_presentation("Brieskorn", 2, 3, 5)
-    # relators s^3 t^-5 and (st)^2 s^-3; the 3-cell boundary (1 - t, s^-1 - t)
-    # generates the kernel of d2 over Z[G], |G| = 120 (checked in the tests)
-    s_inv, t = gen(0, -1), gen(1)
-    d3 = (((1, ()), (-1, t)), ((-1, t), (1, s_inv)))
-    return CwStructure(pres, d3, label="Brieskorn(2,3,5)")
-
-
-def cw_structure(family: str, *params) -> CwStructure:
-    """CW structures of the supported families."""
-    if family == "S3":
-        return _s3_cw()
-    if family == "Lens":
-        return _lens_cw(*params)
-    if family == "Torus3":
-        return _torus3_cw()
-    if family == "Brieskorn":
-        if tuple(params) != (2, 3, 5):
-            raise UnsupportedFamilyError(
-                f"no frozen CW structure for Brieskorn{tuple(params)}; only (2, 3, 5)"
-            )
-        return _brieskorn_cw()
-    raise UnsupportedFamilyError(f"no CW structure for family {family!r}")
+def cw_structure(family: str, *params) -> GroupPresentation:
+    """The built-in presentation of a family, refused unless it has a 3-cell."""
+    return require_cells(builtin_presentation(family, *params))
 
 
 @dataclass(frozen=True)
@@ -126,22 +83,19 @@ def _blocks(q) -> np.ndarray:
     return m.transpose(0, 3, 1, 2).reshape(2 * q.shape[0], 2 * q.shape[1])
 
 
-def build_twisted_complex(cw: CwStructure, rep: Su2Rep) -> TwistedComplex:
-    """Representation images of the boundary words, as 2x2 blocks."""
+def build_twisted_complex(p: GroupPresentation, rep: Su2Rep) -> TwistedComplex:
+    """Representation images of the boundary words of `p`'s cells, as 2x2 blocks."""
     images = rep.images_array()
-    pres = cw.presentation
-    if len(cw.d3_words) != len(pres.relators):
-        raise ValueError("CW structure inconsistent: need one 3-cell boundary word per 2-cell")
     d3_images = np.array(
-        [sum(c * evaluate_word(images, w) for c, w in cell) for cell in cw.d3_words]
+        [sum(c * evaluate_word(images, w) for c, w in cell) for cell in require_cells(p).d3_words]
     )
     d1 = _blocks((images - su2.IDENTITY)[None])
-    d2 = _blocks(_fox_images(pres.relators, images).transpose(1, 0, 2))
+    d2 = _blocks(_fox_images(p.relators, images).transpose(1, 0, 2))
     d3 = _blocks(d3_images[:, None])
-    c = TwistedComplex(d1, d2, d3, label=cw.label)
+    c = TwistedComplex(d1, d2, d3, label=p.label)
     scale = max(1.0, *(np.linalg.norm(b, 2) for b in (d1, d2, d3)))
     if np.linalg.norm(d1 @ d2, 2) > 1e-8 * scale or np.linalg.norm(d2 @ d3, 2) > 1e-8 * scale:
-        raise AssertionError(f"{cw.label}: boundary matrices do not compose to zero")
+        raise AssertionError(f"{p.label}: boundary matrices do not compose to zero")
     return c
 
 
@@ -196,15 +150,9 @@ def rs_torsion(c: TwistedComplex) -> TorsionResult:
     ker Delta_i is isomorphic to H_i (finite-dimensional Hodge theory)."""
     spec = twisted_laplacians(c)
     log_t = 0.5 * sum((-1) ** i * i * spec.log_dets[i] for i in range(4))
-    betti = spec.zero_counts
-    acyclic = not any(betti)
-    return TorsionResult(
-        log_t=float(log_t),
-        t=float(np.exp(log_t)),
-        acyclic=acyclic,
-        betti=betti,
-        metric_dependent=not acyclic,
-    )
+    acyclic = not any(spec.zero_counts)
+    return TorsionResult(log_t=float(log_t), t=float(np.exp(log_t)), acyclic=acyclic,
+                         betti=spec.zero_counts, metric_dependent=not acyclic)
 
 
 def sv_torsion_oracle(c: TwistedComplex) -> float:
@@ -230,20 +178,19 @@ class TorsionSumResult:
     notes: tuple
 
 
-def torsion_sum(p: GroupPresentation, cw: CwStructure, moduli: RepModuli) -> TorsionSumResult:
-    """Sum of analytic torsions over the representation classes of `moduli`.
+def torsion_sum(p: GroupPresentation, moduli: RepModuli) -> TorsionSumResult:
+    """Sum of analytic torsions over the representation classes of `moduli`,
+    the flat moduli of `p`.
 
     Finiteness of the class set is what makes this converge; positive betti_1
-    (positive-dimensional moduli) is refused.
+    (positive-dimensional moduli) is refused, as is a presentation with no 3-cell.
     """
+    require_cells(p)
     require_finite_moduli(p)
-    per_class = []
-    total = 0.0
-    irr_total = 0.0
-    notes = []
+    per_class, notes = [], []
+    total = irr_total = 0.0
     for rep in moduli.classes:
-        c = build_twisted_complex(cw, rep)
-        res = rs_torsion(c)
+        res = rs_torsion(build_twisted_complex(p, rep))
         per_class.append((tuple(float(x) for x in rep.trace_coords), res, rep.irreducible))
         total += res.t
         if rep.irreducible:
@@ -253,9 +200,5 @@ def torsion_sum(p: GroupPresentation, cw: CwStructure, moduli: RepModuli) -> Tor
                 f"class {np.round(rep.trace_coords, 6).tolist()}: not acyclic, torsion is metric-dependent"
             )
     notes.append("finiteness of the flat-moduli set is what makes this sum a single number")
-    return TorsionSumResult(
-        total=float(total),
-        irreducible_subtotal=float(irr_total),
-        per_class=tuple(per_class),
-        notes=tuple(notes),
-    )
+    return TorsionSumResult(total=float(total), irreducible_subtotal=float(irr_total),
+                            per_class=tuple(per_class), notes=tuple(notes))

@@ -115,7 +115,7 @@ def test_criterion_3_complex_validity(brieskorn_moduli):
     worst = 0.0
     for (family, params), betti in known.items():
         cw = cw_structure(family, *params)
-        g = cw.presentation.num_generators
+        g = cw.num_generators
         triv = Su2Rep(
             tuple(Su2Element.from_array(su2.IDENTITY) for _ in range(g)),
             np.zeros(1), False, 0.0,
@@ -124,7 +124,7 @@ def test_criterion_3_complex_validity(brieskorn_moduli):
         if family == "Brieskorn":
             reps += list(brieskorn_moduli[0].classes)
         elif family in ("S3", "Lens"):
-            reps += list(enumerate_reps(cw.presentation).classes)
+            reps += list(enumerate_reps(cw).classes)
         for rep in reps:
             c = build_twisted_complex(cw, rep)
             for prod in (c.d1 @ c.d2, c.d2 @ c.d3):

@@ -281,9 +281,12 @@ def enumerations(monkeypatch):
         ("torsion", {"family": "Torus3"}, EXIT_REGULARITY, "betti_1 > 0"),
         ("casson", {"family": "Torus3"}, EXIT_REGULARITY, "not an integral homology sphere"),
         ("torsion", {"family": "Brieskorn", "params": [2, 3, 7]}, EXIT_UNSUPPORTED,
-         "no frozen CW structure for Brieskorn(2, 3, 7)"),
+         "no frozen CW structure for Brieskorn(2,3,7)"),
         ("casson", {"family": "Brieskorn", "params": [2, 3, 7]}, EXIT_UNSUPPORTED,
-         "no frozen CW structure for Brieskorn(2, 3, 7)"),
+         "no frozen CW structure for Brieskorn(2,3,7)"),
+        # Sigma(2,3,5) again, but through s^5 t^-3, which carries no 3-cell
+        ("torsion", {"family": "Brieskorn", "params": [2, 5, 3]}, EXIT_UNSUPPORTED,
+         "no frozen CW structure for Brieskorn(2,5,3)"),
     ],
 )
 def test_refusal_comes_before_enumeration(tmp_path, capsys, enumerations, command, manifold,
@@ -406,13 +409,40 @@ def test_hostile_manifest_values_exit_2(tmp_path, capsys, command, data):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_gv_sums_that_overflow_exit_2(tmp_path, capsys):
+    """|omega| near e^353 is finite, but its square sums past the float range:
+    the run exits 2, naming the foliation, with no numpy warning."""
+    data = _one_foliation("exp(353 + 0.5*sin(2*pi*x)*cos(2*pi*y))",
+                          transversal=[[0, 0, k] for k in range(8)])
+    data["manifold"] = {"family": "Torus3"}
+    assert run(["gv", "--manifest", write_manifest(tmp_path, data)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: foliation[0]: a GV sum over the grid is not finite\n"
+
+
 def test_all_computes_h1_once_per_presentation(tmp_path, count_calls):
     calls = count_calls("homology_h1", presentations)
     manifest = write_manifest(
         tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 5]}}
     )
     assert run(["all", "--manifest", manifest, "--no-cache"]) == EXIT_OK
-    assert len(calls) == 2  # the manifest's presentation and the CW structure's own
+    assert len(calls) == 1  # the presentation carries the 3-cell: there is no other
+
+
+@pytest.mark.parametrize("params", [[3, 2, 5], [3, 5, 2]])
+def test_the_3_cell_follows_the_relators(tmp_path, params):
+    """Brieskorn(3,2,5) and (3,5,2) get Sigma(2,3,5)'s presentation, so its
+    3-cell, torsion and unsigned count."""
+
+    def sections(params):
+        data = {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": params}}
+        out = tmp_path / "report.json"
+        assert run(["all", "--manifest", write_manifest(tmp_path, data), "--out", str(out)]) == EXIT_OK
+        return json.loads(out.read_text())["sections"]
+
+    got, want = sections(params), sections([2, 3, 5])
+    for key in ("per_class", "total"):
+        assert got["torsion"]["values"][key] == want["torsion"]["values"][key]
+    assert got["casson"]["values"]["unsigned_count"] == 2
 
 
 def test_reps_refuses_torus3(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import copy
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -272,3 +274,21 @@ def test_the_walker_agrees_with_jsonschema(base, data):
     for _ in range(data.draw(st.integers(1, 3))):
         mutate(data.draw, doc)
     assert_walker_agrees(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("path", [("chern_simons", "scale"), ("chern_simons", "step"),
+                                  ("leafwise", "weights", 0), ("solver", "tolerance")],
+                         ids=lambda path: "/".join(map(str, path)))
+def test_non_finite_numbers_are_invalid(path, value):
+    """A Python caller can put NaN or an infinity in the dict, which JSON cannot
+    hold; the walker refuses them, where jsonschema would accept some."""
+    doc = copy.deepcopy(FULL)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    where = "/".join(map(str, path))
+    with pytest.raises(ManifestError, match=f"^manifest invalid at {where}: "
+                                            f"{re.escape(repr(value))} is not a finite number$"):
+        validate_manifest(doc)

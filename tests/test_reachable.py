@@ -26,8 +26,6 @@ SRC = ROOT / "src" / "taut3"
 ALLOWED = {
     "foliation_gv._raise_at": "tests/test_foliation_gv.py",  # singular and non-finite forms
     "manifest._finite": "tests/test_cli.py",  # float literals; no bench manifest has one
-    "twisted_torsion._s3_cw": "tests/test_cli.py",  # `all` on an S3 manifest
-    "twisted_torsion._torus3_cw": "tests/test_cli.py",  # `torsion` on Torus3 exits 4
     "twisted_torsion.sv_torsion_oracle": "perfbench/oracles.py",
 }
 

@@ -1,7 +1,8 @@
 """The package's own modules compile without warnings, import nothing they
 never use, never call `eval`, `exec` or `compile`, and never import sympy or
 scipy, which no run loads; the declared dependencies are exactly the
-third-party modules the package imports.
+third-party modules the package imports; and only `presentations.py` (and the
+schema's enum in `manifest.py`) names the manifold families.
 
 `compile()` runs on the source text, so invalid escapes and similar warnings
 show even where cached `.pyc` files would skip them on import.
@@ -72,6 +73,26 @@ def test_dynamic_code_calls_checker():
 def test_modules_never_evaluate_text_as_code():
     found = {path.name: dynamic_code_calls(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+FAMILIES = {"S3", "Lens", "Brieskorn", "Torus3"}
+
+
+def family_names(source: str):
+    """The string constants of a module that are the name of a family."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and node.value in FAMILIES]
+
+
+def test_family_names_checker():
+    source = 'if family == "Lens":\n    f"Brieskorn({p})"\n    "S3 " + "Torus3"\n'
+    assert family_names(source) == ["Lens", "Torus3"]
+
+
+def test_only_the_presentations_know_the_families():
+    found = {path.name: family_names(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("presentations.py", "manifest.py")}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def imported_modules(source: str):

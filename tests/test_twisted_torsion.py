@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 from su2_oracles import qnormalize
 from taut3 import su2
-from taut3.presentations import builtin_presentation, concat_words, gen, reduce_word
+from taut3.presentations import (
+    ParameterError,
+    builtin_presentation,
+    concat_words,
+    gen,
+    reduce_word,
+)
 from taut3.su2reps import ModuliNotFiniteError, RepModuli, enumerate_reps, evaluate_word
 from taut3.twisted_torsion import (
     TwistedComplex,
@@ -119,7 +126,7 @@ def test_boundaries_compose_to_zero(request, family, params):
     elif family == "Brieskorn":
         reps = list(request.getfixturevalue("brieskorn_235_moduli").classes)
     else:
-        reps = list(enumerate_reps(cw.presentation).classes)
+        reps = list(enumerate_reps(cw).classes)
     for rep in reps:
         c = build_twisted_complex(cw, rep)  # raises internally if D@D != 0
         for pair in (c.d1 @ c.d2, c.d2 @ c.d3):
@@ -141,7 +148,7 @@ def test_untwisted_homology_matches_known(family, params, expected):
     from taut3.su2reps import Su2Element, Su2Rep
 
     cw = cw_structure(family, *params)
-    g = cw.presentation.num_generators
+    g = cw.num_generators
     images = tuple(Su2Element.from_array(su2.IDENTITY) for _ in range(g))
     rep = Su2Rep(images, np.zeros(max(1, g * (g + 1) // 2 + g)), False, 0.0)
     c = build_twisted_complex(cw, rep)
@@ -150,7 +157,7 @@ def test_untwisted_homology_matches_known(family, params, expected):
 
 def test_lens2_nontrivial_character_fully_acyclic():
     cw = cw_structure("Lens", 2, 1)
-    moduli = enumerate_reps(cw.presentation)
+    moduli = enumerate_reps(cw)
     nontriv = [r for r in moduli.classes if abs(r.trace_coords[0] + 2.0) < 1e-8]
     assert len(nontriv) == 1
     c = build_twisted_complex(cw, nontriv[0])
@@ -191,7 +198,7 @@ def test_metric_independence_on_acyclic_complex(brieskorn_235_moduli):
 
 def test_torsion_matches_svd_oracle(brieskorn_235_moduli):
     lens = cw_structure("Lens", 5, 1)
-    cases = [(lens, enumerate_reps(lens.presentation)),
+    cases = [(lens, enumerate_reps(lens)),
              (cw_structure("Brieskorn", 2, 3, 5), brieskorn_235_moduli)]
     for cw, moduli in cases:
         for rep in moduli.classes:
@@ -201,21 +208,34 @@ def test_torsion_matches_svd_oracle(brieskorn_235_moduli):
 
 def test_torsion_sum_refuses_positive_betti():
     with pytest.raises(ModuliNotFiniteError):
-        torsion_sum(builtin_presentation("Torus3"), cw_structure("Torus3"), RepModuli(()))
+        torsion_sum(builtin_presentation("Torus3"), RepModuli(()))
 
 
 def test_torsion_sum_reports_finiteness_note():
     pres = builtin_presentation("Lens", 3, 1)
-    result = torsion_sum(pres, cw_structure("Lens", 3, 1), enumerate_reps(pres))
+    result = torsion_sum(pres, enumerate_reps(pres))
     assert any("finiteness" in note for note in result.notes)
     assert result.total > 0
 
 
 def test_unsupported_family_errors():
-    with pytest.raises(UnsupportedFamilyError):
+    refusal = r"^no frozen CW structure for Brieskorn\(2,3,7\)$"
+    with pytest.raises(UnsupportedFamilyError, match=refusal):
         cw_structure("Brieskorn", 2, 3, 7)
     with pytest.raises(UnsupportedFamilyError):
+        torsion_sum(builtin_presentation("Brieskorn", 2, 3, 7), RepModuli(()))
+    with pytest.raises(ParameterError):
         cw_structure("Nope")
+
+
+@pytest.mark.parametrize("params", list(itertools.permutations((2, 3, 5))))
+def test_the_3_cell_follows_the_relators(params):
+    """The orderings of (2, 3, 5) whose presentation has Sigma(2,3,5)'s
+    relators carry its 3-cell; the others have s^5 t^-3 and no 3-cell."""
+    pres = builtin_presentation("Brieskorn", *params)
+    same = pres.relators == builtin_presentation("Brieskorn", 2, 3, 5).relators
+    assert same == (params in [(2, 3, 5), (3, 2, 5), (3, 5, 2)])
+    assert pres.d3_words == (builtin_presentation("Brieskorn", 2, 3, 5).d3_words if same else None)
 
 
 def _betti_by_svd_ranks(c):
@@ -228,7 +248,7 @@ def test_betti_numbers_match_svd_ranks(brieskorn_235_moduli):
     cases = [(cw_structure("Brieskorn", 2, 3, 5), brieskorn_235_moduli.classes)]
     for p, q in [(2, 1), (5, 1), (7, 2), (12, 5)]:
         cw = cw_structure("Lens", p, q)
-        cases.append((cw, enumerate_reps(cw.presentation).classes))
+        cases.append((cw, enumerate_reps(cw).classes))
     for cw, classes in cases:
         for rep in classes:
             c = build_twisted_complex(cw, rep)
@@ -280,7 +300,7 @@ def test_brieskorn_3_cell_generates_the_kernel_of_d2(brieskorn_235_moduli):
             m[mul[:, e], np.arange(n)] += a[e]
         return m
 
-    relators = cw.presentation.relators
+    relators = cw.relators
     d2 = np.block([[right_mult(vector(fox_terms(r, j))) for r in relators] for j in range(2)])
     s = np.concatenate([vector(cell) for cell in cw.d3_words])
     assert not (d2 @ s).any()
