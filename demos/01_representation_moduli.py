@@ -7,15 +7,9 @@ Casson-style count over the irreducible classes of the Poincare sphere.
 
 import numpy as np
 
-from taut3 import (
-    builtin_presentation,
-    build_twisted_complex,
-    casson_count,
-    cw_structure,
-    enumerate_reps,
-    homology_h1,
-    rs_torsion,
-)
+from taut3.presentations import builtin_presentation, homology_h1
+from taut3.su2reps import casson_count, enumerate_reps
+from taut3.twisted_torsion import build_twisted_complex, cw_structure, rs_torsion
 
 print("=== Lens spaces L(p, 1) ===")
 print("pi_1(L(p, q)) = Z/p is abelian, so every SU(2) representation lands in a")

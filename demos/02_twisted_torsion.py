@@ -8,13 +8,8 @@ the zeta-style torsion, and sums it over all flat classes.
 
 import numpy as np
 
-from taut3 import (
-    build_twisted_complex,
-    cw_structure,
-    enumerate_reps,
-    rs_torsion,
-    torsion_sum,
-)
+from taut3 import enumerate_reps, torsion_sum
+from taut3.twisted_torsion import build_twisted_complex, cw_structure, rs_torsion
 
 print("=== Twisted complex for the Poincare sphere ===")
 # the presentation, with the boundary of its 3-cell

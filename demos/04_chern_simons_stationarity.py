@@ -8,8 +8,14 @@ precision; flat (curvature-free) connections are stationary points.
 
 import numpy as np
 
-from taut3 import LatticeConnection, action_gradient, cs_action, curvature
-from taut3.chern_simons import FD_DIRECTIONS, stationarity_check
+from taut3.chern_simons import (
+    FD_DIRECTIONS,
+    LatticeConnection,
+    action_gradient,
+    cs_action,
+    curvature,
+    stationarity_check,
+)
 
 print("=== Random connection on a 4^3 grid ===")
 conn = LatticeConnection.random(4, scale=0.2, seed=3)

@@ -9,10 +9,10 @@ test.
 
 import numpy as np
 
-from taut3 import (
+from taut3.foliation_gv import (
     FoliationSpec,
     form_from_functions,
-    gv_invariant,
+    gv_report,
     gv_term,
     tautness_check,
 )
@@ -47,7 +47,7 @@ print(f"no transversal supplied         : taut = {tautness_check(no_loop)} "
       "(inconclusive)")
 
 print("\n=== Summing over several representatives ===")
-report = gv_invariant([spec, no_loop])
+report = gv_report([gv_term(s, k) for k, s in enumerate([spec, no_loop])])
 for (label, val, taut, resid), defect in zip(report.per_foliation, report.integrability_residuals):
     print(f"  {label:<8} GV = {val:+.2e}  taut = {taut}  residual = {resid:.1e}  "
           f"defect = {defect:.1e}")

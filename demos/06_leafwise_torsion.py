@@ -7,7 +7,7 @@ kernel dimensions, spectral identities, and the leafwise torsion are exact.
 
 import numpy as np
 
-from taut3 import leafwise_torsion, tangential_laplacian
+from taut3.leafwise import leafwise_torsion, tangential_laplacian
 
 M = 4
 print(f"=== Tangential Laplacians (Fourier truncation |m|, |n| <= {M}) ===")

@@ -2,13 +2,20 @@
 
 The fundamental cocycle tau(f0, f1) = (1/2*pi*i) int f0 df1 is represented
 as a kernel matrix on Fourier coefficients; it is a Hochschild cocycle,
-cyclic, and pairs with unitaries u to give their winding number.
+cyclic, and pairs with unitaries u to give their winding number.  The
+coboundary b and the cyclic permutation lambda that check the first two come
+from the tests (`tests/cyclic_oracles.py`).
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from taut3 import fundamental_cocycle, hochschild_b, k_pairing
-from taut3.cyclic import HeadroomError, cyclic_lambda, mode, random_trig
+from taut3.cyclic import HeadroomError, fundamental_cocycle, k_pairing, mode
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from cyclic_oracles import cyclic_lambda, hochschild_b, random_trig
 
 tau = fundamental_cocycle(degree_bound=8)
 rng = np.random.default_rng(0)

@@ -3,8 +3,10 @@ r"""Degree-1 cyclic cohomology of C(S^1) on a truncated Fourier model.
 Elements are trigonometric polynomials; the fundamental cocycle is
 tau(f0, f1) = (1/2 pi i) \oint f0 df1, evaluated exactly on coefficients as
 Sum_k k (f0)_{-k} (f1)_k.  Cochains are stored as kernel matrices
-K[k, l] with phi(f0, f1) = Sum_{k,l} K[k, l] (f0)_k (f1)_l, so the Hochschild
-coboundary and the cyclic permutation are exact coefficient arithmetic.
+K[k, l] with phi(f0, f1) = Sum_{k,l} K[k, l] (f0)_k (f1)_l, so evaluation is
+exact coefficient arithmetic.  The Hochschild coboundary and the cyclic
+permutation that check tau is a cyclic cocycle live in the tests
+(`tests/cyclic_oracles.py`).
 Products truncate; every operation declares the degree headroom it needs and
 raises instead of silently dropping modes.
 """
@@ -69,21 +71,14 @@ class TrigPoly:
         return TrigPoly(np.conj(self.coefficients[::-1]))
 
 
-def mode(k: int, amplitude: complex = 1.0) -> TrigPoly:
+def mode(k: int) -> TrigPoly:
     c = np.zeros(2 * abs(k) + 1, dtype=complex)
-    c[k + abs(k)] = amplitude
+    c[k + abs(k)] = 1.0
     return TrigPoly(c)
 
 
 def constant(value: complex) -> TrigPoly:
     return TrigPoly(np.array([value], dtype=complex))
-
-
-def random_trig(degree: int, rng, real: bool = False) -> TrigPoly:
-    c = rng.standard_normal(2 * degree + 1) + 1j * rng.standard_normal(2 * degree + 1)
-    if real:
-        c = 0.5 * (c + np.conj(c[::-1]))
-    return TrigPoly(c)
 
 
 @dataclass(frozen=True)
@@ -130,28 +125,7 @@ def fundamental_cocycle(degree_bound: int = 8) -> CyclicCochain:
     return CyclicCochain(kern)
 
 
-def hochschild_b(phi: CyclicCochain):
-    """Trilinear evaluator of the Hochschild coboundary
-    (b phi)(f0, f1, f2) = phi(f0 f1, f2) - phi(f0, f1 f2) + phi(f2 f0, f1).
-
-    Products are exact convolutions; evaluation fails with HeadroomError if a
-    product's live modes exceed the cochain kernel's bound.
-    """
-
-    def evaluator(f0: TrigPoly, f1: TrigPoly, f2: TrigPoly) -> complex:
-        pairs = ((f0, f1), (f1, f2), (f2, f0))
-        p01, p12, p20 = ((f * g).padded(phi.degree_bound) for f, g in pairs)
-        return phi(p01, f2) - phi(f0, p12) + phi(p20, f1)
-
-    return evaluator
-
-
-def cyclic_lambda(phi: CyclicCochain) -> CyclicCochain:
-    """(lambda phi)(f0, f1) = -phi(f1, f0); cocycles satisfy lambda phi = phi."""
-    return CyclicCochain(-phi.kernel.T)
-
-
-def k_pairing(u: TrigPoly, phi: CyclicCochain, tol: float = PAIRING_TOLERANCE) -> float:
+def k_pairing(u: TrigPoly, phi: CyclicCochain) -> float:
     """phi(u^{-1}, u) for unitary u; for phi = tau this is the winding number.
 
     Raises HeadroomError if u has a live mode past phi's degree bound, where
@@ -160,9 +134,9 @@ def k_pairing(u: TrigPoly, phi: CyclicCochain, tol: float = PAIRING_TOLERANCE) -
     u = u.padded(phi.degree_bound)
     uu = u * u.conj()
     expect = constant(1.0).padded(uu.degree_bound)
-    if np.max(np.abs(uu.coefficients - expect.coefficients)) > tol:
+    if np.max(np.abs(uu.coefficients - expect.coefficients)) > PAIRING_TOLERANCE:
         raise UnitarityError("u u* != 1: probe is not unitary on the circle")
     val = phi(u.conj(), u)  # u^{-1} = conj(u) for unitary u
-    if abs(val.imag) > tol * max(1.0, abs(val)):
+    if abs(val.imag) > PAIRING_TOLERANCE * max(1.0, abs(val)):
         raise AssertionError(f"pairing has a stray imaginary part: {val.imag}")
     return float(val.real)

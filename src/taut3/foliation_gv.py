@@ -372,7 +372,7 @@ class GvReport:
 
 def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     """One foliation's (label, gv, taut, theta residual) row, Frobenius defect
-    and warning (or None) for `gv_invariant`.
+    and warning (or None), as `gv_report` sums them.
 
     The tautness test runs first; then one slab pass (`_gv_blocks`) gives the
     defect |omega ^ d omega| / (|omega| |d omega| + eps) and, for a row that is
@@ -414,8 +414,3 @@ def gv_report(terms) -> GvReport:
     rows, defects, warnings = zip(*terms) if terms else ((), (), ())
     total = sum(val for _label, val, _taut, _res in rows if val is not None)
     return GvReport(float(total), rows, tuple(w for w in warnings if w), defects)
-
-
-def gv_invariant(foliations, strict: bool = False) -> GvReport:
-    """Sum of GV integrals over the supplied foliation representatives."""
-    return gv_report([gv_term(spec, k, strict) for k, spec in enumerate(foliations)])

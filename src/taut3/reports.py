@@ -61,18 +61,16 @@ class InvariantReport:
             self.sections[name] = Section(name)
         return self.sections[name]
 
-    def to_dict(self, include_timings: bool = True):
-        body = {
+    def to_dict(self):
+        return {
             "report_version": REPORT_VERSION,
             "manifest_digest": self.manifest_digest,
             "sections": {k: self.sections[k].to_dict() for k in sorted(self.sections)},
+            "timings": {k: self.timings[k] for k in sorted(self.timings)},
         }
-        if include_timings:
-            body["timings"] = {k: self.timings[k] for k in sorted(self.timings)}
-        return body
 
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timings), sort_keys=True, indent=1)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
     def to_text(self) -> str:
         lines = [f"taut3 report v{REPORT_VERSION}  manifest {self.manifest_digest[:12]}"]

@@ -186,11 +186,11 @@ def require_finite_moduli(p: GroupPresentation) -> None:
         )
 
 
-def _make_rep(images, residual, coords=None):
+def _make_rep(images, residual, coords):
     elems = tuple(Su2Element.from_array(q) for q in images)
     return Su2Rep(
         generator_images=elems,
-        trace_coords=trace_coordinates(images) if coords is None else coords,
+        trace_coords=coords,
         irreducible=_any_noncommuting(images, 1e-6),
         residual=float(residual),
     )

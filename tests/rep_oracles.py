@@ -134,7 +134,7 @@ def search_reps(p, cfg: SolverConfig = SolverConfig()) -> RepModuli:
     ok = dev <= cfg.tolerance
     images_list = [refined[i] for i in np.nonzero(ok)[0]]
     pairs = _dedup(images_list, list(dev[ok]), cfg.dedup_tolerance)
-    return RepModuli(tuple(su2reps._make_rep(im, r) for im, r in pairs))
+    return RepModuli(tuple(su2reps._make_rep(im, r, trace_coordinates(im)) for im, r in pairs))
 
 
 def brieskorn_sigma(p, q, r):

@@ -235,7 +235,8 @@ def test_gv_compiles_every_expression_before_sampling(tmp_path, capsys, count_ca
 
 
 def test_gv_stage_matches_gv_invariant(tmp_path):
-    """Evaluating the foliations one at a time gives gv_invariant's report."""
+    """Sampling and evaluating the foliations one at a time gives the report of
+    `gv_report` over the sampled foliations."""
     n = 8
     z_loop = [[0, 0, k] for k in range(n)]
     foliations = [
@@ -250,7 +251,7 @@ def test_gv_stage_matches_gv_invariant(tmp_path):
     assert run(["gv", "--manifest", write_manifest(tmp_path, data), "--out", str(out)]) == EXIT_OK
     section = json.loads(out.read_text())["sections"]["godbillon_vey"]
     specs = [cli._foliation_spec(e, [cli.compile_expr(s) for s in e["omega"]]) for e in foliations]
-    gv = fg.gv_invariant(specs)
+    gv = fg.gv_report([fg.gv_term(spec, k) for k, spec in enumerate(specs)])
     assert section["values"]["total"] == gv.total
     assert section["values"]["per_foliation"] == [
         {"label": lab, "gv": val, "taut": taut, "theta_residual": res}
@@ -539,7 +540,8 @@ def test_leafwise_weights_past_the_bounds_exit_2(tmp_path, capsys, weights, mess
 )
 def test_non_finite_numbers_exit_2(tmp_path, capsys, command, blocks, literal):
     """Python's json reads NaN and the infinities, which JSON does not have; a
-    NaN would pass every bound of the schema and reach the report."""
+    NaN would pass every bound of the schema and reach the report, so
+    `manifest._finite` refuses them as the manifest is parsed."""
     data = {"schema_version": 1, "manifold": {"family": "Lens", "params": [5, 1]}, **blocks}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data).replace('"?"', literal))

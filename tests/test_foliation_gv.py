@@ -17,7 +17,7 @@ from taut3.foliation_gv import (
     TautnessError,
     form_from_functions,
     grid_coords,
-    gv_invariant,
+    gv_report,
     gv_term,
     tautness_check,
 )
@@ -139,6 +139,8 @@ def test_solve_theta_rejects_nonintegrable():
 
 
 def test_singular_form_detected():
+    """sin(2 pi x) dx vanishes on two planes of vertices; `_raise_at` names the
+    first flagged cell."""
     n = 16
     with pytest.raises(SingularityError):
         FoliationSpec(
@@ -206,12 +208,12 @@ def test_gv_invariant_report_and_strict_mode():
     om = omega_exp_f(n)
     good = FoliationSpec(om, transversal=tuple((0, 0, k) for k in range(n)), label="good")
     bad = FoliationSpec(om, transversal=tuple((k, 0, 0) for k in range(n)), label="bad")
-    rep = gv_invariant([good, bad])
+    rep = gv_report([gv_term(good, 0), gv_term(bad, 1)])
     assert rep.per_foliation[0][1] is not None
     assert rep.per_foliation[1][1] is None  # excluded
     assert any("tautness" in w for w in rep.warnings)
     with pytest.raises(TautnessError):
-        gv_invariant([bad], strict=True)
+        gv_report([gv_term(bad, 0, strict=True)])
 
 
 @pytest.mark.parametrize("vertex", [(0, 0, 8), (0, 0, -1), (0, 0)])

@@ -1,8 +1,9 @@
 """The package's own modules compile without warnings, import nothing they
-never use, never call `eval`, `exec` or `compile`, and never import sympy or
-scipy, which no run loads; the declared dependencies are exactly the
-third-party modules the package imports; and only `presentations.py` (and the
-schema's enum in `manifest.py`) names the manifold families.
+neither use nor list in `__all__`, never call `eval`, `exec` or `compile`, and
+never import sympy or scipy, which no run loads; the declared dependencies are
+exactly the third-party modules the package imports; only `presentations.py`
+(and the schema's enum in `manifest.py`) names the manifold families; and the
+package exports exactly the names that the README's quick start imports.
 
 `compile()` runs on the source text, so invalid escapes and similar warnings
 show even where cached `.pyc` files would skip them on import.
@@ -31,8 +32,17 @@ def test_sources_compile_without_warnings():
             compile(path.read_text(), str(path), "exec")
 
 
+def exported_names(tree):
+    """The string constants listed in the module's `__all__ = [...]`; a computed
+    `__all__` exports nothing that the checker can see."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name) and target.id == "__all__"
+            for elt in getattr(node.value, "elts", ()) if isinstance(elt, ast.Constant)}
+
+
 def unused_imports(source: str):
-    """Names bound by an import statement that no expression of the module reads."""
+    """Names bound by an import statement that no expression of the module
+    reads and its `__all__` does not export."""
     tree = ast.parse(source)
     bound = []
     for node in ast.walk(tree):
@@ -41,21 +51,33 @@ def unused_imports(source: str):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [a.asname or a.name for a in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(set(bound) - read)
+    return sorted(set(bound) - read - exported_names(tree))
 
 
 def test_unused_imports_checker():
     assert unused_imports("import os.path\nfrom a import b, c as d\nos.sep\nd()") == ["b"]
+    assert unused_imports("from a import b, c, d\n__all__ = ['b']\nc()") == ["d"]
+    assert unused_imports("from a import b\n__all__ = [n for n in dir()]") == ["b"]
 
 
 def test_modules_use_every_name_they_import():
-    # __init__.py imports names to re-export them
-    found = {
-        path.name: unused_imports(path.read_text())
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
-    }
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def quick_start_imports(readme: str):
+    """The names that the README's quick-start code block imports from taut3."""
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return {a.name for node in ast.walk(ast.parse(block)) if isinstance(node, ast.ImportFrom)
+            and node.module == "taut3" for a in node.names}
+
+
+def test_the_package_exports_the_readme_quick_start():
+    import taut3
+
+    names = quick_start_imports((ROOT / "README.md").read_text())
+    assert names and sorted(taut3.__all__) == sorted(names)
 
 
 def dynamic_code_calls(source: str):
