@@ -2,14 +2,22 @@
 
 Constructs the conjugacy classes of SU(2) representations of the fundamental
 group for lens spaces and Brieskorn spheres, and shows the unsigned
-Casson-style count over the irreducible classes of the Poincare sphere.
+Casson-style count over the irreducible classes of the Poincare sphere.  The
+Laplacian route that the C^2 twisted H^1 comes from is imported from the tests
+(`tests/torsion_oracles.py`), since no run of the package computes it.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from taut3.presentations import builtin_presentation, homology_h1
 from taut3.su2reps import casson_count, enumerate_reps
-from taut3.twisted_torsion import build_twisted_complex, cw_structure, rs_torsion
+from taut3.twisted_torsion import adjoint_h1_dims, build_twisted_complex
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from torsion_oracles import rs_torsion
 
 print("=== Lens spaces L(p, 1) ===")
 print("pi_1(L(p, q)) = Z/p is abelian, so every SU(2) representation lands in a")
@@ -47,9 +55,10 @@ for pqr in [(2, 3, 7), (2, 3, 11), (3, 4, 5), (2, 5, 7), (23, 29, 31)]:
     print(f"  Sigma{pqr}: {n_irr} irreducible classes, largest relator residual {worst:.1e}")
 
 print("\n=== Unsigned count ===")
-print("Each irreducible class contributes +1 once its twisted H^1 vanishes")
-print("(the regularity certificate; here computed from the twisted complex):")
-cw = cw_structure("Brieskorn", 2, 3, 5)
-h1 = [rs_torsion(build_twisted_complex(cw, r)).betti[1] for r in irr]
-print(f"  twisted H^1 dimensions: {h1}")
+print("Each irreducible class contributes +1 once H^1(pi; Ad rho) vanishes (the")
+print("regularity certificate: 3g - 3 - rank of the Fox matrix of the relators")
+print("under Ad rho).  The C^2 twisted complex is acyclic there as well:")
+h1 = adjoint_h1_dims(p235, moduli)
+c2 = [rs_torsion(build_twisted_complex(p235, r)).betti[1] for r in irr]
+print(f"  H^1(Ad rho) dimensions: {h1}; C^2 twisted H^1 dimensions: {c2}")
 print(f"  count = {casson_count(moduli, h1)}")

@@ -235,7 +235,7 @@ def stationarity_check(conn: LatticeConnection, step: float = 1e-4, level: float
     agreement = np.linalg.norm(fd - exact) / max(np.linalg.norm(exact), 1e-14)
     return StationarityReport(
         grad_norm=float(np.linalg.norm(g)),
-        # Frobenius norm of the 2x2 matrices: |to_matrix(q)| = sqrt(2) |q|
+        # Frobenius norm of the 2x2 matrices of `su2`'s convention: sqrt(2) |q|
         curvature_norm=float(np.sqrt(2.0) * np.linalg.norm(curvature(conn))),
         agreement=float(agreement),
     )

@@ -2,16 +2,14 @@
 
 Each subcommand runs one invariant pipeline; `all` runs every pipeline that
 applies to the manifest's manifold, reporting the others as skipped.  The
-pipelines of one invocation share a `Run`, so the presentation (with the
-cells of the twisted complexes), the flat moduli and the torsion sum (one
-twisted complex per class) are each computed once.  Reports are written as
+pipelines of one invocation share a `Run`, so the presentation and the flat
+moduli are each computed once.  Reports are written as
 JSON (sections, tolerances, warnings) with timings kept in a separate block so
 repeated runs with the same seed produce identical reports modulo timing fields.
 
 Exit codes:
   0  success
   2  manifest parse/schema error or bad arguments
-  3  unsupported family for the requested pipeline
   4  regularity or finiteness failure (the construction does not apply)
   5  tautness failure under --strict
 """
@@ -43,12 +41,10 @@ from .su2reps import (
     enumerate_reps,
     require_finite_moduli,
 )
-from .twisted_torsion import UnsupportedFamilyError, require_cells, torsion_sum
-from .zeta import ZERO_THRESHOLD
+from .twisted_torsion import adjoint_h1_dims, torsion_sum
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_UNSUPPORTED = 3
 EXIT_REGULARITY = 4
 EXIT_TAUTNESS = 5
 
@@ -71,12 +67,6 @@ class Run:
     def moduli(self):
         return enumerate_reps(self.presentation)
 
-    @cached_property
-    def torsion(self):
-        # refuse before the moduli are enumerated
-        require_finite_moduli(require_cells(self.presentation))
-        return torsion_sum(self.presentation, self.moduli)
-
 
 def run_reps(run: Run, report: InvariantReport):
     m, moduli = run.m, run.moduli
@@ -95,23 +85,23 @@ def run_reps(run: Run, report: InvariantReport):
 
 
 def run_torsion(run: Run, report: InvariantReport):
-    m, result = run.m, run.torsion
+    require_finite_moduli(run.presentation)  # refuse before the moduli are enumerated
+    m, result = run.m, torsion_sum(run.presentation, run.moduli)
     sec = report.section("torsion")
+    sums = {"total": result.total, "irreducible_subtotal": result.irreducible_subtotal}
     sec.values.update(
-        total=result.total,
-        irreducible_subtotal=result.irreducible_subtotal,
+        {k: v for k, v in sums.items() if v is not None},
         per_class=[
             {
                 "trace_coordinates": [round(float(t), 10) for t in tc],
                 "log_t": res.log_t,
                 "t": res.t,
                 "acyclic": res.acyclic,
-                "metric_dependent": res.metric_dependent,
+                "metric_dependent": not res.acyclic,
             }
             for tc, res, _irr in result.per_class
         ],
     )
-    sec.tolerances["zero_eigenvalue_threshold"] = ZERO_THRESHOLD
     sec.metadata["family"] = m.family
     sec.warnings.extend(result.notes)
 
@@ -124,8 +114,7 @@ def run_casson(run: Run, report: InvariantReport):
             f"{m.family}{tuple(m.params)}: not an integral homology sphere; "
             "the counting construction does not apply"
         )
-    # the same twisted H^1 of each irreducible class that the torsion pass computed
-    regularity = [res.betti[1] for _tc, res, irr in run.torsion.per_class if irr]
+    regularity = adjoint_h1_dims(run.presentation, run.moduli)
     count = casson_count(run.moduli, regularity)
     sec = report.section("casson")
     sec.values["unsigned_count"] = count
@@ -270,14 +259,11 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             try:
                 PIPELINES[name](run, report)
-            except (ModuliNotFiniteError, UnsupportedFamilyError, RegularityError) as exc:
+            except (ModuliNotFiniteError, RegularityError) as exc:
                 if args.command != "all":
                     raise
                 report.section(name.replace("-", "_")).warnings.append(f"skipped: {exc}")
             report.timings[name] = time.perf_counter() - t0
-    except UnsupportedFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except (ManifestError, ParameterError, ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -376,9 +376,10 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
 
     The tautness test runs first; then one slab pass (`_gv_blocks`) gives the
     defect |omega ^ d omega| / (|omega| |d omega| + eps) and, for a row that is
-    not excluded, the theta residual |d omega - theta ^ omega| and the GV
-    integral of theta ^ d theta (L2 norms are grid RMS values); such a row
-    raises ValueError if its defect exceeds INTEGRABILITY_TOLERANCE.  A sum that
+    not excluded, the theta residual |d omega - theta ^ omega| / |d omega| (0 if
+    d omega = 0) and the GV integral of theta ^ d theta (L2 norms are grid RMS
+    values); such a row raises ValueError if its defect exceeds
+    INTEGRABILITY_TOLERANCE.  A sum that
     overflows raises SingularityError.  The pass holds no array the size of the
     grid, so a caller that samples each foliation just before this call holds
     one foliation's omega at a time."""
@@ -406,7 +407,7 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     if defect > INTEGRABILITY_TOLERANCE:
         raise ValueError("form is not integrable within tolerance; no theta exists")
     warning = None if taut else f"{label}: no transversal supplied, tautness inconclusive"
-    return (label, gv * omega.spacing**3, taut, sqrt(miss / cells)), defect, warning
+    return (label, gv * omega.spacing**3, taut, sqrt(miss / dw) if dw else 0.0), defect, warning
 
 
 def gv_report(terms) -> GvReport:

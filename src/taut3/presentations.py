@@ -5,9 +5,11 @@ reduced.  This makes free differential calculus (see taut3.twisted_torsion)
 direct and keeps homology computations exact.  Each built-in presentation also
 records its shape (`CyclicShape`, `TriangleShape`, `SeifertShape`): the
 exponents its relators were built from, which is all that the exact flat
-moduli in taut3.su2reps need to know about the relators.  Where a presentation
-is the 2-skeleton of a known CW structure (S^3, L(p,q), T^3, Sigma(2,3,5)), it
-also carries the boundary of the one 3-cell, written with the relators.
+moduli in taut3.su2reps need to know about the relators, and the core words
+of the manifold's solid tori with the fibre, which is all that the torsion
+in taut3.twisted_torsion needs.  Where a presentation is the 2-skeleton of a
+known CW structure (S^3, L(p,q), T^3, Sigma(2,3,5)), it also carries the
+boundary of the one 3-cell, written with the relators.
 """
 
 from __future__ import annotations
@@ -64,27 +66,48 @@ def gen(g: int, e: int = 1) -> Word:
 
 @dataclass(frozen=True)
 class CyclicShape:
-    """<x | x^order>."""
+    """<x | x^order>, pi_1 of L(order, q): the cores of its two solid tori are
+    x and x^qbar, qbar = q^-1 mod order, and it has no fibre."""
 
     order: int
+    q: int = 1
+    fibre = None
+
+    @property
+    def cores(self):
+        return gen(0), gen(0, pow(self.q, -1, self.order))
 
 
 @dataclass(frozen=True)
 class TriangleShape:
-    """<s, t | s^b t^-c, (st)^a s^-b>: s^b = t^c = (st)^a is central."""
+    """<s, t | s^b t^-c, (st)^a s^-b>: s^b = t^c = (st)^a is central, the
+    fibre, and s, t and st are the cores of the exceptional fibres."""
 
     a: int
     b: int
     c: int
+    cores = (gen(0), gen(1), concat_words(gen(0), gen(1)))
+
+    @property
+    def fibre(self):
+        return gen(0, self.b)
 
 
 @dataclass(frozen=True)
 class SeifertShape:
-    """<x1, x2, x3, h | [x_i, h], x_i^alpha_i h^beta_i, x1 x2 x3 h^b0>."""
+    """<x1, x2, x3, h | [x_i, h], x_i^alpha_i h^beta_i, x1 x2 x3 h^b0>: h is
+    the fibre, and the core of the solid torus whose meridian is
+    x_i^alpha_i h^beta_i is x_i^u h^v with alpha_i v - beta_i u = 1."""
 
     alphas: tuple
     betas: tuple
     b0: int
+    fibre = gen(3)
+
+    @property
+    def cores(self):
+        return tuple(concat_words(gen(i, (a * pow(a, -1, b) - 1) // b), gen(3, pow(a, -1, b)))
+                     for i, (a, b) in enumerate(zip(self.alphas, self.betas)))
 
 
 @dataclass(frozen=True)
@@ -245,8 +268,9 @@ def builtin_presentation(family: str, *params) -> GroupPresentation:
             raise ParameterError(f"Lens({p},{q}): need p >= 2 and gcd(p, q) = 1")
         if p > SIZE_BOUND:
             raise ParameterError(f"Lens({p},{q}): need p <= {SIZE_BOUND}")
-        d3 = (((1, gen(0, pow(q, -1, p))), (-1, ())),)  # x^qbar - 1, qbar = q^-1 mod p
-        return GroupPresentation(1, (gen(0, p),), label=f"Lens({p},{q})", shape=CyclicShape(p),
+        shape = CyclicShape(p, q)
+        d3 = (((1, shape.cores[1]), (-1, ())),)  # x^qbar - 1
+        return GroupPresentation(1, (gen(0, p),), label=f"Lens({p},{q})", shape=shape,
                                  d3_words=d3)
     if family == "Brieskorn":
         if len(params) != 3:

@@ -59,12 +59,8 @@ def dist_to_identity(q):
     return np.linalg.norm(np.asarray(q, dtype=float) - IDENTITY, axis=-1)
 
 
-def to_matrix(q):
-    q = np.asarray(q, dtype=float)
-    a, b, c, d = np.moveaxis(q, -1, 0)
-    m = np.empty(np.shape(a) + (2, 2), dtype=complex)
-    m[..., 0, 0] = a + 1j * d
-    m[..., 0, 1] = b + 1j * c
-    m[..., 1, 0] = -b + 1j * c
-    m[..., 1, 1] = a - 1j * d
-    return m
+def adjoint(q):
+    """Ad q, the rotation v -> q v q^-1 of the pure quaternions (b, c, d), as
+    (..., 3, 3) matrices."""
+    q = np.asarray(q, dtype=float)[..., None, :]
+    return np.swapaxes(qmul(qmul(q, np.eye(4)[1:]), qconj(q))[..., 1:], -1, -2)

@@ -1,6 +1,7 @@
 """Quaternion helpers that only the tests use: normalisation, the exponential
 chart of SU(2) and its inverse (the Gauss-Newton search of `rep_oracles`
-steps in it), axis-angle elements and random unit quaternions.
+steps in it), axis-angle elements, random unit quaternions and the 2x2
+complex matrices of the `taut3.su2` convention.
 
 Quaternions follow `taut3.su2`: (a, b, c, d) with trace 2a, as arrays of shape
 (..., 4).
@@ -44,3 +45,15 @@ def from_axis_angle(axis, angle):
 
 def random_unit(rng, shape=()):
     return qnormalize(rng.normal(size=shape + (4,)))
+
+
+def to_matrix(q):
+    """The matrix [[a + d i, b + c i], [-b + c i, a - d i]] of each quaternion."""
+    q = np.asarray(q, dtype=float)
+    a, b, c, d = np.moveaxis(q, -1, 0)
+    m = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    m[..., 0, 0] = a + 1j * d
+    m[..., 0, 1] = b + 1j * c
+    m[..., 1, 0] = -b + 1j * c
+    m[..., 1, 1] = a - 1j * d
+    return m

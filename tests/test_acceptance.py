@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cyclic_oracles import cyclic_lambda, hochschild_b, random_trig
-from su2_oracles import random_unit
+from su2_oracles import random_unit, to_matrix
 from taut3 import cyclic as cyc
 from taut3 import su2
 from taut3.chern_simons import (
@@ -26,7 +26,7 @@ from taut3.cli import main as cli_main
 from taut3.foliation_gv import DiscreteForm, FoliationSpec, gv_term
 from taut3.presentations import builtin_presentation, concat_words, gen
 from taut3.su2reps import enumerate_reps, evaluate_word
-from taut3.twisted_torsion import build_twisted_complex, cw_structure, rs_torsion
+from taut3.twisted_torsion import build_twisted_complex, cw_structure
 from taut3.zeta import zeta_log_det
 from taut3.leafwise import leafwise_torsion, tangential_laplacian
 
@@ -34,6 +34,7 @@ from test_chern_simons import finite_difference_gradient
 from test_foliation_gv import gauge_changed_omega, omega_exp_f
 from test_su2reps import brieskorn_235_angle_oracle
 from test_twisted_torsion import fox, random_word, reweighted
+from torsion_oracles import dims, rs_torsion
 from zeta_oracles import circle_laplacian_log_det
 
 
@@ -85,18 +86,19 @@ def test_criterion_1_representation_counts(brieskorn_moduli):
 
 
 def test_criterion_2_fox_calculus():
-    """On the production Fox routine, with random unit quaternions as images."""
+    """On the production Fox routine, with random unit quaternions as images, in
+    the 2x2 representation."""
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(1000):
         u, v = random_word(rng), random_word(rng)
         images = random_unit(rng, (3,))
         lhs = fox(concat_words(u, v), images)
-        rhs = fox(u, images) + su2.qmul(evaluate_word(images, u), fox(v, images))
+        rhs = fox(u, images) + to_matrix(evaluate_word(images, u)) @ fox(v, images)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     x = random_unit(rng, (1,))
     for p in range(1, 21):
-        expect = sum(su2.qpow(x[0], k) for k in range(p))
+        expect = to_matrix(sum(su2.qpow(x[0], k) for k in range(p)))
         worst = max(worst, float(np.max(np.abs(fox(gen(0, p), x) - expect))))
     ok = worst < 1e-12
     report(2, f"product rule on 1000 pairs; d(x^p)/dx against sum of powers for p <= 20 "
@@ -157,7 +159,7 @@ def test_criterion_5_metric_independence(brieskorn_moduli):
     worst = 0.0
     for _ in range(20):
         weights = []
-        for n in c.dims:
+        for n in dims(c):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             weights.append(a @ a.conj().T + n * np.eye(n))
         worst = max(worst, abs(rs_torsion(reweighted(c, weights)).log_t - base))

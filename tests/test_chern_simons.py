@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from su2_oracles import to_matrix
 from taut3 import chern_simons
 from taut3.chern_simons import (
     ConnectionError_,
@@ -10,7 +11,7 @@ from taut3.chern_simons import (
     curvature,
     stationarity_check,
 )
-from taut3.su2 import qmul, qtrace, to_matrix
+from taut3.su2 import qmul, qtrace
 
 # i * Pauli matrices: the real basis of su(2) that the coefficients refer to
 SU2_BASIS = np.array(

@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rep_oracles import brieskorn_sigma
+from test_su2reps import SMALL_TRIPLES
 from taut3 import cli, presentations, twisted_torsion
 from taut3 import foliation_gv as fg
 from taut3.cli import (
     EXIT_OK,
     EXIT_REGULARITY,
     EXIT_TAUTNESS,
-    EXIT_UNSUPPORTED,
     EXIT_USAGE,
     main,
 )
@@ -88,12 +89,12 @@ def test_exit_codes(tmp_path):
     )
     assert run(["reps", "--manifest", bad_schema]) == EXIT_USAGE
 
-    unsupported = write_manifest(
+    no_3_cell = write_manifest(
         tmp_path,
         {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 7]}},
         "b237.json",
     )
-    assert run(["torsion", "--manifest", unsupported]) == EXIT_UNSUPPORTED
+    assert run(["torsion", "--manifest", no_3_cell]) == EXIT_OK
 
     torus = write_manifest(
         tmp_path, {"schema_version": 1, "manifold": {"family": "Torus3"}}, "t3.json"
@@ -281,13 +282,6 @@ def enumerations(monkeypatch):
     [
         ("torsion", {"family": "Torus3"}, EXIT_REGULARITY, "betti_1 > 0"),
         ("casson", {"family": "Torus3"}, EXIT_REGULARITY, "not an integral homology sphere"),
-        ("torsion", {"family": "Brieskorn", "params": [2, 3, 7]}, EXIT_UNSUPPORTED,
-         "no frozen CW structure for Brieskorn(2,3,7)"),
-        ("casson", {"family": "Brieskorn", "params": [2, 3, 7]}, EXIT_UNSUPPORTED,
-         "no frozen CW structure for Brieskorn(2,3,7)"),
-        # Sigma(2,3,5) again, but through s^5 t^-3, which carries no 3-cell
-        ("torsion", {"family": "Brieskorn", "params": [2, 5, 3]}, EXIT_UNSUPPORTED,
-         "no frozen CW structure for Brieskorn(2,5,3)"),
     ],
 )
 def test_refusal_comes_before_enumeration(tmp_path, capsys, enumerations, command, manifold,
@@ -374,13 +368,66 @@ def test_gv_reports_the_integrability_tolerance_it_applies(tmp_path, monkeypatch
     assert "not integrable" in capsys.readouterr().err
 
 
-def test_all_builds_each_twisted_complex_once(tmp_path, count_calls, brieskorn_235_moduli):
+def test_all_builds_each_twisted_complex_once(tmp_path, count_calls):
+    """At most once: torsion and casson read the presentation and the moduli,
+    and build no twisted complex at all."""
     calls = count_calls("build_twisted_complex", twisted_torsion, cli)
     manifest = write_manifest(
         tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 5]}}
     )
     assert run(["all", "--manifest", manifest, "--no-cache"]) == EXIT_OK
-    assert len(calls) == len(brieskorn_235_moduli.classes) == 3
+    assert len(calls) == 0
+
+
+def test_casson_runs_no_torsion(tmp_path, count_calls):
+    calls = count_calls("torsion_sum", twisted_torsion, cli)
+    manifest = write_manifest(
+        tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 7]}}
+    )
+    assert run(["casson", "--manifest", manifest]) == EXIT_OK
+    assert calls == []
+
+
+def test_torsion_and_casson_take_no_spectrum(count_calls):
+    """Neither pipeline reaches an eigendecomposition or a zeta log-determinant."""
+    from taut3 import zeta
+
+    calls = [count_calls(name, np.linalg) for name in ("eig", "eigh", "eigvals", "eigvalsh")]
+    calls.append(count_calls("zeta_log_det", zeta))
+    manifests = Path(__file__).resolve().parents[1] / "perfbench" / "manifests"
+    for command, name in (("torsion", "lens_7_2"), ("torsion", "poincare"),
+                          ("casson", "poincare"), ("casson", "brieskorn_3_4_5")):
+        assert run([command, "--manifest", str(manifests / f"{name}.json")]) == EXIT_OK
+    assert calls == [[]] * 5
+
+
+@pytest.mark.parametrize("params", [[2, 3, 7], [2, 5, 3]])
+def test_torsion_and_casson_need_no_3_cell(tmp_path, params):
+    """Sigma(2,3,7), and Sigma(2,3,5) through s^5 t^-3, carry no 3-cell: torsion
+    leaves out the trivial class and the total, casson needs neither."""
+    manifest = write_manifest(
+        tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": params}})
+    out = tmp_path / "report.json"
+    sections = {}
+    for command in ("torsion", "casson"):
+        assert run([command, "--manifest", manifest, "--out", str(out)]) == EXIT_OK
+        sections.update(json.loads(out.read_text())["sections"])
+    assert sections["casson"]["values"]["unsigned_count"] == 2
+    torsion = sections["torsion"]
+    assert "total" not in torsion["values"] and len(torsion["values"]["per_class"]) == 2
+    assert any("no cellular torsion without a 3-cell" in w for w in torsion["warnings"])
+
+
+def test_casson_on_every_small_brieskorn_sphere(tmp_path):
+    """2|sigma/8| on the 31 pairwise-coprime triples with pqr <= 200, each
+    irreducible class certified by H^1(pi; Ad rho) = 0."""
+    out = tmp_path / "report.json"
+    for pqr in SMALL_TRIPLES:
+        data = {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": list(pqr)}}
+        assert run(["casson", "--manifest", write_manifest(tmp_path, data), "--out", str(out)]) == EXIT_OK
+        values = json.loads(out.read_text())["sections"]["casson"]["values"]
+        assert values["unsigned_count"] == 2 * abs(brieskorn_sigma(*pqr) // 8)
+        assert values["twisted_h1_dims"] == [0] * values["unsigned_count"]
 
 
 def _one_foliation(omega_z, transversal=None):
@@ -565,8 +612,7 @@ def test_leafwise_n_z_is_ignored_with_a_warning(tmp_path):
 V3_SHAPE = {
     "reps": (["class_count", "irreducible_count", "residuals", "trace_coordinates"],
              ["relator_residual"], ["family", "params"]),
-    "torsion": (["irreducible_subtotal", "per_class", "total"],
-                ["zero_eigenvalue_threshold"], ["family"]),
+    "torsion": (["irreducible_subtotal", "per_class", "total"], [], ["family"]),
     "casson": (["twisted_h1_dims", "unsigned_count"], ["relator_residual"], ["convention"]),
     "chern_simons": (["action", "curvature_norm", "fd_agreement", "flat_connection_grad_norm",
                       "grad_norm"], ["fd_agreement", "fd_step"],

@@ -28,7 +28,6 @@ from taut3.cli import (
     EXIT_OK,
     EXIT_REGULARITY,
     EXIT_TAUTNESS,
-    EXIT_UNSUPPORTED,
     EXIT_USAGE,
     main,
 )
@@ -87,7 +86,7 @@ def run_reps(manifold):
 def test_reps_on_any_manifold_block(manifold):
     code, err, report = run_reps(manifold)
     event(f"exit {code}")
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNSUPPORTED, EXIT_REGULARITY)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_REGULARITY)
     assert "Traceback" not in err
     if code != EXIT_OK:
         assert err.startswith("error:")
@@ -133,7 +132,7 @@ def test_gv_on_any_foliations(foliations, strict):
     manifest = {"schema_version": 1, "manifold": {"family": "S3"}, "foliations": foliations}
     code, err, report = run_cli("gv", manifest, *(["--strict"] if strict else []))
     event(f"exit {code}")
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNSUPPORTED, EXIT_TAUTNESS)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_TAUTNESS)
     assert "Traceback" not in err
     if code != EXIT_OK:
         assert err.startswith("error:")
@@ -200,7 +199,7 @@ def test_all_on_any_model_blocks(chern_simons, leafwise, cyclic, family):
             code = main(["all", "--manifest", str(path), "--out", str(out)])
         text = out.read_text() if code == EXIT_OK else None
     event(f"exit {code}")
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNSUPPORTED, EXIT_REGULARITY, EXIT_TAUTNESS)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_REGULARITY, EXIT_TAUTNESS)
     err = stderr.getvalue()
     assert "Traceback" not in err
     if code != EXIT_OK:

@@ -110,6 +110,23 @@ def test_integrability_residual_discriminates():
     assert gv_row(contact, tol=np.inf)[2] > 0.1
 
 
+def test_theta_residual_is_scale_free():
+    """The theta residual is relative to |d omega|, so omega and c omega report
+    the same one: to the bit for c = 2^332, whose products round as omega's do,
+    and at roundoff for c = 10^100, which rounds each sample differently."""
+    n = 32
+
+    def residual(f):
+        return gv_row(form_from_functions(1, n, lambda x, y, z: 0 * x, lambda x, y, z: 0 * x, f))[1]
+
+    base = residual(lambda x, y, z: 2 + np.sin(TWO_PI * x))
+    assert 0 < base < 1e-15
+    assert residual(lambda x, y, z: 2.0**332 * (2 + np.sin(TWO_PI * x))) == pytest.approx(
+        base, rel=1e-12, abs=0)
+    assert residual(lambda x, y, z: 1e100 * (2 + np.sin(TWO_PI * x))) < 1e-15
+    assert residual(lambda x, y, z: 1 + 0 * x) == 0.0  # d omega = 0
+
+
 def test_solve_theta_matches_analytic_minimal_solution():
     n = 48
     om = omega_exp_f(n)
@@ -394,7 +411,7 @@ def assert_slab_pass_matches_oracle(omega):
     assert np.array_equal(excluded[-1], got[-1])
     got_gv, got_res, got_defect = gv_row(omega, tol=np.inf)
     assert got_defect == pytest.approx(defect, rel=1e-12, abs=0)
-    assert got_res == pytest.approx(res, rel=1e-12, abs=0)
+    assert got_res == pytest.approx(res / l2_norm(dw), rel=1e-12, abs=0)
     assert abs(got_gv - integrate(gv)) <= 1e-15 * h**3 * np.sum(np.abs(gv.values))
 
 

@@ -263,7 +263,10 @@ def mutate(draw, doc):
     elif isinstance(node, dict):
         node[draw(st.sampled_from(NAMES))] = draw(VALUES)
     elif action == "resize" and node:
-        length = draw(st.sampled_from([0, 1, 2, 3, 4, 16, 17, 1025, 1026]))
+        # only a list of scalars grows past the largest bound (1025 windings): 1025
+        # copies of a subtree make a document that takes seconds to check
+        long = [] if any(isinstance(v, (dict, list)) for v in node) else [1025, 1026]
+        length = draw(st.sampled_from([0, 1, 2, 3, 4, 16, 17, *long]))
         node[:] = [node[i % len(node)] for i in range(length)]
     else:
         node.append(draw(VALUES))

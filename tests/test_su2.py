@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from su2_oracles import from_axis_angle, qexp, qlog, qnormalize, random_unit
+from su2_oracles import from_axis_angle, qexp, qlog, qnormalize, random_unit, to_matrix
 from taut3 import su2
 from taut3.presentations import SIZE_BOUND
 
@@ -31,8 +31,8 @@ def rng():
 def test_qmul_matches_matrix_product(rng):
     p = random_unit(rng, (50,))
     q = random_unit(rng, (50,))
-    lhs = su2.to_matrix(su2.qmul(p, q))
-    rhs = su2.to_matrix(p) @ su2.to_matrix(q)
+    lhs = to_matrix(su2.qmul(p, q))
+    rhs = to_matrix(p) @ to_matrix(q)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -41,8 +41,8 @@ def test_qmul_matches_matrix_product(rng):
 def test_qmul_is_the_matrix_product_on_any_quaternions(p, q):
     """qmul is bilinear: it matches the 2x2 product off the unit sphere too,
     which lattice Chern-Simons relies on for pure quaternions of any norm."""
-    lhs = su2.to_matrix(su2.qmul(p, q))
-    rhs = su2.to_matrix(p) @ su2.to_matrix(q)
+    lhs = to_matrix(su2.qmul(p, q))
+    rhs = to_matrix(p) @ to_matrix(q)
     # hypot.reduce: np.linalg.norm squares its entries and underflows to 0 below ~1e-154
     bound = 1e-14 * np.hypot.reduce(p) * np.hypot.reduce(q) + 1e-300
     assert np.max(np.abs(lhs - rhs)) <= bound
@@ -99,7 +99,7 @@ def test_exp_log_roundtrip(rng):
 
 def test_trace_and_det(rng):
     q = random_unit(rng, (30,))
-    m = su2.to_matrix(q)
+    m = to_matrix(q)
     assert np.max(np.abs(su2.qtrace(q) - np.trace(m, axis1=-2, axis2=-1).real)) < 1e-12
     det = np.linalg.det(m)
     assert np.max(np.abs(det - 1.0)) < 1e-12

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2_oracles import qnormalize
+from rep_oracles import brieskorn_sigma
+from su2_oracles import qnormalize, to_matrix
 from taut3 import su2
 from taut3.presentations import (
     ParameterError,
+    _brieskorn_seifert,
     builtin_presentation,
     concat_words,
     gen,
@@ -18,15 +20,17 @@ from taut3.presentations import (
 from taut3.su2reps import ModuliNotFiniteError, RepModuli, enumerate_reps, evaluate_word
 from taut3.twisted_torsion import (
     TwistedComplex,
-    UnsupportedFamilyError,
     _fox_images,
     build_twisted_complex,
     cw_structure,
-    rs_torsion,
     sv_torsion_oracle,
     torsion_sum,
-    twisted_laplacians,
 )
+from test_su2reps import SMALL_TRIPLES
+from torsion_oracles import boundary, dims, rs_torsion, twisted_laplacians
+
+# the representations the Fox walk runs on: tau on C^2, and Ad on su(2) = R^3
+REPRESENTATIONS = {"C2": to_matrix, "Ad": su2.adjoint}
 
 
 def random_word(rng, n_gens=3, length=6):
@@ -35,9 +39,9 @@ def random_word(rng, n_gens=3, length=6):
     return tuple(pairs)
 
 
-def fox(w, images):
-    """Quaternion images of dw/dx_j for every generator j, shape (g, 4)."""
-    return _fox_images((reduce_word(w),), images)[0]
+def fox(w, images, rep=to_matrix):
+    """Images of dw/dx_j under `rep` for every generator j, shape (g, k, k)."""
+    return _fox_images((reduce_word(w),), rep(images))[0]
 
 
 def fox_terms(w, j):
@@ -57,8 +61,8 @@ def reweighted(c, weights):
     (SPD, one per chain group, scaled to unit determinant):
     B_i = L_(i-1)^H D_i L_i^-H for W_i = L_i L_i^H."""
     chol = [np.linalg.cholesky(w * np.exp(-np.linalg.slogdet(w)[1] / len(w))) for w in weights]
-    b = [chol[i - 1].conj().T @ c.boundary(i) @ np.linalg.inv(chol[i].conj().T) for i in (1, 2, 3)]
-    return TwistedComplex(*b, label=c.label)
+    b = [chol[i - 1].conj().T @ boundary(c, i) @ np.linalg.inv(chol[i].conj().T) for i in (1, 2, 3)]
+    return TwistedComplex(*b)
 
 
 unit_quaternions = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
@@ -72,18 +76,21 @@ generator_images = st.lists(unit_quaternions, min_size=3, max_size=3).map(np.sta
 @settings(deadline=None)
 @given(w=words, images=generator_images)
 def test_fox_images_match_the_word_by_word_sums(w, images):
-    want = [sum((c * evaluate_word(images, u) for c, u in fox_terms(w, j)), np.zeros(4))
-            for j in range(3)]
-    assert np.max(np.abs(fox(w, images) - want)) < 1e-12
+    for rep in REPRESENTATIONS.values():
+        zero = np.zeros_like(rep(su2.IDENTITY))
+        want = [sum((c * rep(evaluate_word(images, u)) for c, u in fox_terms(w, j)), zero)
+                for j in range(3)]
+        assert np.max(np.abs(fox(w, images, rep) - want)) < 1e-12
 
 
 @settings(max_examples=200, deadline=None)
 @given(u=words, v=words, images=generator_images)
 def test_fox_product_rule(u, v, images):
-    """F(uv) = F(u) + q(u) F(v), to roundoff."""
-    lhs = fox(concat_words(u, v), images)
-    rhs = fox(u, images) + su2.qmul(evaluate_word(images, u), fox(v, images))
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    """F(uv) = F(u) + rho(u) F(v), to roundoff, in both representations."""
+    for rep in REPRESENTATIONS.values():
+        lhs = fox(concat_words(u, v), images, rep)
+        rhs = fox(u, images, rep) + rep(evaluate_word(images, u)) @ fox(v, images, rep)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 @pytest.mark.parametrize("p", range(1, 21))
@@ -91,24 +98,52 @@ def test_fox_product_rule(u, v, images):
 @given(x=unit_quaternions)
 def test_fox_derivative_of_powers(p, x):
     """d(x^p)/dx = 1 + x + ... + x^(p-1)."""
-    expect = sum(su2.qpow(x, k) for k in range(p))
-    assert np.max(np.abs(fox(gen(0, p), x[None]) - expect)) < 1e-12
+    for rep in REPRESENTATIONS.values():
+        expect = sum(rep(su2.qpow(x, k)) for k in range(p))
+        assert np.max(np.abs(fox(gen(0, p), x[None], rep) - expect)) < 1e-12
 
 
 @settings(deadline=None)
 @given(x=unit_quaternions, p=st.integers(1, 5))
 def test_fox_derivative_of_negative_powers(x, p):
     """d(x^-p)/dx = -(x^-1 + ... + x^-p)."""
-    expect = -sum(su2.qpow(x, -k) for k in range(1, p + 1))
-    assert np.max(np.abs(fox(gen(0, -p), x[None]) - expect)) < 1e-12
+    for rep in REPRESENTATIONS.values():
+        expect = -sum(rep(su2.qpow(x, -k)) for k in range(1, p + 1))
+        assert np.max(np.abs(fox(gen(0, -p), x[None], rep) - expect)) < 1e-12
 
 
 @settings(deadline=None)
 @given(w=words, images=generator_images)
 def test_fundamental_identity(w, images):
-    """q(w) - 1 = sum_j F_j(w) (q(x_j) - 1)."""
-    rhs = np.sum(su2.qmul(fox(w, images), images - su2.IDENTITY), axis=0)
-    assert np.max(np.abs(evaluate_word(images, w) - su2.IDENTITY - rhs)) < 1e-12
+    """rho(w) - 1 = sum_j F_j(w) (rho(x_j) - 1), in both representations."""
+    for rep in REPRESENTATIONS.values():
+        one = np.eye(len(rep(su2.IDENTITY)))
+        rhs = np.sum(fox(w, images, rep) @ (rep(images) - one), axis=0)
+        assert np.max(np.abs(rep(evaluate_word(images, w)) - one - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("pqr", [(2, 3, 5), (2, 3, 11), (3, 4, 5), (2, 5, 7)])
+def test_fd_jacobian_matches_the_ad_fox_matrix(pqr):
+    """The Ad rho Fox matrix is the Jacobian of the relator map at rho: moving
+    x_j to exp(eps u) rho(x_j) moves r_i(rho) to exp(eps J_ij u + O(eps^2))
+    r_i(rho).  Central differences agree to 1e-8 on every class, on
+    two-generator and Seifert presentations and both signs of rho(h)."""
+    p = builtin_presentation("Brieskorn", *pqr)
+    images = np.stack([r.images_array() for r in enumerate_reps(p).classes])
+    jac = _fox_images(p.relators, su2.adjoint(images))
+    back = [su2.qconj(evaluate_word(images, r)) for r in p.relators]
+    eps = 1e-6
+    for j, a in itertools.product(range(p.num_generators), range(3)):
+        moves = []
+        for sign in (1, -1):
+            step = np.zeros(4)
+            step[0], step[1 + a] = math.cos(eps), sign * math.sin(eps)
+            moved = images.copy()
+            moved[:, j] = su2.qmul(step, images[:, j])
+            moves.append(np.stack([su2.qmul(evaluate_word(moved, r), b)[:, 1:]
+                                   for r, b in zip(p.relators, back)], axis=1))
+        fd = (moves[0] - moves[1]) / (2 * eps)
+        assert np.max(np.abs(fd - jac[:, :, j, :, a])) < 1e-8
 
 
 FAMILIES = [("S3", ()), ("Lens", (5, 1)), ("Lens", (7, 2)), ("Torus3", ()), ("Brieskorn", (2, 3, 5))]
@@ -155,6 +190,82 @@ def test_untwisted_homology_matches_known(family, params, expected):
     assert rs_torsion(c).betti == tuple(2 * b for b in expected)
 
 
+def lens_spaces(bound):
+    return [(p, q) for p in range(2, bound + 1) for q in range(1, p) if math.gcd(p, q) == 1]
+
+
+def test_closed_forms_match_the_laplacian_route(brieskorn_235_moduli):
+    """Every class of S^3, of each L(p, q) with p <= 30 and of Sigma(2,3,5): the
+    core formula, and 2 log|H_1| on the trivial class, against the Laplacians
+    of the twisted complex, to 1e-12 relative on t."""
+    cases = [(cw_structure("S3"), None), (cw_structure("Brieskorn", 2, 3, 5), brieskorn_235_moduli)]
+    cases += [(cw_structure("Lens", p, q), None) for p, q in lens_spaces(30)]
+    worst = 0.0
+    for cw, moduli in cases:
+        moduli = moduli or enumerate_reps(cw)
+        result = torsion_sum(cw, moduli)
+        assert len(result.per_class) == len(moduli.classes)
+        for rep, (_tc, res, _irr) in zip(moduli.classes, result.per_class):
+            want = rs_torsion(build_twisted_complex(cw, rep))
+            assert res.acyclic == want.acyclic
+            worst = max(worst, abs(res.t - want.t) / want.t)
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("pqr", [(2, 3, 5), (2, 3, 7)])
+def test_seifert_cores_agree_with_the_triangle_cores(pqr):
+    """Both presentations of Sigma(2,3,5) and Sigma(2,3,7) give the same torsion
+    on each irreducible class.  The values are distinct, so matching them in
+    sorted order matches the classes."""
+    torsions = []
+    for p in (builtin_presentation("Brieskorn", *pqr), _brieskorn_seifert(*pqr)):
+        per_class = torsion_sum(p, enumerate_reps(p)).per_class
+        torsions.append(sorted(res.t for _tc, res, irr in per_class if irr))
+    triangle, seifert = torsions
+    assert len(triangle) == len(seifert) == 2 * abs(brieskorn_sigma(*pqr) // 8)
+    assert len(set(np.round(triangle, 6))) == len(triangle)
+    assert seifert == pytest.approx(triangle, rel=1e-12, abs=0)
+
+
+def test_torsion_on_every_small_brieskorn_sphere():
+    """On the 31 pairwise-coprime triples with pqr <= 200, the 206 irreducible
+    classes that send the fibre to -1 get a positive torsion, and the 50 that
+    send it to +1 are left out with a note, as is the trivial class wherever the
+    presentation has no 3-cell."""
+    computed = fixed = 0
+    for pqr in SMALL_TRIPLES:
+        p = builtin_presentation("Brieskorn", *pqr)
+        moduli = enumerate_reps(p)
+        result = torsion_sum(p, moduli)
+        fibre = evaluate_word(np.stack([r.images_array() for r in moduli.classes]), p.shape.fibre)
+        minus = [bool(f[0] < 0) for f in fibre]
+        assert [tc for tc, _res, irr in result.per_class if irr] == [
+            tuple(r.trace_coords) for r, m in zip(moduli.classes, minus) if m]
+        assert all(0 < res.t < math.inf for _tc, res, irr in result.per_class if irr)
+        notes = [n for n in result.notes if "fibre goes to +1" in n]
+        assert len(notes) == sum(r.irreducible and not m for r, m in zip(moduli.classes, minus))
+        assert (result.total is None) == (p.d3_words is None or bool(notes))
+        assert (result.irreducible_subtotal is None) == bool(notes)
+        computed += sum(irr for _tc, _res, irr in result.per_class)
+        fixed += len(notes)
+    assert (computed, fixed) == (206, 50)
+
+
+def test_lens_torsion_takes_logarithmically_many_products(count_calls):
+    """Each core word is evaluated once over all classes, so the su2.qmul calls
+    of torsion_sum on L(p, q) per class grow no faster than log p."""
+    calls = count_calls("qmul", su2)
+    per_class = {}
+    for p in (10, 100, 1000, 10000):
+        pres = builtin_presentation("Lens", p, 3)
+        moduli = enumerate_reps(pres)
+        before = len(calls)
+        torsion_sum(pres, moduli)
+        per_class[p] = (len(calls) - before) / len(moduli.classes)
+    for p, n in per_class.items():
+        assert n <= per_class[10] * math.log(p) / math.log(10)
+
+
 def test_lens2_nontrivial_character_fully_acyclic():
     cw = cw_structure("Lens", 2, 1)
     moduli = enumerate_reps(cw)
@@ -190,7 +301,7 @@ def test_metric_independence_on_acyclic_complex(brieskorn_235_moduli):
     rng = np.random.default_rng(17)
     for _ in range(20):
         weights = []
-        for n in c.dims:
+        for n in dims(c):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             weights.append(a @ a.conj().T + n * np.eye(n))
         assert abs(rs_torsion(reweighted(c, weights)).log_t - base) < 1e-8
@@ -219,11 +330,15 @@ def test_torsion_sum_reports_finiteness_note():
 
 
 def test_unsupported_family_errors():
+    """cw_structure refuses a presentation without a 3-cell; torsion_sum needs
+    none, and leaves out only the trivial class and the total there."""
     refusal = r"^no frozen CW structure for Brieskorn\(2,3,7\)$"
-    with pytest.raises(UnsupportedFamilyError, match=refusal):
+    with pytest.raises(ValueError, match=refusal):
         cw_structure("Brieskorn", 2, 3, 7)
-    with pytest.raises(UnsupportedFamilyError):
-        torsion_sum(builtin_presentation("Brieskorn", 2, 3, 7), RepModuli(()))
+    pres = builtin_presentation("Brieskorn", 2, 3, 7)
+    result = torsion_sum(pres, enumerate_reps(pres))
+    assert result.total is None and len(result.per_class) == 2
+    assert result.irreducible_subtotal == sum(res.t for _tc, res, _irr in result.per_class)
     with pytest.raises(ParameterError):
         cw_structure("Nope")
 
@@ -239,8 +354,8 @@ def test_the_3_cell_follows_the_relators(params):
 
 
 def _betti_by_svd_ranks(c):
-    ranks = [0] + [np.linalg.matrix_rank(c.boundary(i), tol=1e-8) for i in (1, 2, 3)] + [0]
-    return tuple(n - ranks[i] - ranks[i + 1] for i, n in enumerate(c.dims))
+    ranks = [0] + [np.linalg.matrix_rank(boundary(c, i), tol=1e-8) for i in (1, 2, 3)] + [0]
+    return tuple(n - ranks[i] - ranks[i + 1] for i, n in enumerate(dims(c)))
 
 
 def test_betti_numbers_match_svd_ranks(brieskorn_235_moduli):
