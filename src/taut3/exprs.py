@@ -84,9 +84,9 @@ def evaluate(node, x, y, z):
 
 def compile_expr(text: str):
     """Parse once, return f(x, y, z) evaluating over numpy arrays; the result
-    is a new array of the broadcast shape of x, y and z."""
+    has the broadcast shape of x, y and z and may be a read-only view."""
     tree = parse_expr(text)
     return lambda x, y, z: np.broadcast_to(
         np.asarray(evaluate(tree, x, y, z), dtype=float),
         np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)),
-    ).copy()
+    )

@@ -76,9 +76,10 @@ def grid_coords(n: int):
 
 
 # Bytes of one component of one x-slab of the GV pass.  A slab's working set
-# is about twenty such blocks (omega, d(omega), theta, d(theta), products), so
-# at 64 KiB it fits a 2 MB L2 cache: grids 128 and 192 run one row at a time,
-# grid 32 in four 8-row slabs (faster than two of 16 rows on 2 cores).
+# is about thirty such blocks (omega; d(omega), |omega|^2 and theta of two or
+# three slabs; the differences, d(theta) and products), so at 64 KiB it fits a
+# 2 MB L2 cache: grids 128 and 192 run one row at a time, grid 32 in four 8-row
+# slabs (faster than two of 16 rows on 2 cores).
 _SLAB_BYTES = 1 << 16
 
 
@@ -116,9 +117,10 @@ def form_from_functions(degree: int, n: int, *fns) -> DiscreteForm:
     The functions receive the broadcastable coordinates of `grid_coords`, cut
     to x-slabs of `_SAMPLE_BYTES` per component, so a factor that depends on x
     alone is evaluated on a slab's rows, not on the whole grid, and no
-    temporary spans the grid; each result is broadcast to its slab as it is
-    stored.  Overflow, division by zero and invalid operations give inf/nan
-    silently; FoliationSpec rejects them.
+    temporary spans the grid; each result, which may be a read-only view, is
+    broadcast to its slab as it is stored, the one copy made of it.  Overflow,
+    division by zero and invalid operations give inf/nan silently;
+    FoliationSpec rejects them.
     """
     if degree not in (0, 1, 2, 3):
         raise ValueError("degree must be 0..3")
@@ -132,23 +134,6 @@ def form_from_functions(degree: int, n: int, *fns) -> DiscreteForm:
             for rows in _slabs(n, _SAMPLE_BYTES):
                 comp[rows] = f(x[rows], y, z)
     return DiscreteForm(degree, values)
-
-
-def _ddi(f, axis, h, out):
-    """Centered difference (f[i+1] - f[i-1]) / 2h along a periodic grid axis,
-    written into `out`."""
-    n = f.shape[axis]
-
-    def cut(start, stop):
-        idx = [slice(None)] * f.ndim
-        idx[axis] = slice(start, stop)
-        return tuple(idx)
-
-    np.subtract(f[cut(2, n)], f[cut(0, n - 2)], out=out[cut(1, n - 1)])
-    for i, ahead, behind in ((0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):  # the wrap
-        np.subtract(f[cut(ahead, ahead + 1)], f[cut(behind, behind + 1)], out=out[cut(i, i + 1)])
-    out /= 2.0 * h
-    return out
 
 
 def _norm_sq(w, out, tmp):
@@ -210,27 +195,28 @@ class _Slab(NamedTuple):
     gv: np.ndarray | None  # theta ^ d(theta)
 
 
-def _rows(f, lo, hi):
-    """Rows lo..hi-1 along the x axis (axis -3) of a periodic grid array: a view
-    where they do not wrap, else a copy."""
-    n = f.shape[-3]
-    if 0 <= lo and hi <= n:
-        return f[..., lo:hi, :, :]
-    return f.take(np.arange(lo, hi) % n, axis=-3)
-
-
-def _d1(v, h, out, tmp):
-    """d of a 1-form given on rows r-1..r+k along axis 1 of `v`, written into
-    `out` on rows r..r+k-1: the x differences read the halo rows, y and z wrap
-    as in `_ddi`.  Each value is computed as the whole-grid derivative does."""
-    for comp, (i, j) in zip(out, _PAIRS):
-        if i == 0:
-            np.subtract(v[j, 2:], v[j, :-2], out=comp)
-            comp /= 2.0 * h
-        else:
-            _ddi(v[j, 1:-1], i, h, comp)
-        comp -= _ddi(v[i, 1:-1], j, h, tmp)
-    return out
+def _d_slab(v, before, after, h, diffs, out):
+    """d of a 1-form on a slab of x-rows `v` (3, k, n, n), given the rows just
+    `before` and `after` it, written into `out` (which may be diffs[:3]).
+    `diffs` (6, k, n, n) takes the centered differences x of (v1, v2), y of
+    (v2, v0) and z of (v0, v1): the y and z interiors are one subtract each over
+    the flattened slab, whose wrap columns are then overwritten.  Each value is
+    computed as the whole-grid derivative does."""
+    k, n = v.shape[1], v.shape[-1]
+    np.subtract(v[1:, 2:], v[1:, :-2], out=diffs[:2, 1:-1])
+    for r in {0, k - 1}:  # the edge rows read the rows before and after the slab
+        ahead = v[1:, r + 1] if r + 1 < k else after[1:]
+        behind = v[1:, r - 1] if r else before[1:]
+        np.subtract(ahead, behind, out=diffs[:2, r])
+    for step, f, dif in ((n, v[::-2], diffs[2:4]), (1, v[:2], diffs[4:])):
+        flat, out_flat = f.reshape(2, -1), dif.reshape(2, -1)
+        np.subtract(flat[:, 2 * step :], flat[:, : -2 * step], out=out_flat[:, step:-step])
+        if step > 1:
+            f, dif = f.swapaxes(-1, -2), dif.swapaxes(-1, -2)
+        for i, ahead, behind in ((0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):  # the wrap
+            np.subtract(f[..., ahead], f[..., behind], out=dif[..., i])
+    diffs /= 2.0 * h
+    return np.subtract(diffs[:3], diffs[3:], out=out)
 
 
 def _wedge11(u, v, out, tmp):
@@ -268,48 +254,56 @@ def _gv_blocks(omega: DiscreteForm, theta: bool = True):
     """The GV chain of a 1-form in one pass over x-slabs, yielding a `_Slab` per
     slab in order.
 
-    d(theta) on a slab reads theta one row past either side, and theta there
-    reads d(omega), which reads omega one row further: omega is read with a
-    two-row periodic halo along x.  The first slab computes d(omega), |omega|^2
-    and theta on both of its border rows; every later slab carries its two low
-    rows of each over from the slab before.  No array spans the grid, and
-    every field value is bit-identical to the whole-grid computation.
+    d(theta) on a slab reads theta one row past either side: the last row of
+    the slab before and the first row of the slab after.  So each slab's
+    d(omega) and |omega|^2, and theta on its first row, are computed one slab
+    ahead, into buffers that rotate over two slabs (three for theta when slabs
+    are one row).  A one-row prologue puts theta on the last grid row where the
+    first slab reads it, and the last slab computes grid row 0 again as the row
+    after it.  omega is read in place, no row is copied, no array spans the
+    grid, and every field value is bit-identical to the whole-grid computation.
     """
     w, h, n = omega.values, omega.spacing, omega.grid_size
-    rows = _slab_rows(n)
-    plane = (n, n)
-    # buffer row j of dw_buf, nsq_buf and theta_buf holds grid row a-1+j of slab [a, a+k)
-    dw_buf, (tmp, nsq_buf) = np.empty((3, rows + 2) + plane), np.empty((2, rows + 2) + plane)
-    frob_buf = np.empty((rows,) + plane)
+    slabs, rows, plane = _slabs(n), _slab_rows(n), (n, n)
+    dw_buf, nsq_buf = np.empty((2, 3, rows) + plane), np.empty((2, rows) + plane)
+    tmp, frob_buf, gv_buf = np.empty((3, rows) + plane)
+    diffs = np.empty((6, rows) + plane)  # scratch of each d, then d(theta) and the miss
+    slots = 2 + (rows == 1)  # a one-row slab reads theta from both other slabs
+    theta_buf = np.empty((slots, 3, rows) + plane) if theta else None
+
+    def ahead(i, lo, k, at=0):
+        """d(omega) and |omega|^2 on grid rows lo..lo+k-1 into rows at.. of slab
+        i's buffers, and theta on the first of them."""
+        v, out = w[:, lo : lo + k], slice(at, at + k)
+        dw = _d_slab(v, w[:, lo - 1], w[:, (lo + k) % n], h, diffs[:, :k], dw_buf[i % 2, :, out])
+        nsq = _norm_sq(v, nsq_buf[i % 2, out], tmp[:k])
+        if theta:
+            th = theta_buf[i % slots, :, at : at + 1]
+            _theta(v[:, :1], dw[:, :1], nsq[:1], th, tmp[:1])
+
     if theta:
-        theta_buf = np.empty((3, rows + 2) + plane)
-        miss_buf, dtheta_buf = np.empty((3, rows) + plane), np.empty((3, rows) + plane)
-        gv_buf = np.empty((rows,) + plane)
-    for a in range(0, n, rows):
-        k = min(rows, n - a)
-        new = 2 if a else 0  # buffer rows 0 and 1 carry over past the first slab
-        src = _rows(w, a - 2 + new, a + k + 2)
-        if new:
-            dw_buf[:, :2] = dw_buf[:, rows : rows + 2]
-            nsq_buf[:2] = nsq_buf[rows : rows + 2]
-        _d1(src, h, dw_buf[:, new : k + 2], tmp[: k + 2 - new])
-        nsq = _norm_sq(src[:, 1:-1], nsq_buf[new : k + 2], tmp[: k + 2 - new])
-        dw, w_core = dw_buf[:, : k + 2], src[:, 2 - new : 2 - new + k]
-        dw_core, nsq_core = dw[:, 1:-1], nsq_buf[1 : k + 1]
-        frob = _wedge12(w_core, dw_core, frob_buf[:k], tmp[:k])
+        ahead(-1, n - 1, 1, rows - 1)
+    ahead(0, 0, slabs[0].stop)
+    for i, s in enumerate(slabs):
+        if s.stop < n:
+            ahead(i + 1, s.stop, min(rows, n - s.stop))
+        elif theta:
+            ahead(i + 1, 0, 1)
+        k, w_core = s.stop - s.start, w[:, s]
+        dw, nsq = dw_buf[i % 2, :, :k], nsq_buf[i % 2, :k]
+        frob = _wedge12(w_core, dw, frob_buf[:k], tmp[:k])
         if not theta:
-            yield _Slab(dw_core, frob, nsq_core, None, None, None, None)
+            yield _Slab(dw, frob, nsq, None, None, None, None)
             continue
-        if new:
-            theta_buf[:, :2] = theta_buf[:, rows : rows + 2]
-        _theta(src[:, 1:-1], dw[:, new:], nsq, theta_buf[:, new : k + 2], tmp[: k + 2 - new])
-        th = theta_buf[:, : k + 2]
-        th_core = th[:, 1:-1]
-        miss = _wedge11(th_core, w_core, miss_buf[:, :k], tmp[:k])
-        np.subtract(dw_core, miss, out=miss)
-        dth = _d1(th, h, dtheta_buf[:, :k], tmp[:k])
-        gv = _wedge12(th_core, dth, gv_buf[:k], tmp[:k])
-        yield _Slab(dw_core, frob, nsq_core, th_core, miss, dth, gv)
+        th = theta_buf[i % slots, :, :k]
+        if k > 1:
+            _theta(w_core[:, 1:], dw[:, 1:], nsq[1:], th[:, 1:], tmp[: k - 1])
+        before, after = theta_buf[(i - 1) % slots, :, -1], theta_buf[(i + 1) % slots, :, 0]
+        dth = _d_slab(th, before, after, h, diffs[:, :k], diffs[:3, :k])
+        miss = _wedge11(th, w_core, diffs[3:, :k], tmp[:k])
+        np.subtract(dw, miss, out=miss)
+        gv = _wedge12(th, dth, gv_buf[:k], tmp[:k])
+        yield _Slab(dw, frob, nsq, th, miss, dth, gv)
 
 
 def _sum_sq(a):

@@ -35,8 +35,8 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 
 # `gv` holds one foliation at a time, so foliations cost time, not memory: on
-# 2 cores a `taut3 gv` process took 1.5-1.7 s and peaked at 216 MB RSS on one
-# grid-192 foliation with three nonconstant components, and 18 s and 216 MB
+# 2 cores a `taut3 gv` process took 1.2-1.5 s and peaked at 204 MB RSS on one
+# grid-192 foliation with three nonconstant components, and 16-17 s and 205 MB
 # on 16 of them.
 MAX_FOLIATIONS = 16
 

@@ -2,16 +2,34 @@
 of `taut3.foliation_gv`.
 
 Each step builds a full (3, n, n, n) or (n, n, n) array: the exterior
-derivative, the wedge, theta, the theta ^ omega miss, d(theta) and
-theta ^ d(theta).  The slab pass must reproduce every field value bit for bit
-and every sum to summation rounding.
+derivative (one centered difference `_ddi` per component and axis), the wedge,
+theta, the theta ^ omega miss, d(theta) and theta ^ d(theta).  The slab pass
+must reproduce every field value bit for bit and every sum to summation
+rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from taut3.foliation_gv import _PAIRS, DiscreteForm, _ddi
+from taut3.foliation_gv import _PAIRS, DiscreteForm
+
+
+def _ddi(f, axis, h, out):
+    """Centered difference (f[i+1] - f[i-1]) / 2h along a periodic grid axis,
+    written into `out`."""
+    n = f.shape[axis]
+
+    def cut(start, stop):
+        idx = [slice(None)] * f.ndim
+        idx[axis] = slice(start, stop)
+        return tuple(idx)
+
+    np.subtract(f[cut(2, n)], f[cut(0, n - 2)], out=out[cut(1, n - 1)])
+    for i, ahead, behind in ((0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):  # the wrap
+        np.subtract(f[cut(ahead, ahead + 1)], f[cut(behind, behind + 1)], out=out[cut(i, i + 1)])
+    out /= 2.0 * h
+    return out
 
 
 def d(form: DiscreteForm) -> DiscreteForm:

@@ -335,12 +335,14 @@ def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, m
     monkeypatch.undo()
     assert len(alive) == 2 and all(found == omega for found, omega in alive)
     passes = count_calls("_gv_blocks", fg)
-    diffs = count_calls("_ddi", fg)
+    derivatives = count_calls("_d_slab", fg)
     assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
-    # per foliation: one slab pass, a single slab at grid 8, in which d(omega)
-    # and d(theta) each take four y and z differences once
-    assert fg._slab_rows(n) == n
-    assert len(passes) == 2 and len(diffs) == 2 * 2 * 4
+    # per foliation: one slab pass over a single slab (grids 16 and 8), in which
+    # the kernel takes d(omega) and d(theta) once on the slab, and d(omega) on
+    # the grid rows before and after it, where theta wraps around
+    assert fg._slab_rows(16) == 16 and fg._slab_rows(n) == n
+    assert len(passes) == 2
+    assert [args[0].shape[1] for args in derivatives] == [1, 16, 1, 16, 1, n, 1, n]
 
 
 def test_gv_reports_the_integrability_tolerance_it_applies(tmp_path, monkeypatch, capsys):

@@ -312,7 +312,7 @@ def random_form(rng, degree, n):
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_sliced_difference_matches_roll(n, axis):
     f = np.random.default_rng(n + 10 * axis).standard_normal((n, n, n))
-    got = fg._ddi(f, axis, 1.0 / n, np.empty_like(f))
+    got = go._ddi(f, axis, 1.0 / n, np.empty_like(f))
     assert np.array_equal(got, roll_ddi(f, axis, 1.0 / n))
 
 
@@ -428,9 +428,11 @@ def test_slab_pass_matches_the_whole_grid_oracle(n, seed):
     assert_slab_pass_matches_oracle(random_omega(np.random.default_rng(seed), n))
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 8, 9])
 def test_slab_pass_matches_the_oracle_at_every_slab_height(monkeypatch, rows):
-    """Slabs of 1 and 2 rows carry rows that overlap their own buffer rows."""
+    """One-row slabs read both neighbours of theta from the other two buffers;
+    5 and 8 rows give two slabs with a ragged last slab of 4 rows and of 1 row,
+    which reads the wrapped grid row 0 from the first slab's reused buffer."""
     n = 9
     monkeypatch.setattr(fg, "_SLAB_BYTES", 8 * n * n * rows)
     assert fg._slab_rows(n) == rows
@@ -441,6 +443,23 @@ def test_gv_term_allocates_less_than_one_omega(traced_peak):
     spec = FoliationSpec(gauge_changed_omega(64), transversal=tuple((0, 0, k) for k in range(64)))
     _, peak = traced_peak(gv_term, spec)
     assert peak < spec.omega.values.nbytes
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_gv_term_scratch_is_a_few_dozen_slab_blocks(traced_peak, n):
+    """Counted in blocks of one component of one slab, the pass holds d(omega)
+    and |omega|^2 of two slabs (8), theta of two or, for one-row slabs, three
+    (6 or 9), six differences, omega ^ d(omega), theta ^ d(theta) and one
+    scratch block (9), and the sums of squares 3 more: on the bench's exp-g
+    form 1.63, 1.64 and 3.65 MiB at grids 32, 64 and 128."""
+    fns = [compile_expr(s) for s in json.loads(LENS_7_2.read_text())["foliations"][0]["omega"]]
+    spec = FoliationSpec(form_from_functions(1, n, *fns),
+                         transversal=tuple((0, 0, k) for k in range(n)))
+    ((_label, _gv, taut, _res), _defect, _warning), peak = traced_peak(gv_term, spec)
+    rows = fg._slab_rows(n)
+    blocks = 8 + 3 * (2 + (rows == 1)) + 9 + 3
+    assert taut  # the pass solved for theta
+    assert blocks * 8 * rows * n * n <= peak < (blocks + 1) * 8 * rows * n * n
 
 
 # --- the Leibniz rule of the oracle's d and wedge ---------------------------------

@@ -1,6 +1,5 @@
 import itertools
 import math
-import time
 
 import numpy as np
 import pytest
@@ -202,13 +201,14 @@ def test_small_triples_cover_both_presentation_shapes():
 
 
 @pytest.mark.parametrize("pqr", SMALL_TRIPLES, ids=lambda t: "-".join(map(str, t)))
-def test_exact_brieskorn_moduli(pqr):
+def test_exact_brieskorn_moduli(pqr, count_calls):
     """1 + 2|sigma/8| classes (Fintushel-Stern; Neumann-Wahl), each satisfying
-    the relators, in under 50 ms."""
+    the relators, built with no search: at most 164 su2.qmul and 28 su2.qpow
+    calls, the counts of Sigma(3,5,13), the most any of these triples takes."""
     pres = builtin_presentation("Brieskorn", *pqr)
-    t0 = time.perf_counter()
+    products, powers = count_calls("qmul", su2), count_calls("qpow", su2)
     moduli = enumerate_reps(pres)
-    elapsed = time.perf_counter() - t0
+    assert len(products) <= 164 and len(powers) <= 28
     sigma = brieskorn_sigma(*pqr)
     assert sigma % 8 == 0
     irreducible = [r for r in moduli.classes if r.irreducible]
@@ -219,7 +219,6 @@ def test_exact_brieskorn_moduli(pqr):
     assert max(r.residual for r in moduli.classes) <= 1e-10
     images = np.stack([r.images_array() for r in moduli.classes])
     assert np.max(relator_residual(images, pres.relators)) <= 1e-10
-    assert elapsed < 0.05
 
 
 def test_brieskorn_product_bound():
