@@ -150,7 +150,8 @@ def run_cs_check(run: Run, report: InvariantReport):
 def _foliation_spec(entry, fns):
     trans = entry.get("transversal")
     return fg.FoliationSpec(
-        omega=fg.form_from_functions(1, entry.get("grid", 32), *fns),
+        omega=tuple(fns),
+        grid=entry.get("grid", 32),
         transversal=tuple(tuple(p) for p in trans) if trans else None,
         label=entry.get("label", ""),
     )
@@ -163,8 +164,8 @@ def run_gv(run: Run, report: InvariantReport):
         sec.values["total"] = 0.0
         sec.warnings.append("no foliations declared in the manifest")
         return
-    # every expression compiles before any foliation is sampled; then each
-    # foliation is sampled and evaluated in turn, so one ω is alive at a time
+    # every expression compiles before any foliation is sampled; each foliation
+    # is then sampled chunk by chunk as its GV pass reads it
     compiled = [[compile_expr(s) for s in e["omega"]] for e in m.foliations]
     terms = [
         fg.gv_term(_foliation_spec(entry, fns), k, strict=run.args.strict)

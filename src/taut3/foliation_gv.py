@@ -1,19 +1,19 @@
-"""Differential forms on the periodic grid torus and Godbillon-Vey integrals.
+"""Godbillon-Vey integrals of foliations of the periodic grid torus.
 
-Forms are stored componentwise at grid vertices; the exterior derivative uses
-centered differences (so d o d = 0 exactly, shifts commute) and the wedge is
-the pointwise antisymmetric product.  A codim-1 foliation is described by a
-nonvanishing 1-form omega; integrability means omega ^ d(omega) = 0, the
-defining 1-form theta solves d(omega) = theta ^ omega, and the GV integral is
-the integral of theta ^ d(theta) over the torus.  `gv_term` computes the whole
-chain in one pass over x-slabs of the grid (`_gv_blocks`); besides omega, no
-array spans the grid, as each reader of |omega|^2 squares omega slab by slab.
+A codim-1 foliation is described by a nonvanishing 1-form omega, given by its
+three component functions f(x, y, z); integrability means omega ^ d(omega) = 0,
+the defining 1-form theta solves d(omega) = theta ^ omega, and the GV integral
+is the integral of theta ^ d(theta) over the torus.  Forms live at the vertices
+of an n^3 periodic grid; the exterior derivative uses centered differences (so
+d o d = 0 exactly, shifts commute) and the wedge is the pointwise antisymmetric
+product.  `gv_term` computes the whole chain in one pass over x-slabs of the
+grid (`_gv_blocks`), which reads omega from a small ring of sampled chunks
+(`_Omega`), so no array spans the grid, omega included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import isfinite, sqrt
 from typing import NamedTuple
 
@@ -28,44 +28,6 @@ class SingularityError(ValueError):
 
 class TautnessError(RuntimeError):
     """A foliation in the list failed the transversal-circle test (strict mode)."""
-
-
-@dataclass(frozen=True)
-class DiscreteForm:
-    """Degree-k form sampled on an n^3 periodic grid over the unit torus.
-
-    values: (n,n,n) for k in {0,3}; (3,n,n,n) for k in {1,2} with 2-form
-    components ordered (01, 02, 12).
-    """
-
-    degree: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if self.degree in (0, 3):
-            if v.ndim != 3 or len(set(v.shape)) != 1:
-                raise ValueError("scalar-type form needs shape (n, n, n)")
-        elif self.degree in (1, 2):
-            if v.ndim != 4 or v.shape[0] != 3 or len(set(v.shape[1:])) != 1:
-                raise ValueError("vector-type form needs shape (3, n, n, n)")
-        else:
-            raise ValueError("degree must be 0..3")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def grid_size(self) -> int:
-        return self.values.shape[-1]
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.grid_size
-
-    @cached_property
-    def _mean_norm(self) -> float:
-        """Mean length over the grid, once the form has passed the
-        nonvanishing check."""
-        return _check_nonvanishing(self)
 
 
 def grid_coords(n: int):
@@ -83,10 +45,10 @@ def grid_coords(n: int):
 _SLAB_BYTES = 1 << 16
 
 
-# Bytes of one component of one x-slab when sampling omega.  Sampling runs
-# the expressions once per slab, so its slabs are larger than the GV pass's:
-# at grid 128, 8-row slabs (1 MiB) sampled faster than the whole grid at once
-# and than 1-row slabs.
+# Bytes of one component of one chunk of sampled omega.  Sampling runs the
+# expressions once per chunk, so its chunks are larger than the GV pass's
+# slabs: at grid 128, 8-row chunks (1 MiB) sampled faster than the whole grid
+# at once and than 1-row chunks.
 _SAMPLE_BYTES = 1 << 20
 
 # |omega| must exceed NONVANISHING_FLOOR times its grid mean at every vertex,
@@ -104,36 +66,88 @@ def _slab_rows(n, nbytes=None):
     return max(1, min(n, (nbytes or _SLAB_BYTES) // (8 * n * n)))
 
 
-def _slabs(n, nbytes=None):
-    """The x-slabs of `_slab_rows(n, nbytes)` rows, as slices; the last may be
-    shorter."""
-    rows = _slab_rows(n, nbytes)
+def _slabs(n):
+    """The x-slabs of the GV pass, `_slab_rows(n)` rows each, as slices; the
+    last may be shorter."""
+    rows = _slab_rows(n)
     return [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
-def form_from_functions(degree: int, n: int, *fns) -> DiscreteForm:
-    """Sample component functions f(x, y, z) on the grid.
+class _Omega:
+    """A 1-form's grid rows as the GV pass reads them, sampled from its three
+    component functions.
 
     The functions receive the broadcastable coordinates of `grid_coords`, cut
-    to x-slabs of `_SAMPLE_BYTES` per component, so a factor that depends on x
-    alone is evaluated on a slab's rows, not on the whole grid, and no
-    temporary spans the grid; each result, which may be a read-only view, is
-    broadcast to its slab as it is stored, the one copy made of it.  Overflow,
-    division by zero and invalid operations give inf/nan silently;
-    FoliationSpec rejects them.
+    to the rows wanted, so a factor that depends on x alone is evaluated on
+    those rows only; each result, which may be a read-only view, is broadcast
+    to its rows as it is stored, the one copy made of it.  Rows are sampled a
+    chunk at a time, about `_SAMPLE_BYTES` per component and a whole number of
+    GV slabs high, into a ring of two chunk slots (three when a chunk is one
+    slab).  Where that many chunks cover the grid, the slots are the chunks'
+    rows of one whole omega instead, all sampled at once, before the pass
+    allocates its buffers.  Each row is sampled into the ring once; where the
+    ring holds less than the grid, the wrap rows n-2 and n-1 that the pass
+    reads before its first slab, and 0 and 1 after its last, are sampled once
+    more into a two-row buffer.  omega at the `vertices` ((m, 3) indices) is
+    copied to `at_vertices` as their rows are sampled.  Overflow, division by
+    zero and invalid operations give inf/nan silently; `gv_term` rejects them.
     """
-    if degree not in (0, 1, 2, 3):
-        raise ValueError("degree must be 0..3")
-    scalar = degree in (0, 3)
-    if len(fns) != (1 if scalar else 3):
-        raise ValueError(f"a degree-{degree} form needs {1 if scalar else 3} component functions")
-    x, y, z = grid_coords(n)
-    values = np.empty((n, n, n) if scalar else (3, n, n, n))
-    with np.errstate(all="ignore"):
-        for comp, f in zip(values[None] if scalar else values, fns):
-            for rows in _slabs(n, _SAMPLE_BYTES):
-                comp[rows] = f(x[rows], y, z)
-    return DiscreteForm(degree, values)
+
+    def __init__(self, fns, n, vertices):
+        self.fns, self.n, self.coords = fns, n, grid_coords(n)
+        rows = _slab_rows(n)
+        self.height = min(n, rows * max(1, _slab_rows(n, _SAMPLE_BYTES) // rows))
+        slots, self.edge_rows, self.edge_at = 2 + (self.height == rows), None, None
+        if -(-n // self.height) <= slots:
+            whole = np.empty((3, n, n, n))
+            self.slots = [whole[:, a : a + self.height] for a in range(0, n, self.height)]
+        else:
+            self.slots = list(np.empty((slots, 3, self.height, n, n)))
+            self.edge_rows = np.empty((3, 2, n, n))
+        self.held = [None] * len(self.slots)
+        self.vertices, self.at_vertices = vertices, np.empty((3, len(vertices)))
+        if self.edge_rows is None:
+            for a in range(0, n, self.height):
+                self.block(a, 1)
+
+    def sample(self, rows, out):
+        """omega on the grid rows `rows` (a slice or an index array), into
+        `out` of shape (3, k, n, n)."""
+        x, y, z = self.coords
+        with np.errstate(all="ignore"):
+            for comp, f in zip(out, self.fns):
+                comp[...] = f(x[rows], y, z)
+        return out
+
+    def block(self, lo, k):
+        """Grid rows lo..lo+k-1, inside one chunk, as a (3, k, n, n) view of
+        the ring, sampling their chunk into its slot if it is not there."""
+        c = lo // self.height
+        slot, a = c % len(self.slots), c * self.height
+        if self.held[slot] != c:
+            b = min(a + self.height, self.n)
+            chunk = self.sample(slice(a, b), self.slots[slot][:, : b - a])
+            mine = (self.vertices[:, 0] >= a) & (self.vertices[:, 0] < b)
+            i, j, l = self.vertices[mine].T
+            self.at_vertices[:, mine] = chunk[:, i - a, j, l]
+            self.held[slot] = c
+        return self.slots[slot][:, lo - a : lo - a + k]
+
+    def edge(self, lo):
+        """Grid rows lo and lo + 1 mod n, for lo = n - 2 or 0, as two
+        (3, 1, n, n) views; they come from the ring only if it holds the
+        grid, so reading them evicts no chunk."""
+        if self.edge_rows is None:
+            return [self.block(r % self.n, 1) for r in (lo, lo + 1)]
+        if self.edge_at != lo:
+            self.edge_at = lo
+            self.sample(np.array([lo, lo + 1]) % self.n, self.edge_rows)
+        return [self.edge_rows[:, :1], self.edge_rows[:, 1:]]
+
+    def row(self, r):
+        """Grid row r as a (3, 1, n, n) view, for 0 <= r <= n: row n is row 0
+        as the last slab reads it."""
+        return self.edge(0)[0] if r == self.n else self.block(r, 1)
 
 
 def _norm_sq(w, out, tmp):
@@ -146,53 +160,30 @@ def _norm_sq(w, out, tmp):
     return out
 
 
-def _check_nonvanishing(omega: DiscreteForm) -> float:
-    """Mean of |omega| over the grid; raises SingularityError where |omega| is
-    not finite or at most NONVANISHING_FLOOR times the mean.  Squares omega by
-    x-slabs of `_SLAB_BYTES`.  A finite length is non-negative and below
-    1.4e154, so a slab's sum is finite exactly when each of its lengths is."""
-    w, n = omega.values, omega.grid_size
-    buf, tmp = np.empty((2, _slab_rows(n), n, n))
-
-    def lengths():
-        for rows in _slabs(n):
-            k = rows.stop - rows.start
-            yield rows, np.sqrt(_norm_sq(w[:, rows], buf[:k], tmp[:k]), out=buf[:k])
-
-    total, least = 0.0, np.inf
-    for rows, mag in lengths():
-        part = float(np.sum(mag))
-        if not np.isfinite(part):
-            _raise_at(~np.isfinite(mag), rows, "1-form is not finite (or overflows)")
-        total += part
-        least = min(least, float(np.min(mag)))
-    mean = total / n**3
-    bound = NONVANISHING_FLOOR * max(mean, 1e-300)
-    if least <= bound:
-        for rows, mag in lengths():
-            bad = mag <= bound
-            if np.any(bad):
-                _raise_at(bad, rows, "1-form (nearly) vanishes")
-    return mean
-
-
-def _raise_at(bad, rows, what):
-    """Raise SingularityError at the first flagged cell of an x-slab."""
-    i, j, k = (int(c) for c in np.argwhere(bad)[0])
-    raise SingularityError(f"{what} at grid cell {(rows.start + i, j, k)}")
+def _raise_at(omega, rows, bound=None):
+    """Raise SingularityError at the first cell of the x-slab `rows` where
+    |omega| is not finite, or at most `bound` if one is given; the slab is
+    sampled again to find it."""
+    k, n = rows.stop - rows.start, omega.n
+    v = omega.sample(rows, np.empty((3, k, n, n)))
+    mag = np.sqrt(_norm_sq(v, np.empty((k, n, n)), np.empty((k, n, n))))
+    bad, what = ((~np.isfinite(mag), "1-form is not finite (or overflows)") if bound is None
+                 else (mag <= bound, "1-form (nearly) vanishes"))
+    i, j, l = (int(c) for c in np.argwhere(bad)[0])
+    raise SingularityError(f"{what} at grid cell {(rows.start + i, j, l)}")
 
 
 class _Slab(NamedTuple):
     """One x-slab of the GV chain, as views into buffers that the next slab
-    overwrites.  Fields past `norm_sq` are None when theta is not wanted."""
+    overwrites."""
 
     dw: np.ndarray  # d(omega)
     frob: np.ndarray  # omega ^ d(omega)
     norm_sq: np.ndarray  # |omega|^2
-    theta: np.ndarray | None
-    miss: np.ndarray | None  # d(omega) - theta ^ omega
-    dtheta: np.ndarray | None
-    gv: np.ndarray | None  # theta ^ d(theta)
+    theta: np.ndarray
+    miss: np.ndarray  # d(omega) - theta ^ omega
+    dtheta: np.ndarray
+    gv: np.ndarray  # theta ^ d(theta)
 
 
 def _d_slab(v, before, after, h, diffs, out):
@@ -215,7 +206,10 @@ def _d_slab(v, before, after, h, diffs, out):
             f, dif = f.swapaxes(-1, -2), dif.swapaxes(-1, -2)
         for i, ahead, behind in ((0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):  # the wrap
             np.subtract(f[..., ahead], f[..., behind], out=dif[..., i])
-    diffs /= 2.0 * h
+    # by component where the slab is shorter than its buffer: numpy divides a
+    # short strided block through a temporary copy
+    for block in [diffs] if diffs.flags.c_contiguous else diffs:
+        block /= 2.0 * h
     return np.subtract(diffs[:3], diffs[3:], out=out)
 
 
@@ -250,7 +244,7 @@ def _theta(w, v, norm_sq, out, tmp):
     return out
 
 
-def _gv_blocks(omega: DiscreteForm, theta: bool = True):
+def _gv_blocks(omega: _Omega):
     """The GV chain of a 1-form in one pass over x-slabs, yielding a `_Slab` per
     slab in order.
 
@@ -260,41 +254,40 @@ def _gv_blocks(omega: DiscreteForm, theta: bool = True):
     ahead, into buffers that rotate over two slabs (three for theta when slabs
     are one row).  A one-row prologue puts theta on the last grid row where the
     first slab reads it, and the last slab computes grid row 0 again as the row
-    after it.  omega is read in place, no row is copied, no array spans the
-    grid, and every field value is bit-identical to the whole-grid computation.
+    after it.  omega's rows are views of the ring of `omega`, no row is copied,
+    no array spans the grid, and every field value is bit-identical to the
+    whole-grid computation.
     """
-    w, h, n = omega.values, omega.spacing, omega.grid_size
+    n, h = omega.n, 1.0 / omega.n
     slabs, rows, plane = _slabs(n), _slab_rows(n), (n, n)
     dw_buf, nsq_buf = np.empty((2, 3, rows) + plane), np.empty((2, rows) + plane)
     tmp, frob_buf, gv_buf = np.empty((3, rows) + plane)
     diffs = np.empty((6, rows) + plane)  # scratch of each d, then d(theta) and the miss
     slots = 2 + (rows == 1)  # a one-row slab reads theta from both other slabs
-    theta_buf = np.empty((slots, 3, rows) + plane) if theta else None
+    theta_buf = np.empty((slots, 3, rows) + plane)
 
-    def ahead(i, lo, k, at=0):
-        """d(omega) and |omega|^2 on grid rows lo..lo+k-1 into rows at.. of slab
-        i's buffers, and theta on the first of them."""
-        v, out = w[:, lo : lo + k], slice(at, at + k)
-        dw = _d_slab(v, w[:, lo - 1], w[:, (lo + k) % n], h, diffs[:, :k], dw_buf[i % 2, :, out])
-        nsq = _norm_sq(v, nsq_buf[i % 2, out], tmp[:k])
-        if theta:
-            th = theta_buf[i % slots, :, at : at + 1]
-            _theta(v[:, :1], dw[:, :1], nsq[:1], th, tmp[:1])
+    def ahead(i, v, before, after, at=0):
+        """d(omega) and |omega|^2 on the grid rows `v`, whose neighbour rows are
+        `before` and `after`, into rows at.. of slab i's buffers, and theta on
+        the first of them."""
+        k = v.shape[1]
+        dw = _d_slab(v, before[:, 0], after[:, 0], h, diffs[:, :k], dw_buf[i % 2, :, at : at + k])
+        nsq = _norm_sq(v, nsq_buf[i % 2, at : at + k], tmp[:k])
+        _theta(v[:, :1], dw[:, :1], nsq[:1], theta_buf[i % slots, :, at : at + 1], tmp[:1])
 
-    if theta:
-        ahead(-1, n - 1, 1, rows - 1)
-    ahead(0, 0, slabs[0].stop)
+    before, last = omega.edge(n - 2)
+    ahead(-1, last, before, omega.block(0, 1), rows - 1)
+    ahead(0, omega.block(0, slabs[0].stop), last, omega.row(slabs[0].stop))
     for i, s in enumerate(slabs):
         if s.stop < n:
-            ahead(i + 1, s.stop, min(rows, n - s.stop))
-        elif theta:
-            ahead(i + 1, 0, 1)
-        k, w_core = s.stop - s.start, w[:, s]
-        dw, nsq = dw_buf[i % 2, :, :k], nsq_buf[i % 2, :k]
+            k = min(rows, n - s.stop)
+            ahead(i + 1, omega.block(s.stop, k), omega.block(s.stop - 1, 1), omega.row(s.stop + k))
+        else:
+            first, second = omega.edge(0)
+            ahead(i + 1, first, omega.block(n - 1, 1), second)
+        k = s.stop - s.start
+        w_core, dw, nsq = omega.block(s.start, k), dw_buf[i % 2, :, :k], nsq_buf[i % 2, :k]
         frob = _wedge12(w_core, dw, frob_buf[:k], tmp[:k])
-        if not theta:
-            yield _Slab(dw, frob, nsq, None, None, None, None)
-            continue
         th = theta_buf[i % slots, :, :k]
         if k > 1:
             _theta(w_core[:, 1:], dw[:, 1:], nsq[1:], th[:, 1:], tmp[: k - 1])
@@ -306,52 +299,49 @@ def _gv_blocks(omega: DiscreteForm, theta: bool = True):
         yield _Slab(dw, frob, nsq, th, miss, dth, gv)
 
 
-def _sum_sq(a):
-    """Sum of squares of a field block.  Not np.vdot: a multithreaded BLAS would
-    spend a second core's time on every slab."""
-    return float(np.sum(np.square(a)))
+def _sum_sq(a, buf):
+    """Sum of squares of a field block, squared into the front of the flat
+    pass buffer `buf`, whose contiguous block sums as np.square(a) would.  Not
+    np.vdot: a multithreaded BLAS would spend a second core's time on every
+    slab."""
+    return float(np.sum(np.square(a, out=buf[: a.size].reshape(a.shape))))
 
 
 @dataclass(frozen=True)
 class FoliationSpec:
-    omega: DiscreteForm
+    omega: tuple  # the three component functions f(x, y, z) of the 1-form
+    grid: int
     transversal: tuple | None = None  # ordered closed path of grid vertices
     label: str = ""
 
-    def __post_init__(self):
-        if self.omega.degree != 1:
-            raise ValueError("foliation needs a 1-form")
-        self.omega._mean_norm  # the nonvanishing check
 
-
-def tautness_check(spec: FoliationSpec):
-    """Transversal-circle test: the pairing of omega with each edge of the loop
-    must keep a constant sign and stay away from zero.
-
-    Returns True/False, or None when no transversal loop is supplied
-    (inconclusive, deliberately distinct from False).
-    """
-    if spec.transversal is None:
-        return None
-    path = [tuple(int(c) for c in p) for p in spec.transversal]
+def _loop_edges(transversal, n):
+    """The vertices of a transversal loop on the n^3 grid as an (m, 3) array,
+    with the axis and sign of the edge from each vertex to the next; raises
+    ValueError unless each step is a single lattice edge."""
+    path = [tuple(int(c) for c in p) for p in transversal]
     if len(path) < 2:
         raise ValueError("transversal path needs at least two vertices")
-    n = spec.omega.grid_size
     outside = [p for p in path if len(p) != 3 or not all(0 <= c < n for c in p)]
     if outside:
         raise ValueError(f"transversal vertex {outside[0]} is not a vertex of the {n}^3 grid")
-    w = spec.omega.values
-    pairings = []
+    axes, signs = [], []
     for p, q in zip(path, path[1:] + path[:1]):
         delta = [(q[i] - p[i]) % n for i in range(3)]
         delta = [dd - n if dd > n // 2 else dd for dd in delta]
         nz = [i for i in range(3) if delta[i] != 0]
         if len(nz) != 1 or abs(delta[nz[0]]) != 1:
             raise ValueError(f"path step {p} -> {q} is not a single lattice edge")
-        i, sgn = nz[0], delta[nz[0]]
-        pairings.append(sgn * 0.5 * (w[i][p] + w[i][q]))
-    pairings = np.asarray(pairings)
-    if np.min(np.abs(pairings)) <= TAUTNESS_TOLERANCE * max(spec.omega._mean_norm, 1e-300):
+        axes.append(nz[0])
+        signs.append(delta[nz[0]])
+    return np.array(path), np.array(axes), np.array(signs)
+
+
+def tautness_check(pairings, mean: float) -> bool:
+    """Transversal-circle test: the pairings of omega with the edges of the
+    loop must keep a constant sign and stay above TAUTNESS_TOLERANCE times
+    omega's mean length."""
+    if np.min(np.abs(pairings)) <= TAUTNESS_TOLERANCE * max(mean, 1e-300):
         return False
     return bool(np.all(pairings > 0) or np.all(pairings < 0))
 
@@ -368,40 +358,61 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     """One foliation's (label, gv, taut, theta residual) row, Frobenius defect
     and warning (or None), as `gv_report` sums them.
 
-    The tautness test runs first; then one slab pass (`_gv_blocks`) gives the
-    defect |omega ^ d omega| / (|omega| |d omega| + eps) and, for a row that is
-    not excluded, the theta residual |d omega - theta ^ omega| / |d omega| (0 if
-    d omega = 0) and the GV integral of theta ^ d theta (L2 norms are grid RMS
-    values); such a row raises ValueError if its defect exceeds
-    INTEGRABILITY_TOLERANCE.  A sum that
-    overflows raises SingularityError.  The pass holds no array the size of the
-    grid, so a caller that samples each foliation just before this call holds
-    one foliation's omega at a time."""
-    label = spec.label or f"foliation[{k}]"
-    taut = tautness_check(spec)
+    The transversal is checked first (ValueError).  Then one slab pass
+    (`_gv_blocks`) samples omega and gives the mean and least of |omega|, its
+    pairings with the loop's edges, the defect |omega ^ d omega| / (|omega|
+    |d omega| + eps), the theta residual |d omega - theta ^ omega| / |d omega|
+    (0 if d omega = 0) and the GV integral of theta ^ d theta (L2 norms are
+    grid RMS values).  After the pass come, in order: SingularityError where
+    |omega| is not finite or at most NONVANISHING_FLOOR times its mean; the
+    tautness test (None without a loop), a failure of which raises
+    TautnessError if `strict` and otherwise excludes the row; SingularityError
+    if a sum that the row reports overflows; and, for a row that is not
+    excluded, ValueError if the defect exceeds INTEGRABILITY_TOLERANCE.  No
+    array spans the grid."""
+    label, n = spec.label or f"foliation[{k}]", spec.grid
+    if len(spec.omega) != 3:
+        raise ValueError("a foliation needs 3 component functions")
+    loop = None if spec.transversal is None else _loop_edges(spec.transversal, n)
+    omega = _Omega(spec.omega, n, np.empty((0, 3), int) if loop is None else loop[0])
+    buf = np.empty(3 * _slab_rows(n) * n * n)  # the squares and lengths of each slab
+    frob = dw = w = miss = gv = total = 0.0
+    least = []
+    with np.errstate(all="ignore"):
+        for s, slab in zip(_slabs(n), _gv_blocks(omega)):
+            mag = np.sqrt(slab.norm_sq, out=buf[: slab.norm_sq.size].reshape(slab.norm_sq.shape))
+            part = float(np.sum(mag))
+            if not isfinite(part):  # each finite length is below 1.4e154, so their sum is finite
+                _raise_at(omega, s)
+            total += part
+            least.append(float(np.min(mag)))
+            frob += _sum_sq(slab.frob, buf)
+            dw += _sum_sq(slab.dw, buf)
+            w += float(np.sum(slab.norm_sq))
+            miss += _sum_sq(slab.miss, buf)
+            gv += float(np.sum(slab.gv))
+        mean = total / n**3
+        bound = NONVANISHING_FLOOR * max(mean, 1e-300)
+        if min(least) <= bound:
+            _raise_at(omega, next(s for s, m in zip(_slabs(n), least) if m <= bound), bound)
+    taut = None
+    if loop is not None:
+        _, axes, signs = loop
+        at, j = omega.at_vertices, np.arange(len(axes))
+        taut = tautness_check(signs * 0.5 * (at[axes, j] + at[axes, (j + 1) % len(j)]), mean)
     failed = f"{label}: failed the transversal-circle tautness test"
     if taut is False and strict:
         raise TautnessError(failed)
-    omega = spec.omega
-    frob = dw = w = miss = gv = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in _gv_blocks(omega, theta=taut is not False):
-            frob += _sum_sq(s.frob)
-            dw += _sum_sq(s.dw)
-            w += float(np.sum(s.norm_sq))
-            if s.theta is not None:
-                miss += _sum_sq(s.miss)
-                gv += float(np.sum(s.gv))
-    if not all(map(isfinite, (frob, dw, w, miss, gv))):
+    if not all(map(isfinite, (frob, dw, w) + (() if taut is False else (miss, gv)))):
         raise SingularityError(f"{label}: a GV sum over the grid is not finite")
-    cells = omega.grid_size**3
+    cells = n**3
     defect = sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) + 1e-30)
     if taut is False:
         return (label, None, taut, None), defect, failed + "; excluded from the sum"
     if defect > INTEGRABILITY_TOLERANCE:
         raise ValueError("form is not integrable within tolerance; no theta exists")
     warning = None if taut else f"{label}: no transversal supplied, tautness inconclusive"
-    return (label, gv * omega.spacing**3, taut, sqrt(miss / dw) if dw else 0.0), defect, warning
+    return (label, gv * (1.0 / n) ** 3, taut, sqrt(miss / dw) if dw else 0.0), defect, warning
 
 
 def gv_report(terms) -> GvReport:

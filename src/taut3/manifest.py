@@ -6,7 +6,7 @@ and cyclic model parameters.  Validation is strict — unknown keys are
 rejected — so a typo fails loudly before any computation starts.  Every
 size (grids, truncations, degree bounds, the number of foliations) has a
 maximum, so no manifest can ask for more than about a gigabyte of memory in
-one stage; `gv` at its largest grid, 192, peaks near a fifth of that.  The
+one stage; `gv` at its largest grid, 192, peaks near a twentieth of that.  The
 `solver` block of earlier versions is still validated, but ignored: the flat
 moduli are computed exactly.  So is `leafwise.n_z`: the leafwise model does
 not depend on the transverse coordinate.
@@ -35,8 +35,8 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 
 # `gv` holds one foliation at a time, so foliations cost time, not memory: on
-# 2 cores a `taut3 gv` process took 1.2-1.5 s and peaked at 204 MB RSS on one
-# grid-192 foliation with three nonconstant components, and 16-17 s and 205 MB
+# 2 cores a `taut3 gv` process took 0.9-1.6 s and peaked at 49 MB RSS on one
+# grid-192 foliation with three nonconstant components, and 13-14 s and 49 MB
 # on 16 of them.
 MAX_FOLIATIONS = 16
 

@@ -1,18 +1,82 @@
 """The whole-grid Godbillon-Vey chain, kept as the reference for the slab pass
 of `taut3.foliation_gv`.
 
-Each step builds a full (3, n, n, n) or (n, n, n) array: the exterior
-derivative (one centered difference `_ddi` per component and axis), the wedge,
-theta, the theta ^ omega miss, d(theta) and theta ^ d(theta).  The slab pass
-must reproduce every field value bit for bit and every sum to summation
-rounding.
+`DiscreteForm` holds a form sampled on the whole grid, and `form_from_functions`
+samples one there.  Each step builds a full (3, n, n, n) or (n, n, n) array:
+the exterior derivative (one centered difference `_ddi` per component and
+axis), the wedge, theta, the theta ^ omega miss, d(theta) and theta ^ d(theta).
+The slab pass must reproduce every field value bit for bit and every sum to
+summation rounding.  `foliation` turns a sampled form back into the component
+functions that `gv_term` takes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from taut3.foliation_gv import _PAIRS, DiscreteForm
+from taut3.foliation_gv import _PAIRS, FoliationSpec, grid_coords
+
+
+@dataclass(frozen=True)
+class DiscreteForm:
+    """Degree-k form sampled on an n^3 periodic grid over the unit torus.
+
+    values: (n,n,n) for k in {0,3}; (3,n,n,n) for k in {1,2} with 2-form
+    components ordered (01, 02, 12).
+    """
+
+    degree: int
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if self.degree in (0, 3):
+            if v.ndim != 3 or len(set(v.shape)) != 1:
+                raise ValueError("scalar-type form needs shape (n, n, n)")
+        elif self.degree in (1, 2):
+            if v.ndim != 4 or v.shape[0] != 3 or len(set(v.shape[1:])) != 1:
+                raise ValueError("vector-type form needs shape (3, n, n, n)")
+        else:
+            raise ValueError("degree must be 0..3")
+        object.__setattr__(self, "values", v)
+
+    @property
+    def grid_size(self) -> int:
+        return self.values.shape[-1]
+
+    @property
+    def spacing(self) -> float:
+        return 1.0 / self.grid_size
+
+
+def form_from_functions(degree: int, n: int, *fns) -> DiscreteForm:
+    """Component functions f(x, y, z) sampled on the whole grid at once: each
+    is evaluated on the sparse coordinates of `grid_coords` and broadcast to
+    the grid."""
+    x, y, z = grid_coords(n)
+    with np.errstate(all="ignore"):
+        values = np.stack([np.broadcast_to(np.asarray(f(x, y, z), dtype=float), (n, n, n))
+                           for f in fns])
+    return DiscreteForm(degree, values[0] if degree in (0, 3) else values)
+
+
+def component_fns(values):
+    """Component functions that read a (3, n, n, n) array of 1-form values at
+    the grid coordinates they are given, so that sampling them gives back
+    exactly these values."""
+    n = values.shape[-1]
+
+    def reader(comp):
+        return lambda *xyz: comp[tuple(np.rint(np.asarray(t) * n).astype(int) for t in xyz)]
+
+    return tuple(reader(c) for c in values)
+
+
+def foliation(omega: DiscreteForm, transversal=None, label="") -> FoliationSpec:
+    """The FoliationSpec of a sampled 1-form."""
+    return FoliationSpec(component_fns(omega.values), omega.grid_size, transversal, label)
 
 
 def _ddi(f, axis, h, out):
@@ -106,7 +170,6 @@ def _frobenius(omega: DiscreteForm):
     """d(omega) and the Frobenius defect, both from one exterior derivative."""
     if omega.degree != 1:
         raise ValueError("expected a 1-form")
-    omega._mean_norm  # the nonvanishing check, once per form
     dw = d(omega)
     return dw, l2_norm(wedge(omega, dw)) / (l2_norm(omega) * l2_norm(dw) + 1e-30)
 

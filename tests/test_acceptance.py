@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cyclic_oracles import cyclic_lambda, hochschild_b, random_trig
+from gv_oracles import DiscreteForm, foliation
 from su2_oracles import random_unit, to_matrix
 from taut3 import cyclic as cyc
 from taut3 import su2
@@ -23,7 +24,7 @@ from taut3.chern_simons import (
     curvature,
 )
 from taut3.cli import main as cli_main
-from taut3.foliation_gv import DiscreteForm, FoliationSpec, gv_term
+from taut3.foliation_gv import gv_term
 from taut3.presentations import builtin_presentation, concat_words, gen
 from taut3.su2reps import enumerate_reps, evaluate_word
 from taut3.twisted_torsion import build_twisted_complex, cw_structure
@@ -198,7 +199,7 @@ def test_criterion_6_chern_simons_stationarity():
 
 def test_criterion_7_godbillon_vey():
     def gv(omega):
-        return gv_term(FoliationSpec(omega))[0][1]
+        return gv_term(foliation(omega))[0][1]
 
     t0 = time.perf_counter()
     ok = True

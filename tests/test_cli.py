@@ -229,7 +229,7 @@ def test_gv_compiles_every_expression_before_sampling(tmp_path, capsys, count_ca
     good = {"omega": ["0", "0", "1"], "grid": 8}
     data = {"schema_version": 1, "manifold": {"family": "S3"},
             "foliations": [good, {"omega": ["0", "0", "sin("], "grid": 8}]}
-    sampled = count_calls("form_from_functions", fg)
+    sampled = count_calls("_Omega", fg)
     assert run(["gv", "--manifest", write_manifest(tmp_path, data)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
     assert sampled == []
@@ -311,29 +311,38 @@ def grid_sized_arrays(n):
 
 
 @pytest.mark.parametrize("command", ["gv", "all"])
-def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, monkeypatch,
-                                                         command):
+def test_no_array_of_n3_floats_is_alive_during_gv(tmp_path, monkeypatch, command):
+    """Each time the GV pass samples a chunk of a grid-128 foliation, after
+    the stages that `all` runs before it, no live array holds n^3 floats: the
+    ring holds two 8-row chunks and the wrap rows, not omega."""
+    n = 128
+    data = json.loads(Path(lens5_manifest(tmp_path)).read_text())
+    data["foliations"] = [{"label": "exp-g", "grid": n,
+                           "omega": ["0", "0", "exp(0.4*sin(2*pi*x)*cos(2*pi*y) + 0.3*sin(2*pi*z))"],
+                           "transversal": [[0, 0, k] for k in range(n)]}]
+    alive, sample = [], fg._Omega.sample
+
+    def probing(self, rows, out):
+        alive.append(grid_sized_arrays(n))
+        return sample(self, rows, out)
+
+    monkeypatch.setattr(fg._Omega, "sample", probing)
+    tracemalloc.start()
+    try:
+        assert run([command, "--manifest", write_manifest(tmp_path, data), "--no-cache"]) == EXIT_OK
+    finally:
+        tracemalloc.stop()
+    assert len(alive) == 128 // 8 + 2 and not any(alive)
+
+
+@pytest.mark.parametrize("command", ["gv", "all"])
+def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, command):
     n = 8
     second = {"label": "exp-xy", "omega": ["0", "0", "exp(0.2*cos(2*pi*y))"], "grid": n,
               "transversal": [[0, 0, k] for k in range(n)]}
     data = json.loads(Path(lens5_manifest(tmp_path)).read_text())
     data["foliations"].append(second)
     manifest = write_manifest(tmp_path, data)
-    # once a FoliationSpec is built, its omega is the only grid-sized array alive
-    alive, gv_term = [], fg.gv_term
-
-    def probing(spec, *args, **kwargs):
-        alive.append((grid_sized_arrays(spec.omega.grid_size), [spec.omega.values.nbytes]))
-        return gv_term(spec, *args, **kwargs)
-
-    monkeypatch.setattr(fg, "gv_term", probing)
-    tracemalloc.start()
-    try:
-        assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
-    finally:
-        tracemalloc.stop()
-    monkeypatch.undo()
-    assert len(alive) == 2 and all(found == omega for found, omega in alive)
     passes = count_calls("_gv_blocks", fg)
     derivatives = count_calls("_d_slab", fg)
     assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK

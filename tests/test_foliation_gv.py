@@ -1,4 +1,7 @@
 import json
+import tracemalloc
+from collections import Counter
+from math import sqrt
 from pathlib import Path
 
 import numpy as np
@@ -7,15 +10,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gv_oracles as go
-from gv_oracles import d, integrate, l2_norm, solve_theta, wedge
+from gv_oracles import (
+    DiscreteForm,
+    component_fns,
+    d,
+    foliation,
+    form_from_functions,
+    integrate,
+    l2_norm,
+    solve_theta,
+    wedge,
+)
 from taut3 import foliation_gv as fg
 from taut3.exprs import compile_expr
 from taut3.foliation_gv import (
-    DiscreteForm,
     FoliationSpec,
     SingularityError,
     TautnessError,
-    form_from_functions,
     grid_coords,
     gv_report,
     gv_term,
@@ -24,37 +35,48 @@ from taut3.foliation_gv import (
 
 TWO_PI = 2 * np.pi
 LENS_7_2 = Path(__file__).resolve().parents[1] / "perfbench" / "manifests" / "lens_7_2.json"
+POINCARE = LENS_7_2.with_name("poincare.json")
+
+
+def exp_f_fns(ax=0.3, ay=0.2):
+    """The components of e^{f(x,y)} dz with f = ax sin(2 pi x) + ay cos(2 pi y);
+    integrable."""
+    return (lambda x, y, z: 0 * x, lambda x, y, z: 0 * x,
+            lambda x, y, z: np.exp(ax * np.sin(TWO_PI * x) + ay * np.cos(TWO_PI * y)))
 
 
 def omega_exp_f(n, ax=0.3, ay=0.2):
-    """e^{f(x,y)} dz with f = ax sin(2 pi x) + ay cos(2 pi y); integrable."""
-    return form_from_functions(
-        1,
-        n,
-        lambda x, y, z: 0 * x,
-        lambda x, y, z: 0 * x,
-        lambda x, y, z: np.exp(ax * np.sin(TWO_PI * x) + ay * np.cos(TWO_PI * y)),
-    )
+    """e^{f(x,y)} dz sampled on the grid."""
+    return form_from_functions(1, n, *exp_f_fns(ax, ay))
 
 
 def gv_row(omega, tol=None):
-    """(gv, theta residual, defect) of omega through the production slab pass,
-    with INTEGRABILITY_TOLERANCE set to `tol` if one is given."""
+    """(gv, theta residual, defect) of a sampled omega through the production
+    slab pass, with INTEGRABILITY_TOLERANCE set to `tol` if one is given."""
     with pytest.MonkeyPatch.context() as mp:
         if tol is not None:
             mp.setattr(fg, "INTEGRABILITY_TOLERANCE", tol)
-        (_label, gv, _taut, res), defect, _warning = gv_term(FoliationSpec(omega))
+        (_label, gv, _taut, res), defect, _warning = gv_term(foliation(omega))
     return gv, res, defect
 
 
-def slab_fields(omega, theta=True):
-    """The per-slab blocks of `_gv_blocks`, copied out of the reused buffers and
-    concatenated along x: d(omega), theta, d(theta), theta ^ d(theta) and
-    |omega|^2."""
-    blocks = [[None if a is None else a.copy() for a in (s.dw, s.theta, s.dtheta, s.gv, s.norm_sq)]
-              for s in fg._gv_blocks(omega, theta)]
-    return [None if parts[0] is None else np.concatenate(parts, axis=parts[0].ndim - 3)
-            for parts in zip(*blocks)]
+def ring(fns, n):
+    """The sampled rows of a 1-form, as the slab pass reads them."""
+    return fg._Omega(tuple(fns), n, np.empty((0, 3), int))
+
+
+def pass_fields(fns, n):
+    """The per-slab blocks of `_gv_blocks` on component functions, copied out of
+    the reused buffers and concatenated along x, in the order of `_Slab`:
+    d(omega), omega ^ d(omega), |omega|^2, theta, the miss, d(theta) and
+    theta ^ d(theta)."""
+    blocks = [[a.copy() for a in s] for s in fg._gv_blocks(ring(fns, n))]
+    return [np.concatenate(parts, axis=parts[0].ndim - 3) for parts in zip(*blocks)]
+
+
+def slab_fields(omega):
+    """`pass_fields` of a sampled omega."""
+    return pass_fields(component_fns(omega.values), omega.grid_size)
 
 
 def test_dd_is_zero_to_roundoff():
@@ -131,7 +153,7 @@ def test_solve_theta_matches_analytic_minimal_solution():
     n = 48
     om = omega_exp_f(n)
     assert gv_row(om)[1] < 1e-12
-    _dw, theta, _dtheta, _gv, _norm_sq = slab_fields(om)
+    _dw, _frob, _norm_sq, theta, _miss, _dtheta, _gv = slab_fields(om)
     x, y, z = grid_coords(n)
     fx = 0.3 * TWO_PI * np.cos(TWO_PI * x)
     fy = -0.2 * TWO_PI * np.sin(TWO_PI * y)
@@ -140,35 +162,29 @@ def test_solve_theta_matches_analytic_minimal_solution():
     assert np.max(np.abs(theta[2])) < 1e-12
 
 
+def contact_fns():
+    """cos(2 pi z) dx + sin(2 pi z) dy + dz, maximally non-integrable."""
+    return (lambda x, y, z: np.cos(TWO_PI * z), lambda x, y, z: np.sin(TWO_PI * z),
+            lambda x, y, z: 1.0 + 0 * x)
+
+
 def test_solve_theta_rejects_nonintegrable():
     n = 16
-    contact = form_from_functions(
-        1,
-        n,
-        lambda x, y, z: np.cos(TWO_PI * z),
-        lambda x, y, z: np.sin(TWO_PI * z),
-        lambda x, y, z: 1.0 + 0 * x,
-    )
     with pytest.raises(ValueError, match="not integrable"):
-        gv_term(FoliationSpec(contact))
+        gv_term(FoliationSpec(contact_fns(), n))
     with pytest.raises(ValueError, match="not integrable"):
-        solve_theta(contact)
+        solve_theta(form_from_functions(1, n, *contact_fns()))
 
 
-def test_singular_form_detected():
-    """sin(2 pi x) dx vanishes on two planes of vertices; `_raise_at` names the
-    first flagged cell."""
-    n = 16
-    with pytest.raises(SingularityError):
-        FoliationSpec(
-            form_from_functions(
-                1,
-                n,
-                lambda x, y, z: np.sin(TWO_PI * x),
-                lambda x, y, z: 0 * x,
-                lambda x, y, z: 0 * x,
-            )
-        )
+def test_singular_form_detected(monkeypatch):
+    """sin(2 pi x) dx vanishes on the vertex planes x = 0 and x = 1/2, in one
+    slab or, with 4-row slabs, in two; `_raise_at` names the first flagged
+    cell."""
+    fns = (lambda x, y, z: np.sin(TWO_PI * x), lambda x, y, z: 0 * x, lambda x, y, z: 0 * x)
+    for rows in (16, 4):
+        ragged_slabs(monkeypatch, 16, rows, 16)
+        with pytest.raises(SingularityError, match=r"vanishes at grid cell \(0, 0, 0\)"):
+            gv_term(FoliationSpec(fns, 16))
 
 
 def test_gv_closed_form_cases_vanish():
@@ -183,8 +199,9 @@ def test_gv_invariant_under_constant_rescale():
     assert abs(gv_row(om)[0] - gv_row(scaled)[0]) < 1e-10
 
 
-def gauge_changed_omega(n):
-    """e^{g} dz for a generic smooth g: same foliation as dz, GV class 0."""
+def gauge_changed_fns():
+    """The components of e^{g} dz for a generic smooth g: same foliation as dz,
+    GV class 0."""
     def g(x, y, z):
         return (
             0.4 * np.sin(TWO_PI * x) * np.cos(TWO_PI * y)
@@ -192,39 +209,72 @@ def gauge_changed_omega(n):
             + 0.2 * np.cos(TWO_PI * x) * np.sin(TWO_PI * z)
         )
 
-    return form_from_functions(
-        1, n, lambda x, y, z: 0 * x, lambda x, y, z: 0 * x,
-        lambda x, y, z: np.exp(g(x, y, z)),
-    )
+    return (lambda x, y, z: 0 * x, lambda x, y, z: 0 * x, lambda x, y, z: np.exp(g(x, y, z)))
+
+
+def gauge_changed_omega(n):
+    """e^{g} dz sampled on the grid."""
+    return form_from_functions(1, n, *gauge_changed_fns())
 
 
 def test_gauge_change_drift_converges():
     """GV of e^g dz must converge to the invariant value 0 at order >= 1.5."""
     drifts = []
     for n in (16, 32, 64):
-        drifts.append(abs(gv_row(gauge_changed_omega(n))[0]))
+        drifts.append(abs(gv_term(FoliationSpec(gauge_changed_fns(), n))[0][1]))
     assert drifts[0] > drifts[1] > drifts[2]
     orders = [np.log2(drifts[i] / drifts[i + 1]) for i in range(2)]
     assert min(orders) >= 1.5
 
 
+def taut_flag(fns, n, transversal):
+    return gv_term(FoliationSpec(fns, n, transversal))[0][2]
+
+
 def test_tautness_check_outcomes():
     n = 24
-    om = omega_exp_f(n)
     loop_z = tuple((0, 0, k) for k in range(n))
     loop_x = tuple((k, 0, 0) for k in range(n))
-    assert tautness_check(FoliationSpec(om, transversal=loop_z)) is True
-    assert tautness_check(FoliationSpec(om, transversal=loop_x)) is False
-    assert tautness_check(FoliationSpec(om)) is None  # inconclusive, not False
-    with pytest.raises(ValueError):
-        tautness_check(FoliationSpec(om, transversal=((0, 0, 0), (0, 0, 2))))
+    assert taut_flag(exp_f_fns(), n, loop_z) is True
+    assert taut_flag(exp_f_fns(), n, loop_x) is False
+    assert taut_flag(exp_f_fns(), n, None) is None  # inconclusive, not False
+    with pytest.raises(ValueError, match="single lattice edge"):
+        taut_flag(exp_f_fns(), n, ((0, 0, 0), (0, 0, 2)))
+    with pytest.raises(ValueError, match="at least two vertices"):
+        taut_flag(exp_f_fns(), n, ((0, 0, 0),))
+    # the test itself: a constant sign, and every pairing above the floor
+    assert tautness_check(np.array([1.0, 2.0]), 1.0) is True
+    assert tautness_check(np.array([-1.0, -2.0]), 1.0) is True
+    assert tautness_check(np.array([1.0, -2.0]), 1.0) is False
+    assert tautness_check(np.array([1.0, 1e-9]), 1.0) is False
+
+
+def test_tautness_reads_omega_at_the_loop_vertices_of_every_chunk(monkeypatch):
+    """The pairings come from omega at the loop's vertices, whichever chunk of
+    the ring sampled them: on a random form, a loop through every row, with
+    edges along all three axes, pairs as the sampled array does."""
+    n = 9
+    ragged_slabs(monkeypatch, n, rows=2, chunk=4)
+    values = np.random.default_rng(5).standard_normal((3, n, n, n))
+    values[2] += 4.0
+    loop = ([(0, 1, 3)] + [(i, 2, 3) for i in range(n)] + [(i, 2, 4) for i in range(n - 1, -1, -1)]
+            + [(0, 1, 4)])
+    seen = []
+    monkeypatch.setattr(fg, "tautness_check", lambda pairings, mean: seen.append(pairings) or True)
+    monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
+    gv_term(foliation(DiscreteForm(1, values), transversal=tuple(loop)))
+    want = []
+    for p, q in zip(loop, loop[1:] + loop[:1]):
+        axis = next(i for i in range(3) if p[i] != q[i])
+        sign = 1 if (q[axis] - p[axis]) % n == 1 else -1
+        want.append(sign * 0.5 * (values[axis][p] + values[axis][q]))
+    assert np.array_equal(seen[0], np.array(want))
 
 
 def test_gv_invariant_report_and_strict_mode():
     n = 24
-    om = omega_exp_f(n)
-    good = FoliationSpec(om, transversal=tuple((0, 0, k) for k in range(n)), label="good")
-    bad = FoliationSpec(om, transversal=tuple((k, 0, 0) for k in range(n)), label="bad")
+    good = FoliationSpec(exp_f_fns(), n, tuple((0, 0, k) for k in range(n)), label="good")
+    bad = FoliationSpec(exp_f_fns(), n, tuple((k, 0, 0) for k in range(n)), label="bad")
     rep = gv_report([gv_term(good, 0), gv_term(bad, 1)])
     assert rep.per_foliation[0][1] is not None
     assert rep.per_foliation[1][1] is None  # excluded
@@ -235,9 +285,8 @@ def test_gv_invariant_report_and_strict_mode():
 
 @pytest.mark.parametrize("vertex", [(0, 0, 8), (0, 0, -1), (0, 0)])
 def test_tautness_check_rejects_vertices_off_the_grid(vertex):
-    om = omega_exp_f(8)
     with pytest.raises(ValueError, match="not a vertex"):
-        tautness_check(FoliationSpec(om, transversal=((0, 0, 7), vertex)))
+        gv_term(FoliationSpec(exp_f_fns(), 8, ((0, 0, 7), vertex)))
 
 
 @pytest.mark.parametrize("component", [
@@ -246,9 +295,9 @@ def test_tautness_check_rejects_vertices_off_the_grid(vertex):
     lambda x, y, z: 1e200 * (1 + x),  # finite, but its square overflows
 ])
 def test_non_finite_form_is_rejected_without_warnings(component):
-    om = form_from_functions(1, 8, lambda x, y, z: 0 * x, lambda x, y, z: 0 * x, component)
+    fns = (lambda x, y, z: 0 * x, lambda x, y, z: 0 * x, component)
     with pytest.raises(SingularityError, match="not finite"):
-        FoliationSpec(om)
+        gv_term(FoliationSpec(fns, 8))
 
 
 # --- the kernels as first written, kept as oracles ------------------------------
@@ -354,29 +403,96 @@ def test_theta_keeps_the_signed_zeros_of_np_cross():
     assert np.array_equal(np.signbit(theta.values), np.signbit(want))
 
 
+def dense_rows(n, rows, *fns):
+    """The components evaluated on dense coordinate arrays of the grid rows
+    `rows` (an index array)."""
+    xs = np.arange(n) / n
+    x, y, z = np.meshgrid(xs[rows], xs, xs, indexing="ij")
+    with np.errstate(all="ignore"):
+        return np.stack([np.broadcast_to(np.asarray(f(x, y, z), dtype=float), x.shape)
+                         for f in fns])
+
+
+def sampled_by_the_pass(monkeypatch, fns, n, want=None, transversal=None):
+    """The grid rows that gv_term's pass samples on `fns` at grid n, in order;
+    each sample is checked, as it is taken, against those rows of `want` or,
+    by default, a dense evaluation of them."""
+    seen, real = [], fg._Omega.sample
+
+    def checking(self, rows, out):
+        real(self, rows, out)
+        picked = np.arange(n)[rows]
+        assert np.array_equal(out, dense_rows(n, picked, *fns) if want is None else want[:, picked])
+        seen.extend(picked.tolist())
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fg._Omega, "sample", checking)
+        mp.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
+        gv_term(FoliationSpec(tuple(fns), n, transversal))
+    return seen
+
+
+def rows_sampled(fns, n):
+    """Each grid row once, and the wrap rows n-2, n-1, 0 and 1 once more where
+    the ring holds less than the grid."""
+    want = Counter(range(n))
+    if ring(fns, n).edge_rows is not None:
+        want.update([n - 2, n - 1, 0, 1])
+    return want
+
+
 @pytest.mark.parametrize("index", [0, 1])
-def test_sparse_sampling_matches_dense_on_the_bench_expressions(index):
-    manifest = json.loads(LENS_7_2.read_text())
-    entry = manifest["foliations"][index]
+def test_sparse_sampling_matches_dense_on_the_bench_expressions(monkeypatch, index):
+    entry = json.loads(LENS_7_2.read_text())["foliations"][index]
     fns = [compile_expr(s) for s in entry["omega"]]
     n = entry["grid"]
-    assert np.array_equal(form_from_functions(1, n, *fns).values, dense_sample(n, *fns))
+    assert Counter(sampled_by_the_pass(monkeypatch, fns, n)) == rows_sampled(fns, n)
 
 
-def test_sparse_sampling_matches_dense_on_python_functions():
+def test_sparse_sampling_matches_dense_on_python_functions(monkeypatch):
     fns = [lambda x, y, z: 0 * x, lambda x, y, z: 1.0,
            lambda x, y, z: np.exp(np.sin(TWO_PI * x) * np.cos(TWO_PI * y) + z)]
-    assert np.array_equal(form_from_functions(1, 9, *fns).values, dense_sample(9, *fns))
-    scalar = form_from_functions(0, 9, fns[2])
-    assert scalar.values.shape == (9, 9, 9)
-    assert np.array_equal(scalar.values, dense_sample(9, fns[2])[0])
+    assert Counter(sampled_by_the_pass(monkeypatch, fns, 9)) == Counter(range(9))
 
 
-def test_form_from_functions_checks_the_component_count():
+@pytest.mark.parametrize("n", [9, 32, 64, 128, 192])
+def test_the_pass_samples_each_row_once_as_a_dense_sample_would(monkeypatch, n):
+    """Grids 9 and 32 are one chunk, 64 two that the ring holds together, and
+    128 and 192 sixteen and sixty-four, read through two slots and the wrap
+    rows."""
+    fns = [compile_expr(s) for s in SAMPLED["x, y and z"]]
+    assert Counter(sampled_by_the_pass(monkeypatch, fns, n)) == rows_sampled(fns, n)
+    assert (n >= 128) == (ring(fns, n).edge_rows is not None)
+
+
+@pytest.mark.parametrize("rows, chunk", [(1, 1), (1, 3), (2, 2), (2, 4), (2, 5), (3, 3), (4, 8)])
+def test_ragged_chunks_sample_each_row_once(monkeypatch, rows, chunk):
+    """At grid 9, chunks of 1-8 rows, ragged where they do not divide 9, in two
+    slots, three where a chunk is one slab, or one per chunk."""
+    n = 9
+    ragged_slabs(monkeypatch, n, rows, chunk)
+    fns = [compile_expr(s) for s in SAMPLED["x, y and z"]]
+    assert Counter(sampled_by_the_pass(monkeypatch, fns, n)) == rows_sampled(fns, n)
+
+
+@pytest.mark.parametrize("manifest, index", [(LENS_7_2, 0), (LENS_7_2, 1), (POINCARE, 0)],
+                         ids=["lens_7_2-exp-g", "lens_7_2-exp-xy", "poincare-exp-g"])
+def test_gv_term_rows_are_unchanged_on_the_bench_foliations(manifest, index):
+    """A bench foliation's row, defect and warning, with omega sampled chunk by
+    chunk, are those of the pass reading omega sampled on the whole grid at
+    once."""
+    entry = json.loads(manifest.read_text())["foliations"][index]
+    fns = [compile_expr(s) for s in entry["omega"]]
+    n, loop = entry["grid"], tuple(map(tuple, entry["transversal"]))
+    got = gv_term(FoliationSpec(tuple(fns), n, loop, entry["label"]))
+    assert got == gv_term(foliation(form_from_functions(1, n, *fns), loop, entry["label"]))
+    assert got[0][2] is True
+
+
+def test_gv_term_checks_the_component_count():
     with pytest.raises(ValueError, match="3 component functions"):
-        form_from_functions(1, 4, lambda x, y, z: x, lambda x, y, z: y)
-    with pytest.raises(ValueError, match="degree must be"):
-        form_from_functions(4, 4, lambda x, y, z: x)
+        gv_term(FoliationSpec((lambda x, y, z: x, lambda x, y, z: y), 4))
 
 
 @settings(max_examples=30, deadline=None)
@@ -396,20 +512,31 @@ def random_omega(rng, n):
 
 
 def assert_slab_pass_matches_oracle(omega):
-    h = omega.spacing
+    n, h = omega.grid_size, omega.spacing
     dw, defect = go._frobenius(omega)
     theta, res = go._theta(omega, dw, 0.0, 1.0)
     dtheta = d(theta)
     gv = wedge(theta, dtheta)
-    got = slab_fields(omega)
-    for field, want in zip(got, (dw.values, theta.values, dtheta.values, gv.values,
-                                 go.norm_sq(omega))):
-        assert np.array_equal(field, want)
-        assert np.array_equal(np.signbit(field), np.signbit(want))
-    excluded = slab_fields(omega, theta=False)
-    assert np.array_equal(excluded[0], dw.values)
-    assert np.array_equal(excluded[-1], got[-1])
+    fields = (dw.values, wedge(omega, dw).values, go.norm_sq(omega), theta.values,
+              dw.values - wedge(theta, omega).values, dtheta.values, gv.values)
+    for got, want in zip(slab_fields(omega), fields):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    # the oracle's fields, summed slab by slab in the pass's order, give the row
+    # bit for bit; the whole-grid sums agree to summation rounding
+    dw_f, frob_f, norm_sq_f, _theta_f, miss_f, _dtheta_f, gv_f = fields
+    frob = dw_sq = w = miss = total = 0.0
+    for s in fg._slabs(n):
+        frob += float(np.sum(np.square(frob_f[s])))
+        dw_sq += float(np.sum(np.square(dw_f[:, s])))
+        w += float(np.sum(norm_sq_f[s]))
+        miss += float(np.sum(np.square(miss_f[:, s])))
+        total += float(np.sum(gv_f[s]))
+    cells = n**3
+    streamed = (total * h**3, sqrt(miss / dw_sq) if dw_sq else 0.0,
+                sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw_sq / cells) + 1e-30))
     got_gv, got_res, got_defect = gv_row(omega, tol=np.inf)
+    assert (got_gv, got_res, got_defect) == streamed
     assert got_defect == pytest.approx(defect, rel=1e-12, abs=0)
     assert got_res == pytest.approx(res / l2_norm(dw), rel=1e-12, abs=0)
     assert abs(got_gv - integrate(gv)) <= 1e-15 * h**3 * np.sum(np.abs(gv.values))
@@ -439,10 +566,32 @@ def test_slab_pass_matches_the_oracle_at_every_slab_height(monkeypatch, rows):
     assert_slab_pass_matches_oracle(random_omega(np.random.default_rng(rows), n))
 
 
+@pytest.mark.parametrize("rows, chunk", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 4), (2, 6),
+                                         (3, 3), (3, 6), (4, 4), (4, 8)])
+def test_slab_pass_matches_the_oracle_at_every_chunk_height(monkeypatch, rows, chunk):
+    """Chunks of one slab evict the oldest of three slots; longer ones of two;
+    three chunks of 4 or two of 8 rows fill one omega; the last chunk is
+    ragged wherever its height does not divide 9."""
+    n = 9
+    ragged_slabs(monkeypatch, n, rows, chunk)
+    omega = ring([], n)
+    assert omega.height == chunk and len(omega.slots) == min(-(-n // chunk), 2 + (rows == chunk))
+    assert_slab_pass_matches_oracle(random_omega(np.random.default_rng(10 * rows + chunk), n))
+
+
+def held_bytes(omega):
+    """Bytes of a ring's slots and wrap rows."""
+    edge = 0 if omega.edge_rows is None else omega.edge_rows.nbytes
+    return sum(s.nbytes for s in omega.slots) + edge
+
+
 def test_gv_term_allocates_less_than_one_omega(traced_peak):
-    spec = FoliationSpec(gauge_changed_omega(64), transversal=tuple((0, 0, k) for k in range(64)))
+    """Sampling included, a gv_term call at grid 128 holds less than a third
+    of one omega."""
+    n = 128
+    spec = FoliationSpec(gauge_changed_fns(), n, tuple((0, 0, k) for k in range(n)))
     _, peak = traced_peak(gv_term, spec)
-    assert peak < spec.omega.values.nbytes
+    assert peak < 8 * n**3
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
@@ -450,16 +599,70 @@ def test_gv_term_scratch_is_a_few_dozen_slab_blocks(traced_peak, n):
     """Counted in blocks of one component of one slab, the pass holds d(omega)
     and |omega|^2 of two slabs (8), theta of two or, for one-row slabs, three
     (6 or 9), six differences, omega ^ d(omega), theta ^ d(theta) and one
-    scratch block (9), and the sums of squares 3 more: on the bench's exp-g
-    form 1.63, 1.64 and 3.65 MiB at grids 32, 64 and 128."""
+    scratch block (9), and the buffer that the sums square into (3).  Besides
+    these, the whole call holds the ring of sampled omega and, while a chunk is
+    sampled, the operand and result of one operation on a chunk component and
+    less than two blocks of factors that do not span the chunk.  A ring that
+    holds the grid (grids 32 and 64) is sampled before the pass allocates its
+    buffers, so the call holds the larger of the two: on the bench's exp-g
+    form 2.40, 8.09 and 12.51 MiB at grids 32, 64 and 128, of which the ring
+    is 0.75 (one chunk), 6 and 6.75 MiB."""
     fns = [compile_expr(s) for s in json.loads(LENS_7_2.read_text())["foliations"][0]["omega"]]
-    spec = FoliationSpec(form_from_functions(1, n, *fns),
-                         transversal=tuple((0, 0, k) for k in range(n)))
+    spec = FoliationSpec(tuple(fns), n, tuple((0, 0, k) for k in range(n)))
     ((_label, _gv, taut, _res), _defect, _warning), peak = traced_peak(gv_term, spec)
-    rows = fg._slab_rows(n)
-    blocks = 8 + 3 * (2 + (rows == 1)) + 9 + 3
+    rows, omega = fg._slab_rows(n), ring(fns, n)
+    block = 8 * rows * n * n
+    pass_bytes = (8 + 3 * (2 + (rows == 1)) + 9 + 3) * block
+    sampling = 2 * 8 * omega.height * n * n
+    if omega.edge_rows is None:
+        fixed = held_bytes(omega) + max(pass_bytes, sampling)
+    else:
+        fixed = held_bytes(omega) + pass_bytes + sampling
     assert taut  # the pass solved for theta
-    assert blocks * 8 * rows * n * n <= peak < (blocks + 1) * 8 * rows * n * n
+    assert fixed <= peak < fixed + 2 * block
+
+
+def test_the_ring_never_holds_more_than_one_omega():
+    """Two slots of about `_SAMPLE_BYTES` per component, or where the chunks
+    are that few, one omega: grid 32 is one chunk, not three slots."""
+    fns = [compile_expr(s) for s in SAMPLED["x, y and z"]]
+    for n in (8, 9, 32, 39, 64, 96, 128, 192):
+        omega, rows = ring(fns, n), fg._slab_rows(n)
+        assert omega.height % rows == 0 or omega.height == n
+        assert held_bytes(omega) <= 3 * 8 * n**3
+        if omega.edge_rows is not None:
+            assert omega.height * 8 * n * n <= fg._SAMPLE_BYTES
+            assert len(omega.slots) == 2 + (omega.height == rows)
+    assert len(ring(fns, 32).slots) == 1
+
+
+def live_grid_arrays(n):
+    """Sizes of the live numpy buffers traced by tracemalloc that hold at least
+    n^3 floats."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return [t.size for t in snapshot.traces if t.size >= 8 * n**3]
+
+
+def test_no_array_spans_the_grid(monkeypatch):
+    """While gv_term samples each chunk of a grid-96 form, no live array holds
+    n^3 floats."""
+    n = 96
+    fns = [compile_expr(s) for s in ("0", "0", "exp(0.3*sin(2*pi*x) + 0.2*cos(2*pi*y))")]
+    found, real = [], fg._Omega.sample
+
+    def probing(self, rows, out):
+        found.append(live_grid_arrays(n))
+        return real(self, rows, out)
+
+    monkeypatch.setattr(fg._Omega, "sample", probing)
+    tracemalloc.start()
+    try:
+        row = gv_term(FoliationSpec(tuple(fns), n, tuple((0, 0, k) for k in range(n))))
+    finally:
+        tracemalloc.stop()
+    assert row[0][1] is not None
+    assert len(found) == -(-n // ring(fns, n).height) + 2 and not any(found)
 
 
 # --- the Leibniz rule of the oracle's d and wedge ---------------------------------
@@ -510,7 +713,7 @@ def test_leibniz_rule_holds_to_second_order(n, seed):
     assert np.max(np.abs(lhs - rhs)) <= 6 * c * a_alpha * a_beta * h**2
 
 
-# --- slab-wise sampling and nonvanishing check against the whole grid -------------
+# --- sampling and the nonvanishing check against the whole grid -----------------
 
 def whole_grid_sample(n, *fns):
     """Each component evaluated once on the whole sparse grid, then broadcast."""
@@ -536,13 +739,12 @@ def whole_grid_check(values, floor=1e-6):
     return mean
 
 
-def ragged_slabs(monkeypatch, n, rows=5):
-    """Set both slab budgets to `rows` rows at grid n, a height that leaves a
-    shorter last slab."""
-    assert n % rows
-    monkeypatch.setattr(fg, "_SAMPLE_BYTES", 8 * n * n * rows)
+def ragged_slabs(monkeypatch, n, rows=5, chunk=None):
+    """Set the slab budget to `rows` rows at grid n, and the sampling budget to
+    `chunk` rows (default `rows`)."""
+    monkeypatch.setattr(fg, "_SAMPLE_BYTES", 8 * n * n * (chunk or rows))
     monkeypatch.setattr(fg, "_SLAB_BYTES", 8 * n * n * rows)
-    assert fg._slab_rows(n, fg._SAMPLE_BYTES) == fg._slab_rows(n) == rows
+    assert fg._slab_rows(n) == rows
 
 
 SAMPLED = {
@@ -556,17 +758,26 @@ SAMPLED = {
 @pytest.mark.parametrize("n", [8, 39, 64])
 @pytest.mark.parametrize("kind", sorted(SAMPLED))
 def test_slab_sampling_matches_the_whole_grid(monkeypatch, n, kind):
+    """The sampled rows and the streamed |omega|^2 equal the whole grid's, by
+    the default budgets and by 5-row slabs and chunks, which leave a shorter
+    last one; the mean length that the tautness test reads is the streamed
+    sum of the lengths to the bit, and the whole grid's mean to rounding."""
     fns = [compile_expr(s) for s in SAMPLED[kind]]
     want = whole_grid_sample(n, *fns)
+    norm_sq = (want[0] ** 2 + want[1] ** 2) + want[2] ** 2
     for ragged in (False, True):
         if ragged:
             ragged_slabs(monkeypatch, n)
-        omega = form_from_functions(1, n, *fns)
-        assert np.array_equal(omega.values, want)
-        norm_sq = slab_fields(omega, theta=False)[-1]
-        assert np.array_equal(norm_sq, (want[0] ** 2 + want[1] ** 2) + want[2] ** 2)
-        mean = whole_grid_check(want)
-        assert omega._mean_norm == pytest.approx(mean, rel=1e-13, abs=0)
+        means = []
+        with monkeypatch.context() as mp:
+            mp.setattr(fg, "tautness_check", lambda pairings, mean: means.append(mean) or True)
+            seen = sampled_by_the_pass(mp, fns, n, want, ((0, 0, 0), (0, 0, 1)))
+        assert Counter(seen) == rows_sampled(fns, n)
+        streamed = pass_fields(fns, n)[2]
+        assert np.array_equal(streamed, norm_sq)
+        lengths = sum(float(np.sum(np.sqrt(norm_sq[s]))) for s in fg._slabs(n))
+        assert means == [lengths / n**3]
+        assert means[0] == pytest.approx(whole_grid_check(want), rel=1e-13, abs=0)
 
 
 PLANTS = {"first row": (0, 3, 7), "last row of a slab": (4, 38, 0),
@@ -584,7 +795,7 @@ def test_slab_check_raises_where_the_whole_grid_check_does(monkeypatch, value, w
     message = whole_grid_check(values)
     assert f"grid cell {PLANTS[where]}" in message
     with pytest.raises(SingularityError) as err:
-        FoliationSpec(DiscreteForm(1, values))
+        gv_term(foliation(DiscreteForm(1, values)))
     assert str(err.value) == message
 
 
@@ -597,25 +808,28 @@ def test_slab_check_reports_a_non_finite_cell_before_a_vanishing_one(monkeypatch
     message = whole_grid_check(values)
     assert message == "1-form is not finite (or overflows) at grid cell (38, 5, 5)"
     with pytest.raises(SingularityError, match=r"not finite .* \(38, 5, 5\)"):
-        FoliationSpec(DiscreteForm(1, values))
+        gv_term(foliation(DiscreteForm(1, values)))
 
 
-def test_sampling_and_check_hold_omega_and_two_sampling_slabs(traced_peak):
-    """An operation on a sampling slab holds its operand and its result, two
-    slab-sized arrays; the check's slab buffers are smaller than one GV slab."""
-    n = 64
-    fns = [compile_expr(s) for s in SAMPLED["x, y and z"]]
-    spec, peak = traced_peak(lambda: FoliationSpec(form_from_functions(1, n, *fns)))
-    assert peak <= spec.omega.values.nbytes + 2 * fg._SAMPLE_BYTES + fg._SLAB_BYTES
-
-
-def test_no_array_but_omega_spans_the_grid(traced_peak):
-    """Sampling with the nonvanishing check, and then the GV pass, each hold
-    less than n^3 floats besides omega."""
-    n = 96
-    fns = [compile_expr(s) for s in ("0", "0", "exp(0.3*sin(2*pi*x) + 0.2*cos(2*pi*y))")]
-    loop = tuple((0, 0, k) for k in range(n))
-    spec, peak = traced_peak(lambda: FoliationSpec(form_from_functions(1, n, *fns), loop))
-    assert peak - spec.omega.values.nbytes < 8 * n**3
-    row, peak = traced_peak(gv_term, spec)
-    assert row[0][1] is not None and peak < 8 * n**3
+def test_errors_come_in_the_order_singular_tautness_integrability():
+    """A bad loop is refused before the pass; after it, a singular form is
+    refused before the tautness test, even where that test fails in strict
+    mode, and a failed tautness test comes before the integrability test."""
+    n = 16
+    loop_z = tuple((0, 0, k) for k in range(n))
+    loop_x_at_quarter_z = tuple((k, 0, n // 4) for k in range(n))  # cos(2 pi z) = 0 there
+    singular = (lambda x, y, z: np.sin(TWO_PI * x), lambda x, y, z: 0 * x, lambda x, y, z: 0 * x)
+    with pytest.raises(ValueError, match="single lattice edge"):
+        gv_term(FoliationSpec(singular, n, ((0, 0, 0), (0, 0, 2))))
+    with pytest.raises(SingularityError, match=r"vanishes at grid cell \(0, 0, 0\)"):
+        gv_term(FoliationSpec(singular, n, loop_z), strict=True)  # dz pairs to 0: not taut
+    inf_x = (lambda x, y, z: np.exp(1000 * x), lambda x, y, z: 0 * x, lambda x, y, z: 0 * x)
+    with pytest.raises(SingularityError, match="not finite"):
+        gv_term(FoliationSpec(inf_x, n, loop_z), strict=True)
+    with pytest.raises(TautnessError, match="tautness"):
+        gv_term(FoliationSpec(contact_fns(), n, loop_x_at_quarter_z), strict=True)
+    (_label, gv, taut, res), defect, warning = gv_term(FoliationSpec(contact_fns(), n,
+                                                                     loop_x_at_quarter_z))
+    assert (gv, taut, res) == (None, False, None) and defect > 0.1 and "excluded" in warning
+    with pytest.raises(ValueError, match="not integrable"):
+        gv_term(FoliationSpec(contact_fns(), n, tuple((k, 0, 0) for k in range(n))))

@@ -19,8 +19,11 @@ from taut3.presentations import (
 )
 from taut3.su2reps import ModuliNotFiniteError, RepModuli, enumerate_reps, evaluate_word
 from taut3.twisted_torsion import (
+    RANK_TOLERANCE,
     TwistedComplex,
     _fox_images,
+    _fox_ranks,
+    adjoint_h1_dims,
     build_twisted_complex,
     cw_structure,
     sv_torsion_oracle,
@@ -425,3 +428,24 @@ def test_brieskorn_3_cell_generates_the_kernel_of_d2(brieskorn_235_moduli):
     orbit = np.array([np.concatenate([s[:n][mul[inv[g]]], s[n:][mul[inv[g]]]]) for g in range(n)])
     kernel_dim = 2 * n - np.linalg.matrix_rank(d2.astype(float))
     assert np.linalg.matrix_rank(orbit.astype(float)) == kernel_dim == 119
+
+
+def test_a_fox_matrix_that_is_zero_up_to_roundoff_has_rank_0(brieskorn_235_moduli):
+    """The rank rule's floor: a zero Fox matrix and one with roundoff-size
+    entries have rank 0, though the second one's singular values are all
+    above RANK_TOLERANCE times its largest.  The Ad rho Fox matrices of the
+    Poincare sphere keep the rank of the relative rule, and H^1 = 0."""
+    pres = builtin_presentation("Brieskorn", 2, 3, 5)
+    r, g = len(pres.relators), pres.num_generators
+    noise = 1e-15 * np.random.default_rng(0).standard_normal((1, r, g, 3, 3))
+    fox = np.concatenate([np.zeros((1, r, g, 3, 3)), noise])
+    assert _fox_ranks(fox, pres.relators).tolist() == [0, 0]
+    sv = np.linalg.svd(noise.transpose(0, 1, 3, 2, 4).reshape(3 * r, 3 * g), compute_uv=False)
+    assert np.all(sv > RANK_TOLERANCE * sv[0])
+    images = su2.adjoint(np.stack([c.images_array() for c in brieskorn_235_moduli.classes]))
+    fox = _fox_images(pres.relators, images)
+    sv = np.linalg.svd(fox.transpose(0, 1, 3, 2, 4).reshape(len(fox), 3 * r, 3 * g),
+                       compute_uv=False)
+    relative = np.sum(sv > RANK_TOLERANCE * sv[:, :1], axis=1).tolist()
+    assert _fox_ranks(fox, pres.relators).tolist() == relative
+    assert adjoint_h1_dims(pres, brieskorn_235_moduli) == [0, 0]
