@@ -29,7 +29,7 @@ exp_f = (zero, zero, lambda x, y, z: np.exp(f(x, y, z)))
 print("=== omega = e^f dz (leaves are graphs over the xy-torus) ===")
 (_label, gv, _taut, res), defect, _warning = gv_term(FoliationSpec(exp_f, n))
 print(f"integrability residual |omega ^ d omega| / scales = {defect:.2e}")
-print(f"connection-form residual |d omega - theta ^ omega| = {res:.2e}")
+print(f"connection-form residual |omega ^ d omega| / |omega| over |d omega| = {res:.2e}")
 print(f"GV integral = {gv:+.2e}  (this family has vanishing GV)")
 
 print("\n=== Tautness via a transversal circle ===")

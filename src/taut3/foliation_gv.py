@@ -8,7 +8,9 @@ of an n^3 periodic grid; the exterior derivative uses centered differences (so
 d o d = 0 exactly, shifts commute) and the wedge is the pointwise antisymmetric
 product.  `gv_term` computes the whole chain in one pass over x-slabs of the
 grid (`_gv_blocks`), which reads omega from a small ring of sampled chunks
-(`_Omega`), so no array spans the grid, omega included.
+(`_Omega`), so no array spans the grid, omega included.  The pass works in grid
+units: each d is the undivided difference f[i+1] - f[i-1], 2h times the
+derivative, and the sums are rescaled once after the pass.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from math import isfinite, sqrt
 from typing import NamedTuple
 
 import numpy as np
-
-_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 class SingularityError(ValueError):
@@ -38,10 +38,11 @@ def grid_coords(n: int):
 
 
 # Bytes of one component of one x-slab of the GV pass.  A slab's working set
-# is about thirty such blocks (omega; d(omega), |omega|^2 and theta of two or
-# three slabs; the differences, d(theta) and products), so at 64 KiB it fits a
-# 2 MB L2 cache: grids 128 and 192 run one row at a time, grid 32 in four 8-row
-# slabs (faster than two of 16 rows on 2 cores).
+# is 27-30 such blocks (omega; d(omega) and |omega|^2 of two slabs, theta of
+# two or three; six differences, which also take omega ^ d(omega) and
+# theta ^ d(theta); a scratch block and the three that the sums square into),
+# so at 64 KiB it fits a 2 MB L2 cache: grids 128 and 192 run one row at a
+# time, grid 32 in four 8-row slabs (faster than two of 16 rows on 2 cores).
 _SLAB_BYTES = 1 << 16
 
 
@@ -174,25 +175,26 @@ def _raise_at(omega, rows, bound=None):
 
 
 class _Slab(NamedTuple):
-    """One x-slab of the GV chain, as views into buffers that the next slab
-    overwrites."""
+    """One x-slab of the GV chain in grid units, as views into buffers that the
+    next slab overwrites: d(omega), theta and omega ^ d(omega) are 2h times
+    their values, d(theta) (2h)^2 and theta ^ d(theta) (2h)^3 times."""
 
     dw: np.ndarray  # d(omega)
     frob: np.ndarray  # omega ^ d(omega)
     norm_sq: np.ndarray  # |omega|^2
     theta: np.ndarray
-    miss: np.ndarray  # d(omega) - theta ^ omega
     dtheta: np.ndarray
     gv: np.ndarray  # theta ^ d(theta)
 
 
-def _d_slab(v, before, after, h, diffs, out):
-    """d of a 1-form on a slab of x-rows `v` (3, k, n, n), given the rows just
-    `before` and `after` it, written into `out` (which may be diffs[:3]).
+def _d_slab(v, before, after, diffs, out):
+    """2h times d of a 1-form on a slab of x-rows `v` (3, k, n, n), given the
+    rows just `before` and `after` it, written into `out` (which may be
+    diffs[:3]).
     `diffs` (6, k, n, n) takes the centered differences x of (v1, v2), y of
     (v2, v0) and z of (v0, v1): the y and z interiors are one subtract each over
     the flattened slab, whose wrap columns are then overwritten.  Each value is
-    computed as the whole-grid derivative does."""
+    computed as the whole-grid derivative does at 2h = 1."""
     k, n = v.shape[1], v.shape[-1]
     np.subtract(v[1:, 2:], v[1:, :-2], out=diffs[:2, 1:-1])
     for r in {0, k - 1}:  # the edge rows read the rows before and after the slab
@@ -206,19 +208,7 @@ def _d_slab(v, before, after, h, diffs, out):
             f, dif = f.swapaxes(-1, -2), dif.swapaxes(-1, -2)
         for i, ahead, behind in ((0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):  # the wrap
             np.subtract(f[..., ahead], f[..., behind], out=dif[..., i])
-    # by component where the slab is shorter than its buffer: numpy divides a
-    # short strided block through a temporary copy
-    for block in [diffs] if diffs.flags.c_contiguous else diffs:
-        block /= 2.0 * h
     return np.subtract(diffs[:3], diffs[3:], out=out)
-
-
-def _wedge11(u, v, out, tmp):
-    """Pointwise u ^ v of two 1-forms, components (01, 02, 12)."""
-    for comp, (i, j) in zip(out, _PAIRS):
-        np.multiply(u[i], v[j], out=comp)
-        comp -= np.multiply(u[j], v[i], out=tmp)
-    return out
 
 
 def _wedge12(u, v, out, tmp):
@@ -256,13 +246,13 @@ def _gv_blocks(omega: _Omega):
     first slab reads it, and the last slab computes grid row 0 again as the row
     after it.  omega's rows are views of the ring of `omega`, no row is copied,
     no array spans the grid, and every field value is bit-identical to the
-    whole-grid computation.
+    whole-grid computation at 2h = 1.
     """
-    n, h = omega.n, 1.0 / omega.n
+    n = omega.n
     slabs, rows, plane = _slabs(n), _slab_rows(n), (n, n)
     dw_buf, nsq_buf = np.empty((2, 3, rows) + plane), np.empty((2, rows) + plane)
-    tmp, frob_buf, gv_buf = np.empty((3, rows) + plane)
-    diffs = np.empty((6, rows) + plane)  # scratch of each d, then d(theta) and the miss
+    tmp = np.empty((rows,) + plane)
+    diffs = np.empty((6, rows) + plane)  # scratch of each d, then d(theta) and two products
     slots = 2 + (rows == 1)  # a one-row slab reads theta from both other slabs
     theta_buf = np.empty((slots, 3, rows) + plane)
 
@@ -271,7 +261,7 @@ def _gv_blocks(omega: _Omega):
         `before` and `after`, into rows at.. of slab i's buffers, and theta on
         the first of them."""
         k = v.shape[1]
-        dw = _d_slab(v, before[:, 0], after[:, 0], h, diffs[:, :k], dw_buf[i % 2, :, at : at + k])
+        dw = _d_slab(v, before[:, 0], after[:, 0], diffs[:, :k], dw_buf[i % 2, :, at : at + k])
         nsq = _norm_sq(v, nsq_buf[i % 2, at : at + k], tmp[:k])
         _theta(v[:, :1], dw[:, :1], nsq[:1], theta_buf[i % slots, :, at : at + 1], tmp[:1])
 
@@ -287,16 +277,14 @@ def _gv_blocks(omega: _Omega):
             ahead(i + 1, first, omega.block(n - 1, 1), second)
         k = s.stop - s.start
         w_core, dw, nsq = omega.block(s.start, k), dw_buf[i % 2, :, :k], nsq_buf[i % 2, :k]
-        frob = _wedge12(w_core, dw, frob_buf[:k], tmp[:k])
         th = theta_buf[i % slots, :, :k]
         if k > 1:
             _theta(w_core[:, 1:], dw[:, 1:], nsq[1:], th[:, 1:], tmp[: k - 1])
         before, after = theta_buf[(i - 1) % slots, :, -1], theta_buf[(i + 1) % slots, :, 0]
-        dth = _d_slab(th, before, after, h, diffs[:, :k], diffs[:3, :k])
-        miss = _wedge11(th, w_core, diffs[3:, :k], tmp[:k])
-        np.subtract(dw, miss, out=miss)
-        gv = _wedge12(th, dth, gv_buf[:k], tmp[:k])
-        yield _Slab(dw, frob, nsq, th, miss, dth, gv)
+        dth = _d_slab(th, before, after, diffs[:, :k], diffs[:3, :k])
+        frob = _wedge12(w_core, dw, diffs[3, :k], tmp[:k])
+        gv = _wedge12(th, dth, diffs[4, :k], tmp[:k])
+        yield _Slab(dw, frob, nsq, th, dth, gv)
 
 
 def _sum_sq(a, buf):
@@ -363,7 +351,11 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     pairings with the loop's edges, the defect |omega ^ d omega| / (|omega|
     |d omega| + eps), the theta residual |d omega - theta ^ omega| / |d omega|
     (0 if d omega = 0) and the GV integral of theta ^ d theta (L2 norms are
-    grid RMS values).  After the pass come, in order: SingularityError where
+    grid RMS values).  The pass sums in grid units, and each sum is rescaled
+    by the power of n/2 that undoes them.  For the minimal theta, d omega -
+    theta ^ omega is the part of d omega along omega, of pointwise norm
+    |omega ^ d omega| / |omega|, so the residual is read off the defect's
+    wedge.  After the pass come, in order: SingularityError where
     |omega| is not finite or at most NONVANISHING_FLOOR times its mean; the
     tautness test (None without a loop), a failure of which raises
     TautnessError if `strict` and otherwise excludes the row; SingularityError
@@ -380,17 +372,22 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     least = []
     with np.errstate(all="ignore"):
         for s, slab in zip(_slabs(n), _gv_blocks(omega)):
-            mag = np.sqrt(slab.norm_sq, out=buf[: slab.norm_sq.size].reshape(slab.norm_sq.shape))
+            size, shape = slab.norm_sq.size, slab.norm_sq.shape
+            mag = np.sqrt(slab.norm_sq, out=buf[:size].reshape(shape))
             part = float(np.sum(mag))
             if not isfinite(part):  # each finite length is below 1.4e154, so their sum is finite
                 _raise_at(omega, s)
             total += part
             least.append(float(np.min(mag)))
+            # |d omega - theta ^ omega|, divided before it is squared so that it
+            # overflows only where |d omega|^2 does
+            miss += _sum_sq(np.divide(slab.frob, mag, out=buf[size : 2 * size].reshape(shape)), buf)
             frob += _sum_sq(slab.frob, buf)
             dw += _sum_sq(slab.dw, buf)
             w += float(np.sum(slab.norm_sq))
-            miss += _sum_sq(slab.miss, buf)
             gv += float(np.sum(slab.gv))
+        q = n / 2  # 1 / 2h: exact on power-of-two grids
+        frob, dw, miss, gv = frob * q * q, dw * q * q, miss * q * q, gv * q**3
         mean = total / n**3
         bound = NONVANISHING_FLOOR * max(mean, 1e-300)
         if min(least) <= bound:

@@ -5,9 +5,12 @@ of `taut3.foliation_gv`.
 samples one there.  Each step builds a full (3, n, n, n) or (n, n, n) array:
 the exterior derivative (one centered difference `_ddi` per component and
 axis), the wedge, theta, the theta ^ omega miss, d(theta) and theta ^ d(theta).
-The slab pass must reproduce every field value bit for bit and every sum to
-summation rounding.  `foliation` turns a sampled form back into the component
-functions that `gv_term` takes.
+The slab pass works in grid units, so it must reproduce every field value of
+this chain at 2h = 1 bit for bit, and every sum at the grid's spacing to
+summation rounding (bit for bit on power-of-two grids).  It reads the theta
+residual off omega ^ d(omega); the miss d(omega) - theta ^ omega is taken here
+directly.  `foliation` turns a sampled form back into the component functions
+that `gv_term` takes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taut3.foliation_gv import _PAIRS, FoliationSpec, grid_coords
+from taut3.foliation_gv import FoliationSpec, grid_coords
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # the components of a 2-form
 
 
 @dataclass(frozen=True)
@@ -96,9 +101,10 @@ def _ddi(f, axis, h, out):
     return out
 
 
-def d(form: DiscreteForm) -> DiscreteForm:
-    """Exterior derivative; d o d = 0 exactly (centered shifts commute)."""
-    h = form.spacing
+def d(form: DiscreteForm, h: float | None = None) -> DiscreteForm:
+    """Exterior derivative; d o d = 0 exactly (centered shifts commute).  The
+    differences are divided by 2h, h the grid spacing unless one is given."""
+    h = form.spacing if h is None else h
     v = form.values
     if form.degree == 0:
         out = np.empty((3,) + v.shape)
@@ -133,11 +139,7 @@ def wedge(a: DiscreteForm, b: DiscreteForm) -> DiscreteForm:
         return wedge(b, a)
     u, v = a.values, b.values
     if ka == 1 and kb == 1:
-        out, tmp = np.empty_like(u), np.empty_like(u[0])
-        for comp, (i, j) in zip(out, _PAIRS):
-            np.multiply(u[i], v[j], out=comp)
-            comp -= np.multiply(u[j], v[i], out=tmp)
-        return DiscreteForm(2, out)
+        return DiscreteForm(2, _wedge11(u, v, np.empty_like(u), np.empty_like(u[0])))
     if ka == 1 and kb == 2:
         out = u[0] * v[2]
         tmp = np.multiply(u[1], v[1])
@@ -147,6 +149,14 @@ def wedge(a: DiscreteForm, b: DiscreteForm) -> DiscreteForm:
     if ka == 2 and kb == 1:
         return wedge(b, a)  # sign (-1)^(1*2) = +1
     raise ValueError("unsupported wedge degrees")
+
+
+def _wedge11(u, v, out, tmp):
+    """Pointwise u ^ v of two 1-forms, components (01, 02, 12)."""
+    for comp, (i, j) in zip(out, _PAIRS):
+        np.multiply(u[i], v[j], out=comp)
+        comp -= np.multiply(u[j], v[i], out=tmp)
+    return out
 
 
 def norm_sq(omega: DiscreteForm) -> np.ndarray:
@@ -166,11 +176,12 @@ def integrate(form: DiscreteForm) -> float:
     return float(np.sum(form.values)) * form.spacing**3
 
 
-def _frobenius(omega: DiscreteForm):
-    """d(omega) and the Frobenius defect, both from one exterior derivative."""
+def _frobenius(omega: DiscreteForm, h: float | None = None):
+    """d(omega) and the Frobenius defect, both from one exterior derivative
+    (differences over 2h, as `d` takes them)."""
     if omega.degree != 1:
         raise ValueError("expected a 1-form")
-    dw = d(omega)
+    dw = d(omega, h)
     return dw, l2_norm(wedge(omega, dw)) / (l2_norm(omega) * l2_norm(dw) + 1e-30)
 
 

@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 from collections import Counter
-from math import sqrt
+from math import isfinite, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +67,9 @@ def ring(fns, n):
 
 def pass_fields(fns, n):
     """The per-slab blocks of `_gv_blocks` on component functions, copied out of
-    the reused buffers and concatenated along x, in the order of `_Slab`:
-    d(omega), omega ^ d(omega), |omega|^2, theta, the miss, d(theta) and
-    theta ^ d(theta)."""
+    the reused buffers and concatenated along x, in the order and the grid
+    units of `_Slab`: d(omega), omega ^ d(omega), |omega|^2, theta, d(theta)
+    and theta ^ d(theta)."""
     blocks = [[a.copy() for a in s] for s in fg._gv_blocks(ring(fns, n))]
     return [np.concatenate(parts, axis=parts[0].ndim - 3) for parts in zip(*blocks)]
 
@@ -135,17 +135,34 @@ def test_integrability_residual_discriminates():
 def test_theta_residual_is_scale_free():
     """The theta residual is relative to |d omega|, so omega and c omega report
     the same one: to the bit for c = 2^332, whose products round as omega's do,
-    and at roundoff for c = 10^100, which rounds each sample differently."""
+    and at roundoff for c = 10^100, which rounds each sample differently.  On
+    eps (cos(2 pi z) dx + sin(2 pi z) dy) + dz the part of d omega along omega
+    is eps times d omega, so the residual is eps.  It is taken from
+    |omega ^ d omega| / |omega|, divided before it is squared; eps is small
+    enough that the defect's sum of |omega ^ d omega|^2, which grows as c^4,
+    stays finite at c = 10^100."""
+    n, eps = 32, 2.0**-100
+
+    def residual(c):
+        fns = (lambda x, y, z: c * eps * np.cos(TWO_PI * z),
+               lambda x, y, z: c * eps * np.sin(TWO_PI * z), lambda x, y, z: c + 0 * x)
+        return gv_row(form_from_functions(1, n, *fns), tol=np.inf)[1]
+
+    base = residual(1.0)
+    assert base == pytest.approx(eps, rel=1e-12, abs=0)
+    assert residual(2.0**332) == base
+    assert residual(1e100) == pytest.approx(base, rel=1e-12, abs=0)
+
+
+def test_theta_residual_of_an_integrable_product_form_is_zero():
+    """On f(x) dz, omega ^ d(omega) is exactly (signed) zero, and so is the
+    residual read off it; also where d omega = 0."""
     n = 32
 
     def residual(f):
         return gv_row(form_from_functions(1, n, lambda x, y, z: 0 * x, lambda x, y, z: 0 * x, f))[1]
 
-    base = residual(lambda x, y, z: 2 + np.sin(TWO_PI * x))
-    assert 0 < base < 1e-15
-    assert residual(lambda x, y, z: 2.0**332 * (2 + np.sin(TWO_PI * x))) == pytest.approx(
-        base, rel=1e-12, abs=0)
-    assert residual(lambda x, y, z: 1e100 * (2 + np.sin(TWO_PI * x))) < 1e-15
+    assert residual(lambda x, y, z: 2 + np.sin(TWO_PI * x)) == 0.0
     assert residual(lambda x, y, z: 1 + 0 * x) == 0.0  # d omega = 0
 
 
@@ -153,7 +170,7 @@ def test_solve_theta_matches_analytic_minimal_solution():
     n = 48
     om = omega_exp_f(n)
     assert gv_row(om)[1] < 1e-12
-    _dw, _frob, _norm_sq, theta, _miss, _dtheta, _gv = slab_fields(om)
+    theta = slab_fields(om)[3] * (n / 2)  # from grid units
     x, y, z = grid_coords(n)
     fx = 0.3 * TWO_PI * np.cos(TWO_PI * x)
     fy = -0.2 * TWO_PI * np.sin(TWO_PI * y)
@@ -511,35 +528,60 @@ def random_omega(rng, n):
     return DiscreteForm(1, rng.standard_normal((3, n, n, n)) + np.array([0, 0, 4.0])[:, None, None, None])
 
 
-def assert_slab_pass_matches_oracle(omega):
-    n, h = omega.grid_size, omega.spacing
-    dw, defect = go._frobenius(omega)
-    theta, res = go._theta(omega, dw, 0.0, 1.0)
-    dtheta = d(theta)
-    gv = wedge(theta, dtheta)
+def oracle_fields(omega, h=None):
+    """The whole-grid chain in the order of `_Slab`, its differences divided by
+    2h (h the grid spacing unless one is given), and the direct theta residual
+    |d omega - theta ^ omega| / |d omega|."""
+    dw = d(omega, h)
+    theta, miss = go._theta(omega, dw, 0.0, 1.0)
+    dtheta = d(theta, h)
     fields = (dw.values, wedge(omega, dw).values, go.norm_sq(omega), theta.values,
-              dw.values - wedge(theta, omega).values, dtheta.values, gv.values)
-    for got, want in zip(slab_fields(omega), fields):
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-    # the oracle's fields, summed slab by slab in the pass's order, give the row
-    # bit for bit; the whole-grid sums agree to summation rounding
-    dw_f, frob_f, norm_sq_f, _theta_f, miss_f, _dtheta_f, gv_f = fields
-    frob = dw_sq = w = miss = total = 0.0
+              dtheta.values, wedge(theta, dtheta).values)
+    return fields, miss / l2_norm(dw)
+
+
+def streamed_row(fields, n, q=1.0):
+    """(gv, theta residual, defect) of per-cell fields, summed slab by slab in
+    the pass's order and then scaled by powers of q = 1/2h, as the pass does."""
+    dw_f, frob_f, norm_sq_f, _theta_f, _dtheta_f, gv_f = fields
+    frob = dw = w = miss = gv = 0.0
     for s in fg._slabs(n):
         frob += float(np.sum(np.square(frob_f[s])))
-        dw_sq += float(np.sum(np.square(dw_f[:, s])))
+        dw += float(np.sum(np.square(dw_f[:, s])))
         w += float(np.sum(norm_sq_f[s]))
-        miss += float(np.sum(np.square(miss_f[:, s])))
-        total += float(np.sum(gv_f[s]))
+        miss += float(np.sum(np.square(frob_f[s] / np.sqrt(norm_sq_f[s]))))
+        gv += float(np.sum(gv_f[s]))
+    frob, dw, miss, gv = frob * q * q, dw * q * q, miss * q * q, gv * q**3
     cells = n**3
-    streamed = (total * h**3, sqrt(miss / dw_sq) if dw_sq else 0.0,
-                sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw_sq / cells) + 1e-30))
+    return (gv * (1.0 / n) ** 3, sqrt(miss / dw) if dw else 0.0,
+            sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) + 1e-30))
+
+
+def assert_slab_pass_matches_oracle(omega):
+    """The pass's fields are the oracle's at 2h = 1, whose division is exact,
+    bit for bit and signed zeros included, and its row is their sums rescaled.
+    That row's gv and defect are those of the oracle's fields at the grid's
+    spacing bit for bit on power-of-two grids, where the rescaling is exact,
+    and to rounding elsewhere; its residual is the oracle's direct one, and
+    all three agree with the whole-grid sums to summation rounding."""
+    n, h = omega.grid_size, omega.spacing
+    unit, _ = oracle_fields(omega, h=0.5)
+    for got, want in zip(slab_fields(omega), unit):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
     got_gv, got_res, got_defect = gv_row(omega, tol=np.inf)
-    assert (got_gv, got_res, got_defect) == streamed
+    assert (got_gv, got_res, got_defect) == streamed_row(unit, n, q=n / 2)
+    fields, res = oracle_fields(omega)
+    want_gv, _res, want_defect = streamed_row(fields, n)
+    if n & (n - 1) == 0:
+        assert (got_gv, got_defect) == (want_gv, want_defect)
+    assert got_gv == pytest.approx(want_gv, rel=1e-12, abs=0)
+    assert got_defect == pytest.approx(want_defect, rel=1e-12, abs=0)
+    assert got_res == pytest.approx(res, rel=1e-12, abs=0)
+    dw, defect = go._frobenius(omega)
+    gv = fields[-1]
     assert got_defect == pytest.approx(defect, rel=1e-12, abs=0)
-    assert got_res == pytest.approx(res / l2_norm(dw), rel=1e-12, abs=0)
-    assert abs(got_gv - integrate(gv)) <= 1e-15 * h**3 * np.sum(np.abs(gv.values))
+    assert abs(got_gv - np.sum(gv) * h**3) <= 1e-15 * h**3 * np.sum(np.abs(gv))
 
 
 def test_the_examples_cover_a_ragged_last_slab_and_a_grid_inside_one_slab():
@@ -553,6 +595,29 @@ def test_the_examples_cover_a_ragged_last_slab_and_a_grid_inside_one_slab():
 @example(n=8, seed=0)
 def test_slab_pass_matches_the_whole_grid_oracle(n, seed):
     assert_slab_pass_matches_oracle(random_omega(np.random.default_rng(seed), n))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_the_row_is_the_oracles_bit_for_bit_on_power_of_two_grids(n):
+    assert_slab_pass_matches_oracle(random_omega(np.random.default_rng(n), n))
+
+
+def test_an_overflow_of_the_rescaled_gv_sum_is_rejected(monkeypatch):
+    """The pass sums theta ^ d(theta) in grid units, (2h)^3 times its value;
+    where only that sum times (n/2)^3 overflows, the row is still rejected.
+    Two adjacent cells where omega is 3e-155 times its size elsewhere make
+    theta there about 1e154 times its size elsewhere; the floor is lifted so
+    that they pass the nonvanishing check, and omega is scaled up so that
+    their |omega|^2 is a normal float."""
+    n = 16
+    values = 1e50 * random_omega(np.random.default_rng(0), n).values
+    values[:, 5, 5, 5:7] *= 3e-155
+    monkeypatch.setattr(fg, "NONVANISHING_FLOOR", 0.0)
+    monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
+    gv = float(np.sum(pass_fields(component_fns(values), n)[-1]))
+    assert isfinite(gv) and not isfinite(gv * (n / 2) ** 3)
+    with pytest.raises(SingularityError, match="a GV sum over the grid is not finite"):
+        gv_term(foliation(DiscreteForm(1, values)))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 8, 9])
@@ -598,21 +663,22 @@ def test_gv_term_allocates_less_than_one_omega(traced_peak):
 def test_gv_term_scratch_is_a_few_dozen_slab_blocks(traced_peak, n):
     """Counted in blocks of one component of one slab, the pass holds d(omega)
     and |omega|^2 of two slabs (8), theta of two or, for one-row slabs, three
-    (6 or 9), six differences, omega ^ d(omega), theta ^ d(theta) and one
-    scratch block (9), and the buffer that the sums square into (3).  Besides
-    these, the whole call holds the ring of sampled omega and, while a chunk is
-    sampled, the operand and result of one operation on a chunk component and
-    less than two blocks of factors that do not span the chunk.  A ring that
+    (6 or 9), six differences, which also take omega ^ d(omega) and
+    theta ^ d(theta), and one scratch block (7), and the buffer that the sums
+    square into (3).  Besides these, the whole call holds the ring of sampled
+    omega and, while a chunk is sampled, the operand and result of one
+    operation on a chunk component and less than two blocks of factors that do
+    not span the chunk.  A ring that
     holds the grid (grids 32 and 64) is sampled before the pass allocates its
     buffers, so the call holds the larger of the two: on the bench's exp-g
-    form 2.40, 8.09 and 12.51 MiB at grids 32, 64 and 128, of which the ring
+    form 2.28, 8.09 and 12.26 MiB at grids 32, 64 and 128, of which the ring
     is 0.75 (one chunk), 6 and 6.75 MiB."""
     fns = [compile_expr(s) for s in json.loads(LENS_7_2.read_text())["foliations"][0]["omega"]]
     spec = FoliationSpec(tuple(fns), n, tuple((0, 0, k) for k in range(n)))
     ((_label, _gv, taut, _res), _defect, _warning), peak = traced_peak(gv_term, spec)
     rows, omega = fg._slab_rows(n), ring(fns, n)
     block = 8 * rows * n * n
-    pass_bytes = (8 + 3 * (2 + (rows == 1)) + 9 + 3) * block
+    pass_bytes = (8 + 3 * (2 + (rows == 1)) + 7 + 3) * block
     sampling = 2 * 8 * omega.height * n * n
     if omega.edge_rows is None:
         fixed = held_bytes(omega) + max(pass_bytes, sampling)
