@@ -2,8 +2,9 @@
 
 For a finite spectrum the zeta-determinant is just the product of nonzero
 eigenvalues; the classical infinite benchmark det'(-d^2/dtheta^2) = 4 pi^2
-on the unit circle is recovered by Euler-Maclaurin continuation, which the
-package leaves to its tests (`tests/zeta_oracles.py`).
+on the unit circle is recovered by Euler-Maclaurin continuation.  The package
+computes neither (its only determinants are the closed forms of demo 06), so
+both come from its tests (`tests/zeta_oracles.py`).
 """
 
 import math
@@ -12,10 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from taut3.zeta import zeta_log_det
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from zeta_oracles import circle_laplacian_log_det
+from zeta_oracles import circle_laplacian_log_det, zeta_log_det
 
 print("=== Finite spectra ===")
 lam = np.array([0.0, 0.0, 2.0, 3.0, 5.0])

@@ -25,7 +25,7 @@ manifest = {
             "transversal": [[0, 0, k] for k in range(n)],
         }
     ],
-    "leafwise": {"truncation": 3},
+    "leafwise": {"weights": [1.0, 1.0, 1.0]},
     "cyclic": {"degree_bound": 8, "windings": [-2, -1, 0, 1, 2]},
 }
 manifest_path = os.path.join(workdir, "lens5.json")

@@ -185,9 +185,8 @@ def run_gv(run: Run, report: InvariantReport):
 
 def run_leafwise(run: Run, report: InvariantReport):
     block = dict(run.m.leafwise)
-    trunc = block.get("truncation", 4)
     weights = tuple(block.get("weights", (1.0, 1.0, 1.0)))
-    res = lw.leafwise_torsion(trunc, weights)
+    res = lw.leafwise_torsion(weights)
     sec = report.section("leafwise")
     sec.values.update(
         log_t=res.log_t,
@@ -196,12 +195,13 @@ def run_leafwise(run: Run, report: InvariantReport):
         log_dets=list(res.per_degree_log_dets),
     )
     sec.tolerances["log_t_zero"] = lw.METRIC_LIKE_TOLERANCE
-    sec.metadata.update(truncation=trunc, weights=list(weights))
+    sec.metadata["weights"] = list(weights)
     if res.metric_dependent:
         sec.warnings.append("degree weights are not metric-like; torsion is metric-dependent")
-    if "n_z" in block:
-        sec.warnings.append("the manifest's leafwise.n_z is ignored: the product model "
-                            "does not depend on the transverse coordinate")
+    for key, why in (("truncation", "the determinants are closed forms over every Fourier mode"),
+                     ("n_z", "the product model does not depend on the transverse coordinate")):
+        if key in block:
+            sec.warnings.append(f"the manifest's leafwise.{key} is ignored: {why}")
 
 
 def run_cyclic(run: Run, report: InvariantReport):

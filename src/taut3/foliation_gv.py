@@ -16,7 +16,7 @@ derivative, and the sums are rescaled once after the pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import frexp, isfinite, ldexp, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -355,13 +355,17 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     by the power of n/2 that undoes them.  For the minimal theta, d omega -
     theta ^ omega is the part of d omega along omega, of pointwise norm
     |omega ^ d omega| / |omega|, so the residual is read off the defect's
-    wedge.  After the pass come, in order: SingularityError where
-    |omega| is not finite or at most NONVANISHING_FLOOR times its mean; the
-    tautness test (None without a loop), a failure of which raises
-    TautnessError if `strict` and otherwise excludes the row; SingularityError
-    if a sum that the row reports overflows; and, for a row that is not
-    excluded, ValueError if the defect exceeds INTEGRABILITY_TOLERANCE.  No
-    array spans the grid."""
+    wedge.  The sum of |omega ^ d omega|^2 grows as |omega|^4, so it is taken
+    at the scale 2^-2e, e the binary exponent of the first slab's largest
+    |omega| (or 0 if that is below 1), and the defect's denominator takes the
+    same scale: a power of two, so omega and 2^k omega, k >= 0, give the same
+    defect bit for bit.  After the pass
+    come, in order: SingularityError where |omega| is not finite or at most
+    NONVANISHING_FLOOR times its mean; the tautness test (None without a
+    loop), a failure of which raises TautnessError if `strict` and otherwise
+    excludes the row; SingularityError if a sum that the row reports
+    overflows; and, for a row that is not excluded, ValueError if the defect
+    exceeds INTEGRABILITY_TOLERANCE.  No array spans the grid."""
     label, n = spec.label or f"foliation[{k}]", spec.grid
     if len(spec.omega) != 3:
         raise ValueError("a foliation needs 3 component functions")
@@ -369,7 +373,7 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     omega = _Omega(spec.omega, n, np.empty((0, 3), int) if loop is None else loop[0])
     buf = np.empty(3 * _slab_rows(n) * n * n)  # the squares and lengths of each slab
     frob = dw = w = miss = gv = total = 0.0
-    least = []
+    least, scale = [], None
     with np.errstate(all="ignore"):
         for s, slab in zip(_slabs(n), _gv_blocks(omega)):
             size, shape = slab.norm_sq.size, slab.norm_sq.shape
@@ -379,10 +383,13 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
                 _raise_at(omega, s)
             total += part
             least.append(float(np.min(mag)))
+            if scale is None:  # 2^-2e guards against overflow only, so it is at most 1
+                scale = ldexp(1.0, -2 * max(frexp(float(np.max(mag)))[1], 0))
             # |d omega - theta ^ omega|, divided before it is squared so that it
             # overflows only where |d omega|^2 does
-            miss += _sum_sq(np.divide(slab.frob, mag, out=buf[size : 2 * size].reshape(shape)), buf)
-            frob += _sum_sq(slab.frob, buf)
+            block = buf[size : 2 * size].reshape(shape)
+            miss += _sum_sq(np.divide(slab.frob, mag, out=block), buf)
+            frob += _sum_sq(np.multiply(slab.frob, scale, out=block), buf)
             dw += _sum_sq(slab.dw, buf)
             w += float(np.sum(slab.norm_sq))
             gv += float(np.sum(slab.gv))
@@ -403,7 +410,7 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     if not all(map(isfinite, (frob, dw, w) + (() if taut is False else (miss, gv)))):
         raise SingularityError(f"{label}: a GV sum over the grid is not finite")
     cells = n**3
-    defect = sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) + 1e-30)
+    defect = sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) * scale + 1e-30)
     if taut is False:
         return (label, None, taut, None), defect, failed + "; excluded from the sum"
     if defect > INTEGRABILITY_TOLERANCE:

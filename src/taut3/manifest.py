@@ -8,8 +8,9 @@ size (grids, truncations, degree bounds, the number of foliations) has a
 maximum, so no manifest can ask for more than about a gigabyte of memory in
 one stage; `gv` at its largest grid, 192, peaks near a twentieth of that.  The
 `solver` block of earlier versions is still validated, but ignored: the flat
-moduli are computed exactly.  So is `leafwise.n_z`: the leafwise model does
-not depend on the transverse coordinate.
+moduli are computed exactly.  So are `leafwise.truncation`, since the leafwise
+determinants are closed forms, and `leafwise.n_z`, since the leafwise model
+does not depend on the transverse coordinate.
 
 `SCHEMA` is a JSON Schema, checked by a small walker over the dict itself
 rather than by a JSON Schema library: numpy is the only runtime dependency,
@@ -111,8 +112,6 @@ SCHEMA = {
             "properties": {
                 "truncation": {"type": "integer", "minimum": 1, "maximum": 512},
                 "n_z": {"type": "integer", "minimum": 1, "maximum": 1024},
-                # at truncation 512 every eigenvalue of the weighted
-                # Laplacians stays above the zero cut of zeta_log_det
                 "weights": {
                     "type": "array",
                     "items": {"type": "number", "minimum": 0.1, "maximum": 10},

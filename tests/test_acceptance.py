@@ -28,15 +28,15 @@ from taut3.foliation_gv import gv_term
 from taut3.presentations import builtin_presentation, concat_words, gen
 from taut3.su2reps import enumerate_reps, evaluate_word
 from taut3.twisted_torsion import build_twisted_complex, cw_structure
-from taut3.zeta import zeta_log_det
-from taut3.leafwise import leafwise_torsion, tangential_laplacian
+from taut3.leafwise import LOG_DET_LAPLACIAN, leafwise_torsion
 
 from test_chern_simons import finite_difference_gradient
 from test_foliation_gv import gauge_changed_omega, omega_exp_f
 from test_su2reps import brieskorn_235_angle_oracle
 from test_twisted_torsion import fox, random_word, reweighted
+from leafwise_oracles import tangential_laplacian, truncated_log_t
 from torsion_oracles import dims, rs_torsion
-from zeta_oracles import circle_laplacian_log_det
+from zeta_oracles import circle_laplacian_log_det, zeta_log_det
 
 
 _capman = None
@@ -229,8 +229,12 @@ def test_criterion_8_leafwise():
         nz0 = s0.eigenvalues[s0.eigenvalues > 0]
         nz1 = s1.eigenvalues[s1.eigenvalues > 0]
         ok &= np.array_equal(np.sort(nz1), np.sort(np.concatenate([nz0, nz0])))
-        ok &= abs(leafwise_torsion(M).log_t) < 1e-10
-    report(8, "kernel dims (1,2,1); spectral identities exact; log T = 0 to 1e-10, M = 1..6", ok)
+        ok &= abs(truncated_log_t(M)[0]) < 1e-10
+    res = leafwise_torsion()
+    ok &= res.log_t == 0.0 and res.betti == (1, 2, 1)
+    ok &= res.per_degree_log_dets == (LOG_DET_LAPLACIAN, 2 * LOG_DET_LAPLACIAN, LOG_DET_LAPLACIAN)
+    report(8, "kernel dims (1,2,1); spectral identities exact; truncated log T = 0 to 1e-10, "
+              "M = 1..6; closed form log T = 0", ok)
 
 
 def test_criterion_9_cyclic():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import tracemalloc
@@ -400,16 +401,15 @@ def test_casson_runs_no_torsion(tmp_path, count_calls):
 
 
 def test_torsion_and_casson_take_no_spectrum(count_calls):
-    """Neither pipeline reaches an eigendecomposition or a zeta log-determinant."""
-    from taut3 import zeta
-
+    """Neither pipeline reaches an eigendecomposition, and the package has no
+    zeta log-determinant of a spectrum to reach."""
+    assert importlib.util.find_spec("taut3.zeta") is None
     calls = [count_calls(name, np.linalg) for name in ("eig", "eigh", "eigvals", "eigvalsh")]
-    calls.append(count_calls("zeta_log_det", zeta))
     manifests = Path(__file__).resolve().parents[1] / "perfbench" / "manifests"
     for command, name in (("torsion", "lens_7_2"), ("torsion", "poincare"),
                           ("casson", "poincare"), ("casson", "brieskorn_3_4_5")):
         assert run([command, "--manifest", str(manifests / f"{name}.json")]) == EXIT_OK
-    assert calls == [[]] * 5
+    assert calls == [[]] * 4
 
 
 @pytest.mark.parametrize("params", [[2, 3, 7], [2, 5, 3]])
@@ -562,14 +562,13 @@ def test_windings_past_the_degree_bound_exit_2(tmp_path, capsys, windings):
 
 @pytest.mark.parametrize("weights", [[0.1, 10, 0.1], [10, 0.1, 10], [1, 0.5, 1]])
 def test_leafwise_weights_within_the_bounds(tmp_path, weights):
-    # (1, 0.5, 1) at truncation 64: log T ~ 1.2e4, so T = exp(log T) would overflow
+    # the truncation is ignored: log T is the closed form over every Fourier mode
     code, section = model_section(tmp_path, "leafwise",
                                   leafwise={"truncation": 64, "weights": weights})
     assert code == EXIT_OK
-    n_modes = 129**2 - 1
     c0, c1, c2 = weights
-    assert section["values"]["log_t"] == pytest.approx(0.5 * n_modes * math.log(c0 * c2 / c1**2),
-                                                       rel=1e-10)
+    assert section["values"]["log_t"] == pytest.approx(0.5 * math.log(c1**2 / (c0 * c2)),
+                                                       rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -609,14 +608,18 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, blocks, literal):
 
 
 def test_leafwise_n_z_is_ignored_with_a_warning(tmp_path):
-    _, plain = model_section(tmp_path, "leafwise", leafwise={"truncation": 3})
-    _, with_n_z = model_section(tmp_path, "leafwise", leafwise={"truncation": 3, "n_z": 7})
-    assert plain["values"] == with_n_z["values"]
-    assert plain["metadata"] == with_n_z["metadata"] == {"truncation": 3,
-                                                         "weights": [1.0, 1.0, 1.0]}
-    assert plain["warnings"] == []
-    assert with_n_z["warnings"] == ["the manifest's leafwise.n_z is ignored: the product model "
-                                    "does not depend on the transverse coordinate"]
+    _, plain = model_section(tmp_path, "leafwise", leafwise={})
+    _, with_n_z = model_section(tmp_path, "leafwise", leafwise={"n_z": 7})
+    _, with_truncation = model_section(tmp_path, "leafwise", leafwise={"truncation": 3})
+    _, with_both = model_section(tmp_path, "leafwise", leafwise={"truncation": 512, "n_z": 7})
+    sections = (plain, with_n_z, with_truncation, with_both)
+    assert all(sec["values"] == plain["values"] for sec in sections)
+    assert all(sec["metadata"] == {"weights": [1.0, 1.0, 1.0]} for sec in sections)
+    n_z = ("the manifest's leafwise.n_z is ignored: the product model "
+           "does not depend on the transverse coordinate")
+    truncation = ("the manifest's leafwise.truncation is ignored: the determinants are "
+                  "closed forms over every Fourier mode")
+    assert [sec["warnings"] for sec in sections] == [[], [n_z], [truncation], [truncation, n_z]]
 
 
 # report v3: every key of every section of `all` on the shipped bench manifests
@@ -631,7 +634,7 @@ V3_SHAPE = {
     "godbillon_vey": (["integrability_residuals", "per_foliation", "total"], ["integrability"],
                       ["grids"]),
     "leafwise": (["betti", "log_dets", "log_t", "metric_dependent"], ["log_t_zero"],
-                 ["truncation", "weights"]),
+                 ["weights"]),
     "cyclic": (["winding_pairings"], ["winding"], ["degree_bound"]),
 }
 
@@ -651,4 +654,4 @@ def test_report_v3_shape_on_the_bench_manifests(tmp_path, name):
         want["casson"] = ([], [], [])
     assert shape == want
     assert body["sections"]["cyclic"]["warnings"] == []
-    assert len(body["sections"]["leafwise"]["warnings"]) == 1  # n_z is ignored
+    assert len(body["sections"]["leafwise"]["warnings"]) == 2  # truncation and n_z are ignored

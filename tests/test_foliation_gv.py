@@ -138,9 +138,8 @@ def test_theta_residual_is_scale_free():
     and at roundoff for c = 10^100, which rounds each sample differently.  On
     eps (cos(2 pi z) dx + sin(2 pi z) dy) + dz the part of d omega along omega
     is eps times d omega, so the residual is eps.  It is taken from
-    |omega ^ d omega| / |omega|, divided before it is squared; eps is small
-    enough that the defect's sum of |omega ^ d omega|^2, which grows as c^4,
-    stays finite at c = 10^100."""
+    |omega ^ d omega| / |omega|, divided before it is squared, so that it stays
+    finite at c = 10^100."""
     n, eps = 32, 2.0**-100
 
     def residual(c):
@@ -242,6 +241,24 @@ def test_gauge_change_drift_converges():
     assert drifts[0] > drifts[1] > drifts[2]
     orders = [np.log2(drifts[i] / drifts[i + 1]) for i in range(2)]
     assert min(orders) >= 1.5
+
+
+@pytest.mark.parametrize("c", [2.0**300, 2.0**400], ids=["2^300", "2^400"])
+def test_a_power_of_two_scale_changes_no_row_and_no_defect(c):
+    """c e^g (0.3 dx + 0.7 dy + dz) gives the row and defect of c = 1 bit for
+    bit: the sum of |omega ^ d omega|^2, which grows as c^4, would overflow
+    at c = 2^300 and 2^400 unless it were taken at a scale that follows
+    |omega|."""
+    g = gauge_changed_fns()[2]
+    n, loop = 32, tuple((0, 0, k) for k in range(32))
+
+    def term(c):
+        fns = tuple((lambda a: lambda x, y, z: c * a * g(x, y, z))(a) for a in (0.3, 0.7, 1.0))
+        return gv_term(FoliationSpec(fns, n, loop))
+
+    (label, gv, taut, res), defect, warning = term(1.0)
+    assert taut and warning is None and 0 < defect < 1e-15
+    assert term(c) == ((label, gv, taut, res), defect, None)
 
 
 def taut_flag(fns, n, transversal):

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from taut3.leafwise import leafwise_torsion, tangential_laplacian
-from taut3.zeta import ZERO_THRESHOLD
+from leafwise_oracles import tangential_laplacian, truncated_log_t
+from taut3.leafwise import LOG_DET_LAPLACIAN, leafwise_torsion
+from zeta_oracles import ZERO_THRESHOLD
 
 FOUR_PI2 = 4 * math.pi**2
 
@@ -98,36 +100,88 @@ def test_kernel_dims_and_spectral_identities(M):
     assert np.array_equal(np.sort(nz1), np.sort(np.concatenate([nz0, nz0])))
 
 
+WEIGHTS = [(1.0, 1.0, 1.0), (1.0, 2.0, 1.0), (0.1, 10.0, 0.1), (3.0, 0.5, 7.0), (1.0, 3.0, 9.0)]
+
+
+def test_log_det_is_kroneckers_limit_formula():
+    """zeta_Delta(s) = 4 (4 pi^2)^(-s) zeta(s) beta(s) over the eigenvalues
+    4 pi^2 (m^2 + n^2), (m, n) != 0, with beta(s) = 4^(-s) (zeta(s, 1/4) -
+    zeta(s, 3/4)); the Hurwitz derivatives are exact in mpmath, so
+    -zeta_Delta'(0) and zeta_Delta(0) = -1 come to 30 digits."""
+    with mpmath.workdps(30):
+        def hurwitz(s, derivative):
+            return mpmath.zeta(s, 0.25, derivative) - mpmath.zeta(s, 0.75, derivative)
+
+        log4, log4pi2 = mpmath.log(4), mpmath.log(4 * mpmath.pi**2)
+        beta, dbeta = hurwitz(0, 0), hurwitz(0, 1) - log4 * hurwitz(0, 0)
+        zeta, dzeta = mpmath.zeta(0), mpmath.zeta(0, 1, 1)
+        at_zero = 4 * zeta * beta
+        derivative = -log4pi2 * at_zero + 4 * (dzeta * beta + zeta * dbeta)
+        assert abs(at_zero + 1) < mpmath.mpf(10) ** -28
+        assert abs(-derivative - LOG_DET_LAPLACIAN) < 1e-15
+    assert LOG_DET_LAPLACIAN == -1.0546882809956715
+
+
+def test_the_report_values_at_unit_weights():
+    res = leafwise_torsion()
+    L = LOG_DET_LAPLACIAN
+    assert res.per_degree_log_dets == (L, 2 * L, L)
+    assert (res.log_t, res.betti, res.metric_dependent) == (0.0, (1, 2, 1), False)
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+@pytest.mark.parametrize("T", range(1, 7))
+def test_truncated_torsion_is_the_closed_form_with_the_mode_count(T, weights):
+    """A scaling a of a Laplacian moves its log det' by zeta_Delta(0) log a:
+    the closed form has zeta_Delta(0) = -1 where the truncated partial sums
+    have the nonzero-mode count (2T + 1)^2 - 1, and differ in nothing else."""
+    n_modes = (2 * T + 1) ** 2 - 1
+    c0, c1, c2 = weights
+    old_log_t, old = truncated_log_t(T, weights)
+    _, unit = truncated_log_t(T)
+    new = leafwise_torsion(weights)
+    L = LOG_DET_LAPLACIAN
+    assert old_log_t == pytest.approx(-n_modes * new.log_t, rel=1e-12, abs=1e-12 * n_modes)
+    for k, log_a in ((0, math.log(c1 / c0)), (2, math.log(c2 / c1))):
+        assert old[k] - unit[k] == pytest.approx(n_modes * log_a, rel=1e-12, abs=1e-12 * n_modes)
+        assert new.per_degree_log_dets[k] == L - log_a
+    assert old[1] == pytest.approx(old[0] + old[2], rel=1e-12)
+    assert new.per_degree_log_dets[1] == new.per_degree_log_dets[0] + new.per_degree_log_dets[2]
+
+
 @pytest.mark.parametrize("M", range(0, 7))
 def test_torsion_vanishes_for_product_foliation(M):
-    res = leafwise_torsion(M)
-    assert abs(res.log_t) < 1e-10
+    assert abs(truncated_log_t(M)[0]) < 1e-10
+    res = leafwise_torsion()
+    assert res.log_t == 0.0
     assert res.betti == (1, 2, 1)
     assert not res.metric_dependent
 
 
 def test_weighted_torsion_closed_form():
-    M = 3
-    res = leafwise_torsion(M, weights=(1.0, 2.0, 1.0))
-    n_modes = (2 * M + 1) ** 2 - 1
-    expected = 0.5 * n_modes * math.log(1.0 * 1.0 / 4.0)
-    assert res.log_t == pytest.approx(expected, rel=1e-12)
+    res = leafwise_torsion(weights=(1.0, 2.0, 1.0))
+    assert res.log_t == 0.5 * math.log(4.0) == math.log(2.0)
     assert res.metric_dependent
 
 
 def test_metric_like_weights_still_cancel():
     # c1^2 = c0 c2: a genuine leaf metric rescaling, Hodge duality survives
-    res = leafwise_torsion(4, weights=(1.0, 3.0, 9.0))
-    assert abs(res.log_t) < 1e-9
+    res = leafwise_torsion(weights=(1.0, 3.0, 9.0))
+    assert res.log_t == 0.0
     assert not res.metric_dependent
+
+
+def test_nonpositive_weights_are_rejected():
+    with pytest.raises(ValueError, match="weights must be positive"):
+        leafwise_torsion((1.0, 0.0, 1.0))
 
 
 @pytest.mark.parametrize("weights, dropped", [((10.0, 0.1, 10.0), 0), ((0.1, 10.0, 0.1), 0),
                                               ((100.0, 0.01, 100.0), 16468)])
 def test_nonzero_eigenvalues_below_the_zero_cut(weights, dropped):
-    """At the largest truncation and the most extreme weights the manifest
-    allows, zeta_log_det drops only the two zero modes of Delta_1; past the
-    bounds it drops real eigenvalues and log T is silently wrong."""
+    """The oracle's zero cut: at truncation 512 and the most extreme weights
+    the manifest allows, zeta_log_det drops only the two zero modes of
+    Delta_1; past the bounds it drops real eigenvalues."""
     lam = tangential_laplacian(1, 512, weights).eigenvalues
     assert np.sum(lam == 0) == 2
     assert np.sum((lam > 0) & (lam <= ZERO_THRESHOLD * lam.max())) == dropped

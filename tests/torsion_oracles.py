@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taut3.zeta import ZERO_THRESHOLD, zeta_log_det
+from zeta_oracles import ZERO_THRESHOLD, zeta_log_det
 
 
 def boundary(c, i):

@@ -1,15 +1,35 @@
-"""Euler-Maclaurin continuation of the Riemann zeta function, kept as the
-oracle for the classical circle value det'(-d^2/dtheta^2) = 4 pi^2.
+"""Zeta-regularized log-determinants of finite spectra, and the
+Euler-Maclaurin continuation of the Riemann zeta function, kept as the oracle
+for the classical circle value det'(-d^2/dtheta^2) = 4 pi^2.
 
-`taut3.zeta` computes determinants of finite spectra only; this module
-continues the spectrum {n^2 : n in Z} of the circle Laplacian, which no run of
-the package has, so that the zeta-regularized convention can be checked
-against a known infinite product.
+On a finite spectrum the regularized determinant is literally the product of
+the nonzero eigenvalues (`zeta_log_det`); the Laplacian torsion of
+`torsion_oracles.py` and the truncated leafwise spectra of
+`leafwise_oracles.py` take their determinants from it.  The continuation
+covers the spectrum {n^2 : n in Z} of the circle Laplacian, so that the
+zeta-regularized convention can be checked against a known infinite product.
 """
 
 import math
 
 import numpy as np
+
+ZERO_THRESHOLD = 1e-10
+
+
+def zeta_log_det(spectrum) -> float:
+    """Sum of log(lambda) over eigenvalues above ZERO_THRESHOLD * spectral radius.
+
+    Empty product convention: no nonzero eigenvalues -> 0 (det' = 1).
+    """
+    lam = np.asarray(spectrum, dtype=float)
+    if lam.size == 0:
+        return 0.0
+    if np.any(lam < -ZERO_THRESHOLD * max(1.0, np.max(np.abs(lam)))):
+        raise ValueError("negative eigenvalue in spectrum")
+    cut = ZERO_THRESHOLD * max(1.0, float(np.max(np.abs(lam))))
+    nz = lam[lam > cut]
+    return float(np.sum(np.log(nz))) if nz.size else 0.0
 
 
 def _bernoulli_single(m: int):
