@@ -7,6 +7,15 @@ which obeys the Leibniz rule exactly and makes the action an exact polynomial
 (quadratic + cubic) in the field.  The gradient is the closed-form adjoint of
 d and of the cup products; `stationarity_check` confirms it against central
 differences of the action along a few fixed random directions.
+
+`stationarity_check` computes dA and A cup A of the field once and reads the
+action, the gradient and the curvature F = dA + A cup A off them.  The kernels
+take whole cochains, with any leading batch axes: a shift is two slice
+copies, d takes one shift per axis, and a cup product one `qmul` per axis (A_i
+against the two other directions of B, shifted along i; on large grids a
+chunk of grid rows at a time).  Every product and sum keeps the operands and
+the order of the plaquette-by-plaquette forms in `tests/cs_oracles.py`, so
+the results equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +39,10 @@ FD_DIRECTIONS = 8
 # take all 2 * FD_DIRECTIONS actions in one call, and grid 64 (25 MB per
 # field) takes one field per call.
 _BATCH_BYTES = 1 << 20
+
+# Bytes of shifted operand per qmul in cup_11; larger products go a chunk of
+# grid rows at a time.
+_CHUNK_BYTES = 1 << 18
 
 
 class ConnectionError_(ValueError):
@@ -84,37 +97,91 @@ class LatticeConnection:
         return cls.from_coefficients(scale * rng.standard_normal((3, n, n, n, 3)))
 
 
-def _fwd(f, axis):
-    """Value at x + e_axis of a per-direction field (..., n, n, n, 4); grid
-    axes 0..2 are counted from the end, so leading batch axes pass through."""
-    return np.roll(f, -1, axis=axis - 4)
+# per grid axis, the index of all points but the last, all but the first, the
+# last and the first of a per-direction field (..., n, n, n, 4)
+_CUTS = tuple(
+    tuple((Ellipsis, part) + (slice(None),) * (3 - axis)
+          for part in (slice(None, -1), slice(1, None), slice(-1, None), slice(None, 1)))
+    for axis in range(3)
+)
+
+# the two directions other than 0, 1 and 2, as slices of the direction axis
+_OTHER = (slice(1, 3), slice(0, 3, 2), slice(0, 2))
+
+# per axis i, (r, c, k, first) for the two directions k other than i, r their
+# place in _OTHER[i]: c is the plaquette of {i, k} (its index in _PAIRS) and
+# `first` whether i < k, i.e. whether the term along i comes first in it
+_PLAQUETTES = tuple(
+    tuple((r, i + k - 1, k, i < k) for r, k in enumerate(range(3)[_OTHER[i]])) for i in range(3)
+)
 
 
-def _back(f, axis):
-    return np.roll(f, 1, axis=axis - 4)
+def _fwd(f, axis, out=None):
+    """Value at x + e_axis of a per-direction field (..., n, n, n, 4), by two
+    slice copies into `out` (a new array if None); grid axes 0..2 are counted
+    from the end, so leading batch axes pass through."""
+    init, tail, last, first = _CUTS[axis]
+    out = np.empty_like(f) if out is None else out
+    out[init] = f[tail]
+    out[last] = f[first]
+    return out
+
+
+def _back(f, axis, out=None):
+    """Value at x - e_axis, as `_fwd`."""
+    init, tail, last, first = _CUTS[axis]
+    out = np.empty_like(f) if out is None else out
+    out[tail] = f[init]
+    out[first] = f[last]
+    return out
 
 
 def _comp(a, i):
-    """Component i of a cochain (..., 3, n, n, n, 4): leading axes are a batch,
-    then comes the direction (1-cochains) or plaquette (2-cochains) index."""
+    """Component i (an index or a slice) of a cochain (..., 3, n, n, n, 4):
+    leading axes are a batch, then comes the direction (1-cochains) or
+    plaquette (2-cochains) index."""
     return a[..., i, :, :, :, :]
 
 
 def d_one(a, h: float):
-    """Exterior derivative of a 1-cochain: (dA)_ij = D_i A_j - D_j A_i."""
+    """Exterior derivative of a 1-cochain: (dA)_ij = D_i A_j - D_j A_i, from
+    one shift per axis i of the two directions other than i."""
     out = np.empty_like(a)
-    for c, (i, j) in enumerate(_PAIRS):
-        ai, aj = _comp(a, i), _comp(a, j)
-        _comp(out, c)[...] = (_fwd(aj, i) - aj - _fwd(ai, j) + ai) / h
+    for i in range(3):
+        shifted = _fwd(_comp(a, _OTHER[i]), i)
+        for r, c, k, first in _PLAQUETTES[i]:
+            oc = _comp(out, c)
+            if first:
+                np.subtract(_comp(shifted, r), _comp(a, k), out=oc)
+            else:
+                oc -= _comp(shifted, r)
+    for c, (i, _j) in enumerate(_PAIRS):
+        oc = _comp(out, c)
+        oc += _comp(a, i)
+    out /= h
     return out
 
 
 def cup_11(a, b):
-    """Cup product of two 1-cochains into a 2-cochain (component order (01, 02, 12))."""
+    """Cup product of two 1-cochains into a 2-cochain (component order (01, 02,
+    12)): (A cup B)_ij = A_i B_j(x + e_i) - A_j B_i(x + e_j), by one qmul per
+    axis i of A_i against the two other directions of B, shifted along i.
+    Past `_CHUNK_BYTES` of shifted operand, each qmul goes over chunks of grid
+    rows (x), whose operands stay in cache."""
     out = np.empty_like(a)
-    for c, (i, j) in enumerate(_PAIRS):
-        _comp(out, c)[...] = (qmul(_comp(a, i), _fwd(_comp(b, j), i))
-                              - qmul(_comp(a, j), _fwd(_comp(b, i), j)))
+    n = a.shape[-4]
+    for i in range(3):
+        shifted = _fwd(_comp(b, _OTHER[i]), i)
+        rows = max(1, _CHUNK_BYTES * n // shifted.nbytes)
+        for x in range(0, n, rows):
+            chunk = np.s_[..., x : x + rows, :, :, :]
+            prod = qmul(_comp(a, slice(i, i + 1))[chunk], shifted[chunk])
+            for r, c, _k, first in _PLAQUETTES[i]:
+                oc = _comp(out, c)[chunk]
+                if first:
+                    oc[...] = _comp(prod, r)
+                else:
+                    oc -= _comp(prod, r)
     return out
 
 
@@ -134,33 +201,68 @@ def cup_12_real(a, b):
     )
 
 
-def curvature(conn: LatticeConnection) -> np.ndarray:
-    """F = dA + A cup A on plaquettes; quaternions of shape (3, n, n, n, 4)."""
-    a = conn.components
-    return d_one(a, conn.spacing) + cup_11(a, a)
+def _integral(dens_da, dens_aa, h: float, level: float):
+    """(k/4) sum_x tr[A cup dA + (2/3) A cup A cup A] h^3 over the grid axes,
+    from the real parts of the two cup_12 products (tr = 2 Re)."""
+    return (level / 4.0) * np.sum(2.0 * (dens_da + (2.0 / 3.0) * dens_aa), axis=(-3, -2, -1)) * h**3
 
 
 def _actions(a, h: float, level: float):
     """The action of each field in a batch (..., 3, n, n, n, 4), shape (...)."""
     if a.shape[-2] < 4:
         raise ConnectionError_("grid size must be at least 4")
-    dens = cup_12_real(a, d_one(a, h)) + (2.0 / 3.0) * cup_12_real(a, cup_11(a, a))
-    return (level / 4.0) * np.sum(2.0 * dens, axis=(-3, -2, -1)) * h**3
+    return _integral(cup_12_real(a, d_one(a, h)), cup_12_real(a, cup_11(a, a)), h, level)
 
 
-def cs_action(conn: LatticeConnection, level: float = 1.0) -> float:
-    """(k/4) integral of tr[A ^ dA + (2/3) A ^ A ^ A] over the grid torus."""
-    return float(_actions(conn.components, conn.spacing, level))
+def _u_slot_gradient(da, aa):
+    """G with d/dU of T(U, dA) + (2/3) T(U, A cup A) equal to sum_x tr(dU G),
+    where T(U, v) = sum_x tr[(U cup v)(x)]: direction i of each term is
+    v's plaquette opposite i, shifted along i, with the cup_12 sign."""
+
+    def u_slot(v):
+        out = np.empty_like(v)
+        for i in range(3):
+            _fwd(_comp(v, 2 - i), i, out=_comp(out, i))
+        np.negative(_comp(out, 1), out=_comp(out, 1))
+        return out
+
+    g, term = u_slot(da), u_slot(aa)
+    term *= 2.0 / 3.0
+    g += term
+    return g
 
 
-def _u_slot_gradient(v):
-    """G with d/dU of T(U, v) = sum_x tr[(U cup v)(x)] equal to sum_x tr(dU G)."""
-    return np.stack([_fwd(v[2], 0), -_fwd(v[1], 1), _fwd(v[0], 2)])
+def _w_slot_gradient(g, a, h: float, level: float):
+    """Add to the U-slot part g the derivative through the 2-cochain W = dA or
+    A cup A, and return the gradient w.r.t. the basis coefficients.
 
+    H, per plaquette (01, 02, 12), is the derivative of T(A, V) in V under the
+    trace pairing; the adjoints of d and of the cup products apply to it.  The
+    four products of each plaquette go in two qmuls: H against the directions
+    i, j of A, and A_j(x + e_i), A_i(x + e_j) against H."""
+    hmat = np.empty_like(a)
+    for c in range(3):
+        _back(_comp(a, 2 - c), 2 - c, out=_comp(hmat, c))
+    np.negative(_comp(hmat, 1), out=_comp(hmat, 1))
+    for c, (i, j) in enumerate(_PAIRS):
+        hc, gi, gj = _comp(hmat, c), _comp(g, i), _comp(g, j)
+        # d/dW of T(A, dW): adjoint of d applied to the V-slot quaternions
+        gj += (_back(hc, i) - hc) / h
+        gi -= (_back(hc, j) - hc) / h
+        # d/dW of T(A, W cup A) and of T(A, A cup W)
+        left = np.empty_like(_comp(a, slice(0, 2)))
+        _fwd(_comp(a, j), i, out=_comp(left, 0))
+        _fwd(_comp(a, i), j, out=_comp(left, 1))
+        hp = _comp(hmat, slice(c, c + 1))  # H against a pair
+        ah = qmul(left, hp)  # A_j(x + e_i) H, A_i(x + e_j) H
+        del left
+        ha = qmul(hp, _comp(a, _OTHER[2 - c]))  # H A_i, H A_j
+        gi += (2.0 / 3.0) * (_comp(ah, 0) - _back(_comp(ha, 1), j))
+        gj -= (2.0 / 3.0) * (_comp(ah, 1) - _back(_comp(ha, 0), i))
+        del ah, ha  # not held through the next plaquette's products
 
-def _v_slot_gradient(u):
-    """H with d/dV of T(u, V) under the trace pairing, per 2-cochain slot (01, 02, 12)."""
-    return np.stack([_back(u[2], 2), -_back(u[1], 1), _back(u[0], 0)])
+    # derivative along basis element e_k: tr(e_k G) = -2 <e_k, G>
+    return (-0.5 * level * h**3) * g[..., _COEFF_SLOTS]
 
 
 def action_gradient(conn: LatticeConnection, level: float = 1.0) -> np.ndarray:
@@ -171,24 +273,12 @@ def action_gradient(conn: LatticeConnection, level: float = 1.0) -> np.ndarray:
     grid is closed.  Returns shape (3, n, n, n, 3).
     """
     a, h = conn.components, conn.spacing
-    hmat = _v_slot_gradient(a)
-    # d/dU of T(U, dA) and of T(U, A cup A)
-    g = _u_slot_gradient(d_one(a, h)) + (2.0 / 3.0) * _u_slot_gradient(cup_11(a, a))
-    for c, (i, j) in enumerate(_PAIRS):
-        hc = hmat[c]
-        # d/dW of T(A, dW): adjoint of d applied to the V-slot quaternions
-        g[j] += (_back(hc, i) - hc) / h
-        g[i] -= (_back(hc, j) - hc) / h
-        # d/dW of T(A, W cup A) and of T(A, A cup W)
-        g[i] += (2.0 / 3.0) * (qmul(_fwd(a[j], i), hc) - _back(qmul(hc, a[j]), j))
-        g[j] -= (2.0 / 3.0) * (qmul(_fwd(a[i], j), hc) - _back(qmul(hc, a[i]), i))
-
-    # derivative along basis element e_k: tr(e_k G) = -2 <e_k, G>
-    return (-0.5 * level * h**3) * g[..., _COEFF_SLOTS]
+    return _w_slot_gradient(_u_slot_gradient(d_one(a, h), cup_11(a, a)), a, h, level)
 
 
 @dataclass(frozen=True)
 class StationarityReport:
+    action: float
     grad_norm: float
     curvature_norm: float
     agreement: float
@@ -200,15 +290,27 @@ def _batch_fields(n: int) -> int:
 
 
 def stationarity_check(conn: LatticeConnection, step: float = 1e-4, level: float = 1.0) -> StationarityReport:
-    """Compare the exact gradient with central differences of the action along
-    FD_DIRECTIONS fixed random unit directions, and report both against the
-    curvature norm (flat <=> stationary).
+    """The action of the field, and its exact gradient compared with central
+    differences of the action along FD_DIRECTIONS fixed random unit
+    directions, both reported against the curvature norm (flat <=>
+    stationary).
 
-    The 2 * FD_DIRECTIONS perturbed actions are evaluated in batches of
-    `_batch_fields` fields; each is bit-identical to `cs_action` of that field."""
+    dA and A cup A are computed once: the action, the U-slot part of the
+    gradient and the curvature F = dA + A cup A are read off them, and both
+    are released before the perturbed fields are built.  The 2 *
+    FD_DIRECTIONS perturbed actions are evaluated in batches of
+    `_batch_fields` fields; each is bit-identical to the action of that field
+    alone."""
     if not (1e-6 <= step <= 1e-3):
         raise ValueError("finite-difference step must lie in [1e-6, 1e-3]")
-    g = action_gradient(conn, level)
+    a, h = conn.components, conn.spacing
+    da, aa = d_one(a, h), cup_11(a, a)
+    action = float(_integral(cup_12_real(a, da), cup_12_real(a, aa), h, level))
+    g = _u_slot_gradient(da, aa)
+    # Frobenius norm of F in the 2x2 matrices of `su2`'s convention: sqrt(2) |q|
+    curvature_norm = float(np.sqrt(2.0) * np.linalg.norm(np.add(da, aa, out=da)))
+    del da, aa
+    g = _w_slot_gradient(g, a, h, level)
     c0 = conn.coefficients()
     rng = np.random.default_rng(0)
     exact = []
@@ -224,18 +326,18 @@ def stationarity_check(conn: LatticeConnection, step: float = 1e-4, level: float
     fields, total, per_call = perturbed(), 2 * FD_DIRECTIONS, _batch_fields(conn.grid_size)
 
     def batch_actions(size):
-        batch = np.zeros((size,) + conn.components.shape)
+        batch = np.zeros((size,) + a.shape)
         for comp in batch:
             comp[..., _COEFF_SLOTS] = next(fields)
-        return _actions(batch, conn.spacing, level)
+        return _actions(batch, h, level)
 
     actions = np.concatenate([batch_actions(min(per_call, total - lo))
                               for lo in range(0, total, per_call)])
     fd = (actions[0::2] - actions[1::2]) / (2 * step)
     agreement = np.linalg.norm(fd - exact) / max(np.linalg.norm(exact), 1e-14)
     return StationarityReport(
+        action=action,
         grad_norm=float(np.linalg.norm(g)),
-        # Frobenius norm of the 2x2 matrices of `su2`'s convention: sqrt(2) |q|
-        curvature_norm=float(np.sqrt(2.0) * np.linalg.norm(curvature(conn))),
+        curvature_norm=curvature_norm,
         agreement=float(agreement),
     )

@@ -136,7 +136,7 @@ def run_cs_check(run: Run, report: InvariantReport):
     flat_grad = float(np.linalg.norm(cs.action_gradient(flat, level)))
     sec = report.section("chern_simons")
     sec.values.update(
-        action=cs.cs_action(conn, level),
+        action=rep.action,
         grad_norm=rep.grad_norm,
         curvature_norm=rep.curvature_norm,
         fd_agreement=rep.agreement,

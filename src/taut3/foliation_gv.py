@@ -357,15 +357,16 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     |omega ^ d omega| / |omega|, so the residual is read off the defect's
     wedge.  The sum of |omega ^ d omega|^2 grows as |omega|^4, so it is taken
     at the scale 2^-2e, e the binary exponent of the first slab's largest
-    |omega| (or 0 if that is below 1), and the defect's denominator takes the
-    same scale: a power of two, so omega and 2^k omega, k >= 0, give the same
-    defect bit for bit.  After the pass
-    come, in order: SingularityError where |omega| is not finite or at most
-    NONVANISHING_FLOOR times its mean; the tautness test (None without a
-    loop), a failure of which raises TautnessError if `strict` and otherwise
-    excludes the row; SingularityError if a sum that the row reports
-    overflows; and, for a row that is not excluded, ValueError if the defect
-    exceeds INTEGRABILITY_TOLERANCE.  No array spans the grid."""
+    |omega|, and the defect's denominator is taken at the same scale before
+    its eps is added: a power of two, so omega and 2^k omega give the same
+    defect bit for bit, and a small omega meets the same tolerance as a large
+    one.  After the pass come, in order: SingularityError where |omega| is
+    not finite or at most NONVANISHING_FLOOR times its mean; the tautness
+    test (None without a loop), a failure of which raises TautnessError if
+    `strict` and otherwise excludes the row; SingularityError if a sum that
+    the row reports overflows; and, for a row that is not excluded,
+    ValueError if the defect exceeds INTEGRABILITY_TOLERANCE.  No array spans
+    the grid."""
     label, n = spec.label or f"foliation[{k}]", spec.grid
     if len(spec.omega) != 3:
         raise ValueError("a foliation needs 3 component functions")
@@ -383,8 +384,8 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
                 _raise_at(omega, s)
             total += part
             least.append(float(np.min(mag)))
-            if scale is None:  # 2^-2e guards against overflow only, so it is at most 1
-                scale = ldexp(1.0, -2 * max(frexp(float(np.max(mag)))[1], 0))
+            if scale is None:  # 2^-2e, kept finite below |omega| ~ 2^-511
+                scale = ldexp(1.0, min(-2 * frexp(float(np.max(mag)))[1], 1022))
             # |d omega - theta ^ omega|, divided before it is squared so that it
             # overflows only where |d omega|^2 does
             block = buf[size : 2 * size].reshape(shape)

@@ -12,17 +12,13 @@ import time
 import numpy as np
 import pytest
 
+from cs_oracles import cs_action, curvature
 from cyclic_oracles import cyclic_lambda, hochschild_b, random_trig
 from gv_oracles import DiscreteForm, foliation
 from su2_oracles import random_unit, to_matrix
 from taut3 import cyclic as cyc
 from taut3 import su2
-from taut3.chern_simons import (
-    LatticeConnection,
-    action_gradient,
-    cs_action,
-    curvature,
-)
+from taut3.chern_simons import LatticeConnection, action_gradient
 from taut3.cli import main as cli_main
 from taut3.foliation_gv import gv_term
 from taut3.presentations import builtin_presentation, concat_words, gen

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
+from cs_oracles import (
+    cs_action,
+    curvature,
+    loop_stationarity_check,
+    roll_actions,
+    roll_cup_11,
+    roll_curvature,
+    roll_d_one,
+    roll_gradient,
+)
 from su2_oracles import to_matrix
 from taut3 import chern_simons
 from taut3.chern_simons import (
     ConnectionError_,
     LatticeConnection,
     action_gradient,
-    cs_action,
-    curvature,
     stationarity_check,
 )
 from taut3.su2 import qmul, qtrace
@@ -217,42 +225,18 @@ def test_action_gauge_scale():
 
 def test_stationarity_check_catches_a_wrong_gradient(conn, monkeypatch):
     assert stationarity_check(conn, step=1e-4).agreement < 1e-5
-    exact = chern_simons.action_gradient
+    exact = chern_simons._w_slot_gradient  # returns the gradient that the check compares
 
-    def off_by_one_coefficient(c, level=1.0):
-        g = exact(c, level)
+    def off_by_one_coefficient(*args):
+        g = exact(*args)
         g[1, 2, 0, 3, 2] += 1e-3 * np.linalg.norm(g)
         return g
 
-    monkeypatch.setattr(chern_simons, "action_gradient", off_by_one_coefficient)
+    monkeypatch.setattr(chern_simons, "_w_slot_gradient", off_by_one_coefficient)
     assert stationarity_check(conn, step=1e-4).agreement > 1e-5
 
 
 # --- the batched stationarity check against a loop of single actions -------------
-
-def loop_stationarity_check(conn, step=1e-4, level=1.0):
-    """stationarity_check as first written: one cs_action call per perturbed
-    field, directions drawn in the same order."""
-    g = chern_simons.action_gradient(conn, level)
-    c0 = conn.coefficients()
-
-    def action_at(c):
-        return cs_action(LatticeConnection.from_coefficients(c), level)
-
-    rng = np.random.default_rng(0)
-    fd, exact = [], []
-    for _ in range(chern_simons.FD_DIRECTIONS):
-        v = rng.standard_normal(c0.shape)
-        v /= np.linalg.norm(v)
-        fd.append((action_at(c0 + step * v) - action_at(c0 - step * v)) / (2 * step))
-        exact.append(np.sum(g * v))
-    agreement = np.linalg.norm(np.subtract(fd, exact)) / max(np.linalg.norm(exact), 1e-14)
-    return chern_simons.StationarityReport(
-        grad_norm=float(np.linalg.norm(g)),
-        curvature_norm=float(np.sqrt(2.0) * np.linalg.norm(curvature(conn))),
-        agreement=float(agreement),
-    )
-
 
 CASES = [(0, 0.1, 1.0), (1, 2.0, -3.5), (7, 1e-3, 1e6), (7, 0.5, -1e6)]
 
@@ -324,3 +308,56 @@ def test_actions_equal_the_full_quaternion_route(n):
         for a in (fields, fields[0]):  # batched and unbatched
             assert np.array_equal(chern_simons._actions(a, 1.0 / n, level),
                                   quaternion_actions(a, 1.0 / n, level))
+
+
+# --- the per-axis kernels against the per-plaquette np.roll forms -------------------
+
+@pytest.mark.parametrize("n", [4, 5, 6, 16])
+def test_kernels_equal_the_roll_oracles_bit_for_bit(n):
+    """Shifts by slice copies and one qmul per axis keep every product and sum
+    with its operands and in its order: d, cup_11, the action, the gradient
+    and the curvature equal the roll forms exactly, batched and unbatched."""
+    h = 1.0 / n
+    for seed, scale, level in CASES:
+        fields = np.stack([LatticeConnection.random(n, scale, seed + k).components for k in range(2)])
+        for a, b in ((fields, fields[::-1]), (fields[0], fields[1])):  # batched and unbatched
+            da, aa = chern_simons.d_one(a, h), chern_simons.cup_11(a, a)
+            assert np.array_equal(da, roll_d_one(a, h))
+            assert np.array_equal(aa, roll_cup_11(a, a))
+            assert np.array_equal(chern_simons.cup_11(a, b), roll_cup_11(a, b))
+            assert np.array_equal(da + aa, roll_curvature(a, h))
+            assert np.array_equal(chern_simons._actions(a, h, level), roll_actions(a, h, level))
+            g = chern_simons._w_slot_gradient(chern_simons._u_slot_gradient(da, aa), a, h, level)
+            assert np.array_equal(g, roll_gradient(a, h, level))
+        conn = LatticeConnection(fields[0])
+        assert np.array_equal(action_gradient(conn, level), roll_gradient(fields[0], h, level))
+        assert np.array_equal(curvature(conn), roll_curvature(fields[0], h))
+        assert stationarity_check(conn, level=level) == loop_stationarity_check(conn, level=level)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+def test_chunked_cup_products_equal_the_roll_form(monkeypatch, count_calls, rows):
+    """Past `_CHUNK_BYTES` of shifted operand, cup_11 takes each axis's qmul a
+    few grid rows at a time, the last chunk short where the rows do not divide
+    the grid; the products and sums are those of one call."""
+    n = 5
+    fields = np.stack([LatticeConnection.random(n, 0.7, k).components for k in range(2)])
+    for a, b in ((fields, fields[::-1]), (fields[0], fields[1])):  # batched and unbatched
+        row_bytes = a.nbytes * 2 // 3 // n  # one grid row of two directions
+        monkeypatch.setattr(chern_simons, "_CHUNK_BYTES", rows * row_bytes + row_bytes // 2)
+        calls = count_calls("qmul", chern_simons)
+        assert np.array_equal(chern_simons.cup_11(a, b), roll_cup_11(a, b))
+        assert len(calls) == 3 * -(-n // rows)
+
+
+def test_stationarity_check_holds_at_most_eight_fields(traced_peak):
+    """At grid 32 each perturbed action is a call of its own.  The check's
+    peak of new memory is then g, c0, v and the batch (3.25 fields) plus one
+    cup_11 (out and two shifted pairs; its qmuls take a few grid rows at a
+    time): 5.78 fields.  One qmul per product held 5.68, one per axis over
+    the whole grid 6.34, and one for all six products of a gradient 14.  The
+    bound keeps a later batching from doubling the footprint at large grids
+    unnoticed."""
+    conn = LatticeConnection.random(32, 0.1, 1)
+    _, peak = traced_peak(stationarity_check, conn)
+    assert peak <= 8 * conn.components.nbytes

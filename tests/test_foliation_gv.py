@@ -261,6 +261,16 @@ def test_a_power_of_two_scale_changes_no_row_and_no_defect(c):
     assert term(c) == ((label, gv, taut, res), defect, None)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-15, 1e-20, 2.0**-300], ids=["1", "1e-15", "1e-20", "2^-300"])
+def test_a_small_non_integrable_form_is_rejected(c):
+    """The defect's sums and its eps share a scale that follows |omega| down
+    as well as up, so shrinking omega cannot bring |omega ^ d omega| under an
+    absolute eps: a random form stays non-integrable at every c."""
+    omega = random_omega(np.random.default_rng(0), 16)
+    with pytest.raises(ValueError, match="not integrable"):
+        gv_term(foliation(DiscreteForm(1, c * omega.values)))
+
+
 def taut_flag(fns, n, transversal):
     return gv_term(FoliationSpec(fns, n, transversal))[0][2]
 
