@@ -27,9 +27,8 @@ def zero(x, y, z):
 exp_f = (zero, zero, lambda x, y, z: np.exp(f(x, y, z)))
 
 print("=== omega = e^f dz (leaves are graphs over the xy-torus) ===")
-(_label, gv, _taut, res), defect, _warning = gv_term(FoliationSpec(exp_f, n))
+(_label, gv, _taut), defect, _warning = gv_term(FoliationSpec(exp_f, n))
 print(f"integrability residual |omega ^ d omega| / scales = {defect:.2e}")
-print(f"connection-form residual |omega ^ d omega| / |omega| over |d omega| = {res:.2e}")
 print(f"GV integral = {gv:+.2e}  (this family has vanishing GV)")
 
 print("\n=== Tautness via a transversal circle ===")
@@ -45,9 +44,8 @@ print(f"no transversal supplied         : taut = {gv_term(no_loop)[0][2]} (incon
 
 print("\n=== Summing over several representatives ===")
 report = gv_report([gv_term(s, k) for k, s in enumerate([spec, no_loop])])
-for (label, val, taut, resid), defect in zip(report.per_foliation, report.integrability_residuals):
-    print(f"  {label:<8} GV = {val:+.2e}  taut = {taut}  residual = {resid:.1e}  "
-          f"defect = {defect:.1e}")
+for (label, val, taut), defect in zip(report.per_foliation, report.integrability_residuals):
+    print(f"  {label:<8} GV = {val:+.2e}  taut = {taut}  defect = {defect:.1e}")
 print(f"total = {report.total:+.2e}")
 for w in report.warnings:
     print(f"warning: {w}")

@@ -1,7 +1,7 @@
 """End-to-end pipeline: manifest in, deterministic invariant report out.
 
 Writes a manifest describing a lens space with one foliation and the
-auxiliary models, runs every subcommand through the `taut3 all` entry
+leafwise model, runs every subcommand through the `taut3 all` entry
 point, and shows that repeated runs agree modulo timings.
 """
 
@@ -26,7 +26,6 @@ manifest = {
         }
     ],
     "leafwise": {"weights": [1.0, 1.0, 1.0]},
-    "cyclic": {"degree_bound": 8, "windings": [-2, -1, 0, 1, 2]},
 }
 manifest_path = os.path.join(workdir, "lens5.json")
 with open(manifest_path, "w") as fh:

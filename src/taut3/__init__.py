@@ -2,8 +2,8 @@
 
 Flat SU(2) representation moduli and torsion sums, an unsigned Casson-style
 count, lattice Chern-Simons stationarity checks, Godbillon-Vey integrals of
-codimension-1 foliations on the 3-torus, leafwise torsion for the product
-foliation, and degree-1 cyclic cocycles on a Fourier model of C(S^1).
+codimension-1 foliations on the 3-torus, and leafwise torsion for the product
+foliation.
 
 The package exports the names of the README's quick start; everything else is
 imported from its module (`taut3.cli`, `taut3.foliation_gv`, ...).

@@ -1,15 +1,16 @@
 """Manifest-driven command line front end.
 
 Each subcommand runs one invariant pipeline; `all` runs every pipeline that
-applies to the manifest's manifold, reporting the others as skipped.  The
+applies to the manifest's manifold, reporting the others as skipped, and says
+in a `cyclic` section that a manifest's `cyclic` block is ignored.  The
 pipelines of one invocation share a `Run`, so the presentation and the flat
-moduli are each computed once.  Reports are written as
-JSON (sections, tolerances, warnings) with timings kept in a separate block so
-repeated runs with the same seed produce identical reports modulo timing fields.
+moduli are each computed once.  Reports are written as JSON (sections,
+tolerances, warnings) with timings kept in a separate block so repeated runs
+with the same seed produce identical reports modulo timing fields.
 
 Exit codes:
   0  success
-  2  manifest parse/schema error or bad arguments
+  2  unreadable or invalid manifest, bad arguments, or an unwritable report path
   4  regularity or finiteness failure (the construction does not apply)
   5  tautness failure under --strict
 """
@@ -26,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import chern_simons as cs
-from . import cyclic as cyc
 from . import foliation_gv as fg
 from . import leafwise as lw
 from .exprs import ExprError, compile_expr
@@ -47,8 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_REGULARITY = 4
 EXIT_TAUTNESS = 5
-
-SUBCOMMANDS = ("reps", "torsion", "casson", "cs-check", "gv", "leafwise", "cyclic", "all")
 
 
 @dataclass
@@ -174,8 +172,7 @@ def run_gv(run: Run, report: InvariantReport):
     gv = fg.gv_report(terms)
     sec.values["total"] = gv.total
     sec.values["per_foliation"] = [
-        {"label": lab, "gv": val, "taut": taut, "theta_residual": res}
-        for lab, val, taut, res in gv.per_foliation
+        {"label": lab, "gv": val, "taut": taut} for lab, val, taut in gv.per_foliation
     ]
     sec.values["integrability_residuals"] = list(gv.integrability_residuals)
     sec.tolerances["integrability"] = fg.INTEGRABILITY_TOLERANCE
@@ -204,19 +201,6 @@ def run_leafwise(run: Run, report: InvariantReport):
             sec.warnings.append(f"the manifest's leafwise.{key} is ignored: {why}")
 
 
-def run_cyclic(run: Run, report: InvariantReport):
-    block = dict(run.m.cyclic)
-    bound = block.get("degree_bound", 8)
-    tau = cyc.fundamental_cocycle(bound)
-    sec = report.section("cyclic")
-    sec.values["winding_pairings"] = {
-        str(nw): cyc.k_pairing(cyc.mode(nw), tau)
-        for nw in block.get("windings", range(-3, 4))
-    }
-    sec.tolerances["winding"] = cyc.PAIRING_TOLERANCE
-    sec.metadata["degree_bound"] = bound
-
-
 PIPELINES = {
     "reps": run_reps,
     "torsion": run_torsion,
@@ -224,8 +208,8 @@ PIPELINES = {
     "cs-check": run_cs_check,
     "gv": run_gv,
     "leafwise": run_leafwise,
-    "cyclic": run_cyclic,
 }
+SUBCOMMANDS = (*PIPELINES, "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,6 +239,10 @@ def main(argv=None) -> int:
     run = Run(m, args)
     report = InvariantReport(manifest_digest=manifest_digest(m.raw))
     names = list(PIPELINES) if args.command == "all" else [args.command]
+    if args.command == "all" and "cyclic" in m.raw:
+        report.section("cyclic").warnings.append(
+            "the manifest's cyclic block is ignored: a cocycle on a fixed model of C(S^1) "
+            "describes no declared manifold")
     try:
         for name in names:
             t0 = time.perf_counter()
@@ -277,7 +265,11 @@ def main(argv=None) -> int:
 
     out_path = args.out or m.output
     if out_path:
-        Path(out_path).write_text(report.to_json())
+        try:
+            Path(out_path).write_text(report.to_json())
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     print(report.to_text())
     return EXIT_OK
 

@@ -337,43 +337,39 @@ def tautness_check(pairings, mean: float) -> bool:
 @dataclass(frozen=True)
 class GvReport:
     total: float
-    per_foliation: tuple  # (label, gv value or None, taut flag, theta residual)
+    per_foliation: tuple  # (label, gv value or None, taut flag)
     warnings: tuple
     integrability_residuals: tuple  # one per foliation, excluded ones included
 
 
 def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
-    """One foliation's (label, gv, taut, theta residual) row, Frobenius defect
-    and warning (or None), as `gv_report` sums them.
+    """One foliation's (label, gv, taut) row, Frobenius defect and warning (or
+    None), as `gv_report` sums them.
 
     The transversal is checked first (ValueError).  Then one slab pass
     (`_gv_blocks`) samples omega and gives the mean and least of |omega|, its
     pairings with the loop's edges, the defect |omega ^ d omega| / (|omega|
-    |d omega| + eps), the theta residual |d omega - theta ^ omega| / |d omega|
-    (0 if d omega = 0) and the GV integral of theta ^ d theta (L2 norms are
-    grid RMS values).  The pass sums in grid units, and each sum is rescaled
-    by the power of n/2 that undoes them.  For the minimal theta, d omega -
-    theta ^ omega is the part of d omega along omega, of pointwise norm
-    |omega ^ d omega| / |omega|, so the residual is read off the defect's
-    wedge.  The sum of |omega ^ d omega|^2 grows as |omega|^4, so it is taken
-    at the scale 2^-2e, e the binary exponent of the first slab's largest
-    |omega|, and the defect's denominator is taken at the same scale before
-    its eps is added: a power of two, so omega and 2^k omega give the same
-    defect bit for bit, and a small omega meets the same tolerance as a large
-    one.  After the pass come, in order: SingularityError where |omega| is
-    not finite or at most NONVANISHING_FLOOR times its mean; the tautness
-    test (None without a loop), a failure of which raises TautnessError if
-    `strict` and otherwise excludes the row; SingularityError if a sum that
-    the row reports overflows; and, for a row that is not excluded,
-    ValueError if the defect exceeds INTEGRABILITY_TOLERANCE.  No array spans
-    the grid."""
+    |d omega| + eps) and the GV integral of theta ^ d theta (L2 norms are grid
+    RMS values).  The pass sums in grid units, and each sum is rescaled by the
+    power of n/2 that undoes them.  The sum of |omega ^ d omega|^2 grows as
+    |omega|^4, so it is taken at the scale 2^-2e, e the binary exponent of the
+    first slab's largest |omega|, and the defect's denominator is taken at the
+    same scale before its eps is added: a power of two, so omega and 2^k omega
+    give the same defect bit for bit, and a small omega meets the same
+    tolerance as a large one.  After the pass come, in order:
+    SingularityError where |omega| is not finite or at most NONVANISHING_FLOOR
+    times its mean; the tautness test (None without a loop), a failure of
+    which raises TautnessError if `strict` and otherwise excludes the row;
+    SingularityError if a sum that the row reports overflows; and, for a row
+    that is not excluded, ValueError if the defect exceeds
+    INTEGRABILITY_TOLERANCE.  No array spans the grid."""
     label, n = spec.label or f"foliation[{k}]", spec.grid
     if len(spec.omega) != 3:
         raise ValueError("a foliation needs 3 component functions")
     loop = None if spec.transversal is None else _loop_edges(spec.transversal, n)
     omega = _Omega(spec.omega, n, np.empty((0, 3), int) if loop is None else loop[0])
     buf = np.empty(3 * _slab_rows(n) * n * n)  # the squares and lengths of each slab
-    frob = dw = w = miss = gv = total = 0.0
+    frob = dw = w = gv = total = 0.0
     least, scale = [], None
     with np.errstate(all="ignore"):
         for s, slab in zip(_slabs(n), _gv_blocks(omega)):
@@ -386,16 +382,13 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
             least.append(float(np.min(mag)))
             if scale is None:  # 2^-2e, kept finite below |omega| ~ 2^-511
                 scale = ldexp(1.0, min(-2 * frexp(float(np.max(mag)))[1], 1022))
-            # |d omega - theta ^ omega|, divided before it is squared so that it
-            # overflows only where |d omega|^2 does
             block = buf[size : 2 * size].reshape(shape)
-            miss += _sum_sq(np.divide(slab.frob, mag, out=block), buf)
             frob += _sum_sq(np.multiply(slab.frob, scale, out=block), buf)
             dw += _sum_sq(slab.dw, buf)
             w += float(np.sum(slab.norm_sq))
             gv += float(np.sum(slab.gv))
         q = n / 2  # 1 / 2h: exact on power-of-two grids
-        frob, dw, miss, gv = frob * q * q, dw * q * q, miss * q * q, gv * q**3
+        frob, dw, gv = frob * q * q, dw * q * q, gv * q**3
         mean = total / n**3
         bound = NONVANISHING_FLOOR * max(mean, 1e-300)
         if min(least) <= bound:
@@ -408,20 +401,20 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     failed = f"{label}: failed the transversal-circle tautness test"
     if taut is False and strict:
         raise TautnessError(failed)
-    if not all(map(isfinite, (frob, dw, w) + (() if taut is False else (miss, gv)))):
+    if not all(map(isfinite, (frob, dw, w) + (() if taut is False else (gv,)))):
         raise SingularityError(f"{label}: a GV sum over the grid is not finite")
     cells = n**3
     defect = sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) * scale + 1e-30)
     if taut is False:
-        return (label, None, taut, None), defect, failed + "; excluded from the sum"
+        return (label, None, taut), defect, failed + "; excluded from the sum"
     if defect > INTEGRABILITY_TOLERANCE:
         raise ValueError("form is not integrable within tolerance; no theta exists")
     warning = None if taut else f"{label}: no transversal supplied, tautness inconclusive"
-    return (label, gv * (1.0 / n) ** 3, taut, sqrt(miss / dw) if dw else 0.0), defect, warning
+    return (label, gv * (1.0 / n) ** 3, taut), defect, warning
 
 
 def gv_report(terms) -> GvReport:
     """Sum the `gv_term` results of a list of foliations, in order."""
     rows, defects, warnings = zip(*terms) if terms else ((), (), ())
-    total = sum(val for _label, val, _taut, _res in rows if val is not None)
+    total = sum(val for _label, val, _taut in rows if val is not None)
     return GvReport(float(total), rows, tuple(w for w in warnings if w), defects)

@@ -1,16 +1,18 @@
 """Manifest loading and validation.
 
 A manifest is a JSON document declaring everything a run needs: the manifold,
-foliation data (symbolic 1-form components plus transversal loops), leafwise
-and cyclic model parameters.  Validation is strict — unknown keys are
-rejected — so a typo fails loudly before any computation starts.  Every
-size (grids, truncations, degree bounds, the number of foliations) has a
-maximum, so no manifest can ask for more than about a gigabyte of memory in
-one stage; `gv` at its largest grid, 192, peaks near a twentieth of that.  The
-`solver` block of earlier versions is still validated, but ignored: the flat
-moduli are computed exactly.  So are `leafwise.truncation`, since the leafwise
-determinants are closed forms, and `leafwise.n_z`, since the leafwise model
-does not depend on the transverse coordinate.
+foliation data (symbolic 1-form components plus transversal loops) and
+leafwise model parameters.  Validation is strict — unknown keys are rejected —
+so a typo fails loudly before any computation starts.  Every size (grids,
+truncations, degree bounds, the number of foliations) has a maximum, so no
+manifest can ask for more than about a gigabyte of memory in one stage; `gv`
+at its largest grid, 192, peaks near a twentieth of that.  The `solver` block
+of earlier versions is still validated, but ignored: the flat moduli are
+computed exactly.  So are `leafwise.truncation`, since the leafwise
+determinants are closed forms, `leafwise.n_z`, since the leafwise model does
+not depend on the transverse coordinate, and the `cyclic` block, since a
+cocycle on a fixed model of C(S^1) describes no declared manifold.  A file that
+cannot be read or is not UTF-8 fails like an invalid one.
 
 `SCHEMA` is a JSON Schema, checked by a small walker over the dict itself
 rather than by a JSON Schema library: numpy is the only runtime dependency,
@@ -155,7 +157,6 @@ class Manifest:
     chern_simons: dict = field(default_factory=dict)
     foliations: tuple = ()
     leafwise: dict = field(default_factory=dict)
-    cyclic: dict = field(default_factory=dict)
     output: str | None = None
     raw: dict = field(default_factory=dict)
 
@@ -234,7 +235,6 @@ def validate_manifest(data: dict) -> Manifest:
         chern_simons=dict(data.get("chern_simons", {})),
         foliations=tuple(data.get("foliations", ())),
         leafwise=dict(data.get("leafwise", {})),
-        cyclic=dict(data.get("cyclic", {})),
         output=data.get("output"),
         raw=data,
     )
@@ -250,9 +250,11 @@ def _finite(literal: str) -> float:
 def load_manifest(path) -> Manifest:
     p = Path(path)
     try:
-        data = json.loads(p.read_text(), parse_float=_finite, parse_constant=_finite)
-    except FileNotFoundError as exc:
-        raise ManifestError(f"manifest not found: {p}") from exc
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+        raise ManifestError(f"cannot read the manifest {p}: {exc}") from exc
+    try:
+        data = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

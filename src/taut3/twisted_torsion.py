@@ -137,11 +137,11 @@ def torsion_sum(p: GroupPresentation, moduli: RepModuli) -> TorsionSumResult:
     """Torsions of the classes of `moduli`, the flat moduli of `p`, and their sums.
 
     A class is acyclic when no core goes to 1 and the fibre goes to -1; it gets
-    the core formula.  The trivial class gets the cellular value 2 log|H_1|
-    where `p` carries its 3-cell.  Every other class (the trivial one without a
-    3-cell, and those that send the fibre to +1) is left out with a note, and
-    so is every sum over it.  Positive betti_1 (positive-dimensional moduli) is
-    refused.
+    the core formula.  The trivial class gets the cellular value, t = |H_1|^2
+    in integers, where `p` carries its 3-cell.  Every other class (the trivial
+    one without a 3-cell, and those that send the fibre to +1) is left out
+    with a note, and so is every sum over it.  Positive betti_1
+    (positive-dimensional moduli) is refused.
     """
     require_finite_moduli(p)
     shape = p.shape
@@ -155,7 +155,8 @@ def torsion_sum(p: GroupPresentation, moduli: RepModuli) -> TorsionSumResult:
             acyclic &= su2.qtrace(fibre) < 0
             log_t += 2.0 * (len(d) - 2) * np.log(su2.dist_to_identity(fibre))
     trivial = np.all(su2.dist_to_identity(images) <= RESIDUAL_TOLERANCE, axis=-1)
-    cellular = None if p.d3_words is None else 2.0 * math.log(math.prod(p.h1.torsion_coefficients))
+    order = math.prod(p.h1.torsion_coefficients)  # |H_1|, finite by require_finite_moduli
+    cellular = None if p.d3_words is None else 2.0 * math.log(order)
     per_class, notes, left_out = [], [], []
     for rep, lt, ok, triv in zip(moduli.classes, log_t, acyclic, trivial):
         if ok:
@@ -163,7 +164,7 @@ def torsion_sum(p: GroupPresentation, moduli: RepModuli) -> TorsionSumResult:
         else:
             where = f"class {np.round(rep.trace_coords, 6).tolist()}: not acyclic"
             if triv and cellular is not None:
-                res = TorsionResult(log_t=cellular, t=math.exp(cellular), acyclic=False)
+                res = TorsionResult(log_t=cellular, t=float(order**2), acyclic=False)
                 notes.append(f"{where}, torsion is metric-dependent")
             else:
                 left_out.append(rep)

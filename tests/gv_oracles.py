@@ -4,13 +4,11 @@ of `taut3.foliation_gv`.
 `DiscreteForm` holds a form sampled on the whole grid, and `form_from_functions`
 samples one there.  Each step builds a full (3, n, n, n) or (n, n, n) array:
 the exterior derivative (one centered difference `_ddi` per component and
-axis), the wedge, theta, the theta ^ omega miss, d(theta) and theta ^ d(theta).
-The slab pass works in grid units, so it must reproduce every field value of
-this chain at 2h = 1 bit for bit, and every sum at the grid's spacing to
-summation rounding (bit for bit on power-of-two grids).  It reads the theta
-residual off omega ^ d(omega); the miss d(omega) - theta ^ omega is taken here
-directly.  `foliation` turns a sampled form back into the component functions
-that `gv_term` takes.
+axis), the wedge, theta, d(theta) and theta ^ d(theta).  The slab pass works
+in grid units, so it must reproduce every field value of this chain at 2h = 1
+bit for bit, and every sum at the grid's spacing to summation rounding (bit for
+bit on power-of-two grids).  `foliation` turns a sampled form back into the
+component functions that `gv_term` takes.
 """
 
 from __future__ import annotations
@@ -195,7 +193,6 @@ def solve_theta(omega: DiscreteForm, tol: float = 1e-6):
 
     Identifying 2-forms with axial vectors, the equation reads
     g = theta x omega, whose minimal-norm solution is (omega x g) / |omega|^2.
-    Returns (theta, residual).
     """
     return _theta(omega, *_frobenius(omega), tol)
 
@@ -215,10 +212,7 @@ def _theta(omega: DiscreteForm, dw: DiscreteForm, defect: float, tol: float):
     np.negative(np.multiply(w[0], v[1], out=t2), out=t2)
     t2 -= np.multiply(w[1], v[2], out=tmp)
     theta /= norm_sq(omega)
-    theta_form = DiscreteForm(1, theta)
-    miss = wedge(theta_form, omega).values
-    np.subtract(v, miss, out=miss)
-    return theta_form, l2_norm(DiscreteForm(2, miss))
+    return DiscreteForm(1, theta)
 
 
 def gv_integral(omega: DiscreteForm, theta: DiscreteForm) -> float:

@@ -1,4 +1,5 @@
-"""Acceptance gate: ten criteria, one printed pass/fail line each.
+"""Acceptance gate: nine criteria, one printed pass/fail line each.  Criterion 9,
+the cyclic cocycle of C(S^1), went with the `cyclic` pipeline.
 
 Each test computes its criterion at the pinned tolerance, prints
   [PASS] criterion N: <summary>   or   [FAIL] criterion N: <summary>
@@ -13,10 +14,8 @@ import numpy as np
 import pytest
 
 from cs_oracles import cs_action, curvature
-from cyclic_oracles import cyclic_lambda, hochschild_b, random_trig
 from gv_oracles import DiscreteForm, foliation
 from su2_oracles import random_unit, to_matrix
-from taut3 import cyclic as cyc
 from taut3 import su2
 from taut3.chern_simons import LatticeConnection, action_gradient
 from taut3.cli import main as cli_main
@@ -231,22 +230,6 @@ def test_criterion_8_leafwise():
     ok &= res.per_degree_log_dets == (LOG_DET_LAPLACIAN, 2 * LOG_DET_LAPLACIAN, LOG_DET_LAPLACIAN)
     report(8, "kernel dims (1,2,1); spectral identities exact; truncated log T = 0 to 1e-10, "
               "M = 1..6; closed form log T = 0", ok)
-
-
-def test_criterion_9_cyclic():
-    tau = cyc.fundamental_cocycle(8)
-    rng = np.random.default_rng(13)
-    b = hochschild_b(tau)
-    ok = True
-    for _ in range(50):
-        f0, f1, f2 = (random_trig(2, rng) for _ in range(3))
-        scale = max(1.0, *(np.max(np.abs(f.coefficients)) for f in (f0, f1, f2))) ** 3
-        ok &= abs(b(f0, f1, f2)) < 1e-11 * scale
-        ok &= abs(tau(f0, f1) + tau(f1, f0)) < 1e-11 * scale
-    ok &= np.max(np.abs(cyclic_lambda(tau).kernel - tau.kernel)) == 0.0
-    for n in range(-3, 4):
-        ok &= abs(cyc.k_pairing(cyc.mode(n), tau) - n) < 1e-12
-    report(9, "b tau = 0 and lambda tau = tau on 50 probes; windings -3..3 to 1e-12", ok)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -58,10 +58,12 @@ def test_reps_subcommand(tmp_path, capsys):
 
 
 def test_cyclic_subcommand(tmp_path, capsys):
-    code = run(["cyclic", "--manifest", lens5_manifest(tmp_path)])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "'3': 3.0" in out
+    """The `cyclic` pipeline is gone; its subcommand is a bad argument."""
+    with pytest.raises(SystemExit) as stop:
+        run(["cyclic", "--manifest", lens5_manifest(tmp_path)])
+    assert stop.value.code == EXIT_USAGE
+    assert "invalid choice: 'cyclic'" in capsys.readouterr().err
+    assert cli.SUBCOMMANDS == (*cli.PIPELINES, "all")
 
 
 def test_all_is_deterministic_modulo_timings(tmp_path):
@@ -105,6 +107,57 @@ def test_exit_codes(tmp_path):
 
     missing = str(tmp_path / "nope.json")
     assert run(["reps", "--manifest", missing]) == EXIT_USAGE
+
+
+def _unreadable(tmp_path, monkeypatch):
+    path = Path(write_manifest(tmp_path, {"schema_version": 1, "manifold": {"family": "S3"}}))
+    real = Path.read_text
+
+    def read_text(self, *args, **kwargs):  # chmod does not stop a superuser
+        if self == path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    return path
+
+
+def _not_utf8(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+def _inside_a_file(tmp_path, monkeypatch):
+    (tmp_path / "m.json").write_text("{}")
+    return tmp_path / "m.json" / "x.json"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp_path, monkeypatch: tmp_path, "Is a directory"),
+    (_unreadable, "Permission denied"),
+    (_not_utf8, "can't decode byte 0xff"),
+    (_inside_a_file, "Not a directory"),
+], ids=["directory", "unreadable", "not-utf-8", "inside-a-file"])
+def test_a_manifest_that_cannot_be_read_exits_2(tmp_path, monkeypatch, capsys, make, message):
+    path = make(tmp_path, monkeypatch)
+    assert run(["reps", "--manifest", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read the manifest {path}: ") and message in err
+
+
+@pytest.mark.parametrize("where", ["--out missing", "--out directory", "output missing"])
+def test_a_report_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    flag, kind = where.split()
+    target = tmp_path / "no-such-dir" / "report.json" if kind == "missing" else tmp_path
+    data = {"schema_version": 1, "manifold": {"family": "S3"}}
+    if flag == "output":
+        data["output"] = str(target)
+    argv = ["reps", "--manifest", write_manifest(tmp_path, data)]
+    assert run(argv + (["--out", str(target)] if flag == "--out" else [])) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write the report: ")
+    assert ("No such file or directory" if kind == "missing" else "Is a directory") in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -256,8 +309,7 @@ def test_gv_stage_matches_gv_invariant(tmp_path):
     gv = fg.gv_report([fg.gv_term(spec, k) for k, spec in enumerate(specs)])
     assert section["values"]["total"] == gv.total
     assert section["values"]["per_foliation"] == [
-        {"label": lab, "gv": val, "taut": taut, "theta_residual": res}
-        for lab, val, taut, res in gv.per_foliation
+        {"label": lab, "gv": val, "taut": taut} for lab, val, taut in gv.per_foliation
     ]
     assert section["values"]["integrability_residuals"] == list(gv.integrability_residuals)
     assert section["warnings"] == list(gv.warnings)
@@ -541,23 +593,33 @@ def model_section(tmp_path, command, **blocks):
     return code, section
 
 
-@pytest.mark.parametrize("bound", [1, 8, 512])
-def test_windings_at_the_degree_bound_pair_to_themselves(tmp_path, bound):
-    # every winding up to the bound; at 512 these are the caps (1025 windings)
-    windings = list(range(-bound, bound + 1))
-    code, section = model_section(
-        tmp_path, "cyclic", cyclic={"degree_bound": bound, "windings": windings})
-    assert code == EXIT_OK
-    assert section["values"]["winding_pairings"] == {str(n): n for n in windings}
+CYCLIC_IGNORED = ("the manifest's cyclic block is ignored: a cocycle on a fixed model of "
+                  "C(S^1) describes no declared manifold")
 
 
-@pytest.mark.parametrize("windings", [[9], [-9], [9, 10, -12], [0, 1, 9]])
-def test_windings_past_the_degree_bound_exit_2(tmp_path, capsys, windings):
-    code, _ = model_section(tmp_path, "cyclic",
-                            cyclic={"degree_bound": 8, "windings": windings})
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "degree bound 8" in err and "Traceback" not in err
+def test_a_cyclic_block_is_validated_and_then_ignored(tmp_path, capsys):
+    """The block is checked against the schema, so a typo or a bound past the
+    schema's still exits 2; a valid one changes no section, and `all` reports
+    it ignored in a `cyclic` section of its own."""
+    block = {"degree_bound": 8, "windings": [9, -12]}  # past the bound: nothing pairs them
+    _, plain = model_section(tmp_path, "reps")
+    _, with_block = model_section(tmp_path, "reps", cyclic=block)
+    assert with_block == plain
+    manifest = lens5_manifest(tmp_path)
+    body = report_body(tmp_path, ["all", "--manifest", manifest, "--seed", "0"])
+    assert body["sections"]["cyclic"] == {"values": {}, "tolerances": {}, "metadata": {},
+                                          "warnings": [CYCLIC_IGNORED]}
+    data = json.loads(Path(manifest).read_text())
+    del data["cyclic"]
+    plain_manifest = write_manifest(tmp_path, data, "plain.json")
+    without = report_body(tmp_path, ["all", "--manifest", plain_manifest, "--seed", "0"])
+    assert "cyclic" not in without["sections"]
+    assert {k: v for k, v in body["sections"].items() if k != "cyclic"} == without["sections"]
+    for bad, message in [({"degree_bound": 513}, "cyclic/degree_bound: 513 is greater"),
+                         ({"windings": [513]}, "cyclic/windings/0: 513 is greater"),
+                         ({"winding": [1]}, "('winding' was unexpected)")]:
+        assert model_section(tmp_path, "reps", cyclic=bad)[0] == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weights", [[0.1, 10, 0.1], [10, 0.1, 10], [1, 0.5, 1]])
@@ -622,8 +684,8 @@ def test_leafwise_n_z_is_ignored_with_a_warning(tmp_path):
     assert [sec["warnings"] for sec in sections] == [[], [n_z], [truncation], [truncation, n_z]]
 
 
-# report v3: every key of every section of `all` on the shipped bench manifests
-V3_SHAPE = {
+# report v4: every key of every section of `all` on the shipped bench manifests
+V4_SHAPE = {
     "reps": (["class_count", "irreducible_count", "residuals", "trace_coordinates"],
              ["relator_residual"], ["family", "params"]),
     "torsion": (["irreducible_subtotal", "per_class", "total"], [], ["family"]),
@@ -635,23 +697,23 @@ V3_SHAPE = {
                       ["grids"]),
     "leafwise": (["betti", "log_dets", "log_t", "metric_dependent"], ["log_t_zero"],
                  ["weights"]),
-    "cyclic": (["winding_pairings"], ["winding"], ["degree_bound"]),
+    "cyclic": ([], [], []),  # the manifests' cyclic blocks are ignored
 }
 
 
 @pytest.mark.parametrize("name", ["poincare", "lens_7_2"])
-def test_report_v3_shape_on_the_bench_manifests(tmp_path, name):
+def test_report_v4_shape_on_the_bench_manifests(tmp_path, name):
     manifest = Path(__file__).resolve().parents[1] / "perfbench" / "manifests" / f"{name}.json"
     body = report_body(tmp_path, ["all", "--manifest", str(manifest), "--seed", "0"])
-    assert body["report_version"] == 3
+    assert body["report_version"] == 4
     shape = {
         sec: tuple(sorted(body["sections"][sec][part]) for part in ("values", "tolerances",
                                                                     "metadata"))
         for sec in body["sections"]
     }
-    want = {sec: tuple(parts) for sec, parts in V3_SHAPE.items()}
+    want = {sec: tuple(parts) for sec, parts in V4_SHAPE.items()}
     if name == "lens_7_2":  # not a homology sphere: casson is skipped
         want["casson"] = ([], [], [])
     assert shape == want
-    assert body["sections"]["cyclic"]["warnings"] == []
+    assert body["sections"]["cyclic"]["warnings"] == [CYCLIC_IGNORED]
     assert len(body["sections"]["leafwise"]["warnings"]) == 2  # truncation and n_z are ignored

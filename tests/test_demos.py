@@ -13,7 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 def test_demos_are_found():
-    assert len(DEMOS) >= 8
+    assert len(DEMOS) >= 7
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])

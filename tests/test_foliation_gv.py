@@ -17,7 +17,6 @@ from gv_oracles import (
     foliation,
     form_from_functions,
     integrate,
-    l2_norm,
     solve_theta,
     wedge,
 )
@@ -51,13 +50,13 @@ def omega_exp_f(n, ax=0.3, ay=0.2):
 
 
 def gv_row(omega, tol=None):
-    """(gv, theta residual, defect) of a sampled omega through the production
-    slab pass, with INTEGRABILITY_TOLERANCE set to `tol` if one is given."""
+    """(gv, defect) of a sampled omega through the production slab pass, with
+    INTEGRABILITY_TOLERANCE set to `tol` if one is given."""
     with pytest.MonkeyPatch.context() as mp:
         if tol is not None:
             mp.setattr(fg, "INTEGRABILITY_TOLERANCE", tol)
-        (_label, gv, _taut, res), defect, _warning = gv_term(foliation(omega))
-    return gv, res, defect
+        (_label, gv, _taut), defect, _warning = gv_term(foliation(omega))
+    return gv, defect
 
 
 def ring(fns, n):
@@ -120,7 +119,7 @@ def test_derivative_matches_analytic():
 
 def test_integrability_residual_discriminates():
     n = 32
-    assert gv_row(omega_exp_f(n))[2] < 1e-12
+    assert gv_row(omega_exp_f(n))[1] < 1e-12
     # the standard contact-like form is maximally non-integrable
     contact = form_from_functions(
         1,
@@ -129,40 +128,7 @@ def test_integrability_residual_discriminates():
         lambda x, y, z: np.sin(TWO_PI * z),
         lambda x, y, z: 1.0 + 0 * x,
     )
-    assert gv_row(contact, tol=np.inf)[2] > 0.1
-
-
-def test_theta_residual_is_scale_free():
-    """The theta residual is relative to |d omega|, so omega and c omega report
-    the same one: to the bit for c = 2^332, whose products round as omega's do,
-    and at roundoff for c = 10^100, which rounds each sample differently.  On
-    eps (cos(2 pi z) dx + sin(2 pi z) dy) + dz the part of d omega along omega
-    is eps times d omega, so the residual is eps.  It is taken from
-    |omega ^ d omega| / |omega|, divided before it is squared, so that it stays
-    finite at c = 10^100."""
-    n, eps = 32, 2.0**-100
-
-    def residual(c):
-        fns = (lambda x, y, z: c * eps * np.cos(TWO_PI * z),
-               lambda x, y, z: c * eps * np.sin(TWO_PI * z), lambda x, y, z: c + 0 * x)
-        return gv_row(form_from_functions(1, n, *fns), tol=np.inf)[1]
-
-    base = residual(1.0)
-    assert base == pytest.approx(eps, rel=1e-12, abs=0)
-    assert residual(2.0**332) == base
-    assert residual(1e100) == pytest.approx(base, rel=1e-12, abs=0)
-
-
-def test_theta_residual_of_an_integrable_product_form_is_zero():
-    """On f(x) dz, omega ^ d(omega) is exactly (signed) zero, and so is the
-    residual read off it; also where d omega = 0."""
-    n = 32
-
-    def residual(f):
-        return gv_row(form_from_functions(1, n, lambda x, y, z: 0 * x, lambda x, y, z: 0 * x, f))[1]
-
-    assert residual(lambda x, y, z: 2 + np.sin(TWO_PI * x)) == 0.0
-    assert residual(lambda x, y, z: 1 + 0 * x) == 0.0  # d omega = 0
+    assert gv_row(contact, tol=np.inf)[1] > 0.1
 
 
 def test_solve_theta_matches_analytic_minimal_solution():
@@ -256,9 +222,9 @@ def test_a_power_of_two_scale_changes_no_row_and_no_defect(c):
         fns = tuple((lambda a: lambda x, y, z: c * a * g(x, y, z))(a) for a in (0.3, 0.7, 1.0))
         return gv_term(FoliationSpec(fns, n, loop))
 
-    (label, gv, taut, res), defect, warning = term(1.0)
+    (label, gv, taut), defect, warning = term(1.0)
     assert taut and warning is None and 0 < defect < 1e-15
-    assert term(c) == ((label, gv, taut, res), defect, None)
+    assert term(c) == ((label, gv, taut), defect, None)
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-15, 1e-20, 2.0**-300], ids=["1", "1e-15", "1e-20", "2^-300"])
@@ -383,9 +349,7 @@ def stack_wedge(a, b):
 def cross_theta(omega, dw):
     w, v = omega.values, dw.values
     g = np.stack([v[2], -v[1], v[0]])
-    theta = np.cross(w, g, axisa=0, axisb=0).transpose(3, 0, 1, 2) / np.sum(w**2, axis=0)
-    res = l2_norm(DiscreteForm(2, v - stack_wedge(DiscreteForm(1, theta), omega)))
-    return theta, res
+    return np.cross(w, g, axisa=0, axisb=0).transpose(3, 0, 1, 2) / np.sum(w**2, axis=0)
 
 
 def dense_sample(n, *fns):
@@ -430,10 +394,8 @@ def test_theta_matches_cross_oracle(n):
     rng = np.random.default_rng(n)
     omega = DiscreteForm(1, rng.standard_normal((3, n, n, n)) + np.array([0, 0, 3.0])[:, None, None, None])
     dw = random_form(rng, 2, n)  # any 2-form: the pointwise solve does not need integrability
-    theta, res = go._theta(omega, dw, 0.0, 1e-6)
-    want_theta, want_res = cross_theta(omega, dw)
-    assert np.array_equal(theta.values, want_theta)
-    assert res == want_res
+    theta = go._theta(omega, dw, 0.0, 1e-6)
+    assert np.array_equal(theta.values, cross_theta(omega, dw))
 
 
 def test_theta_keeps_the_signed_zeros_of_np_cross():
@@ -442,9 +404,8 @@ def test_theta_keeps_the_signed_zeros_of_np_cross():
     omega = DiscreteForm(1, np.stack([np.zeros((n, n, n)), np.zeros((n, n, n)),
                                       np.exp(rng.standard_normal((n, n, n)))]))
     dw = DiscreteForm(2, rng.standard_normal((3, n, n, n)) * (rng.random((3, n, n, n)) < 0.5))
-    theta, _ = go._theta(omega, dw, 0.0, 1e-6)
-    want, _ = cross_theta(omega, dw)
-    assert np.array_equal(np.signbit(theta.values), np.signbit(want))
+    theta = go._theta(omega, dw, 0.0, 1e-6)
+    assert np.array_equal(np.signbit(theta.values), np.signbit(cross_theta(omega, dw)))
 
 
 def dense_rows(n, rows, *fns):
@@ -557,31 +518,27 @@ def random_omega(rng, n):
 
 def oracle_fields(omega, h=None):
     """The whole-grid chain in the order of `_Slab`, its differences divided by
-    2h (h the grid spacing unless one is given), and the direct theta residual
-    |d omega - theta ^ omega| / |d omega|."""
+    2h (h the grid spacing unless one is given)."""
     dw = d(omega, h)
-    theta, miss = go._theta(omega, dw, 0.0, 1.0)
+    theta = go._theta(omega, dw, 0.0, 1.0)
     dtheta = d(theta, h)
-    fields = (dw.values, wedge(omega, dw).values, go.norm_sq(omega), theta.values,
-              dtheta.values, wedge(theta, dtheta).values)
-    return fields, miss / l2_norm(dw)
+    return (dw.values, wedge(omega, dw).values, go.norm_sq(omega), theta.values,
+            dtheta.values, wedge(theta, dtheta).values)
 
 
 def streamed_row(fields, n, q=1.0):
-    """(gv, theta residual, defect) of per-cell fields, summed slab by slab in
-    the pass's order and then scaled by powers of q = 1/2h, as the pass does."""
+    """(gv, defect) of per-cell fields, summed slab by slab in the pass's order
+    and then scaled by powers of q = 1/2h, as the pass does."""
     dw_f, frob_f, norm_sq_f, _theta_f, _dtheta_f, gv_f = fields
-    frob = dw = w = miss = gv = 0.0
+    frob = dw = w = gv = 0.0
     for s in fg._slabs(n):
         frob += float(np.sum(np.square(frob_f[s])))
         dw += float(np.sum(np.square(dw_f[:, s])))
         w += float(np.sum(norm_sq_f[s]))
-        miss += float(np.sum(np.square(frob_f[s] / np.sqrt(norm_sq_f[s]))))
         gv += float(np.sum(gv_f[s]))
-    frob, dw, miss, gv = frob * q * q, dw * q * q, miss * q * q, gv * q**3
+    frob, dw, gv = frob * q * q, dw * q * q, gv * q**3
     cells = n**3
-    return (gv * (1.0 / n) ** 3, sqrt(miss / dw) if dw else 0.0,
-            sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) + 1e-30))
+    return gv * (1.0 / n) ** 3, sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) + 1e-30)
 
 
 def assert_slab_pass_matches_oracle(omega):
@@ -589,22 +546,21 @@ def assert_slab_pass_matches_oracle(omega):
     bit for bit and signed zeros included, and its row is their sums rescaled.
     That row's gv and defect are those of the oracle's fields at the grid's
     spacing bit for bit on power-of-two grids, where the rescaling is exact,
-    and to rounding elsewhere; its residual is the oracle's direct one, and
-    all three agree with the whole-grid sums to summation rounding."""
+    and to rounding elsewhere, and both agree with the whole-grid sums to
+    summation rounding."""
     n, h = omega.grid_size, omega.spacing
-    unit, _ = oracle_fields(omega, h=0.5)
+    unit = oracle_fields(omega, h=0.5)
     for got, want in zip(slab_fields(omega), unit):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
-    got_gv, got_res, got_defect = gv_row(omega, tol=np.inf)
-    assert (got_gv, got_res, got_defect) == streamed_row(unit, n, q=n / 2)
-    fields, res = oracle_fields(omega)
-    want_gv, _res, want_defect = streamed_row(fields, n)
+    got_gv, got_defect = gv_row(omega, tol=np.inf)
+    assert (got_gv, got_defect) == streamed_row(unit, n, q=n / 2)
+    fields = oracle_fields(omega)
+    want_gv, want_defect = streamed_row(fields, n)
     if n & (n - 1) == 0:
         assert (got_gv, got_defect) == (want_gv, want_defect)
     assert got_gv == pytest.approx(want_gv, rel=1e-12, abs=0)
     assert got_defect == pytest.approx(want_defect, rel=1e-12, abs=0)
-    assert got_res == pytest.approx(res, rel=1e-12, abs=0)
     dw, defect = go._frobenius(omega)
     gv = fields[-1]
     assert got_defect == pytest.approx(defect, rel=1e-12, abs=0)
@@ -702,7 +658,7 @@ def test_gv_term_scratch_is_a_few_dozen_slab_blocks(traced_peak, n):
     is 0.75 (one chunk), 6 and 6.75 MiB."""
     fns = [compile_expr(s) for s in json.loads(LENS_7_2.read_text())["foliations"][0]["omega"]]
     spec = FoliationSpec(tuple(fns), n, tuple((0, 0, k) for k in range(n)))
-    ((_label, _gv, taut, _res), _defect, _warning), peak = traced_peak(gv_term, spec)
+    ((_label, _gv, taut), _defect, _warning), peak = traced_peak(gv_term, spec)
     rows, omega = fg._slab_rows(n), ring(fns, n)
     block = 8 * rows * n * n
     pass_bytes = (8 + 3 * (2 + (rows == 1)) + 7 + 3) * block
@@ -921,8 +877,8 @@ def test_errors_come_in_the_order_singular_tautness_integrability():
         gv_term(FoliationSpec(inf_x, n, loop_z), strict=True)
     with pytest.raises(TautnessError, match="tautness"):
         gv_term(FoliationSpec(contact_fns(), n, loop_x_at_quarter_z), strict=True)
-    (_label, gv, taut, res), defect, warning = gv_term(FoliationSpec(contact_fns(), n,
-                                                                     loop_x_at_quarter_z))
-    assert (gv, taut, res) == (None, False, None) and defect > 0.1 and "excluded" in warning
+    (_label, gv, taut), defect, warning = gv_term(FoliationSpec(contact_fns(), n,
+                                                                loop_x_at_quarter_z))
+    assert (gv, taut) == (None, False) and defect > 0.1 and "excluded" in warning
     with pytest.raises(ValueError, match="not integrable"):
         gv_term(FoliationSpec(contact_fns(), n, tuple((k, 0, 0) for k in range(n))))

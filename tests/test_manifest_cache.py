@@ -147,8 +147,8 @@ def test_shipped_manifests_validate():
      ({"degree_bound": 8, "windings": [2**70]}, "is greater than the maximum of 512")],
 )
 def test_windings_are_bounded(block, message):
-    """At most one winding per mode of the largest degree bound, each within it,
-    so no winding allocates a trig polynomial past the largest cochain."""
+    """At most one winding per mode of the largest degree bound, each within it:
+    the ignored `cyclic` block keeps the bounds it had."""
     validate_manifest(minimal(cyclic={"windings": list(range(-512, 513))}))
     with pytest.raises(ManifestError, match=message):
         validate_manifest(minimal(cyclic=block))

@@ -332,6 +332,20 @@ def test_torsion_sum_reports_finiteness_note():
     assert result.total > 0
 
 
+@pytest.mark.parametrize("params, order", [((7, 2), 7), ((5, 1), 5), ((101, 13), 101)])
+def test_the_trivial_class_torsion_is_exactly_the_order_of_h1_squared(params, order):
+    """t of the trivial class is |H_1|^2 computed in integers, not exp(2 log
+    |H_1|), which reads 48.99999999999999 at L(7,2); its log_t stays 2 log
+    |H_1|."""
+    pres = builtin_presentation("Lens", *params)
+    result = torsion_sum(pres, enumerate_reps(pres))
+    (trivial,) = [res for _tc, res, _irr in result.per_class if not res.acyclic]
+    assert trivial.t == float(order**2)
+    assert trivial.log_t == 2.0 * math.log(order)
+    if params == (7, 2):
+        assert result.total == 50.0  # 7^2 + 1
+
+
 def test_unsupported_family_errors():
     """cw_structure refuses a presentation without a 3-cell; torsion_sum needs
     none, and leaves out only the trivial class and the total there."""
