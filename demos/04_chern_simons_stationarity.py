@@ -31,20 +31,20 @@ print(f"|F| (curvature)         : {rep.curvature_norm:.4f}  -> not stationary")
 print("\n=== A flat connection is stationary ===")
 coeffs = np.zeros((3, 4, 4, 4, 3))
 coeffs[2, ..., 2] = 0.37  # constant abelian field along dz
-flat = LatticeConnection.from_coefficients(coeffs)
+flat = LatticeConnection(coeffs)
 print(f"|F|      = {np.linalg.norm(curvature(flat)):.2e}")
 print(f"|grad S| = {np.linalg.norm(action_gradient(flat)):.2e}")
 
 print("\n=== Directional derivatives converge at second order ===")
 rng = np.random.default_rng(4)
-v = rng.standard_normal(conn.coefficients().shape)
+c0 = conn.components  # i * Pauli coefficients, (direction, x, y, z, basis element)
+v = rng.standard_normal(c0.shape)
 v /= np.linalg.norm(v)
 exact = float(np.sum(action_gradient(conn) * v))
-c0 = conn.coefficients()
 prev = None
 for h in (0.4, 0.2, 0.1, 0.05):
-    sp = cs_action(LatticeConnection.from_coefficients(c0 + h * v))
-    sm = cs_action(LatticeConnection.from_coefficients(c0 - h * v))
+    sp = cs_action(LatticeConnection(c0 + h * v))
+    sm = cs_action(LatticeConnection(c0 - h * v))
     err = abs((sp - sm) / (2 * h) - exact)
     order = f"  order {np.log2(prev / err):.2f}" if prev else ""
     print(f"  h = {h:<5} error = {err:.3e}{order}")

@@ -1,47 +1,46 @@
 """Lattice Chern-Simons functional on the periodic 3-grid.
 
-Connections are su(2)-valued 1-cochains, stored as pure quaternions in the
-convention of `su2` (matrix product = `qmul`, matrix trace = `qtrace`); the
-wedge is the cubical cup product (front-face / back-face with shuffle signs),
-which obeys the Leibniz rule exactly and makes the action an exact polynomial
-(quadratic + cubic) in the field.  The gradient is the closed-form adjoint of
-d and of the cup products; `stationarity_check` confirms it against central
-differences of the action along a few fixed random directions.
+Connections are su(2)-valued 1-cochains, stored as coefficients in the
+i * Pauli basis E0, E1, E2: the quaternion units j, i, k of `su2`, a
+left-handed frame, so a product uv of su(2) elements has real part -u.v and
+vector part v x u.  The wedge is the cubical cup product (front-face /
+back-face with shuffle signs), which obeys the Leibniz rule exactly and makes
+the action an exact polynomial (quadratic + cubic) in the field.  The
+gradient is the closed-form adjoint of d and of the cup products;
+`stationarity_check` confirms it against central differences of the action
+along a few fixed random directions.
 
 `stationarity_check` computes dA and A cup A of the field once and reads the
 action, the gradient and the curvature F = dA + A cup A off them.  The kernels
 take whole cochains, with any leading batch axes: a shift is two slice
-copies, d takes one shift per axis, and a cup product one `qmul` per axis (A_i
-against the two other directions of B, shifted along i; on large grids a
-chunk of grid rows at a time).  Every product and sum keeps the operands and
-the order of the plaquette-by-plaquette forms in `tests/cs_oracles.py`, so
-the results equal theirs bit for bit.
+copies, d takes one shift per axis, and a cup product one product per axis
+(A_i against the two other directions of B, shifted along i; on large grids a
+chunk of grid rows at a time).  Only the curvature reads the real part of
+A cup A.  Every product and sum keeps the operands and the order of the
+quaternion forms in `tests/cs_oracles.py`, so the results equal theirs bit
+for bit, apart from the signs of zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .su2 import qmul
-
 _PAIRS = ((0, 1), (0, 2), (1, 2))
-
-# quaternion slot of each su(2) basis coefficient (i * Pauli): E0 -> c, E1 -> b, E2 -> d
-_COEFF_SLOTS = [2, 1, 3]
 
 # directions along which stationarity_check differentiates the action
 FD_DIRECTIONS = 8
 
 # Bytes of perturbed fields per batched action call in stationarity_check.  A
-# call's temporaries peak near three times its batch.  At 1 MiB grids up to 8
-# take all 2 * FD_DIRECTIONS actions in one call, and grid 64 (25 MB per
+# call's temporaries peak near three times its batch.  At 1 MiB grids up to 9
+# take all 2 * FD_DIRECTIONS actions in one call, and grid 64 (19 MB per
 # field) takes one field per call.
 _BATCH_BYTES = 1 << 20
 
-# Bytes of shifted operand per qmul in cup_11; larger products go a chunk of
-# grid rows at a time.
+# Bytes of shifted operand per product in cup_11; larger products go a chunk
+# of grid rows at a time.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -53,19 +52,16 @@ class ConnectionError_(ValueError):
 class LatticeConnection:
     """su(2)-valued 1-cochain on an n^3 periodic grid over the unit 3-torus.
 
-    components: real array (3, n, n, n, 4) of pure quaternions, index order
-    (direction, x, y, z, quaternion slot).
+    components: real array (3, n, n, n, 3) of coefficients in the i * Pauli
+    basis, index order (direction, x, y, z, basis element).
     """
 
     components: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.components, dtype=float)
-        if a.ndim != 5 or a.shape[0] != 3 or a.shape[4] != 4 or len(set(a.shape[1:4])) != 1:
-            raise ConnectionError_("expected shape (3, n, n, n, 4)")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a[..., 0])) > 1e-12 * scale:
-            raise ConnectionError_("components must be pure quaternions (traceless)")
+        if a.ndim != 5 or a.shape[0] != 3 or a.shape[4] != 3 or len(set(a.shape[1:4])) != 1:
+            raise ConnectionError_("expected shape (3, n, n, n, 3)")
         object.__setattr__(self, "components", a)
 
     @property
@@ -76,29 +72,29 @@ class LatticeConnection:
     def spacing(self) -> float:
         return 1.0 / self.grid_size
 
-    def coefficients(self) -> np.ndarray:
-        """Real coordinates in the i * Pauli basis of su(2), shape (3, n, n, n, 3)."""
-        return self.components[..., _COEFF_SLOTS]
-
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "LatticeConnection":
-        coeffs = np.asarray(coeffs, dtype=float)
-        comp = np.zeros(coeffs.shape[:-1] + (4,))
-        comp[..., _COEFF_SLOTS] = coeffs
-        return cls(comp)
-
     @classmethod
     def zero(cls, n: int) -> "LatticeConnection":
-        return cls(np.zeros((3, n, n, n, 4)))
+        return cls(np.zeros((3, n, n, n, 3)))
 
     @classmethod
     def random(cls, n: int, scale: float = 0.1, seed: int = 0) -> "LatticeConnection":
         rng = np.random.default_rng(seed)
-        return cls.from_coefficients(scale * rng.standard_normal((3, n, n, n, 3)))
+        return cls(scale * rng.standard_normal((3, n, n, n, 3)))
+
+
+def _vector_part(u, v):
+    """Vector part of the product of su(2) elements u, v (..., 3), in `qmul`'s order."""
+    (u0, u1, u2), (v0, v1, v2) = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
+    return np.stack([u2 * v1 - u1 * v2, u0 * v2 - u2 * v0, u1 * v0 - u0 * v1], axis=-1)
+
+
+def _real_part(u, v):
+    """Real part of the product of su(2) elements u, v (..., 3), in `qmul`'s order."""
+    return -(u[..., 1] * v[..., 1]) - u[..., 0] * v[..., 0] - u[..., 2] * v[..., 2]
 
 
 # per grid axis, the index of all points but the last, all but the first, the
-# last and the first of a per-direction field (..., n, n, n, 4)
+# last and the first of a per-direction field (..., n, n, n, 3)
 _CUTS = tuple(
     tuple((Ellipsis, part) + (slice(None),) * (3 - axis)
           for part in (slice(None, -1), slice(1, None), slice(-1, None), slice(None, 1)))
@@ -117,7 +113,7 @@ _PLAQUETTES = tuple(
 
 
 def _fwd(f, axis, out=None):
-    """Value at x + e_axis of a per-direction field (..., n, n, n, 4), by two
+    """Value at x + e_axis of a per-direction field (..., n, n, n, 3), by two
     slice copies into `out` (a new array if None); grid axes 0..2 are counted
     from the end, so leading batch axes pass through."""
     init, tail, last, first = _CUTS[axis]
@@ -137,7 +133,7 @@ def _back(f, axis, out=None):
 
 
 def _comp(a, i):
-    """Component i (an index or a slice) of a cochain (..., 3, n, n, n, 4):
+    """Component i (an index or a slice) of a cochain (..., 3, n, n, n, 3):
     leading axes are a batch, then comes the direction (1-cochains) or
     plaquette (2-cochains) index."""
     return a[..., i, :, :, :, :]
@@ -163,11 +159,10 @@ def d_one(a, h: float):
 
 
 def cup_11(a, b):
-    """Cup product of two 1-cochains into a 2-cochain (component order (01, 02,
-    12)): (A cup B)_ij = A_i B_j(x + e_i) - A_j B_i(x + e_j), by one qmul per
-    axis i of A_i against the two other directions of B, shifted along i.
-    Past `_CHUNK_BYTES` of shifted operand, each qmul goes over chunks of grid
-    rows (x), whose operands stay in cache."""
+    """Vector part of the cup product of two 1-cochains (component order (01,
+    02, 12)): (A cup B)_ij = A_i B_j(x + e_i) - A_j B_i(x + e_j), by one
+    product per axis i of A_i against the two other directions of B, shifted
+    along i, over chunks of grid rows (x) past `_CHUNK_BYTES` of operand."""
     out = np.empty_like(a)
     n = a.shape[-4]
     for i in range(3):
@@ -175,7 +170,7 @@ def cup_11(a, b):
         rows = max(1, _CHUNK_BYTES * n // shifted.nbytes)
         for x in range(0, n, rows):
             chunk = np.s_[..., x : x + rows, :, :, :]
-            prod = qmul(_comp(a, slice(i, i + 1))[chunk], shifted[chunk])
+            prod = _vector_part(_comp(a, slice(i, i + 1))[chunk], shifted[chunk])
             for r, c, _k, first in _PLAQUETTES[i]:
                 oc = _comp(out, c)[chunk]
                 if first:
@@ -185,19 +180,20 @@ def cup_11(a, b):
     return out
 
 
-def _qmul_real(p, q):
-    """Real part of qmul(p, q), by the same operations in the same order."""
-    return p[..., 0] * q[..., 0] - p[..., 1] * q[..., 1] - p[..., 2] * q[..., 2] - p[..., 3] * q[..., 3]
+def cup_11_real(a, b):
+    """Real part of the cup product of two 1-cochains, (..., 3, n, n, n)."""
+    return np.stack([_real_part(_comp(a, i), _fwd(_comp(b, j), i))
+                     - _real_part(_comp(a, j), _fwd(_comp(b, i), j)) for i, j in _PAIRS], axis=-4)
 
 
 def cup_12_real(a, b):
-    """Real part of the cup product of a 1-cochain with a 2-cochain, a 3-cochain
-    whose matrix trace (`qtrace`) is twice it; the action reads nothing else."""
+    """Real part of the cup product of a 1-cochain with a 2-cochain's vector
+    part, a 3-cochain whose matrix trace is twice it; the action reads nothing else."""
     # partitions of (0,1,2): {0}+(1,2) sign +, {1}+(0,2) sign -, {2}+(0,1) sign +
     return (
-        _qmul_real(_comp(a, 0), _fwd(_comp(b, 2), 0))
-        - _qmul_real(_comp(a, 1), _fwd(_comp(b, 1), 1))
-        + _qmul_real(_comp(a, 2), _fwd(_comp(b, 0), 2))
+        _real_part(_comp(a, 0), _fwd(_comp(b, 2), 0))
+        - _real_part(_comp(a, 1), _fwd(_comp(b, 1), 1))
+        + _real_part(_comp(a, 2), _fwd(_comp(b, 0), 2))
     )
 
 
@@ -208,7 +204,7 @@ def _integral(dens_da, dens_aa, h: float, level: float):
 
 
 def _actions(a, h: float, level: float):
-    """The action of each field in a batch (..., 3, n, n, n, 4), shape (...)."""
+    """The action of each field in a batch (..., 3, n, n, n, 3), shape (...)."""
     if a.shape[-2] < 4:
         raise ConnectionError_("grid size must be at least 4")
     return _integral(cup_12_real(a, d_one(a, h)), cup_12_real(a, cup_11(a, a)), h, level)
@@ -238,7 +234,7 @@ def _w_slot_gradient(g, a, h: float, level: float):
 
     H, per plaquette (01, 02, 12), is the derivative of T(A, V) in V under the
     trace pairing; the adjoints of d and of the cup products apply to it.  The
-    four products of each plaquette go in two qmuls: H against the directions
+    four products of each plaquette go in two calls: H against the directions
     i, j of A, and A_j(x + e_i), A_i(x + e_j) against H."""
     hmat = np.empty_like(a)
     for c in range(3):
@@ -246,7 +242,7 @@ def _w_slot_gradient(g, a, h: float, level: float):
     np.negative(_comp(hmat, 1), out=_comp(hmat, 1))
     for c, (i, j) in enumerate(_PAIRS):
         hc, gi, gj = _comp(hmat, c), _comp(g, i), _comp(g, j)
-        # d/dW of T(A, dW): adjoint of d applied to the V-slot quaternions
+        # d/dW of T(A, dW): adjoint of d applied to the V-slot coefficients
         gj += (_back(hc, i) - hc) / h
         gi -= (_back(hc, j) - hc) / h
         # d/dW of T(A, W cup A) and of T(A, A cup W)
@@ -254,15 +250,15 @@ def _w_slot_gradient(g, a, h: float, level: float):
         _fwd(_comp(a, j), i, out=_comp(left, 0))
         _fwd(_comp(a, i), j, out=_comp(left, 1))
         hp = _comp(hmat, slice(c, c + 1))  # H against a pair
-        ah = qmul(left, hp)  # A_j(x + e_i) H, A_i(x + e_j) H
+        ah = _vector_part(left, hp)  # A_j(x + e_i) H, A_i(x + e_j) H
         del left
-        ha = qmul(hp, _comp(a, _OTHER[2 - c]))  # H A_i, H A_j
+        ha = _vector_part(hp, _comp(a, _OTHER[2 - c]))  # H A_i, H A_j
         gi += (2.0 / 3.0) * (_comp(ah, 0) - _back(_comp(ha, 1), j))
         gj -= (2.0 / 3.0) * (_comp(ah, 1) - _back(_comp(ha, 0), i))
         del ah, ha  # not held through the next plaquette's products
 
-    # derivative along basis element e_k: tr(e_k G) = -2 <e_k, G>
-    return (-0.5 * level * h**3) * g[..., _COEFF_SLOTS]
+    # derivative along basis element E_k: tr(E_k G) = -2 G_k
+    return np.multiply(g, -0.5 * level * h**3, out=g)
 
 
 def action_gradient(conn: LatticeConnection, level: float = 1.0) -> np.ndarray:
@@ -284,9 +280,9 @@ class StationarityReport:
     agreement: float
 
 
-def _batch_fields(n: int) -> int:
-    """Perturbed fields per batched action call at grid size n."""
-    return max(1, _BATCH_BYTES // (3 * n**3 * 4 * 8))
+def _batch_fields(a) -> int:
+    """Perturbed fields per batched action call for fields like a."""
+    return max(1, _BATCH_BYTES // a.nbytes)
 
 
 def stationarity_check(conn: LatticeConnection, step: float = 1e-4, level: float = 1.0) -> StationarityReport:
@@ -295,44 +291,34 @@ def stationarity_check(conn: LatticeConnection, step: float = 1e-4, level: float
     directions, both reported against the curvature norm (flat <=>
     stationary).
 
-    dA and A cup A are computed once: the action, the U-slot part of the
+    dA and A cup A are computed once, the action, the U-slot part of the
     gradient and the curvature F = dA + A cup A are read off them, and both
-    are released before the perturbed fields are built.  The 2 *
-    FD_DIRECTIONS perturbed actions are evaluated in batches of
-    `_batch_fields` fields; each is bit-identical to the action of that field
-    alone."""
+    are released before the 2 * FD_DIRECTIONS perturbed actions are evaluated,
+    `_batch_fields` fields per call, each bit-identical to that field's own."""
     if not (1e-6 <= step <= 1e-3):
         raise ValueError("finite-difference step must lie in [1e-6, 1e-3]")
     a, h = conn.components, conn.spacing
     da, aa = d_one(a, h), cup_11(a, a)
     action = float(_integral(cup_12_real(a, da), cup_12_real(a, aa), h, level))
     g = _u_slot_gradient(da, aa)
-    # Frobenius norm of F in the 2x2 matrices of `su2`'s convention: sqrt(2) |q|
-    curvature_norm = float(np.sqrt(2.0) * np.linalg.norm(np.add(da, aa, out=da)))
-    del da, aa
+    f, re = np.add(da, aa, out=da), cup_11_real(a, a)  # Frobenius |F|^2 = 2 |(Re F, f)|^2
+    curvature_norm = float(np.sqrt(2.0 * (np.vdot(f, f) + np.vdot(re, re))))
+    del da, aa, f, re
     g = _w_slot_gradient(g, a, h, level)
-    c0 = conn.coefficients()
     rng = np.random.default_rng(0)
     exact = []
 
     def perturbed():
         for _ in range(FD_DIRECTIONS):
-            v = rng.standard_normal(c0.shape)
+            v = rng.standard_normal(a.shape)
             v /= np.linalg.norm(v)
             exact.append(np.sum(g * v))
-            yield c0 + step * v
-            yield c0 - step * v
+            yield a + step * v
+            yield a - step * v
 
-    fields, total, per_call = perturbed(), 2 * FD_DIRECTIONS, _batch_fields(conn.grid_size)
-
-    def batch_actions(size):
-        batch = np.zeros((size,) + a.shape)
-        for comp in batch:
-            comp[..., _COEFF_SLOTS] = next(fields)
-        return _actions(batch, h, level)
-
-    actions = np.concatenate([batch_actions(min(per_call, total - lo))
-                              for lo in range(0, total, per_call)])
+    fields, per_call = perturbed(), _batch_fields(a)
+    actions = np.concatenate([_actions(np.stack([*islice(fields, per_call)]), h, level)
+                              for _ in range(0, 2 * FD_DIRECTIONS, per_call)])
     fd = (actions[0::2] - actions[1::2]) / (2 * step)
     agreement = np.linalg.norm(fd - exact) / max(np.linalg.norm(exact), 1e-14)
     return StationarityReport(

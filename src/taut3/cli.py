@@ -18,6 +18,8 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -39,7 +41,6 @@ from .su2reps import (
     RegularityError,
     casson_count,
     enumerate_reps,
-    require_finite_moduli,
 )
 from .twisted_torsion import adjoint_h1_dims, torsion_sum
 
@@ -83,7 +84,6 @@ def run_reps(run: Run, report: InvariantReport):
 
 
 def run_torsion(run: Run, report: InvariantReport):
-    require_finite_moduli(run.presentation)  # refuse before the moduli are enumerated
     m, result = run.m, torsion_sum(run.presentation, run.moduli)
     sec = report.section("torsion")
     sums = {"total": result.total, "irreducible_subtotal": result.irreducible_subtotal}
@@ -228,12 +228,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_path_error(path: Path) -> OSError | None:
+    """The OSError that writing the report to `path` would raise because it is
+    a directory or its parent is not, found without creating or truncating it."""
+    code = (errno.EISDIR if path.is_dir() else errno.ENOENT if not path.parent.exists()
+            else errno.ENOTDIR if not path.parent.is_dir() else 0)
+    return OSError(code, os.strerror(code), str(path)) if code else None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         m = load_manifest(args.manifest)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+    out_path = args.out or m.output
+    unwritable = out_path and _report_path_error(Path(out_path))
+    if unwritable:  # before any pipeline runs; the write below may still fail
+        print(f"error: cannot write the report: {unwritable}", file=sys.stderr)
         return EXIT_USAGE
 
     run = Run(m, args)
@@ -263,7 +277,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TAUTNESS
 
-    out_path = args.out or m.output
     if out_path:
         try:
             Path(out_path).write_text(report.to_json())

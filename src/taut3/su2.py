@@ -43,9 +43,9 @@ def qpow(q, n: int):
     while n:
         if n & 1:
             out = qmul(out, base)
-        base_sq = qmul(base, base)
-        base = base_sq
         n >>= 1
+        if n:
+            base = qmul(base, base)
     return out
 
 

@@ -4,11 +4,13 @@
 one field.  `taut3` no longer calls them: `stationarity_check` reads both off
 the dA and A cup A that it computes once.
 
-The `roll_*` functions are the kernels as first written: one `np.roll` per
-shift and one `qmul` per product, plaquette by plaquette.  The package's
-kernels shift by slice copies and take one `qmul` per axis (two products per
-call); every product and sum keeps its operands and its order, so they match
-these bit for bit.  All of them take a leading batch axis.
+The `roll_*` functions are the kernels as first written: fields of pure
+quaternions in the convention of `su2` (`embed`), one `np.roll` per shift and
+one `su2.qmul` per product, plaquette by plaquette.  The package's kernels
+take the i * Pauli coefficients, shift by slice copies and take one product
+per axis, without the quaternions' zero slot; every product and sum keeps its
+operands and its order, so they match these bit for bit, apart from the signs
+of zeros.  All of them take a leading batch axis.
 """
 
 import numpy as np
@@ -19,6 +21,22 @@ from taut3.su2 import qmul
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
+# quaternion slot of each su(2) basis coefficient (i * Pauli): E0 -> c, E1 -> b, E2 -> d
+COEFF_SLOTS = [2, 1, 3]
+
+
+def embed(c):
+    """The pure quaternions (..., 4) of coefficient vectors c (..., 3)."""
+    q = np.zeros(np.shape(c)[:-1] + (4,))
+    q[..., COEFF_SLOTS] = c
+    return q
+
+
+def coefficients(q):
+    """The coefficient vectors (..., 3) of the vector parts of quaternions
+    (..., 4), C-contiguous like the package's arrays."""
+    return np.ascontiguousarray(q[..., COEFF_SLOTS])
+
 
 def cs_action(conn: LatticeConnection, level: float = 1.0) -> float:
     """(k/4) integral of tr[A ^ dA + (2/3) A ^ A ^ A] over the grid torus."""
@@ -26,9 +44,12 @@ def cs_action(conn: LatticeConnection, level: float = 1.0) -> float:
 
 
 def curvature(conn: LatticeConnection) -> np.ndarray:
-    """F = dA + A cup A on plaquettes; quaternions of shape (3, n, n, n, 4)."""
+    """F = dA + A cup A on plaquettes, from the package's kernels; quaternions
+    of shape (3, n, n, n, 4)."""
     a = conn.components
-    return cs.d_one(a, conn.spacing) + cs.cup_11(a, a)
+    f = embed(cs.d_one(a, conn.spacing) + cs.cup_11(a, a))
+    f[..., 0] = cs.cup_11_real(a, a)
+    return f
 
 
 def roll_fwd(f, axis):
@@ -64,11 +85,10 @@ def roll_cup_11(a, b):
 
 
 def roll_cup_12_real(a, b):
-    qmul_real = cs._qmul_real
     return (
-        qmul_real(comp(a, 0), roll_fwd(comp(b, 2), 0))
-        - qmul_real(comp(a, 1), roll_fwd(comp(b, 1), 1))
-        + qmul_real(comp(a, 2), roll_fwd(comp(b, 0), 2))
+        qmul(comp(a, 0), roll_fwd(comp(b, 2), 0))[..., 0]
+        - qmul(comp(a, 1), roll_fwd(comp(b, 1), 1))[..., 0]
+        + qmul(comp(a, 2), roll_fwd(comp(b, 0), 2))[..., 0]
     )
 
 
@@ -99,19 +119,21 @@ def roll_gradient(a, h, level):
         gi -= (roll_back(hc, j) - hc) / h
         gi += (2.0 / 3.0) * (qmul(roll_fwd(aj, i), hc) - roll_back(qmul(hc, aj), j))
         gj -= (2.0 / 3.0) * (qmul(roll_fwd(ai, j), hc) - roll_back(qmul(hc, ai), i))
-    return (-0.5 * level * h**3) * g[..., cs._COEFF_SLOTS]
+    return (-0.5 * level * h**3) * coefficients(g)
 
 
 def loop_stationarity_check(conn: LatticeConnection, step: float = 1e-4, level: float = 1.0):
     """`stationarity_check` as first written, on the roll kernels: one action
     call per perturbed field, directions drawn in the same order, and the
-    action, gradient and curvature each computed from the field afresh."""
-    a, h = conn.components, conn.spacing
+    action, gradient and curvature each computed from the field afresh.  The
+    norms are taken as the package takes them: the coefficients in C order,
+    and the curvature's real part apart."""
+    c0, h = conn.components, conn.spacing
+    a = embed(c0)
     g = roll_gradient(a, h, level)
-    c0 = conn.coefficients()
 
     def action_at(c):
-        return float(roll_actions(LatticeConnection.from_coefficients(c).components, h, level))
+        return float(roll_actions(embed(c), h, level))
 
     rng = np.random.default_rng(0)
     fd, exact = [], []
@@ -121,9 +143,11 @@ def loop_stationarity_check(conn: LatticeConnection, step: float = 1e-4, level: 
         fd.append((action_at(c0 + step * v) - action_at(c0 - step * v)) / (2 * step))
         exact.append(np.sum(g * v))
     agreement = np.linalg.norm(np.subtract(fd, exact)) / max(np.linalg.norm(exact), 1e-14)
+    f = roll_curvature(a, h)
+    fc, re = coefficients(f), np.ascontiguousarray(f[..., 0])
     return StationarityReport(
         action=float(roll_actions(a, h, level)),
         grad_norm=float(np.linalg.norm(g)),
-        curvature_norm=float(np.sqrt(2.0) * np.linalg.norm(roll_curvature(a, h))),
+        curvature_norm=float(np.sqrt(2.0 * (np.vdot(fc, fc) + np.vdot(re, re)))),
         agreement=float(agreement),
     )

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from cs_oracles import (
+    coefficients,
+    comp,
     cs_action,
     curvature,
+    embed,
     loop_stationarity_check,
     roll_actions,
     roll_cup_11,
+    roll_cup_12_real,
     roll_curvature,
     roll_d_one,
+    roll_fwd,
     roll_gradient,
 )
 from su2_oracles import to_matrix
@@ -35,7 +40,7 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 def _gradient_scan(conn: LatticeConnection, level: float, step: float, richardson: bool):
     """Per-coefficient derivative scan; one action evaluation per perturbation."""
-    coeffs = conn.coefficients()
+    coeffs = conn.components
     grad = np.empty_like(coeffs)
     ts = (step, -step, 2 * step, -2 * step) if richardson else (step, -step)
     for idx in np.ndindex(*coeffs.shape):
@@ -43,7 +48,7 @@ def _gradient_scan(conn: LatticeConnection, level: float, step: float, richardso
         for t in ts:
             c2 = coeffs.copy()
             c2[idx] += t
-            vals[t] = cs_action(LatticeConnection.from_coefficients(c2), level)
+            vals[t] = cs_action(LatticeConnection(c2), level)
         d1 = (vals[step] - vals[-step]) / (2 * step)
         if richardson:
             d2 = (vals[2 * step] - vals[-2 * step]) / (4 * step)
@@ -71,7 +76,7 @@ def naive_action(conn: LatticeConnection, level: float = 1.0) -> float:
     coefficients, indexes the grid site by site and writes out the cup
     products from their face definitions.
     """
-    a = np.einsum("dxyzk,kab->dxyzab", conn.coefficients(), SU2_BASIS)
+    a = np.einsum("dxyzk,kab->dxyzab", conn.components, SU2_BASIS)
     n = conn.grid_size
     h = conn.spacing
 
@@ -125,24 +130,23 @@ def test_action_matches_naive_loop_oracle(conn):
 
 
 def test_connection_validation():
-    bad = np.zeros((3, 4, 4, 4, 4))
-    bad[0, 0, 0, 0, 0] = 1.0  # real part: the identity direction, not in su(2)
     with pytest.raises(ConnectionError_):
-        LatticeConnection(bad)
+        LatticeConnection(np.zeros((3, 4, 4, 4, 4)))  # quaternions, not su(2) coefficients
     with pytest.raises(ConnectionError_):
         LatticeConnection(np.zeros((3, 4, 4, 4)))
     with pytest.raises(ConnectionError_):
-        LatticeConnection(np.zeros((3, 4, 4, 5, 4)))
+        LatticeConnection(np.zeros((3, 4, 4, 5, 3)))
     with pytest.raises(ConnectionError_):
         cs_action(LatticeConnection.zero(2))  # grid too small
 
 
 def test_coefficients_roundtrip(conn):
-    back = LatticeConnection.from_coefficients(conn.coefficients())
-    assert np.array_equal(back.components, conn.components)
-    # the stored quaternions are the matrices sum_k coeff_k E_k
-    mats = np.einsum("dxyzk,kab->dxyzab", conn.coefficients(), SU2_BASIS)
-    assert np.max(np.abs(to_matrix(conn.components) - mats)) < 1e-15
+    """The oracles' quaternions of the stored coefficients are the matrices
+    sum_k coeff_k E_k, and give the coefficients back."""
+    quaternions = embed(conn.components)
+    assert np.array_equal(coefficients(quaternions), conn.components)
+    mats = np.einsum("dxyzk,kab->dxyzab", conn.components, SU2_BASIS)
+    assert np.max(np.abs(to_matrix(quaternions) - mats)) < 1e-15
 
 
 def test_action_is_an_exact_cubic_polynomial():
@@ -182,7 +186,7 @@ def test_flat_connections_are_stationary():
     # constant field in a single su(2) direction: commuting, flat
     coeffs = np.zeros((3, n, n, n, 3))
     coeffs[2, ..., 2] = 0.37
-    const = LatticeConnection.from_coefficients(coeffs)
+    const = LatticeConnection(coeffs)
     assert np.linalg.norm(curvature(const)) < 1e-12
     scale = max(np.max(np.abs(const.components)), 1e-30)
     assert np.linalg.norm(action_gradient(const)) < 1e-6 * scale
@@ -194,13 +198,13 @@ def test_fd_convergence_order():
     along single coordinates the cubic vanishes and the error is roundoff)."""
     conn = LatticeConnection.random(4, scale=0.2, seed=9)
     rng = np.random.default_rng(4)
-    v = rng.standard_normal(conn.coefficients().shape)
+    c0 = conn.components
+    v = rng.standard_normal(c0.shape)
     v /= np.linalg.norm(v)
-    c0 = conn.coefficients()
     exact = float(np.sum(action_gradient(conn) * v))
 
     def s(t):
-        return cs_action(LatticeConnection.from_coefficients(c0 + t * v))
+        return cs_action(LatticeConnection(c0 + t * v))
 
     errs = []
     for step in (2e-1, 1e-1):
@@ -247,8 +251,8 @@ def test_batched_actions_equal_single_actions(n):
         fields = np.stack([LatticeConnection.random(n, scale, seed + k).components for k in range(3)])
         batch = chern_simons._actions(fields, 1.0 / n, level)
         assert batch.shape == (3,)
-        for got, comp in zip(batch, fields):
-            assert got == cs_action(LatticeConnection(comp), level)
+        for got, field in zip(batch, fields):
+            assert got == cs_action(LatticeConnection(field), level)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
@@ -260,11 +264,10 @@ def test_batched_check_equals_the_loop_of_single_actions(n):
 
 @pytest.mark.parametrize("per_call", [1, 3, 5, 15])
 def test_chunked_batches_equal_the_loop(monkeypatch, count_calls, per_call):
-    n = 5
-    field_bytes = 3 * n**3 * 4 * 8
+    conn = LatticeConnection.random(5, 0.3, 2)
+    field_bytes = conn.components.nbytes
     monkeypatch.setattr(chern_simons, "_BATCH_BYTES", per_call * field_bytes + field_bytes // 2)
-    assert chern_simons._batch_fields(n) == per_call
-    conn = LatticeConnection.random(n, 0.3, 2)
+    assert chern_simons._batch_fields(conn.components) == per_call
     want = loop_stationarity_check(conn, level=-2.0)
     calls = count_calls("_actions", chern_simons)
     assert stationarity_check(conn, level=-2.0) == want
@@ -274,8 +277,11 @@ def test_chunked_batches_equal_the_loop(monkeypatch, count_calls, per_call):
 
 
 def test_batch_sizes_at_the_grid_bounds():
-    assert chern_simons._batch_fields(8) >= 2 * chern_simons.FD_DIRECTIONS  # one call
-    assert chern_simons._batch_fields(64) == 1  # a 25 MB field per call
+    def fields_per_call(n):
+        return chern_simons._batch_fields(LatticeConnection.zero(n).components)
+
+    assert fields_per_call(8) >= 2 * chern_simons.FD_DIRECTIONS  # one call
+    assert fields_per_call(64) == 1  # a 19 MB field per call
 
 
 def test_batched_check_rejects_small_grids():
@@ -288,16 +294,16 @@ def test_batched_check_rejects_small_grids():
 def cup_12(a, b):
     """Cup product of a 1-cochain with a 2-cochain into a 3-cochain, all four
     quaternion slots."""
-    comp, fwd = chern_simons._comp, chern_simons._fwd
-    return (qmul(comp(a, 0), fwd(comp(b, 2), 0))
-            - qmul(comp(a, 1), fwd(comp(b, 1), 1))
-            + qmul(comp(a, 2), fwd(comp(b, 0), 2)))
+    return (qmul(comp(a, 0), roll_fwd(comp(b, 2), 0))
+            - qmul(comp(a, 1), roll_fwd(comp(b, 1), 1))
+            + qmul(comp(a, 2), roll_fwd(comp(b, 0), 2)))
 
 
-def quaternion_actions(a, h, level):
-    """The action as first written: the trace of full-quaternion cup products."""
-    d_one, cup_11 = chern_simons.d_one, chern_simons.cup_11
-    dens = cup_12(a, d_one(a, h)) + (2.0 / 3.0) * cup_12(a, cup_11(a, a))
+def quaternion_actions(c, h, level):
+    """The action as first written, on the quaternions of the coefficients c:
+    the trace of full-quaternion cup products."""
+    a = embed(c)
+    dens = cup_12(a, roll_d_one(a, h)) + (2.0 / 3.0) * cup_12(a, roll_cup_11(a, a))
     return (level / 4.0) * np.sum(qtrace(dens), axis=(-3, -2, -1)) * h**3
 
 
@@ -314,50 +320,61 @@ def test_actions_equal_the_full_quaternion_route(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 16])
 def test_kernels_equal_the_roll_oracles_bit_for_bit(n):
-    """Shifts by slice copies and one qmul per axis keep every product and sum
-    with its operands and in its order: d, cup_11, the action, the gradient
-    and the curvature equal the roll forms exactly, batched and unbatched."""
+    """Shifts by slice copies and one product per axis keep every product and
+    sum of the quaternion forms with its operands and in its order, the
+    quaternions' zero slot and its zero terms aside: d, both parts of cup_11,
+    cup_12_real, the action, the gradient and the curvature equal the roll
+    forms exactly (up to the signs of zeros, which array_equal ignores),
+    batched and unbatched."""
     h = 1.0 / n
     for seed, scale, level in CASES:
         fields = np.stack([LatticeConnection.random(n, scale, seed + k).components for k in range(2)])
         for a, b in ((fields, fields[::-1]), (fields[0], fields[1])):  # batched and unbatched
+            qa, qb = embed(a), embed(b)
             da, aa = chern_simons.d_one(a, h), chern_simons.cup_11(a, a)
-            assert np.array_equal(da, roll_d_one(a, h))
-            assert np.array_equal(aa, roll_cup_11(a, a))
-            assert np.array_equal(chern_simons.cup_11(a, b), roll_cup_11(a, b))
-            assert np.array_equal(da + aa, roll_curvature(a, h))
-            assert np.array_equal(chern_simons._actions(a, h, level), roll_actions(a, h, level))
+            qda, qaa, qab = roll_d_one(qa, h), roll_cup_11(qa, qa), roll_cup_11(qa, qb)
+            assert np.array_equal(embed(da), qda)  # dA of su(2) coefficients has no real part
+            assert np.array_equal(aa, coefficients(qaa))
+            assert np.array_equal(chern_simons.cup_11_real(a, a), qaa[..., 0])
+            assert np.array_equal(chern_simons.cup_11(a, b), coefficients(qab))
+            assert np.array_equal(chern_simons.cup_11_real(a, b), qab[..., 0])
+            assert np.array_equal(chern_simons.cup_12_real(a, da), roll_cup_12_real(qa, qda))
+            # A's zero slot meets the real part of A cup A, which aa leaves out
+            assert np.array_equal(chern_simons.cup_12_real(a, aa), roll_cup_12_real(qa, qaa))
+            assert np.array_equal(chern_simons._actions(a, h, level), roll_actions(qa, h, level))
             g = chern_simons._w_slot_gradient(chern_simons._u_slot_gradient(da, aa), a, h, level)
-            assert np.array_equal(g, roll_gradient(a, h, level))
+            assert np.array_equal(g, roll_gradient(qa, h, level))
         conn = LatticeConnection(fields[0])
-        assert np.array_equal(action_gradient(conn, level), roll_gradient(fields[0], h, level))
-        assert np.array_equal(curvature(conn), roll_curvature(fields[0], h))
+        q = embed(fields[0])
+        assert np.array_equal(action_gradient(conn, level), roll_gradient(q, h, level))
+        assert np.array_equal(curvature(conn), roll_curvature(q, h))
         assert stationarity_check(conn, level=level) == loop_stationarity_check(conn, level=level)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 5])
 def test_chunked_cup_products_equal_the_roll_form(monkeypatch, count_calls, rows):
-    """Past `_CHUNK_BYTES` of shifted operand, cup_11 takes each axis's qmul a
-    few grid rows at a time, the last chunk short where the rows do not divide
-    the grid; the products and sums are those of one call."""
+    """Past `_CHUNK_BYTES` of shifted operand, cup_11 takes each axis's product
+    a few grid rows at a time, the last chunk short where the rows do not
+    divide the grid; the products and sums are those of one call."""
     n = 5
     fields = np.stack([LatticeConnection.random(n, 0.7, k).components for k in range(2)])
     for a, b in ((fields, fields[::-1]), (fields[0], fields[1])):  # batched and unbatched
         row_bytes = a.nbytes * 2 // 3 // n  # one grid row of two directions
         monkeypatch.setattr(chern_simons, "_CHUNK_BYTES", rows * row_bytes + row_bytes // 2)
-        calls = count_calls("qmul", chern_simons)
-        assert np.array_equal(chern_simons.cup_11(a, b), roll_cup_11(a, b))
+        calls = count_calls("_vector_part", chern_simons)
+        assert np.array_equal(chern_simons.cup_11(a, b), coefficients(roll_cup_11(embed(a), embed(b))))
         assert len(calls) == 3 * -(-n // rows)
 
 
 def test_stationarity_check_holds_at_most_eight_fields(traced_peak):
     """At grid 32 each perturbed action is a call of its own.  The check's
-    peak of new memory is then g, c0, v and the batch (3.25 fields) plus one
-    cup_11 (out and two shifted pairs; its qmuls take a few grid rows at a
-    time): 5.78 fields.  One qmul per product held 5.68, one per axis over
-    the whole grid 6.34, and one for all six products of a gradient 14.  The
-    bound keeps a later batching from doubling the footprint at large grids
-    unnoticed."""
+    peak of new memory is then g, v and the batch (3 fields) plus one cup_11
+    (out and two shifted pairs; its products take a few grid rows at a time):
+    5.52 fields, 12.4 MiB.  When each vector also stored a zero quaternion
+    slot, the peak was 5.78 of those larger fields (17.3 MiB); one qmul per
+    product held 5.68, one per axis over the whole grid 6.34, and one for all
+    six products of a gradient 14.  The bound keeps a later batching from
+    doubling the footprint at large grids unnoticed."""
     conn = LatticeConnection.random(32, 0.1, 1)
     _, peak = traced_peak(stationarity_check, conn)
     assert peak <= 8 * conn.components.nbytes

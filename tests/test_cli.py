@@ -160,6 +160,47 @@ def test_a_report_that_cannot_be_written_exits_2(tmp_path, capsys, where):
     assert ("No such file or directory" if kind == "missing" else "Is a directory") in err
 
 
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """Replace every pipeline with one that records its name; the list of names."""
+    calls = []
+    for name in cli.PIPELINES:
+        monkeypatch.setitem(cli.PIPELINES, name, lambda run, report, name=name: calls.append(name))
+    return calls
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "[Errno 2] No such file or directory"),
+    ("directory", "[Errno 21] Is a directory"),
+    ("inside-a-file", "[Errno 20] Not a directory"),
+])
+def test_an_unwritable_report_path_is_refused_before_any_pipeline(tmp_path, capsys, pipeline_calls,
+                                                                 kind, message):
+    manifest = lens5_manifest(tmp_path)
+    target = {"missing": tmp_path / "no-such-dir" / "report.json", "directory": tmp_path,
+              "inside-a-file": Path(manifest) / "report.json"}[kind]
+    assert run(["all", "--manifest", manifest, "--out", str(target)]) == EXIT_USAGE
+    assert pipeline_calls == []
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: cannot write the report: {message}: {str(target)!r}\n"
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+def test_a_writable_report_path_is_untouched_until_the_report_is_written(tmp_path, monkeypatch):
+    """The early check creates and truncates nothing: a run that fails after it
+    leaves an existing report as it was, and a new one unwritten."""
+
+    def fail(run, report):
+        raise ValueError("a pipeline fails")
+
+    monkeypatch.setitem(cli.PIPELINES, "reps", fail)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("an earlier report")
+    for target in (old, new):
+        assert run(["reps", "--manifest", lens5_manifest(tmp_path), "--out", str(target)]) == EXIT_USAGE
+    assert old.read_text() == "an earlier report" and not new.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bogus", "--manifest", "m.json"], "invalid choice: 'bogus'"),
     (["gv"], "the following arguments are required: --manifest"),
@@ -318,13 +359,16 @@ def test_gv_stage_matches_gv_invariant(tmp_path):
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Labels of the presentations whose flat moduli a CLI run enumerates."""
+    """Labels of the presentations whose flat moduli a CLI run enumerates: the
+    calls of enumerate_reps that return, since one whose first line refuses
+    the presentation (`require_finite_moduli`) enumerates nothing."""
     calls = []
     real = cli.enumerate_reps
 
     def counting(p, *args, **kwargs):
+        moduli = real(p, *args, **kwargs)
         calls.append(p.label)
-        return real(p, *args, **kwargs)
+        return moduli
 
     monkeypatch.setattr(cli, "enumerate_reps", counting)
     return calls

@@ -91,6 +91,18 @@ def test_qpow_binary_vs_repeated(rng):
     assert np.max(np.abs(su2.qmul(su2.qpow(q, -3), su2.qpow(q, 3)) - su2.IDENTITY)) < 1e-10
 
 
+def test_qpow_squares_only_while_bits_remain(rng, count_calls):
+    """Binary powering takes one product per set bit of |n| and one squaring
+    per bit above the lowest: q^{+-1} is a single product."""
+    q = random_unit(rng, (3,))
+    products = count_calls("qmul", su2)
+    for n in range(-70, 71):
+        products.clear()
+        su2.qpow(q, n)
+        m = abs(n)
+        assert len(products) == (bin(m).count("1") + m.bit_length() - 1 if m else 0), n
+
+
 def test_exp_log_roundtrip(rng):
     q = random_unit(rng, (30,))
     back = qexp(qlog(q))

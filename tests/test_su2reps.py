@@ -203,12 +203,12 @@ def test_small_triples_cover_both_presentation_shapes():
 @pytest.mark.parametrize("pqr", SMALL_TRIPLES, ids=lambda t: "-".join(map(str, t)))
 def test_exact_brieskorn_moduli(pqr, count_calls):
     """1 + 2|sigma/8| classes (Fintushel-Stern; Neumann-Wahl), each satisfying
-    the relators, built with no search: at most 164 su2.qmul and 28 su2.qpow
+    the relators, built with no search: at most 142 su2.qmul and 28 su2.qpow
     calls, the counts of Sigma(3,5,13), the most any of these triples takes."""
     pres = builtin_presentation("Brieskorn", *pqr)
     products, powers = count_calls("qmul", su2), count_calls("qpow", su2)
     moduli = enumerate_reps(pres)
-    assert len(products) <= 164 and len(powers) <= 28
+    assert len(products) <= 142 and len(powers) <= 28
     sigma = brieskorn_sigma(*pqr)
     assert sigma % 8 == 0
     irreducible = [r for r in moduli.classes if r.irreducible]
