@@ -141,10 +141,12 @@ def _comp(a, i):
 
 def d_one(a, h: float):
     """Exterior derivative of a 1-cochain: (dA)_ij = D_i A_j - D_j A_i, from
-    one shift per axis i of the two directions other than i."""
+    one shift per axis i of the two directions other than i, each into the
+    same buffer."""
     out = np.empty_like(a)
+    shifted = np.empty_like(_comp(a, _OTHER[0]))
     for i in range(3):
-        shifted = _fwd(_comp(a, _OTHER[i]), i)
+        _fwd(_comp(a, _OTHER[i]), i, shifted)
         for r, c, k, first in _PLAQUETTES[i]:
             oc = _comp(out, c)
             if first:
@@ -162,11 +164,13 @@ def cup_11(a, b):
     """Vector part of the cup product of two 1-cochains (component order (01,
     02, 12)): (A cup B)_ij = A_i B_j(x + e_i) - A_j B_i(x + e_j), by one
     product per axis i of A_i against the two other directions of B, shifted
-    along i, over chunks of grid rows (x) past `_CHUNK_BYTES` of operand."""
+    along i, over chunks of grid rows (x) past `_CHUNK_BYTES` of operand.
+    The shifts of all three axes share one buffer."""
     out = np.empty_like(a)
     n = a.shape[-4]
+    shifted = np.empty_like(_comp(b, _OTHER[0]))
     for i in range(3):
-        shifted = _fwd(_comp(b, _OTHER[i]), i)
+        _fwd(_comp(b, _OTHER[i]), i, shifted)
         rows = max(1, _CHUNK_BYTES * n // shifted.nbytes)
         for x in range(0, n, rows):
             chunk = np.s_[..., x : x + rows, :, :, :]

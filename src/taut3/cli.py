@@ -146,9 +146,12 @@ def run_cs_check(run: Run, report: InvariantReport):
 
 
 def _foliation_spec(entry, fns):
+    """The FoliationSpec of a manifest foliation whose expressions compiled to
+    `fns`; a component whose expression folds to the constant 0 is None, so
+    the GV pass never samples it."""
     trans = entry.get("transversal")
     return fg.FoliationSpec(
-        omega=tuple(fns),
+        omega=tuple(None if f.is_zero else f for f in fns),
         grid=entry.get("grid", 32),
         transversal=tuple(tuple(p) for p in trans) if trans else None,
         label=entry.get("label", ""),

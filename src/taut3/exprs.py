@@ -82,11 +82,30 @@ def evaluate(node, x, y, z):
     return {"x": x, "y": y, "z": z}[node] if isinstance(node, str) else node
 
 
-def compile_expr(text: str):
-    """Parse once, return f(x, y, z) evaluating over numpy arrays; the result
-    has the broadcast shape of x, y and z and may be a read-only view."""
-    tree = parse_expr(text)
-    return lambda x, y, z: np.broadcast_to(
-        np.asarray(evaluate(tree, x, y, z), dtype=float),
-        np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)),
-    )
+class CompiledExpr:
+    """A checked tree as f(x, y, z) over numpy arrays; the result has the
+    broadcast shape of x, y and z and may be a read-only view.  A plain
+    class: a dataclass would cost every import about a millisecond."""
+
+    __slots__ = ("tree",)
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    def __call__(self, x, y, z):
+        return np.broadcast_to(
+            np.asarray(evaluate(self.tree, x, y, z), dtype=float),
+            np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)),
+        )
+
+    @property
+    def is_zero(self) -> bool:
+        """Whether the expression folds to the constant 0, as "0", "0.0",
+        "1-1" and "-0" do: then it is 0 at every point.  "0*x" does not fold,
+        and "sin(pi)" folds to 1.2e-16."""
+        return self.tree == 0.0
+
+
+def compile_expr(text: str) -> CompiledExpr:
+    """Parse once, return the expression as f(x, y, z)."""
+    return CompiledExpr(parse_expr(text))

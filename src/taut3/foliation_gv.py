@@ -11,6 +11,15 @@ grid (`_gv_blocks`), which reads omega from a small ring of sampled chunks
 (`_Omega`), so no array spans the grid, omega included.  The pass works in grid
 units: each d is the undivided difference f[i+1] - f[i-1], 2h times the
 derivative, and the sums are rescaled once after the pass.
+
+Every form of the chain is a list of its three components, None for one that
+is identically zero.  A component of omega given as None (`cli` gives one
+whose expression folds to the constant 0) is never sampled or stored; a term
+with an absent factor is skipped, a component with no term left is absent
+and takes no buffer, and the sum of an absent field is 0.0.  So f dz, whose
+d(omega) and theta have two components each and omega ^ d(omega) none, costs
+about half of a form with three components; with none absent, the pass takes
+every operation of the full chain, in the same order.
 """
 
 from __future__ import annotations
@@ -37,12 +46,18 @@ def grid_coords(n: int):
     return np.meshgrid(xs, xs, xs, indexing="ij", sparse=True)
 
 
-# Bytes of one component of one x-slab of the GV pass.  A slab's working set
-# is 27-30 such blocks (omega; d(omega) and |omega|^2 of two slabs, theta of
-# two or three; six differences, which also take omega ^ d(omega) and
-# theta ^ d(theta); a scratch block and the three that the sums square into),
-# so at 64 KiB it fits a 2 MB L2 cache: grids 128 and 192 run one row at a
-# time, grid 32 in four 8-row slabs (faster than two of 16 rows on 2 cores).
+# Bytes of one component of one x-slab of the GV pass; it sets the slab height
+# up to grid 64 (grid 32 runs in four 8-row slabs, faster than two of 16 rows
+# on 2 cores), and larger grids run one row at a time.  A slab's working set is
+# 29 such blocks for a form with three components (omega; d(omega) and
+# |omega|^2 of two slabs; theta of three; d(theta), omega ^ d(omega),
+# theta ^ d(theta) and a scratch block; the three that the sums square into)
+# and 20 for f dz, whose absent components take none.  Past grid 90 one row is
+# more than 64 KiB per component (128 KiB at grid 128, 288 KiB at grid 192),
+# so there the working set is 2.5-8.2 MiB, more than a 2 MiB L2 cache; yet the
+# cost per cell of `gv_term` does not rise from grid 48 to 192 (49-92 ns for
+# three components and 34-53 ns for f dz over three runs on 2 cores, lowest at
+# grids 128-192), so the cache does not set it.
 _SLAB_BYTES = 1 << 16
 
 
@@ -74,46 +89,64 @@ def _slabs(n):
     return [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
-class _Omega:
-    """A 1-form's grid rows as the GV pass reads them, sampled from its three
-    component functions.
+def _spread(stack, present):
+    """Per-component views of `stack`, whose first axis runs over the present
+    components (the True flags of `present`), with None for the absent ones."""
+    parts = iter(stack)
+    return [next(parts) if on else None for on in present]
 
-    The functions receive the broadcastable coordinates of `grid_coords`, cut
-    to the rows wanted, so a factor that depends on x alone is evaluated on
-    those rows only; each result, which may be a read-only view, is broadcast
-    to its rows as it is stored, the one copy made of it.  Rows are sampled a
-    chunk at a time, about `_SAMPLE_BYTES` per component and a whole number of
-    GV slabs high, into a ring of two chunk slots (three when a chunk is one
+
+def _rows(form, rows):
+    """The rows `rows` (an index or a slice) of each present component of a
+    block of a form."""
+    return [None if c is None else c[rows] for c in form]
+
+
+class _Omega:
+    """A 1-form's grid rows as the GV pass reads them, sampled from the
+    functions of its present components.
+
+    A component given as None is absent: it is zero everywhere, is never
+    sampled and holds no memory, and blocks read it as None; the ring's
+    arrays hold the p present components.  The functions
+    receive the broadcastable coordinates of `grid_coords`, cut to the rows
+    wanted, so a factor that depends on x alone is evaluated on those rows
+    only; each result, which may be a read-only view, is broadcast to its rows
+    as it is stored, the one copy made of it.  Rows are sampled a chunk at a
+    time, about `_SAMPLE_BYTES` per present component and a whole number of GV
+    slabs high, into a ring of two chunk slots (three when a chunk is one
     slab).  Where that many chunks cover the grid, the slots are the chunks'
     rows of one whole omega instead, all sampled at once, before the pass
     allocates its buffers.  Each row is sampled into the ring once; where the
     ring holds less than the grid, the wrap rows n-2 and n-1 that the pass
     reads before its first slab, and 0 and 1 after its last, are sampled once
-    more into a two-row buffer.  omega at the `vertices` ((m, 3) indices) is
-    copied to `at_vertices` as their rows are sampled.  Overflow, division by
-    zero and invalid operations give inf/nan silently; `gv_term` rejects them.
+    more into a two-row buffer.  The present components of omega at the
+    `vertices` ((m, 3) indices) are copied to `at_vertices` (p, m) as their
+    rows are sampled.  Overflow, division by zero and invalid operations give
+    inf/nan silently; `gv_term` rejects them.
     """
 
     def __init__(self, fns, n, vertices):
-        self.fns, self.n, self.coords = fns, n, grid_coords(n)
-        rows = _slab_rows(n)
+        self.present = tuple(f is not None for f in fns)
+        self.fns, self.n, self.coords = [f for f in fns if f is not None], n, grid_coords(n)
+        p, rows = len(self.fns), _slab_rows(n)
         self.height = min(n, rows * max(1, _slab_rows(n, _SAMPLE_BYTES) // rows))
         slots, self.edge_rows, self.edge_at = 2 + (self.height == rows), None, None
         if -(-n // self.height) <= slots:
-            whole = np.empty((3, n, n, n))
+            whole = np.empty((p, n, n, n))
             self.slots = [whole[:, a : a + self.height] for a in range(0, n, self.height)]
         else:
-            self.slots = list(np.empty((slots, 3, self.height, n, n)))
-            self.edge_rows = np.empty((3, 2, n, n))
+            self.slots = list(np.empty((slots, p, self.height, n, n)))
+            self.edge_rows = np.empty((p, 2, n, n))
         self.held = [None] * len(self.slots)
-        self.vertices, self.at_vertices = vertices, np.empty((3, len(vertices)))
+        self.vertices, self.at_vertices = vertices, np.empty((p, len(vertices)))
         if self.edge_rows is None:
             for a in range(0, n, self.height):
                 self.block(a, 1)
 
     def sample(self, rows, out):
-        """omega on the grid rows `rows` (a slice or an index array), into
-        `out` of shape (3, k, n, n)."""
+        """omega's present components on the grid rows `rows` (a slice or an
+        index array), into `out` of shape (p, k, n, n)."""
         x, y, z = self.coords
         with np.errstate(all="ignore"):
             for comp, f in zip(out, self.fns):
@@ -121,8 +154,9 @@ class _Omega:
         return out
 
     def block(self, lo, k):
-        """Grid rows lo..lo+k-1, inside one chunk, as a (3, k, n, n) view of
-        the ring, sampling their chunk into its slot if it is not there."""
+        """Grid rows lo..lo+k-1, inside one chunk, as per-component (k, n, n)
+        views of the ring, sampling their chunk into its slot if it is not
+        there."""
         c = lo // self.height
         slot, a = c % len(self.slots), c * self.height
         if self.held[slot] != c:
@@ -132,32 +166,67 @@ class _Omega:
             i, j, l = self.vertices[mine].T
             self.at_vertices[:, mine] = chunk[:, i - a, j, l]
             self.held[slot] = c
-        return self.slots[slot][:, lo - a : lo - a + k]
+        return _spread(self.slots[slot][:, lo - a : lo - a + k], self.present)
 
     def edge(self, lo):
-        """Grid rows lo and lo + 1 mod n, for lo = n - 2 or 0, as two
-        (3, 1, n, n) views; they come from the ring only if it holds the
-        grid, so reading them evicts no chunk."""
+        """Grid rows lo and lo + 1 mod n, for lo = n - 2 or 0, as two blocks
+        of one row; they come from the ring only if it holds the grid, so
+        reading them evicts no chunk."""
         if self.edge_rows is None:
             return [self.block(r % self.n, 1) for r in (lo, lo + 1)]
         if self.edge_at != lo:
             self.edge_at = lo
             self.sample(np.array([lo, lo + 1]) % self.n, self.edge_rows)
-        return [self.edge_rows[:, :1], self.edge_rows[:, 1:]]
+        return [_spread(self.edge_rows[:, r : r + 1], self.present) for r in (0, 1)]
 
     def row(self, r):
-        """Grid row r as a (3, 1, n, n) view, for 0 <= r <= n: row n is row 0
+        """Grid row r as a block of one row, for 0 <= r <= n: row n is row 0
         as the last slab reads it."""
         return self.edge(0)[0] if r == self.n else self.block(r, 1)
 
 
+# Pointwise products as, per component of the result, its terms (sign, i, j),
+# each +-u_i v_j, summed in this order: u ^ v of a 1-form and a 2-form, and
+# theta (`_theta`).
+_WEDGE12 = (((1, 0, 2), (-1, 1, 1), (1, 2, 0)),)
+_THETA = (((1, 1, 0), (1, 2, 1)), ((1, 2, 2), (-1, 0, 0)), ((-1, 0, 1), (-1, 1, 2)))
+
+# the components of a 2-form
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _products(terms, u, v, out, tmp):
+    """Pointwise products of the blocks of two forms by `terms`, written into
+    the blocks `out` (None where no term is left) with `tmp` as scratch.  A
+    term with an absent factor is skipped; the first term left is written, a
+    negative one negated in place."""
+    for o, t in zip(out, terms):
+        if o is None:
+            continue
+        first = True
+        for sign, i, j in t:
+            if u[i] is None or v[j] is None:
+                continue
+            if first:
+                np.multiply(u[i], v[j], out=o)
+                if sign < 0:
+                    np.negative(o, out=o)
+                first = False
+            elif sign > 0:
+                o += np.multiply(u[i], v[j], out=tmp)
+            else:
+                o -= np.multiply(u[i], v[j], out=tmp)
+    return out
+
+
 def _norm_sq(w, out, tmp):
-    """(w0^2 + w1^2) + w2^2 of a block of 1-form rows, written into `out` with
-    `tmp` as scratch; overflow gives inf."""
+    """(w0^2 + w1^2) + w2^2 of a block of 1-form rows over its present
+    components, written into `out` with `tmp` as scratch; overflow gives inf."""
+    first, *rest = (c for c in w if c is not None)
     with np.errstate(over="ignore"):
-        np.square(w[0], out=out)
-        out += np.square(w[1], out=tmp)
-        out += np.square(w[2], out=tmp)
+        np.square(first, out=out)
+        for c in rest:
+            out += np.square(c, out=tmp)
     return out
 
 
@@ -166,7 +235,7 @@ def _raise_at(omega, rows, bound=None):
     |omega| is not finite, or at most `bound` if one is given; the slab is
     sampled again to find it."""
     k, n = rows.stop - rows.start, omega.n
-    v = omega.sample(rows, np.empty((3, k, n, n)))
+    v = _spread(omega.sample(rows, np.empty((len(omega.fns), k, n, n))), omega.present)
     mag = np.sqrt(_norm_sq(v, np.empty((k, n, n)), np.empty((k, n, n))))
     bad, what = ((~np.isfinite(mag), "1-form is not finite (or overflows)") if bound is None
                  else (mag <= bound, "1-form (nearly) vanishes"))
@@ -177,61 +246,95 @@ def _raise_at(omega, rows, bound=None):
 class _Slab(NamedTuple):
     """One x-slab of the GV chain in grid units, as views into buffers that the
     next slab overwrites: d(omega), theta and omega ^ d(omega) are 2h times
-    their values, d(theta) (2h)^2 and theta ^ d(theta) (2h)^3 times."""
+    their values, d(theta) (2h)^2 and theta ^ d(theta) (2h)^3 times.  Forms
+    are lists of their three components, None where absent; a 3-form with no
+    term left is None."""
 
-    dw: np.ndarray  # d(omega)
-    frob: np.ndarray  # omega ^ d(omega)
+    dw: list  # d(omega)
+    frob: np.ndarray | None  # omega ^ d(omega)
     norm_sq: np.ndarray  # |omega|^2
-    theta: np.ndarray
-    dtheta: np.ndarray
-    gv: np.ndarray  # theta ^ d(theta)
+    theta: list
+    dtheta: list
+    gv: np.ndarray | None  # theta ^ d(theta)
 
 
-def _d_slab(v, before, after, diffs, out):
-    """2h times d of a 1-form on a slab of x-rows `v` (3, k, n, n), given the
-    rows just `before` and `after` it, written into `out` (which may be
-    diffs[:3]).
-    `diffs` (6, k, n, n) takes the centered differences x of (v1, v2), y of
-    (v2, v0) and z of (v0, v1): the y and z interiors are one subtract each over
-    the flattened slab, whose wrap columns are then overwritten.  Each value is
-    computed as the whole-grid derivative does at 2h = 1."""
-    k, n = v.shape[1], v.shape[-1]
-    np.subtract(v[1:, 2:], v[1:, :-2], out=diffs[:2, 1:-1])
-    for r in {0, k - 1}:  # the edge rows read the rows before and after the slab
-        ahead = v[1:, r + 1] if r + 1 < k else after[1:]
-        behind = v[1:, r - 1] if r else before[1:]
-        np.subtract(ahead, behind, out=diffs[:2, r])
-    for step, f, dif in ((n, v[::-2], diffs[2:4]), (1, v[:2], diffs[4:])):
-        flat, out_flat = f.reshape(2, -1), dif.reshape(2, -1)
-        np.subtract(flat[:, 2 * step :], flat[:, : -2 * step], out=out_flat[:, step:-step])
-        if step > 1:
-            f, dif = f.swapaxes(-1, -2), dif.swapaxes(-1, -2)
-        for i, ahead, behind in ((0, 1 % n, n - 1), (n - 1, 0, (n - 2) % n)):  # the wrap
-            np.subtract(f[..., ahead], f[..., behind], out=dif[..., i])
-    return np.subtract(diffs[:3], diffs[3:], out=out)
+def _diff(f, axis, before, after, out, swap=False):
+    """The undivided centered difference f[i+1] - f[i-1] of one component
+    block f (k, n, n) of a slab along grid axis `axis`, or f[i-1] - f[i+1] if
+    `swap`, written into `out`; along x it reads the rows `before` and `after`
+    the slab (1, n, n).  The y and z interiors are one subtract each over the
+    flattened block, whose two wrap columns are then overwritten by one
+    subtract of strided views."""
+    def sub(ahead, behind, o):
+        return np.subtract(behind, ahead, out=o) if swap else np.subtract(ahead, behind, out=o)
+
+    if axis == 0:
+        k = f.shape[0]
+        if k > 2:
+            sub(f[2:], f[:-2], out[1:-1])
+        # the edge rows read the rows before and after the slab
+        sub(f[1:2] if k > 1 else after, before, out[:1])
+        if k > 1:
+            sub(after, f[-2:-1], out[-1:])
+        return out
+    n = f.shape[-1]
+    step, flat = n ** (2 - axis), f.reshape(-1)
+    sub(flat[2 * step :], flat[: -2 * step], out.reshape(-1)[step:-step])
+    g, o = (f.swapaxes(-1, -2), out.swapaxes(-1, -2)) if axis == 1 else (f, out)
+    # the wrap: columns 0 and n-1 read columns 1 and 0 ahead, n-1 and n-2 behind
+    sub(g[..., 1::-1], g[..., ::-1][..., :2], o[..., :: max(n - 1, 1)])
+    return out
+
+
+def _d_slab(v, before, after, out, tmp):
+    """2h times d of a 1-form on a slab of x-rows, written into the present
+    components of `out`: v holds the slab's blocks (k, n, n), and `before`
+    and `after` the rows (1, n, n) just before and after it, None where a
+    component is absent.  (d v)_c = D_a v_b - D_b v_a for the plaquette
+    c = (a, b); where both terms are left, D_b v_a is taken into `tmp` and
+    subtracted, and a lone D_b v_a is written with its operands swapped.  Each
+    value is computed as the whole-grid derivative does at 2h = 1."""
+    for o, (a, b) in zip(out, _PAIRS):
+        if o is None:
+            continue
+        if v[b] is None:
+            _diff(v[a], b, before[a], after[a], o, swap=True)
+            continue
+        _diff(v[b], a, before[b], after[b], o)
+        if v[a] is not None:
+            o -= _diff(v[a], b, before[a], after[a], tmp)
+    return out
 
 
 def _wedge12(u, v, out, tmp):
-    """Pointwise u ^ v of a 1-form and a 2-form."""
-    np.multiply(u[0], v[2], out=out)
-    out -= np.multiply(u[1], v[1], out=tmp)
-    out += np.multiply(u[2], v[0], out=tmp)
-    return out
+    """Pointwise u ^ v of a 1-form and a 2-form, into `out` (None if no term
+    is left)."""
+    return _products(_WEDGE12, u, v, [out], tmp)[0]
 
 
 def _theta(w, v, norm_sq, out, tmp):
     """Pointwise minimal-norm solution of v = theta ^ w: identifying 2-forms with
     axial vectors, g = theta x w is solved by (w x g) / |w|^2 with g = (v2, -v1,
     v0); the products and signs are those of np.cross(w, g)."""
-    t0, t1, t2 = out
-    np.multiply(w[1], v[0], out=t0)
-    t0 += np.multiply(w[2], v[1], out=tmp)
-    np.multiply(w[2], v[2], out=t1)
-    t1 -= np.multiply(w[0], v[0], out=tmp)
-    np.negative(np.multiply(w[0], v[1], out=t2), out=t2)
-    t2 -= np.multiply(w[1], v[2], out=tmp)
-    out /= norm_sq
+    for t in _products(_THETA, w, v, out, tmp):
+        if t is not None:
+            t /= norm_sq
     return out
+
+
+def _chain(present):
+    """Which components of d(omega), theta, d(theta), omega ^ d(omega) and
+    theta ^ d(theta) have a term left, given which of omega's are present."""
+    def d(w):
+        return [w[a] or w[b] for a, b in _PAIRS]
+
+    def product(terms, u, v):
+        return [any(u[i] and v[j] for _sign, i, j in t) for t in terms]
+
+    dw = d(present)
+    theta = product(_THETA, present, dw)
+    dtheta = d(theta)
+    return dw, theta, dtheta, product(_WEDGE12, present, dw), product(_WEDGE12, theta, dtheta)
 
 
 def _gv_blocks(omega: _Omega):
@@ -240,64 +343,85 @@ def _gv_blocks(omega: _Omega):
 
     d(theta) on a slab reads theta one row past either side: the last row of
     the slab before and the first row of the slab after.  So each slab's
-    d(omega) and |omega|^2, and theta on its first row, are computed one slab
-    ahead, into buffers that rotate over two slabs (three for theta when slabs
-    are one row).  A one-row prologue puts theta on the last grid row where the
-    first slab reads it, and the last slab computes grid row 0 again as the row
-    after it.  omega's rows are views of the ring of `omega`, no row is copied,
-    no array spans the grid, and every field value is bit-identical to the
-    whole-grid computation at 2h = 1.
+    d(omega), |omega|^2 and theta are computed one slab ahead, into buffers
+    that rotate over two slabs, three for theta.  A one-row prologue puts
+    theta on the last grid row where the first slab reads it, and the last
+    slab computes grid row 0 again as the row after it.  omega's rows are
+    views of the ring of `omega`, no row is copied, no array spans the grid,
+    and every buffer holds only the components that have a term left.  Every
+    field value is bit-identical to the whole-grid computation at 2h = 1,
+    apart from the signs of zeros where a term is skipped.
     """
     n = omega.n
     slabs, rows, plane = _slabs(n), _slab_rows(n), (n, n)
-    dw_buf, nsq_buf = np.empty((2, 3, rows) + plane), np.empty((2, rows) + plane)
-    tmp = np.empty((rows,) + plane)
-    diffs = np.empty((6, rows) + plane)  # scratch of each d, then d(theta) and two products
-    slots = 2 + (rows == 1)  # a one-row slab reads theta from both other slabs
-    theta_buf = np.empty((slots, 3, rows) + plane)
+    on_dw, on_theta, on_dtheta, on_frob, on_gv = _chain(omega.present)
 
-    def ahead(i, v, before, after, at=0):
-        """d(omega) and |omega|^2 on the grid rows `v`, whose neighbour rows are
-        `before` and `after`, into rows at.. of slab i's buffers, and theta on
-        the first of them."""
-        k = v.shape[1]
-        dw = _d_slab(v, before[:, 0], after[:, 0], diffs[:, :k], dw_buf[i % 2, :, at : at + k])
+    def buffers(count, present):
+        """`count` rotating per-component buffers of one slab."""
+        return [_spread(b, present) for b in np.empty((count, sum(present), rows) + plane)]
+
+    dw_buf, theta_buf = buffers(2, on_dw), buffers(3, on_theta)
+    nsq_buf, tmp = np.empty((2, rows) + plane), np.empty((rows,) + plane)
+    dth_buf, [frob_buf], [gv_buf] = (buffers(1, on)[0] for on in (on_dtheta, on_frob, on_gv))
+
+    def part(form, at, k):
+        """Rows at..at+k-1 of one slab's buffer of a form."""
+        return form if at == 0 and k == rows else _rows(form, slice(at, at + k))
+
+    def ahead(i, k, v, before, after, at=0):
+        """d(omega), |omega|^2 and theta on the k grid rows `v`, whose
+        neighbour rows are `before` and `after`, into rows at.. of slab i's
+        buffers."""
+        dw = _d_slab(v, before, after, part(dw_buf[i % 2], at, k), tmp[:k])
         nsq = _norm_sq(v, nsq_buf[i % 2, at : at + k], tmp[:k])
-        _theta(v[:, :1], dw[:, :1], nsq[:1], theta_buf[i % slots, :, at : at + 1], tmp[:1])
+        _theta(v, dw, nsq, part(theta_buf[i % 3], at, k), tmp[:k])
 
     before, last = omega.edge(n - 2)
-    ahead(-1, last, before, omega.block(0, 1), rows - 1)
-    ahead(0, omega.block(0, slabs[0].stop), last, omega.row(slabs[0].stop))
+    ahead(-1, 1, last, before, omega.block(0, 1), rows - 1)
+    w_next = omega.block(0, slabs[0].stop)
+    ahead(0, slabs[0].stop, w_next, last, omega.row(slabs[0].stop))
+    # the first and the last row of each slab's theta
+    theta_ends = [[part(t, at, 1) for t in theta_buf] for at in (0, rows - 1)]
     for i, s in enumerate(slabs):
+        w_core = w_next  # the ring keeps a slab's chunk while the next one is read
         if s.stop < n:
             k = min(rows, n - s.stop)
-            ahead(i + 1, omega.block(s.stop, k), omega.block(s.stop - 1, 1), omega.row(s.stop + k))
+            w_next = omega.block(s.stop, k)
+            ahead(i + 1, k, w_next, omega.block(s.stop - 1, 1), omega.row(s.stop + k))
         else:
             first, second = omega.edge(0)
-            ahead(i + 1, first, omega.block(n - 1, 1), second)
+            ahead(i + 1, 1, first, omega.block(n - 1, 1), second)
         k = s.stop - s.start
-        w_core, dw, nsq = omega.block(s.start, k), dw_buf[i % 2, :, :k], nsq_buf[i % 2, :k]
-        th = theta_buf[i % slots, :, :k]
-        if k > 1:
-            _theta(w_core[:, 1:], dw[:, 1:], nsq[1:], th[:, 1:], tmp[: k - 1])
-        before, after = theta_buf[(i - 1) % slots, :, -1], theta_buf[(i + 1) % slots, :, 0]
-        dth = _d_slab(th, before, after, diffs[:, :k], diffs[:3, :k])
-        frob = _wedge12(w_core, dw, diffs[3, :k], tmp[:k])
-        gv = _wedge12(th, dth, diffs[4, :k], tmp[:k])
+        dw, nsq = part(dw_buf[i % 2], 0, k), nsq_buf[i % 2, :k]
+        th = part(theta_buf[i % 3], 0, k)
+        before, after = theta_ends[1][(i - 1) % 3], theta_ends[0][(i + 1) % 3]
+        dth = _d_slab(th, before, after, part(dth_buf, 0, k), tmp[:k])
+        frob_out, gv_out = part([frob_buf, gv_buf], 0, k)
+        frob = _wedge12(w_core, dw, frob_out, tmp[:k])
+        gv = _wedge12(th, dth, gv_out, tmp[:k])
         yield _Slab(dw, frob, nsq, th, dth, gv)
 
 
-def _sum_sq(a, buf):
-    """Sum of squares of a field block, squared into the front of the flat
-    pass buffer `buf`, whose contiguous block sums as np.square(a) would.  Not
+def _sum_sq(blocks, buf):
+    """Sum of squares of the present blocks of a field, squared one after
+    another into the front of the flat pass buffer `buf`, whose contiguous run
+    sums as np.square of their stack would; 0.0 if none is present.  Not
     np.vdot: a multithreaded BLAS would spend a second core's time on every
     slab."""
-    return float(np.sum(np.square(a, out=buf[: a.size].reshape(a.shape))))
+    blocks = [b for b in blocks if b is not None]
+    size = blocks[0].size if blocks else 0
+    for r, b in enumerate(blocks):
+        np.square(b, out=buf[r * size : (r + 1) * size].reshape(b.shape))
+    return float(np.sum(buf[: len(blocks) * size]))
 
 
 @dataclass(frozen=True)
 class FoliationSpec:
-    omega: tuple  # the three component functions f(x, y, z) of the 1-form
+    """A foliation as `gv_term` takes it.  A component of omega given as None
+    is identically zero: it is never sampled, and no term of the GV chain that
+    it is a factor of is computed."""
+
+    omega: tuple  # the three component functions f(x, y, z) of the 1-form, or None
     grid: int
     transversal: tuple | None = None  # ordered closed path of grid vertices
     label: str = ""
@@ -346,7 +470,9 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     """One foliation's (label, gv, taut) row, Frobenius defect and warning (or
     None), as `gv_report` sums them.
 
-    The transversal is checked first (ValueError).  Then one slab pass
+    The transversal is checked first (ValueError), and an omega whose three
+    components are all absent (None) vanishes (SingularityError at the first
+    cell, as the pass would find).  Then one slab pass
     (`_gv_blocks`) samples omega and gives the mean and least of |omega|, its
     pairings with the loop's edges, the defect |omega ^ d omega| / (|omega|
     |d omega| + eps) and the GV integral of theta ^ d theta (L2 norms are grid
@@ -367,8 +493,12 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     if len(spec.omega) != 3:
         raise ValueError("a foliation needs 3 component functions")
     loop = None if spec.transversal is None else _loop_edges(spec.transversal, n)
+    if all(f is None for f in spec.omega):
+        raise SingularityError("1-form (nearly) vanishes at grid cell (0, 0, 0)")
     omega = _Omega(spec.omega, n, np.empty((0, 3), int) if loop is None else loop[0])
-    buf = np.empty(3 * _slab_rows(n) * n * n)  # the squares and lengths of each slab
+    # the squares of d(omega) and the lengths of each slab: two or three
+    # blocks, as each present component of omega enters two of d(omega)
+    buf = np.empty(sum(_chain(omega.present)[0]) * _slab_rows(n) * n * n)
     frob = dw = w = gv = total = 0.0
     least, scale = [], None
     with np.errstate(all="ignore"):
@@ -382,11 +512,13 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
             least.append(float(np.min(mag)))
             if scale is None:  # 2^-2e, kept finite below |omega| ~ 2^-511
                 scale = ldexp(1.0, min(-2 * frexp(float(np.max(mag)))[1], 1022))
-            block = buf[size : 2 * size].reshape(shape)
-            frob += _sum_sq(np.multiply(slab.frob, scale, out=block), buf)
+            if slab.frob is not None:
+                block = buf[size : 2 * size].reshape(shape)
+                frob += _sum_sq([np.multiply(slab.frob, scale, out=block)], buf)
             dw += _sum_sq(slab.dw, buf)
             w += float(np.sum(slab.norm_sq))
-            gv += float(np.sum(slab.gv))
+            if slab.gv is not None:
+                gv += float(np.sum(slab.gv))
         q = n / 2  # 1 / 2h: exact on power-of-two grids
         frob, dw, gv = frob * q * q, dw * q * q, gv * q**3
         mean = total / n**3
@@ -396,7 +528,8 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     taut = None
     if loop is not None:
         _, axes, signs = loop
-        at, j = omega.at_vertices, np.arange(len(axes))
+        at, j = np.zeros((3, len(axes))), np.arange(len(axes))
+        at[np.flatnonzero(omega.present)] = omega.at_vertices  # an absent component reads 0
         taut = tautness_check(signs * 0.5 * (at[axes, j] + at[axes, (j + 1) % len(j)]), mean)
     failed = f"{label}: failed the transversal-circle tautness test"
     if taut is False and strict:

@@ -366,15 +366,17 @@ def test_chunked_cup_products_equal_the_roll_form(monkeypatch, count_calls, rows
         assert len(calls) == 3 * -(-n // rows)
 
 
-def test_stationarity_check_holds_at_most_eight_fields(traced_peak):
+def test_stationarity_check_holds_at_most_six_fields(traced_peak):
     """At grid 32 each perturbed action is a call of its own.  The check's
     peak of new memory is then g, v and the batch (3 fields) plus one cup_11
-    (out and two shifted pairs; its products take a few grid rows at a time):
-    5.52 fields, 12.4 MiB.  When each vector also stored a zero quaternion
-    slot, the peak was 5.78 of those larger fields (17.3 MiB); one qmul per
-    product held 5.68, one per axis over the whole grid 6.34, and one for all
-    six products of a gradient 14.  The bound keeps a later batching from
-    doubling the footprint at large grids unnoticed."""
+    (out and one shifted pair, which each axis refills; its products take a
+    few grid rows at a time): 5.12 fields, 11.5 MiB.  While each axis
+    allocated its own pair, two were alive at once and the peak was 5.52
+    fields (12.4 MiB); when each vector also stored a zero quaternion slot, it
+    was 5.78 of those larger fields (17.3 MiB); one qmul per product held
+    5.68, one per axis over the whole grid 6.34, and one for all six products
+    of a gradient 14.  The bound keeps a later batching from doubling the
+    footprint at large grids unnoticed."""
     conn = LatticeConnection.random(32, 0.1, 1)
     _, peak = traced_peak(stationarity_check, conn)
-    assert peak <= 8 * conn.components.nbytes
+    assert peak <= 6 * conn.components.nbytes

@@ -11,6 +11,7 @@ from rep_oracles import brieskorn_sigma
 from test_su2reps import SMALL_TRIPLES
 from taut3 import cli, presentations, twisted_torsion
 from taut3 import foliation_gv as fg
+from taut3.exprs import CompiledExpr
 from taut3.cli import (
     EXIT_OK,
     EXIT_REGULARITY,
@@ -316,7 +317,7 @@ def gv_peak_bytes(tmp_path, traced_peak, count):
 def test_gv_holds_one_foliation_at_a_time(tmp_path, capsys, traced_peak):
     one = gv_peak_bytes(tmp_path, traced_peak, 1)
     four = gv_peak_bytes(tmp_path, traced_peak, 4)
-    assert one > 3 * 8 * 64**3  # the sampled omega alone
+    assert one > 8 * 64**3  # the sampled omega alone: its one component that is not "0"
     assert four < 1.25 * one
 
 
@@ -355,6 +356,33 @@ def test_gv_stage_matches_gv_invariant(tmp_path):
     assert section["values"]["integrability_residuals"] == list(gv.integrability_residuals)
     assert section["warnings"] == list(gv.warnings)
     assert gv.per_foliation[1][1:3] == (None, False) and len(gv.warnings) == 2
+
+
+def test_gv_never_evaluates_a_component_that_folds_to_zero(tmp_path, monkeypatch, capsys):
+    """"0", "0.0", "1-1" and "-0" fold to the constant 0: the spec holds None
+    for them, and the run evaluates every other expression but never them.
+    "0*x" and "sin(pi)" do not fold to 0 and are sampled."""
+    n = 8
+    foliations = [
+        {"omega": ["0", "1-1", "2 + cos(2*pi*x)"], "grid": n},
+        {"omega": ["sin(pi)", "-0", "0*x + 1"], "grid": n},
+        {"omega": ["0.0", "3 + sin(2*pi*z)", "0*x"], "grid": n},
+    ]
+    specs = [cli._foliation_spec(e, [cli.compile_expr(s) for s in e["omega"]]) for e in foliations]
+    assert [[f is None for f in spec.omega] for spec in specs] == [
+        [True, True, False], [False, True, False], [True, False, False]]
+    evaluated, real = [], CompiledExpr.__call__
+
+    def recording(self, x, y, z):
+        evaluated.append(self.tree)
+        return real(self, x, y, z)
+
+    monkeypatch.setattr(CompiledExpr, "__call__", recording)
+    data = {"schema_version": 1, "manifold": {"family": "S3"}, "foliations": foliations}
+    assert run(["gv", "--manifest", write_manifest(tmp_path, data)]) == EXIT_OK
+    want = [cli.compile_expr(s).tree for e in foliations for s in e["omega"]]
+    assert {repr(t) for t in evaluated} == {repr(t) for t in want if t != 0.0}
+    assert 0.0 not in evaluated
 
 
 @pytest.fixture
@@ -448,7 +476,8 @@ def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, c
     # the grid rows before and after it, where theta wraps around
     assert fg._slab_rows(16) == 16 and fg._slab_rows(n) == n
     assert len(passes) == 2
-    assert [args[0].shape[1] for args in derivatives] == [1, 16, 1, 16, 1, n, 1, n]
+    heights = [len(next(c for c in args[0] if c is not None)) for args in derivatives]
+    assert heights == [1, 16, 1, 16, 1, n, 1, n]
 
 
 def test_gv_reports_the_integrability_tolerance_it_applies(tmp_path, monkeypatch, capsys):

@@ -50,6 +50,18 @@ def test_broadcast_of_constants():
     assert f(x, x, x).shape == (4, 4)
 
 
+@pytest.mark.parametrize("text, zero", [("0", True), ("0.0", True), ("1-1", True), ("-0", True),
+                                        ("0 # x", True), ("0*x", False), ("x-x", False),
+                                        ("sin(pi)", False), ("1e-300", False)])
+def test_a_constant_zero_is_known_without_evaluating(text, zero):
+    """An expression is zero when it folds to the constant 0; "0*x" and "x-x"
+    keep their variable, and sin(pi) folds to 1.2e-16."""
+    f = compile_expr(text)
+    assert f.is_zero is zero
+    if zero:
+        assert np.array_equal(f(np.ones(3), 0.0, 0.0), np.zeros(3))
+
+
 @pytest.mark.parametrize(
     "bad",
     ["", "1 +", "sin", "sin(", "foo(1)", "x y", "1 & 2", "(1", "w",

@@ -64,12 +64,21 @@ def ring(fns, n):
     return fg._Omega(tuple(fns), n, np.empty((0, 3), int))
 
 
+def dense(field, shape):
+    """A field of one slab of the pass as a new array: a form's components
+    stacked, and an absent component or field (None) as zeros of `shape`."""
+    if isinstance(field, list):
+        return np.stack([dense(c, shape) for c in field])
+    return np.zeros(shape) if field is None else field.copy()
+
+
 def pass_fields(fns, n):
-    """The per-slab blocks of `_gv_blocks` on component functions, copied out of
-    the reused buffers and concatenated along x, in the order and the grid
-    units of `_Slab`: d(omega), omega ^ d(omega), |omega|^2, theta, d(theta)
-    and theta ^ d(theta)."""
-    blocks = [[a.copy() for a in s] for s in fg._gv_blocks(ring(fns, n))]
+    """The per-slab blocks of `_gv_blocks` on component functions (None where
+    absent), copied out of the reused buffers with absent parts as zeros and
+    concatenated along x, in the order and the grid units of `_Slab`:
+    d(omega), omega ^ d(omega), |omega|^2, theta, d(theta) and
+    theta ^ d(theta)."""
+    blocks = [[dense(f, s.norm_sq.shape) for f in s] for s in fg._gv_blocks(ring(fns, n))]
     return [np.concatenate(parts, axis=parts[0].ndim - 3) for parts in zip(*blocks)]
 
 
@@ -633,42 +642,55 @@ def held_bytes(omega):
     return sum(s.nbytes for s in omega.slots) + edge
 
 
+def lens_exp_g(as_cli):
+    """The components of the bench's grid-128 exp-g form, (0, 0, e^g): its zeros
+    sampled as the constant 0, or absent (None) as `cli` passes them."""
+    fns = [compile_expr(s) for s in json.loads(LENS_7_2.read_text())["foliations"][0]["omega"]]
+    return tuple(None if as_cli and f.is_zero else f for f in fns)
+
+
 def test_gv_term_allocates_less_than_one_omega(traced_peak):
     """Sampling included, a gv_term call at grid 128 holds less than a third
-    of one omega."""
+    of one omega, and on f dz given as `cli` gives it less than a sixth."""
     n = 128
-    spec = FoliationSpec(gauge_changed_fns(), n, tuple((0, 0, k) for k in range(n)))
-    _, peak = traced_peak(gv_term, spec)
+    loop = tuple((0, 0, k) for k in range(n))
+    _, peak = traced_peak(gv_term, FoliationSpec(gauge_changed_fns(), n, loop))
     assert peak < 8 * n**3
+    _, peak = traced_peak(gv_term, FoliationSpec(lens_exp_g(as_cli=True), n, loop))
+    assert peak < 4 * n**3
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_gv_term_scratch_is_a_few_dozen_slab_blocks(traced_peak, n):
-    """Counted in blocks of one component of one slab, the pass holds d(omega)
-    and |omega|^2 of two slabs (8), theta of two or, for one-row slabs, three
-    (6 or 9), six differences, which also take omega ^ d(omega) and
-    theta ^ d(theta), and one scratch block (7), and the buffer that the sums
-    square into (3).  Besides these, the whole call holds the ring of sampled
-    omega and, while a chunk is sampled, the operand and result of one
+    """Counted in blocks of one component of one slab, the pass holds, for a
+    form with three components, d(omega) and |omega|^2 of two slabs (8),
+    theta of three (9), d(theta), omega ^ d(omega), theta ^ d(theta) and one
+    scratch block (6), and the buffer that the sums square into (3).  For
+    f dz with its zeros absent, d(omega) has two components, theta two and
+    omega ^ d(omega) none: 6, 6, 5 and 2 blocks.  Besides these, the whole call holds the ring of
+    sampled omega and, while a chunk is sampled, the operand and result of one
     operation on a chunk component and less than two blocks of factors that do
-    not span the chunk.  A ring that
-    holds the grid (grids 32 and 64) is sampled before the pass allocates its
-    buffers, so the call holds the larger of the two: on the bench's exp-g
-    form 2.28, 8.09 and 12.26 MiB at grids 32, 64 and 128, of which the ring
-    is 0.75 (one chunk), 6 and 6.75 MiB."""
-    fns = [compile_expr(s) for s in json.loads(LENS_7_2.read_text())["foliations"][0]["omega"]]
-    spec = FoliationSpec(tuple(fns), n, tuple((0, 0, k) for k in range(n)))
-    ((_label, _gv, taut), _defect, _warning), peak = traced_peak(gv_term, spec)
-    rows, omega = fg._slab_rows(n), ring(fns, n)
+    not span the chunk.  A ring that holds the grid (grids 32 and 64) is
+    sampled before the pass allocates its buffers, so the call holds the
+    larger of the two: on the bench's exp-g form 2.41, 8.09 and 12.14 MiB at
+    grids 32, 64 and 128, of which the ring is 0.75 (one chunk), 6 and
+    6.75 MiB, and with its zeros absent 1.47, 4.09 and 6.76 MiB, of which the
+    ring is 0.25, 2 and 2.25 MiB."""
+    rows = fg._slab_rows(n)
     block = 8 * rows * n * n
-    pass_bytes = (8 + 3 * (2 + (rows == 1)) + 7 + 3) * block
-    sampling = 2 * 8 * omega.height * n * n
-    if omega.edge_rows is None:
-        fixed = held_bytes(omega) + max(pass_bytes, sampling)
-    else:
-        fixed = held_bytes(omega) + pass_bytes + sampling
-    assert taut  # the pass solved for theta
-    assert fixed <= peak < fixed + 2 * block
+    for as_cli, blocks in ((False, 8 + 9 + 6 + 3), (True, 6 + 6 + 5 + 2)):
+        fns = lens_exp_g(as_cli)
+        spec = FoliationSpec(fns, n, tuple((0, 0, k) for k in range(n)))
+        ((_label, _gv, taut), _defect, _warning), peak = traced_peak(gv_term, spec)
+        omega = ring(fns, n)
+        pass_bytes = blocks * block
+        sampling = 2 * 8 * omega.height * n * n
+        if omega.edge_rows is None:
+            fixed = held_bytes(omega) + max(pass_bytes, sampling)
+        else:
+            fixed = held_bytes(omega) + pass_bytes + sampling
+        assert taut  # the pass solved for theta
+        assert fixed <= peak < fixed + 2 * block
 
 
 def test_the_ring_never_holds_more_than_one_omega():
@@ -882,3 +904,128 @@ def test_errors_come_in_the_order_singular_tautness_integrability():
     assert (gv, taut) == (None, False) and defect > 0.1 and "excluded" in warning
     with pytest.raises(ValueError, match="not integrable"):
         gv_term(FoliationSpec(contact_fns(), n, tuple((k, 0, 0) for k in range(n))))
+
+
+# --- absent components: a component given as None is never sampled -------------
+
+def smooth_positive(rng):
+    """2 plus two random Fourier modes of amplitude below 1/2: a component that
+    is nonvanishing on its own."""
+    modes = [(rng.integers(-2, 3, size=3), rng.uniform(-0.5, 0.5), rng.uniform(0, TWO_PI))
+             for _ in range(2)]
+    return lambda x, y, z: 2 + sum(a * np.sin(TWO_PI * (k[0] * x + k[1] * y + k[2] * z) + p)
+                                   for k, a, p in modes)
+
+
+def zero(x, y, z):
+    return 0 * x
+
+
+MASKS = [mask for mask in np.ndindex(2, 2, 2) if any(mask)]  # 1 marks a zero component
+
+
+def outcome(fns, n):
+    """gv_term's row, defect and warning on a z-loop, or the error it raises,
+    with the integrability test off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
+        try:
+            return gv_term(FoliationSpec(tuple(fns), n, tuple((0, 0, k) for k in range(n))))
+        except SingularityError as exc:
+            return str(exc)
+
+
+def assert_absent_matches_sampled(fns, zeros, n):
+    """gv_term with the components `zeros` absent equals it with them sampled as
+    the constant 0: every field value but the sign of a zero is the same, so
+    the row and warning are; so is the defect, except that the sum of
+    |d omega|^2 runs over fewer components and may round otherwise where
+    omega ^ d omega is not 0."""
+    sampled = outcome([zero if z else f for f, z in zip(fns, zeros)], n)
+    absent = outcome([None if z else f for f, z in zip(fns, zeros)], n)
+    if isinstance(sampled, str) or isinstance(absent, str):
+        assert absent == sampled
+        return
+    (row, defect, warning), (want_row, want_defect, want_warning) = absent, sampled
+    assert (row, warning) == (want_row, want_warning)
+    if want_defect == 0.0:
+        assert defect == 0.0
+    else:
+        assert defect == pytest.approx(want_defect, rel=1e-15, abs=0)
+
+
+GRIDS = [(8, None), (9, None), (32, None), (39, None), (64, None), (128, None), (39, (5, 5))] + [
+    (9, budget) for budget in [(1, 1), (1, 3), (2, 2), (2, 4), (2, 5), (3, 3), (4, 8)]]
+
+
+@pytest.mark.parametrize("n, budget", GRIDS, ids=[f"{n}" + (f"-{b[0]}-{b[1]}" if b else "")
+                                                   for n, b in GRIDS])
+def test_absent_components_give_the_rows_of_sampled_zeros(monkeypatch, n, budget):
+    """On a random nonvanishing form, for every set of zero components (all
+    three: both refuse the form as vanishing), by the default budgets and by
+    ragged slabs and chunks."""
+    if budget:
+        ragged_slabs(monkeypatch, n, *budget)
+    fns = [smooth_positive(np.random.default_rng(100 * n + c)) for c in range(3)]
+    for mask in MASKS:
+        assert_absent_matches_sampled(fns, mask, n)
+
+
+@pytest.mark.parametrize("n", [8, 39, 64])
+@pytest.mark.parametrize("kind", sorted(SAMPLED))
+def test_absent_zeros_give_the_rows_of_sampled_zeros_on_the_sampled_forms(n, kind):
+    fns = [compile_expr(s) for s in SAMPLED[kind]]
+    assert_absent_matches_sampled(fns, [f.is_zero for f in fns], n)
+
+
+@pytest.mark.parametrize("manifest, index", [(LENS_7_2, 0), (LENS_7_2, 1), (POINCARE, 0)],
+                         ids=["lens_7_2-exp-g", "lens_7_2-exp-xy", "poincare-exp-g"])
+def test_absent_zeros_give_the_bench_rows_bit_for_bit(manifest, index):
+    """The bench foliations are f dz: omega ^ d(omega) has no term left, so the
+    defect is 0.0 as when the zeros are sampled, and the row is the same to
+    its repr."""
+    entry = json.loads(manifest.read_text())["foliations"][index]
+    fns = [compile_expr(s) for s in entry["omega"]]
+    n, loop = entry["grid"], tuple(map(tuple, entry["transversal"]))
+    got = gv_term(FoliationSpec(tuple(None if f.is_zero else f for f in fns), n, loop))
+    want = gv_term(FoliationSpec(tuple(fns), n, loop))
+    assert repr(got) == repr(want) and got[1] == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 9, 32, 39, 64, 128])
+def test_the_ring_holds_and_samples_only_present_components(monkeypatch, n):
+    """For every set of absent components, the ring's slots and wrap rows hold
+    the present ones only, and the pass samples them alone, each grid row as
+    often as with no component absent, as a dense evaluation would."""
+    fns = [smooth_positive(np.random.default_rng(c)) for c in range(3)]
+    real = fg._Omega.sample
+    for mask in MASKS[:-1]:  # not all three absent
+        given = [None if z else f for f, z in zip(fns, mask)]
+        present = [f for f in given if f is not None]
+        omega = ring(given, n)
+        assert omega.present == tuple(f is not None for f in given)
+        assert all(len(slot) == len(present) for slot in omega.slots)
+        assert held_bytes(omega) <= len(present) * 8 * n**3
+        seen = []
+
+        def checking(self, rows, out):
+            real(self, rows, out)
+            picked = np.arange(n)[rows]
+            assert np.array_equal(out, dense_rows(n, picked, *present))
+            seen.extend(picked.tolist())
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(fg._Omega, "sample", checking)
+            outcome(given, n)
+        assert Counter(seen) == rows_sampled(fns, n)
+
+
+def test_an_omega_with_no_component_vanishes():
+    """Three absent components are refused as the pass refuses three sampled
+    zeros, after the loop's check and before any sampling."""
+    with pytest.raises(ValueError, match="single lattice edge"):
+        gv_term(FoliationSpec((None, None, None), 8, ((0, 0, 0), (0, 0, 2))))
+    for fns in ((None, None, None), (zero, zero, zero)):
+        with pytest.raises(SingularityError, match=r"vanishes at grid cell \(0, 0, 0\)"):
+            gv_term(FoliationSpec(fns, 8))
