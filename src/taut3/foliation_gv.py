@@ -12,14 +12,14 @@ grid (`_gv_blocks`), which reads omega from a small ring of sampled chunks
 units: each d is the undivided difference f[i+1] - f[i-1], 2h times the
 derivative, and the sums are rescaled once after the pass.
 
-Every form of the chain is a list of its three components, None for one that
-is identically zero.  A component of omega given as None (`cli` gives one
-whose expression folds to the constant 0) is never sampled or stored; a term
-with an absent factor is skipped, a component with no term left is absent
-and takes no buffer, and the sum of an absent field is 0.0.  So f dz, whose
-d(omega) and theta have two components each and omega ^ d(omega) none, costs
-about half of a form with three components; with none absent, the pass takes
-every operation of the full chain, in the same order.
+Every form of the chain is read as its three components (`_Form`), None for
+one that is identically zero.  A component of omega given as None (`cli`
+gives one whose expression folds to the constant 0) is never sampled or
+stored; a term with an absent factor is skipped, a component with no term
+left is absent and takes no buffer, and the sum of an absent field is 0.0.
+So f dz, whose d(omega) and theta have two components each and
+omega ^ d(omega) none, costs about half of a form with three components;
+with none absent, every value is computed by the full chain's arithmetic.
 """
 
 from __future__ import annotations
@@ -49,15 +49,15 @@ def grid_coords(n: int):
 # Bytes of one component of one x-slab of the GV pass; it sets the slab height
 # up to grid 64 (grid 32 runs in four 8-row slabs, faster than two of 16 rows
 # on 2 cores), and larger grids run one row at a time.  A slab's working set is
-# 29 such blocks for a form with three components (omega; d(omega) and
-# |omega|^2 of two slabs; theta of three; d(theta), omega ^ d(omega),
-# theta ^ d(theta) and a scratch block; the three that the sums square into)
-# and 20 for f dz, whose absent components take none.  Past grid 90 one row is
-# more than 64 KiB per component (128 KiB at grid 128, 288 KiB at grid 192),
-# so there the working set is 2.5-8.2 MiB, more than a 2 MiB L2 cache; yet the
-# cost per cell of `gv_term` does not rise from grid 48 to 192 (49-92 ns for
-# three components and 34-53 ns for f dz over three runs on 2 cores, lowest at
-# grids 128-192), so the cache does not set it.
+# 26 such blocks for a form with three components (omega; d(omega) and
+# |omega|^2 of two slabs; theta of two; the work area of six; the three that
+# the sums square into) and 19 for f dz, whose absent components take none;
+# one-row slabs keep theta of three slabs, 29 and 21 blocks.  Past grid 90 one
+# row is more than 64 KiB per component (128 KiB at grid 128, 288 KiB at grid
+# 192), so there the working set is 2.6-8.2 MiB, more than a 2 MiB L2 cache;
+# yet the cost per cell of `gv_term` does not rise from grid 48 to 192
+# (56-86 ns for three components and 30-68 ns for f dz, two runs on 2 cores,
+# highest at grid 48), so the cache does not set it.
 _SLAB_BYTES = 1 << 16
 
 
@@ -89,17 +89,33 @@ def _slabs(n):
     return [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
-def _spread(stack, present):
-    """Per-component views of `stack`, whose first axis runs over the present
-    components (the True flags of `present`), with None for the absent ones."""
-    parts = iter(stack)
-    return [next(parts) if on else None for on in present]
+def _packed(present):
+    """Each component's index in a stack of the present ones (the True flags of
+    `present`), in order, or None for an absent one."""
+    at, p = [], 0
+    for on in present:
+        at.append(p if on else None)
+        p += bool(on)
+    return tuple(at)
 
 
-def _rows(form, rows):
-    """The rows `rows` (an index or a slice) of each present component of a
-    block of a form."""
-    return [None if c is None else c[rows] for c in form]
+class _Form:
+    """A block of a form, read as the sequence of its three components:
+    component c is the view stack[at[c]] of `stack`, or None (absent) where
+    at[c] is None."""
+
+    __slots__ = ("stack", "at")
+
+    def __init__(self, stack, at):
+        self.stack, self.at = stack, at
+
+    def __getitem__(self, c):
+        i = self.at[c]
+        return None if i is None else self.stack[i]
+
+    def rows(self, rows):
+        """The rows `rows` (a slice) of each component."""
+        return _Form(self.stack[:, rows], self.at)
 
 
 class _Omega:
@@ -128,6 +144,7 @@ class _Omega:
 
     def __init__(self, fns, n, vertices):
         self.present = tuple(f is not None for f in fns)
+        self.at = _packed(self.present)
         self.fns, self.n, self.coords = [f for f in fns if f is not None], n, grid_coords(n)
         p, rows = len(self.fns), _slab_rows(n)
         self.height = min(n, rows * max(1, _slab_rows(n, _SAMPLE_BYTES) // rows))
@@ -166,7 +183,7 @@ class _Omega:
             i, j, l = self.vertices[mine].T
             self.at_vertices[:, mine] = chunk[:, i - a, j, l]
             self.held[slot] = c
-        return _spread(self.slots[slot][:, lo - a : lo - a + k], self.present)
+        return _Form(self.slots[slot][:, lo - a : lo - a + k], self.at)
 
     def edge(self, lo):
         """Grid rows lo and lo + 1 mod n, for lo = n - 2 or 0, as two blocks
@@ -177,7 +194,7 @@ class _Omega:
         if self.edge_at != lo:
             self.edge_at = lo
             self.sample(np.array([lo, lo + 1]) % self.n, self.edge_rows)
-        return [_spread(self.edge_rows[:, r : r + 1], self.present) for r in (0, 1)]
+        return [_Form(self.edge_rows[:, r : r + 1], self.at) for r in (0, 1)]
 
     def row(self, r):
         """Grid row r as a block of one row, for 0 <= r <= n: row n is row 0
@@ -195,38 +212,41 @@ _THETA = (((1, 1, 0), (1, 2, 1)), ((1, 2, 2), (-1, 0, 0)), ((-1, 0, 1), (-1, 1, 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _products(terms, u, v, out, tmp):
-    """Pointwise products of the blocks of two forms by `terms`, written into
-    the blocks `out` (None where no term is left) with `tmp` as scratch.  A
-    term with an absent factor is skipped; the first term left is written, a
-    negative one negated in place."""
-    for o, t in zip(out, terms):
-        if o is None:
-            continue
-        first = True
-        for sign, i, j in t:
-            if u[i] is None or v[j] is None:
-                continue
-            if first:
-                np.multiply(u[i], v[j], out=o)
-                if sign < 0:
-                    np.negative(o, out=o)
-                first = False
-            elif sign > 0:
-                o += np.multiply(u[i], v[j], out=tmp)
-            else:
-                o -= np.multiply(u[i], v[j], out=tmp)
+def _live(terms, u, v):
+    """The terms of a pointwise product of two forms laid out by `u` and `v`
+    (`_Form.at`), less those with an absent factor, as (sign, index in u's
+    stack, index in v's): per component of the result, its terms left, or
+    None where none is."""
+    return [[(sign, u[i], v[j]) for sign, i, j in t if u[i] is not None and v[j] is not None]
+            or None for t in terms]
+
+
+def _products(live, u, v, out, tmp):
+    """Pointwise products of the blocks of two forms by the terms of `_live`
+    with None left out, written into the blocks `out` of the result's present
+    components with `tmp` as scratch: each first term written, a negative one
+    negated in place, and the rest added or subtracted."""
+    u, v = u.stack, v.stack
+    for o, ((sign, i, j), *rest) in zip(out, live):
+        np.multiply(u[i], v[j], o)
+        if sign < 0:
+            np.negative(o, o)
+        for sign, i, j in rest:
+            (np.add if sign > 0 else np.subtract)(o, np.multiply(u[i], v[j], tmp), o)
     return out
 
 
-def _norm_sq(w, out, tmp):
-    """(w0^2 + w1^2) + w2^2 of a block of 1-form rows over its present
-    components, written into `out` with `tmp` as scratch; overflow gives inf."""
-    first, *rest = (c for c in w if c is not None)
-    with np.errstate(over="ignore"):
-        np.square(first, out=out)
-        for c in rest:
-            out += np.square(c, out=tmp)
+def _norm_sq(w, out, squares):
+    """(w0^2 + w1^2) + w2^2 of a `_Form` block of 1-form rows over its present
+    components, written into `out`, squared into the front of `squares`
+    (3, ...); overflow gives inf."""
+    p = len(w.stack)
+    if p == 1:
+        return np.square(w.stack[0], out)
+    sq = np.square(w.stack, squares[:p])
+    np.add(sq[0], sq[1], out)
+    if p == 3:
+        out += sq[2]
     return out
 
 
@@ -235,8 +255,8 @@ def _raise_at(omega, rows, bound=None):
     |omega| is not finite, or at most `bound` if one is given; the slab is
     sampled again to find it."""
     k, n = rows.stop - rows.start, omega.n
-    v = _spread(omega.sample(rows, np.empty((len(omega.fns), k, n, n))), omega.present)
-    mag = np.sqrt(_norm_sq(v, np.empty((k, n, n)), np.empty((k, n, n))))
+    v = _Form(omega.sample(rows, np.empty((len(omega.fns), k, n, n))), omega.at)
+    mag = np.sqrt(_norm_sq(v, np.empty((k, n, n)), np.empty((3, k, n, n))))
     bad, what = ((~np.isfinite(mag), "1-form is not finite (or overflows)") if bound is None
                  else (mag <= bound, "1-form (nearly) vanishes"))
     i, j, l = (int(c) for c in np.argwhere(bad)[0])
@@ -247,94 +267,123 @@ class _Slab(NamedTuple):
     """One x-slab of the GV chain in grid units, as views into buffers that the
     next slab overwrites: d(omega), theta and omega ^ d(omega) are 2h times
     their values, d(theta) (2h)^2 and theta ^ d(theta) (2h)^3 times.  Forms
-    are lists of their three components, None where absent; a 3-form with no
-    term left is None."""
+    are `_Form`s; a 3-form with no term left is None."""
 
-    dw: list  # d(omega)
+    dw: _Form  # d(omega)
     frob: np.ndarray | None  # omega ^ d(omega)
     norm_sq: np.ndarray  # |omega|^2
-    theta: list
-    dtheta: list
+    theta: _Form
+    dtheta: _Form
     gv: np.ndarray | None  # theta ^ d(theta)
 
 
-def _diff(f, axis, before, after, out, swap=False):
-    """The undivided centered difference f[i+1] - f[i-1] of one component
-    block f (k, n, n) of a slab along grid axis `axis`, or f[i-1] - f[i+1] if
-    `swap`, written into `out`; along x it reads the rows `before` and `after`
-    the slab (1, n, n).  The y and z interiors are one subtract each over the
-    flattened block, whose two wrap columns are then overwritten by one
-    subtract of strided views."""
-    def sub(ahead, behind, o):
-        return np.subtract(behind, ahead, out=o) if swap else np.subtract(ahead, behind, out=o)
+def _swapped(a, b, out, **kwargs):
+    """b - a into `out`."""
+    return np.subtract(b, a, out, **kwargs)
 
+
+def _diff(f, axis, before, after, out, sub=np.subtract):
+    """The undivided centered difference f[i+1] - f[i-1] of component blocks
+    f (..., k, n, n) of a slab along grid axis `axis`, written into `out` by
+    `sub` (`_swapped` gives f[i-1] - f[i+1]); along x it reads the rows
+    `before` and `after` the slab (..., 1, n, n).  The y and z interiors are
+    one subtract each over the flattened blocks, whose two wrap columns are
+    then overwritten by one subtract of strided views."""
     if axis == 0:
-        k = f.shape[0]
+        k = f.shape[-3]
         if k > 2:
-            sub(f[2:], f[:-2], out[1:-1])
+            sub(f[..., 2:, :, :], f[..., :-2, :, :], out[..., 1:-1, :, :])
         # the edge rows read the rows before and after the slab
-        sub(f[1:2] if k > 1 else after, before, out[:1])
+        sub(f[..., 1:2, :, :] if k > 1 else after, before, out[..., :1, :, :])
         if k > 1:
-            sub(after, f[-2:-1], out[-1:])
+            sub(after, f[..., -2:-1, :, :], out[..., -1:, :, :])
         return out
-    n = f.shape[-1]
-    step, flat = n ** (2 - axis), f.reshape(-1)
-    sub(flat[2 * step :], flat[: -2 * step], out.reshape(-1)[step:-step])
-    g, o = (f.swapaxes(-1, -2), out.swapaxes(-1, -2)) if axis == 1 else (f, out)
-    # the wrap: columns 0 and n-1 read columns 1 and 0 ahead, n-1 and n-2 behind
-    sub(g[..., 1::-1], g[..., ::-1][..., :2], o[..., :: max(n - 1, 1)])
+    n, lead = f.shape[-1], f.shape[:-3] + (-1,)
+    step, flat = n ** (2 - axis), f.reshape(lead)
+    sub(flat[..., 2 * step :], flat[..., : -2 * step], out.reshape(lead)[..., step:-step])
+    # the wrap: columns 0 and n-1 read columns 1 and 0 ahead, n-1 and n-2
+    # behind, as views (..., 2, n) iterated in C order, along their last axis
+    g, o = (f, out) if axis == 1 else (f.swapaxes(-1, -2), out.swapaxes(-1, -2))
+    sub(g[..., 1::-1, :], g[..., ::-1, :][..., :2, :], o[..., :: max(n - 1, 1), :], order="C")
     return out
 
 
-def _d_slab(v, before, after, out, tmp):
+# The six centred differences that d of a 1-form takes, as (axis, component),
+# two along each axis: the plaquette c = (a, b) is D_a v_b, slot c, less
+# D_b v_a, slot c + 3.
+_DIFFS = ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))
+
+
+def _d_slab(v, before, after, out, work):
     """2h times d of a 1-form on a slab of x-rows, written into the present
     components of `out`: v holds the slab's blocks (k, n, n), and `before`
-    and `after` the rows (1, n, n) just before and after it, None where a
-    component is absent.  (d v)_c = D_a v_b - D_b v_a for the plaquette
-    c = (a, b); where both terms are left, D_b v_a is taken into `tmp` and
-    subtracted, and a lone D_b v_a is written with its operands swapped.  Each
-    value is computed as the whole-grid derivative does at 2h = 1."""
-    for o, (a, b) in zip(out, _PAIRS):
-        if o is None:
+    and `after` the rows (1, n, n) just before and after it, in stacks laid
+    out alike.  A plaquette with both terms takes them into its two slots of
+    `work` (6, k, n, n), whose first three `out` may be, and subtracts them,
+    all three at once where every plaquette has both; a lone D_a v_b is
+    written into `out`, and a lone D_b v_a with its operands swapped.  Where
+    both differences along an axis go to `work`, they are one difference of
+    the two components' view as a pair of the stack.  Each value is computed
+    as the whole-grid derivative does at 2h = 1."""
+    at = v.at
+    both = [at[a] is not None and at[b] is not None for a, b in _PAIRS]
+    for axis in range(3):
+        s, t = 2 * axis, 2 * axis + 1
+        if both[s % 3] and both[t % 3]:
+            i, j = at[_DIFFS[s][1]], at[_DIFFS[t][1]]
+            pair = slice(i, 2 * j - i if 2 * j >= i else None, j - i)
+            _diff(v.stack[pair], axis, before.stack[pair], after.stack[pair], work[s : t + 1])
             continue
-        if v[b] is None:
-            _diff(v[a], b, before[a], after[a], o, swap=True)
-            continue
-        _diff(v[b], a, before[b], after[b], o)
-        if v[a] is not None:
-            o -= _diff(v[a], b, before[a], after[a], tmp)
+        for slot in (s, t):
+            c, plaquette = _DIFFS[slot][1], slot % 3
+            if at[c] is None:
+                continue
+            if both[plaquette]:
+                _diff(v[c], axis, before[c], after[c], work[slot])
+            else:
+                _diff(v[c], axis, before[c], after[c], out[plaquette],
+                      _swapped if slot >= 3 else np.subtract)
+    if all(both):
+        np.subtract(work[:3], work[3:], out.stack)
+    else:
+        for c in (c for c in range(3) if both[c]):
+            np.subtract(work[c], work[c + 3], out[c])
     return out
 
 
-def _wedge12(u, v, out, tmp):
-    """Pointwise u ^ v of a 1-form and a 2-form, into `out` (None if no term
-    is left)."""
-    return _products(_WEDGE12, u, v, [out], tmp)[0]
+def _wedge12(live, u, v, out, tmp):
+    """Pointwise u ^ v of a 1-form and a 2-form by the terms `live` of
+    `_WEDGE12`, into `out`; None if there are none."""
+    return _products(live, u, v, [out], tmp)[0] if live else None
 
 
-def _theta(w, v, norm_sq, out, tmp):
+def _theta(live, w, v, norm_sq, out, tmp):
     """Pointwise minimal-norm solution of v = theta ^ w: identifying 2-forms with
     axial vectors, g = theta x w is solved by (w x g) / |w|^2 with g = (v2, -v1,
-    v0); the products and signs are those of np.cross(w, g)."""
-    for t in _products(_THETA, w, v, out, tmp):
-        if t is not None:
-            t /= norm_sq
+    v0); the products and signs are those of np.cross(w, g), the terms `live`
+    of `_THETA`."""
+    _products(live, w, v, out.stack, tmp)
+    np.divide(out.stack, norm_sq, out.stack)
     return out
 
 
-def _chain(present):
-    """Which components of d(omega), theta, d(theta), omega ^ d(omega) and
-    theta ^ d(theta) have a term left, given which of omega's are present."""
+def _chain(at):
+    """The layouts (`_Form.at`) of d(omega), theta and d(theta), and the
+    terms that theta, omega ^ d(omega) and theta ^ d(theta) keep (of `_live`,
+    None left out), given omega's layout `at`.  d(theta) takes the first
+    three blocks of the pass's work area, component c in block c."""
     def d(w):
-        return [w[a] or w[b] for a, b in _PAIRS]
+        return [w[a] is not None or w[b] is not None for a, b in _PAIRS]
 
-    def product(terms, u, v):
-        return [any(u[i] and v[j] for _sign, i, j in t) for t in terms]
+    def kept(live):
+        return [t for t in live if t]
 
-    dw = d(present)
-    theta = product(_THETA, present, dw)
-    dtheta = d(theta)
-    return dw, theta, dtheta, product(_WEDGE12, present, dw), product(_WEDGE12, theta, dtheta)
+    dw = _packed(d(at))
+    theta = _live(_THETA, at, dw)
+    theta_at = _packed([t is not None for t in theta])
+    dtheta = tuple(c if on else None for c, on in enumerate(d(theta_at)))
+    frob, gv = _live(_WEDGE12, at, dw), _live(_WEDGE12, theta_at, dtheta)
+    return (dw, theta_at, dtheta), (kept(theta), kept(frob), kept(gv))
 
 
 def _gv_blocks(omega: _Omega):
@@ -343,76 +392,88 @@ def _gv_blocks(omega: _Omega):
 
     d(theta) on a slab reads theta one row past either side: the last row of
     the slab before and the first row of the slab after.  So each slab's
-    d(omega), |omega|^2 and theta are computed one slab ahead, into buffers
-    that rotate over two slabs, three for theta.  A one-row prologue puts
-    theta on the last grid row where the first slab reads it, and the last
-    slab computes grid row 0 again as the row after it.  omega's rows are
-    views of the ring of `omega`, no row is copied, no array spans the grid,
-    and every buffer holds only the components that have a term left.  Every
+    d(omega) and |omega|^2, and theta on its first row, are computed one slab
+    ahead, into buffers that rotate over two slabs (three for theta when slabs
+    are one row); theta on the rest of a slab is computed just before d(theta)
+    reads it.  A one-row prologue puts theta on the last grid row where the
+    first slab reads it, and the last slab computes grid row 0 again as the
+    row after it.  omega's rows are views of the ring of `omega`, no row is
+    copied, and no array spans the grid.  Each buffer of a form holds only
+    its components that have a term left; a work area of six blocks takes
+    each d's differences, then d(theta) in its first three, omega ^ d(omega)
+    and theta ^ d(theta) in the next two, and the last is scratch.  Every
     field value is bit-identical to the whole-grid computation at 2h = 1,
     apart from the signs of zeros where a term is skipped.
     """
     n = omega.n
     slabs, rows, plane = _slabs(n), _slab_rows(n), (n, n)
-    on_dw, on_theta, on_dtheta, on_frob, on_gv = _chain(omega.present)
+    (dw_at, theta_at, dth_at), (theta_terms, frob_terms, gv_terms) = _chain(omega.at)
+    slots = 2 + (rows == 1)  # a one-row slab reads theta from both other slabs
 
-    def buffers(count, present):
-        """`count` rotating per-component buffers of one slab."""
-        return [_spread(b, present) for b in np.empty((count, sum(present), rows) + plane)]
+    def buffers(count, at):
+        """`count` rotating buffers of one slab of a form laid out by `at`."""
+        p = sum(i is not None for i in at)
+        return [_Form(b, at) for b in np.empty((count, p, rows) + plane)]
 
-    dw_buf, theta_buf = buffers(2, on_dw), buffers(3, on_theta)
-    nsq_buf, tmp = np.empty((2, rows) + plane), np.empty((rows,) + plane)
-    dth_buf, [frob_buf], [gv_buf] = (buffers(1, on)[0] for on in (on_dtheta, on_frob, on_gv))
-
-    def part(form, at, k):
-        """Rows at..at+k-1 of one slab's buffer of a form."""
-        return form if at == 0 and k == rows else _rows(form, slice(at, at + k))
-
-    def ahead(i, k, v, before, after, at=0):
-        """d(omega), |omega|^2 and theta on the k grid rows `v`, whose
-        neighbour rows are `before` and `after`, into rows at.. of slab i's
-        buffers."""
-        dw = _d_slab(v, before, after, part(dw_buf[i % 2], at, k), tmp[:k])
-        nsq = _norm_sq(v, nsq_buf[i % 2, at : at + k], tmp[:k])
-        _theta(v, dw, nsq, part(theta_buf[i % 3], at, k), tmp[:k])
-
-    before, last = omega.edge(n - 2)
-    ahead(-1, 1, last, before, omega.block(0, 1), rows - 1)
-    w_next = omega.block(0, slabs[0].stop)
-    ahead(0, slabs[0].stop, w_next, last, omega.row(slabs[0].stop))
+    dw_buf, theta_buf = buffers(2, dw_at), buffers(slots, theta_at)
+    nsq_buf, work = np.empty((2, rows) + plane), np.empty((6, rows) + plane)
+    first_row = slice(0, 1)
     # the first and the last row of each slab's theta
-    theta_ends = [[part(t, at, 1) for t in theta_buf] for at in (0, rows - 1)]
+    heads = [t.rows(first_row) for t in theta_buf]
+    tails = [t.rows(slice(rows - 1, rows)) for t in theta_buf]
+
+    def ahead(i, v, before, after, at=0):
+        """d(omega) and |omega|^2 on the grid rows `v`, whose neighbour rows are
+        `before` and `after`, into rows at.. of slab i's buffers, and theta on
+        the first of them."""
+        k = v.stack.shape[1]
+        dw = dw_buf[i % 2] if k == rows else dw_buf[i % 2].rows(slice(at, at + k))
+        _d_slab(v, before, after, dw, work[:, :k])
+        nsq = _norm_sq(v, nsq_buf[i % 2, at : at + k], work[:3, :k])
+        th = (tails if at else heads)[i % slots]
+        _theta(theta_terms, v.rows(first_row), dw.rows(first_row), nsq[:1], th, work[5, :1])
+
+    first, last = omega.edge(n - 2)
+    ahead(-1, last, first, omega.block(0, 1), rows - 1)
+    w_next = omega.block(0, slabs[0].stop)
+    ahead(0, w_next, last, omega.row(slabs[0].stop))
+    dth_full = _Form(work[:3], dth_at)
     for i, s in enumerate(slabs):
         w_core = w_next  # the ring keeps a slab's chunk while the next one is read
         if s.stop < n:
             k = min(rows, n - s.stop)
             w_next = omega.block(s.stop, k)
-            ahead(i + 1, k, w_next, omega.block(s.stop - 1, 1), omega.row(s.stop + k))
+            ahead(i + 1, w_next, omega.block(s.stop - 1, 1), omega.row(s.stop + k))
         else:
             first, second = omega.edge(0)
-            ahead(i + 1, 1, first, omega.block(n - 1, 1), second)
+            ahead(i + 1, first, omega.block(n - 1, 1), second)
         k = s.stop - s.start
-        dw, nsq = part(dw_buf[i % 2], 0, k), nsq_buf[i % 2, :k]
-        th = part(theta_buf[i % 3], 0, k)
-        before, after = theta_ends[1][(i - 1) % 3], theta_ends[0][(i + 1) % 3]
-        dth = _d_slab(th, before, after, part(dth_buf, 0, k), tmp[:k])
-        frob_out, gv_out = part([frob_buf, gv_buf], 0, k)
-        frob = _wedge12(w_core, dw, frob_out, tmp[:k])
-        gv = _wedge12(th, dth, gv_out, tmp[:k])
+        dw, nsq, th, dth = dw_buf[i % 2], nsq_buf[i % 2, :k], theta_buf[i % slots], dth_full
+        if k < rows:
+            part = slice(0, k)
+            dw, th, dth = dw.rows(part), th.rows(part), _Form(work[:3, :k], dth_at)
+        if k > 1:
+            rest = slice(1, k)
+            _theta(theta_terms, w_core.rows(rest), dw.rows(rest), nsq[1:], th.rows(rest),
+                   work[5, : k - 1])
+        dth = _d_slab(th, tails[(i - 1) % slots], heads[(i + 1) % slots], dth, work[:, :k])
+        frob = _wedge12(frob_terms, w_core, dw, work[3, :k], work[5, :k])
+        gv = _wedge12(gv_terms, th, dth, work[4, :k], work[5, :k])
         yield _Slab(dw, frob, nsq, th, dth, gv)
 
 
-def _sum_sq(blocks, buf):
-    """Sum of squares of the present blocks of a field, squared one after
-    another into the front of the flat pass buffer `buf`, whose contiguous run
-    sums as np.square of their stack would; 0.0 if none is present.  Not
+def _sum_sq(a, buf):
+    """Sum of squares of a field block, squared into the front of the flat
+    pass buffer `buf`, whose contiguous block sums as np.square(a) would.  Not
     np.vdot: a multithreaded BLAS would spend a second core's time on every
     slab."""
-    blocks = [b for b in blocks if b is not None]
-    size = blocks[0].size if blocks else 0
-    for r, b in enumerate(blocks):
-        np.square(b, out=buf[r * size : (r + 1) * size].reshape(b.shape))
-    return float(np.sum(buf[: len(blocks) * size]))
+    return _sum(np.square(a, buf[: a.size].reshape(a.shape)))
+
+
+def _sum(a):
+    """np.sum(a) as a float, by the reduction that np.sum calls: its dispatch
+    in Python costs as much as summing a small slab."""
+    return float(np.add.reduce(a, None))
 
 
 @dataclass(frozen=True)
@@ -496,29 +557,29 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     if all(f is None for f in spec.omega):
         raise SingularityError("1-form (nearly) vanishes at grid cell (0, 0, 0)")
     omega = _Omega(spec.omega, n, np.empty((0, 3), int) if loop is None else loop[0])
-    # the squares of d(omega) and the lengths of each slab: two or three
-    # blocks, as each present component of omega enters two of d(omega)
-    buf = np.empty(sum(_chain(omega.present)[0]) * _slab_rows(n) * n * n)
+    # the squares of d(omega) and the lengths of each slab: d(omega) has three
+    # components, or two where omega has one (each enters two of d(omega))
+    buf = np.empty(min(3, len(omega.fns) + 1) * _slab_rows(n) * n * n)
     frob = dw = w = gv = total = 0.0
     least, scale = [], None
     with np.errstate(all="ignore"):
         for s, slab in zip(_slabs(n), _gv_blocks(omega)):
             size, shape = slab.norm_sq.size, slab.norm_sq.shape
-            mag = np.sqrt(slab.norm_sq, out=buf[:size].reshape(shape))
-            part = float(np.sum(mag))
+            mag = np.sqrt(slab.norm_sq, buf[:size].reshape(shape))
+            part = _sum(mag)
             if not isfinite(part):  # each finite length is below 1.4e154, so their sum is finite
                 _raise_at(omega, s)
             total += part
-            least.append(float(np.min(mag)))
+            least.append(float(np.minimum.reduce(mag, None)))
             if scale is None:  # 2^-2e, kept finite below |omega| ~ 2^-511
                 scale = ldexp(1.0, min(-2 * frexp(float(np.max(mag)))[1], 1022))
             if slab.frob is not None:
                 block = buf[size : 2 * size].reshape(shape)
-                frob += _sum_sq([np.multiply(slab.frob, scale, out=block)], buf)
-            dw += _sum_sq(slab.dw, buf)
-            w += float(np.sum(slab.norm_sq))
+                frob += _sum_sq(np.multiply(slab.frob, scale, block), buf)
+            dw += _sum_sq(slab.dw.stack, buf)
+            w += _sum(slab.norm_sq)
             if slab.gv is not None:
-                gv += float(np.sum(slab.gv))
+                gv += _sum(slab.gv)
         q = n / 2  # 1 / 2h: exact on power-of-two grids
         frob, dw, gv = frob * q * q, dw * q * q, gv * q**3
         mean = total / n**3

@@ -67,7 +67,7 @@ def ring(fns, n):
 def dense(field, shape):
     """A field of one slab of the pass as a new array: a form's components
     stacked, and an absent component or field (None) as zeros of `shape`."""
-    if isinstance(field, list):
+    if isinstance(field, fg._Form):
         return np.stack([dense(c, shape) for c in field])
     return np.zeros(shape) if field is None else field.copy()
 
@@ -664,21 +664,24 @@ def test_gv_term_allocates_less_than_one_omega(traced_peak):
 def test_gv_term_scratch_is_a_few_dozen_slab_blocks(traced_peak, n):
     """Counted in blocks of one component of one slab, the pass holds, for a
     form with three components, d(omega) and |omega|^2 of two slabs (8),
-    theta of three (9), d(theta), omega ^ d(omega), theta ^ d(theta) and one
-    scratch block (6), and the buffer that the sums square into (3).  For
-    f dz with its zeros absent, d(omega) has two components, theta two and
-    omega ^ d(omega) none: 6, 6, 5 and 2 blocks.  Besides these, the whole call holds the ring of
-    sampled omega and, while a chunk is sampled, the operand and result of one
-    operation on a chunk component and less than two blocks of factors that do
-    not span the chunk.  A ring that holds the grid (grids 32 and 64) is
-    sampled before the pass allocates its buffers, so the call holds the
-    larger of the two: on the bench's exp-g form 2.41, 8.09 and 12.14 MiB at
-    grids 32, 64 and 128, of which the ring is 0.75 (one chunk), 6 and
-    6.75 MiB, and with its zeros absent 1.47, 4.09 and 6.76 MiB, of which the
-    ring is 0.25, 2 and 2.25 MiB."""
+    theta of two or, for one-row slabs, three (6 or 9), a work area that takes
+    the differences of each d, then d(theta), omega ^ d(omega),
+    theta ^ d(theta) and a scratch block (6), and the buffer that the sums
+    square into (3).  For f dz with its zeros absent, d(omega) and theta have
+    two components and the sums square two blocks: 6, 4 or 6, 6 and 2.
+    Besides these, the whole call holds the ring of sampled omega and, while a
+    chunk is sampled, the operand and result of one operation on a chunk
+    component and less than two blocks of factors that do not span the chunk.
+    A ring that holds the grid (grids 32 and 64) is sampled before the pass
+    allocates its buffers, so the call holds the larger of the two: on the
+    bench's exp-g form 2.25, 8.10 and 12.14 MiB at grids 32, 64 and 128, of
+    which the ring is 0.75 (one chunk), 6 and 6.75 MiB, and with its zeros
+    absent 1.40, 4.09 and 6.89 MiB, of which the ring is 0.25, 2 and
+    2.25 MiB."""
     rows = fg._slab_rows(n)
     block = 8 * rows * n * n
-    for as_cli, blocks in ((False, 8 + 9 + 6 + 3), (True, 6 + 6 + 5 + 2)):
+    theta_slots = 2 + (rows == 1)
+    for as_cli, blocks in ((False, 8 + 3 * theta_slots + 6 + 3), (True, 6 + 2 * theta_slots + 6 + 2)):
         fns = lens_exp_g(as_cli)
         spec = FoliationSpec(fns, n, tuple((0, 0, k) for k in range(n)))
         ((_label, _gv, taut), _defect, _warning), peak = traced_peak(gv_term, spec)
