@@ -7,19 +7,16 @@ is the integral of theta ^ d(theta) over the torus.  Forms live at the vertices
 of an n^3 periodic grid; the exterior derivative uses centered differences (so
 d o d = 0 exactly, shifts commute) and the wedge is the pointwise antisymmetric
 product.  `gv_term` computes the whole chain in one pass over x-slabs of the
-grid (`_gv_blocks`), which reads omega from a small ring of sampled chunks
-(`_Omega`), so no array spans the grid, omega included.  The pass works in grid
-units: each d is the undivided difference f[i+1] - f[i-1], 2h times the
-derivative, and the sums are rescaled once after the pass.
-
-Every form of the chain is read as its three components (`_Form`), None for
-one that is identically zero.  A component of omega given as None (`cli`
-gives one whose expression folds to the constant 0) is never sampled or
-stored; a term with an absent factor is skipped, a component with no term
-left is absent and takes no buffer, and the sum of an absent field is 0.0.
-So f dz, whose d(omega) and theta have two components each and
-omega ^ d(omega) none, costs about half of a form with three components;
-with none absent, every value is computed by the full chain's arithmetic.
+grid, which reads omega from a small ring of sampled chunks (`_Omega`), so no
+array spans the grid.  The pass works in grid units: each d is the undivided
+difference f[i+1] - f[i-1], 2h times the derivative, and the sums are rescaled
+once after it.  It is a plan (`_Plan`) built once per layout of omega's
+present components and slab height, flat lists of ufunc steps over one
+workspace, kept for the grid it last ran on.  A component of omega given as
+None (`cli` gives one that folds to the constant 0) is never sampled, and the
+plan computes only what the sums of a row read (`_chain`): f dz, whose
+d(omega), theta and d(theta) have two components and omega ^ d(omega) none,
+costs about half of a form with three components.
 """
 
 from __future__ import annotations
@@ -29,6 +26,8 @@ from math import frexp, isfinite, ldexp, sqrt
 from typing import NamedTuple
 
 import numpy as np
+
+from .exprs import CompiledExpr
 
 
 class SingularityError(ValueError):
@@ -47,24 +46,20 @@ def grid_coords(n: int):
 
 
 # Bytes of one component of one x-slab of the GV pass; it sets the slab height
-# up to grid 64 (grid 32 runs in four 8-row slabs, faster than two of 16 rows
-# on 2 cores), and larger grids run one row at a time.  A slab's working set is
-# 26 such blocks for a form with three components (omega; d(omega) and
-# |omega|^2 of two slabs; theta of two; the work area of six; the three that
-# the sums square into) and 19 for f dz, whose absent components take none;
-# one-row slabs keep theta of three slabs, 29 and 21 blocks.  Past grid 90 one
-# row is more than 64 KiB per component (128 KiB at grid 128, 288 KiB at grid
-# 192), so there the working set is 2.6-8.2 MiB, more than a 2 MiB L2 cache;
-# yet the cost per cell of `gv_term` does not rise from grid 48 to 192
-# (56-86 ns for three components and 30-68 ns for f dz, two runs on 2 cores,
-# highest at grid 48), so the cache does not set it.
+# up to grid 64 (grid 32 runs in four 8-row slabs), and larger grids run one
+# row at a time.  A plan holds 19 such blocks for a form with three components
+# (d(omega) 3, |omega|^2 1, theta of three slabs 9, a work area 6) and 13 for
+# f dz (2 + 1 + 6 + 4).  Past grid 90 a row is over 64 KiB per component, so
+# that is 1.6-2.4 MiB at grid 128, about a 2 MiB L2 cache; yet the pass costs
+# 15-16 ns per cell of f dz and 42-58 ns of three components at grids 64, 128
+# and 192 alike (2 cores), so the cache does not set it.
 _SLAB_BYTES = 1 << 16
 
 
 # Bytes of one component of one chunk of sampled omega.  Sampling runs the
 # expressions once per chunk, so its chunks are larger than the GV pass's
-# slabs: at grid 128, 8-row chunks (1 MiB) sampled faster than the whole grid
-# at once and than 1-row chunks.
+# slabs: at grid 128, 8-row chunks (1 MiB) sample the bench's exp-g form in
+# place in 6.3 ms, as 32-row ones do, 4-row ones in 7.0 and 1-row ones in 13.
 _SAMPLE_BYTES = 1 << 20
 
 # |omega| must exceed NONVANISHING_FLOOR times its grid mean at every vertex,
@@ -90,71 +85,54 @@ def _slabs(n):
 
 
 def _packed(present):
-    """Each component's index in a stack of the present ones (the True flags of
+    """Each component's index in a stack of the present ones (the true flags of
     `present`), in order, or None for an absent one."""
-    at, p = [], 0
-    for on in present:
-        at.append(p if on else None)
-        p += bool(on)
-    return tuple(at)
+    return tuple(sum(map(bool, present[:c])) if on else None for c, on in enumerate(present))
 
 
-class _Form:
-    """A block of a form, read as the sequence of its three components:
-    component c is the view stack[at[c]] of `stack`, or None (absent) where
-    at[c] is None."""
-
-    __slots__ = ("stack", "at")
-
-    def __init__(self, stack, at):
-        self.stack, self.at = stack, at
-
-    def __getitem__(self, c):
-        i = self.at[c]
-        return None if i is None else self.stack[i]
-
-    def rows(self, rows):
-        """The rows `rows` (a slice) of each component."""
-        return _Form(self.stack[:, rows], self.at)
+def _ring(n, p):
+    """(rows per chunk, chunk slots, whether the slots are one whole omega,
+    floats) of the ring of p sampled components at grid n."""
+    rows = _slab_rows(n)
+    height = min(n, rows * max(1, _slab_rows(n, _SAMPLE_BYTES) // rows))
+    slots = 2 + (height == rows)
+    whole = -(-n // height) <= slots
+    return height, slots, whole, p * n * n * (n if whole else slots * height + 2)
 
 
 class _Omega:
     """A 1-form's grid rows as the GV pass reads them, sampled from the
     functions of its present components.
 
-    A component given as None is absent: it is zero everywhere, is never
-    sampled and holds no memory, and blocks read it as None; the ring's
-    arrays hold the p present components.  The functions
-    receive the broadcastable coordinates of `grid_coords`, cut to the rows
-    wanted, so a factor that depends on x alone is evaluated on those rows
-    only; each result, which may be a read-only view, is broadcast to its rows
-    as it is stored, the one copy made of it.  Rows are sampled a chunk at a
-    time, about `_SAMPLE_BYTES` per present component and a whole number of GV
-    slabs high, into a ring of two chunk slots (three when a chunk is one
-    slab).  Where that many chunks cover the grid, the slots are the chunks'
-    rows of one whole omega instead, all sampled at once, before the pass
-    allocates its buffers.  Each row is sampled into the ring once; where the
-    ring holds less than the grid, the wrap rows n-2 and n-1 that the pass
-    reads before its first slab, and 0 and 1 after its last, are sampled once
-    more into a two-row buffer.  The present components of omega at the
-    `vertices` ((m, 3) indices) are copied to `at_vertices` (p, m) as their
-    rows are sampled.  Overflow, division by zero and invalid operations give
-    inf/nan silently; `gv_term` rejects them.
-    """
+    A component given as None is absent and never sampled; a block of rows
+    is the stack (p, k, n, n) of the p present ones.  The functions receive
+    the coordinates of `grid_coords` cut to the rows wanted; a `CompiledExpr`
+    writes into the ring in place (`CompiledExpr.into`, with `scratch` and a
+    memo), any other result is broadcast into it.  Rows are sampled a chunk
+    at a time, about `_SAMPLE_BYTES` per component and a whole number of
+    slabs high, into two chunk slots (three when a chunk is one slab) carved
+    from `mem` if given, or, where that many chunks cover the grid, into one
+    whole omega when the ring is made.  Each row is sampled once, and where
+    the ring holds less than the grid the wrap rows n-2, n-1, 0 and 1 once
+    more into a two-row buffer.  omega at the `vertices` ((m, 3)) is copied
+    to `at_vertices` (p, m).  Overflow and invalid operations give inf/nan
+    silently; `gv_term` rejects them."""
 
-    def __init__(self, fns, n, vertices):
+    def __init__(self, fns, n, vertices, mem=None, scratch=None):
         self.present = tuple(f is not None for f in fns)
-        self.at = _packed(self.present)
         self.fns, self.n, self.coords = [f for f in fns if f is not None], n, grid_coords(n)
-        p, rows = len(self.fns), _slab_rows(n)
-        self.height = min(n, rows * max(1, _slab_rows(n, _SAMPLE_BYTES) // rows))
-        slots, self.edge_rows, self.edge_at = 2 + (self.height == rows), None, None
-        if -(-n // self.height) <= slots:
-            whole = np.empty((p, n, n, n))
+        self.scratch, self.memo = [] if scratch is None else scratch, {}
+        p = len(self.fns)
+        self.height, slots, whole, size = _ring(n, p)
+        mem = np.empty(size) if mem is None else mem[:size]
+        self.edge_rows, self.edge_at = None, None
+        if whole:
+            whole = mem.reshape(p, n, n, n)
             self.slots = [whole[:, a : a + self.height] for a in range(0, n, self.height)]
         else:
-            self.slots = list(np.empty((slots, p, self.height, n, n)))
-            self.edge_rows = np.empty((p, 2, n, n))
+            cut = slots * p * self.height * n * n
+            self.slots = list(mem[:cut].reshape(slots, p, self.height, n, n))
+            self.edge_rows = mem[cut:].reshape(p, 2, n, n)
         self.held = [None] * len(self.slots)
         self.vertices, self.at_vertices = vertices, np.empty((p, len(vertices)))
         if self.edge_rows is None:
@@ -167,13 +145,18 @@ class _Omega:
         x, y, z = self.coords
         with np.errstate(all="ignore"):
             for comp, f in zip(out, self.fns):
-                comp[...] = f(x[rows], y, z)
+                if isinstance(f, CompiledExpr):
+                    f.into(comp, x[rows], y, z, self.scratch, self.memo)
+                else:
+                    comp[...] = f(x[rows], y, z)
         return out
 
     def block(self, lo, k):
-        """Grid rows lo..lo+k-1, inside one chunk, as per-component (k, n, n)
-        views of the ring, sampling their chunk into its slot if it is not
-        there."""
+        """Grid rows lo..lo+k-1, inside one chunk, as a view (p, k, n, n) of
+        the ring, sampling their chunk into its slot if it is not there; row
+        n is row 0 as the last slab reads it (`edge`)."""
+        if lo == self.n:
+            return self.edge(0)[0]
         c = lo // self.height
         slot, a = c % len(self.slots), c * self.height
         if self.held[slot] != c:
@@ -183,7 +166,7 @@ class _Omega:
             i, j, l = self.vertices[mine].T
             self.at_vertices[:, mine] = chunk[:, i - a, j, l]
             self.held[slot] = c
-        return _Form(self.slots[slot][:, lo - a : lo - a + k], self.at)
+        return self.slots[slot][:, lo - a : lo - a + k]
 
     def edge(self, lo):
         """Grid rows lo and lo + 1 mod n, for lo = n - 2 or 0, as two blocks
@@ -194,286 +177,321 @@ class _Omega:
         if self.edge_at != lo:
             self.edge_at = lo
             self.sample(np.array([lo, lo + 1]) % self.n, self.edge_rows)
-        return [_Form(self.edge_rows[:, r : r + 1], self.at) for r in (0, 1)]
+        return [self.edge_rows[:, r : r + 1] for r in (0, 1)]
 
-    def row(self, r):
-        """Grid row r as a block of one row, for 0 <= r <= n: row n is row 0
-        as the last slab reads it."""
-        return self.edge(0)[0] if r == self.n else self.block(r, 1)
+
+def _raise_at(omega, bound=None):
+    """Raise SingularityError at the first cell, slab by slab, where |omega| is
+    not finite, or at most `bound` if one is given; the slabs are sampled
+    again to find it."""
+    n = omega.n
+    for s in _slabs(n):
+        sq = np.square(omega.sample(s, np.empty((len(omega.fns), s.stop - s.start, n, n))))
+        mag = np.sqrt(sum(sq[1:], sq[0]))  # (w0^2 + w1^2) + w2^2
+        bad, what = ((~np.isfinite(mag), "1-form is not finite (or overflows)") if bound is None
+                     else (mag <= bound, "1-form (nearly) vanishes"))
+        if bad.any():
+            i, j, l = (int(c) for c in np.argwhere(bad)[0])
+            raise SingularityError(f"{what} at grid cell {(s.start + i, j, l)}")
 
 
 # Pointwise products as, per component of the result, its terms (sign, i, j),
 # each +-u_i v_j, summed in this order: u ^ v of a 1-form and a 2-form, and
-# theta (`_theta`).
-_WEDGE12 = (((1, 0, 2), (-1, 1, 1), (1, 2, 0)),)
+# theta, the minimal-norm solution of v = theta ^ w: identifying 2-forms with
+# axial vectors, g = theta x w is solved by (w x g) / |w|^2 with g = (v2, -v1,
+# v0), whose products and signs are those of np.cross(w, g).
+_WEDGE12 = ((1, 0, 2), (-1, 1, 1), (1, 2, 0))
 _THETA = (((1, 1, 0), (1, 2, 1)), ((1, 2, 2), (-1, 0, 0)), ((-1, 0, 1), (-1, 1, 2)))
 
-# the components of a 2-form
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def _live(terms, u, v):
-    """The terms of a pointwise product of two forms laid out by `u` and `v`
-    (`_Form.at`), less those with an absent factor, as (sign, index in u's
-    stack, index in v's): per component of the result, its terms left, or
-    None where none is."""
-    return [[(sign, u[i], v[j]) for sign, i, j in t if u[i] is not None and v[j] is not None]
-            or None for t in terms]
-
-
-def _products(live, u, v, out, tmp):
-    """Pointwise products of the blocks of two forms by the terms of `_live`
-    with None left out, written into the blocks `out` of the result's present
-    components with `tmp` as scratch: each first term written, a negative one
-    negated in place, and the rest added or subtracted."""
-    u, v = u.stack, v.stack
-    for o, ((sign, i, j), *rest) in zip(out, live):
-        np.multiply(u[i], v[j], o)
-        if sign < 0:
-            np.negative(o, o)
-        for sign, i, j in rest:
-            (np.add if sign > 0 else np.subtract)(o, np.multiply(u[i], v[j], tmp), o)
-    return out
-
-
-def _norm_sq(w, out, squares):
-    """(w0^2 + w1^2) + w2^2 of a `_Form` block of 1-form rows over its present
-    components, written into `out`, squared into the front of `squares`
-    (3, ...); overflow gives inf."""
-    p = len(w.stack)
-    if p == 1:
-        return np.square(w.stack[0], out)
-    sq = np.square(w.stack, squares[:p])
-    np.add(sq[0], sq[1], out)
-    if p == 3:
-        out += sq[2]
-    return out
-
-
-def _raise_at(omega, rows, bound=None):
-    """Raise SingularityError at the first cell of the x-slab `rows` where
-    |omega| is not finite, or at most `bound` if one is given; the slab is
-    sampled again to find it."""
-    k, n = rows.stop - rows.start, omega.n
-    v = _Form(omega.sample(rows, np.empty((len(omega.fns), k, n, n))), omega.at)
-    mag = np.sqrt(_norm_sq(v, np.empty((k, n, n)), np.empty((3, k, n, n))))
-    bad, what = ((~np.isfinite(mag), "1-form is not finite (or overflows)") if bound is None
-                 else (mag <= bound, "1-form (nearly) vanishes"))
-    i, j, l = (int(c) for c in np.argwhere(bad)[0])
-    raise SingularityError(f"{what} at grid cell {(rows.start + i, j, l)}")
-
-
-class _Slab(NamedTuple):
-    """One x-slab of the GV chain in grid units, as views into buffers that the
-    next slab overwrites: d(omega), theta and omega ^ d(omega) are 2h times
-    their values, d(theta) (2h)^2 and theta ^ d(theta) (2h)^3 times.  Forms
-    are `_Form`s; a 3-form with no term left is None."""
-
-    dw: _Form  # d(omega)
-    frob: np.ndarray | None  # omega ^ d(omega)
-    norm_sq: np.ndarray  # |omega|^2
-    theta: _Form
-    dtheta: _Form
-    gv: np.ndarray | None  # theta ^ d(theta)
-
-
-def _swapped(a, b, out, **kwargs):
-    """b - a into `out`."""
-    return np.subtract(b, a, out, **kwargs)
-
-
-def _diff(f, axis, before, after, out, sub=np.subtract):
-    """The undivided centered difference f[i+1] - f[i-1] of component blocks
-    f (..., k, n, n) of a slab along grid axis `axis`, written into `out` by
-    `sub` (`_swapped` gives f[i-1] - f[i+1]); along x it reads the rows
-    `before` and `after` the slab (..., 1, n, n).  The y and z interiors are
-    one subtract each over the flattened blocks, whose two wrap columns are
-    then overwritten by one subtract of strided views."""
-    if axis == 0:
-        k = f.shape[-3]
-        if k > 2:
-            sub(f[..., 2:, :, :], f[..., :-2, :, :], out[..., 1:-1, :, :])
-        # the edge rows read the rows before and after the slab
-        sub(f[..., 1:2, :, :] if k > 1 else after, before, out[..., :1, :, :])
-        if k > 1:
-            sub(after, f[..., -2:-1, :, :], out[..., -1:, :, :])
-        return out
-    n, lead = f.shape[-1], f.shape[:-3] + (-1,)
-    step, flat = n ** (2 - axis), f.reshape(lead)
-    sub(flat[..., 2 * step :], flat[..., : -2 * step], out.reshape(lead)[..., step:-step])
-    # the wrap: columns 0 and n-1 read columns 1 and 0 ahead, n-1 and n-2
-    # behind, as views (..., 2, n) iterated in C order, along their last axis
-    g, o = (f, out) if axis == 1 else (f.swapaxes(-1, -2), out.swapaxes(-1, -2))
-    sub(g[..., 1::-1, :], g[..., ::-1, :][..., :2, :], o[..., :: max(n - 1, 1), :], order="C")
-    return out
-
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # the components of a 2-form
 
 # The six centred differences that d of a 1-form takes, as (axis, component),
-# two along each axis: the plaquette c = (a, b) is D_a v_b, slot c, less
-# D_b v_a, slot c + 3.
+# two along each axis: the plaquette q = (a, b) is D_a v_b, slot q, less
+# D_b v_a, slot q + 3.
 _DIFFS = ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))
 
 
-def _d_slab(v, before, after, out, work):
-    """2h times d of a 1-form on a slab of x-rows, written into the present
-    components of `out`: v holds the slab's blocks (k, n, n), and `before`
-    and `after` the rows (1, n, n) just before and after it, in stacks laid
-    out alike.  A plaquette with both terms takes them into its two slots of
-    `work` (6, k, n, n), whose first three `out` may be, and subtracts them,
-    all three at once where every plaquette has both; a lone D_a v_b is
-    written into `out`, and a lone D_b v_a with its operands swapped.  Where
-    both differences along an axis go to `work`, they are one difference of
-    the two components' view as a pair of the stack.  Each value is computed
-    as the whole-grid derivative does at 2h = 1."""
-    at = v.at
-    both = [at[a] is not None and at[b] is not None for a, b in _PAIRS]
-    for axis in range(3):
-        s, t = 2 * axis, 2 * axis + 1
-        if both[s % 3] and both[t % 3]:
-            i, j = at[_DIFFS[s][1]], at[_DIFFS[t][1]]
-            pair = slice(i, 2 * j - i if 2 * j >= i else None, j - i)
-            _diff(v.stack[pair], axis, before.stack[pair], after.stack[pair], work[s : t + 1])
-            continue
-        for slot in (s, t):
-            c, plaquette = _DIFFS[slot][1], slot % 3
-            if at[c] is None:
-                continue
-            if both[plaquette]:
-                _diff(v[c], axis, before[c], after[c], work[slot])
+def _chain(present):
+    """What the pass computes for omega's layout `present`, pruned back from
+    the sums of a row: d(omega)'s plaquettes (all, for the sum of |d omega|^2),
+    theta's terms by component, d(theta)'s plaquettes, and the terms of
+    omega ^ d(omega) and theta ^ d(theta).  A term with an absent factor goes,
+    a plaquette q of d(theta) unless theta ^ d(theta) pairs it with
+    theta_(2-q), and a theta component that neither reads."""
+    w = present
+    dw = tuple(w[a] or w[b] for a, b in _PAIRS)
+    theta = [[t for t in terms if w[t[1]] and dw[t[2]]] for terms in _THETA]
+    dtheta = tuple(bool(theta[2 - q] and (theta[a] or theta[b])) for q, (a, b) in enumerate(_PAIRS))
+    gv = [t for t in _WEDGE12 if theta[t[1]] and dtheta[t[2]]]
+    read = {t[1] for t in gv} | {c for q, pair in enumerate(_PAIRS) if dtheta[q] for c in pair}
+    theta = [t if c in read else [] for c, t in enumerate(theta)]
+    return dw, theta, dtheta, [t for t in _WEDGE12 if w[t[1]] and dw[t[2]]], gv
+
+
+def _views(a):
+    """Index functions of a stack (p, k, n, n): itself, rows flat, y and z swapped."""
+    return a.__getitem__, a.reshape(len(a), -1).__getitem__, a.swapaxes(-1, -2).__getitem__
+
+
+class _Plan:
+    """The GV pass for one layout of omega's present components at grid n in
+    `rows`-row x-slabs: flat lists of steps (ufunc, operands, output) over
+    blocks (rows, n, n) of a workspace (`bind`) that compute what `_chain`
+    keeps.  The blocks are d(omega) and |omega|^2 of one slab, theta of three
+    and a work area: each d's differences (plaquette q's terms in blocks q and
+    q + 3 where it has both), d(theta) in blocks q, the squares that the sums
+    reduce, flat from its start, and products with a scratch block.
+
+    `stages` reads each slab of omega once, one slab ahead: its d(omega),
+    |omega|^2, theta and their sums.  Then come d(theta) of the slab before,
+    reading theta one row past either side in the other theta blocks, and
+    theta ^ d(theta).  A one-row prologue puts theta on the last grid row;
+    the last slab reads grid row 0 again as the row after it.  Each stage's
+    steps are built on first use, omega's rows entering as indices into
+    views of the ring taken per slab.  Each slab's sums are reduced whole
+    (as np.sum and np.min do; np.vdot may spend a second core on each slab)
+    and folded in slab order into `sums`: |omega|, |omega ^ d omega|^2 (at
+    `_scale`), |d omega|^2, |omega|^2, theta ^ d(theta), and by np.fmin
+    (np.minimum where no value is nan) the least |omega|.  Every value is
+    bit-identical to the whole-grid computation at 2h = 1, apart from the
+    signs of zeros of skipped terms."""
+
+    def __init__(self, present, n, rows):
+        self.n, self.rows, self.at = n, rows, _packed(present)
+        dw, self.theta_terms, dtheta, self.frob, self.gv = _chain(present)
+        self.dw_at, self.theta_at = _packed(dw), _packed(self.theta_terms)
+        self.dtheta_at = tuple(q if on else None for q, on in enumerate(dtheta))
+        # theta ^ d(theta) goes to the first blocks d(theta) leaves; with two or
+        # more components a plaquette of d(theta) has both terms: six blocks
+        self.gv_out, self.gv_tmp = [b for b in range(6) if b not in self.dtheta_at][:2]
+        self.counts = (sum(dw), sum(map(bool, self.theta_terms)),
+                       6 if sum(present) > 1 else self.gv_tmp + 1)
+        self.blocks = self.counts[0] + 1 + 3 * self.counts[1] + self.counts[2]
+        # the six sums, a cell for each to take a slab's reduction, the scale
+        self.sums, self.built = np.zeros(13), {}
+
+    def bind(self, mem):
+        """Lay the plan's blocks over the front of the flat buffer `mem`."""
+        (pw, pt, _), n, rows = self.counts, self.n, self.rows
+        grid = mem[: self.blocks * rows * n * n].reshape(-1, rows, n, n)
+        self.dw, self.nsq = grid[:pw], grid[pw]
+        self.theta = grid[pw + 1 : pw + 1 + 3 * pt].reshape(3, pt, rows, n, n)
+        self.work = grid[pw + 1 + 3 * pt :]
+
+    def stages(self, omega):
+        """Run the pass over the row source `omega` (an `_Omega`), yielding
+        ("ahead", i) once slab i's d(omega), |omega|^2, theta and their sums
+        are in place, and ("slab", i) once its d(theta) and gv are."""
+        n, rows, slabs = self.n, self.rows, _slabs(self.n)
+        self.sums[:], self.sums[5] = 0.0, np.inf
+        first, last = omega.edge(n - 2)
+        self._ahead(last, first, omega.block(0, 1), rows - 1, 2, None)
+        k = slabs[0].stop
+        self._ahead(omega.block(0, k), last, omega.block(k, 1), 0, 0, True)
+        yield "ahead", 0
+        for i, s in enumerate(slabs):
+            if s.stop < n:
+                k = min(rows, n - s.stop)
+                self._ahead(omega.block(s.stop, k), omega.block(s.stop - 1, 1),
+                            omega.block(s.stop + k, 1), 0, (i + 1) % 3, False)
+                yield "ahead", i + 1
             else:
-                _diff(v[c], axis, before[c], after[c], out[plaquette],
-                      _swapped if slot >= 3 else np.subtract)
-    if all(both):
-        np.subtract(work[:3], work[3:], out.stack)
-    else:
-        for c in (c for c in range(3) if both[c]):
-            np.subtract(work[c], work[c + 3], out[c])
-    return out
+                first, second = omega.edge(0)
+                self._ahead(first, omega.block(n - 1, 1), second, 0, (i + 1) % 3, None)
+            _run(self._stage("slab", s.stop - s.start, i % 3)[0], ())
+            yield "slab", i
+
+    def _ahead(self, v, before, after, at, slot, summed):
+        """The stage on omega's rows v (p, k, n, n) between `before` and `after`,
+        theta into rows at.. of theta block `slot`; `summed` None for theta
+        alone (wrap rows), True for the first slab (it sets the scale)."""
+        steps, refs = self._stage("ahead", v.shape[1], at, slot, summed)
+        roles = (v, before, after, v.reshape(len(v), -1), v.swapaxes(-1, -2))
+        _run(steps, [roles[r][ix] for r, ix in refs])
+
+    def _stage(self, *key):
+        """(steps, omega's views) of a stage, built on first use."""
+        if key not in self.built:
+            steps, refs = [], []
+
+            def emit(fn, *args):
+                steps.append((fn, args, any(type(a) is int for a in args)))
+
+            def role(r):
+                return lambda ix: refs.append((r, ix)) or len(refs) - 1
+
+            getattr(self, "_build_" + key[0])(emit, role, *key[1:])
+            self.built[key] = steps, refs
+        return self.built[key]
+
+    def _build_ahead(self, emit, role, k, at, slot, summed):
+        """Emit the steps of `_ahead`, omega's roles by `role`."""
+        n, sums, work = self.n, self.sums, self.work[:, :k]
+        v, dw, nsq = (role(0), role(3), role(4)), self.dw[:, :k], self.nsq[:k]
+        self._d(emit, v, self.at, role(1), role(2), k, _views(dw), self.dw_at, _views(work))
+        p = len(self.at) - self.at.count(None)
+        sq = nsq[None] if p == 1 else work[:p]  # then (w0^2 + w1^2) + w2^2
+        emit(np.square, v[0](()), sq)
+        for c in range(1, p):
+            emit(np.add, sq[0] if c == 1 else nsq, sq[c], nsq)
+        theta = self.theta[slot][:, at : at + k]
+        _product_steps(emit, [t for t in self.theta_terms if t], v[0], self.at, dw.__getitem__,
+                  self.dw_at, theta, work[0])
+        emit(np.divide, theta, nsq, theta)
+        if summed is None:
+            return
+        flat, size = self.work.reshape(-1), k * n * n
+        mag, scaled = flat[:size].reshape(k, n, n), flat[size : 2 * size].reshape(k, n, n)
+        emit(np.sqrt, nsq, mag)
+        emit(np.add.reduce, mag, None, None, sums[6, ...])
+        emit(np.minimum.reduce, mag, None, None, sums[11, ...])
+        if summed:
+            emit(_scale, mag, sums)
+        squares = flat[: dw.size].reshape(dw.shape)
+        emit(np.square, dw, squares)
+        emit(np.add.reduce, squares, None, None, sums[8, ...])
+        emit(np.add.reduce, nsq, None, None, sums[9, ...])
+        if self.frob:
+            _product_steps(emit, [self.frob], v[0], self.at, dw.__getitem__, self.dw_at, work[2:3],
+                      work[3])
+            emit(np.multiply, work[2], sums[12, ...], scaled)
+            emit(np.square, scaled, mag)
+            emit(np.add.reduce, mag, None, None, sums[7, ...])
+        emit(np.add, sums[:4], sums[6:10], sums[:4])
+        emit(np.fmin, sums[5:6], sums[11:12], sums[5:6])
+
+    def _build_slab(self, emit, role, k, slot):
+        """Emit d(theta) and theta ^ d(theta) of a k-row slab in theta block `slot`."""
+        theta, rows = self.theta[slot][:, :k], self.rows
+        before, after = self.theta[(slot - 1) % 3][:, rows - 1 :], self.theta[(slot + 1) % 3][:, :1]
+        work = _views(self.work[:, :k])
+        self._d(emit, _views(theta), self.theta_at, before.__getitem__, after.__getitem__, k,
+                work, self.dtheta_at, work)
+        if self.gv:
+            gv = self.work[self.gv_out, :k]
+            _product_steps(emit, [self.gv], theta.__getitem__, self.theta_at, work[0], (0, 1, 2), [gv],
+                      self.work[self.gv_tmp, :k])
+            emit(np.add.reduce, gv, None, None, self.sums[10, ...])
+            emit(np.add, self.sums[4:5], self.sums[10:11], self.sums[4:5])
+
+    def _d(self, emit, f, fat, before, after, k, out, oat, work):
+        """Steps of 2h d of a 1-form on k rows, whose components f (`_views`),
+        `before` and `after` index laid out by `fat`, into the plaquettes of
+        `out` laid out by `oat` (None: not computed).  A plaquette with both
+        terms takes them into blocks q and q + 3 of `work` and subtracts them
+        (all three at once if all have both); a lone D_a v_b goes into `out`,
+        a lone D_b v_a with its operands swapped.  The two differences along
+        an axis are one, of a pair of components, where they go alike."""
+        both = [oat[q] is not None and fat[a] is not None and fat[b] is not None
+                for q, (a, b) in enumerate(_PAIRS)]
+        for axis in range(3):
+            diffs = [(fat[c], (work, s, False) if both[s % 3] else (out, oat[s % 3], s >= 3))
+                     for s, (_, c) in enumerate(_DIFFS[2 * axis : 2 * axis + 2], 2 * axis)
+                     if oat[s % 3] is not None and fat[c] is not None]
+            if len(diffs) == 2 and diffs[0][1][::2] == diffs[1][1][::2]:
+                (i, (dst, a, swap)), (j, (_, b, _)) = diffs
+                pair = lambda i, j: slice(i, 2 * j - i if 2 * j >= i else None, j - i)  # i, j
+                diffs = [(pair(i, j), (dst, pair(a, b), swap))]
+            for sel, (dst, osel, swap) in diffs:
+                _diff_steps(emit, f, before, after, sel, dst, osel, axis, k, self.n, swap)
+        if all(both):  # then oat is (0, 1, 2)
+            emit(np.subtract, work[0]((slice(0, 3),)), work[0]((slice(3, 6),)),
+                 out[0]((slice(0, 3),)))
+            return
+        for q in (q for q in range(3) if both[q]):
+            emit(np.subtract, work[0]((q,)), work[0]((q + 3,)), out[0]((oat[q],)))
 
 
-def _wedge12(live, u, v, out, tmp):
-    """Pointwise u ^ v of a 1-form and a 2-form by the terms `live` of
-    `_WEDGE12`, into `out`; None if there are none."""
-    return _products(live, u, v, [out], tmp)[0] if live else None
+def _diff_steps(emit, f, before, after, sel, out, osel, axis, k, n, swap):
+    """Steps of the undivided centred difference f[i+1] - f[i-1] (reversed if
+    `swap`) of components `sel` of the k-row stack f along grid axis `axis`
+    into components `osel` of `out` (both `_views`); along x it reads the rows
+    `before` and `after` the slab.  The y and z interiors are one subtract
+    over the flattened rows, whose wrap columns one more then overwrites."""
+    def sub(a, b, o):
+        emit(np.subtract, *((b, a) if swap else (a, b)), o)
 
-
-def _theta(live, w, v, norm_sq, out, tmp):
-    """Pointwise minimal-norm solution of v = theta ^ w: identifying 2-forms with
-    axial vectors, g = theta x w is solved by (w x g) / |w|^2 with g = (v2, -v1,
-    v0); the products and signs are those of np.cross(w, g), the terms `live`
-    of `_THETA`."""
-    _products(live, w, v, out.stack, tmp)
-    np.divide(out.stack, norm_sq, out.stack)
-    return out
-
-
-def _chain(at):
-    """The layouts (`_Form.at`) of d(omega), theta and d(theta), and the
-    terms that theta, omega ^ d(omega) and theta ^ d(theta) keep (of `_live`,
-    None left out), given omega's layout `at`.  d(theta) takes the first
-    three blocks of the pass's work area, component c in block c."""
-    def d(w):
-        return [w[a] is not None or w[b] is not None for a, b in _PAIRS]
-
-    def kept(live):
-        return [t for t in live if t]
-
-    dw = _packed(d(at))
-    theta = _live(_THETA, at, dw)
-    theta_at = _packed([t is not None for t in theta])
-    dtheta = tuple(c if on else None for c, on in enumerate(d(theta_at)))
-    frob, gv = _live(_WEDGE12, at, dw), _live(_WEDGE12, theta_at, dtheta)
-    return (dw, theta_at, dtheta), (kept(theta), kept(frob), kept(gv))
-
-
-def _gv_blocks(omega: _Omega):
-    """The GV chain of a 1-form in one pass over x-slabs, yielding a `_Slab` per
-    slab in order.
-
-    d(theta) on a slab reads theta one row past either side: the last row of
-    the slab before and the first row of the slab after.  So each slab's
-    d(omega) and |omega|^2, and theta on its first row, are computed one slab
-    ahead, into buffers that rotate over two slabs (three for theta when slabs
-    are one row); theta on the rest of a slab is computed just before d(theta)
-    reads it.  A one-row prologue puts theta on the last grid row where the
-    first slab reads it, and the last slab computes grid row 0 again as the
-    row after it.  omega's rows are views of the ring of `omega`, no row is
-    copied, and no array spans the grid.  Each buffer of a form holds only
-    its components that have a term left; a work area of six blocks takes
-    each d's differences, then d(theta) in its first three, omega ^ d(omega)
-    and theta ^ d(theta) in the next two, and the last is scratch.  Every
-    field value is bit-identical to the whole-grid computation at 2h = 1,
-    apart from the signs of zeros where a term is skipped.
-    """
-    n = omega.n
-    slabs, rows, plane = _slabs(n), _slab_rows(n), (n, n)
-    (dw_at, theta_at, dth_at), (theta_terms, frob_terms, gv_terms) = _chain(omega.at)
-    slots = 2 + (rows == 1)  # a one-row slab reads theta from both other slabs
-
-    def buffers(count, at):
-        """`count` rotating buffers of one slab of a form laid out by `at`."""
-        p = sum(i is not None for i in at)
-        return [_Form(b, at) for b in np.empty((count, p, rows) + plane)]
-
-    dw_buf, theta_buf = buffers(2, dw_at), buffers(slots, theta_at)
-    nsq_buf, work = np.empty((2, rows) + plane), np.empty((6, rows) + plane)
-    first_row = slice(0, 1)
-    # the first and the last row of each slab's theta
-    heads = [t.rows(first_row) for t in theta_buf]
-    tails = [t.rows(slice(rows - 1, rows)) for t in theta_buf]
-
-    def ahead(i, v, before, after, at=0):
-        """d(omega) and |omega|^2 on the grid rows `v`, whose neighbour rows are
-        `before` and `after`, into rows at.. of slab i's buffers, and theta on
-        the first of them."""
-        k = v.stack.shape[1]
-        dw = dw_buf[i % 2] if k == rows else dw_buf[i % 2].rows(slice(at, at + k))
-        _d_slab(v, before, after, dw, work[:, :k])
-        nsq = _norm_sq(v, nsq_buf[i % 2, at : at + k], work[:3, :k])
-        th = (tails if at else heads)[i % slots]
-        _theta(theta_terms, v.rows(first_row), dw.rows(first_row), nsq[:1], th, work[5, :1])
-
-    first, last = omega.edge(n - 2)
-    ahead(-1, last, first, omega.block(0, 1), rows - 1)
-    w_next = omega.block(0, slabs[0].stop)
-    ahead(0, w_next, last, omega.row(slabs[0].stop))
-    dth_full = _Form(work[:3], dth_at)
-    for i, s in enumerate(slabs):
-        w_core = w_next  # the ring keeps a slab's chunk while the next one is read
-        if s.stop < n:
-            k = min(rows, n - s.stop)
-            w_next = omega.block(s.stop, k)
-            ahead(i + 1, w_next, omega.block(s.stop - 1, 1), omega.row(s.stop + k))
-        else:
-            first, second = omega.edge(0)
-            ahead(i + 1, first, omega.block(n - 1, 1), second)
-        k = s.stop - s.start
-        dw, nsq, th, dth = dw_buf[i % 2], nsq_buf[i % 2, :k], theta_buf[i % slots], dth_full
-        if k < rows:
-            part = slice(0, k)
-            dw, th, dth = dw.rows(part), th.rows(part), _Form(work[:3, :k], dth_at)
+    if axis == 0:
+        if k > 2:
+            sub(f[0]((sel, slice(2, None))), f[0]((sel, slice(-2))), out[0]((osel, slice(1, -1))))
+        # the edge rows read the rows before and after the slab
+        sub(f[0]((sel, slice(1, 2))) if k > 1 else after((sel,)), before((sel,)),
+            out[0]((osel, slice(1))))
         if k > 1:
-            rest = slice(1, k)
-            _theta(theta_terms, w_core.rows(rest), dw.rows(rest), nsq[1:], th.rows(rest),
-                   work[5, : k - 1])
-        dth = _d_slab(th, tails[(i - 1) % slots], heads[(i + 1) % slots], dth, work[:, :k])
-        frob = _wedge12(frob_terms, w_core, dw, work[3, :k], work[5, :k])
-        gv = _wedge12(gv_terms, th, dth, work[4, :k], work[5, :k])
-        yield _Slab(dw, frob, nsq, th, dth, gv)
+            sub(after((sel,)), f[0]((sel, slice(k - 2, k - 1))), out[0]((osel, slice(k - 1, k))))
+        return
+    step = n ** (2 - axis)
+    sub(f[1]((sel, slice(2 * step, None))), f[1]((sel, slice(-2 * step))),
+        out[1]((osel, slice(step, -step))))
+    # the wrap: columns 0 and n-1 read columns 1 and 0 ahead, n-1 and n-2
+    # behind, as views (..., 2, n) along the last axis of y-rows or z-columns
+    g, o = (f[0], out[0]) if axis == 1 else (f[2], out[2])
+    ahead, behind = slice(1, None, -1), slice(n - 1, n - 3 if n > 2 else None, -1)
+    sub(g((sel, Ellipsis, ahead, slice(None))), g((sel, Ellipsis, behind, slice(None))),
+        o((osel, Ellipsis, slice(None, None, max(n - 1, 1)), slice(None))))
 
 
-def _sum_sq(a, buf):
-    """Sum of squares of a field block, squared into the front of the flat
-    pass buffer `buf`, whose contiguous block sums as np.square(a) would.  Not
-    np.vdot: a multithreaded BLAS would spend a second core's time on every
-    slab."""
-    return _sum(np.square(a, buf[: a.size].reshape(a.shape)))
+def _product_steps(emit, terms, u, uat, v, vat, out, tmp):
+    """Steps of pointwise products of forms read by u and v laid out by `uat`
+    and `vat`, by the `terms` of each block of `out`, with scratch `tmp`: each
+    first term written and negated in place if negative, the rest added or
+    subtracted."""
+    for o, ((sign, i, j), *rest) in zip(out, terms):
+        emit(np.multiply, u((uat[i],)), v((vat[j],)), o)
+        if sign < 0:
+            emit(np.negative, o, o)
+        for sign, i, j in rest:
+            emit(np.multiply, u((uat[i],)), v((vat[j],)), tmp)
+            emit(np.add if sign > 0 else np.subtract, o, tmp, o)
 
 
-def _sum(a):
-    """np.sum(a) as a float, by the reduction that np.sum calls: its dispatch
-    in Python costs as much as summing a small slab."""
-    return float(np.add.reduce(a, None))
+def _scale(mag, sums):
+    """The scale 2^-2e of |omega ^ d omega|^2 into sums[12], e the binary exponent
+    of the largest |omega| in `mag`; finite below |omega| ~ 2^-511."""
+    sums[12] = ldexp(1.0, min(-2 * frexp(float(np.max(mag)))[1], 1022))
+
+
+def _run(steps, w):
+    """Run steps (fn, operands, whether any is an int), an int operand
+    standing for that view of omega's rows in `w`."""
+    for fn, args, omega in steps:
+        fn(*([w[a] if type(a) is int else a for a in args] if omega else args))
+
+
+class _Workspace(NamedTuple):
+    """The pass's memory at one (grid, slab height, chunk height): the ring and
+    the plans' blocks (two buffers, so that no array spans the grid where the
+    ring does not), the scratch of in-place sampling, and plans by layout."""
+
+    key: tuple
+    ring: np.ndarray
+    blocks: np.ndarray
+    scratch: list
+    plans: dict
+
+
+_held = []  # the workspace of the grid of the last call: calls must not overlap
+
+
+def _workspace(present, n):
+    """The held workspace and the plan of omega's layout `present` at grid n
+    on it; a workspace of another key or too small is released first."""
+    rows, (height, _, _, ring) = _slab_rows(n), _ring(n, sum(present))
+    key = (n, rows, height)
+    ws = _held[0] if _held and _held[0].key == key else None
+    plan = ws and ws.plans.get(present)
+    if plan is None:
+        plan = _Plan(present, n, rows)
+        blocks = plan.blocks * rows * n * n
+        if ws is None or ws.ring.size < ring or ws.blocks.size < blocks:
+            if ws is not None:
+                ring, blocks = max(ring, ws.ring.size), max(blocks, ws.blocks.size)
+            _held.clear()
+            _held.append(_Workspace(key, np.empty(ring), np.empty(blocks), [], {}))
+            ws = _held[0]
+        plan.bind(ws.blocks)
+        ws.plans[present] = plan
+    return ws, plan
 
 
 @dataclass(frozen=True)
@@ -498,16 +516,15 @@ def _loop_edges(transversal, n):
     outside = [p for p in path if len(p) != 3 or not all(0 <= c < n for c in p)]
     if outside:
         raise ValueError(f"transversal vertex {outside[0]} is not a vertex of the {n}^3 grid")
-    axes, signs = [], []
-    for p, q in zip(path, path[1:] + path[:1]):
-        delta = [(q[i] - p[i]) % n for i in range(3)]
-        delta = [dd - n if dd > n // 2 else dd for dd in delta]
-        nz = [i for i in range(3) if delta[i] != 0]
-        if len(nz) != 1 or abs(delta[nz[0]]) != 1:
-            raise ValueError(f"path step {p} -> {q} is not a single lattice edge")
-        axes.append(nz[0])
-        signs.append(delta[nz[0]])
-    return np.array(path), np.array(axes), np.array(signs)
+    vertices = np.array(path)
+    delta = (np.roll(vertices, -1, axis=0) - vertices) % n
+    delta = np.where(delta > n // 2, delta - n, delta)  # the shorter way round
+    bad = np.flatnonzero((np.count_nonzero(delta, axis=1) != 1) | (np.abs(delta).sum(axis=1) != 1))
+    if bad.size:
+        p, q = path[bad[0]], path[(bad[0] + 1) % len(path)]
+        raise ValueError(f"path step {p} -> {q} is not a single lattice edge")
+    axes = np.argmax(delta != 0, axis=1)
+    return vertices, axes, delta[np.arange(len(path)), axes]
 
 
 def tautness_check(pairings, mean: float) -> bool:
@@ -533,17 +550,13 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
 
     The transversal is checked first (ValueError), and an omega whose three
     components are all absent (None) vanishes (SingularityError at the first
-    cell, as the pass would find).  Then one slab pass
-    (`_gv_blocks`) samples omega and gives the mean and least of |omega|, its
-    pairings with the loop's edges, the defect |omega ^ d omega| / (|omega|
-    |d omega| + eps) and the GV integral of theta ^ d theta (L2 norms are grid
-    RMS values).  The pass sums in grid units, and each sum is rescaled by the
-    power of n/2 that undoes them.  The sum of |omega ^ d omega|^2 grows as
-    |omega|^4, so it is taken at the scale 2^-2e, e the binary exponent of the
-    first slab's largest |omega|, and the defect's denominator is taken at the
-    same scale before its eps is added: a power of two, so omega and 2^k omega
-    give the same defect bit for bit, and a small omega meets the same
-    tolerance as a large one.  After the pass come, in order:
+    cell).  Then one slab pass (`_Plan.stages`) samples omega and gives the
+    mean and least of |omega|, its pairings with the loop's edges, the
+    defect |omega ^ d omega| / (|omega| |d omega| + eps) (grid RMS norms)
+    and the GV integral of theta ^ d theta, rescaled from grid units by
+    powers of n/2.  Sum and denominator of the defect are taken at the power
+    of two `_scale`, so omega and 2^k omega give the same defect bit for bit
+    and a small omega meets the tolerance of a large one.  Then, in order:
     SingularityError where |omega| is not finite or at most NONVANISHING_FLOOR
     times its mean; the tautness test (None without a loop), a failure of
     which raises TautnessError if `strict` and otherwise excludes the row;
@@ -556,36 +569,22 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     loop = None if spec.transversal is None else _loop_edges(spec.transversal, n)
     if all(f is None for f in spec.omega):
         raise SingularityError("1-form (nearly) vanishes at grid cell (0, 0, 0)")
-    omega = _Omega(spec.omega, n, np.empty((0, 3), int) if loop is None else loop[0])
-    # the squares of d(omega) and the lengths of each slab: d(omega) has three
-    # components, or two where omega has one (each enters two of d(omega))
-    buf = np.empty(min(3, len(omega.fns) + 1) * _slab_rows(n) * n * n)
-    frob = dw = w = gv = total = 0.0
-    least, scale = [], None
+    ws, plan = _workspace(tuple(f is not None for f in spec.omega), n)
+    vertices = np.empty((0, 3), int) if loop is None else loop[0]
+    omega = _Omega(spec.omega, n, vertices, ws.ring, ws.scratch)
     with np.errstate(all="ignore"):
-        for s, slab in zip(_slabs(n), _gv_blocks(omega)):
-            size, shape = slab.norm_sq.size, slab.norm_sq.shape
-            mag = np.sqrt(slab.norm_sq, buf[:size].reshape(shape))
-            part = _sum(mag)
-            if not isfinite(part):  # each finite length is below 1.4e154, so their sum is finite
-                _raise_at(omega, s)
-            total += part
-            least.append(float(np.minimum.reduce(mag, None)))
-            if scale is None:  # 2^-2e, kept finite below |omega| ~ 2^-511
-                scale = ldexp(1.0, min(-2 * frexp(float(np.max(mag)))[1], 1022))
-            if slab.frob is not None:
-                block = buf[size : 2 * size].reshape(shape)
-                frob += _sum_sq(np.multiply(slab.frob, scale, block), buf)
-            dw += _sum_sq(slab.dw.stack, buf)
-            w += _sum(slab.norm_sq)
-            if slab.gv is not None:
-                gv += _sum(slab.gv)
+        for _ in plan.stages(omega):
+            pass
+        # each finite length is below 1.4e154, so their sum is finite
+        total, frob, dw, w, gv, least, *_cells, scale = plan.sums.tolist()
+        if not isfinite(total):
+            _raise_at(omega)
         q = n / 2  # 1 / 2h: exact on power-of-two grids
         frob, dw, gv = frob * q * q, dw * q * q, gv * q**3
         mean = total / n**3
         bound = NONVANISHING_FLOOR * max(mean, 1e-300)
-        if min(least) <= bound:
-            _raise_at(omega, next(s for s, m in zip(_slabs(n), least) if m <= bound), bound)
+        if least <= bound:
+            _raise_at(omega, bound)
     taut = None
     if loop is not None:
         _, axes, signs = loop
@@ -602,7 +601,7 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     if taut is False:
         return (label, None, taut), defect, failed + "; excluded from the sum"
     if defect > INTEGRABILITY_TOLERANCE:
-        raise ValueError("form is not integrable within tolerance; no theta exists")
+        raise ValueError(f"{label}: form is not integrable within tolerance; no theta exists")
     warning = None if taut else f"{label}: no transversal supplied, tautness inconclusive"
     return (label, gv * (1.0 / n) ** 3, taut), defect, warning
 

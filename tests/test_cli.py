@@ -371,13 +371,13 @@ def test_gv_never_evaluates_a_component_that_folds_to_zero(tmp_path, monkeypatch
     specs = [cli._foliation_spec(e, [cli.compile_expr(s) for s in e["omega"]]) for e in foliations]
     assert [[f is None for f in spec.omega] for spec in specs] == [
         [True, True, False], [False, True, False], [True, False, False]]
-    evaluated, real = [], CompiledExpr.__call__
+    evaluated = []
+    for method in ("__call__", "into"):  # sampling evaluates in place by `into`
+        def recording(self, *args, real=getattr(CompiledExpr, method)):
+            evaluated.append(self.tree)
+            return real(self, *args)
 
-    def recording(self, x, y, z):
-        evaluated.append(self.tree)
-        return real(self, x, y, z)
-
-    monkeypatch.setattr(CompiledExpr, "__call__", recording)
+        monkeypatch.setattr(CompiledExpr, method, recording)
     data = {"schema_version": 1, "manifold": {"family": "S3"}, "foliations": foliations}
     assert run(["gv", "--manifest", write_manifest(tmp_path, data)]) == EXIT_OK
     want = [cli.compile_expr(s).tree for e in foliations for s in e["omega"]]
@@ -468,16 +468,16 @@ def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, c
     data = json.loads(Path(lens5_manifest(tmp_path)).read_text())
     data["foliations"].append(second)
     manifest = write_manifest(tmp_path, data)
-    passes = count_calls("_gv_blocks", fg)
-    derivatives = count_calls("_d_slab", fg)
+    passes = count_calls("stages", fg._Plan)
+    derivatives = count_calls("_ahead", fg._Plan)
     assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
-    # per foliation: one slab pass over a single slab (grids 16 and 8), in which
-    # the kernel takes d(omega) and d(theta) once on the slab, and d(omega) on
-    # the grid rows before and after it, where theta wraps around
+    # per foliation: one slab pass over a single slab (grids 16 and 8), whose
+    # stage that reads omega takes d(omega) once on the slab, and on the grid
+    # rows before and after it, where theta wraps around
     assert fg._slab_rows(16) == 16 and fg._slab_rows(n) == n
     assert len(passes) == 2
-    heights = [len(next(c for c in args[0] if c is not None)) for args in derivatives]
-    assert heights == [1, 16, 1, 16, 1, n, 1, n]
+    heights = [args[1].shape[1] for args in derivatives]
+    assert heights == [1, 16, 1, 1, n, 1]
 
 
 def test_gv_reports_the_integrability_tolerance_it_applies(tmp_path, monkeypatch, capsys):
@@ -502,7 +502,9 @@ def test_gv_reports_the_integrability_tolerance_it_applies(tmp_path, monkeypatch
     assert code == EXIT_OK and section["tolerances"]["integrability"] == 2 * defect
     monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", defect / 2)
     assert gv_section(tilted)[0] == EXIT_USAGE
-    assert "not integrable" in capsys.readouterr().err
+    # the error names the foliation, as the tautness and overflow errors do
+    assert capsys.readouterr().err.endswith(
+        "error: foliation[0]: form is not integrable within tolerance; no theta exists\n")
 
 
 def test_all_builds_each_twisted_complex_once(tmp_path, count_calls):

@@ -1,5 +1,7 @@
+import json
 import math
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,3 +166,57 @@ def test_any_text_parses_or_raises_expr_error(text):
         parse_expr(text)
     except ExprError:
         pass
+
+
+# --- in-place evaluation ---------------------------------------------------------
+
+_BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "manifests"
+_N = 6
+_GRID = np.meshgrid(*[np.arange(_N) / _N] * 3, indexing="ij", sparse=True)
+# chunks of grid rows as the GV pass samples them: slabs, one row, the wrap rows
+_CHUNKS = [slice(0, 4), slice(4, 6), slice(2, 3), np.array([4, 5]), np.array([5, 0])]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_into_matches_call(f):
+    """`into` writes f(x[rows], y, z) bit for bit, nan payloads and signed zeros
+    included, into chunk after chunk with one scratch list and one memo, and
+    leaves a buffer of any other shape unwritten."""
+    x, y, z = _GRID
+    scratch, memo = [], {}
+    for rows in _CHUNKS:
+        with np.errstate(all="ignore"):
+            want = np.broadcast_to(f(x[rows], y, z), (len(x[rows]), _N, _N))
+            out = np.full(want.shape, 7.0)
+            assert f.into(out, x[rows], y, z, scratch, memo) is out
+        assert np.array_equal(bits(out), bits(want))
+        for shape in ((len(x[rows]) + 1, _N, _N), (_N, _N), want.shape[:2] + (1,)):
+            wrong = np.full(shape, 7.0)
+            with pytest.raises(ValueError, match="shape"):
+                f.into(wrong, x[rows], y, z, scratch, memo)
+            assert np.all(wrong == 7.0)
+
+
+@pytest.mark.parametrize("text", [
+    "3", "-0", "1 - 1", "pi", "x", "1 + x^2", "exp(0.3*sin(2*pi*x))", "y", "cos(2*pi*y)*z",
+    "2 + sin(2*pi*y)", "x*y*z", "x*y*z + sin(x*y*z)", "(x + y + z)*(x*y*z)",
+    "(x*y - z)*(y*z - x)/(z*x + 1)", "-(x*y*z)^2", "2^(x*y*z)",
+] + [t for m in sorted(_BENCH.glob("*.json")) for e in json.loads(m.read_text()).get("foliations", [])
+     for t in e["omega"]])
+def test_into_matches_call(text):
+    """Constant, x-only, broadcast-only, full-size and the bench expressions."""
+    assert_into_matches_call(compile_expr(text))
+
+
+@given(st.recursive(_leaves, _extend, max_leaves=12))
+@example(("(x * y) * (z + (x * y))", None))
+def test_into_matches_call_on_random_trees(tree):
+    text, expected = tree
+    try:
+        f = compile_expr(text)
+    except ExprError:
+        return  # a constant subtree that raises: no tree to evaluate
+    assert_into_matches_call(f)

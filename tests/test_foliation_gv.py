@@ -1,4 +1,6 @@
+import itertools
 import json
+import resource
 import tracemalloc
 from collections import Counter
 from math import isfinite, sqrt
@@ -64,22 +66,44 @@ def ring(fns, n):
     return fg._Omega(tuple(fns), n, np.empty((0, 3), int))
 
 
-def dense(field, shape):
-    """A field of one slab of the pass as a new array: a form's components
-    stacked, and an absent component or field (None) as zeros of `shape`."""
-    if isinstance(field, fg._Form):
-        return np.stack([dense(c, shape) for c in field])
-    return np.zeros(shape) if field is None else field.copy()
+def spread(stack, at):
+    """The three components of a form from the stack of those that the pass
+    computes, laid out by `at`, as a new array with zeros for the others."""
+    out = np.zeros((3,) + stack.shape[1:])
+    for c, i in enumerate(at):
+        if i is not None:
+            out[c] = stack[i]
+    return out
+
+
+def planned(fns, n):
+    """A plan of the pass for the layout of `fns` (None where absent) at grid
+    n, on memory of its own."""
+    rows = fg._slab_rows(n)
+    plan = fg._Plan(tuple(f is not None for f in fns), n, rows)
+    plan.bind(np.empty(plan.blocks * rows * n * n))
+    return plan
 
 
 def pass_fields(fns, n):
-    """The per-slab blocks of `_gv_blocks` on component functions (None where
-    absent), copied out of the reused buffers with absent parts as zeros and
-    concatenated along x, in the order and the grid units of `_Slab`:
-    d(omega), omega ^ d(omega), |omega|^2, theta, d(theta) and
-    theta ^ d(theta)."""
-    blocks = [[dense(f, s.norm_sq.shape) for f in s] for s in fg._gv_blocks(ring(fns, n))]
-    return [np.concatenate(parts, axis=parts[0].ndim - 3) for parts in zip(*blocks)]
+    """The fields of the pass on component functions (None where absent),
+    copied out of its workspace slab by slab with the components that it does
+    not compute as zeros and concatenated along x, in grid units: d(omega),
+    omega ^ d(omega), |omega|^2, theta, d(theta) and theta ^ d(theta)."""
+    plan, slabs = planned(fns, n), fg._slabs(n)
+    fields = [[] for _ in range(6)]
+    for stage, i in plan.stages(ring(fns, n)):
+        k = slabs[i].stop - slabs[i].start
+        zeros = np.zeros((k, n, n))
+        if stage == "ahead":
+            fields[0].append(spread(plan.dw[:, :k], plan.dw_at))
+            fields[1].append(plan.work[2, :k].copy() if plan.frob else zeros)
+            fields[2].append(plan.nsq[:k].copy())
+            fields[3].append(spread(plan.theta[i % 3][:, :k], plan.theta_at))
+        else:
+            fields[4].append(spread(plan.work[:3, :k], plan.dtheta_at))
+            fields[5].append(plan.work[plan.gv_out, :k].copy() if plan.gv else zeros)
+    return [np.concatenate(parts, axis=parts[0].ndim - 3) for parts in fields]
 
 
 def slab_fields(omega):
@@ -160,9 +184,12 @@ def contact_fns():
 
 
 def test_solve_theta_rejects_nonintegrable():
+    """The error names the foliation: its label, or its index in the list."""
     n = 16
-    with pytest.raises(ValueError, match="not integrable"):
-        gv_term(FoliationSpec(contact_fns(), n))
+    with pytest.raises(ValueError, match=r"^foliation\[3\]: form is not integrable"):
+        gv_term(FoliationSpec(contact_fns(), n), 3)
+    with pytest.raises(ValueError, match=r"^contact: form is not integrable"):
+        gv_term(FoliationSpec(contact_fns(), n, label="contact"))
     with pytest.raises(ValueError, match="not integrable"):
         solve_theta(form_from_functions(1, n, *contact_fns()))
 
@@ -526,7 +553,7 @@ def random_omega(rng, n):
 
 
 def oracle_fields(omega, h=None):
-    """The whole-grid chain in the order of `_Slab`, its differences divided by
+    """The whole-grid chain in the order of `pass_fields`, its differences divided by
     2h (h the grid spacing unless one is given)."""
     dw = d(omega, h)
     theta = go._theta(omega, dw, 0.0, 1.0)
@@ -650,50 +677,50 @@ def lens_exp_g(as_cli):
 
 
 def test_gv_term_allocates_less_than_one_omega(traced_peak):
-    """Sampling included, a gv_term call at grid 128 holds less than a third
-    of one omega, and on f dz given as `cli` gives it less than a sixth."""
+    """Sampling included, a gv_term call at grid 128 holds less than a quarter
+    of one omega (three components of 8 n^3 bytes) on a form given by three
+    Python functions, and on f dz given as `cli` gives it less than 3/32
+    (4.16 MiB; the slab pass before the plan held 6.89)."""
     n = 128
     loop = tuple((0, 0, k) for k in range(n))
     _, peak = traced_peak(gv_term, FoliationSpec(gauge_changed_fns(), n, loop))
-    assert peak < 8 * n**3
+    assert peak < 6 * n**3
+    fg._held.clear()
     _, peak = traced_peak(gv_term, FoliationSpec(lens_exp_g(as_cli=True), n, loop))
-    assert peak < 4 * n**3
+    assert peak < 2.25 * n**3
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_gv_term_scratch_is_a_few_dozen_slab_blocks(traced_peak, n):
-    """Counted in blocks of one component of one slab, the pass holds, for a
-    form with three components, d(omega) and |omega|^2 of two slabs (8),
-    theta of two or, for one-row slabs, three (6 or 9), a work area that takes
-    the differences of each d, then d(theta), omega ^ d(omega),
-    theta ^ d(theta) and a scratch block (6), and the buffer that the sums
-    square into (3).  For f dz with its zeros absent, d(omega) and theta have
-    two components and the sums square two blocks: 6, 4 or 6, 6 and 2.
-    Besides these, the whole call holds the ring of sampled omega and, while a
-    chunk is sampled, the operand and result of one operation on a chunk
-    component and less than two blocks of factors that do not span the chunk.
-    A ring that holds the grid (grids 32 and 64) is sampled before the pass
-    allocates its buffers, so the call holds the larger of the two: on the
-    bench's exp-g form 2.25, 8.10 and 12.14 MiB at grids 32, 64 and 128, of
+    """Counted in blocks of one component of one slab, the plan holds, for a
+    form with three components, d(omega) (3) and |omega|^2 (1) of one slab,
+    theta of three (9) and a work area (6) that takes the differences of each
+    d, d(theta), the squares that the sums reduce and the products with
+    their scratch: 19 blocks at every slab height.  For f dz with its zeros
+    absent, d(omega) and theta have two components and d(theta) the two that
+    theta ^ d(theta) reads, so the work area is 4 blocks: 2 + 1 + 6 + 4 = 13.
+    The call holds one workspace, the ring of sampled omega and then the
+    plan's blocks, and besides it less than 4 blocks: the plan's steps, and
+    while a chunk is sampled the factors of its expression that span less
+    than a chunk and the memo of those that do not read x.  On the bench's
+    exp-g form that is 2.09, 7.38 and 9.43 MiB at grids 32, 64 and 128, of
     which the ring is 0.75 (one chunk), 6 and 6.75 MiB, and with its zeros
-    absent 1.40, 4.09 and 6.89 MiB, of which the ring is 0.25, 2 and
-    2.25 MiB."""
+    absent 1.22, 3.00 and 4.16 MiB, of which the ring is 0.25, 2 and 2.25 MiB
+    (the slab pass before the plan held 2.25, 8.10 and 12.14 MiB, and 1.40,
+    4.09 and 6.89)."""
     rows = fg._slab_rows(n)
     block = 8 * rows * n * n
-    theta_slots = 2 + (rows == 1)
-    for as_cli, blocks in ((False, 8 + 3 * theta_slots + 6 + 3), (True, 6 + 2 * theta_slots + 6 + 2)):
+    for as_cli, blocks in ((False, 3 + 1 + 3 * 3 + 6), (True, 2 + 1 + 3 * 2 + 4)):
         fns = lens_exp_g(as_cli)
         spec = FoliationSpec(fns, n, tuple((0, 0, k) for k in range(n)))
+        fg._held.clear()
         ((_label, _gv, taut), _defect, _warning), peak = traced_peak(gv_term, spec)
-        omega = ring(fns, n)
-        pass_bytes = blocks * block
-        sampling = 2 * 8 * omega.height * n * n
-        if omega.edge_rows is None:
-            fixed = held_bytes(omega) + max(pass_bytes, sampling)
-        else:
-            fixed = held_bytes(omega) + pass_bytes + sampling
+        ((_key, held_ring, held_blocks, _scratch, plans),) = fg._held
+        (plan,) = plans.values()
+        assert plan.blocks == blocks
+        fixed = held_bytes(ring(fns, n)) + blocks * block
         assert taut  # the pass solved for theta
-        assert fixed <= peak < fixed + 2 * block
+        assert held_ring.nbytes + held_blocks.nbytes == fixed <= peak < fixed + 4 * block
 
 
 def test_the_ring_never_holds_more_than_one_omega():
@@ -1032,3 +1059,85 @@ def test_an_omega_with_no_component_vanishes():
     for fns in ((None, None, None), (zero, zero, zero)):
         with pytest.raises(SingularityError, match=r"vanishes at grid cell \(0, 0, 0\)"):
             gv_term(FoliationSpec(fns, 8))
+
+
+# --- the plan computes exactly what the sums of a row read -----------------------
+
+LAYOUTS = [present for present in itertools.product((False, True), repeat=3) if any(present)]
+
+
+def read_by_the_sums(present):
+    """The components that some sum of a row reads, for omega's layout
+    `present`, from the chain's formulas: a component that is not identically
+    zero is read by the sum of |d omega|^2 (d(omega)), by that of
+    theta ^ d(theta) = theta_0 d(theta)_12 - theta_1 d(theta)_02 +
+    theta_2 d(theta)_01 (a term's two factors), or by a plaquette so read;
+    theta_c = w_(c+1) g_(c+2) - w_(c+2) g_(c+1) with g = (v_12, -v_02, v_01)."""
+    dw = {q for q, (a, b) in enumerate(PAIRS) if present[a] or present[b]}
+    g = [2 in dw, 1 in dw, 0 in dw]
+    theta = {c for c in range(3) if any(present[(c + s) % 3] and g[(c + 3 - s) % 3] for s in (1, 2))}
+    dtheta = {q for q, (a, b) in enumerate(PAIRS) if a in theta or b in theta}
+    gv = {c for c in theta if 2 - c in dtheta}
+    frob = any(present[c] and 2 - c in dw for c in range(3))
+    return dw, gv | {c for c in theta for q in gv if c in PAIRS[2 - q]}, {2 - c for c in gv}, frob
+
+
+def computed(at):
+    return {c for c, i in enumerate(at) if i is not None}
+
+
+def test_the_pruned_chain_of_f_dz():
+    """On f dz, d(theta)'s dx ^ dy plaquette is read by no sum, since theta_z
+    is absent; nor is omega ^ d(omega), which has no term left."""
+    assert read_by_the_sums((False, False, True)) == ({1, 2}, {0, 1}, {1, 2}, False)
+    plan = planned((None, None, np.exp), 8)
+    assert (plan.blocks, plan.frob, len(plan.gv)) == (13, [], 2)
+
+
+@pytest.mark.parametrize("n", [8, 9, 39, 64])
+@pytest.mark.parametrize("present", LAYOUTS, ids=lambda p: "".join("xyz"[c] for c in range(3) if p[c]))
+def test_the_plan_computes_exactly_what_the_sums_read(present, n):
+    """For each layout of present components, the plan computes exactly the
+    components that some reported sum reads, and each matches the whole-grid
+    oracle on omega with its absent components sampled as zeros at 2h = 1,
+    bit for bit and signed zeros included: d(omega), |omega|^2, theta,
+    d(theta), omega ^ d(omega) and theta ^ d(theta), slab by slab over
+    every slab and wrap row of the grid."""
+    rng = np.random.default_rng(10 * n + sum(present))
+    fns = [smooth_positive(rng) if on else None for on in present]
+    plan = planned(fns, n)
+    dw, theta, dtheta, frob = read_by_the_sums(present)
+    assert (computed(plan.dw_at), computed(plan.theta_at), computed(plan.dtheta_at)) == (
+        dw, theta, dtheta)
+    assert bool(plan.frob) == frob and bool(plan.gv) == bool(theta)
+    got = pass_fields(fns, n)
+    want = oracle_fields(form_from_functions(1, n, *[f or zero for f in fns]), h=0.5)
+    for name, g, w, comps in zip(("d(omega)", "frob", "|omega|^2", "theta", "d(theta)", "gv"),
+                                 got, want, (dw, frob, True, theta, dtheta, bool(theta))):
+        for c in sorted(comps) if isinstance(comps, set) else [None] * bool(comps):
+            g_c, w_c = (g, w) if c is None else (g[c], w[c])
+            assert np.array_equal(g_c, w_c), (name, c)
+            assert np.array_equal(np.signbit(g_c), np.signbit(w_c)), (name, c)
+
+
+def test_repeated_calls_reuse_one_workspace(monkeypatch):
+    """Calls on one grid run on the workspace and plan that the first one
+    made, and at grid 32 take under 50 minor page faults each (a pass that
+    allocated its buffers in every call took about 448); a call on another
+    grid releases the workspace before it makes its own: one is held at most."""
+    monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
+    spec = FoliationSpec(tuple(compile_expr(s) for s in SAMPLED["x, y and z"]), 32)
+    row = gv_term(spec)
+    ((_key, held_ring, held_blocks, _scratch, plans),) = fg._held
+    (plan,) = plans.values()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        assert gv_term(spec) == row
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    (held,) = fg._held
+    assert held.ring is held_ring and held.blocks is held_blocks
+    assert held.plans == {(True,) * 3: plan}
+    assert faults < 50 * 10
+    gv_term(FoliationSpec(spec.omega, 16))
+    (held,) = fg._held
+    assert held.key[0] == 16 and held.ring is not held_ring
