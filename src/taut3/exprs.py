@@ -82,15 +82,19 @@ def evaluate(node, x, y, z):
     return {"x": x, "y": y, "z": z}[node] if isinstance(node, str) else node
 
 
-# the ufunc that each operation of a tree calls, to write a result into a buffer
+# the ufunc of each operation of a tree that `into` may write into a buffer:
+# not the power, which ndarray's `**` may compute by another route (np.sqrt,
+# np.square, np.reciprocal) than np.power's loop
 _UFUNCS = {operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply,
-           operator.truediv: np.divide, operator.pow: np.power, operator.neg: np.negative}
+           operator.truediv: np.divide, operator.neg: np.negative,
+           np.sin: np.sin, np.cos: np.cos, np.exp: np.exp}
 _BITS = {"x": 1, "y": 2, "z": 4}
 
 
 def _annotate(node):
-    """A tree as `_fill` walks it: a node is (ufunc, mask, args, node), mask the
-    bits (`_BITS`) of the coordinates it reads; leaves stay as they are."""
+    """A tree as `_fill` walks it: a node is (ufunc or None, mask, args, node),
+    mask the bits (`_BITS`) of the coordinates it reads; leaves stay as they
+    are."""
     if not isinstance(node, tuple):
         return node
     fn, *args = node
@@ -98,31 +102,24 @@ def _annotate(node):
     mask = 0
     for a in args:
         mask |= a[1] if isinstance(a, tuple) else _BITS.get(a, 0) if isinstance(a, str) else 0
-    return _UFUNCS.get(fn, fn), mask, args, node
+    return _UFUNCS.get(fn), mask, args, node
 
 
-def _fill(node, coords, full, buf, t, free, memo):
-    """The value of an annotated node of full shape (full[mask]) that reads x
-    at the coordinates `coords`, computed by the operations of `evaluate` in
-    its order and written into buf(t).  Its first operand of that kind is
-    written there too, and a second one into buf(free), buffers at and past
-    `free` being unused.  Any other operand is computed by `evaluate`, as a
-    new array; one that does not read x is kept in `memo` by the node's id
-    and read from there again."""
+def _fill(node, coords, full, out):
+    """The value of an annotated node with a ufunc whose result has the shape
+    of `out` (full[mask]), computed at the coordinates `coords` by the
+    operations of `evaluate` in its order and written into `out`.  Its first
+    operand of that kind is written there first; the others are computed by
+    `evaluate`."""
     ufunc, _mask, args, _node = node
-    vals, target, spare = [], t, free
+    vals, chained = [], False
     for a in args:
-        if isinstance(a, tuple) and a[1] & 1 and full[a[1]]:
-            vals.append(_fill(a, coords, full, buf, target, spare, memo))
-            target, spare = spare, spare + 1
-        elif isinstance(a, tuple) and not a[1] & 1:
-            value = memo.get(id(a))
-            if value is None:
-                value = memo[id(a)] = evaluate(a[3], *coords)
-            vals.append(value)
+        if not chained and isinstance(a, tuple) and a[0] is not None and full[a[1]]:
+            vals.append(_fill(a, coords, full, out))
+            chained = True
         else:
             vals.append(evaluate(a[3] if isinstance(a, tuple) else a, *coords))
-    return ufunc(*vals, buf(t))
+    return ufunc(*vals, out)
 
 
 class CompiledExpr:
@@ -142,39 +139,24 @@ class CompiledExpr:
             np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)),
         )
 
-    def into(self, out, x, y, z, scratch, memo):
+    def into(self, out, x, y, z):
         """f(x, y, z) written into `out`, which must have the broadcast shape of
         x, y and z (ValueError before anything is written otherwise), bit for
-        bit as `__call__` computes it: the same ufuncs in the same order.  An
-        operation of that full shape that reads x writes into `out` if it is
-        the root or, from there down, the first such operand of one that does;
-        any other into a buffer of `scratch`, a list of flat float arrays that
-        grows as needed (one per such operand pending at once).  The rest make
-        new arrays, as `__call__` does, and a term that does not read x is
-        made once and kept in `memo`, a dict kept while y and z stay the same.
-        A result of less than full shape is broadcast into `out`.  Returns
-        `out`."""
+        bit as `__call__` computes it: the same ufuncs in the same order.  If
+        the root operation has that shape and is not a power, it writes into
+        `out`, and so, from there down, does the first such operand of each
+        that does; the rest make new arrays, as `__call__` does.  Any other
+        result is broadcast into `out`.  Returns `out`."""
         shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z))
         if out.shape != shape:
             raise ValueError(f"buffer of shape {out.shape} for a result of shape {shape}")
         if self._annotated is None:
             self._annotated = _annotate(self.tree)
-        coords = (x, y, z)
+        root, coords = self._annotated, (x, y, z)
         full = [np.broadcast_shapes(*(np.shape(c) for b, c in enumerate(coords) if m >> b & 1))
                 == shape for m in range(8)]
-
-        def buf(t):
-            if t < 0:
-                return out
-            while len(scratch) <= t:
-                scratch.append(np.empty(0))
-            if scratch[t].size < out.size:
-                scratch[t] = np.empty(out.size)
-            return scratch[t][: out.size].reshape(shape)
-
-        root = self._annotated
-        if isinstance(root, tuple) and root[1] & 1 and full[root[1]]:
-            _fill(root, coords, full, buf, -1, 0, memo)
+        if isinstance(root, tuple) and root[0] is not None and full[root[1]]:
+            _fill(root, coords, full, out)
         else:
             np.copyto(out, self(x, y, z))
         return out

@@ -10,9 +10,9 @@ product.  `gv_term` computes the whole chain in one pass over x-slabs of the
 grid, which reads omega from a small ring of sampled chunks (`_Omega`), so no
 array spans the grid.  The pass works in grid units: each d is the undivided
 difference f[i+1] - f[i-1], 2h times the derivative, and the sums are rescaled
-once after it.  It is a plan (`_Plan`) built once per layout of omega's
-present components and slab height, flat lists of ufunc steps over one
-workspace, kept for the grid it last ran on.  A component of omega given as
+once after it.  It is a plan (`_Plan`) for omega's layout of present
+components, flat lists of ufunc steps over blocks of its own, kept for a next
+call on the same layout and grid (`_plan`).  A component of omega given as
 None (`cli` gives one that folds to the constant 0) is never sampled, and the
 plan computes only what the sums of a row read (`_chain`): f dz, whose
 d(omega), theta and d(theta) have two components and omega ^ d(omega) none,
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import frexp, isfinite, ldexp, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -107,24 +106,22 @@ class _Omega:
     A component given as None is absent and never sampled; a block of rows
     is the stack (p, k, n, n) of the p present ones.  The functions receive
     the coordinates of `grid_coords` cut to the rows wanted; a `CompiledExpr`
-    writes into the ring in place (`CompiledExpr.into`, with `scratch` and a
-    memo), any other result is broadcast into it.  Rows are sampled a chunk
-    at a time, about `_SAMPLE_BYTES` per component and a whole number of
-    slabs high, into two chunk slots (three when a chunk is one slab) carved
-    from `mem` if given, or, where that many chunks cover the grid, into one
-    whole omega when the ring is made.  Each row is sampled once, and where
-    the ring holds less than the grid the wrap rows n-2, n-1, 0 and 1 once
-    more into a two-row buffer.  omega at the `vertices` ((m, 3)) is copied
+    writes into the ring in place (`CompiledExpr.into`), any other result is
+    broadcast into it.  Rows are sampled a chunk at a time, about
+    `_SAMPLE_BYTES` per component and a whole number of slabs high, into two
+    chunk slots (three when a chunk is one slab), or, where that many chunks
+    cover the grid, into one whole omega when the ring is made.  Each row is
+    sampled once, and where the ring holds less than the grid the wrap rows
+    n-2, n-1, 0 and 1 once more into a two-row buffer.  omega at the `vertices` ((m, 3)) is copied
     to `at_vertices` (p, m).  Overflow and invalid operations give inf/nan
     silently; `gv_term` rejects them."""
 
-    def __init__(self, fns, n, vertices, mem=None, scratch=None):
+    def __init__(self, fns, n, vertices):
         self.present = tuple(f is not None for f in fns)
         self.fns, self.n, self.coords = [f for f in fns if f is not None], n, grid_coords(n)
-        self.scratch, self.memo = [] if scratch is None else scratch, {}
         p = len(self.fns)
         self.height, slots, whole, size = _ring(n, p)
-        mem = np.empty(size) if mem is None else mem[:size]
+        mem = np.empty(size)
         self.edge_rows, self.edge_at = None, None
         if whole:
             whole = mem.reshape(p, n, n, n)
@@ -146,7 +143,7 @@ class _Omega:
         with np.errstate(all="ignore"):
             for comp, f in zip(out, self.fns):
                 if isinstance(f, CompiledExpr):
-                    f.into(comp, x[rows], y, z, self.scratch, self.memo)
+                    f.into(comp, x[rows], y, z)
                 else:
                     comp[...] = f(x[rows], y, z)
         return out
@@ -236,10 +233,10 @@ def _views(a):
 class _Plan:
     """The GV pass for one layout of omega's present components at grid n in
     `rows`-row x-slabs: flat lists of steps (ufunc, operands, output) over
-    blocks (rows, n, n) of a workspace (`bind`) that compute what `_chain`
-    keeps.  The blocks are d(omega) and |omega|^2 of one slab, theta of three
-    and a work area: each d's differences (plaquette q's terms in blocks q and
-    q + 3 where it has both), d(theta) in blocks q, the squares that the sums
+    blocks (rows, n, n) of its own that compute what `_chain` keeps.  The
+    blocks are d(omega) and |omega|^2 of one slab, theta of three and a work
+    area: each d's differences (plaquette q's terms in blocks q and q + 3
+    where it has both), d(theta) in blocks q, the squares that the sums
     reduce, flat from its start, and products with a scratch block.
 
     `stages` reads each slab of omega once, one slab ahead: its d(omega),
@@ -269,11 +266,8 @@ class _Plan:
         self.blocks = self.counts[0] + 1 + 3 * self.counts[1] + self.counts[2]
         # the six sums, a cell for each to take a slab's reduction, the scale
         self.sums, self.built = np.zeros(13), {}
-
-    def bind(self, mem):
-        """Lay the plan's blocks over the front of the flat buffer `mem`."""
-        (pw, pt, _), n, rows = self.counts, self.n, self.rows
-        grid = mem[: self.blocks * rows * n * n].reshape(-1, rows, n, n)
+        pw, pt, _ = self.counts
+        grid = np.empty((self.blocks, rows, n, n))
         self.dw, self.nsq = grid[:pw], grid[pw]
         self.theta = grid[pw + 1 : pw + 1 + 3 * pt].reshape(3, pt, rows, n, n)
         self.work = grid[pw + 1 + 3 * pt :]
@@ -315,7 +309,7 @@ class _Plan:
             steps, refs = [], []
 
             def emit(fn, *args):
-                steps.append((fn, args, any(type(a) is int for a in args)))
+                steps.append((fn, args, int in map(type, args)))
 
             def role(r):
                 return lambda ix: refs.append((r, ix)) or len(refs) - 1
@@ -458,40 +452,20 @@ def _run(steps, w):
         fn(*([w[a] if type(a) is int else a for a in args] if omega else args))
 
 
-class _Workspace(NamedTuple):
-    """The pass's memory at one (grid, slab height, chunk height): the ring and
-    the plans' blocks (two buffers, so that no array spans the grid where the
-    ring does not), the scratch of in-place sampling, and plans by layout."""
-
-    key: tuple
-    ring: np.ndarray
-    blocks: np.ndarray
-    scratch: list
-    plans: dict
+_plans = {}  # the last call's plan by (layout, grid, slab height): calls must not overlap
 
 
-_held = []  # the workspace of the grid of the last call: calls must not overlap
-
-
-def _workspace(present, n):
-    """The held workspace and the plan of omega's layout `present` at grid n
-    on it; a workspace of another key or too small is released first."""
-    rows, (height, _, _, ring) = _slab_rows(n), _ring(n, sum(present))
-    key = (n, rows, height)
-    ws = _held[0] if _held and _held[0].key == key else None
-    plan = ws and ws.plans.get(present)
+def _plan(present, n):
+    """The plan for omega's layout `present` at grid n: the last call's if it
+    had the same, else a new one, made once that is dropped.  Its steps take
+    about 0.6 ms to build, a quarter of a grid-32 call with three
+    components; it holds 13 to 19 blocks of a slab component."""
+    key = (present, n, _slab_rows(n))
+    plan = _plans.get(key)
     if plan is None:
-        plan = _Plan(present, n, rows)
-        blocks = plan.blocks * rows * n * n
-        if ws is None or ws.ring.size < ring or ws.blocks.size < blocks:
-            if ws is not None:
-                ring, blocks = max(ring, ws.ring.size), max(blocks, ws.blocks.size)
-            _held.clear()
-            _held.append(_Workspace(key, np.empty(ring), np.empty(blocks), [], {}))
-            ws = _held[0]
-        plan.bind(ws.blocks)
-        ws.plans[present] = plan
-    return ws, plan
+        _plans.clear()
+        plan = _plans[key] = _Plan(*key)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -569,9 +543,8 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     loop = None if spec.transversal is None else _loop_edges(spec.transversal, n)
     if all(f is None for f in spec.omega):
         raise SingularityError("1-form (nearly) vanishes at grid cell (0, 0, 0)")
-    ws, plan = _workspace(tuple(f is not None for f in spec.omega), n)
-    vertices = np.empty((0, 3), int) if loop is None else loop[0]
-    omega = _Omega(spec.omega, n, vertices, ws.ring, ws.scratch)
+    plan = _plan(tuple(f is not None for f in spec.omega), n)
+    omega = _Omega(spec.omega, n, np.empty((0, 3), int) if loop is None else loop[0])
     with np.errstate(all="ignore"):
         for _ in plan.stages(omega):
             pass

@@ -49,12 +49,3 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
-
-
-@pytest.fixture(autouse=True)
-def no_held_gv_workspace():
-    """Each test starts with no GV workspace held by an earlier one, so that
-    what a test measures of `gv_term` includes its workspace."""
-    from taut3 import foliation_gv
-
-    foliation_gv._held.clear()

@@ -77,12 +77,8 @@ def spread(stack, at):
 
 
 def planned(fns, n):
-    """A plan of the pass for the layout of `fns` (None where absent) at grid
-    n, on memory of its own."""
-    rows = fg._slab_rows(n)
-    plan = fg._Plan(tuple(f is not None for f in fns), n, rows)
-    plan.bind(np.empty(plan.blocks * rows * n * n))
-    return plan
+    """A plan of the pass for the layout of `fns` (None where absent) at grid n."""
+    return fg._Plan(tuple(f is not None for f in fns), n, fg._slab_rows(n))
 
 
 def pass_fields(fns, n):
@@ -683,9 +679,10 @@ def test_gv_term_allocates_less_than_one_omega(traced_peak):
     (4.16 MiB; the slab pass before the plan held 6.89)."""
     n = 128
     loop = tuple((0, 0, k) for k in range(n))
+    fg._plans.clear()
     _, peak = traced_peak(gv_term, FoliationSpec(gauge_changed_fns(), n, loop))
     assert peak < 6 * n**3
-    fg._held.clear()
+    fg._plans.clear()
     _, peak = traced_peak(gv_term, FoliationSpec(lens_exp_g(as_cli=True), n, loop))
     assert peak < 2.25 * n**3
 
@@ -699,28 +696,25 @@ def test_gv_term_scratch_is_a_few_dozen_slab_blocks(traced_peak, n):
     their scratch: 19 blocks at every slab height.  For f dz with its zeros
     absent, d(omega) and theta have two components and d(theta) the two that
     theta ^ d(theta) reads, so the work area is 4 blocks: 2 + 1 + 6 + 4 = 13.
-    The call holds one workspace, the ring of sampled omega and then the
-    plan's blocks, and besides it less than 4 blocks: the plan's steps, and
-    while a chunk is sampled the factors of its expression that span less
-    than a chunk and the memo of those that do not read x.  On the bench's
-    exp-g form that is 2.09, 7.38 and 9.43 MiB at grids 32, 64 and 128, of
-    which the ring is 0.75 (one chunk), 6 and 6.75 MiB, and with its zeros
-    absent 1.22, 3.00 and 4.16 MiB, of which the ring is 0.25, 2 and 2.25 MiB
-    (the slab pass before the plan held 2.25, 8.10 and 12.14 MiB, and 1.40,
-    4.09 and 6.89)."""
+    The call holds the ring of sampled omega and the plan's blocks, and
+    besides them less than 4 blocks: the plan's steps, and while a chunk is
+    sampled the factors of its expression that span less than a chunk.  On
+    the bench's exp-g form that is 2.09, 7.38 and 9.50 MiB at grids 32, 64
+    and 128, of which the ring is 0.75 (one chunk), 6 and 6.75 MiB, and with
+    its zeros absent 1.21, 3.00 and 4.21 MiB, of which the ring is 0.25, 2
+    and 2.25 MiB (the slab pass before the plan held 2.25, 8.10 and 12.14
+    MiB, and 1.40, 4.09 and 6.89)."""
     rows = fg._slab_rows(n)
     block = 8 * rows * n * n
     for as_cli, blocks in ((False, 3 + 1 + 3 * 3 + 6), (True, 2 + 1 + 3 * 2 + 4)):
         fns = lens_exp_g(as_cli)
+        assert planned(fns, n).blocks == blocks
         spec = FoliationSpec(fns, n, tuple((0, 0, k) for k in range(n)))
-        fg._held.clear()
+        fg._plans.clear()  # so that the call makes its plan
         ((_label, _gv, taut), _defect, _warning), peak = traced_peak(gv_term, spec)
-        ((_key, held_ring, held_blocks, _scratch, plans),) = fg._held
-        (plan,) = plans.values()
-        assert plan.blocks == blocks
         fixed = held_bytes(ring(fns, n)) + blocks * block
         assert taut  # the pass solved for theta
-        assert held_ring.nbytes + held_blocks.nbytes == fixed <= peak < fixed + 4 * block
+        assert fixed <= peak < fixed + 4 * block
 
 
 def test_the_ring_never_holds_more_than_one_omega():
@@ -1120,24 +1114,21 @@ def test_the_plan_computes_exactly_what_the_sums_read(present, n):
             assert np.array_equal(np.signbit(g_c), np.signbit(w_c)), (name, c)
 
 
-def test_repeated_calls_reuse_one_workspace(monkeypatch):
-    """Calls on one grid run on the workspace and plan that the first one
-    made, and at grid 32 take under 50 minor page faults each (a pass that
-    allocated its buffers in every call took about 448); a call on another
-    grid releases the workspace before it makes its own: one is held at most."""
+def test_repeated_calls_reuse_the_last_plan(monkeypatch):
+    """A call on the layout and grid of the last one runs on its plan, and at
+    grid 32 repeated calls take under 50 minor page faults each, as the
+    allocator hands the ring of one call to the next (the slab pass before
+    the plan took 496); a call on another grid drops the plan before it
+    makes its own, so one is held at most."""
     monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
     spec = FoliationSpec(tuple(compile_expr(s) for s in SAMPLED["x, y and z"]), 32)
     row = gv_term(spec)
-    ((_key, held_ring, held_blocks, _scratch, plans),) = fg._held
-    (plan,) = plans.values()
+    (plan,) = fg._plans.values()
+    assert gv_term(spec) == row
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(10):
         assert gv_term(spec) == row
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    (held,) = fg._held
-    assert held.ring is held_ring and held.blocks is held_blocks
-    assert held.plans == {(True,) * 3: plan}
-    assert faults < 50 * 10
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50 * 10
+    assert fg._plans == {((True,) * 3, 32, 8): plan}
     gv_term(FoliationSpec(spec.omega, 16))
-    (held,) = fg._held
-    assert held.key[0] == 16 and held.ring is not held_ring
+    assert list(fg._plans) == [((True,) * 3, 16, 16)]
