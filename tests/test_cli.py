@@ -468,8 +468,8 @@ def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, c
     data = json.loads(Path(lens5_manifest(tmp_path)).read_text())
     data["foliations"].append(second)
     manifest = write_manifest(tmp_path, data)
-    passes = count_calls("stages", fg._Plan)
-    derivatives = count_calls("_ahead", fg._Plan)
+    passes = count_calls("stages", fg._Pass)
+    derivatives = count_calls("_ahead", fg._Pass)
     assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
     # per foliation: one slab pass over a single slab (grids 16 and 8), whose
     # stage that reads omega takes d(omega) once on the slab, and on the grid

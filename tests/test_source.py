@@ -1,7 +1,8 @@
 """The package's own modules compile without warnings, import nothing they
 neither use nor list in `__all__`, never call `eval`, `exec` or `compile`, and
 never import sympy or scipy, which no run loads; the declared dependencies are
-exactly the third-party modules the package imports; only `presentations.py`
+exactly the third-party modules the package imports; no module keeps state
+between calls in a module-level container; only `presentations.py`
 (and the schema's enum in `manifest.py`) names the manifold families; and the
 package exports exactly the names that the README's quick start imports.
 
@@ -95,6 +96,33 @@ def test_dynamic_code_calls_checker():
 def test_modules_never_evaluate_text_as_code():
     found = {path.name: dynamic_code_calls(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def empty_containers(source: str):
+    """Names that the module's top level binds to an empty container: `{}`,
+    `[]`, or a call of dict, list or set without arguments."""
+    def empty(node):
+        if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+            return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("dict", "list", "set") and not node.args and not node.keywords)
+
+    return [target.id for node in ast.parse(source).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+            and empty(node.value)
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(target, ast.Name)]
+
+
+def test_empty_containers_checker():
+    source = ("_plans = {}  # kept\nseen: list = []\nA = set()\nB = dict()\nC = {1: 2}\n"
+              "D = dict(a=1)\ndef f():\n    cache = {}\n")
+    assert empty_containers(source) == ["_plans", "seen", "A", "B"]
+
+
+def test_no_module_keeps_state_between_calls():
+    found = {path.name: empty_containers(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 FAMILIES = {"S3", "Lens", "Brieskorn", "Torus3"}
