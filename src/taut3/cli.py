@@ -168,10 +168,8 @@ def run_gv(run: Run, report: InvariantReport):
     # every expression compiles before any foliation is sampled; each foliation
     # is then sampled chunk by chunk as its GV pass reads it
     compiled = [[compile_expr(s) for s in e["omega"]] for e in m.foliations]
-    terms = [
-        fg.gv_term(_foliation_spec(entry, fns), k, strict=run.args.strict)
-        for k, (entry, fns) in enumerate(zip(m.foliations, compiled))
-    ]
+    specs = [_foliation_spec(entry, fns) for entry, fns in zip(m.foliations, compiled)]
+    terms = [fg.gv_term(spec, k, strict=run.args.strict) for k, spec in enumerate(specs)]
     gv = fg.gv_report(terms)
     sec.values["total"] = gv.total
     sec.values["per_foliation"] = [
@@ -179,7 +177,7 @@ def run_gv(run: Run, report: InvariantReport):
     ]
     sec.values["integrability_residuals"] = list(gv.integrability_residuals)
     sec.tolerances["integrability"] = fg.INTEGRABILITY_TOLERANCE
-    sec.metadata["grids"] = [e.get("grid", 32) for e in m.foliations]
+    sec.metadata["grids"] = [spec.grid for spec in specs]
     sec.warnings.extend(gv.warnings)
 
 

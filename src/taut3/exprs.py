@@ -8,7 +8,8 @@ starts a comment.  Each node is checked against this whitelist and only the
 checked tree is evaluated: manifest text never reaches `eval`, `exec` or
 `compile`.  Every failure is an ExprError: bad syntax, nesting deeper than
 MAX_DEPTH levels (a sum of n terms nests n), or a constant subexpression that
-overflows, divides by zero or leaves the reals.
+overflows, divides by zero or leaves the reals.  One walker, `evaluate`, runs
+a tree over numpy arrays, in place into a given buffer where it can.
 """
 
 from __future__ import annotations
@@ -75,90 +76,56 @@ def parse_expr(text: str):
         raise ExprError(f"bad expression {quoted}: {detail}") from None
 
 
-def evaluate(node, x, y, z):
-    if isinstance(node, tuple):
-        fn, *args = node
-        return fn(*(evaluate(a, x, y, z) for a in args))
-    return {"x": x, "y": y, "z": z}[node] if isinstance(node, str) else node
-
-
-# the ufunc of each operation of a tree that `into` may write into a buffer:
-# not the power, which ndarray's `**` may compute by another route (np.sqrt,
-# np.square, np.reciprocal) than np.power's loop
+# the ufunc of each operation that `evaluate` may compute into a buffer: not the
+# power, which ndarray's `**` may compute by another route (np.sqrt, np.square,
+# np.reciprocal) than np.power's loop
 _UFUNCS = {operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply,
            operator.truediv: np.divide, operator.neg: np.negative,
            np.sin: np.sin, np.cos: np.cos, np.exp: np.exp}
-_BITS = {"x": 1, "y": 2, "z": 4}
 
 
-def _annotate(node):
-    """A tree as `_fill` walks it: a node is (ufunc or None, mask, args, node),
-    mask the bits (`_BITS`) of the coordinates it reads; leaves stay as they
-    are."""
+def evaluate(node, x, y, z, out=None):
+    """The value of a checked tree at x, y and z, by its operations in order.
+    Given a buffer `out`, a node offers it to its operands in order until one
+    returns it, and is computed into it by the same ufunc if it is not a power
+    and its operands broadcast to out's shape: every bit stays."""
     if not isinstance(node, tuple):
-        return node
+        return {"x": x, "y": y, "z": z}[node] if isinstance(node, str) else node
     fn, *args = node
-    args = tuple(map(_annotate, args))
-    mask = 0
+    vals, offer = [], out
     for a in args:
-        mask |= a[1] if isinstance(a, tuple) else _BITS.get(a, 0) if isinstance(a, str) else 0
-    return _UFUNCS.get(fn), mask, args, node
-
-
-def _fill(node, coords, full, out):
-    """The value of an annotated node with a ufunc whose result has the shape
-    of `out` (full[mask]), computed at the coordinates `coords` by the
-    operations of `evaluate` in its order and written into `out`.  Its first
-    operand of that kind is written there first; the others are computed by
-    `evaluate`."""
-    ufunc, _mask, args, _node = node
-    vals, chained = [], False
-    for a in args:
-        if not chained and isinstance(a, tuple) and a[0] is not None and full[a[1]]:
-            vals.append(_fill(a, coords, full, out))
-            chained = True
-        else:
-            vals.append(evaluate(a[3] if isinstance(a, tuple) else a, *coords))
-    return ufunc(*vals, out)
+        vals.append(evaluate(a, x, y, z, offer))
+        if vals[-1] is out:
+            offer = None
+    ufunc = _UFUNCS.get(fn)
+    if out is not None and ufunc is not None and np.broadcast(*vals).shape == out.shape:
+        return ufunc(*vals, out=out)
+    return fn(*vals)
 
 
 class CompiledExpr:
-    """A checked tree as f(x, y, z) over numpy arrays; the result has the
-    broadcast shape of x, y and z and may be a read-only view.  `into`
-    writes that result into a given buffer.  A plain class: a dataclass would
-    cost every import about a millisecond."""
+    """A checked tree as f(x, y, z, out=None) over numpy arrays.  The result
+    has the broadcast shape of x, y and z and may be a read-only view; given
+    `out`, it is written there (see `evaluate`).  A plain class: a dataclass
+    would cost every import about a millisecond."""
 
-    __slots__ = ("tree", "_annotated")
+    __slots__ = ("tree",)
 
     def __init__(self, tree):
-        self.tree, self._annotated = tree, None
+        self.tree = tree
 
-    def __call__(self, x, y, z):
-        return np.broadcast_to(
-            np.asarray(evaluate(self.tree, x, y, z), dtype=float),
-            np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)),
-        )
-
-    def into(self, out, x, y, z):
-        """f(x, y, z) written into `out`, which must have the broadcast shape of
-        x, y and z (ValueError before anything is written otherwise), bit for
-        bit as `__call__` computes it: the same ufuncs in the same order.  If
-        the root operation has that shape and is not a power, it writes into
-        `out`, and so, from there down, does the first such operand of each
-        that does; the rest make new arrays, as `__call__` does.  Any other
-        result is broadcast into `out`.  Returns `out`."""
+    def __call__(self, x, y, z, out=None):
+        """f(x, y, z), or, given `out` of the broadcast shape of x, y and z
+        (ValueError before anything is written otherwise), f(x, y, z) written
+        into `out` bit for bit, and `out` returned."""
         shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z))
+        if out is None:
+            return np.broadcast_to(np.asarray(evaluate(self.tree, x, y, z), dtype=float), shape)
         if out.shape != shape:
             raise ValueError(f"buffer of shape {out.shape} for a result of shape {shape}")
-        if self._annotated is None:
-            self._annotated = _annotate(self.tree)
-        root, coords = self._annotated, (x, y, z)
-        full = [np.broadcast_shapes(*(np.shape(c) for b, c in enumerate(coords) if m >> b & 1))
-                == shape for m in range(8)]
-        if isinstance(root, tuple) and root[0] is not None and full[root[1]]:
-            _fill(root, coords, full, out)
-        else:
-            np.copyto(out, self(x, y, z))
+        value = evaluate(self.tree, x, y, z, out)
+        if value is not out:
+            np.copyto(out, value)
         return out
 
     @property

@@ -85,18 +85,16 @@ class _Omega:
     never sampled): a block of rows is the stack (p, k, n, n) of the p
     present ones.  The functions receive the coordinates of `grid_coords` cut
     to the rows wanted; a `CompiledExpr` writes into the ring in place
-    (`CompiledExpr.into`), any other result is broadcast into it.  Rows are
+    through its `out`, any other result is broadcast into it.  Rows are
     sampled a chunk at a time, about `_SAMPLE_BYTES` per component and a
     whole number of slabs high, into two chunk slots (three when a chunk is
     one slab), or, where that many chunks cover the grid, into one whole
     omega when the ring is made.  Each row is sampled once, and where the
     ring holds less than the grid the wrap rows n-2, n-1, 0 and 1 once more
-    into a two-row buffer.  omega at the `vertices` ((m, 3)) is copied to
-    `at_vertices` (p, m).  Overflow and invalid operations give inf/nan
+    into a two-row buffer.  Overflow and invalid operations give inf/nan
     silently; `gv_term` rejects them."""
 
-    def __init__(self, fns, n, vertices):
-        self.present = tuple(f is not None for f in fns)
+    def __init__(self, fns, n):
         self.fns, self.n, self.coords = [f for f in fns if f is not None], n, grid_coords(n)
         p, rows = len(self.fns), _slab_rows(n)
         self.height = min(n, rows * max(1, _slab_rows(n, _SAMPLE_BYTES) // rows))
@@ -112,7 +110,6 @@ class _Omega:
             self.slots = list(mem[:cut].reshape(slots, p, self.height, n, n))
             self.edge_rows = mem[cut:].reshape(p, 2, n, n)
         self.held = [None] * len(self.slots)
-        self.vertices, self.at_vertices = vertices, np.empty((p, len(vertices)))
         if self.edge_rows is None:
             for a in range(0, n, self.height):
                 self.block(a, 1)
@@ -124,7 +121,7 @@ class _Omega:
         with np.errstate(all="ignore"):
             for comp, f in zip(out, self.fns):
                 if isinstance(f, CompiledExpr):
-                    f.into(comp, x[rows], y, z)
+                    f(x[rows], y, z, out=comp)
                 else:
                     comp[...] = f(x[rows], y, z)
         return out
@@ -139,10 +136,7 @@ class _Omega:
         slot, a = c % len(self.slots), c * self.height
         if self.held[slot] != c:
             b = min(a + self.height, self.n)
-            chunk = self.sample(slice(a, b), self.slots[slot][:, : b - a])
-            mine = (self.vertices[:, 0] >= a) & (self.vertices[:, 0] < b)
-            i, j, l = self.vertices[mine].T
-            self.at_vertices[:, mine] = chunk[:, i - a, j, l]
+            self.sample(slice(a, b), self.slots[slot][:, : b - a])
             self.held[slot] = c
         return self.slots[slot][:, lo - a : lo - a + k]
 
@@ -398,22 +392,22 @@ class FoliationSpec:
 def _loop_edges(transversal, n):
     """The vertices of a transversal loop on the n^3 grid as an (m, 3) array,
     with the axis and sign of the edge from each vertex to the next; raises
-    ValueError unless each step is a single lattice edge."""
-    path = [tuple(int(c) for c in p) for p in transversal]
-    if len(path) < 2:
+    ValueError unless each vertex is on the grid and each step one lattice edge."""
+    if len(transversal) < 2:
         raise ValueError("transversal path needs at least two vertices")
-    outside = [p for p in path if len(p) != 3 or not all(0 <= c < n for c in p)]
-    if outside:
-        raise ValueError(f"transversal vertex {outside[0]} is not a vertex of the {n}^3 grid")
-    vertices = np.array(path)
-    delta = (np.roll(vertices, -1, axis=0) - vertices) % n
-    delta = np.where(delta > n // 2, delta - n, delta)  # the shorter way round
-    bad = np.flatnonzero((np.count_nonzero(delta, axis=1) != 1) | (np.abs(delta).sum(axis=1) != 1))
+    vertices = np.array([p if len(p) == 3 else (-1, -1, -1) for p in transversal], dtype=int)
+    outside = np.flatnonzero(((vertices < 0) | (vertices >= n)).any(axis=1))
+    if outside.size:
+        vertex = tuple(map(int, transversal[outside[0]]))
+        raise ValueError(f"transversal vertex {vertex} is not a vertex of the {n}^3 grid")
+    h = (n - 1) // 2  # each step the shorter way round, in -h..n-1-h
+    delta = (np.roll(vertices, -1, axis=0) - vertices + h) % n - h
+    bad = np.flatnonzero(np.abs(delta).sum(axis=1) != 1)
     if bad.size:
-        p, q = path[bad[0]], path[(bad[0] + 1) % len(path)]
+        p, q = (tuple(vertices[i % len(vertices)].tolist()) for i in (bad[0], bad[0] + 1))
         raise ValueError(f"path step {p} -> {q} is not a single lattice edge")
     axes = np.argmax(delta != 0, axis=1)
-    return vertices, axes, delta[np.arange(len(path)), axes]
+    return vertices, axes, delta[np.arange(len(axes)), axes]
 
 
 def tautness_check(pairings, mean: float) -> bool:
@@ -440,17 +434,18 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     The transversal is checked first (ValueError), and an omega whose three
     components are all absent (None) vanishes (SingularityError at the first
     cell).  Then one slab pass (`_Pass`) samples omega and gives the mean and
-    least of |omega|, its pairings with the loop's edges, the defect
-    |omega ^ d omega| / (|omega| |d omega| + eps) (grid RMS norms, taken at a
-    power of two that follows |omega|, so that 2^k omega gives the defect of
-    omega bit for bit) and the GV integral of theta ^ d theta, rescaled from
-    grid units by powers of n/2.  Then, in order:
-    SingularityError where |omega| is not finite or at most NONVANISHING_FLOOR
-    times its mean; the tautness test (None without a loop), a failure of
-    which raises TautnessError if `strict` and otherwise excludes the row;
-    SingularityError if a sum that the row reports overflows; and, for a row
-    that is not excluded, ValueError if the defect exceeds
-    INTEGRABILITY_TOLERANCE.  No array spans the grid."""
+    least of |omega|, the defect |omega ^ d omega| / (|omega| |d omega| + eps)
+    (grid RMS norms, taken at a power of two that follows |omega|, so that 2^k
+    omega gives the defect of omega bit for bit) and the GV integral of
+    theta ^ d theta, rescaled from grid units by powers of n/2.  Then, in
+    order: SingularityError where |omega| is not finite or at most
+    NONVANISHING_FLOOR times its mean; the tautness test on omega's pairings
+    with the loop's edges, its components evaluated at the loop's vertices
+    (None without a loop), a failure of which raises TautnessError if
+    `strict` and otherwise excludes the row; SingularityError if a sum that
+    the row reports overflows; and, for a row that is not excluded,
+    ValueError if the defect exceeds INTEGRABILITY_TOLERANCE.  No array spans
+    the grid."""
     label, n = spec.label or f"foliation[{k}]", spec.grid
     if len(spec.omega) != 3:
         raise ValueError("a foliation needs 3 component functions")
@@ -458,7 +453,7 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     if all(f is None for f in spec.omega):
         raise SingularityError("1-form (nearly) vanishes at grid cell (0, 0, 0)")
     gv_pass = _Pass(tuple(f is not None for f in spec.omega), n)
-    omega = _Omega(spec.omega, n, np.empty((0, 3), int) if loop is None else loop[0])
+    omega = _Omega(spec.omega, n)
     with np.errstate(all="ignore"):
         for _ in gv_pass.stages(omega):
             pass
@@ -474,9 +469,13 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
             _raise_at(omega, bound)
     taut = None
     if loop is not None:
-        _, axes, signs = loop
+        vertices, axes, signs = loop
         at, j = np.zeros((3, len(axes))), np.arange(len(axes))
-        at[np.flatnonzero(omega.present)] = omega.at_vertices  # an absent component reads 0
+        coords = [c.reshape(-1)[i] for c, i in zip(omega.coords, vertices.T)]
+        with np.errstate(all="ignore"):
+            for c, f in enumerate(spec.omega):
+                if f is not None:  # an absent component reads 0
+                    at[c] = f(*coords)
         taut = tautness_check(signs * 0.5 * (at[axes, j] + at[axes, (j + 1) % len(j)]), mean)
     failed = f"{label}: failed the transversal-circle tautness test"
     if taut is False and strict:

@@ -218,3 +218,23 @@ def _theta(omega: DiscreteForm, dw: DiscreteForm, defect: float, tol: float):
 def gv_integral(omega: DiscreteForm, theta: DiscreteForm) -> float:
     """Integral of theta ^ d theta over the torus."""
     return integrate(wedge(theta, d(theta)))
+
+
+def loop_edges(transversal, n):
+    """`foliation_gv._loop_edges` step by step in Python, its reference: the
+    vertices (m, 3), and the axis and sign of the edge from each vertex to the
+    next, or the same ValueError."""
+    path = [tuple(int(c) for c in p) for p in transversal]
+    if len(path) < 2:
+        raise ValueError("transversal path needs at least two vertices")
+    outside = [p for p in path if len(p) != 3 or not all(0 <= c < n for c in p)]
+    if outside:
+        raise ValueError(f"transversal vertex {outside[0]} is not a vertex of the {n}^3 grid")
+    axes, signs = [], []
+    for p, q in zip(path, path[1:] + path[:1]):
+        moved = [(c, (b - a) % n) for c, (a, b) in enumerate(zip(p, q)) if (b - a) % n]
+        if len(moved) != 1 or moved[0][1] not in (1, n - 1):
+            raise ValueError(f"path step {p} -> {q} is not a single lattice edge")
+        axes.append(moved[0][0])
+        signs.append(1 if moved[0][1] == 1 else -1)  # on grid 2 a step is +1
+    return np.array(path), np.array(axes), np.array(signs)

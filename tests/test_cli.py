@@ -372,12 +372,12 @@ def test_gv_never_evaluates_a_component_that_folds_to_zero(tmp_path, monkeypatch
     assert [[f is None for f in spec.omega] for spec in specs] == [
         [True, True, False], [False, True, False], [True, False, False]]
     evaluated = []
-    for method in ("__call__", "into"):  # sampling evaluates in place by `into`
-        def recording(self, *args, real=getattr(CompiledExpr, method)):
-            evaluated.append(self.tree)
-            return real(self, *args)
 
-        monkeypatch.setattr(CompiledExpr, method, recording)
+    def recording(self, *args, real=CompiledExpr.__call__, **kwargs):
+        evaluated.append(self.tree)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledExpr, "__call__", recording)
     data = {"schema_version": 1, "manifold": {"family": "S3"}, "foliations": foliations}
     assert run(["gv", "--manifest", write_manifest(tmp_path, data)]) == EXIT_OK
     want = [cli.compile_expr(s).tree for e in foliations for s in e["omega"]]

@@ -1,6 +1,7 @@
 import json
 import math
 import operator
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from taut3 import exprs
 from taut3.exprs import MAX_DEPTH, ExprError, compile_expr, parse_expr
 
 
@@ -182,20 +184,20 @@ def bits(a):
 
 
 def assert_into_matches_call(f):
-    """`into` writes f(x[rows], y, z) bit for bit, nan payloads and signed zeros
-    included, into chunk after chunk, and leaves a buffer of any other shape
-    unwritten."""
+    """f(x[rows], y, z, out=out) writes f(x[rows], y, z) into `out` bit for bit,
+    nan payloads and signed zeros included, chunk after chunk, and leaves a
+    buffer of any other shape unwritten."""
     x, y, z = _GRID
     for rows in _CHUNKS:
         with np.errstate(all="ignore"):
             want = np.broadcast_to(f(x[rows], y, z), (len(x[rows]), _N, _N))
             out = np.full(want.shape, 7.0)
-            assert f.into(out, x[rows], y, z) is out
+            assert f(x[rows], y, z, out=out) is out
         assert np.array_equal(bits(out), bits(want))
         for shape in ((len(x[rows]) + 1, _N, _N), (_N, _N), want.shape[:2] + (1,)):
             wrong = np.full(shape, 7.0)
             with pytest.raises(ValueError, match="shape"):
-                f.into(wrong, x[rows], y, z)
+                f(x[rows], y, z, out=wrong)
             assert np.all(wrong == 7.0)
 
 
@@ -224,3 +226,37 @@ def test_into_matches_call_on_random_trees(tree):
     except ExprError:
         return  # a constant subtree that raises: no tree to evaluate
     assert_into_matches_call(f)
+
+
+def test_every_operation_but_the_power_has_its_ufunc():
+    """Each operation of the language but the power is computed into a buffer
+    by its ufunc, which gives its bits; one missing from `_UFUNCS` would make
+    a new array wherever it stands in a tree."""
+    operations = {*exprs._BINARY.values(), *exprs._FUNCTIONS.values(), operator.neg}
+    assert set(exprs._UFUNCS) == operations - {operator.pow}
+    values = np.array([-np.inf, -2.5, -0.0, 0.0, 1e-300, 0.75, 3.0, 1e300, np.inf, np.nan])
+    a, b = np.meshgrid(values, values, sparse=True)
+    with np.errstate(all="ignore"):
+        for op, ufunc in exprs._UFUNCS.items():
+            args = (a,) if op in exprs._FUNCTIONS.values() or op is operator.neg else (a, b)
+            want = ufunc(*args)
+            assert np.array_equal(bits(np.broadcast_to(op(*args), want.shape)), bits(want))
+
+
+def test_sampling_a_chunk_in_place_keeps_its_temporaries_small():
+    """The bench's exp-g expression into an 8-row chunk at grid 128 (1 MiB):
+    each node whose operand was written into the chunk is computed there too,
+    so its temporaries peak under half the chunk (a plain call and a copy
+    take twice the chunk; a node missing from the chain, about one chunk)."""
+    text = json.loads((_BENCH / "lens_7_2.json").read_text())["foliations"][0]["omega"][2]
+    f, n = compile_expr(text), 128
+    x, y, z = np.meshgrid(*[np.arange(n) / n] * 3, indexing="ij", sparse=True)
+    out = np.empty((8, n, n))
+    f(x[:8], y, z, out=out)
+    tracemalloc.start()
+    try:
+        f(x[:8], y, z, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes / 2

@@ -65,7 +65,7 @@ def gv_row(omega, tol=None):
 
 def ring(fns, n):
     """The sampled rows of a 1-form, as the slab pass reads them."""
-    return fg._Omega(tuple(fns), n, np.empty((0, 3), int))
+    return fg._Omega(tuple(fns), n)
 
 
 def spread(stack, at):
@@ -314,6 +314,17 @@ def test_tautness_check_outcomes():
     assert tautness_check(np.array([1.0, 1e-9]), 1.0) is False
 
 
+def pairings_of(values, loop, n):
+    """omega's pairings with the edges of `loop`, from its values (3, ...) at
+    the grid vertices by `values[axis][p]`."""
+    want = []
+    for p, q in zip(loop, loop[1:] + loop[:1]):
+        axis = next(i for i in range(3) if p[i] != q[i])
+        sign = 1 if (q[axis] - p[axis]) % n == 1 else -1
+        want.append(sign * 0.5 * (values[axis][p] + values[axis][q]))
+    return np.array(want)
+
+
 def test_tautness_reads_omega_at_the_loop_vertices_of_every_chunk(monkeypatch):
     """The pairings come from omega at the loop's vertices, whichever chunk of
     the ring sampled them: on a random form, a loop through every row, with
@@ -328,12 +339,7 @@ def test_tautness_reads_omega_at_the_loop_vertices_of_every_chunk(monkeypatch):
     monkeypatch.setattr(fg, "tautness_check", lambda pairings, mean: seen.append(pairings) or True)
     monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
     gv_term(foliation(DiscreteForm(1, values), transversal=tuple(loop)))
-    want = []
-    for p, q in zip(loop, loop[1:] + loop[:1]):
-        axis = next(i for i in range(3) if p[i] != q[i])
-        sign = 1 if (q[axis] - p[axis]) % n == 1 else -1
-        want.append(sign * 0.5 * (values[axis][p] + values[axis][q]))
-    assert np.array_equal(seen[0], np.array(want))
+    assert np.array_equal(seen[0], pairings_of(values, loop, n))
 
 
 def test_gv_invariant_report_and_strict_mode():
@@ -352,6 +358,46 @@ def test_gv_invariant_report_and_strict_mode():
 def test_tautness_check_rejects_vertices_off_the_grid(vertex):
     with pytest.raises(ValueError, match="not a vertex"):
         gv_term(FoliationSpec(exp_f_fns(), 8, ((0, 0, 7), vertex)))
+
+
+def walks(n):
+    """Paths on the n^3 grid that step by 0, +-1 or 2 along one axis, and, if
+    `back`, return the same way: a loop if every step is one edge."""
+    step = st.tuples(st.integers(0, 2), st.sampled_from([1, -1] * 4 + [0, 2]))
+    start = st.tuples(*[st.integers(0, n - 1)] * 3)
+
+    def walk(start, steps, back):
+        path = [start]
+        for axis, by in steps:
+            path.append(tuple((c + by) % n if i == axis else c for i, c in enumerate(path[-1])))
+        return path + (path[-2:0:-1] if back else [])
+
+    return st.builds(walk, start, st.lists(step, min_size=1, max_size=10), st.booleans())
+
+
+def paths(n):
+    """Walks, and lists of vertices that may be off the grid or not of length 3."""
+    vertex = st.lists(st.integers(-1, n), min_size=0, max_size=4).map(tuple)
+    return walks(n) | st.lists(vertex | st.tuples(*[st.integers(0, n - 1)] * 3), max_size=6)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), paths(n))))
+@example((2, [(0, 0, 0), (1, 0, 0)]))
+@example((8, [(0, 0, 9), (0, 0)]))
+def test_loop_edges_matches_the_step_by_step_check(case):
+    """The array checks of a transversal give the vertices, axes and signs of
+    the reference, or its error and the vertex or step that it names."""
+    n, path = case
+    try:
+        want = go.loop_edges(path, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            fg._loop_edges(path, n)
+        assert str(err.value) == str(exc)
+        return
+    got = fg._loop_edges(path, n)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("component", [
@@ -895,6 +941,43 @@ def test_slab_sampling_matches_the_whole_grid(monkeypatch, n, kind):
         assert means[0] == pytest.approx(whole_grid_check(want), rel=1e-13, abs=0)
 
 
+BENCH_FORMS = {f"{m.stem}-{e['label']}": e["omega"] for m in (LENS_7_2, POINCARE)
+               for e in json.loads(m.read_text())["foliations"]}
+
+
+@pytest.mark.parametrize("n", [32, 39, 64, 128])
+@pytest.mark.parametrize("texts", [*BENCH_FORMS.values(), *SAMPLED.values()],
+                         ids=[*BENCH_FORMS, *SAMPLED])
+def test_the_pairings_are_omega_as_the_ring_samples_it(monkeypatch, n, texts):
+    """The pairings that gv_term hands to the tautness test equal, bit for bit,
+    those of omega's ring samples at the loop's vertices, though they are
+    evaluated at those vertices alone: on the compiled bench and sampled
+    expressions (zeros absent, as `cli` passes them), by a staircase that
+    steps along x, y and z in turn, through every row and so every chunk and
+    slab, and reads each component at n points that differ in every
+    coordinate."""
+    fns = tuple(None if f.is_zero else f for f in map(compile_expr, texts))
+    present = [c for c, f in enumerate(fns) if f is not None]
+    loop = [((k + 2) // 3 % n, (k + 1) // 3 % n, k // 3 % n) for k in range(3 * n)]
+    vertices, real = np.array(loop), fg._Omega.sample
+    sampled = np.zeros((3, len(loop)))
+
+    def recording(self, rows, out):
+        real(self, rows, out)
+        for r, row in enumerate(np.arange(n)[rows]):
+            mine = vertices[:, 0] == row
+            sampled[np.ix_(present, mine)] = out[:, r, vertices[mine, 1], vertices[mine, 2]]
+        return out
+
+    seen = []
+    monkeypatch.setattr(fg._Omega, "sample", recording)
+    monkeypatch.setattr(fg, "tautness_check", lambda pairings, mean: seen.append(pairings) or True)
+    monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
+    gv_term(FoliationSpec(fns, n, tuple(loop)))
+    want = pairings_of([dict(zip(loop, w)) for w in sampled], loop, n)
+    assert len(seen) == 1 and np.array_equal(seen[0].view(np.int64), want.view(np.int64))
+
+
 PLANTS = {"first row": (0, 3, 7), "last row of a slab": (4, 38, 0),
           "first row of a slab": (5, 0, 38), "last row": (38, 2, 1)}
 
@@ -1047,7 +1130,7 @@ def test_the_ring_holds_and_samples_only_present_components(monkeypatch, n):
         given = [None if z else f for f, z in zip(fns, mask)]
         present = [f for f in given if f is not None]
         omega = ring(given, n)
-        assert omega.present == tuple(f is not None for f in given)
+        assert len(omega.fns) == len(present) and omega.fns == present
         assert all(len(slot) == len(present) for slot in omega.slots)
         assert held_bytes(omega) <= len(present) * 8 * n**3
         seen = []
