@@ -173,6 +173,22 @@ def _equal(value, expected) -> bool:
     return isinstance(value, bool) == isinstance(expected, bool) and value == expected
 
 
+def _all_pass(schema: dict, values: list) -> bool:
+    """Whether `schema` finds no error in any of `values`, decided in one sweep
+    where it is a bounded integer or an array of them (a transversal's
+    vertices); False where it is not, or some value fails, and the walker
+    visits each value to report its errors."""
+    keys = set(schema)
+    if schema.get("type") == "integer" and keys <= {"type", "minimum", "maximum"}:
+        lo, hi = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
+        return all(type(v) is int and lo <= v <= hi for v in values)
+    if schema.get("type") == "array" and keys <= {"type", "items", "minItems", "maxItems"}:
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        return (all(type(v) is list and lo <= len(v) <= hi for v in values)
+                and _all_pass(schema.get("items", {}), [c for v in values for c in v]))
+    return False
+
+
 def _errors(schema: dict, value, path: tuple, found: list) -> None:
     """Append (path, message) for each keyword of `schema` that `value` fails,
     a node's own keywords before those of its children."""
@@ -201,7 +217,7 @@ def _errors(schema: dict, value, path: tuple, found: list) -> None:
             found.append((path, f"{value!r} is too short"))
         if len(value) > schema.get("maxItems", math.inf):
             found.append((path, f"{value!r} is too long"))
-        if "items" in schema:
+        if "items" in schema and not _all_pass(schema["items"], value):
             for i, item in enumerate(value):
                 _errors(schema["items"], item, path + (i,), found)
     elif isinstance(value, str):

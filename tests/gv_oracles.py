@@ -4,11 +4,13 @@ of `taut3.foliation_gv`.
 `DiscreteForm` holds a form sampled on the whole grid, and `form_from_functions`
 samples one there.  Each step builds a full (3, n, n, n) or (n, n, n) array:
 the exterior derivative (one centered difference `_ddi` per component and
-axis), the wedge, theta, d(theta) and theta ^ d(theta).  The slab pass works
-in grid units, so it must reproduce every field value of this chain at 2h = 1
-bit for bit, and every sum at the grid's spacing to summation rounding (bit for
-bit on power-of-two grids).  `foliation` turns a sampled form back into the
-component functions that `gv_term` takes.
+axis), the wedge, theta (`one_component_theta` on a form with one component),
+d(theta) and theta ^ d(theta), and the density of the GV sum by parts
+(`gv_density`).  The slab pass works in grid units, so it must reproduce every
+field value of this chain at 2h = 1 bit for bit, and every sum at the grid's
+spacing to summation rounding (bit for bit on power-of-two grids).
+`foliation` turns a sampled form back into the component functions that
+`gv_term` takes.
 """
 
 from __future__ import annotations
@@ -215,9 +217,45 @@ def _theta(omega: DiscreteForm, dw: DiscreteForm, defect: float, tol: float):
     return DiscreteForm(1, theta)
 
 
+def one_component_theta(omega: DiscreteForm, k: int, h: float | None = None) -> DiscreteForm:
+    """theta of f dx_k, omega's component k alone, as the slab pass takes it:
+    d(omega) = (df / f) ^ omega, so theta is df / f less its dx_k component,
+    each D_c f / f (c != k) one difference and one division.  It is the
+    minimal-norm solution of `_theta` up to rounding."""
+    f = omega.values[k]
+    theta = d(DiscreteForm(0, f), h).values / f
+    theta[k] = 0.0
+    return DiscreteForm(1, theta)
+
+
 def gv_integral(omega: DiscreteForm, theta: DiscreteForm) -> float:
     """Integral of theta ^ d theta over the torus."""
     return integrate(wedge(theta, d(theta)))
+
+
+# The terms (a, axis, b), each theta_a D_axis theta_b, of the GV sum by parts
+GV_TERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def gv_density(theta: DiscreteForm, h: float | None = None, terms=GV_TERMS) -> np.ndarray:
+    """Half the density of the GV sum by parts, theta_x D_y theta_z +
+    theta_y D_z theta_x + theta_z D_x theta_y (the `terms` (a, axis, b), each
+    theta_a D_axis theta_b, added in this order as the slab pass adds them),
+    its differences divided by 2h.  Centred differences sum by parts on the
+    periodic grid, sum a D b = -sum b D a, so in exact arithmetic twice its
+    sum is the sum of theta ^ d(theta)."""
+    h = theta.spacing if h is None else h
+    v, out = theta.values, None
+    for a, axis, b in terms:
+        term = np.multiply(v[a], _ddi(v[b], axis, h, np.empty_like(v[b])))
+        out = term if out is None else np.add(out, term)
+    return out
+
+
+def gv_by_parts(theta: DiscreteForm) -> float:
+    """Integral of theta ^ d theta over the torus as the sum by parts,
+    2 sum(`gv_density`) h^3."""
+    return 2 * float(np.sum(gv_density(theta))) * theta.spacing**3
 
 
 def loop_edges(transversal, n):

@@ -472,12 +472,13 @@ def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, c
     derivatives = count_calls("_ahead", fg._Pass)
     assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
     # per foliation: one slab pass over a single slab (grids 16 and 8), whose
-    # stage that reads omega takes d(omega) once on the slab, and on the grid
-    # rows before and after it, where theta wraps around
+    # stage that reads omega takes d(omega) once on the slab; on f dz the GV
+    # sum by parts differences theta along z alone, so theta is not taken
+    # again on the wrap rows
     assert fg._slab_rows(16) == 16 and fg._slab_rows(n) == n
     assert len(passes) == 2
     heights = [args[1].shape[1] for args in derivatives]
-    assert heights == [1, 16, 1, 1, n, 1]
+    assert heights == [16, n]
 
 
 def test_gv_reports_the_integrability_tolerance_it_applies(tmp_path, monkeypatch, capsys):
@@ -595,14 +596,36 @@ def test_hostile_manifest_values_exit_2(tmp_path, capsys, command, data):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_gv_sums_that_overflow_exit_2(tmp_path, capsys):
-    """|omega| near e^353 is finite, but its square sums past the float range:
-    the run exits 2, naming the foliation, with no numpy warning."""
-    data = _one_foliation("exp(353 + 0.5*sin(2*pi*x)*cos(2*pi*y))",
+@pytest.mark.parametrize("omega_xy, size", [(["0.001", "0.001"], 353), (["0", "0"], 705)],
+                         ids=["three components", "f dz"])
+def test_gv_sums_that_overflow_exit_2(tmp_path, capsys, omega_xy, size):
+    """|omega| near e^353 is finite, but on a form with three components its
+    square sums past the float range; on f dz, whose |omega| is |f| and
+    whose theta is df / f, only an |f| near e^705 sums past it.  Either run
+    exits 2, naming the foliation, with no numpy warning."""
+    data = _one_foliation(f"exp({size} + 0.5*sin(2*pi*x)*cos(2*pi*y))",
                           transversal=[[0, 0, k] for k in range(8)])
+    data["foliations"][0]["omega"][:2] = [f"{c}*exp({size} + 0.5*sin(2*pi*x)*cos(2*pi*y))"
+                                          if c != "0" else c for c in omega_xy]
     data["manifold"] = {"family": "Torus3"}
     assert run(["gv", "--manifest", write_manifest(tmp_path, data)]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: foliation[0]: a GV sum over the grid is not finite\n"
+
+
+@pytest.mark.parametrize("scale", ["2^600*", "2^-600*"])
+def test_gv_of_f_dz_at_a_power_of_two_scale_is_its_gv_at_unit_scale(tmp_path, scale):
+    """2^600 f dz, whose |omega|^2 overflows, and 2^-600 f dz, whose |omega|^2
+    underflows, give the GV section of f dz bit for bit: its theta is df / f
+    and its |omega| is |f|."""
+    values = []
+    for prefix in (scale, ""):
+        data = _one_foliation(f"{prefix}exp(0.5*sin(2*pi*x)*cos(2*pi*y) + 0.3*sin(2*pi*z))",
+                              transversal=[[0, 0, k] for k in range(8)])
+        data["manifold"] = {"family": "Torus3"}
+        out = tmp_path / "report.json"
+        assert run(["gv", "--manifest", write_manifest(tmp_path, data), "--out", str(out)]) == EXIT_OK
+        values.append(json.loads(out.read_text())["sections"]["godbillon_vey"]["values"])
+    assert values[0] == values[1] and values[0]["per_foliation"][0]["taut"] is True
 
 
 def test_all_computes_h1_once_per_presentation(tmp_path, count_calls):

@@ -5,7 +5,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from math import isfinite, sqrt
+from math import isfinite, ldexp, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -86,22 +86,26 @@ def new_pass(fns, n):
 def pass_fields(fns, n):
     """The fields of the pass on component functions (None where absent),
     copied out of its workspace slab by slab with the components that it does
-    not compute as zeros and concatenated along x, in grid units: d(omega),
-    omega ^ d(omega), |omega|^2, theta, d(theta) and theta ^ d(theta)."""
+    not compute as zeros and concatenated along x, in grid units, by name:
+    d(omega), omega ^ d(omega) and |omega|^2, or on a form with one component
+    |omega|, then theta and half the density of the GV sum by parts, "gv"."""
     gvp, slabs = new_pass(fns, n), fg._slabs(n)
-    fields = [[] for _ in range(6)]
+    one = sum(f is not None for f in fns) == 1
+    fields = {name: [] for name in (["|omega|"] if one else
+                                    ["d(omega)", "omega ^ d(omega)", "|omega|^2"]) + ["theta", "gv"]}
     for stage, i in gvp.stages(ring(fns, n)):
         k = slabs[i].stop - slabs[i].start
-        zeros = np.zeros((k, n, n))
         if stage == "ahead":
-            fields[0].append(spread(gvp.dw[:, :k], gvp.dw_at))
-            fields[1].append(gvp.work[2, :k].copy() if gvp.frob else zeros)
-            fields[2].append(gvp.nsq[:k].copy())
-            fields[3].append(spread(gvp.theta[i % 3][:, :k], gvp.theta_at))
+            if one:
+                fields["|omega|"].append(gvp.work[0, :k].copy())
+            else:
+                fields["d(omega)"].append(spread(gvp.dw[:, :k], gvp.dw_at))
+                fields["omega ^ d(omega)"].append(gvp.work[2, :k].copy())
+                fields["|omega|^2"].append(gvp.nsq[:k].copy())
+            fields["theta"].append(spread(gvp.theta[i % len(gvp.theta)][:, :k], gvp.theta_at))
         else:
-            fields[4].append(spread(gvp.work[:3, :k], gvp.dtheta_at))
-            fields[5].append(gvp.work[gvp.gv_out, :k].copy() if gvp.gv else zeros)
-    return [np.concatenate(parts, axis=parts[0].ndim - 3) for parts in fields]
+            fields["gv"].append(gvp.work[0, :k].copy())
+    return {name: np.concatenate(parts, axis=parts[0].ndim - 3) for name, parts in fields.items()}
 
 
 def slab_fields(omega):
@@ -166,7 +170,7 @@ def test_solve_theta_matches_analytic_minimal_solution():
     n = 48
     om = omega_exp_f(n)
     assert gv_row(om)[1] < 1e-12
-    theta = slab_fields(om)[3] * (n / 2)  # from grid units
+    theta = slab_fields(om)["theta"] * (n / 2)  # from grid units
     x, y, z = grid_coords(n)
     fx = 0.3 * TWO_PI * np.cos(TWO_PI * x)
     fy = -0.2 * TWO_PI * np.sin(TWO_PI * y)
@@ -280,6 +284,25 @@ def test_a_power_of_two_scale_changes_no_row_and_no_defect(c):
     (label, gv, taut), defect, warning = term(1.0)
     assert taut and warning is None and 0 < defect < 1e-15
     assert term(c) == ((label, gv, taut), defect, None)
+
+
+@pytest.mark.parametrize("k", [-600, -520, 500, 600])
+def test_a_power_of_two_scale_changes_no_row_of_f_dz(k):
+    """2^k e^g dz with its zeros absent, as `cli` passes them, gives the row of
+    k = 0 bit for bit at grid 32: theta is df / f and |omega| is |f|, whose
+    scale follows f exactly wherever f and its differences are normal
+    floats.  (Through |omega|^2, k = 600 overflowed to "not finite", k = -600
+    underflowed to "vanishes", and k = -520 moved gv from 5.06e-18 to
+    -1.66e-18.)"""
+    g = gauge_changed_fns()[2]
+    n, loop = 32, tuple((0, 0, k) for k in range(32))
+
+    def term(c):
+        return gv_term(FoliationSpec((None, None, lambda x, y, z: c * g(x, y, z)), n, loop))
+
+    (label, gv, taut), defect, warning = term(1.0)
+    assert taut and defect == 0.0 and warning is None
+    assert term(ldexp(1.0, k)) == ((label, gv, taut), defect, None)
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-15, 1e-20, 2.0**-300], ids=["1", "1e-15", "1e-20", "2^-300"])
@@ -404,6 +427,8 @@ def test_loop_edges_matches_the_step_by_step_check(case):
     lambda x, y, z: (x - x) / (x - x) + 1,  # nan everywhere
     lambda x, y, z: np.exp(1000 * x),  # inf where x > 0.7
     lambda x, y, z: 1e200 * (1 + x),  # finite, but its square overflows
+    # 2^600 e^g: its zeros sampled, so three components, whose |omega|^2 overflows
+    lambda x, y, z: ldexp(1.0, 600) * gauge_changed_fns()[2](x, y, z),
 ])
 def test_non_finite_form_is_rejected_without_warnings(component):
     fns = (lambda x, y, z: 0 * x, lambda x, y, z: 0 * x, component)
@@ -617,29 +642,53 @@ def random_omega(rng, n):
     return DiscreteForm(1, rng.standard_normal((3, n, n, n)) + np.array([0, 0, 4.0])[:, None, None, None])
 
 
-def oracle_fields(omega, h=None):
-    """The whole-grid chain in the order of `pass_fields`, its differences divided by
-    2h (h the grid spacing unless one is given)."""
-    dw = d(omega, h)
-    theta = go._theta(omega, dw, 0.0, 1.0)
-    dtheta = d(theta, h)
-    return (dw.values, wedge(omega, dw).values, go.norm_sq(omega), theta.values,
-            dtheta.values, wedge(theta, dtheta).values)
+def oracle_fields(omega, h=None, one=None, terms=go.GV_TERMS):
+    """The whole-grid chain as `pass_fields` names its fields, its differences
+    divided by 2h (h the grid spacing unless one is given): on a form whose
+    component `one` is its only one, |omega| and `one_component_theta`, else
+    d(omega), omega ^ d(omega), |omega|^2 and theta; then the GV density of
+    the `terms` that the pass keeps."""
+    if one is None:
+        dw = d(omega, h)
+        theta = go._theta(omega, dw, 0.0, 1.0)
+        fields = {"d(omega)": dw.values, "omega ^ d(omega)": wedge(omega, dw).values,
+                  "|omega|^2": go.norm_sq(omega)}
+    else:
+        theta = go.one_component_theta(omega, one, h)
+        fields = {"|omega|": np.abs(omega.values[one])}
+    return {**fields, "theta": theta.values, "gv": go.gv_density(theta, h, terms)}
 
 
 def streamed_row(fields, n, q=1.0):
     """(gv, defect) of per-cell fields, summed slab by slab in the pass's order
-    and then scaled by powers of q = 1/2h, as the pass does."""
-    dw_f, frob_f, norm_sq_f, _theta_f, _dtheta_f, gv_f = fields
+    and then scaled by powers of q = 1/2h, as the pass does; the defect of a
+    form with one component is 0.0."""
     frob = dw = w = gv = 0.0
     for s in fg._slabs(n):
-        frob += float(np.sum(np.square(frob_f[s])))
-        dw += float(np.sum(np.square(dw_f[:, s])))
-        w += float(np.sum(norm_sq_f[s]))
-        gv += float(np.sum(gv_f[s]))
-    frob, dw, gv = frob * q * q, dw * q * q, gv * q**3
+        if "d(omega)" in fields:
+            frob += float(np.sum(np.square(fields["omega ^ d(omega)"][s])))
+            dw += float(np.sum(np.square(fields["d(omega)"][:, s])))
+            w += float(np.sum(fields["|omega|^2"][s]))
+        gv += float(np.sum(fields["gv"][s]))
+    frob, dw, gv = frob * q * q, dw * q * q, 2 * gv * q**3
     cells = n**3
     return gv * (1.0 / n) ** 3, sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) + 1e-30)
+
+
+def assert_fields_equal(got, want):
+    """The same fields, bit for bit and signed zeros included."""
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+        assert np.array_equal(np.signbit(got[name]), np.signbit(want[name])), name
+
+
+def wedge_terms(theta):
+    """theta ^ d(theta) and the sum of the absolute values of its three
+    products, of the whole-grid chain."""
+    dtheta = d(theta).values
+    products = [theta.values[0] * dtheta[2], theta.values[1] * dtheta[1], theta.values[2] * dtheta[0]]
+    return wedge(theta, d(theta)).values, float(sum(np.sum(np.abs(p)) for p in products))
 
 
 def assert_slab_pass_matches_oracle(omega):
@@ -647,13 +696,12 @@ def assert_slab_pass_matches_oracle(omega):
     bit for bit and signed zeros included, and its row is their sums rescaled.
     That row's gv and defect are those of the oracle's fields at the grid's
     spacing bit for bit on power-of-two grids, where the rescaling is exact,
-    and to rounding elsewhere, and both agree with the whole-grid sums to
-    summation rounding."""
+    and to rounding elsewhere; the defect agrees with the whole-grid sums to
+    summation rounding, and gv, the sum by parts, with the sum of
+    theta ^ d(theta) within 1e-15 of the sum of its products' sizes."""
     n, h = omega.grid_size, omega.spacing
     unit = oracle_fields(omega, h=0.5)
-    for got, want in zip(slab_fields(omega), unit):
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert_fields_equal(slab_fields(omega), unit)
     got_gv, got_defect = gv_row(omega, tol=np.inf)
     assert (got_gv, got_defect) == streamed_row(unit, n, q=n / 2)
     fields = oracle_fields(omega)
@@ -663,9 +711,9 @@ def assert_slab_pass_matches_oracle(omega):
     assert got_gv == pytest.approx(want_gv, rel=1e-12, abs=0)
     assert got_defect == pytest.approx(want_defect, rel=1e-12, abs=0)
     dw, defect = go._frobenius(omega)
-    gv = fields[-1]
     assert got_defect == pytest.approx(defect, rel=1e-12, abs=0)
-    assert abs(got_gv - np.sum(gv) * h**3) <= 1e-15 * h**3 * np.sum(np.abs(gv))
+    wedged, size = wedge_terms(DiscreteForm(1, fields["theta"]))
+    assert abs(got_gv - np.sum(wedged) * h**3) <= 1e-15 * h**3 * size
 
 
 def test_the_examples_cover_a_ragged_last_slab_and_a_grid_inside_one_slab():
@@ -686,9 +734,34 @@ def test_the_row_is_the_oracles_bit_for_bit_on_power_of_two_grids(n):
     assert_slab_pass_matches_oracle(random_omega(np.random.default_rng(n), n))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+@example(n=3, seed=0)
+def test_the_sum_by_parts_is_the_sum_of_theta_wedge_d_theta_exactly(n, seed):
+    """On theta fields of small integers, differenced at 2h = 1, every
+    difference, product and sum is exact, so twice the sum of the GV density
+    by parts is the sum of theta ^ d(theta) to the bit."""
+    values = np.random.default_rng(seed).integers(-8, 9, size=(3, n, n, n)).astype(float)
+    theta = DiscreteForm(1, values)
+    by_parts = np.sum(go.gv_density(theta, 0.5))
+    assert 2 * by_parts == np.sum(wedge(theta, d(theta, 0.5)).values)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_the_sum_by_parts_agrees_with_the_wedge_sum_on_the_abc_form(monkeypatch, n):
+    """On the non-integrable ABC form, the row's gv, the sum by parts, is the
+    sum of theta ^ d(theta) within 1e-15 of the sum of its products' sizes."""
+    monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
+    fns = tuple(compile_expr(s) for s in ABC)
+    omega = form_from_functions(1, n, *fns)
+    wedged, size = wedge_terms(go._theta(omega, d(omega), 0.0, 1.0))
+    gv = gv_term(FoliationSpec(fns, n))[0][1]
+    assert abs(gv - np.sum(wedged) / n**3) <= 1e-15 * size / n**3
+
+
 def test_an_overflow_of_the_rescaled_gv_sum_is_rejected(monkeypatch):
-    """The pass sums theta ^ d(theta) in grid units, (2h)^3 times its value;
-    where only that sum times (n/2)^3 overflows, the row is still rejected.
+    """The pass sums the GV terms in grid units, (2h)^3 times their value;
+    where only twice that sum times (n/2)^3 overflows, the row is still rejected.
     Two adjacent cells where omega is 3e-155 times its size elsewhere make
     theta there about 1e154 times its size elsewhere; the floor is lifted so
     that they pass the nonvanishing check, and omega is scaled up so that
@@ -698,8 +771,8 @@ def test_an_overflow_of_the_rescaled_gv_sum_is_rejected(monkeypatch):
     values[:, 5, 5, 5:7] *= 3e-155
     monkeypatch.setattr(fg, "NONVANISHING_FLOOR", 0.0)
     monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
-    gv = float(np.sum(pass_fields(component_fns(values), n)[-1]))
-    assert isfinite(gv) and not isfinite(gv * (n / 2) ** 3)
+    gv = float(np.sum(pass_fields(component_fns(values), n)["gv"]))
+    assert isfinite(gv) and not isfinite(2 * gv * (n / 2) ** 3)
     with pytest.raises(SingularityError, match="a GV sum over the grid is not finite"):
         gv_term(foliation(DiscreteForm(1, values)))
 
@@ -745,7 +818,8 @@ def test_gv_term_allocates_less_than_one_omega(traced_peak):
     """Sampling included, a gv_term call at grid 128 holds less than a quarter
     of one omega (three components of 8 n^3 bytes) on a form given by three
     Python functions, and on f dz given as `cli` gives it less than 3/32
-    (4.19 MiB; the slab pass before the plan held 6.89)."""
+    (2.91 MiB; 4.16 before the sum by parts, and the slab pass before the
+    plan held 6.89)."""
     n = 128
     loop = tuple((0, 0, k) for k in range(n))
     _, peak = traced_peak(gv_term, FoliationSpec(gauge_changed_fns(), n, loop))
@@ -758,22 +832,23 @@ def test_gv_term_allocates_less_than_one_omega(traced_peak):
 def test_gv_term_scratch_is_a_few_dozen_slab_blocks(traced_peak, n):
     """Counted in blocks of one component of one slab, a call makes, for a
     form with three components, d(omega) (3) and |omega|^2 (1) of one slab,
-    theta of three (9) and a work area (6) that takes the differences of each
-    d, d(theta), the squares that the sums reduce and the products with
-    their scratch: 19 blocks at every slab height.  For f dz with its zeros
-    absent, d(omega) and theta have two components and d(theta) the two that
-    theta ^ d(theta) reads, so the work area is 4 blocks: 2 + 1 + 6 + 4 = 13.
-    The call holds the ring of sampled omega and the pass's blocks, and
-    besides them less than 4 blocks: while a chunk is sampled, the factors
-    of its expression that span less than a chunk.  On the bench's exp-g
-    form that is 2.09, 7.38 and 9.45 MiB at grids 32, 64 and 128, of which
-    the ring is 0.75 (one chunk), 6 and 6.75 MiB, and with its zeros absent
-    1.21, 3.00 and 4.19 MiB, of which the ring is 0.25, 2 and 2.25 MiB (the
-    slab pass before the plan held 2.25, 8.10 and 12.14 MiB, and 1.40, 4.09
-    and 6.89)."""
+    theta of three (9) and a work area (6) that takes the differences of
+    d(omega), the squares that the sums reduce, the products with their
+    scratch and the GV terms: 19 blocks at every slab height.  For f dz with
+    its zeros absent, theta has two components on one slab, since its one GV
+    term reads no other, and the work area is 1 block (|omega|, then the GV
+    term): 2 + 1 = 3.  The call holds the ring of sampled omega and the
+    pass's blocks, and besides them less than 4 blocks: while a chunk is
+    sampled, the factors of its expression that span less than a chunk.  On
+    the bench's exp-g form that is 2.09, 7.37 and 9.41 MiB at grids 32, 64
+    and 128, of which the ring is 0.75 (one chunk), 6 and 6.75 MiB, and with
+    its zeros absent 0.59, 2.37 and 2.91 MiB, of which the ring is 0.25, 2
+    and 2.25 MiB (before the sum by parts 1.21, 2.99 and 4.16 MiB; the slab
+    pass before the plan held 2.25, 8.10 and 12.14 MiB, and 1.40, 4.09 and
+    6.89)."""
     rows = fg._slab_rows(n)
     block = 8 * rows * n * n
-    for as_cli, blocks in ((False, 3 + 1 + 3 * 3 + 6), (True, 2 + 1 + 3 * 2 + 4)):
+    for as_cli, blocks in ((False, 3 + 1 + 3 * 3 + 6), (True, 2 + 1)):
         fns = lens_exp_g(as_cli)
         assert new_pass(fns, n).blocks == blocks
         spec = FoliationSpec(fns, n, tuple((0, 0, k) for k in range(n)))
@@ -934,7 +1009,7 @@ def test_slab_sampling_matches_the_whole_grid(monkeypatch, n, kind):
             mp.setattr(fg, "tautness_check", lambda pairings, mean: means.append(mean) or True)
             seen = sampled_by_the_pass(mp, fns, n, want, ((0, 0, 0), (0, 0, 1)))
         assert Counter(seen) == rows_sampled(fns, n)
-        streamed = pass_fields(fns, n)[2]
+        streamed = pass_fields(fns, n)["|omega|^2"]
         assert np.array_equal(streamed, norm_sq)
         lengths = sum(float(np.sum(np.sqrt(norm_sq[s]))) for s in fg._slabs(n))
         assert means == [lengths / n**3]
@@ -1062,18 +1137,33 @@ def outcome(fns, n):
             return str(exc)
 
 
+def one_component_size(fns, n):
+    """The sum of the sizes of the products of theta ^ d(theta), times h^3,
+    on the form with one component whose components `fns` (None where
+    absent) give, with theta as the pass takes it there."""
+    k = [f is not None for f in fns].index(True)
+    omega = form_from_functions(1, n, *[f or zero for f in fns])
+    return wedge_terms(go.one_component_theta(omega, k))[1] / n**3
+
+
 def assert_absent_matches_sampled(fns, zeros, n):
     """gv_term with the components `zeros` absent equals it with them sampled as
     the constant 0: every field value but the sign of a zero is the same, so
     the row and warning are; so is the defect, except that the sum of
     |d omega|^2 runs over fewer components and may round otherwise where
-    omega ^ d omega is not 0."""
+    omega ^ d omega is not 0.  Where one component is left, theta is df / f
+    instead of (f df) / f^2, so gv agrees to rounding: within 1e-15 of the
+    sum of the sizes of theta ^ d(theta)'s products."""
     sampled = outcome([zero if z else f for f, z in zip(fns, zeros)], n)
-    absent = outcome([None if z else f for f, z in zip(fns, zeros)], n)
+    given = [None if z else f for f, z in zip(fns, zeros)]
+    absent = outcome(given, n)
     if isinstance(sampled, str) or isinstance(absent, str):
         assert absent == sampled
         return
     (row, defect, warning), (want_row, want_defect, want_warning) = absent, sampled
+    if sum(zeros) == 2 and row[1] is not None:
+        assert abs(row[1] - want_row[1]) <= 1e-15 * one_component_size(given, n)
+        row = (row[0], want_row[1], row[2])
     assert (row, warning) == (want_row, want_warning)
     if want_defect == 0.0:
         assert defect == 0.0
@@ -1107,16 +1197,19 @@ def test_absent_zeros_give_the_rows_of_sampled_zeros_on_the_sampled_forms(n, kin
 
 @pytest.mark.parametrize("manifest, index", [(LENS_7_2, 0), (LENS_7_2, 1), (POINCARE, 0)],
                          ids=["lens_7_2-exp-g", "lens_7_2-exp-xy", "poincare-exp-g"])
-def test_absent_zeros_give_the_bench_rows_bit_for_bit(manifest, index):
+def test_absent_zeros_give_the_bench_rows(manifest, index):
     """The bench foliations are f dz: omega ^ d(omega) has no term left, so the
-    defect is 0.0 as when the zeros are sampled, and the row is the same to
-    its repr."""
+    defect is 0.0 as when the zeros are sampled, and the row is the same but
+    for gv, which the pass takes through theta = df / f: it agrees to
+    rounding (`assert_absent_matches_sampled`)."""
     entry = json.loads(manifest.read_text())["foliations"][index]
     fns = [compile_expr(s) for s in entry["omega"]]
     n, loop = entry["grid"], tuple(map(tuple, entry["transversal"]))
-    got = gv_term(FoliationSpec(tuple(None if f.is_zero else f for f in fns), n, loop))
-    want = gv_term(FoliationSpec(tuple(fns), n, loop))
-    assert repr(got) == repr(want) and got[1] == 0.0
+    given = tuple(None if f.is_zero else f for f in fns)
+    (label, gv, taut), defect, warning = gv_term(FoliationSpec(given, n, loop))
+    (want_label, want_gv, want_taut), *want = gv_term(FoliationSpec(tuple(fns), n, loop))
+    assert (label, taut, defect, warning) == (want_label, want_taut, *want)
+    assert defect == 0.0 and abs(gv - want_gv) <= 1e-15 * one_component_size(given, n)
 
 
 @pytest.mark.parametrize("n", [8, 9, 32, 39, 64, 128])
@@ -1164,19 +1257,18 @@ LAYOUTS = [present for present in itertools.product((False, True), repeat=3) if 
 
 
 def read_by_the_sums(present):
-    """The components that some sum of a row reads, for omega's layout
-    `present`, from the chain's formulas: a component that is not identically
-    zero is read by the sum of |d omega|^2 (d(omega)), by that of
-    theta ^ d(theta) = theta_0 d(theta)_12 - theta_1 d(theta)_02 +
-    theta_2 d(theta)_01 (a term's two factors), or by a plaquette so read;
-    theta_c = w_(c+1) g_(c+2) - w_(c+2) g_(c+1) with g = (v_12, -v_02, v_01)."""
+    """What some sum of a row reads, for omega's layout `present`, from the
+    chain's formulas: d(omega)'s plaquettes that are not identically zero;
+    theta's components that are not, theta_c = w_(c+1) g_(c+2) -
+    w_(c+2) g_(c+1) with g = (v_12, -v_02, v_01), where a term
+    theta_a D theta_b of the GV sum by parts has both factors among them;
+    those terms; and whether omega ^ d(omega) has a term."""
     dw = {q for q, (a, b) in enumerate(PAIRS) if present[a] or present[b]}
     g = [2 in dw, 1 in dw, 0 in dw]
     theta = {c for c in range(3) if any(present[(c + s) % 3] and g[(c + 3 - s) % 3] for s in (1, 2))}
-    dtheta = {q for q, (a, b) in enumerate(PAIRS) if a in theta or b in theta}
-    gv = {c for c in theta if 2 - c in dtheta}
+    gv = [t for t in go.GV_TERMS if t[0] in theta and t[2] in theta]
     frob = any(present[c] and 2 - c in dw for c in range(3))
-    return dw, gv | {c for c in theta for q in gv if c in PAIRS[2 - q]}, {2 - c for c in gv}, frob
+    return dw, {c for a, _axis, b in gv for c in (a, b)}, gv, frob
 
 
 def computed(at):
@@ -1184,11 +1276,13 @@ def computed(at):
 
 
 def test_the_pruned_chain_of_f_dz():
-    """On f dz, d(theta)'s dx ^ dy plaquette is read by no sum, since theta_z
-    is absent; nor is omega ^ d(omega), which has no term left."""
-    assert read_by_the_sums((False, False, True)) == ({1, 2}, {0, 1}, {1, 2}, False)
+    """On f dz, theta_z is 0, so the GV sum by parts keeps one term,
+    theta_y D_z theta_x, which reads no other slab; omega ^ d(omega) has no
+    term left.  The pass holds theta's two components on one slab and one
+    work block."""
+    assert read_by_the_sums((False, False, True)) == ({1, 2}, {0, 1}, [(1, 2, 0)], False)
     gvp = new_pass((None, None, np.exp), 8)
-    assert (gvp.blocks, gvp.frob, len(gvp.gv)) == (13, [], 2)
+    assert (gvp.blocks, gvp.frob, len(gvp.gv), len(gvp.theta)) == (3, [], 1, 1)
 
 
 @pytest.mark.parametrize("n", [8, 9, 39, 64])
@@ -1197,24 +1291,85 @@ def test_the_plan_computes_exactly_what_the_sums_read(present, n):
     """For each layout of present components, the pass computes exactly the
     components that some reported sum reads, and each matches the whole-grid
     oracle on omega with its absent components sampled as zeros at 2h = 1,
-    bit for bit and signed zeros included: d(omega), |omega|^2, theta,
-    d(theta), omega ^ d(omega) and theta ^ d(theta), slab by slab over
-    every slab and wrap row of the grid."""
+    bit for bit and signed zeros included: d(omega), omega ^ d(omega),
+    |omega|^2 (|omega| on a form with one component), theta and the density
+    of the GV sum by parts, slab by slab over every slab and wrap row of the
+    grid.  theta is held on three slabs only where a GV term reads
+    D_x theta_y."""
     rng = np.random.default_rng(10 * n + sum(present))
     fns = [smooth_positive(rng) if on else None for on in present]
     gvp = new_pass(fns, n)
-    dw, theta, dtheta, frob = read_by_the_sums(present)
-    assert (computed(gvp.dw_at), computed(gvp.theta_at), computed(gvp.dtheta_at)) == (
-        dw, theta, dtheta)
-    assert bool(gvp.frob) == frob and bool(gvp.gv) == bool(theta)
+    dw, theta, gv, frob = read_by_the_sums(present)
+    assert (computed(gvp.dw_at), computed(gvp.theta_at)) == (dw, theta)
+    assert bool(gvp.frob) == frob and len(gvp.gv) == len(gv)
+    assert len(gvp.theta) == (3 if any(axis == 0 for _a, axis, _b in gv) else 1)
     got = pass_fields(fns, n)
-    want = oracle_fields(form_from_functions(1, n, *[f or zero for f in fns]), h=0.5)
-    for name, g, w, comps in zip(("d(omega)", "frob", "|omega|^2", "theta", "d(theta)", "gv"),
-                                 got, want, (dw, frob, True, theta, dtheta, bool(theta))):
-        for c in sorted(comps) if isinstance(comps, set) else [None] * bool(comps):
-            g_c, w_c = (g, w) if c is None else (g[c], w[c])
-            assert np.array_equal(g_c, w_c), (name, c)
-            assert np.array_equal(np.signbit(g_c), np.signbit(w_c)), (name, c)
+    one = present.index(True) if sum(present) == 1 else None
+    want = oracle_fields(form_from_functions(1, n, *[f or zero for f in fns]), 0.5, one, gv)
+    assert got.keys() == want.keys()
+    for name, comps in (("d(omega)", dw), ("theta", theta)):
+        if name in want:
+            got[name], want[name] = got[name][sorted(comps)], want[name][sorted(comps)]
+    assert_fields_equal(got, want)
+
+
+class CountedUfunc:
+    """A ufunc that adds each call, and the elements of its result or, for a
+    reduction, of its operand, to a tally."""
+
+    def __init__(self, ufunc, tally):
+        self.ufunc, self.tally = ufunc, tally
+
+    def __call__(self, *args, **kwargs):
+        result = self.ufunc(*args, **kwargs)
+        self.tally += [1, np.size(result)]
+        return result
+
+    def reduce(self, array, *args, **kwargs):
+        self.tally += [1, np.size(array)]
+        return self.ufunc.reduce(array, *args, **kwargs)
+
+
+class CountingNumpy:
+    """numpy as foliation_gv reads it, with every ufunc counted."""
+
+    def __init__(self, tally):
+        self.tally = tally
+
+    def __getattr__(self, name):
+        value = getattr(np, name)
+        return CountedUfunc(value, self.tally) if isinstance(value, np.ufunc) else value
+
+
+def pass_work(fns, n):
+    """The ufunc calls and element operations of one gv_term call at grid n
+    on `fns`, without a loop: a call's elements are those of its result, a
+    reduction's those it reads."""
+    tally = np.zeros(2, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fg, "np", CountingNumpy(tally))
+        mp.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
+        gv_term(FoliationSpec(tuple(fns), n))
+    return tuple(map(int, tally))
+
+
+@pytest.mark.parametrize("form, n, calls, elements", [
+    ("f dz", 128, 1408, 21004032),
+    ("f dz", 32, 52, 331512),
+    ("x, y and z", 32, 236, 1836512),
+], ids=["f-dz-128", "f-dz-32", "three-32"])
+def test_the_pass_does_a_pinned_amount_of_work(form, n, calls, elements):
+    """The ufunc calls and element operations of a pass repeat exactly, so a
+    change to the pass can show its work apart from the host's noise.  f dz
+    (the bench's exp-g form, its zeros absent) takes 10.0 element operations
+    per cell at grid 128: theta_x and theta_y one difference and one
+    division each, |f| with its sum and least, and the GV sum by parts
+    theta_y D_z theta_x, its product and its sum.  A form with three
+    components takes 56.0 at grid 32.  Before the sum by parts these were
+    2446 calls and 21.1 operations per cell, 98 and 21.6, and 240 and 62.2."""
+    fns = lens_exp_g(as_cli=True) if form == "f dz" else [compile_expr(s) for s in SAMPLED[form]]
+    assert pass_work(fns, n) == (calls, elements)
+    assert elements / n**3 <= (11 if form == "f dz" else 57)
 
 
 def test_repeated_calls_take_few_page_faults(monkeypatch):

@@ -282,6 +282,27 @@ def test_the_walker_agrees_with_jsonschema(base, data):
     assert_walker_agrees(doc)
 
 
+def test_a_valid_transversal_is_checked_in_one_sweep(count_calls):
+    """The walker checks a list of bounded integers, or of lists of them (a
+    transversal's vertices), in one sweep, and visits each item only where
+    one fails: loading lens_7_2.json, with 192 vertices in its two
+    transversals, calls it 29 times, not once per vertex and coordinate
+    (799).  A bad vertex or coordinate anywhere in the list is still found
+    where jsonschema finds it, with the walker's message."""
+    calls = count_calls("_errors", manifest)
+    load_manifest(ROOT / "perfbench" / "manifests" / "lens_7_2.json")
+    assert len(calls) == 29
+    for bad in (-1, 1.5, 2.0, True, "0", None, [0], [0, 0], [0, 0, 0, 0], 2**70):
+        for where in ((0, 0), (127, 2), (63, None)):
+            doc = copy.deepcopy(BASES["lens_7_2"])
+            vertices = doc["foliations"][1 if where[0] < 64 else 0]["transversal"]
+            if where[1] is None:
+                vertices[where[0]] = bad
+            else:
+                vertices[where[0]][where[1]] = bad
+            assert_walker_agrees(doc)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
 @pytest.mark.parametrize("path", [("chern_simons", "scale"), ("chern_simons", "step"),
                                   ("leafwise", "weights", 0), ("solver", "tolerance")],
