@@ -23,8 +23,8 @@ for bit, apart from the signs of zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class ConnectionError_(ValueError):
     """Input is not a valid Lie-algebra-valued lattice field."""
 
 
-@dataclass(frozen=True)
 class LatticeConnection:
     """su(2)-valued 1-cochain on an n^3 periodic grid over the unit 3-torus.
 
@@ -56,13 +55,11 @@ class LatticeConnection:
     basis, index order (direction, x, y, z, basis element).
     """
 
-    components: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.components, dtype=float)
+    def __init__(self, components):
+        a = np.asarray(components, dtype=float)
         if a.ndim != 5 or a.shape[0] != 3 or a.shape[4] != 3 or len(set(a.shape[1:4])) != 1:
             raise ConnectionError_("expected shape (3, n, n, n, 3)")
-        object.__setattr__(self, "components", a)
+        self.components = a
 
     @property
     def grid_size(self) -> int:
@@ -276,8 +273,7 @@ def action_gradient(conn: LatticeConnection, level: float = 1.0) -> np.ndarray:
     return _w_slot_gradient(_u_slot_gradient(d_one(a, h), cup_11(a, a)), a, h, level)
 
 
-@dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(NamedTuple):
     action: float
     grad_norm: float
     curvature_norm: float

@@ -19,8 +19,8 @@ are normal floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import frexp, inf, isfinite, ldexp, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -376,8 +376,7 @@ def _products(terms, u, v, out, tmp):
             (np.add if sign > 0 else np.subtract)(o, tmp, o)
 
 
-@dataclass(frozen=True)
-class FoliationSpec:
+class FoliationSpec(NamedTuple):
     """A foliation as `gv_term` takes it.  A component of omega given as None is
     identically zero: never sampled, and no term of the chain with it as a factor."""
 
@@ -415,8 +414,7 @@ def tautness_check(pairings, mean: float) -> bool:
     return bool(np.all(pairings > 0) or np.all(pairings < 0))
 
 
-@dataclass(frozen=True)
-class GvReport:
+class GvReport(NamedTuple):
     total: float
     per_foliation: tuple  # (label, gv value or None, taut flag)
     warnings: tuple

@@ -21,15 +21,14 @@ and metric-dependent otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # log det' of the unit-square torus Laplacian on functions
 LOG_DET_LAPLACIAN = 4.0 * math.log(math.gamma(0.25) / (2.0 * math.pi**0.75))
 METRIC_LIKE_TOLERANCE = 1e-14  # largest |log(c0 c2 / c1^2)| of metric-like weights
 
 
-@dataclass(frozen=True)
-class LeafwiseTorsionResult:
+class LeafwiseTorsionResult(NamedTuple):
     log_t: float
     betti: tuple
     metric_dependent: bool

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -150,15 +149,14 @@ class ManifestError(ValueError):
     """Manifest failed schema validation or could not be parsed."""
 
 
-@dataclass(frozen=True)
 class Manifest:
-    family: str
-    params: tuple
-    chern_simons: dict = field(default_factory=dict)
-    foliations: tuple = ()
-    leafwise: dict = field(default_factory=dict)
-    output: str | None = None
-    raw: dict = field(default_factory=dict)
+    def __init__(self, family: str, params: tuple, chern_simons: dict | None = None,
+                 foliations: tuple = (), leafwise: dict | None = None,
+                 output: str | None = None, raw: dict | None = None):
+        self.family, self.params, self.foliations, self.output = family, params, foliations, output
+        self.chern_simons = {} if chern_simons is None else chern_simons
+        self.leafwise = {} if leafwise is None else leafwise
+        self.raw = {} if raw is None else raw
 
 
 def _is_type(value, name: str) -> bool:

@@ -15,8 +15,8 @@ boundary of the one 3-cell, written with the relators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 Word = tuple  # tuple of (gen, exp) pairs
 
@@ -64,8 +64,7 @@ def gen(g: int, e: int = 1) -> Word:
     return reduce_word([(g, e)])
 
 
-@dataclass(frozen=True)
-class CyclicShape:
+class CyclicShape(NamedTuple):
     """<x | x^order>, pi_1 of L(order, q): the cores of its two solid tori are
     x and x^qbar, qbar = q^-1 mod order, and it has no fibre."""
 
@@ -78,8 +77,7 @@ class CyclicShape:
         return gen(0), gen(0, pow(self.q, -1, self.order))
 
 
-@dataclass(frozen=True)
-class TriangleShape:
+class TriangleShape(NamedTuple):
     """<s, t | s^b t^-c, (st)^a s^-b>: s^b = t^c = (st)^a is central, the
     fibre, and s, t and st are the cores of the exceptional fibres."""
 
@@ -93,8 +91,7 @@ class TriangleShape:
         return gen(0, self.b)
 
 
-@dataclass(frozen=True)
-class SeifertShape:
+class SeifertShape(NamedTuple):
     """<x1, x2, x3, h | [x_i, h], x_i^alpha_i h^beta_i, x1 x2 x3 h^b0>: h is
     the fibre, and the core of the solid torus whose meridian is
     x_i^alpha_i h^beta_i is x_i^u h^v with alpha_i v - beta_i u = 1."""
@@ -110,29 +107,34 @@ class SeifertShape:
                      for i, (a, b) in enumerate(zip(self.alphas, self.betas)))
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    """`d3_words`, if known, is the boundary of the one 3-cell: per relator, a
-    group-ring element as (coefficient, word) pairs."""
-
+class _PresentationFields(NamedTuple):
     num_generators: int
     relators: tuple
     label: str = ""
     shape: CyclicShape | TriangleShape | SeifertShape | None = None
     d3_words: tuple | None = None
 
-    def __post_init__(self):
-        if self.num_generators < 1:
+
+class GroupPresentation(_PresentationFields):
+    """`d3_words`, if known, is the boundary of the one 3-cell: per relator, a
+    group-ring element as (coefficient, word) pairs.  Equal by value and
+    hashable as a tuple of its fields; unlike its base it has a `__dict__`,
+    where `h1` is kept."""
+
+    def __new__(cls, *args, **kwargs):
+        p = super().__new__(cls, *args, **kwargs)
+        if p.num_generators < 1:
             raise ParameterError("need at least one generator")
-        object.__setattr__(self, "relators", tuple(reduce_word(r) for r in self.relators))
-        for r in self.relators:
+        relators = tuple(reduce_word(r) for r in p.relators)
+        for r in relators:
             for g, e in r:
-                if not (0 <= g < self.num_generators):
+                if not (0 <= g < p.num_generators):
                     raise ParameterError(f"generator index {g} out of range")
                 if e == 0:
                     raise ParameterError("zero exponent in relator")
-        if self.d3_words is not None and len(self.d3_words) != len(self.relators):
+        if p.d3_words is not None and len(p.d3_words) != len(relators):
             raise ParameterError("need one 3-cell boundary word per relator")
+        return p._replace(relators=relators)
 
     @cached_property
     def h1(self) -> HomologySummary:
@@ -148,17 +150,9 @@ class GroupPresentation:
         return m
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     betti_1: int
-    torsion_coefficients: tuple
-
-    def __post_init__(self):
-        ts = tuple(int(t) for t in self.torsion_coefficients)
-        for a, b in zip(ts, ts[1:]):
-            if b % a != 0:
-                raise ValueError("torsion coefficients must form a divisibility chain")
-        object.__setattr__(self, "torsion_coefficients", ts)
+    torsion_coefficients: tuple  # a divisibility chain of ints > 1
 
 
 def invariant_factors(m) -> list:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 REPORT_VERSION = 4
 
@@ -33,13 +32,10 @@ def _jsonable(value):
     return value
 
 
-@dataclass
 class Section:
-    name: str
-    values: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.values, self.tolerances, self.metadata, self.warnings = {}, {}, {}, []
 
     def to_dict(self):
         return {
@@ -50,11 +46,10 @@ class Section:
         }
 
 
-@dataclass
 class InvariantReport:
-    manifest_digest: str
-    sections: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
+    def __init__(self, manifest_digest: str):
+        self.manifest_digest = manifest_digest
+        self.sections, self.timings = {}, {}
 
     def section(self, name: str) -> Section:
         if name not in self.sections:

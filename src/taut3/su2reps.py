@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,23 +31,16 @@ class ModuliNotFiniteError(RuntimeError):
     """The representation moduli are not a finite set (betti_1 > 0)."""
 
 
-@dataclass(frozen=True)
 class Su2Element:
     """Unit quaternion; renormalized on construction."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        n = np.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2)
+    def __init__(self, a: float, b: float, c: float, d: float):
+        n = np.sqrt(a**2 + b**2 + c**2 + d**2)
         if abs(n - 1.0) > 1e-6:
             raise ValueError("quaternion too far from the unit sphere")
-        object.__setattr__(self, "a", self.a / n)
-        object.__setattr__(self, "b", self.b / n)
-        object.__setattr__(self, "c", self.c / n)
-        object.__setattr__(self, "d", self.d / n)
+        self.a, self.b, self.c, self.d = a / n, b / n, c / n, d / n
 
     @property
     def quaternion(self):
@@ -59,8 +52,7 @@ class Su2Element:
         return cls(float(q[0]), float(q[1]), float(q[2]), float(q[3]))
 
 
-@dataclass(frozen=True)
-class Su2Rep:
+class Su2Rep(NamedTuple):
     generator_images: tuple
     trace_coords: np.ndarray
     irreducible: bool
@@ -70,8 +62,7 @@ class Su2Rep:
         return np.stack([g.quaternion for g in self.generator_images])
 
 
-@dataclass(frozen=True)
-class RepModuli:
+class RepModuli(NamedTuple):
     classes: tuple
 
 

@@ -18,7 +18,7 @@ w - 1 = sum_j (dw/dx_j)(x_j - 1) translate into D1 @ D2 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ def cw_structure(family: str, *params) -> GroupPresentation:
     return p
 
 
-@dataclass(frozen=True)
-class TwistedComplex:
+class TwistedComplex(NamedTuple):
     """Boundary matrices D1: C1->C0, D2: C2->C1, D3: C3->C2 (complex entries)."""
 
     d1: np.ndarray
@@ -118,15 +117,13 @@ def sv_torsion_oracle(c: TwistedComplex) -> float:
     return 0.5 * sum((-1) ** i * i * (ls[i] + ls[i + 1]) for i in range(4))
 
 
-@dataclass(frozen=True)
-class TorsionResult:
+class TorsionResult(NamedTuple):
     log_t: float
     t: float
     acyclic: bool  # else the torsion depends on the metric
 
 
-@dataclass(frozen=True)
-class TorsionSumResult:
+class TorsionSumResult(NamedTuple):
     total: float | None  # None where a class is left out
     irreducible_subtotal: float | None  # None where an irreducible class is left out
     per_class: tuple  # (trace_coords, TorsionResult, irreducible) triples

@@ -11,7 +11,9 @@ from rep_oracles import brieskorn_sigma
 from test_su2reps import SMALL_TRIPLES
 from taut3 import cli, presentations, twisted_torsion
 from taut3 import foliation_gv as fg
-from taut3.exprs import CompiledExpr
+from taut3.exprs import CompiledExpr, compile_expr
+from taut3.manifest import Manifest
+from taut3.reports import InvariantReport, Section
 from taut3.cli import (
     EXIT_OK,
     EXIT_REGULARITY,
@@ -49,6 +51,22 @@ def lens5_manifest(tmp_path, **extra):
 
 def run(args):
     return main(args)
+
+
+def test_reports_and_manifests_never_share_a_default_container():
+    """Each Section, InvariantReport and Manifest makes its own dicts and lists."""
+    a, b = Section("a"), Section("b")
+    a.values["x"], a.tolerances["x"], a.metadata["x"] = 1, 2, 3
+    a.warnings.append("w")
+    assert (b.values, b.tolerances, b.metadata, b.warnings) == ({}, {}, {}, [])
+    r, s = InvariantReport("0"), InvariantReport("1")
+    r.section("reps").values["x"] = 1
+    r.timings["reps"] = 0.1
+    assert (s.sections, s.timings) == ({}, {}) and s.section("reps").values == {}
+    m, n = Manifest("S3", ()), Manifest("S3", ())
+    for attr in ("chern_simons", "leafwise", "raw"):
+        getattr(m, attr)["x"] = 1
+        assert getattr(n, attr) == {}
 
 
 def test_reps_subcommand(tmp_path, capsys):
@@ -347,7 +365,7 @@ def test_gv_stage_matches_gv_invariant(tmp_path):
     out = tmp_path / "report.json"
     assert run(["gv", "--manifest", write_manifest(tmp_path, data), "--out", str(out)]) == EXIT_OK
     section = json.loads(out.read_text())["sections"]["godbillon_vey"]
-    specs = [cli._foliation_spec(e, [cli.compile_expr(s) for s in e["omega"]]) for e in foliations]
+    specs = [cli._foliation_spec(e, [compile_expr(s) for s in e["omega"]]) for e in foliations]
     gv = fg.gv_report([fg.gv_term(spec, k) for k, spec in enumerate(specs)])
     assert section["values"]["total"] == gv.total
     assert section["values"]["per_foliation"] == [
@@ -368,7 +386,7 @@ def test_gv_never_evaluates_a_component_that_folds_to_zero(tmp_path, monkeypatch
         {"omega": ["sin(pi)", "-0", "0*x + 1"], "grid": n},
         {"omega": ["0.0", "3 + sin(2*pi*z)", "0*x"], "grid": n},
     ]
-    specs = [cli._foliation_spec(e, [cli.compile_expr(s) for s in e["omega"]]) for e in foliations]
+    specs = [cli._foliation_spec(e, [compile_expr(s) for s in e["omega"]]) for e in foliations]
     assert [[f is None for f in spec.omega] for spec in specs] == [
         [True, True, False], [False, True, False], [True, False, False]]
     evaluated = []
@@ -380,7 +398,7 @@ def test_gv_never_evaluates_a_component_that_folds_to_zero(tmp_path, monkeypatch
     monkeypatch.setattr(CompiledExpr, "__call__", recording)
     data = {"schema_version": 1, "manifold": {"family": "S3"}, "foliations": foliations}
     assert run(["gv", "--manifest", write_manifest(tmp_path, data)]) == EXIT_OK
-    want = [cli.compile_expr(s).tree for e in foliations for s in e["omega"]]
+    want = [compile_expr(s).tree for e in foliations for s in e["omega"]]
     assert {repr(t) for t in evaluated} == {repr(t) for t in want if t != 0.0}
     assert 0.0 not in evaluated
 

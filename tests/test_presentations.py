@@ -9,7 +9,10 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from taut3.presentations import (
     SIZE_BOUND,
+    CyclicShape,
     GroupPresentation,
+    SeifertShape,
+    TriangleShape,
     ParameterError,
     builtin_presentation,
     concat_words,
@@ -85,6 +88,29 @@ def test_h1_is_computed_once_per_presentation():
     pres = builtin_presentation("Lens", 7, 2)
     assert pres.h1 is pres.h1
     assert pres.h1 == homology_h1(pres)
+
+
+@pytest.mark.parametrize("family, params", [("Lens", (7, 2)), ("Brieskorn", (2, 3, 5)),
+                                            ("Brieskorn", (2, 3, 11)), ("Torus3", ())])
+def test_presentations_and_shapes_are_hashable_and_equal_by_value(family, params):
+    """Two builds of one presentation are equal and hash alike, and so are their
+    shapes (the benchmark's tracer counts distinct presentations in a set); a
+    keyword build, whose `h1` is unread, equals one whose `h1` is read."""
+    p, q = builtin_presentation(family, *params), builtin_presentation(family, *params)
+    assert p is not q and p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p.shape == q.shape and hash(p.shape) == hash(q.shape)
+    rebuilt = GroupPresentation(num_generators=p.num_generators, relators=p.relators,
+                                label=p.label, shape=p.shape, d3_words=p.d3_words)
+    assert p.h1 is not None and "h1" not in vars(rebuilt)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    assert GroupPresentation(p.num_generators, p.relators, p.label + "'", p.shape) != p
+
+
+def test_shapes_differ_by_their_exponents_and_their_kind():
+    assert CyclicShape(7) == CyclicShape(7, 1) != CyclicShape(7, 2)
+    assert TriangleShape(2, 3, 5) != TriangleShape(2, 3, 7)
+    assert SeifertShape((2, 3, 11), (1, 1, 1), -1) != SeifertShape((2, 3, 11), (1, 1, 2), -1)
+    assert builtin_presentation("Lens", 7, 2) != builtin_presentation("Lens", 7, 3)
 
 
 def test_homology_invariant_under_relator_tweaks():

@@ -1,6 +1,7 @@
 """The package's own modules compile without warnings, import nothing they
 neither use nor list in `__all__`, never call `eval`, `exec` or `compile`, and
-never import sympy or scipy, which no run loads; the declared dependencies are
+never import sympy or scipy, which no run loads, or dataclasses, whose
+decorator is slow at import; the declared dependencies are
 exactly the third-party modules the package imports; no module keeps state
 between calls in a module-level container; only `presentations.py`
 (and the schema's enum in `manifest.py`) names the manifold families; and the
@@ -177,20 +178,31 @@ def test_dependencies_are_the_third_party_imports():
     assert declared == third_party == {"numpy"}
 
 
+def test_modules_never_import_dataclasses():
+    """Each `@dataclass` costs about a millisecond at import, so the records are
+    NamedTuples and plain classes."""
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if "dataclasses" in imported_modules(path.read_text())]
+    assert found == []
+
+
 def test_cli_import_does_not_load_sympy(tmp_path):
     """Neither the import of the CLI nor a whole run loads sympy, scipy or
-    jsonschema, which only the tests use: `all` on Sigma(2,3,5) runs every
-    pipeline, and `reps` on Sigma(2,3,11) takes the 4-generator Seifert
-    presentation."""
+    jsonschema, which only the tests use; neither the import nor a `reps` run
+    (on Sigma(2,3,11), the 4-generator Seifert presentation) loads the modules
+    of the T^3 pipelines or dataclasses; and `all` on Sigma(2,3,5), run after
+    it, loads the T^3 modules for its pipelines but still no dataclasses."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + sys.path))
+    t3 = ["taut3.chern_simons", "taut3.exprs", "taut3.foliation_gv", "taut3.leafwise"]
+    watched = {*t3, "dataclasses"}
     loaded = ("print('loaded:', sorted({m.split('.')[0] for m in sys.modules}"
-              " & {'sympy', 'scipy', 'jsonschema'}))\n")
+              f" & {{'sympy', 'scipy', 'jsonschema'}}), sorted(set(sys.modules) & {watched!r}))\n")
     code = "import sys, taut3.cli\n" + loaded
-    for command, manifest in (("all", "poincare.json"), ("reps", "brieskorn_2_3_11.json")):
+    for command, manifest in (("reps", "brieskorn_2_3_11.json"), ("all", "poincare.json")):
         argv = [command, "--manifest", str(ROOT / "perfbench" / "manifests" / manifest),
                 "--out", str(tmp_path / "report.json")]
         code += f"assert taut3.cli.main({argv!r}) == 0\n" + loaded
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     loads = [line for line in out.stdout.splitlines() if line.startswith("loaded:")]
-    assert loads == ["loaded: []"] * 3
+    assert loads == ["loaded: [] []"] * 2 + [f"loaded: [] {t3}"]

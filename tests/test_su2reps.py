@@ -16,6 +16,8 @@ from taut3.presentations import (
 from taut3.su2reps import (
     ModuliNotFiniteError,
     RegularityError,
+    Su2Element,
+    Su2Rep,
     casson_count,
     enumerate_reps,
     evaluate_word,
@@ -138,6 +140,30 @@ def test_enumeration_refuses_presentations_without_a_shape():
     pres = builtin_presentation("Lens", 5, 1)
     with pytest.raises(ValueError, match="no exact construction"):
         enumerate_reps(GroupPresentation(1, pres.relators, label="hand-made"))
+
+
+def test_reps_build_as_the_benchmark_oracle_builds_them(brieskorn_235_moduli):
+    """perfbench/oracles.py builds a rep by keyword from `Su2Element.from_array`.
+    Each element is divided by its norm, summed in the order a, b, c, d, and
+    one off the unit sphere by more than 1e-6 is refused."""
+    q = np.array([0.6, 0.8 + 4e-7, 0.0, -3e-7])
+    e = Su2Element.from_array(q)
+    norm = math.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2)
+    assert (e.a, e.b, e.c, e.d) == tuple(float(x) / norm for x in q)
+    np.testing.assert_array_equal(e.quaternion, q / norm)
+    for far in ([1.0 + 2e-6, 0, 0, 0], [0, 0, 0, 0], [0.5, 0.5, 0.5, 0.0]):
+        with pytest.raises(ValueError, match="too far from the unit sphere"):
+            Su2Element.from_array(far)
+    for cls in brieskorn_235_moduli.classes:
+        rep = Su2Rep(
+            generator_images=tuple(Su2Element.from_array(q) for q in cls.images_array()),
+            trace_coords=np.asarray(cls.trace_coords, dtype=float),
+            irreducible=cls.irreducible,
+            residual=cls.residual,
+        )
+        np.testing.assert_allclose(rep.images_array(), cls.images_array(), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(rep.trace_coords, cls.trace_coords)
+        assert (rep.irreducible, rep.residual) == (cls.irreducible, cls.residual)
 
 
 def test_evaluate_word_inverse():
