@@ -7,12 +7,15 @@ computes all of it in one pass over slabs of the grid, sampling omega chunk by
 chunk as the pass reads it, and also runs the transversal-circle tautness test
 when a loop is given.  A component that is identically zero is given as None,
 as `taut3 gv` gives an expression that folds to the constant 0: the pass never
-samples it and skips every term it is a factor of.
+samples it and skips every term it is a factor of.  On omega = f dz, the only
+component present, theta = d log|f| is closed, so GV is exactly 0: `gv_term`
+runs no pass there, reports 0.0, and refuses an f that changes sign on the
+grid, since omega vanishes or has a pole between two samples.
 """
 
 import numpy as np
 
-from taut3.foliation_gv import FoliationSpec, gv_report, gv_term
+from taut3.foliation_gv import FoliationSpec, SingularityError, gv_report, gv_term
 
 n = 32
 two_pi = 2 * np.pi
@@ -27,7 +30,11 @@ exp_f = (None, None, lambda x, y, z: np.exp(f(x, y, z)))
 print("=== omega = e^f dz (leaves are graphs over the xy-torus) ===")
 (_label, gv, _taut), defect, _warning = gv_term(FoliationSpec(exp_f, n))
 print(f"integrability residual |omega ^ d omega| / scales = {defect:.2e}")
-print(f"GV integral = {gv:+.2e}  (this family has vanishing GV)")
+print(f"GV integral = {gv!r}  (exactly 0: theta = d log f is closed)")
+try:
+    gv_term(FoliationSpec((None, None, lambda x, y, z: np.cos(two_pi * x)), 39))
+except SingularityError as exc:
+    print(f"omega = cos(2 pi x) dz at grid 39 is refused: {exc}")
 
 print("\n=== Tautness via a transversal circle ===")
 loop = tuple((0, 0, k) for k in range(n))  # a z-circle, transverse to the leaves

@@ -13,6 +13,16 @@ __version__ = "0.1.0"
 
 from .presentations import builtin_presentation
 from .su2reps import enumerate_reps
-from .twisted_torsion import torsion_sum
 
 __all__ = ["builtin_presentation", "enumerate_reps", "torsion_sum"]
+
+
+def __getattr__(name):
+    """`torsion_sum`, imported on first access, so that a process that never
+    reads it (`taut3 reps`) never loads `twisted_torsion`."""
+    if name != "torsion_sum":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .twisted_torsion import torsion_sum
+
+    globals()[name] = torsion_sum
+    return torsion_sum

@@ -4,11 +4,12 @@ Each subcommand runs one invariant pipeline; `all` runs every pipeline that
 applies to the manifest's manifold, reporting the others as skipped, and says
 in a `cyclic` section that a manifest's `cyclic` block is ignored.  The
 pipelines of one invocation share a `Run`, so the presentation and the flat
-moduli are each computed once.  The T^3 pipelines (cs-check, gv, leafwise)
-import their modules when they run, so `reps`, `torsion` and `casson` never
-load them.  Reports are written as JSON (sections,
-tolerances, warnings) with timings kept in a separate block so repeated runs
-with the same seed produce identical reports modulo timing fields.
+moduli are each computed once.  Each pipeline past `reps` imports its module
+when it runs (`twisted_torsion` for torsion and casson; chern_simons,
+foliation_gv and leafwise for the T^3 pipelines), so a `reps` run loads none
+of them.  Reports are written as JSON (sections, tolerances, warnings) with
+timings kept in a separate block so repeated runs with the same seed produce
+identical reports modulo timing fields.
 
 Exit codes:
   0  success
@@ -39,7 +40,6 @@ from .su2reps import (
     casson_count,
     enumerate_reps,
 )
-from .twisted_torsion import adjoint_h1_dims, torsion_sum
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,6 +80,8 @@ def run_reps(run: Run, report: InvariantReport):
 
 
 def run_torsion(run: Run, report: InvariantReport):
+    from .twisted_torsion import torsion_sum
+
     m, result = run.m, torsion_sum(run.presentation, run.moduli)
     sec = report.section("torsion")
     sums = {"total": result.total, "irreducible_subtotal": result.irreducible_subtotal}
@@ -101,6 +103,8 @@ def run_torsion(run: Run, report: InvariantReport):
 
 
 def run_casson(run: Run, report: InvariantReport):
+    from .twisted_torsion import adjoint_h1_dims
+
     m = run.m
     h1 = run.presentation.h1
     if h1.betti_1 != 0 or h1.torsion_coefficients:
@@ -118,7 +122,7 @@ def run_casson(run: Run, report: InvariantReport):
 
 
 def run_cs_check(run: Run, report: InvariantReport):
-    from . import chern_simons as cs
+    from .chern_simons import FD_DIRECTIONS, LatticeConnection, action_gradient, stationarity_check
 
     block = dict(run.m.chern_simons)
     n = block.get("grid", 4)
@@ -126,10 +130,10 @@ def run_cs_check(run: Run, report: InvariantReport):
     level = block.get("level", 1.0)
     step = block.get("step", 1e-4)
     seed = run.args.seed if run.args.seed is not None else block.get("seed", 0)
-    conn = cs.LatticeConnection.random(n, scale=scale, seed=seed)
-    rep = cs.stationarity_check(conn, step=step, level=level)
-    flat = cs.LatticeConnection.zero(n)
-    flat_grad = float(np.linalg.norm(cs.action_gradient(flat, level)))
+    conn = LatticeConnection.random(n, scale=scale, seed=seed)
+    rep = stationarity_check(conn, step=step, level=level)
+    flat = LatticeConnection.zero(n)
+    flat_grad = float(np.linalg.norm(action_gradient(flat, level)))
     sec = report.section("chern_simons")
     sec.values.update(
         action=rep.action,
@@ -140,7 +144,7 @@ def run_cs_check(run: Run, report: InvariantReport):
     )
     sec.tolerances["fd_agreement"] = 1e-5
     sec.tolerances["fd_step"] = step
-    sec.metadata.update(grid=n, scale=scale, level=level, seed=seed, fd_directions=cs.FD_DIRECTIONS)
+    sec.metadata.update(grid=n, scale=scale, level=level, seed=seed, fd_directions=FD_DIRECTIONS)
 
 
 def _foliation_spec(entry, fns):
@@ -159,8 +163,8 @@ def _foliation_spec(entry, fns):
 
 
 def run_gv(run: Run, report: InvariantReport):
-    from . import foliation_gv as fg
     from .exprs import compile_expr
+    from .foliation_gv import INTEGRABILITY_TOLERANCE, gv_report, gv_term
 
     m = run.m
     sec = report.section("godbillon_vey")
@@ -172,24 +176,24 @@ def run_gv(run: Run, report: InvariantReport):
     # is then sampled chunk by chunk as its GV pass reads it
     compiled = [[compile_expr(s) for s in e["omega"]] for e in m.foliations]
     specs = [_foliation_spec(entry, fns) for entry, fns in zip(m.foliations, compiled)]
-    terms = [fg.gv_term(spec, k, strict=run.args.strict) for k, spec in enumerate(specs)]
-    gv = fg.gv_report(terms)
+    terms = [gv_term(spec, k, strict=run.args.strict) for k, spec in enumerate(specs)]
+    gv = gv_report(terms)
     sec.values["total"] = gv.total
     sec.values["per_foliation"] = [
         {"label": lab, "gv": val, "taut": taut} for lab, val, taut in gv.per_foliation
     ]
     sec.values["integrability_residuals"] = list(gv.integrability_residuals)
-    sec.tolerances["integrability"] = fg.INTEGRABILITY_TOLERANCE
+    sec.tolerances["integrability"] = INTEGRABILITY_TOLERANCE
     sec.metadata["grids"] = [spec.grid for spec in specs]
     sec.warnings.extend(gv.warnings)
 
 
 def run_leafwise(run: Run, report: InvariantReport):
-    from . import leafwise as lw
+    from .leafwise import METRIC_LIKE_TOLERANCE, leafwise_torsion
 
     block = dict(run.m.leafwise)
     weights = tuple(block.get("weights", (1.0, 1.0, 1.0)))
-    res = lw.leafwise_torsion(weights)
+    res = leafwise_torsion(weights)
     sec = report.section("leafwise")
     sec.values.update(
         log_t=res.log_t,
@@ -197,7 +201,7 @@ def run_leafwise(run: Run, report: InvariantReport):
         metric_dependent=res.metric_dependent,
         log_dets=list(res.per_degree_log_dets),
     )
-    sec.tolerances["log_t_zero"] = lw.METRIC_LIKE_TOLERANCE
+    sec.tolerances["log_t_zero"] = METRIC_LIKE_TOLERANCE
     sec.metadata["weights"] = list(weights)
     if res.metric_dependent:
         sec.warnings.append("degree weights are not metric-like; torsion is metric-dependent")

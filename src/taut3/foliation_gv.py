@@ -11,10 +11,12 @@ x-slabs of the grid (`_Pass`) in grid units (each d the undivided f[i+1] -
 f[i-1], the sums rescaled after it), reading omega from a ring of sampled
 chunks (`_Omega`): no array spans the grid.  A component given as None (`cli`
 gives one that folds to 0) is never sampled, and the pass computes only what
-the sums of a row read (`_chain`).  On f dx_k, d(omega) = (df / f) ^ omega:
-theta is df / f less its dx_k part, |omega| is |f| and the defect 0.0, so
-2^j f dx_k gives the row of f dx_k bit for bit wherever f and its differences
-are normal floats.
+the sums of a row read (`_chain`).  On f dx_k, the only component present,
+theta = d log|f| solves d(omega) = theta ^ omega and is closed, so GV is
+exactly 0 (the class depends only on the foliation, here that of dx_k;
+Godbillon-Vey 1971): `gv_term` runs no pass there, reads f once for the sum
+and least of |f| (`_magnitudes`) and reports 0.0, refusing an f that changes
+sign between grid samples, since it vanishes or has a pole between them.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ def grid_coords(n: int):
 
 
 # Bytes of one component of one x-slab of the GV pass: grid 32 runs in four
-# 8-row slabs, grids past 64 one row at a time.  A call makes 19 such blocks on
-# three components (d(omega) 3, |omega|^2 1, theta 9, work 6), 3 on f dz (2, 1).
+# 8-row slabs, grids past 64 one row at a time.  A pass makes 19 such blocks on
+# two or three components (d(omega) 3, |omega|^2 1, theta 9, work 6).
 _SLAB_BYTES = 1 << 16
 
 # Bytes of one component of one chunk of sampled omega, a few slabs since the
@@ -86,27 +88,29 @@ class _Omega:
     whole number of slabs high, into two chunk slots (three when a chunk is
     one slab), or, where that many chunks cover the grid, into one whole
     omega when the ring is made.  Each row is sampled once, and where the
-    ring holds less than the grid the wrap rows n-2, n-1, 0 and 1 once more
-    into a two-row buffer.  Overflow and invalid operations give inf/nan
+    ring holds less than the grid and `wrap` is set (the pass reads them;
+    `_magnitudes` does not) the wrap rows n-2, n-1, 0 and 1 once more into
+    a two-row buffer.  Overflow and invalid operations give inf/nan
     silently; `gv_term` rejects them."""
 
-    def __init__(self, fns, n):
+    def __init__(self, fns, n, wrap=True):
         self.fns, self.n, self.coords = [f for f in fns if f is not None], n, grid_coords(n)
         p, rows = len(self.fns), _slab_rows(n)
         self.height = min(n, rows * max(1, _slab_rows(n, _SAMPLE_BYTES) // rows))
         slots = 2 + (self.height == rows)
         whole = -(-n // self.height) <= slots
-        mem = np.empty(p * n * n * (n if whole else slots * self.height + 2))
+        mem = np.empty(p * n * n * (n if whole else slots * self.height + 2 * wrap))
         self.edge_rows, self.edge_at = None, None
         if whole:
-            whole = mem.reshape(p, n, n, n)
-            self.slots = [whole[:, a : a + self.height] for a in range(0, n, self.height)]
+            self.slots = [mem.reshape(p, n, n, n)[:, a : a + self.height]
+                          for a in range(0, n, self.height)]
         else:
             cut = slots * p * self.height * n * n
             self.slots = list(mem[:cut].reshape(slots, p, self.height, n, n))
-            self.edge_rows = mem[cut:].reshape(p, 2, n, n)
+            if wrap:
+                self.edge_rows = mem[cut:].reshape(p, 2, n, n)
         self.held = [None] * len(self.slots)
-        if self.edge_rows is None:
+        if whole:
             for a in range(0, n, self.height):
                 self.block(a, 1)
 
@@ -138,7 +142,8 @@ class _Omega:
     def edge(self, lo):
         """Grid rows lo and lo + 1 mod n, for lo = n - 2 or 0, as two blocks
         of one row; they come from the ring only if it holds the grid, so
-        reading them evicts no chunk."""
+        reading them evicts no chunk (a ring made without `wrap` that holds
+        less has none)."""
         if self.edge_rows is None:
             return [self.block(r % self.n, 1) for r in (lo, lo + 1)]
         if self.edge_at != lo:
@@ -159,6 +164,36 @@ def _raise_at(omega, bound=None):
         if bad.any():
             i, j, l = (int(c) for c in np.argwhere(bad)[0])
             raise SingularityError(f"{what} at grid cell {(s.start + i, j, l)}")
+
+
+def _magnitudes(omega):
+    """The sum and least of |f| over the grid for omega = f dx_k, folded slab
+    by slab as the pass folds |omega|, and the first grid cell where f > 0
+    and where f < 0, by sign (+1.0 or -1.0), reading each row of f once from
+    the ring.  Where f keeps one sign on a slab, |f| is f or -f, so the least
+    of |f| is f's least or its greatest negated, and its sum f's or that
+    negated (negation is exact): only a slab where signs mix (or a zero or
+    nan) takes |f|."""
+    total, least, first = 0.0, inf, {}
+    for s in _slabs(omega.n):
+        f = omega.block(s.start, s.stop - s.start)[0]
+        sign, low = 1.0, np.minimum.reduce(f, None)
+        if not low > 0:
+            high = np.maximum.reduce(f, None)
+            sign, low = (-1.0, -high) if high < 0 else (0.0, None)
+        if sign:
+            total += sign * np.add.reduce(f, None)
+            least = min(least, low)
+            first.setdefault(sign, (s.start, 0, 0))
+            continue
+        mag = np.absolute(f)
+        total += np.add.reduce(mag, None)
+        least = min(least, np.minimum.reduce(mag, None))
+        for sign, cells in ((1.0, f > 0), (-1.0, f < 0)):
+            if cells.any():
+                i, j, l = np.argwhere(cells)[0]
+                first.setdefault(sign, (s.start + int(i), int(j), int(l)))
+    return total, least, first
 
 
 # Pointwise products as, per component of the result, its terms (sign, i, j),
@@ -183,84 +218,69 @@ _GV = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def _chain(w):
-    """What the pass computes for omega's layout `w`, pruned back from the sums
-    of a row: d(omega)'s plaquettes (all, for |d omega|^2), theta's terms by
-    component, omega ^ d(omega)'s terms and the GV terms (`_GV`).  A term with
-    an absent factor goes, and a theta component that no GV term reads."""
-    dw = tuple(w[a] or w[b] for a, b in _PAIRS)
-    theta = [[t for t in terms if w[t[1]] and dw[t[2]]] for terms in _THETA]
-    gv = [t for t in _GV if theta[t[0]] and theta[t[2]]]
-    read = {c for a, _axis, b in gv for c in (a, b)}
-    theta = [t if c in read else [] for c, t in enumerate(theta)]
-    return dw, theta, [t for t in _WEDGE12 if w[t[1]] and dw[t[2]]], gv
+    """theta's terms by component and omega ^ d(omega)'s terms for omega's
+    layout `w` of two or three present components, less those with an
+    absent factor of omega.  Every plaquette of d(omega), component of theta
+    and GV term (`_GV`) is read by some sum of the row, so none goes."""
+    return [[t for t in terms if w[t[1]]] for terms in _THETA], [t for t in _WEDGE12 if w[t[1]]]
 
 
 class _Pass:
-    """The GV pass for one layout of omega's present components at grid n in
-    x-slabs of `_slab_rows(n)` rows, on blocks (rows, n, n) of its own for
-    what `_chain` keeps: d(omega) and |omega|^2 of one slab (not on f dx_k),
-    theta of three slabs where a GV term reads D_x theta_y, else of one, and
-    a work area (d's differences, |omega|, squares and products, then GV term
-    t's in block t), all laid out when the pass is made.  `stages` reads each
-    slab of omega once (`_ahead`), then sums the slab's GV terms; where they
-    read D_x theta_y, theta runs a slab ahead, from a one-row prologue on the
-    last grid row to grid row 0 again.  Each slab's sums are reduced whole
-    and folded in slab order into `sums`: |omega|, |omega ^ d omega|^2 (at
-    `scale`), |d omega|^2 and |omega|^2 (where omega ^ d omega has a term),
-    the GV terms and, leaving out nan as np.fmin does, the least |omega|.
-    Every value is bit-identical to the whole-grid chain at 2h = 1, apart
-    from the signs of zeros of skipped terms."""
+    """The GV pass for one layout of two or three present components of omega
+    at grid n in x-slabs of `_slab_rows(n)` rows, on 19 blocks (rows, n, n)
+    of its own: d(omega) and |omega|^2 of one slab, theta of three and a work
+    area (d's differences, |omega|, squares and products, then GV term t's in
+    block t), all laid out when the pass is made.  `stages` reads each slab
+    of omega once (`_ahead`), then sums the slab's GV terms; as they read
+    D_x theta_y, theta runs a slab ahead, from a one-row prologue on the last
+    grid row to grid row 0 again.  Each slab's sums are reduced whole and
+    folded in slab order into `sums`: |omega|, |omega ^ d omega|^2 (at
+    `scale`), |d omega|^2, |omega|^2, the GV terms and, leaving out nan as
+    np.fmin does, the least |omega|.  Every value is bit-identical to the
+    whole-grid chain at 2h = 1, apart from the signs of zeros of skipped
+    terms."""
 
     def __init__(self, present, n):
         self.n, self.rows, at = n, _slab_rows(n), _packed(present)
-        dw, theta, frob, gv = _chain(present)
-        self.dw_at, self.theta_at = _packed(dw), _packed(theta)
-        self.theta_terms = [[(s, at[i], self.dw_at[j]) for s, i, j in t] for t in theta if t]
-        self.frob = [(s, at[i], self.dw_at[j]) for s, i, j in frob]
-        self.d_omega, one = _d_layout(at, self.dw_at), sum(present) == 1
-        th = self.theta_at
-        if one:  # theta_c = D_c f / f: each difference of f, unswapped, into theta_c's block
-            self.d_omega = [(c, f, False, th[c], False) for c, f, *_ in self.d_omega[0]], []
+        theta, frob = _chain(present)
+        self.dw_at = self.theta_at = (0, 1, 2)
+        self.theta_terms = [[(s, at[i], j) for s, i, j in t] for t in theta]
+        self.frob = [(s, at[i], j) for s, i, j in frob]
+        self.d_omega = _d_layout(at)
         # GV term t: the difference of theta_b into work block t, times theta_a
-        self.gv = [(1, th[a], t) for t, (a, _axis, _b) in enumerate(gv)]
-        self.d_theta = [(axis, th[b], False, t, False) for t, (_a, axis, b) in enumerate(gv)], []
-        pw, pt = 0 if one else sum(dw), len(self.theta_terms)
-        slots = 3 if any(axis == 0 for _a, axis, _b in gv) else 1
-        self.blocks = pw + (not one) + slots * pt + (1 if one else 6)
-        grid = np.empty((self.blocks, self.rows, n, n))
-        self.dw, self.nsq = grid[:pw], None if one else grid[pw]
-        lo = pw + (not one)
-        self.theta = grid[lo : lo + slots * pt].reshape(slots, pt, self.rows, n, n)
-        self.work = grid[lo + slots * pt :]
+        self.gv = [(1, a, t) for t, (a, _axis, _b) in enumerate(_GV)]
+        self.d_theta = [(axis, b, False, t, False) for t, (_a, axis, b) in enumerate(_GV)], []
+        grid = np.empty((19, self.rows, n, n))
+        self.blocks = len(grid)
+        self.dw, self.nsq, self.work = grid[:3], grid[3], grid[13:]
+        self.theta = grid[4:13].reshape(3, 3, self.rows, n, n)
         # theta one row past either side of the slab in theta block `slot`
-        self.around = [(self.theta[i - 1][:, -1:], self.theta[(i + 1) % slots][:, :1])
-                       for i in range(slots)]
+        self.around = [(self.theta[i - 1][:, -1:], self.theta[(i + 1) % 3][:, :1])
+                       for i in range(3)]
 
     def stages(self, omega):
         """Run the pass over the row source `omega` (an `_Omega`), yielding ("ahead",
         i) once slab i's `_ahead` is in place, and ("slab", i) once its GV terms are."""
         n, rows, slabs = self.n, self.rows, _slabs(self.n)
         self.sums, self.scale = [0.0, 0.0, 0.0, 0.0, 0.0, inf], 1.0
-        lag, slots = len(self.theta) == 3, len(self.theta)  # theta a slab ahead where D_x reads it
         first, last = omega.edge(n - 2)
-        if lag:
-            self._ahead(last, first, omega.block(0, 1), rows - 1, 2, None)
+        self._ahead(last, first, omega.block(0, 1), rows - 1, 2, None)
         self._ahead(omega.block(0, slabs[0].stop), last, omega.block(slabs[0].stop, 1), 0, 0, True)
         yield "ahead", 0
         for i, s in enumerate(slabs):
-            j = i + lag
-            if 0 < j < len(slabs):
+            j = i + 1
+            if j < len(slabs):
                 a, b = slabs[j].start, slabs[j].stop
                 self._ahead(omega.block(a, b - a), omega.block(a - 1, 1), omega.block(b, 1), 0,
-                            j % slots, False)
+                            j % 3, False)
                 yield "ahead", j
-            elif j == len(slabs):
+            else:
                 first, second = omega.edge(0)
-                self._ahead(first, omega.block(n - 1, 1), second, 0, j % slots, None)
-            theta, work, k = self.theta[i % slots], self.work, s.stop - s.start
+                self._ahead(first, omega.block(n - 1, 1), second, 0, j % 3, None)
+            theta, work, k = self.theta[i % 3], self.work, s.stop - s.start
             if k < rows:
                 theta, work = theta[:, :k], work[:, :k]
-            _d(theta, *self.around[i % slots], work, None, self.d_theta, n)
+            _d(theta, *self.around[i % 3], work, None, self.d_theta, n)
             _products([self.gv], theta, work, work[:1], work[-1])
             self.sums[4] += np.add.reduce(work[0], None)
             yield "slab", i
@@ -273,54 +293,48 @@ class _Pass:
         work, theta = self.work, self.theta[slot]
         if k < self.rows:
             work, theta = work[:, :k], theta[:, at : at + k]
-        mag = work[0]
-        if p == 1:  # theta = df / f, |omega| = |f|
-            _d(v, before, after, theta, None, self.d_omega, self.n)
-            np.divide(theta, v, theta)
-        else:
-            dw, nsq = self.dw[:, :k], self.nsq[:k]
-            _d(v, before, after, dw, work, self.d_omega, self.n)
-            sq = work[:p]  # then (w0^2 + w1^2) + w2^2
-            np.square(v, sq)
-            for c in range(1, p):
-                np.add(sq[0] if c == 1 else nsq, sq[c], nsq)
-            _products(self.theta_terms, v, dw, theta, work[0])
-            np.divide(theta, nsq, theta)
+        mag, dw, nsq = work[0], self.dw[:, :k], self.nsq[:k]
+        _d(v, before, after, dw, work, self.d_omega, self.n)
+        sq = work[:p]  # then (w0^2 + w1^2) + w2^2
+        np.square(v, sq)
+        for c in range(1, p):
+            np.add(sq[0] if c == 1 else nsq, sq[c], nsq)
+        _products(self.theta_terms, v, dw, theta, work[0])
+        np.divide(theta, nsq, theta)
         if summed is None:
             return
-        np.absolute(v[0], mag) if p == 1 else np.sqrt(nsq, mag)
+        np.sqrt(nsq, mag)
         sums = self.sums
         sums[0] += np.add.reduce(mag, None)
         sums[5] = min(sums[5], np.minimum.reduce(mag, None))
-        if self.frob:
-            if summed:
-                # 2^-2e, e the binary exponent of the largest |omega| (capped below 2^-511)
-                self.scale = ldexp(1.0, min(-2 * frexp(float(np.max(mag)))[1], 1022))
-            squares = self.work.reshape(-1)[: dw.size].reshape(dw.shape)
-            np.square(dw, squares)
-            sums[2] += np.add.reduce(squares, None)
-            sums[3] += np.add.reduce(nsq, None)
-            _products([self.frob], v, dw, work[2:3], work[3])
-            np.multiply(work[2], self.scale, work[1])
-            np.square(work[1], mag)
-            sums[1] += np.add.reduce(mag, None)
+        if summed:
+            # 2^-2e, e the binary exponent of the largest |omega| (capped below 2^-511)
+            self.scale = ldexp(1.0, min(-2 * frexp(float(np.max(mag)))[1], 1022))
+        squares = self.work.reshape(-1)[: dw.size].reshape(dw.shape)
+        np.square(dw, squares)
+        sums[2] += np.add.reduce(squares, None)
+        sums[3] += np.add.reduce(nsq, None)
+        _products([self.frob], v, dw, work[2:3], work[3])
+        np.multiply(work[2], self.scale, work[1])
+        np.square(work[1], mag)
+        sums[1] += np.add.reduce(mag, None)
 
 
-def _d_layout(fat, oat):
+def _d_layout(at):
     """The differences (axis, components, whether into the work area,
     plaquettes, swapped) and subtractions (work, work, plaquettes) of d from a
-    1-form laid out by `fat` into the plaquettes laid out by `oat` (None: not
-    computed).  A plaquette with both terms takes them into work blocks q and
-    q + 3 and subtracts them (all three at once if all have both); a lone
-    D_a v_b goes to its plaquette, a lone D_b v_a swapped.  The two along an
-    axis are one difference of a pair where they go alike."""
-    both = [None not in (oat[q], fat[a], fat[b]) for q, (a, b) in enumerate(_PAIRS)]
+    1-form laid out by `at` (None: absent) into its three plaquettes.  A
+    plaquette with both terms takes them into work blocks q and q + 3 and
+    subtracts them (all three at once if all have both); a lone D_a v_b goes
+    to its plaquette, a lone D_b v_a swapped.  The two along an axis are one
+    difference of a pair where they go alike."""
+    both = [None not in (at[a], at[b]) for a, b in _PAIRS]
     diffs = []
     for s, (axis, c) in enumerate(_DIFFS):
         q = s % 3
-        if oat[q] is None or fat[c] is None:
+        if at[c] is None:
             continue
-        diff = (axis, fat[c], True, s, False) if both[q] else (axis, fat[c], False, oat[q], s >= 3)
+        diff = (axis, at[c], True, s, False) if both[q] else (axis, at[c], False, q, s >= 3)
         if diffs and diffs[-1][0] == axis and diffs[-1][2::2] == diff[2::2]:
             last = diffs.pop()
             # slices of the two indices i, j, in this order
@@ -328,9 +342,9 @@ def _d_layout(fat, oat):
                          for i, j in ((last[1], diff[1]), (last[3], diff[3])))
             diff = (axis, sel, diff[2], osel, diff[4])
         diffs.append(diff)
-    if all(both):  # then oat is (0, 1, 2)
+    if all(both):
         return diffs, [(slice(0, 3), slice(3, 6), slice(0, 3))]
-    return diffs, [(q, q + 3, oat[q]) for q in range(3) if both[q]]
+    return diffs, [(q, q + 3, q) for q in range(3) if both[q]]
 
 
 def _d(f, before, after, out, work, layout, n):
@@ -427,35 +441,45 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
 
     The transversal is checked first (ValueError), and an omega whose three
     components are all absent (None) vanishes (SingularityError at the first
-    cell).  Then one slab pass (`_Pass`) samples omega and gives the mean and
-    least of |omega|, the defect |omega ^ d omega| / (|omega| |d omega| + eps)
-    (grid RMS norms, at a power of two that follows |omega|, so that 2^k omega
-    gives the defect of omega bit for bit; 0.0 on f dx_k) and the GV integral,
-    theta ^ d theta summed by parts as 2 (theta_x D_y theta_z + theta_y D_z
-    theta_x + theta_z D_x theta_y), rescaled from grid units by powers of n/2.
-    On f dx_k, theta is df / f less its dx_k part and |omega| is |f|, so
-    2^k f dx_k gives its row bit for bit.  (gv of the bench's e^g dz, roundoff
-    of 0, was 6.45e-19 on lens_7_2 and 5.06e-18 on poincare by the wedge sum
-    with theta = f df / f^2; it is -6.94e-19 and 4.82e-18.)  Then, in order:
-    SingularityError where |omega| is not finite, its sum overflows or it is
-    at most NONVANISHING_FLOOR times its mean; the tautness test on omega's
+    cell).  On two or three present components one slab pass (`_Pass`) samples
+    omega and gives the mean and least of |omega|, the defect |omega ^ d omega|
+    / (|omega| |d omega| + eps) (grid RMS norms, at a power of two that follows
+    |omega|, so that 2^k omega gives the defect of omega bit for bit) and the
+    GV integral, theta ^ d theta summed by parts as 2 (theta_x D_y theta_z +
+    theta_y D_z theta_x + theta_z D_x theta_y), rescaled from grid units by
+    powers of n/2.  On f dx_k, the only present component, GV is exactly 0
+    (theta = d log|f| is closed): `_magnitudes` reads f once for the mean and
+    least of |f|, and gv and the defect are 0.0, with no difference taken (the
+    theta chain reads its discretisation error instead, -1.02e-3 at grid 32
+    on a generic positive f).  Then, in order: SingularityError where |omega|
+    is not finite, its sum overflows or it is at most NONVANISHING_FLOOR times
+    its mean, or where f of f dx_k takes both signs on the grid, so that it
+    vanishes or has a pole between two samples; the tautness test on omega's
     pairings with the loop's edges, its components evaluated at the loop's
-    vertices (None without a loop), a failure of which raises TautnessError
-    if `strict` and otherwise excludes the row; SingularityError if a sum
-    that the row reports overflows; and, for a row that is not excluded,
-    ValueError if the defect exceeds INTEGRABILITY_TOLERANCE."""
+    vertices (None without a loop), a failure of which raises TautnessError if
+    `strict` and otherwise excludes the row; SingularityError if a sum that the
+    row reports overflows; and, for a row that is not excluded, ValueError if
+    the defect exceeds INTEGRABILITY_TOLERANCE."""
     label, n = spec.label or f"foliation[{k}]", spec.grid
     if len(spec.omega) != 3:
         raise ValueError("a foliation needs 3 component functions")
     loop = None if spec.transversal is None else _loop_edges(spec.transversal, n)
     if all(f is None for f in spec.omega):
         raise SingularityError("1-form (nearly) vanishes at grid cell (0, 0, 0)")
-    gv_pass = _Pass(tuple(f is not None for f in spec.omega), n)
-    omega = _Omega(spec.omega, n)
+    present = tuple(f is not None for f in spec.omega)
+    one = sum(present) == 1
+    omega = _Omega(spec.omega, n, wrap=not one)
     with np.errstate(all="ignore"):
-        for _ in gv_pass.stages(omega):
-            pass
-        total, frob, dw, w, gv, least = map(float, gv_pass.sums)
+        if one:
+            total, least, sign_cells = _magnitudes(omega)
+            frob = dw = w = gv = 0.0
+            scale = 1.0
+        else:
+            gv_pass = _Pass(present, n)
+            for _ in gv_pass.stages(omega):
+                pass
+            total, frob, dw, w, gv, least = map(float, gv_pass.sums)
+            scale, sign_cells = gv_pass.scale, {}
         if not isfinite(total):
             _raise_at(omega)  # each finite sqrt(|omega|^2) is below 1.4e154, an |f| is not
             raise SingularityError(f"{label}: a GV sum over the grid is not finite")
@@ -465,6 +489,10 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
         bound = NONVANISHING_FLOOR * max(mean, 1e-300)
         if least <= bound:
             _raise_at(omega, bound)
+    if len(sign_cells) == 2:
+        positive, negative = sign_cells[1.0], sign_cells[-1.0]
+        raise SingularityError(f"{label}: 1-form changes sign, positive at grid cell {positive} "
+                               f"and negative at {negative}: it vanishes or has a pole between")
     taut = None
     if loop is not None:
         vertices, axes, signs = loop
@@ -481,7 +509,7 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     if not all(map(isfinite, (frob, dw, w) + (() if taut is False else (gv,)))):
         raise SingularityError(f"{label}: a GV sum over the grid is not finite")
     cells = n**3
-    defect = sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) * gv_pass.scale + 1e-30)
+    defect = sqrt(frob / cells) / (sqrt(w / cells) * sqrt(dw / cells) * scale + 1e-30)
     if taut is False:
         return (label, None, taut), defect, failed + "; excluded from the sum"
     if defect > INTEGRABILITY_TOLERANCE:

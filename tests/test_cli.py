@@ -455,9 +455,10 @@ def grid_sized_arrays(n):
 
 @pytest.mark.parametrize("command", ["gv", "all"])
 def test_no_array_of_n3_floats_is_alive_during_gv(tmp_path, monkeypatch, command):
-    """Each time the GV pass samples a chunk of a grid-128 foliation, after
-    the stages that `all` runs before it, no live array holds n^3 floats: the
-    ring holds two 8-row chunks and the wrap rows, not omega."""
+    """Each time gv samples a chunk of a grid-128 foliation f dz, after the
+    stages that `all` runs before it, no live array holds n^3 floats: the
+    ring holds two 8-row chunks, not omega, and samples each row once, with
+    no wrap rows, since no pass runs on f dz."""
     n = 128
     data = json.loads(Path(lens5_manifest(tmp_path)).read_text())
     data["foliations"] = [{"label": "exp-g", "grid": n,
@@ -475,28 +476,32 @@ def test_no_array_of_n3_floats_is_alive_during_gv(tmp_path, monkeypatch, command
         assert run([command, "--manifest", write_manifest(tmp_path, data), "--no-cache"]) == EXIT_OK
     finally:
         tracemalloc.stop()
-    assert len(alive) == 128 // 8 + 2 and not any(alive)
+    assert len(alive) == 128 // 8 and not any(alive)
 
 
 @pytest.mark.parametrize("command", ["gv", "all"])
 def test_one_exterior_derivative_of_omega_per_foliation(tmp_path, count_calls, command):
+    """At most one: f dz (grids 16 and 8) takes none, only the sum and least
+    of |f|, and dy + e^g(y) dz (grid 8) one slab pass over a single slab."""
     n = 8
+    loop = [[0, 0, k] for k in range(n)]
     second = {"label": "exp-xy", "omega": ["0", "0", "exp(0.2*cos(2*pi*y))"], "grid": n,
-              "transversal": [[0, 0, k] for k in range(n)]}
+              "transversal": loop}
+    third = {"label": "dy-exp-y", "omega": ["0", "1", "exp(0.2*cos(2*pi*y))"], "grid": n,
+             "transversal": loop}
     data = json.loads(Path(lens5_manifest(tmp_path)).read_text())
-    data["foliations"].append(second)
+    data["foliations"] += [second, third]
     manifest = write_manifest(tmp_path, data)
+    magnitudes = count_calls("_magnitudes", fg)
     passes = count_calls("stages", fg._Pass)
     derivatives = count_calls("_ahead", fg._Pass)
     assert run([command, "--manifest", manifest, "--no-cache"]) == EXIT_OK
-    # per foliation: one slab pass over a single slab (grids 16 and 8), whose
-    # stage that reads omega takes d(omega) once on the slab; on f dz the GV
-    # sum by parts differences theta along z alone, so theta is not taken
-    # again on the wrap rows
+    # the pass's stage that reads omega takes d(omega) once on the slab, and
+    # theta again on the wrap rows n-1 and 0, one row each
     assert fg._slab_rows(16) == 16 and fg._slab_rows(n) == n
-    assert len(passes) == 2
+    assert (len(magnitudes), len(passes)) == (2, 1)
     heights = [args[1].shape[1] for args in derivatives]
-    assert heights == [16, n]
+    assert heights == [1, n, 1]
 
 
 def test_gv_reports_the_integrability_tolerance_it_applies(tmp_path, monkeypatch, capsys):
@@ -529,7 +534,7 @@ def test_gv_reports_the_integrability_tolerance_it_applies(tmp_path, monkeypatch
 def test_all_builds_each_twisted_complex_once(tmp_path, count_calls):
     """At most once: torsion and casson read the presentation and the moduli,
     and build no twisted complex at all."""
-    calls = count_calls("build_twisted_complex", twisted_torsion, cli)
+    calls = count_calls("build_twisted_complex", twisted_torsion)
     manifest = write_manifest(
         tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 5]}}
     )
@@ -538,7 +543,7 @@ def test_all_builds_each_twisted_complex_once(tmp_path, count_calls):
 
 
 def test_casson_runs_no_torsion(tmp_path, count_calls):
-    calls = count_calls("torsion_sum", twisted_torsion, cli)
+    calls = count_calls("torsion_sum", twisted_torsion)
     manifest = write_manifest(
         tmp_path, {"schema_version": 1, "manifold": {"family": "Brieskorn", "params": [2, 3, 7]}}
     )
@@ -619,7 +624,7 @@ def test_hostile_manifest_values_exit_2(tmp_path, capsys, command, data):
 def test_gv_sums_that_overflow_exit_2(tmp_path, capsys, omega_xy, size):
     """|omega| near e^353 is finite, but on a form with three components its
     square sums past the float range; on f dz, whose |omega| is |f| and
-    whose theta is df / f, only an |f| near e^705 sums past it.  Either run
+    which runs no pass, only an |f| near e^705 sums past it.  Either run
     exits 2, naming the foliation, with no numpy warning."""
     data = _one_foliation(f"exp({size} + 0.5*sin(2*pi*x)*cos(2*pi*y))",
                           transversal=[[0, 0, k] for k in range(8)])
@@ -630,11 +635,25 @@ def test_gv_sums_that_overflow_exit_2(tmp_path, capsys, omega_xy, size):
     assert capsys.readouterr().err == "error: foliation[0]: a GV sum over the grid is not finite\n"
 
 
+def test_gv_refuses_f_dz_that_changes_sign(tmp_path, capsys):
+    """cos(2 pi x) dz at grid 39 has no zero at a vertex, but vanishes on
+    x = 1/4 and x = 3/4: gv exits 2 naming a cell of each sign, where it
+    read taut, gv 0.0 and exit 0 through the pass."""
+    n = 39
+    data = _one_foliation("cos(2*pi*x)", transversal=[[0, 0, k] for k in range(n)])
+    data["foliations"][0]["grid"] = n
+    data["manifold"] = {"family": "Torus3"}
+    assert run(["gv", "--manifest", write_manifest(tmp_path, data)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: foliation[0]: 1-form changes sign, positive at grid cell (0, 0, 0) and "
+        "negative at (10, 0, 0): it vanishes or has a pole between\n")
+
+
 @pytest.mark.parametrize("scale", ["2^600*", "2^-600*"])
 def test_gv_of_f_dz_at_a_power_of_two_scale_is_its_gv_at_unit_scale(tmp_path, scale):
     """2^600 f dz, whose |omega|^2 overflows, and 2^-600 f dz, whose |omega|^2
-    underflows, give the GV section of f dz bit for bit: its theta is df / f
-    and its |omega| is |f|."""
+    underflows, give the GV section of f dz bit for bit: its gv is 0.0 and
+    its |omega| is |f|."""
     values = []
     for prefix in (scale, ""):
         data = _one_foliation(f"{prefix}exp(0.5*sin(2*pi*x)*cos(2*pi*y) + 0.3*sin(2*pi*z))",

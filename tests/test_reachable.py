@@ -24,7 +24,23 @@ SRC = ROOT / "src" / "taut3"
 
 # "module.qualname" -> the file outside src/ whose run reaches it
 ALLOWED = {
+    # `from taut3 import torsion_sum`; `cli` imports its on-demand modules as
+    # `from .chern_simons import ...`, since `from . import chern_simons` would
+    # call the package's `__getattr__` only while chern_simons is not loaded
+    "__init__.__getattr__": "tests/test_source.py",
     "foliation_gv._raise_at": "tests/test_foliation_gv.py",  # singular and non-finite forms
+    # The slab pass runs only on forms with two or three components, and every
+    # bench foliation is f dz.  These entries go when ROADMAP item A adds a
+    # three-component workload to the bench.
+    "foliation_gv._Pass.__init__": "tests/test_foliation_gv.py",
+    "foliation_gv._Pass.stages": "tests/test_foliation_gv.py",
+    "foliation_gv._Pass._ahead": "tests/test_foliation_gv.py",
+    "foliation_gv._Omega.edge": "tests/test_foliation_gv.py",
+    "foliation_gv._chain": "tests/test_foliation_gv.py",
+    "foliation_gv._packed": "tests/test_foliation_gv.py",
+    "foliation_gv._d_layout": "tests/test_foliation_gv.py",
+    "foliation_gv._d": "tests/test_foliation_gv.py",
+    "foliation_gv._products": "tests/test_foliation_gv.py",
     "manifest._finite": "tests/test_cli.py",  # float literals; no bench manifest has one
     "twisted_torsion.cw_structure": "perfbench/oracles.py",  # demo 02 calls it too
     "twisted_torsion.build_twisted_complex": "perfbench/oracles.py",

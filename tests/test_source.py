@@ -5,7 +5,8 @@ decorator is slow at import; the declared dependencies are
 exactly the third-party modules the package imports; no module keeps state
 between calls in a module-level container; only `presentations.py`
 (and the schema's enum in `manifest.py`) names the manifold families; and the
-package exports exactly the names that the README's quick start imports.
+package exports exactly the names that the README's quick start imports,
+`torsion_sum` on first access.
 
 `compile()` runs on the source text, so invalid escapes and similar warnings
 show even where cached `.pyc` files would skip them on import.
@@ -80,6 +81,22 @@ def test_the_package_exports_the_readme_quick_start():
 
     names = quick_start_imports((ROOT / "README.md").read_text())
     assert names and sorted(taut3.__all__) == sorted(names)
+
+
+def test_torsion_sum_is_imported_on_first_access():
+    """`taut3.torsion_sum` comes from the package's `__getattr__`: `import
+    taut3` does not load `twisted_torsion`, the first access does, and an
+    unknown name is still an AttributeError."""
+    code = ("import sys, taut3\n"
+            "print('taut3.twisted_torsion' in sys.modules)\n"
+            "from taut3 import torsion_sum\n"
+            "from taut3.twisted_torsion import torsion_sum as real\n"
+            "print(torsion_sum is real is taut3.torsion_sum, 'torsion_sum' in vars(taut3))\n"
+            "print(hasattr(taut3, 'no_such_name'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split("\n") == ["False", "True True", "False", ""]
 
 
 def dynamic_code_calls(source: str):
@@ -190,10 +207,12 @@ def test_cli_import_does_not_load_sympy(tmp_path):
     """Neither the import of the CLI nor a whole run loads sympy, scipy or
     jsonschema, which only the tests use; neither the import nor a `reps` run
     (on Sigma(2,3,11), the 4-generator Seifert presentation) loads the modules
-    of the T^3 pipelines or dataclasses; and `all` on Sigma(2,3,5), run after
-    it, loads the T^3 modules for its pipelines but still no dataclasses."""
+    of the T^3 pipelines, `twisted_torsion` or dataclasses; and `all` on
+    Sigma(2,3,5), run after it, loads those modules for its pipelines but
+    still no dataclasses."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + sys.path))
-    t3 = ["taut3.chern_simons", "taut3.exprs", "taut3.foliation_gv", "taut3.leafwise"]
+    t3 = ["taut3.chern_simons", "taut3.exprs", "taut3.foliation_gv", "taut3.leafwise",
+          "taut3.twisted_torsion"]
     watched = {*t3, "dataclasses"}
     loaded = ("print('loaded:', sorted({m.split('.')[0] for m in sys.modules}"
               f" & {{'sympy', 'scipy', 'jsonschema'}}), sorted(set(sys.modules) & {watched!r}))\n")
