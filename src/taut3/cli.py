@@ -150,14 +150,15 @@ def run_cs_check(run: Run, report: InvariantReport):
 def _foliation_spec(entry, fns):
     """The FoliationSpec of a manifest foliation whose expressions compiled to
     `fns`; a component whose expression folds to the constant 0 is None, so
-    the GV pass never samples it."""
+    no expression is evaluated for it.  A transversal given, even an empty
+    one, is checked as a path."""
     from .foliation_gv import FoliationSpec
 
     trans = entry.get("transversal")
     return FoliationSpec(
         omega=tuple(None if f.is_zero else f for f in fns),
         grid=entry.get("grid", 32),
-        transversal=tuple(tuple(p) for p in trans) if trans else None,
+        transversal=None if trans is None else tuple(tuple(p) for p in trans),
         label=entry.get("label", ""),
     )
 

@@ -10,13 +10,14 @@ theta_x + theta_z D_x theta_y).  `gv_term` computes the chain in one pass over
 x-slabs of the grid (`_Pass`) in grid units (each d the undivided f[i+1] -
 f[i-1], the sums rescaled after it), reading omega from a ring of sampled
 chunks (`_Omega`): no array spans the grid.  A component given as None (`cli`
-gives one that folds to 0) is never sampled, and the pass computes only what
-the sums of a row read (`_chain`).  On f dx_k, the only component present,
-theta = d log|f| solves d(omega) = theta ^ omega and is closed, so GV is
-exactly 0 (the class depends only on the foliation, here that of dx_k;
-Godbillon-Vey 1971): `gv_term` runs no pass there, reads f once for the sum
-and least of |f| (`_magnitudes`) and reports 0.0, refusing an f that changes
-sign between grid samples, since it vanishes or has a pole between them.
+gives one that folds to 0) evaluates no expression: on a form with two
+components the ring holds zeros for it (`_zero`), and the pass runs on all
+three.  On f dx_k, the only component present, theta = d log|f| solves
+d(omega) = theta ^ omega and is closed, so GV is exactly 0 (the class
+depends only on the foliation, here that of dx_k; Godbillon-Vey 1971):
+`gv_term` runs no pass there, reads f once for the sum and least of |f|
+(`_magnitudes`) and reports 0.0, refusing an f that changes sign between
+grid samples, since it vanishes or has a pole between them.
 """
 
 from __future__ import annotations
@@ -73,28 +74,32 @@ def _slabs(n):
     return [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
-def _packed(present):
-    """Each component's index in the stack of the `present` ones, or None if absent."""
-    return tuple(sum(map(bool, present[:c])) if on else None for c, on in enumerate(present))
+def _zero(x, y, z):
+    """An absent component of a form with two: the ring writes its rows as zeros."""
+    return 0.0
 
 
 class _Omega:
-    """A 1-form's grid rows as the GV pass reads them, a block of rows the
-    stack (p, k, n, n) of its p present components (one given as None is
-    never sampled), whose functions receive the coordinates of `grid_coords`
-    cut to the rows wanted: a `CompiledExpr` writes into the ring in place
-    through its `out`, any other result is broadcast into it.  Rows are
-    sampled a chunk at a time, about `_SAMPLE_BYTES` per component and a
-    whole number of slabs high, into two chunk slots (three when a chunk is
-    one slab), or, where that many chunks cover the grid, into one whole
-    omega when the ring is made.  Each row is sampled once, and where the
-    ring holds less than the grid and `wrap` is set (the pass reads them;
-    `_magnitudes` does not) the wrap rows n-2, n-1, 0 and 1 once more into
-    a two-row buffer.  Overflow and invalid operations give inf/nan
-    silently; `gv_term` rejects them."""
+    """A 1-form's grid rows as `gv_term` reads them, a block of rows the
+    stack (p, k, n, n) of its components: of f dx_k, f alone (p = 1), which
+    `_magnitudes` reads; otherwise all three, an absent one (None) as zeros
+    written by `_zero`, which the pass reads.  Their functions receive the
+    coordinates of `grid_coords` cut to the rows wanted: a `CompiledExpr`
+    writes into the ring in place through its `out`, any other result is
+    broadcast into it.  Rows are sampled a chunk at a time, about
+    `_SAMPLE_BYTES` per component and a whole number of slabs high, into two
+    chunk slots (three when a chunk is one slab), or, where that many chunks
+    cover the grid, into one whole omega when the ring is made.  Each row is
+    sampled once, and where the ring holds less than the grid and the pass
+    reads it, the wrap rows n-2, n-1, 0 and 1 once more into a two-row
+    buffer.  Overflow and invalid operations give inf/nan silently;
+    `gv_term` rejects them."""
 
-    def __init__(self, fns, n, wrap=True):
-        self.fns, self.n, self.coords = [f for f in fns if f is not None], n, grid_coords(n)
+    def __init__(self, fns, n):
+        present = [f for f in fns if f is not None]
+        wrap = len(present) != 1
+        self.fns = [_zero if f is None else f for f in fns] if wrap else present
+        self.n, self.coords = n, grid_coords(n)
         p, rows = len(self.fns), _slab_rows(n)
         self.height = min(n, rows * max(1, _slab_rows(n, _SAMPLE_BYTES) // rows))
         slots = 2 + (self.height == rows)
@@ -115,7 +120,7 @@ class _Omega:
                 self.block(a, 1)
 
     def sample(self, rows, out):
-        """omega's present components on the grid rows `rows` into `out` (p, k, n, n)."""
+        """omega's components on the grid rows `rows` into `out` (p, k, n, n)."""
         x, y, z = self.coords
         with np.errstate(all="ignore"):
             for comp, f in zip(out, self.fns):
@@ -203,53 +208,38 @@ def _magnitudes(omega):
 _WEDGE12 = ((1, 0, 2), (-1, 1, 1), (1, 2, 0))
 _THETA = (((1, 1, 0), (1, 2, 1)), ((1, 2, 2), (-1, 0, 0)), ((-1, 0, 1), (-1, 1, 2)))
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))  # the components of a 2-form
-
-# The six centred differences that d of a 1-form takes, as (axis, component),
-# two along each axis: the plaquette q = (a, b) is D_a v_b, slot q, less
-# D_b v_a, slot q + 3.
-_DIFFS = ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))
+# d of a 1-form as three stacked centred differences (axis, components, work
+# blocks), one along each axis, into work blocks 0-5: the plaquette q, (a, b) =
+# (0, 1), (0, 2) or (1, 2), is D_a v_b, block q, less D_b v_a, block q + 3.
+_D_OMEGA = ((0, slice(1, 3), slice(0, 2)), (1, slice(2, None, -2), slice(2, 4)),
+            (2, slice(0, 2), slice(4, 6)))
 
 # The GV terms (a, axis, b), each theta_a D_axis theta_b, whose sum is half that of
 # theta ^ d(theta) = theta_0 (D_1 theta_2 - D_2 theta_1) - theta_1 (D_0 theta_2 -
 # D_2 theta_0) + theta_2 (D_0 theta_1 - D_1 theta_0): -theta_a D theta_b sums as
-# theta_b D theta_a.
+# theta_b D theta_a.  Term t takes the difference of theta_b into work block t
+# (_D_THETA), then its product with theta_a (_GV_PRODUCTS).
 _GV = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
-def _chain(w):
-    """theta's terms by component and omega ^ d(omega)'s terms for omega's
-    layout `w` of two or three present components, less those with an
-    absent factor of omega.  Every plaquette of d(omega), component of theta
-    and GV term (`_GV`) is read by some sum of the row, so none goes."""
-    return [[t for t in terms if w[t[1]]] for terms in _THETA], [t for t in _WEDGE12 if w[t[1]]]
+_D_THETA = tuple((axis, b, t) for t, (_a, axis, b) in enumerate(_GV))
+_GV_PRODUCTS = tuple((1, a, t) for t, (a, _axis, _b) in enumerate(_GV))
 
 
 class _Pass:
-    """The GV pass for one layout of two or three present components of omega
-    at grid n in x-slabs of `_slab_rows(n)` rows, on 19 blocks (rows, n, n)
-    of its own: d(omega) and |omega|^2 of one slab, theta of three and a work
-    area (d's differences, |omega|, squares and products, then GV term t's in
-    block t), all laid out when the pass is made.  `stages` reads each slab
-    of omega once (`_ahead`), then sums the slab's GV terms; as they read
-    D_x theta_y, theta runs a slab ahead, from a one-row prologue on the last
-    grid row to grid row 0 again.  Each slab's sums are reduced whole and
-    folded in slab order into `sums`: |omega|, |omega ^ d omega|^2 (at
-    `scale`), |d omega|^2, |omega|^2, the GV terms and, leaving out nan as
-    np.fmin does, the least |omega|.  Every value is bit-identical to the
-    whole-grid chain at 2h = 1, apart from the signs of zeros of skipped
-    terms."""
+    """The GV pass on omega's three components at grid n in x-slabs of
+    `_slab_rows(n)` rows, on 19 blocks (rows, n, n) of its own: d(omega) and
+    |omega|^2 of one slab, theta of three and a work area (d's differences,
+    |omega|, squares and products, then GV term t's in block t), all laid
+    out when the pass is made.  `stages` reads each slab of omega once
+    (`_ahead`), then sums the slab's GV terms; as they read D_x theta_y,
+    theta runs a slab ahead, from a one-row prologue on the last grid row to
+    grid row 0 again.  Each slab's sums are reduced whole and folded in slab
+    order into `sums`: |omega|, |omega ^ d omega|^2 (at `scale`), |d omega|^2,
+    |omega|^2, the GV terms and, leaving out nan as np.fmin does, the least
+    |omega|.  Every value is bit-identical to the whole-grid chain at 2h = 1
+    (on a form with two components, with the absent one sampled as zeros)."""
 
-    def __init__(self, present, n):
-        self.n, self.rows, at = n, _slab_rows(n), _packed(present)
-        theta, frob = _chain(present)
-        self.dw_at = self.theta_at = (0, 1, 2)
-        self.theta_terms = [[(s, at[i], j) for s, i, j in t] for t in theta]
-        self.frob = [(s, at[i], j) for s, i, j in frob]
-        self.d_omega = _d_layout(at)
-        # GV term t: the difference of theta_b into work block t, times theta_a
-        self.gv = [(1, a, t) for t, (a, _axis, _b) in enumerate(_GV)]
-        self.d_theta = [(axis, b, False, t, False) for t, (_a, axis, b) in enumerate(_GV)], []
+    def __init__(self, n):
+        self.n, self.rows = n, _slab_rows(n)
         grid = np.empty((19, self.rows, n, n))
         self.blocks = len(grid)
         self.dw, self.nsq, self.work = grid[:3], grid[3], grid[13:]
@@ -280,26 +270,27 @@ class _Pass:
             theta, work, k = self.theta[i % 3], self.work, s.stop - s.start
             if k < rows:
                 theta, work = theta[:, :k], work[:, :k]
-            _d(theta, *self.around[i % 3], work, None, self.d_theta, n)
-            _products([self.gv], theta, work, work[:1], work[-1])
+            _d(theta, *self.around[i % 3], work, _D_THETA, n)
+            _products([_GV_PRODUCTS], theta, work, work[:1], work[-1])
             self.sums[4] += np.add.reduce(work[0], None)
             yield "slab", i
 
     def _ahead(self, v, before, after, at, slot, summed):
-        """d(omega), |omega|^2 and theta on omega's rows v (p, k, n, n) between
+        """d(omega), |omega|^2 and theta on omega's rows v (3, k, n, n) between
         `before` and `after`, theta into rows at.. of theta block `slot`, and
         their sums; `summed` None for theta alone (wrap rows), True at first."""
-        p, k = v.shape[:2]
+        k = v.shape[1]
         work, theta = self.work, self.theta[slot]
         if k < self.rows:
             work, theta = work[:, :k], theta[:, at : at + k]
         mag, dw, nsq = work[0], self.dw[:, :k], self.nsq[:k]
-        _d(v, before, after, dw, work, self.d_omega, self.n)
-        sq = work[:p]  # then (w0^2 + w1^2) + w2^2
+        _d(v, before, after, work, _D_OMEGA, self.n)
+        np.subtract(work[:3], work[3:], dw)
+        sq = work[:3]  # then (w0^2 + w1^2) + w2^2
         np.square(v, sq)
-        for c in range(1, p):
-            np.add(sq[0] if c == 1 else nsq, sq[c], nsq)
-        _products(self.theta_terms, v, dw, theta, work[0])
+        np.add(sq[0], sq[1], nsq)
+        np.add(nsq, sq[2], nsq)
+        _products(_THETA, v, dw, theta, work[0])
         np.divide(theta, nsq, theta)
         if summed is None:
             return
@@ -314,67 +305,36 @@ class _Pass:
         np.square(dw, squares)
         sums[2] += np.add.reduce(squares, None)
         sums[3] += np.add.reduce(nsq, None)
-        _products([self.frob], v, dw, work[2:3], work[3])
+        _products([_WEDGE12], v, dw, work[2:3], work[3])
         np.multiply(work[2], self.scale, work[1])
         np.square(work[1], mag)
         sums[1] += np.add.reduce(mag, None)
 
 
-def _d_layout(at):
-    """The differences (axis, components, whether into the work area,
-    plaquettes, swapped) and subtractions (work, work, plaquettes) of d from a
-    1-form laid out by `at` (None: absent) into its three plaquettes.  A
-    plaquette with both terms takes them into work blocks q and q + 3 and
-    subtracts them (all three at once if all have both); a lone D_a v_b goes
-    to its plaquette, a lone D_b v_a swapped.  The two along an axis are one
-    difference of a pair where they go alike."""
-    both = [None not in (at[a], at[b]) for a, b in _PAIRS]
-    diffs = []
-    for s, (axis, c) in enumerate(_DIFFS):
-        q = s % 3
-        if at[c] is None:
-            continue
-        diff = (axis, at[c], True, s, False) if both[q] else (axis, at[c], False, q, s >= 3)
-        if diffs and diffs[-1][0] == axis and diffs[-1][2::2] == diff[2::2]:
-            last = diffs.pop()
-            # slices of the two indices i, j, in this order
-            sel, osel = (slice(i, 2 * j - i if 2 * j >= i else None, j - i)
-                         for i, j in ((last[1], diff[1]), (last[3], diff[3])))
-            diff = (axis, sel, diff[2], osel, diff[4])
-        diffs.append(diff)
-    if all(both):
-        return diffs, [(slice(0, 3), slice(3, 6), slice(0, 3))]
-    return diffs, [(q, q + 3, q) for q in range(3) if both[q]]
-
-
-def _d(f, before, after, out, work, layout, n):
+def _d(f, before, after, out, diffs, n):
     """2h d of the k-row stack f (p, k, n, n) between the rows `before` and
-    `after` into `out` by its `_d_layout`, with the work area `work`: undivided
-    centred differences f[i+1] - f[i-1] (reversed if swapped), the y and z
-    interiors one subtract over the flattened rows, the wrap columns one more."""
-    diffs, subtractions = layout
-    for axis, sel, into, osel, swap in diffs:
-        o = work if into else out
+    `after` into blocks of `out` by the `diffs` (axis, components, blocks):
+    undivided centred differences f[i+1] - f[i-1], the y and z interiors one
+    subtract over the flattened rows, the wrap columns one more."""
+    for axis, sel, osel in diffs:
         if axis == 0:
             k = f.shape[1]
             # the edge rows read the rows before and after the slab
-            terms = [(f[sel, 2:], f[sel, :-2], o[osel, 1:-1])] if k > 2 else []
-            terms.append((f[sel, 1:2] if k > 1 else after[sel], before[sel], o[osel, :1]))
+            terms = [(f[sel, 2:], f[sel, :-2], out[osel, 1:-1])] if k > 2 else []
+            terms.append((f[sel, 1:2] if k > 1 else after[sel], before[sel], out[osel, :1]))
             if k > 1:
-                terms.append((after[sel], f[sel, k - 2 : k - 1], o[osel, k - 1 : k]))
+                terms.append((after[sel], f[sel, k - 2 : k - 1], out[osel, k - 1 : k]))
         else:
-            step, fflat, oflat = n ** (2 - axis), f.reshape(len(f), -1), o.reshape(len(o), -1)
+            step, fflat, oflat = n ** (2 - axis), f.reshape(len(f), -1), out.reshape(len(out), -1)
             terms = [(fflat[sel, 2 * step :], fflat[sel, : -2 * step], oflat[osel, step:-step])]
             # the wrap: columns 0 and n-1 read columns 1 and 0 ahead, n-1 and n-2
             # behind, as views (..., 2, n) along the last axis of y-rows or z-columns
-            g, o = (f, o) if axis == 1 else (f.swapaxes(-1, -2), o.swapaxes(-1, -2))
+            g, o = (f, out) if axis == 1 else (f.swapaxes(-1, -2), out.swapaxes(-1, -2))
             behind = slice(n - 1, n - 3 if n > 2 else None, -1)
             ends = slice(None, None, max(n - 1, 1))
             terms.append((g[sel, ..., 1::-1, :], g[sel, ..., behind, :], o[osel, ..., ends, :]))
         for a, b, dst in terms:
-            np.subtract(b, a, dst) if swap else np.subtract(a, b, dst)
-    for a, b, o in subtractions:
-        np.subtract(work[a], work[b], out[o])
+            np.subtract(a, b, dst)
 
 
 def _products(terms, u, v, out, tmp):
@@ -392,7 +352,7 @@ def _products(terms, u, v, out, tmp):
 
 class FoliationSpec(NamedTuple):
     """A foliation as `gv_term` takes it.  A component of omega given as None is
-    identically zero: never sampled, and no term of the chain with it as a factor."""
+    identically zero and evaluates no expression (`_zero`)."""
 
     omega: tuple  # the three component functions f(x, y, z) of the 1-form, or None
     grid: int
@@ -441,13 +401,14 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
 
     The transversal is checked first (ValueError), and an omega whose three
     components are all absent (None) vanishes (SingularityError at the first
-    cell).  On two or three present components one slab pass (`_Pass`) samples
-    omega and gives the mean and least of |omega|, the defect |omega ^ d omega|
-    / (|omega| |d omega| + eps) (grid RMS norms, at a power of two that follows
-    |omega|, so that 2^k omega gives the defect of omega bit for bit) and the
-    GV integral, theta ^ d theta summed by parts as 2 (theta_x D_y theta_z +
-    theta_y D_z theta_x + theta_z D_x theta_y), rescaled from grid units by
-    powers of n/2.  On f dx_k, the only present component, GV is exactly 0
+    cell).  On two or three present components one slab pass (`_Pass`) over
+    all three, an absent one sampled as zeros (`_zero`), gives the mean and
+    least of |omega|, the defect |omega ^ d omega| / (|omega| |d omega| +
+    eps) (grid RMS norms, at a power of two that follows |omega|, so that
+    2^k omega gives the defect of omega bit for bit) and the GV integral,
+    theta ^ d theta summed by parts as 2 (theta_x D_y theta_z + theta_y D_z
+    theta_x + theta_z D_x theta_y), rescaled from grid units by powers of
+    n/2.  On f dx_k, the only present component, GV is exactly 0
     (theta = d log|f| is closed): `_magnitudes` reads f once for the mean and
     least of |f|, and gv and the defect are 0.0, with no difference taken (the
     theta chain reads its discretisation error instead, -1.02e-3 at grid 32
@@ -466,16 +427,14 @@ def gv_term(spec: FoliationSpec, k: int = 0, strict: bool = False):
     loop = None if spec.transversal is None else _loop_edges(spec.transversal, n)
     if all(f is None for f in spec.omega):
         raise SingularityError("1-form (nearly) vanishes at grid cell (0, 0, 0)")
-    present = tuple(f is not None for f in spec.omega)
-    one = sum(present) == 1
-    omega = _Omega(spec.omega, n, wrap=not one)
+    omega = _Omega(spec.omega, n)
     with np.errstate(all="ignore"):
-        if one:
+        if len(omega.fns) == 1:
             total, least, sign_cells = _magnitudes(omega)
             frob = dw = w = gv = 0.0
             scale = 1.0
         else:
-            gv_pass = _Pass(present, n)
+            gv_pass = _Pass(n)
             for _ in gv_pass.stages(omega):
                 pass
             total, frob, dw, w, gv, least = map(float, gv_pass.sums)

@@ -649,6 +649,17 @@ def test_gv_refuses_f_dz_that_changes_sign(tmp_path, capsys):
         "negative at (10, 0, 0): it vanishes or has a pole between\n")
 
 
+@pytest.mark.parametrize("path", [[], [[0, 0, 0]]], ids=["empty", "one vertex"])
+def test_gv_refuses_a_transversal_of_fewer_than_two_vertices(tmp_path, capsys, path):
+    """An empty transversal is a path given, not a path left out: like a
+    one-vertex path it exits 2, where it read `taut: null` and exit 0 under
+    --strict."""
+    data = _one_foliation("1", transversal=path)
+    data["manifold"] = {"family": "Torus3"}
+    assert run(["gv", "--manifest", write_manifest(tmp_path, data), "--strict"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: transversal path needs at least two vertices\n"
+
+
 @pytest.mark.parametrize("scale", ["2^600*", "2^-600*"])
 def test_gv_of_f_dz_at_a_power_of_two_scale_is_its_gv_at_unit_scale(tmp_path, scale):
     """2^600 f dz, whose |omega|^2 overflows, and 2^-600 f dz, whose |omega|^2

@@ -64,44 +64,34 @@ def gv_row(omega, tol=None):
 
 
 def ring(fns, n):
-    """The sampled rows of a 1-form, as gv_term's ring holds them: with the
-    wrap rows that the slab pass reads unless one component is present."""
-    return fg._Omega(tuple(fns), n, wrap=sum(f is not None for f in fns) != 1)
+    """The sampled rows of a 1-form (components None where absent), as
+    gv_term's ring holds them."""
+    return fg._Omega(tuple(fns), n)
 
 
-def spread(stack, at):
-    """The three components of a form from the stack of those that the pass
-    computes, laid out by `at`, as a new array with zeros for the others."""
-    out = np.zeros((3,) + stack.shape[1:])
-    for c, i in enumerate(at):
-        if i is not None:
-            out[c] = stack[i]
-    return out
-
-
-def new_pass(fns, n):
-    """The pass for the layout of `fns` (None where absent) at grid n.  The
-    bench's forms are all f dz, which runs no pass, so only these tests reach
-    `_Pass.__init__`, `_Pass.stages`, `_Pass._ahead`, `_chain`, `_packed`,
-    `_d_layout`, `_d`, `_products` and `_Omega.edge` (tests/test_reachable.py)."""
-    return fg._Pass(tuple(f is not None for f in fns), n)
+def new_pass(n):
+    """The pass at grid n.  The bench's forms are all f dz, which runs no
+    pass, so only these tests reach `_Pass.__init__`, `_Pass.stages`,
+    `_Pass._ahead`, `_d`, `_products`, `_Omega.edge` and, on a form with
+    two components, `_zero` (tests/test_reachable.py)."""
+    return fg._Pass(n)
 
 
 def pass_fields(fns, n):
     """The fields of the pass on two or three component functions (None where
-    absent), copied out of its workspace slab by slab with the components
-    that it does not compute as zeros and concatenated along x, in grid
-    units, by name: d(omega), omega ^ d(omega), |omega|^2, theta and half the
-    density of the GV sum by parts, "gv"."""
-    gvp, slabs = new_pass(fns, n), fg._slabs(n)
+    absent, which the ring samples as zeros), copied out of its workspace
+    slab by slab and concatenated along x, in grid units, by name: d(omega),
+    omega ^ d(omega), |omega|^2, theta and half the density of the GV sum by
+    parts, "gv"."""
+    gvp, slabs = new_pass(n), fg._slabs(n)
     fields = {name: [] for name in ("d(omega)", "omega ^ d(omega)", "|omega|^2", "theta", "gv")}
     for stage, i in gvp.stages(ring(fns, n)):
         k = slabs[i].stop - slabs[i].start
         if stage == "ahead":
-            fields["d(omega)"].append(spread(gvp.dw[:, :k], gvp.dw_at))
+            fields["d(omega)"].append(gvp.dw[:, :k].copy())
             fields["omega ^ d(omega)"].append(gvp.work[2, :k].copy())
             fields["|omega|^2"].append(gvp.nsq[:k].copy())
-            fields["theta"].append(spread(gvp.theta[i % len(gvp.theta)][:, :k], gvp.theta_at))
+            fields["theta"].append(gvp.theta[i % 3][:, :k].copy())
         else:
             fields["gv"].append(gvp.work[0, :k].copy())
     return {name: np.concatenate(parts, axis=parts[0].ndim - 3) for name, parts in fields.items()}
@@ -921,7 +911,7 @@ def test_gv_term_scratch_is_a_few_dozen_slab_blocks(traced_peak, n):
     for as_cli, blocks in ((False, 3 + 1 + 3 * 3 + 6), (True, 0)):
         fns = lens_exp_g(as_cli)
         if blocks:
-            assert new_pass(fns, n).blocks == blocks
+            assert new_pass(n).blocks == blocks
         spec = FoliationSpec(fns, n, tuple((0, 0, k) for k in range(n)))
         ((_label, _gv, taut), _defect, _warning), peak = traced_peak(gv_term, spec)
         omega = ring(fns, n)
@@ -1105,6 +1095,8 @@ def test_the_pairings_are_omega_as_the_ring_samples_it(monkeypatch, n, texts):
     coordinate."""
     fns = tuple(None if f.is_zero else f for f in map(compile_expr, texts))
     present = [c for c, f in enumerate(fns) if f is not None]
+    if len(present) > 1:  # the ring holds all three, an absent one as zeros
+        present = [0, 1, 2]
     loop = [((k + 2) // 3 % n, (k + 1) // 3 % n, k // 3 % n) for k in range(3 * n)]
     vertices, real = np.array(loop), fg._Omega.sample
     sampled = np.zeros((3, len(loop)))
@@ -1180,7 +1172,7 @@ def test_errors_come_in_the_order_singular_tautness_integrability():
         gv_term(FoliationSpec(contact_fns(), n, tuple((k, 0, 0) for k in range(n))))
 
 
-# --- absent components: a component given as None is never sampled -------------
+# --- absent components: a component given as None evaluates no expression -----
 
 def smooth_positive(rng):
     """2 plus two random Fourier modes of amplitude below 1/2: a component that
@@ -1211,12 +1203,11 @@ def outcome(fns, n):
 
 def assert_absent_matches_sampled(fns, zeros, n):
     """gv_term with the components `zeros` absent equals it with them sampled as
-    the constant 0: every field value but the sign of a zero is the same, so
-    the row and warning are; so is the defect, except that the sum of
-    |d omega|^2 runs over fewer components and may round otherwise where
-    omega ^ d omega is not 0.  Where one component is left, gv is exactly
-    0.0, where the pass on the sampled zeros reads the discretisation error
-    of its chain; the rest of the row is the same."""
+    the constant 0: with two components left, the ring samples the absent
+    one as zeros, so the row, defect and warning are those of the sampled
+    zeros.  Where one component is left, gv is exactly 0.0, where the pass
+    on the sampled zeros reads the discretisation error of its chain; the
+    rest of the row is the same, and the defect is 0.0 on both."""
     sampled = outcome([zero if z else f for f, z in zip(fns, zeros)], n)
     given = [None if z else f for f, z in zip(fns, zeros)]
     absent = outcome(given, n)
@@ -1227,11 +1218,7 @@ def assert_absent_matches_sampled(fns, zeros, n):
     if sum(zeros) == 2 and row[1] is not None:
         assert row[1] == 0.0
         row = (row[0], want_row[1], row[2])
-    assert (row, warning) == (want_row, want_warning)
-    if want_defect == 0.0:
-        assert defect == 0.0
-    else:
-        assert defect == pytest.approx(want_defect, rel=1e-15, abs=0)
+    assert (row, defect, warning) == (want_row, want_defect, want_warning)
 
 
 GRIDS = [(8, None), (9, None), (32, None), (39, None), (64, None), (128, None), (39, (5, 5))] + [
@@ -1276,20 +1263,30 @@ def test_absent_zeros_give_the_bench_rows(manifest, index):
 
 @pytest.mark.parametrize("n", [8, 9, 32, 39, 64, 128])
 def test_the_ring_holds_and_samples_only_present_components(monkeypatch, n):
-    """For every set of absent components, the ring's slots and wrap rows hold
-    the present ones only, and gv_term samples them alone, as a dense
-    evaluation would: each grid row as often as with no component absent, or,
-    where one component is left and only `_magnitudes` reads it, each row
-    once, with no wrap rows."""
+    """For every set of absent components, gv_term samples the ring as a
+    dense evaluation would: each grid row as often as with no component
+    absent, or, where one component is left and only `_magnitudes` reads
+    it, each row once, with no wrap rows.  Where one component is left, the
+    ring's slots and wrap rows hold it alone.  Where two are, the ring holds
+    all three, the absent one written as zeros by `fg._zero`, and no
+    component function is called for it."""
     fns = [smooth_positive(np.random.default_rng(c)) for c in range(3)]
     real = fg._Omega.sample
     for mask in MASKS[:-1]:  # not all three absent
-        given = [None if z else f for f, z in zip(fns, mask)]
+        called = set()
+        given = [None if z else (lambda x, y, z, c=c, f=f: called.add(c) or f(x, y, z))
+                 for c, (f, z) in enumerate(zip(fns, mask))]
         present = [f for f in given if f is not None]
         omega = ring(given, n)
-        assert len(omega.fns) == len(present) and omega.fns == present
-        assert all(len(slot) == len(present) for slot in omega.slots)
-        assert held_bytes(omega) <= len(present) * 8 * n**3
+        if len(present) == 1:
+            assert len(omega.fns) == len(present) and omega.fns == present
+            assert all(len(slot) == len(present) for slot in omega.slots)
+            assert held_bytes(omega) <= len(present) * 8 * n**3
+        else:
+            assert omega.fns == [fg._zero if f is None else f for f in given]
+            assert all(len(slot) == 3 for slot in omega.slots)
+            assert held_bytes(omega) <= 3 * 8 * n**3
+            present = [zero if f is None else f for f in given]
         seen = []
 
         def checking(self, rows, out):
@@ -1299,9 +1296,11 @@ def test_the_ring_holds_and_samples_only_present_components(monkeypatch, n):
             seen.extend(picked.tolist())
             return out
 
+        called.clear()
         with monkeypatch.context() as mp:
             mp.setattr(fg._Omega, "sample", checking)
             outcome(given, n)
+        assert called == {c for c, z in enumerate(mask) if not z}
         assert Counter(seen) == rows_sampled(given, n)
         assert (omega.edge_rows is not None) == (n >= 128 and len(present) > 1)
 
@@ -1316,54 +1315,24 @@ def test_an_omega_with_no_component_vanishes():
             gv_term(FoliationSpec(fns, 8))
 
 
-# --- the pass computes exactly what the sums of a row read -----------------------
+# --- every field of the pass is the whole-grid oracle's ---------------------------
 
 # the layouts that the pass serves: two or three present components
 LAYOUTS = [present for present in itertools.product((False, True), repeat=3) if sum(present) > 1]
 
 
-def read_by_the_sums(present):
-    """What some sum of a row reads, for omega's layout `present`, from the
-    chain's formulas: d(omega)'s plaquettes that are not identically zero;
-    theta's components that are not, theta_c = w_(c+1) g_(c+2) -
-    w_(c+2) g_(c+1) with g = (v_12, -v_02, v_01), where a term
-    theta_a D theta_b of the GV sum by parts has both factors among them;
-    those terms; and whether omega ^ d(omega) has a term."""
-    dw = {q for q, (a, b) in enumerate(PAIRS) if present[a] or present[b]}
-    g = [2 in dw, 1 in dw, 0 in dw]
-    theta = {c for c in range(3) if any(present[(c + s) % 3] and g[(c + 3 - s) % 3] for s in (1, 2))}
-    gv = [t for t in go.GV_TERMS if t[0] in theta and t[2] in theta]
-    frob = any(present[c] and 2 - c in dw for c in range(3))
-    return dw, {c for a, _axis, b in gv for c in (a, b)}, gv, frob
-
-
-def computed(at):
-    return {c for c, i in enumerate(at) if i is not None}
-
-
 @pytest.mark.parametrize("n", [8, 9, 39, 64])
 @pytest.mark.parametrize("present", LAYOUTS, ids=lambda p: "".join("xyz"[c] for c in range(3) if p[c]))
-def test_the_plan_computes_exactly_what_the_sums_read(present, n):
-    """For each layout of present components, the pass computes exactly the
-    components that some reported sum reads, and each matches the whole-grid
-    oracle on omega with its absent components sampled as zeros at 2h = 1,
-    bit for bit and signed zeros included: d(omega), omega ^ d(omega),
-    |omega|^2, theta and the density of the GV sum by parts, slab by slab
-    over every slab and wrap row of the grid.  theta is held on three slabs
-    only where a GV term reads D_x theta_y."""
+def test_every_field_of_the_pass_is_the_oracles_on_sampled_zeros(present, n):
+    """For each layout of two or three present components, every field of
+    the pass, d(omega), omega ^ d(omega), |omega|^2, theta and the density
+    of the GV sum by parts, equals the whole-grid oracle on omega with its
+    absent component sampled as zeros at 2h = 1, bit for bit and signed
+    zeros included, slab by slab over every slab and wrap row of the grid."""
     rng = np.random.default_rng(10 * n + sum(present))
     fns = [smooth_positive(rng) if on else None for on in present]
-    gvp = new_pass(fns, n)
-    dw, theta, gv, frob = read_by_the_sums(present)
-    assert (computed(gvp.dw_at), computed(gvp.theta_at)) == (dw, theta)
-    assert bool(gvp.frob) == frob and len(gvp.gv) == len(gv)
-    assert len(gvp.theta) == (3 if any(axis == 0 for _a, axis, _b in gv) else 1)
-    got = pass_fields(fns, n)
-    want = oracle_fields(form_from_functions(1, n, *[f or zero for f in fns]), 0.5, gv)
-    assert got.keys() == want.keys()
-    for name, comps in (("d(omega)", dw), ("theta", theta)):
-        got[name], want[name] = got[name][sorted(comps)], want[name][sorted(comps)]
-    assert_fields_equal(got, want)
+    want = oracle_fields(form_from_functions(1, n, *[f or zero for f in fns]), 0.5)
+    assert_fields_equal(pass_fields(fns, n), want)
 
 
 class CountedUfunc:
@@ -1414,18 +1383,23 @@ def pass_work(fns, n):
     ("f dz", 128, 256, 4194304),
     ("f dz", 32, 8, 65536),
     ("x, y and z", 32, 236, 1836512),
-], ids=["f-dz-128", "f-dz-32", "three-32"])
+    ("x only", 32, 236, 1836512),
+], ids=["f-dz-128", "f-dz-32", "three-32", "two-32"])
 def test_the_pass_does_a_pinned_amount_of_work(form, n, calls, elements):
     """The ufunc calls and element operations of a gv_term call repeat
     exactly, so a change to it can show its work apart from the host's
     noise.  f dz (the bench's exp-g form, its zeros absent, positive) takes
     2.0 element operations per cell at grid 128, the least and the sum of f
     per slab, and no subtract, divide or multiply: GV is exactly 0 there.  A
-    form with three components takes 56.0 at grid 32.  Through the pass,
-    f dz took 1408 calls and 10.0 operations per cell at grid 128 and 52 and
-    10.1 at grid 32 (2446 and 21.1, and 98 and 21.6, before the sum by
-    parts); three components took 240 and 62.2."""
-    fns = lens_exp_g(as_cli=True) if form == "f dz" else [compile_expr(s) for s in SAMPLED[form]]
+    form with three components takes 56.0 at grid 32, and so does one with
+    two (its zero absent), whose ring holds the absent component as zeros:
+    with the terms of an absent factor pruned, it took 202 calls and
+    1,451,628 operations (44.3 per cell).  Through the pass, f dz took 1408
+    calls and 10.0 operations per cell at grid 128 and 52 and 10.1 at grid
+    32 (2446 and 21.1, and 98 and 21.6, before the sum by parts); three
+    components took 240 and 62.2."""
+    fns = (lens_exp_g(as_cli=True) if form == "f dz"
+           else [None if f.is_zero else f for f in map(compile_expr, SAMPLED[form])])
     got_calls, got_elements, names = pass_work(fns, n)
     assert (got_calls, got_elements) == (calls, elements)
     assert elements / n**3 <= (2 if form == "f dz" else 57)
@@ -1450,7 +1424,7 @@ def test_repeated_calls_take_few_page_faults(monkeypatch):
 @pytest.mark.parametrize("grids", [(32, 32), (32, 16)], ids=["one grid", "two grids"])
 def test_calls_on_two_threads_give_their_serial_rows(monkeypatch, grids):
     """No call keeps state for another: two threads that run gv_term at once,
-    on one layout at one grid or at two grids, each get the rows of serial
+    on one form at one grid or at two grids, each get the rows of serial
     calls."""
     monkeypatch.setattr(fg, "INTEGRABILITY_TOLERANCE", np.inf)
     fns = tuple(compile_expr(s) for s in SAMPLED["x, y and z"])

@@ -36,9 +36,7 @@ ALLOWED = {
     "foliation_gv._Pass.stages": "tests/test_foliation_gv.py",
     "foliation_gv._Pass._ahead": "tests/test_foliation_gv.py",
     "foliation_gv._Omega.edge": "tests/test_foliation_gv.py",
-    "foliation_gv._chain": "tests/test_foliation_gv.py",
-    "foliation_gv._packed": "tests/test_foliation_gv.py",
-    "foliation_gv._d_layout": "tests/test_foliation_gv.py",
+    "foliation_gv._zero": "tests/test_foliation_gv.py",  # forms with two components
     "foliation_gv._d": "tests/test_foliation_gv.py",
     "foliation_gv._products": "tests/test_foliation_gv.py",
     "manifest._finite": "tests/test_cli.py",  # float literals; no bench manifest has one
